@@ -68,12 +68,15 @@ pub struct ChipConfig {
     /// The shared NUCA secondary system.
     pub mem: MemConfig,
     /// Tick the cores on separate host threads, synchronizing at the
-    /// shared-system boundary each cycle. `None` (the default) enables
-    /// threading exactly when the host has more than one worker
-    /// ([`trips_harness::num_threads`]); `Some(b)` forces it. The
-    /// core-tick phase touches only per-core state, so threaded and
-    /// serial chips are bit-identical (pinned by
-    /// `tests/chip_equivalence.rs`).
+    /// shared-system boundary each cycle: `Some(true)` runs one worker
+    /// per core; `None` (the default) and `Some(false)` tick the cores
+    /// in turn on the calling thread. Serial is the default because
+    /// the workers are forked and joined once per chip cycle, which
+    /// costs tens of microseconds against a core tick of a few — the
+    /// ledger measured the threaded chip 3–6× slower end to end
+    /// (`core.chip_default_over_serial`). The core-tick phase touches
+    /// only per-core state, so threaded and serial chips are
+    /// bit-identical (pinned by `tests/chip_equivalence.rs`).
     pub threaded: Option<bool>,
     /// Run the cores in one coherent physical address space (MSI
     /// directory protocol at the NUCA banks) instead of the default
@@ -175,11 +178,7 @@ impl Chip {
         let cores: Vec<Processor> = cfg.cores.iter().cloned().map(Processor::new).collect();
         let sys = Chip::build_sys(&cfg);
         let banks = sys.geometry().banks();
-        let threads = match cfg.threaded {
-            Some(true) => n,
-            Some(false) => 1,
-            None => trips_harness::num_threads().min(n),
-        };
+        let threads = if cfg.threaded == Some(true) { n } else { 1 };
         Chip {
             cores,
             sys,
@@ -404,11 +403,11 @@ impl Chip {
     /// would have cycle-by-cycle, so arbitration after a skip is
     /// bit-identical.
     ///
-    /// **Threading.** With more than one host worker the per-core tick
-    /// phase runs on `trips_harness` scoped threads (one core per
-    /// worker); cores touch only their own state during that phase —
-    /// a `Shared` memsys tick is a no-op — so the join before the
-    /// shared-system phase is the only synchronization needed, and
+    /// **Threading.** With `ChipConfig::threaded: Some(true)` the
+    /// per-core tick phase runs on `trips_harness` scoped threads (one
+    /// core per worker); cores touch only their own state during that
+    /// phase — a `Shared` memsys tick is a no-op — so the join before
+    /// the shared-system phase is the only synchronization needed, and
     /// threaded/serial schedules are bit-identical.
     fn tick(&mut self) {
         let n = self.cores.len();

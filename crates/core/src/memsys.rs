@@ -372,18 +372,21 @@ impl Adapter {
                         break;
                     }
                 }
-                if sys.request(now, port, req.clone()) {
-                    self.coh_pending[c].pop_front();
-                    tracer.record(now, || TraceKind::OcnInject {
-                        port: port as u8,
-                        addr,
-                        write: false,
-                    });
-                } else {
+                // Ask before handing the request over: a refused
+                // attempt leaves it in the queue, uncopied.
+                if !sys.admit(port, req.kind) {
                     self.stats.inject_stalls += 1;
                     ack_stalled = true;
                     break;
                 }
+                let req = self.coh_pending[c].pop_front().expect("front just seen");
+                let accepted = sys.request(now, port, req);
+                debug_assert!(accepted, "admitted a moment ago");
+                tracer.record(now, || TraceKind::OcnInject {
+                    port: port as u8,
+                    addr,
+                    write: false,
+                });
             }
             if ack_stalled {
                 continue;
@@ -397,22 +400,23 @@ impl Adapter {
                         break;
                     }
                 }
-                if sys.request(now, port, req.clone()) {
-                    let line = req.id & !ID_FILL;
-                    self.pending[c].pop_front();
-                    self.issued += 1;
-                    if is_fill {
-                        self.sent_at.push((c as u64, line, now));
-                    }
-                    tracer.record(now, || TraceKind::OcnInject {
-                        port: port as u8,
-                        addr,
-                        write: !is_fill,
-                    });
-                } else {
+                if !sys.admit(port, req.kind) {
                     self.stats.inject_stalls += 1;
                     break;
                 }
+                let req = self.pending[c].pop_front().expect("front just seen");
+                let line = req.id & !ID_FILL;
+                let accepted = sys.request(now, port, req);
+                debug_assert!(accepted, "admitted a moment ago");
+                self.issued += 1;
+                if is_fill {
+                    self.sent_at.push((c as u64, line, now));
+                }
+                tracer.record(now, || TraceKind::OcnInject {
+                    port: port as u8,
+                    addr,
+                    write: !is_fill,
+                });
             }
         }
     }

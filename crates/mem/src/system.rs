@@ -4,7 +4,7 @@
 //! die tiles that block vertically per [`OcnGeometry`].
 
 use trips_isa::mem::SparseMem;
-use trips_micronet::{MeshFaultConfig, PacketMesh, PacketMsg, PacketStats, MAX_TAGS};
+use trips_micronet::{MeshFaultConfig, PacketMesh, PacketMsg, PacketStats, PacketWork, MAX_TAGS};
 
 use crate::geometry::OcnGeometry;
 use crate::tiles::{MemTile, NetTile, LINE};
@@ -377,9 +377,7 @@ impl SecondarySystem {
     /// Coherence counters and directory occupancy (all zero when the
     /// system is not coherent).
     pub fn coherence(&self) -> CohSnapshot {
-        let mut snap = self.coh;
-        snap.dir_lines = self.dir.iter().map(|d| d.len()).sum();
-        snap
+        self.coh
     }
 
     /// Coherence tokens (invalidations and their acks) currently
@@ -474,35 +472,50 @@ impl SecondarySystem {
         self.backing.read_bytes(addr, out);
     }
 
+    /// Flit count and virtual channel of a request. A line plus
+    /// header is five 16-byte flits; requests travel VC0, writes VC1
+    /// (separating traffic classes). The coherent kinds ride the same
+    /// classes as their plain counterparts; inval acks are a lone
+    /// header flit on the request channel.
+    fn wire_class(kind: ReqKind) -> (u32, u8) {
+        match kind {
+            ReqKind::ReadLine | ReqKind::GetS | ReqKind::InvalAck => (1, 0),
+            ReqKind::WriteLine | ReqKind::GetM => (5, 1),
+        }
+    }
+
+    /// True if a request of `kind` at `port` would be accepted this
+    /// cycle. A refusal counts as a refused [`SecondarySystem::request`]
+    /// (`ocn_stats().inject_fails`), so a client that asks first keeps
+    /// its request — line payload and all — in its own queue on the
+    /// retry path instead of copying it into a packet to be refused.
+    pub fn admit(&mut self, port: usize, kind: ReqKind) -> bool {
+        self.ocn.admit(self.geo.port_coord(port), Self::wire_class(kind).1)
+    }
+
     /// Injects a request at client port `port` (0..20). Returns false
     /// if the network refused it this cycle.
     pub fn request(&mut self, now: u64, port: usize, req: MemReq) -> bool {
+        if !self.admit(port, req.kind) {
+            return false;
+        }
         let src = self.geo.port_coord(port);
         let dst = self.nts[port].route((req.addr / LINE as u64) >> self.cfg.interleave_shift);
-        // A line plus header: five 16-byte flits; requests travel VC0,
-        // writes VC1 (separating traffic classes). The coherent kinds
-        // ride the same classes as their plain counterparts; inval
-        // acks are a lone header flit on the request channel.
-        let (flits, vc) = match req.kind {
-            ReqKind::ReadLine | ReqKind::GetS | ReqKind::InvalAck => (1, 0),
-            ReqKind::WriteLine | ReqKind::GetM => (5, 1),
-        };
-        let is_ack = req.kind == ReqKind::InvalAck;
-        let ok = self.ocn.inject(
+        let (flits, vc) = Self::wire_class(req.kind);
+        if req.kind == ReqKind::InvalAck {
+            // A protocol token, not a client transaction: it has
+            // no response and stays off the request ledger.
+            self.coh_in_system += 1;
+        } else {
+            self.requests += 1;
+        }
+        let accepted = self.ocn.inject(
             now,
             PacketMsg::new(src, dst, Packet::Req { port, req }, flits, vc)
                 .with_tag(self.port_tag[port]),
         );
-        if ok {
-            if is_ack {
-                // A protocol token, not a client transaction: it has
-                // no response and stays off the request ledger.
-                self.coh_in_system += 1;
-            } else {
-                self.requests += 1;
-            }
-        }
-        ok
+        debug_assert!(accepted, "admitted a moment ago");
+        true
     }
 
     /// Pops a response for `port`, if one has arrived by `now`.
@@ -549,15 +562,12 @@ impl SecondarySystem {
     /// due). `None` means the system is quiescent and cannot act until
     /// a new request is injected.
     ///
-    /// Bank MSHR fill times need no entry of their own: a pending
-    /// fill always coexists with the `in_bank` request that caused it,
-    /// whose `ready` (`dram_lat + bank_lat`) is strictly later than
-    /// the fill's (`dram_lat`), and [`MemTile::mshr_fill`] is lazy —
-    /// it completes any fill due by `now` — so a skip that lands on
-    /// the request's completion cycle fills the MSHR first, exactly as
-    /// the cycle-by-cycle schedule would have by then. Nothing can
-    /// observe the bank's tags in between because observation requires
-    /// a packet ejecting at the bank, and the OCN is empty.
+    /// Bank MSHR fill times need no entry of their own:
+    /// [`MemTile::mshr_fill`] is lazy — it completes any fill due by
+    /// `now` — and [`SecondarySystem::tick`] calls it before every
+    /// look at a bank's tags or MSHR (a request arriving, a write
+    /// installing), so a fill is in place by the time anything can
+    /// tell, however many cycles were skipped since it came due.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         if self.ocn.in_flight() > 0 || self.ocn.queued_ejects() > 0 {
             return Some(now);
@@ -568,6 +578,15 @@ impl SecondarySystem {
     /// OCN aggregate statistics (hops, queueing, inject stalls).
     pub fn ocn_stats(&self) -> PacketStats {
         self.ocn.stats
+    }
+
+    /// The OCN's deterministic cost counters — ticks, routers
+    /// arbitrated, queue heads routed (see [`PacketWork`]). They
+    /// repeat exactly for a given request pattern, so a test can gate
+    /// "the network did work proportional to its traffic" as it gates
+    /// cycle counts.
+    pub fn ocn_work(&self) -> PacketWork {
+        self.ocn.work()
     }
 
     /// Per-tag OCN in-flight high-water marks (see [`set_port_tag`]).
@@ -599,12 +618,22 @@ impl SecondarySystem {
 
     /// One cycle: move the network, run the banks.
     pub fn tick(&mut self, now: u64) {
-        // Bank-side: accept packets at each bank's router.
+        // Nothing can arrive at a bank unless some router holds a
+        // delivered packet. A bank this passes over may have a DRAM
+        // fill due; `mshr_fill` is lazy, and both places that look at
+        // a bank's tags or MSHR settle it first, so the fill still
+        // lands before anything can observe the bank.
+        if self.ocn.queued_ejects() > 0 {
+            self.accept_at_banks(now);
+        }
+        self.finish_bank_accesses(now);
+        self.ocn.tick(now);
+    }
+
+    /// Bank-side: accepts the packet (at most one per cycle) that has
+    /// arrived at each bank's router.
+    fn accept_at_banks(&mut self, now: u64) {
         for (bi, bank) in self.banks.iter_mut().enumerate() {
-            // Complete an outstanding fill.
-            if bank.mshr_fill(now).is_some() {
-                // Line now present; waiting request retried below.
-            }
             if let Some(m) = self.ocn.eject(now, bank.coord) {
                 match m.payload {
                     Packet::Req { port, req } if req.kind == ReqKind::InvalAck => {
@@ -635,6 +664,7 @@ impl SecondarySystem {
                     }
                     Packet::Req { port, req } => {
                         let line = req.addr / LINE as u64;
+                        bank.mshr_fill(now);
                         let ready = if bank.present(line) {
                             bank.hits += 1;
                             now + self.cfg.bank_lat
@@ -658,11 +688,14 @@ impl SecondarySystem {
                 }
             }
         }
+    }
 
-        // Finish bank accesses and send responses. The bank access
-        // runs exactly once; a response the network refuses is retried
-        // as a ready-made `Resp` packet, so a congested OCN delays an
-        // acknowledgement but can never drop it or repeat the access.
+    /// Finishes matured bank accesses and sends their responses. The
+    /// bank access runs exactly once; a response the network refuses
+    /// is retried as a ready-made `Resp` packet, so a congested OCN
+    /// delays an acknowledgement but can never drop it or repeat the
+    /// access.
+    fn finish_bank_accesses(&mut self, now: u64) {
         let mut k = 0;
         while k < self.in_bank.len() {
             if self.in_bank[k].0 <= now {
@@ -684,6 +717,10 @@ impl SecondarySystem {
                     Packet::Req { port, req } => match req.kind {
                         ReqKind::WriteLine | ReqKind::GetM => {
                             self.backing.write_bytes(req.addr, &req.data);
+                            // A due fill installs first: `install`
+                            // advances the set's replacement pointer,
+                            // so the order of the two is visible.
+                            self.banks[bi].mshr_fill(now);
                             self.banks[bi].install(req.addr / LINE as u64);
                             if req.kind == ReqKind::GetM && self.dir_getm(now, bi, port, &req) {
                                 // The ack is parked behind invalidations;
@@ -708,29 +745,22 @@ impl SecondarySystem {
                     },
                     Packet::Resp { port, resp, flits, vc } => (port, resp, flits, vc),
                 };
-                let accepted = self.ocn.inject(
-                    now,
-                    PacketMsg::new(
-                        self.banks[bi].coord,
-                        self.geo.port_coord(port),
-                        Packet::Resp { port, resp: resp.clone(), flits, vc },
-                        flits,
-                        vc,
-                    )
-                    .with_tag(self.port_tag[port]),
-                );
-                if accepted {
+                let pkt = Packet::Resp { port, resp, flits, vc };
+                let src = self.banks[bi].coord;
+                if self.ocn.admit(src, vc) {
+                    let dst = self.geo.port_coord(port);
+                    let msg = PacketMsg::new(src, dst, pkt, flits, vc);
+                    let accepted = self.ocn.inject(now, msg.with_tag(self.port_tag[port]));
+                    debug_assert!(accepted, "admitted a moment ago");
                     self.in_bank_count[bi] = self.in_bank_count[bi].saturating_sub(1);
                 } else {
                     // Retry next cycle without repeating the access.
-                    self.in_bank.push((now + 1, bi, Packet::Resp { port, resp, flits, vc }));
+                    self.in_bank.push((now + 1, bi, pkt));
                 }
             } else {
                 k += 1;
             }
         }
-
-        self.ocn.tick(now);
     }
 
     /// GetS directory action at the home bank: record `port` as a
@@ -740,7 +770,7 @@ impl SecondarySystem {
     fn dir_gets(&mut self, bi: usize, port: usize, line: u64) {
         self.coh.gets += 1;
         let me = port as u16;
-        let e = self.dir[bi].entry(line).or_default();
+        let e = self.dir_entry(bi, line);
         if let Some(o) = e.owner {
             if o != me {
                 e.owner = None;
@@ -752,7 +782,6 @@ impl SecondarySystem {
         if e.owner != Some(me) && !e.sharers.contains(&me) {
             e.sharers.push(me);
         }
-        self.track_dir_highwater();
     }
 
     /// GetM directory action at the home bank: claim ownership for
@@ -763,29 +792,20 @@ impl SecondarySystem {
         let line = req.addr / LINE as u64;
         self.coh.getms += 1;
         let me = port as u16;
-        let victims: Vec<u16>;
-        let deferred;
-        {
-            let e = self.dir[bi].entry(line).or_default();
-            let mut v: Vec<u16> = e.sharers.iter().copied().filter(|&p| p != me).collect();
-            if let Some(o) = e.owner {
-                if o != me && !v.contains(&o) {
-                    v.push(o);
-                }
+        let e = self.dir_entry(bi, line);
+        let mut victims = std::mem::take(&mut e.sharers);
+        victims.retain(|&p| p != me);
+        if let Some(o) = e.owner {
+            if o != me && !victims.contains(&o) {
+                victims.push(o);
             }
-            e.owner = Some(me);
-            e.sharers.clear();
-            deferred = !v.is_empty();
-            if deferred {
-                e.pending = v.clone();
-                e.deferred = Some((port, req.id, req.addr));
-            }
-            victims = v;
         }
-        self.track_dir_highwater();
-        if !deferred {
+        e.owner = Some(me);
+        if victims.is_empty() {
             return false;
         }
+        e.pending.clone_from(&victims);
+        e.deferred = Some((port, req.id, req.addr));
         self.coh.deferred_acks += 1;
         self.dir_deferred_now += 1;
         for v in victims {
@@ -799,9 +819,15 @@ impl SecondarySystem {
         true
     }
 
-    fn track_dir_highwater(&mut self) {
-        let lines: usize = self.dir.iter().map(|d| d.len()).sum();
-        self.coh.dir_highwater = self.coh.dir_highwater.max(lines);
+    /// The directory entry of `line` at bank `bi`, allocated on first
+    /// touch. Entries are never freed, so the running line count (and
+    /// its high-water mark) moves only here.
+    fn dir_entry(&mut self, bi: usize, line: u64) -> &mut DirEntry {
+        self.dir[bi].entry(line).or_insert_with(|| {
+            self.coh.dir_lines += 1;
+            self.coh.dir_highwater = self.coh.dir_highwater.max(self.coh.dir_lines);
+            DirEntry::default()
+        })
     }
 
     /// Aggregate hit rate across banks.
@@ -1082,6 +1108,55 @@ mod tests {
                     assert_eq!((*h, *m), (0, 0), "bank {b} outside block 0 saw traffic");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ocn_work_follows_the_packets_in_flight() {
+        use trips_micronet::{Coord, FaultPort, PortStall};
+        // One read outstanding at a time: at most one packet is ever
+        // in the network (the request, then its response), so a tick
+        // may arbitrate at most one router — plus, with a fault plan
+        // installed, the routers that carry a stall.
+        for bearing in [0u64, 2] {
+            let mut l2 = SecondarySystem::new(MemConfig::prototype());
+            if bearing > 0 {
+                let stall = |row, col, port| PortStall {
+                    router: Coord { row, col },
+                    port,
+                    num: 1,
+                    den: 3,
+                    max_burst: 4,
+                };
+                l2.set_ocn_fault(Some(&MeshFaultConfig {
+                    seed: 5,
+                    rotate_arbitration: false,
+                    stalls: vec![stall(0, 1, FaultPort::North), stall(9, 3, FaultPort::Eject)],
+                }));
+            }
+            let mut t = 0;
+            for i in 0..40u64 {
+                assert!(l2.request(t, (i % 20) as usize, MemReq::read_line(i, i * 64 * 37)));
+                t += run_until_resp(&mut l2, (i % 20) as usize, t, 1000).1;
+            }
+            let busy = l2.ocn_work();
+            assert!(busy.router_visits > 0 && busy.queue_probes > 0);
+            assert!(
+                busy.router_visits <= busy.ticks * (1 + bearing),
+                "{bearing} fault-bearing routers: {busy:?}"
+            );
+            assert!(busy.queue_probes <= busy.ticks, "one head per in-flight packet: {busy:?}");
+            // An idle system ticks without visiting anything.
+            for _ in 0..100 {
+                l2.tick(t);
+                t += 1;
+            }
+            let idle = l2.ocn_work();
+            assert_eq!(idle.ticks, busy.ticks + 100);
+            assert_eq!(
+                (idle.router_visits, idle.queue_probes),
+                (busy.router_visits, busy.queue_probes)
+            );
         }
     }
 

@@ -19,6 +19,7 @@
 use trips_harness::Rng;
 
 use crate::mesh::Coord;
+use crate::routerset::RouterSet;
 
 /// Output ports of a mesh router that a timing fault can stall.
 ///
@@ -139,12 +140,20 @@ pub(crate) struct MeshFaultState {
     params: Vec<[Option<(u64, u64, u64)>; 5]>,
     /// Cycle each active burst ends (exclusive).
     until: Vec<[u64; 5]>,
+    /// Routers with a stall on any port. [`MeshFaultState::stalled`]
+    /// draws from the PRNG only for a port that carries `params`, and
+    /// the PRNG is sequential, so a tick that probes exactly these
+    /// routers' ports (plus any others, which draw nothing) in
+    /// ascending order reproduces the draw sequence of a sweep over
+    /// every router.
+    bearing: RouterSet,
 }
 
 impl MeshFaultState {
     pub(crate) fn new(cfg: &MeshFaultConfig, rows: u8, cols: u8) -> MeshFaultState {
         let n = rows as usize * cols as usize;
         let mut params = vec![[None; 5]; n];
+        let mut bearing = RouterSet::with_capacity(n);
         for s in &cfg.stalls {
             assert!(
                 s.router.row < rows && s.router.col < cols,
@@ -153,13 +162,21 @@ impl MeshFaultState {
             );
             let r = s.router.row as usize * cols as usize + s.router.col as usize;
             params[r][s.port.index()] = Some((s.num, s.den, s.max_burst.max(1)));
+            bearing.insert(r);
         }
         MeshFaultState {
             rng: Rng::new(cfg.seed),
             rotate: cfg.rotate_arbitration,
             params,
             until: vec![[0; 5]; n],
+            bearing,
         }
+    }
+
+    /// The fault-bearing routers: those a tick must probe whether or
+    /// not they hold a message.
+    pub(crate) fn bearing(&self) -> &RouterSet {
+        &self.bearing
     }
 
     /// Whether round-robin pointers should be re-randomized this tick;
@@ -174,7 +191,8 @@ impl MeshFaultState {
     }
 
     /// True if output port `oi` of router `r` is stalled at `now`,
-    /// starting a new burst when the per-cycle coin lands.
+    /// starting a new burst when the per-cycle coin lands. A port
+    /// without a configured stall answers `false` and draws nothing.
     pub(crate) fn stalled(&mut self, r: usize, oi: usize, now: u64) -> bool {
         if now < self.until[r][oi] {
             return true;

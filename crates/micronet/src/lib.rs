@@ -51,10 +51,11 @@ mod fault;
 mod link;
 mod mesh;
 mod packet;
+mod routerset;
 pub mod widths;
 
 pub use chain::Chain;
 pub use fault::{ChainFaultConfig, FaultPort, LinkFaultConfig, MeshFaultConfig, PortStall};
 pub use link::Link;
 pub use mesh::{Coord, Mesh, MeshMsg, MeshStats};
-pub use packet::{PacketMesh, PacketMsg, PacketStats, MAX_TAGS, VIRTUAL_CHANNELS};
+pub use packet::{PacketMesh, PacketMsg, PacketStats, PacketWork, MAX_TAGS, VIRTUAL_CHANNELS};

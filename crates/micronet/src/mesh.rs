@@ -14,6 +14,7 @@
 use std::collections::VecDeque;
 
 use crate::fault::{MeshFaultConfig, MeshFaultState};
+use crate::routerset::RouterSet;
 
 /// Position of a router in the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -129,24 +130,38 @@ enum Out {
 }
 
 struct Router<P> {
+    /// This router's position (kept here so the tick never divides a
+    /// router index by the mesh width).
+    at: Coord,
     inputs: [VecDeque<MeshMsg<P>>; PORTS],
+    /// Bit `p` set iff input FIFO `p` is non-empty.
+    nonempty: u8,
     eject: VecDeque<MeshMsg<P>>,
     rr: [usize; PORTS],
 }
 
 impl<P> Router<P> {
-    fn new() -> Router<P> {
-        Router { inputs: Default::default(), eject: VecDeque::new(), rr: [0; PORTS] }
+    fn new(at: Coord) -> Router<P> {
+        Router {
+            at,
+            inputs: Default::default(),
+            nonempty: 0,
+            eject: VecDeque::new(),
+            rr: [0; PORTS],
+        }
     }
 }
 
 /// A W×H mesh of single-flit routers with Y-X dimension-order routing.
 ///
-/// Determinism: routers are processed in row-major order each cycle,
-/// output ports in a fixed order, and competing inputs are granted in
-/// round-robin order; capacity checks use the buffer occupancy
-/// snapshotted at the start of the cycle. Dimension-order routing on a
-/// mesh is deadlock-free, and the eject queues are unbounded, so every
+/// Determinism: each cycle the routers that hold a message (plus any
+/// that carry a fault) arbitrate in row-major order, output ports in a
+/// fixed order, and competing inputs are granted in round-robin order;
+/// grants are applied only after every router has arbitrated, so
+/// capacity checks see start-of-cycle buffer occupancy. A router whose
+/// inputs are all empty can grant nothing, so skipping it is invisible
+/// (DESIGN.md §5b). Dimension-order routing on a mesh is
+/// deadlock-free, and the eject queues are unbounded, so every
 /// injected message is eventually delivered.
 pub struct Mesh<P> {
     rows: u8,
@@ -156,30 +171,26 @@ pub struct Mesh<P> {
     /// Aggregate statistics.
     pub stats: MeshStats,
     in_flight: usize,
-    /// Bit `r` set iff any input FIFO of router `r` is non-empty.
-    /// Lets the tick arbitrate only occupied routers: a router whose
-    /// inputs are all empty can neither grant nor move anything, so
-    /// skipping it is invisible. Only meshes of ≤64 routers maintain
-    /// a meaningful mask (the OPN is 25); larger meshes fall back to
-    /// the full sweep.
-    occ: u64,
-    /// Bit `r` set iff router `r`'s eject queue is non-empty — the
-    /// same trick as `occ` for [`Mesh::has_delivered`], which the
-    /// core's activity scan asks for every destination tile every
-    /// scanned cycle. Maintained at the two mutation sites (the tick's
-    /// eject arm sets it, [`Mesh::eject`] clears it on the last
-    /// message) and audited against the queues like `occ`. Meaningful
-    /// only for meshes of ≤64 routers; larger meshes answer from the
-    /// queue itself.
-    delivered: u64,
+    /// Routers with a non-empty input FIFO — the routers a tick
+    /// arbitrates. Maintained where FIFOs change ([`Mesh::inject`] and
+    /// each applied move) and recounted by [`Mesh::audit`].
+    occupied: RouterSet,
+    /// Routers with a non-empty eject queue, for
+    /// [`Mesh::has_delivered`], which the core's activity scan asks of
+    /// every destination tile every scanned cycle. Maintained at the
+    /// two mutation sites (the tick's eject arm, [`Mesh::eject`] on the
+    /// last message) and audited like `occupied`.
+    delivered: RouterSet,
+    /// Messages in eject queues.
+    undrained: usize,
     /// Installed timing faults (`None` on the production path).
     fault: Option<MeshFaultState>,
     // Per-tick scratch, retained across ticks so the hot path never
-    // touches the allocator: start-of-cycle occupancy snapshot,
-    // granted-input markers, and the move list.
-    scratch_len: Vec<[usize; PORTS]>,
-    scratch_incoming: Vec<[bool; PORTS]>,
-    scratch_moves: Vec<(usize, usize, Out)>,
+    // touches the allocator: the input FIFOs already promised a
+    // message this cycle (all false between ticks — each applied move
+    // clears the entry its grant set) and this cycle's grants.
+    incoming: Vec<[bool; PORTS]>,
+    moves: Vec<(usize, usize, Out)>,
 }
 
 impl<P> Mesh<P> {
@@ -195,15 +206,17 @@ impl<P> Mesh<P> {
             rows,
             cols,
             fifo_cap,
-            routers: (0..n).map(|_| Router::new()).collect(),
+            routers: (0..rows)
+                .flat_map(|row| (0..cols).map(move |col| Router::new(Coord { row, col })))
+                .collect(),
             stats: MeshStats::default(),
             in_flight: 0,
-            occ: 0,
-            delivered: 0,
+            occupied: RouterSet::with_capacity(n),
+            delivered: RouterSet::with_capacity(n),
+            undrained: 0,
             fault: None,
-            scratch_len: vec![[0; PORTS]; n],
-            scratch_incoming: vec![[false; PORTS]; n],
-            scratch_moves: Vec::with_capacity(n),
+            incoming: vec![[false; PORTS]; n],
+            moves: Vec::with_capacity(n),
         }
     }
 
@@ -251,15 +264,10 @@ impl<P> Mesh<P> {
 
     /// True if a delivered message awaits consumption at `node` —
     /// a destination tile must be clocked while this holds. One bit
-    /// test on the `delivered` mask (the activity scan asks this for
+    /// test on the `delivered` set (the activity scan asks this for
     /// every tile every scanned cycle).
     pub fn has_delivered(&self, node: Coord) -> bool {
-        let i = self.idx(node);
-        if i < 64 {
-            self.delivered & (1 << i) != 0
-        } else {
-            !self.routers[i].eject.is_empty()
-        }
+        self.delivered.contains(self.idx(node))
     }
 
     /// True if the caller can inject at `src` this cycle.
@@ -269,7 +277,7 @@ impl<P> Mesh<P> {
 
     /// Installs (or clears) a timing-fault configuration. Faults stall
     /// output ports and perturb arbitration; they never drop, corrupt,
-    /// or reorder a same-queue flow. With `None` the tick path is
+    /// or reorder a same-queue flow. With `None` the tick is
     /// bit-identical to a mesh that never had the hook.
     pub fn set_fault(&mut self, cfg: Option<&MeshFaultConfig>) {
         self.fault = cfg.map(|c| MeshFaultState::new(c, self.rows, self.cols));
@@ -299,23 +307,43 @@ impl<P> Mesh<P> {
                 self.stats.injected, self.stats.ejected, self.in_flight
             ));
         }
-        for (r, router) in self.routers.iter().enumerate().take(64) {
-            let nonempty = router.inputs.iter().any(|q| !q.is_empty());
-            if nonempty != (self.occ & (1 << r) != 0) {
+        for (r, router) in self.routers.iter().enumerate() {
+            let mask = router
+                .inputs
+                .iter()
+                .enumerate()
+                .fold(0u8, |m, (p, q)| m | u8::from(!q.is_empty()) << p);
+            if mask != router.nonempty {
                 return Err(format!(
-                    "occupancy mask bit {r} is {} but router inputs are {}",
-                    self.occ & (1 << r) != 0,
+                    "router {r}: non-empty mask {:#07b} != recounted {mask:#07b}",
+                    router.nonempty
+                ));
+            }
+            let nonempty = mask != 0;
+            if nonempty != self.occupied.contains(r) {
+                return Err(format!(
+                    "occupied set {} router {r}, whose inputs are {}",
+                    if nonempty { "misses" } else { "holds" },
                     if nonempty { "non-empty" } else { "empty" },
                 ));
             }
-            let has_eject = !router.eject.is_empty();
-            if has_eject != (self.delivered & (1 << r) != 0) {
+            if router.eject.is_empty() == self.delivered.contains(r) {
                 return Err(format!(
-                    "delivered mask bit {r} is {} but the eject queue holds {} message(s)",
-                    self.delivered & (1 << r) != 0,
+                    "delivered set {} router {r}, whose eject queue holds {} message(s)",
+                    if router.eject.is_empty() { "holds" } else { "misses" },
                     router.eject.len(),
                 ));
             }
+            if self.incoming[r] != [false; PORTS] {
+                return Err(format!("router {r}: grant scratch left dirty between ticks"));
+            }
+        }
+        let undrained: usize = self.routers.iter().map(|r| r.eject.len()).sum();
+        if undrained != self.undrained {
+            return Err(format!(
+                "undrained counter {} != recounted eject queues {undrained}",
+                self.undrained
+            ));
         }
         Ok(())
     }
@@ -348,7 +376,7 @@ impl<P> Mesh<P> {
     /// Messages sitting in eject queues awaiting consumption by their
     /// destination tiles.
     pub fn undrained(&self) -> usize {
-        self.routers.iter().map(|r| r.eject.len()).sum()
+        self.undrained
     }
 
     /// Injects a message at its source node. Returns `false` (and
@@ -363,9 +391,8 @@ impl<P> Mesh<P> {
         msg.injected_at = now;
         msg.hops = 0;
         self.routers[i].inputs[LOCAL].push_back(msg);
-        if i < 64 {
-            self.occ |= 1 << i;
-        }
+        self.routers[i].nonempty |= 1 << LOCAL;
+        self.occupied.insert(i);
         self.stats.injected += 1;
         self.in_flight += 1;
         true
@@ -375,8 +402,11 @@ impl<P> Mesh<P> {
     pub fn eject(&mut self, node: Coord) -> Option<MeshMsg<P>> {
         let i = self.idx(node);
         let msg = self.routers[i].eject.pop_front();
-        if msg.is_some() && i < 64 && self.routers[i].eject.is_empty() {
-            self.delivered &= !(1 << i);
+        if msg.is_some() {
+            self.undrained -= 1;
+            if self.routers[i].eject.is_empty() {
+                self.delivered.remove(i);
+            }
         }
         msg
     }
@@ -401,15 +431,19 @@ impl<P> Mesh<P> {
         }
     }
 
-    fn neighbor(&self, at: Coord, out: Out) -> (usize, usize) {
-        let (c, in_port) = match out {
-            Out::North => (Coord { row: at.row - 1, col: at.col }, SOUTH),
-            Out::South => (Coord { row: at.row + 1, col: at.col }, NORTH),
-            Out::East => (Coord { row: at.row, col: at.col + 1 }, WEST),
-            Out::West => (Coord { row: at.row, col: at.col - 1 }, EAST),
+    /// The router beyond link output `out` of router `r` (row-major
+    /// index arithmetic: a row is `cols` routers) and the input port
+    /// the link enters it by. Only asked of outputs a head routes to,
+    /// and dimension-order routes never leave the mesh.
+    fn neighbor(&self, r: usize, out: Out) -> (usize, usize) {
+        let cols = self.cols as usize;
+        match out {
+            Out::North => (r - cols, SOUTH),
+            Out::South => (r + cols, NORTH),
+            Out::East => (r + 1, WEST),
+            Out::West => (r - 1, EAST),
             Out::Eject => unreachable!("eject has no neighbor"),
-        };
-        (self.idx(c), in_port)
+        }
     }
 
     /// Advances the network one cycle: every router forwards at most
@@ -418,17 +452,9 @@ impl<P> Mesh<P> {
         if self.in_flight == 0 {
             return;
         }
-        let n = self.routers.len();
-        // Reuse the retained scratch buffers (no per-tick allocation);
-        // they are moved out for the duration of the arbitration loop
-        // to keep the borrow checker happy, then put back.
-        let mut start_len = std::mem::take(&mut self.scratch_len);
-        let mut incoming = std::mem::take(&mut self.scratch_incoming);
-        let mut moves = std::mem::take(&mut self.scratch_moves);
-        moves.clear();
         // Fault hook: the state is moved out for the arbitration loop
         // (it borrows mutably alongside the routers) and restored at
-        // the end of the tick.
+        // the end of it.
         let mut fault = self.fault.take();
         if let Some(f) = fault.as_mut() {
             if f.rotate() {
@@ -439,46 +465,28 @@ impl<P> Mesh<P> {
                 }
             }
         }
-        // A router with all-empty inputs can neither grant nor move
-        // anything, so with no fault installed arbitration visits only
-        // occupied routers, in the same row-major order — empty
-        // routers are no-ops, so the grants are identical. The fast
-        // path also skips the start-of-cycle occupancy snapshot:
-        // moves are deferred until after all arbitration, so the live
-        // FIFO lengths it reads *are* the start-of-cycle lengths. The
-        // `incoming` scratch is all-false here by invariant — every
-        // entry any arbitration sets corresponds to one recorded
-        // forward move, and the move loop below clears it after use.
-        // A fault hook draws from its PRNG on every `stalled` probe,
-        // so faulted meshes keep the full legacy sweep to preserve the
-        // draw sequence.
-        if fault.is_none() && n <= 64 {
-            #[cfg(debug_assertions)]
-            for entry in incoming.iter() {
-                debug_assert_eq!(entry, &[false; PORTS], "incoming scratch left dirty");
-            }
-            let mut m = self.occ;
-            while m != 0 {
-                let r = m.trailing_zeros() as usize;
-                m &= m - 1;
-                self.arbitrate_router_fast(r, &mut incoming, &mut moves);
-            }
-        } else {
-            for (r, router) in self.routers.iter().enumerate() {
-                incoming[r] = [false; PORTS];
-                for (len, input) in start_len[r].iter_mut().zip(&router.inputs) {
-                    *len = input.len();
-                }
-            }
-            for r in 0..n {
-                self.arbitrate_router(r, now, &mut fault, &start_len, &mut incoming, &mut moves);
+        // Occupied routers, plus the fault-bearing ones: a stalled
+        // port draws from the fault PRNG every cycle its router
+        // arbitrates, holding a message or not — and no other port
+        // draws at all, so this visits every draw of a sweep over all
+        // routers, in the same order.
+        for w in 0..self.occupied.num_words() {
+            let bearing = fault.as_ref().map(MeshFaultState::bearing);
+            for r in self.occupied.word_union(bearing, w) {
+                self.arbitrate_router(r, now, fault.as_mut());
             }
         }
+        self.fault = fault;
 
-        for &(r, p, out) in &moves {
-            let mut msg = self.routers[r].inputs[p].pop_front().unwrap();
-            if r < 64 && self.routers[r].inputs.iter().all(VecDeque::is_empty) {
-                self.occ &= !(1 << r);
+        let mut moves = std::mem::take(&mut self.moves);
+        for (r, p, out) in moves.drain(..) {
+            let router = &mut self.routers[r];
+            let mut msg = router.inputs[p].pop_front().expect("a grant names a waiting head");
+            if router.inputs[p].is_empty() {
+                router.nonempty &= !(1 << p);
+                if router.nonempty == 0 {
+                    self.occupied.remove(r);
+                }
             }
             match out {
                 Out::Eject => {
@@ -490,143 +498,65 @@ impl<P> Mesh<P> {
                     self.stats.total_latency += u64::from(latency);
                     self.in_flight -= 1;
                     self.routers[r].eject.push_back(msg);
-                    if r < 64 {
-                        self.delivered |= 1 << r;
-                    }
+                    self.delivered.insert(r);
+                    self.undrained += 1;
                 }
                 _ => {
-                    let at = Coord {
-                        row: (r / self.cols as usize) as u8,
-                        col: (r % self.cols as usize) as u8,
-                    };
-                    let (nb, port) = self.neighbor(at, out);
+                    let (nb, port) = self.neighbor(r, out);
                     msg.hops += 1;
                     self.routers[nb].inputs[port].push_back(msg);
-                    if nb < 64 {
-                        self.occ |= 1 << nb;
-                    }
-                    // Restore the all-false `incoming` invariant the
-                    // snapshot-free fast path relies on. Every set
-                    // entry corresponds to exactly one forward move,
-                    // so this sweep clears them all (harmless on the
-                    // legacy path, which re-zeroes at snapshot time).
-                    incoming[nb][port] = false;
+                    self.routers[nb].nonempty |= 1 << port;
+                    self.occupied.insert(nb);
+                    self.incoming[nb][port] = false;
                 }
             }
         }
-        self.scratch_len = start_len;
-        self.scratch_incoming = incoming;
-        self.scratch_moves = moves;
-        self.fault = fault;
+        self.moves = moves;
     }
 
     /// One router's output arbitration for this cycle: grants at most
-    /// one input per output port and records the winning moves.
-    /// Factored out of [`Mesh::tick`] so the occupancy fast path and
-    /// the full sweep share one body.
-    fn arbitrate_router(
-        &mut self,
-        r: usize,
-        now: u64,
-        fault: &mut Option<MeshFaultState>,
-        start_len: &[[usize; PORTS]],
-        incoming: &mut [[bool; PORTS]],
-        moves: &mut Vec<(usize, usize, Out)>,
-    ) {
-        let at = Coord { row: (r / self.cols as usize) as u8, col: (r % self.cols as usize) as u8 };
-        let mut input_used = [false; PORTS];
-        for (oi, out) in
-            [Out::Eject, Out::North, Out::East, Out::South, Out::West].into_iter().enumerate()
-        {
-            // An injected stall burst holds the whole output port:
-            // nothing is granted, waiting messages stay queued.
-            if let Some(f) = fault.as_mut() {
-                if f.stalled(r, oi, now) {
-                    continue;
-                }
-            }
-            // Capacity at the downstream buffer, checked against
-            // the start-of-cycle snapshot.
-            let dest = if out == Out::Eject {
-                None
-            } else {
-                let row_ok = match out {
-                    Out::North => at.row > 0,
-                    Out::South => at.row + 1 < self.rows,
-                    Out::East => at.col + 1 < self.cols,
-                    Out::West => at.col > 0,
-                    Out::Eject => true,
-                };
-                if !row_ok {
-                    continue;
-                }
-                Some(self.neighbor(at, out))
-            };
-            if let Some((nb, port)) = dest {
-                if incoming[nb][port] || start_len[nb][port] >= self.fifo_cap {
-                    continue;
-                }
-            }
-            // Round-robin over input FIFOs whose head routes here.
-            let base = self.routers[r].rr[oi];
-            for k in 0..PORTS {
-                let p = (base + k) % PORTS;
-                if input_used[p] {
-                    continue;
-                }
-                let Some(head) = self.routers[r].inputs[p].front() else {
-                    continue;
-                };
-                if self.route(at, head.dst) != out {
-                    continue;
-                }
-                input_used[p] = true;
-                self.routers[r].rr[oi] = (p + 1) % PORTS;
-                if let Some((nb, port)) = dest {
-                    incoming[nb][port] = true;
-                }
-                moves.push((r, p, out));
-                break;
-            }
-        }
-    }
-
-    /// The fault-free arbitration of [`Mesh::arbitrate_router`],
-    /// restructured so cost follows occupancy instead of port count.
-    /// Three mechanical differences, none visible in the grants:
+    /// one input per output port and records the winning moves. Cost
+    /// follows occupancy, not port count:
     ///
-    /// * each occupied input's head is routed **once** up front (the
-    ///   legacy loop re-routes every head for every output port; a
-    ///   head's route cannot change mid-arbitration, so the 5×5 route
-    ///   matrix collapses to one entry per occupied input);
-    /// * output ports no head requests are skipped entirely — the
-    ///   legacy scan for such a port finds no candidate and changes
-    ///   nothing, and with no fault installed there is no PRNG to
-    ///   keep in step;
-    /// * downstream capacity reads the live FIFO length instead of a
+    /// * each occupied input's head is routed **once** up front (a
+    ///   head's route cannot change mid-arbitration);
+    /// * only outputs some head requests are arbitrated — after every
+    ///   output's stall probe has run, requested or not, in output
+    ///   order: the probe is where the fault PRNG is drawn;
+    /// * downstream capacity reads the live FIFO length, not a
     ///   snapshot — moves are deferred until all arbitration is done,
     ///   so the live lengths *are* the start-of-cycle lengths.
-    fn arbitrate_router_fast(
-        &mut self,
-        r: usize,
-        incoming: &mut [[bool; PORTS]],
-        moves: &mut Vec<(usize, usize, Out)>,
-    ) {
+    #[inline]
+    fn arbitrate_router(&mut self, r: usize, now: u64, fault: Option<&mut MeshFaultState>) {
         const UNROUTED: u8 = u8::MAX;
-        let at = Coord { row: (r / self.cols as usize) as u8, col: (r % self.cols as usize) as u8 };
+        let at = self.routers[r].at;
         let mut want = [UNROUTED; PORTS];
         let mut requested = 0u8;
-        for (p, input) in self.routers[r].inputs.iter().enumerate() {
-            if let Some(head) = input.front() {
-                let oi = match self.route(at, head.dst) {
-                    Out::Eject => 0,
-                    Out::North => 1,
-                    Out::East => 2,
-                    Out::South => 3,
-                    Out::West => 4,
-                };
-                want[p] = oi as u8;
-                requested |= 1 << oi;
+        let mut waiting = self.routers[r].nonempty;
+        while waiting != 0 {
+            let p = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            let head =
+                self.routers[r].inputs[p].front().expect("the non-empty mask tracks the FIFOs");
+            let oi = match self.route(at, head.dst) {
+                Out::Eject => 0,
+                Out::North => 1,
+                Out::East => 2,
+                Out::South => 3,
+                Out::West => 4,
+            };
+            want[p] = oi as u8;
+            requested |= 1 << oi;
+        }
+        // An injected stall burst holds the whole output port: nothing
+        // is granted, waiting messages stay queued. Every port is
+        // probed, requested or not, in output order — the probe is
+        // where the fault PRNG is drawn.
+        if let Some(f) = fault {
+            for oi in 0..PORTS {
+                if f.stalled(r, oi, now) {
+                    requested &= !(1 << oi);
+                }
             }
         }
         for (oi, out) in
@@ -635,38 +565,26 @@ impl<P> Mesh<P> {
             if requested & (1 << oi) == 0 {
                 continue;
             }
-            let dest = if out == Out::Eject {
-                None
-            } else {
-                let row_ok = match out {
-                    Out::North => at.row > 0,
-                    Out::South => at.row + 1 < self.rows,
-                    Out::East => at.col + 1 < self.cols,
-                    Out::West => at.col > 0,
-                    Out::Eject => true,
-                };
-                if !row_ok {
-                    continue;
-                }
-                Some(self.neighbor(at, out))
-            };
+            // A requested output leads somewhere: dimension-order
+            // routes never leave the mesh.
+            let dest = (out != Out::Eject).then(|| self.neighbor(r, out));
             if let Some((nb, port)) = dest {
-                if incoming[nb][port] || self.routers[nb].inputs[port].len() >= self.fifo_cap {
+                if self.incoming[nb][port] || self.routers[nb].inputs[port].len() >= self.fifo_cap {
                     continue;
                 }
             }
+            // Round-robin over input FIFOs whose head routes here.
             let base = self.routers[r].rr[oi];
             for k in 0..PORTS {
                 let p = (base + k) % PORTS;
                 if want[p] != oi as u8 {
                     continue;
                 }
-                want[p] = UNROUTED; // granted; never a candidate again
                 self.routers[r].rr[oi] = (p + 1) % PORTS;
                 if let Some((nb, port)) = dest {
-                    incoming[nb][port] = true;
+                    self.incoming[nb][port] = true;
                 }
-                moves.push((r, p, out));
+                self.moves.push((r, p, out));
                 break;
             }
         }
@@ -903,6 +821,86 @@ mod tests {
         let (fault_n, fault_lat) = run(true);
         assert_eq!(clean_n, fault_n, "faults delay, never drop");
         assert!(fault_lat > clean_lat, "stall bursts must cost visible latency");
+    }
+
+    /// Seeded traffic under stall bursts, folded to a fingerprint of
+    /// every ejection `(cycle, node, payload, hops, queued)`. Traffic
+    /// stays off the last row, so the stall on its corner sits on a
+    /// router that never holds a message; the North stall on row 0 is
+    /// off-edge (it routes nothing, it only draws).
+    fn faulted_fingerprint(rows: u8, cols: u8, fifo_cap: usize, rotate: bool) -> (MeshStats, u64) {
+        use crate::fault::{FaultPort, MeshFaultConfig, PortStall};
+        let stall = |row, col, port, den, max_burst| PortStall {
+            router: Coord { row, col },
+            port,
+            num: 1,
+            den,
+            max_burst,
+        };
+        let mut m: Mesh<u32> = Mesh::new(rows, cols, fifo_cap);
+        m.set_fault(Some(&MeshFaultConfig {
+            seed: 0x5eed ^ u64::from(rows),
+            rotate_arbitration: rotate,
+            stalls: vec![
+                stall(1, 1, FaultPort::East, 3, 5),
+                stall(0, 2, FaultPort::North, 2, 3),
+                stall(rows - 1, cols - 1, FaultPort::Eject, 2, 4),
+                stall(rows - 2, 0, FaultPort::Eject, 4, 6),
+            ],
+        }));
+        let mut rng = trips_harness::Rng::new(0xfeed + u64::from(cols));
+        let mut fp = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |x: u64| fp = (fp ^ x).wrapping_mul(0x0100_0000_01b3);
+        for t in 0..3000u64 {
+            if t < 2000 {
+                for _ in 0..3 {
+                    let src = Coord { row: rng.range_u8(0, rows - 1), col: rng.range_u8(0, cols) };
+                    let dst = Coord { row: rng.range_u8(0, rows - 1), col: rng.range_u8(0, cols) };
+                    m.inject(t, MeshMsg::new(src, dst, t as u32));
+                }
+            }
+            m.tick(t);
+            for row in 0..rows {
+                for col in 0..cols {
+                    let node = Coord { row, col };
+                    assert_eq!(m.has_delivered(node), m.peek_eject(node).is_some());
+                    while let Some(msg) = m.eject(node) {
+                        for x in [t, u64::from(row), u64::from(col), u64::from(msg.payload)] {
+                            fold(x);
+                        }
+                        fold(u64::from(msg.hops));
+                        fold(u64::from(msg.queued));
+                    }
+                }
+            }
+            m.audit().expect("audit holds every cycle");
+        }
+        assert_eq!(m.in_flight(), 0, "bounded bursts drain");
+        (m.stats, fp)
+    }
+
+    #[test]
+    fn faulted_meshes_reproduce_the_full_sweep_recording() {
+        // The tick visits occupied and fault-bearing routers only; the
+        // fault PRNG is drawn sequentially, so that is correct only if
+        // it reproduces the draw sequence of the all-routers sweep it
+        // replaced. Recorded from that sweep, on the OPN's 5x5 and on
+        // the fat die's 9x9 (81 routers: past one mask word).
+        let recorded: [(u8, usize, bool, [u64; 5]); 4] = [
+            (5, 4, false, [6000, 0, 17_061, 4801, 17_804_973_268_991_423_319]),
+            (5, 1, true, [5360, 640, 15_214, 7758, 7_141_556_158_170_845_910]),
+            (9, 4, true, [6000, 0, 33_418, 1197, 6_203_266_820_355_905_155]),
+            (9, 2, false, [5999, 1, 33_409, 1328, 1_369_356_633_754_777_928]),
+        ];
+        for (side, cap, rotate, want) in recorded {
+            let (s, fp) = faulted_fingerprint(side, side, cap, rotate);
+            assert_eq!(
+                [s.ejected, s.inject_fails, s.total_hops, s.total_queued, fp],
+                want,
+                "{side}x{side} cap {cap} rotate {rotate}: [ejected, inject_fails, hops, queued, \
+                 ejection fingerprint]"
+            );
+        }
     }
 
     #[test]

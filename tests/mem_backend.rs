@@ -16,7 +16,9 @@
 //!    statistics; the OCN arbitration, bank MSHRs, and the adapter's
 //!    client iteration order contain no hidden host state.
 
-use trips_core::{CoreConfig, CoreStats, MemBackend, Processor};
+use trips_core::{
+    CoreConfig, CoreStats, FaultPlan, FaultPort, MemBackend, OcnFault, Processor, Ratio,
+};
 use trips_harness::{num_threads, parallel_map};
 use trips_isa::mem::SparseMem;
 use trips_isa::ArchReg;
@@ -137,4 +139,75 @@ fn nuca_timing_actually_differs_from_the_perfect_l2() {
     assert!(m.dside_fills > 0, "saxpy must miss in the L1");
     assert!(m.store_writebacks > 0, "committed stores must write back");
     assert!(m.dram_accesses > 0, "a 128KB stream must reach DRAM");
+}
+
+/// The OCN fault plan the pinned run below installs: a contended
+/// on-path link, an off-edge output (North of row 0 — it routes
+/// nothing but draws from the fault PRNG every cycle its router is
+/// visited), an eject port on a router that never carries this core's
+/// traffic, and arbitration rotation, so every kind of PRNG draw the
+/// OCN makes is in the sequence.
+fn ocn_fault_plan() -> FaultPlan {
+    let stall = |row, col, port, den, max_burst| OcnFault {
+        row,
+        col,
+        port,
+        chance: Ratio { num: 1, den },
+        max_burst,
+    };
+    FaultPlan {
+        seed: 0x0c_2006,
+        rotate_arbitration: true,
+        ocn_links: vec![
+            stall(4, 1, FaultPort::South, 6, 5),
+            stall(0, 2, FaultPort::North, 3, 4),
+            stall(9, 3, FaultPort::Eject, 4, 3),
+            stall(2, 0, FaultPort::East, 5, 6),
+        ],
+        ..FaultPlan::default()
+    }
+}
+
+#[test]
+fn nuca_under_ocn_link_faults_reproduces_the_recorded_timing() {
+    // The OCN tick visits only occupied and fault-bearing routers; the
+    // fault PRNG is drawn sequentially, so the visit rule is correct
+    // only if it reproduces the draw sequence of the full router sweep
+    // it replaced. These numbers were recorded from that sweep (the
+    // commit before the occupied-router tick): any change to which
+    // routers are probed, or in what order, moves them.
+    let recorded: [(&str, u64, [u64; 9]); 2] = [
+        ("listwalk", 169_993, [5150, 5150, 0, 23_280, 681, 34_261, 15_450, 0, 1052]),
+        ("saxpy", 51_347, [20_532, 20_532, 27_344, 92_444, 102_113, 235_621, 61_596, 27_343, 9859]),
+    ];
+    for (name, cycles, mem) in recorded {
+        let wl = suite::by_name(name).expect("registered");
+        let image = wl.build_trips(Quality::Hand).expect("compiles").image;
+        let mut cpu = Processor::new(CoreConfig {
+            mem_backend: MemBackend::nuca_prototype(),
+            faults: Some(ocn_fault_plan()),
+            // The recorded cycle counts are the paper die's, whatever
+            // TRIPS_GEOMETRY says.
+            ..CoreConfig::prototype_pinned()
+        });
+        let stats = cpu.run(&image, MAX_CYCLES).expect("runs");
+        let m = stats.mem.expect("NUCA stats present");
+        let got = [
+            m.ocn.injected,
+            m.ocn.ejected,
+            m.ocn.inject_fails,
+            m.ocn.total_hops,
+            m.ocn.total_queued,
+            m.ocn.total_latency,
+            m.ocn.total_flits,
+            m.inject_stalls,
+            m.dram_accesses,
+        ];
+        assert_eq!(
+            (stats.cycles, got),
+            (cycles, mem),
+            "{name}: cycles / [injected, ejected, inject_fails, hops, queued, latency, flits, \
+             inject_stalls, dram_accesses] diverge from the full-sweep recording"
+        );
+    }
 }
