@@ -49,12 +49,13 @@
 //! repro test, and every historical seed's plan and configuration are
 //! unchanged by the geometry axis.
 //!
-//! Under the default `--gate on`, the fuzzed cores run with epoch
-//! skipping live (`CoreConfig::prototype()` sets `skip_epochs`), so
-//! every fault plan's perturbed arrival times — delayed chain hops,
-//! stalled OPN/OCN links — also stress the next-wake computation: a
-//! skip past a maturity point the scan failed to fold would surface
-//! as an architectural divergence from the oracle.
+//! `--gate on` (the default) fuzzes the `TickMode::Fast` schedule,
+//! `--gate off` the `Reference` one. Under `Fast` the cores run with
+//! epoch skipping live, so every fault plan's perturbed arrival times
+//! — delayed chain hops, stalled OPN/OCN links — also stress the
+//! next-wake computation: a skip past a maturity point the scan failed
+//! to fold would surface as an architectural divergence from the
+//! oracle.
 
 use std::process::ExitCode;
 

@@ -2,12 +2,14 @@
 //!
 //! Where `table3` reports what the *modelled machine* does, `simperf`
 //! reports how fast the *host* simulates it: simulated cycles per
-//! host-second per workload, the single-run win from the clock-gated
-//! tick scheduler (gated vs ungated, which must agree bit-for-bit),
-//! and the wall-clock win from sharding the whole sweep across host
-//! cores with the dependency-free worker pool. On a single-threaded
-//! host the sweep's parallel pass is skipped and its JSON section is
-//! marked `"vacuous": true` — there is nothing to shard.
+//! host-second per workload (with the share of tile ticks the
+//! scheduler gated off), and the wall-clock win from sharding the
+//! whole sweep across host cores with the dependency-free worker
+//! pool. It times the default schedule only; that the `Reference`
+//! schedule agrees bit for bit is tier-1's job (`gating_equivalence`).
+//! On a single-threaded host the sweep's parallel pass is skipped and
+//! its JSON section is marked `"vacuous": true` — there is nothing to
+//! shard.
 //!
 //! Flags:
 //!   --smoke     micro + kernel suites only, Hand quality only (CI)
@@ -29,16 +31,10 @@ use trips_workloads::{suite, Class, Workload};
 
 const MAX_CYCLES: u64 = trips_bench::MAX_CYCLES;
 
-/// A workload whose gated run is more than ~5% slower than ungated is
-/// a scheduler regression worth naming, even when the aggregate still
-/// passes.
-const GATING_FLAG_THRESHOLD: f64 = 0.95;
-
 struct WorkloadPerf {
     name: &'static str,
     sim_cycles: u64,
     wall_secs: f64,
-    ungated_secs: f64,
     gated_fraction: f64,
 }
 
@@ -46,24 +42,15 @@ impl WorkloadPerf {
     fn cycles_per_host_sec(&self) -> f64 {
         self.sim_cycles as f64 / self.wall_secs.max(1e-12)
     }
-
-    fn gating_speedup(&self) -> f64 {
-        self.ungated_secs / self.wall_secs.max(1e-12)
-    }
-
-    fn flagged(&self) -> bool {
-        self.gating_speedup() < GATING_FLAG_THRESHOLD
-    }
 }
 
 /// One measured run; returns (stats, host seconds, gated fraction).
-fn timed_run(wl: &Workload, quality: Quality, gate: bool) -> (CoreStats, f64, f64) {
+fn timed_run(wl: &Workload, quality: Quality) -> (CoreStats, f64, f64) {
     let image = wl
         .build_trips(quality)
         .unwrap_or_else(|e| panic!("{} ({quality}): compile failed: {e}", wl.name))
         .image;
-    let cfg = CoreConfig { gate_ticks: gate, ..CoreConfig::prototype() };
-    let mut cpu = Processor::new(cfg);
+    let mut cpu = Processor::new(CoreConfig::prototype());
     let start = Instant::now();
     let stats = cpu
         .run(&image, MAX_CYCLES)
@@ -77,7 +64,7 @@ fn json_escape_free(name: &str) -> &str {
     name
 }
 
-/// One profiled run: the same gated configuration as the timed run,
+/// One profiled run: the same configuration as the timed run,
 /// with the per-phase profiler on. Returns the accumulated profile.
 fn profiled_run(wl: &Workload, quality: Quality) -> TickProfile {
     let image = wl
@@ -109,51 +96,27 @@ fn main() {
     );
     println!();
 
-    // Per-workload single-run measurements: gated (the default
-    // scheduler) vs ungated, which must produce identical results.
+    // Per-workload single-run measurements.
     println!(
-        "{:<12} {:>12} {:>12} {:>10} {:>8} {:>8}",
-        "workload", "sim cycles", "Mcyc/hostsec", "gated sec", "gating", "gatedfr"
+        "{:<12} {:>12} {:>12} {:>10} {:>8}",
+        "workload", "sim cycles", "Mcyc/hostsec", "wall sec", "gatedfr"
     );
     let mut rows: Vec<WorkloadPerf> = Vec::with_capacity(workloads.len());
     for wl in &workloads {
-        let (gated, wall_secs, gated_fraction) = timed_run(wl, Quality::Hand, true);
-        let (ungated, ungated_secs, _) = timed_run(wl, Quality::Hand, false);
-        assert_eq!(gated, ungated, "{}: gated and ungated runs must be bit-identical", wl.name);
-        let perf = WorkloadPerf {
-            name: wl.name,
-            sim_cycles: gated.cycles,
-            wall_secs,
-            ungated_secs,
-            gated_fraction,
-        };
+        let (stats, wall_secs, gated_fraction) = timed_run(wl, Quality::Hand);
+        let perf =
+            WorkloadPerf { name: wl.name, sim_cycles: stats.cycles, wall_secs, gated_fraction };
         println!(
-            "{:<12} {:>12} {:>12.2} {:>10.4} {:>7.2}x {:>7.1}%{}",
+            "{:<12} {:>12} {:>12.2} {:>10.4} {:>7.1}%",
             perf.name,
             perf.sim_cycles,
             perf.cycles_per_host_sec() / 1e6,
             perf.wall_secs,
-            perf.gating_speedup(),
             100.0 * perf.gated_fraction,
-            if perf.flagged() { "  << GATING REGRESSION" } else { "" },
         );
         rows.push(perf);
     }
-
-    let total_gated: f64 = rows.iter().map(|r| r.wall_secs).sum();
-    let total_ungated: f64 = rows.iter().map(|r| r.ungated_secs).sum();
-    println!(
-        "\nsingle-run gating speedup (suite total): {:.2}x ({:.2}s ungated -> {:.2}s gated)",
-        total_ungated / total_gated.max(1e-12),
-        total_ungated,
-        total_gated,
-    );
-    let flagged: Vec<&str> = rows.iter().filter(|r| r.flagged()).map(|r| r.name).collect();
-    if flagged.is_empty() {
-        println!("no workload gates below {GATING_FLAG_THRESHOLD}x");
-    } else {
-        println!("GATING REGRESSIONS (speedup < {GATING_FLAG_THRESHOLD}x): {}", flagged.join(", "));
-    }
+    println!();
 
     // Sweep: the same (workload x quality) runs, serial vs sharded
     // across the worker pool. Items are independent simulations.
@@ -202,31 +165,16 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"sim_cycles\": {}, \"wall_secs\": {:.6}, \
-             \"ungated_secs\": {:.6}, \"sim_cycles_per_host_sec\": {:.1}, \
-             \"gating_speedup\": {:.4}, \"gated_fraction\": {:.4}}}{}\n",
+             \"sim_cycles_per_host_sec\": {:.1}, \"gated_fraction\": {:.4}}}{}\n",
             json_escape_free(r.name),
             r.sim_cycles,
             r.wall_secs,
-            r.ungated_secs,
             r.cycles_per_host_sec(),
-            r.gating_speedup(),
             r.gated_fraction,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"gating_speedup_total\": {:.4},\n",
-        total_ungated / total_gated.max(1e-12)
-    ));
-    json.push_str(&format!(
-        "  \"gating_flagged\": [{}],\n",
-        flagged
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape_free(n)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
     json.push_str(&format!(
         "  \"sweep\": {{\"runs\": {n_runs}, \"vacuous\": {sweep_vacuous}, \
          \"serial_secs\": {serial_secs:.6}, \"parallel_secs\": {parallel_secs:.6}, \
@@ -251,7 +199,7 @@ fn main() {
             ));
             total.merge(&p);
         }
-        println!("\nper-phase tick profile (suite total, gated runs):");
+        println!("\nper-phase tick profile (suite total):");
         print!("{}", total.report());
         let json =
             format!("{{\n  \"workloads\": {{\n{per_wl}  }},\n  \"total\": {}\n}}\n", total.json());

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use trips_core::{
     Chip, ChipConfig, ChipStats, CoreConfig, CoreGeometry, CoreStats, FaultPlan, MemBackend,
-    Processor,
+    Processor, TickMode,
 };
 use trips_isa::mem::SparseMem;
 use trips_isa::{ArchReg, ProgramImage};
@@ -79,9 +79,21 @@ impl Oracle {
     }
 }
 
+/// The harness's `gate` switch names the tick schedule: on is
+/// [`TickMode::Fast`], off is [`TickMode::Reference`].
+fn tick_mode(gate: bool) -> TickMode {
+    if gate {
+        TickMode::Fast
+    } else {
+        TickMode::Reference
+    }
+}
+
 /// Runs the oracle's image under `plan` with invariants checked every
 /// tick and post-halt drainage enforced, then compares the final
-/// architectural state against the oracle.
+/// architectural state against the oracle. `gate` selects the tick
+/// schedule here and in every other entry point of this module
+/// (`true`: `Fast`, `false`: `Reference`).
 ///
 /// # Errors
 ///
@@ -136,7 +148,7 @@ pub fn run_against_oracle_geom(
     max_cycles: u64,
 ) -> Result<CoreStats, String> {
     let cfg = CoreConfig {
-        gate_ticks: gate,
+        tick_mode: tick_mode(gate),
         mem_backend: backend,
         faults: plan.cloned(),
         check_invariants: true,
@@ -168,7 +180,7 @@ pub fn run_chip_against_oracles(
     max_cycles: u64,
 ) -> Result<ChipStats, String> {
     let core_cfg = CoreConfig {
-        gate_ticks: gate,
+        tick_mode: tick_mode(gate),
         faults: plan.cloned(),
         check_invariants: true,
         ..CoreConfig::prototype_pinned()
@@ -228,7 +240,7 @@ fn shared_chip_config(
     gate: bool,
 ) -> ChipConfig {
     let core_cfg = CoreConfig {
-        gate_ticks: gate,
+        tick_mode: tick_mode(gate),
         faults: plan.cloned(),
         check_invariants: true,
         ..CoreConfig::with_geometry(geom)
@@ -454,7 +466,7 @@ pub fn failure_artifact(
     // most useful on exactly the failing run.
     let backend = if fail.nuca { MemBackend::nuca_prototype() } else { MemBackend::prototype() };
     let cfg = CoreConfig {
-        gate_ticks: gate,
+        tick_mode: tick_mode(gate),
         mem_backend: backend,
         faults: Some(shrunk.clone()),
         check_invariants: true,
@@ -502,7 +514,7 @@ pub fn failure_artifact_chip(
     max_cycles: u64,
 ) -> String {
     let core_cfg = CoreConfig {
-        gate_ticks: gate,
+        tick_mode: tick_mode(gate),
         faults: Some(shrunk.clone()),
         check_invariants: true,
         ..CoreConfig::prototype_pinned()

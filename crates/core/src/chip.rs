@@ -46,12 +46,12 @@
 use std::collections::BTreeMap;
 
 use trips_isa::ProgramImage;
-use trips_mem::{CohSnapshot, DirView, MemConfig, SecondarySystem};
+use trips_mem::{CohSnapshot, DirView, MemConfig, OcnGeometry, SecondarySystem};
 use trips_micronet::MAX_TAGS;
 
 use crate::config::TileMask;
 use crate::memsys::{BankArb, MemSys};
-use crate::proc::{Processor, SimError};
+use crate::proc::{skip_target, Processor, SimError};
 use crate::stats::CoreStats;
 use crate::trace::{chrome_trace_chip, Tracer};
 use crate::CoreConfig;
@@ -107,6 +107,35 @@ impl ChipConfig {
     /// `--ncores` constructor.
     pub fn n_cores(n: usize) -> ChipConfig {
         ChipConfig::with_cores(n, CoreConfig::prototype(), MemConfig::prototype())
+    }
+
+    /// Checks that the die can be built: 1..=16 cores (the computed
+    /// OCN geometry and its tag space, [`trips_mem::MAX_CORES`]), each
+    /// with no more DTs and ITs than its slot owns OCN ports for.
+    ///
+    /// # Errors
+    ///
+    /// Names the core count, or the first core whose geometry
+    /// overflows its slot together with the slot's port budget.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.cores.len();
+        if !(1..=trips_mem::MAX_CORES).contains(&n) {
+            return Err(format!("a die seats 1..={} cores, not {n}", trips_mem::MAX_CORES));
+        }
+        let ocn = OcnGeometry::for_cores(n);
+        for (k, core) in self.cores.iter().enumerate() {
+            let (g, side) = (core.geometry, ocn.core_side_ports(k));
+            if g.num_dts() > side || g.num_its() > side {
+                return Err(format!(
+                    "core {k}: the {} geometry has {} DTs and {} ITs, but slot {k} of a \
+                     {n}-core die owns {side} OCN ports for each",
+                    g.name(),
+                    g.num_dts(),
+                    g.num_its()
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -167,14 +196,12 @@ impl Chip {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.cores` is empty or holds more cores than the
-    /// largest die the computed OCN geometry (and the OCN tag space)
-    /// supports ([`trips_mem::MAX_CORES`] = 16).
+    /// Panics with [`ChipConfig::validate`]'s message if the die
+    /// cannot be built.
     pub fn new(cfg: ChipConfig) -> Chip {
-        let n = cfg.cores.len();
-        assert!(n >= 1, "a chip has at least one core");
         const _: () = assert!(trips_mem::MAX_CORES <= MAX_TAGS, "core tags must fit the tag space");
-        assert!(n <= trips_mem::MAX_CORES, "a die seats at most {} cores", trips_mem::MAX_CORES);
+        cfg.validate().unwrap_or_else(|e| panic!("invalid ChipConfig: {e}"));
+        let n = cfg.cores.len();
         let cores: Vec<Processor> = cfg.cores.iter().cloned().map(Processor::new).collect();
         let sys = Chip::build_sys(&cfg);
         let banks = sys.geometry().banks();
@@ -337,7 +364,7 @@ impl Chip {
                     diagnosis: Box::new(self.cores[k].diagnose()),
                 });
             }
-            self.tick();
+            self.tick_until(max_cycles);
             if check {
                 self.check_invariants()?;
             }
@@ -394,11 +421,15 @@ impl Chip {
     /// mirroring the solo fast path.
     ///
     /// **Epoch skipping.** Cores of a chip must stay in lockstep, so
-    /// a core never fast-forwards on its own; instead the chip scans
-    /// every core up front and, when *all* of them report no runnable
-    /// tile, jumps the whole chip — every core's clock, the rotating
-    /// injection priority, and the chip cycle — to the earliest wake
-    /// across the cores and the shared system's own bank timers. The
+    /// a core never fast-forwards on its own; instead the chip takes
+    /// every core's schedule up front and, when *all* of them report
+    /// no runnable tile, jumps the whole chip — every core's clock,
+    /// the rotating injection priority, and the chip cycle — to the
+    /// earliest wake across the cores and the shared system's own
+    /// bank timers (the same `skip_target` decision a solo core
+    /// makes, clamped to `horizon` the same way: a jump that lands on
+    /// it returns without ticking). A `Reference` core's mask is
+    /// never empty, so a chip that seats one never skips. The
     /// priority counter advances by the skipped span exactly as it
     /// would have cycle-by-cycle, so arbitration after a skip is
     /// bit-identical.
@@ -409,34 +440,27 @@ impl Chip {
     /// phase — a `Shared` memsys tick is a no-op — so the join before
     /// the shared-system phase is the only synchronization needed, and
     /// threaded/serial schedules are bit-identical.
-    fn tick(&mut self) {
+    fn tick_until(&mut self, horizon: u64) {
         let n = self.cores.len();
-        let skip_all = self.cfg.cores.iter().all(|c| c.gate_ticks && c.skip_epochs);
         loop {
             let now = self.cycle;
-            for (k, core) in self.cores.iter().enumerate() {
-                self.scans[k] = if self.cfg.cores[k].gate_ticks {
-                    core.scan_activity(now)
-                } else {
-                    (self.cfg.cores[k].geometry.full_mask(), None)
-                };
+            for (scan, core) in self.scans.iter_mut().zip(&self.cores) {
+                *scan = core.schedule(now);
             }
-            if skip_all && self.scans.iter().all(|&(mask, _)| mask == 0) {
-                let wake =
-                    self.scans.iter().filter_map(|&(_, w)| w).chain(self.sys.next_event(now)).min();
-                if let Some(w) = wake {
-                    if w > now {
-                        for core in &mut self.cores {
-                            core.skip_to(w);
-                        }
-                        let skipped = (w - now) as usize;
-                        self.rr = (self.rr + skipped) % n;
-                        self.cycle = w;
-                        continue;
-                    }
-                }
+            let idle = self.scans.iter().all(|&(mask, _)| mask == 0);
+            let wake =
+                self.scans.iter().filter_map(|&(_, w)| w).chain(self.sys.next_event(now)).min();
+            let Some(w) = skip_target(now, idle, wake, horizon) else {
+                break;
+            };
+            for core in &mut self.cores {
+                core.skip_to(w);
             }
-            break;
+            self.rr = (self.rr + (w - now) as usize) % n;
+            self.cycle = w;
+            if w == horizon {
+                return;
+            }
         }
         let now = self.cycle;
         if self.threads > 1 {
@@ -509,7 +533,7 @@ impl Chip {
             if self.quiesced() {
                 return true;
             }
-            self.tick();
+            self.tick_until(end);
         }
         self.quiesced()
     }

@@ -495,6 +495,36 @@ impl MemBackend {
     }
 }
 
+/// The host-side schedule that ticks the model. Both schedules
+/// simulate the same machine cycle for cycle; they differ only in how
+/// much provably inert work the host skips (DESIGN.md §5b).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TickMode {
+    /// The default: one activity scan per cycle, only tiles that can
+    /// act are ticked, cycles in which nothing can act are skipped,
+    /// the RT/DT/ET frame walks visit dirty frames only, and the GT
+    /// does its completion/commit/dealloc work in one age-order pass.
+    Fast,
+    /// The oracle the tests compare [`TickMode::Fast`] against: no
+    /// scan, every tile every cycle, every frame walk over
+    /// `all_frames_mask`, the GT's phases in the §4 specification
+    /// order, never a skipped cycle.
+    Reference,
+}
+
+impl TickMode {
+    /// The frames a tile's walk visits: the tile's dirty-frame mask
+    /// under `Fast`, every frame of the `frames`-deep file under
+    /// `Reference`. A frame outside `dirty` is inert by the mask's
+    /// own definition, so the two walks act on the same frames.
+    pub(crate) fn walk(self, dirty: FrameMask, frames: usize) -> FrameMask {
+        match self {
+            TickMode::Fast => dirty,
+            TickMode::Reference => all_frames_mask(frames),
+        }
+    }
+}
+
 /// Full configuration of the core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
@@ -553,46 +583,10 @@ pub struct CoreConfig {
     /// Maximum in-flight frames to use (≤ [`CoreGeometry::frames`]);
     /// 1 disables speculation.
     pub max_frames: usize,
-    /// Clock-gate the tick scheduler: tiles and micronets whose
-    /// [`active`](crate::Processor) predicate is false are skipped
-    /// entirely. Gating is an host-side optimization only — gated and
-    /// ungated runs are bit-identical in statistics and architectural
-    /// state (enforced by the `gating_equivalence` test suite); the
-    /// switch exists so that equivalence can be tested.
-    pub gate_ticks: bool,
-    /// Fast-forward over epochs in which no tile, micronet, or memory
-    /// event can occur: when the activity scan finds nothing runnable
-    /// *now* but a future wake exists, the cycle counter jumps
-    /// straight to it. Requires `gate_ticks` (the scan is the gate);
-    /// skipped cycles count as gated in [`GatingStats`], and — like
-    /// gating — skipping is bit-identical in statistics and
-    /// architectural state (enforced by `gating_equivalence`). The
-    /// switch exists so that equivalence can be tested cycle-by-cycle
-    /// against the skipping schedule.
-    ///
-    /// [`GatingStats`]: crate::GatingStats
-    pub skip_epochs: bool,
-    /// Maintain dirty-frame work lists in the tile tick hot paths:
-    /// the RTs, DTs, and ETs keep compact bitmasks of frames with
-    /// actionable state (ready stations, pending deliveries,
-    /// committing drains), maintained at the mutation sites, so the
-    /// per-cycle frame loops visit only frames that can progress
-    /// instead of all `NUM_FRAMES`. A skipped frame is provably inert
-    /// (nothing mutated it since its last fruitless visit — see
-    /// DESIGN.md §5b), so work-list and full-scan schedules are
-    /// bit-identical in statistics and architectural state (enforced
-    /// by `gating_equivalence`); the switch exists so that equivalence
-    /// can be tested.
-    pub work_lists: bool,
-    /// Run the GT's fused tick: one pass over the in-flight frames in
-    /// age order (completion check, commit issue, dealloc) plus one
-    /// pass over the chain heads, instead of six sequential
-    /// frame-table walks. The fused order is bit-identical to the
-    /// phased order in statistics and architectural state (derivation
-    /// in DESIGN.md §5b; enforced by `gating_equivalence` and the
-    /// differential fuzz axis); the switch exists so that equivalence
-    /// can be tested.
-    pub fused_gt: bool,
+    /// Which of the two host-side tick schedules runs the model (see
+    /// [`TickMode`]). The schedules are bit-identical in statistics
+    /// and architectural state (enforced by `gating_equivalence`).
+    pub tick_mode: TickMode,
     /// Timing-only fault plan for protocol fuzzing. `None` (the
     /// default) leaves every fault hook uninstalled; the run is then
     /// bit-identical to a build without the hooks (enforced by the
@@ -622,8 +616,8 @@ impl CoreConfig {
 
     /// The TRIPS prototype configuration of the paper, resized to the
     /// given tile-array geometry (frame count and LSQ depth follow the
-    /// geometry; latencies, predictors, and host-side optimization
-    /// gates are unchanged).
+    /// geometry; latencies, predictors, and the tick schedule are
+    /// unchanged).
     pub fn with_geometry(geometry: CoreGeometry) -> CoreConfig {
         geometry.validate().expect("invalid CoreGeometry");
         CoreConfig {
@@ -650,10 +644,7 @@ impl CoreConfig {
             predictor: PredictorConfig::prototype(),
             critpath: false,
             max_frames: geometry.frames,
-            gate_ticks: true,
-            skip_epochs: true,
-            work_lists: true,
-            fused_gt: true,
+            tick_mode: TickMode::Fast,
             faults: None,
             check_invariants: false,
         }

@@ -151,8 +151,8 @@ pub struct DataTile {
     /// Bit `fi` set iff `frames[fi]` is active — the dirty-frame work
     /// list for [`DataTile::advance_frames`]'s detection/ack walk.
     /// Maintained at every (de)activation site and audited against
-    /// the frames; `cfg.work_lists` only selects which iteration the
-    /// tick uses.
+    /// the frames; `TickMode` only selects which iteration the tick
+    /// uses.
     active_mask: FrameMask,
     /// Bit `fi` set iff `frames[fi]` is active, saw its commit wave,
     /// and has not finished its commit work (`committing &&
@@ -205,24 +205,13 @@ impl DataTile {
     /// must keep the tile awake because their eligibility can change
     /// through this DT's *own* frame deallocation in
     /// [`advance_frames`], with no message involved.
-    fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         // The two masks hold the old frame scan's predicate
         // (`active && ((committing && !commit_done) || deferred)`)
         // bit by bit, so the busy test — asked by the activity scan
         // every scanned cycle — is a few loads instead of an
         // eight-frame walk.
         !self.idle() || self.committing_mask != 0 || self.deferred_mask != 0
-    }
-
-    /// Clock-gating predicate: internal work pending, or a message
-    /// bound for this tile on any of its five inbound networks.
-    pub fn active(&self, nets: &Nets) -> bool {
-        self.busy()
-            || nets.gcn.has_pending_at(self.geom.gcn_pos(TileId::Dt(self.index)))
-            || nets.gdn_rows[self.index as usize + 1].has_pending_at(1)
-            || nets.dsn.has_pending_at(self.index as usize)
-            || nets.gsn_dt.has_pending_at(dt_chain_pos(self.index as usize))
-            || nets.opn_delivered_at(TileId::Dt(self.index))
     }
 
     /// The earliest cycle a tick can make progress without a new
@@ -948,12 +937,10 @@ impl DataTile {
         tracer: &mut Tracer,
     ) {
         let dt = self.index;
-        // With work lists on, visit only frames holding a deferred
-        // load (`deferred_mask` is exactly the full scan's
-        // `active && !deferred.is_empty()` predicate); the full scan
-        // stays available for the equivalence suite.
-        let all: FrameMask = crate::config::all_frames_mask(self.frames.len());
-        let mut pending: FrameMask = if cfg.work_lists { self.deferred_mask } else { all };
+        // `Fast` visits only frames holding a deferred load
+        // (`deferred_mask` is exactly the full scan's
+        // `active && !deferred.is_empty()` predicate).
+        let mut pending = cfg.tick_mode.walk(self.deferred_mask, self.frames.len());
         while pending != 0 {
             let fi = pending.trailing_zeros() as usize;
             pending &= pending - 1;
@@ -1078,8 +1065,7 @@ impl DataTile {
         // the frames the full scan could flip (`active && committing
         // && !commit_done`; a frame already done is a no-op there), so
         // the masked walk is the same transition set.
-        let all: FrameMask = crate::config::all_frames_mask(self.frames.len());
-        let mut drain: FrameMask = if cfg.work_lists { self.committing_mask } else { all };
+        let mut drain = cfg.tick_mode.walk(self.committing_mask, self.frames.len());
         while drain != 0 {
             let fi = drain.trailing_zeros() as usize;
             drain &= drain - 1;
@@ -1091,10 +1077,10 @@ impl DataTile {
             }
         }
 
-        // Detection and acks only ever act on active frames; with
-        // work lists on, walk the active-frame mask (same ascending
-        // order the full scan visits them in).
-        let mut pending: FrameMask = if cfg.work_lists { self.active_mask } else { all };
+        // Detection and acks only ever act on active frames, so
+        // `Fast` walks the active-frame mask (same ascending order
+        // the full scan visits them in).
+        let mut pending = cfg.tick_mode.walk(self.active_mask, self.frames.len());
         while pending != 0 {
             let fi = pending.trailing_zeros() as usize;
             pending &= pending - 1;

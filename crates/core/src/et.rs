@@ -99,8 +99,8 @@ pub struct ExecTile {
     /// bit is set or cleared and audited against the frames. A frame
     /// with no ready station contributes nothing to select (its mask
     /// walk is empty and it cannot set the unpipelined-deferral
-    /// flag), so skipping it is invisible; `cfg.work_lists` only
-    /// selects which iteration the tick uses.
+    /// flag), so skipping it is invisible; `TickMode` only selects
+    /// which iteration the tick uses.
     ready_frames: FrameMask,
     /// Frames examined by the select walk (not in [`CoreStats`];
     /// host-side observability for the non-vacuousness tests).
@@ -144,18 +144,8 @@ impl ExecTile {
     /// True while a tick can make progress without a new message:
     /// an instruction may be selectable, an execution is in flight, a
     /// bypass value or outbox message is queued.
-    fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.maybe_ready || !self.idle()
-    }
-
-    /// Clock-gating predicate: internal work pending, or a message
-    /// bound for this tile on the GCN, its GDN row, or the OPN.
-    pub fn active(&self, nets: &Nets) -> bool {
-        self.busy()
-            || nets.gcn.has_pending_at(self.geom.gcn_pos(TileId::Et(self.row, self.col)))
-            || nets.gdn_rows[self.row as usize + 1]
-                .has_pending_at(row_pos_of_col(self.col as usize))
-            || nets.opn_delivered_at(TileId::Et(self.row, self.col))
     }
 
     /// The earliest cycle a tick can make progress without a new
@@ -460,10 +450,13 @@ impl ExecTile {
         // busy must keep the wakeup flag set: it becomes selectable
         // again by the passage of time alone, with no new message.
         let mut deferred = false;
+        // The first issue returns, so nothing below mutates
+        // `ready_frames` while this snapshot is still consulted.
+        let visit = cfg.tick_mode.walk(self.ready_frames, self.frames.len());
         for oi in 0..self.order.len() {
             let frame = self.order[oi];
             let fi = frame.0 as usize;
-            if cfg.work_lists && self.ready_frames & (1 << fi) == 0 {
+            if visit & (1 << fi) == 0 {
                 // A frame with an empty ready mask yields an empty
                 // walk below and cannot set `deferred`; skipping it
                 // is invisible.

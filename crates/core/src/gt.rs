@@ -10,7 +10,7 @@
 use trips_isa::mem::SparseMem;
 use trips_isa::{decode_header, BlockFlags, BranchKind, CHUNK_BYTES};
 
-use crate::config::{CoreConfig, CoreGeometry, FrameMask, MAX_FRAMES};
+use crate::config::{CoreConfig, CoreGeometry, FrameMask, TickMode, MAX_FRAMES};
 use crate::critpath::{Cat, CritPath, NO_EVENT};
 use crate::diag::FrameDiag;
 use crate::fault::StormState;
@@ -248,18 +248,8 @@ impl GlobalTile {
     /// fetch is staged, a next PC awaits a free frame, or any block is
     /// in flight (in-flight blocks pipeline commit commands and
     /// deallocate across cycles with no further input).
-    fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.fetch.is_some() || self.next_pc.is_some() || !self.order.is_empty()
-    }
-
-    /// Clock-gating predicate: internal work pending, or a message
-    /// bound for the GT on a GSN chain head or the OPN.
-    pub fn active(&self, nets: &Nets) -> bool {
-        self.busy()
-            || nets.gsn_rt.has_pending_at(0)
-            || nets.gsn_dt.has_pending_at(0)
-            || nets.gsn_it.has_pending_at(0)
-            || nets.opn_delivered_at(TileId::Gt)
     }
 
     /// The earliest cycle at which a tick can make progress without a
@@ -420,13 +410,12 @@ impl GlobalTile {
 
     /// One cycle.
     ///
-    /// With [`CoreConfig::fused_gt`] set (the default) the tick is two
-    /// passes — the chain heads, then one walk over the in-flight
-    /// frames in age order doing completion, commit issue, and
-    /// dealloc together — instead of the six sequential phases the
-    /// protocol is specified as. The fused walk is bit-identical to
-    /// the phased one (derivation in DESIGN.md §5b; the phased path is
-    /// kept precisely so the equivalence suite can check that).
+    /// Under [`TickMode::Fast`] the tick is two passes — the chain
+    /// heads, then one walk over the in-flight frames in age order
+    /// doing completion, commit issue, and dealloc together. Under
+    /// [`TickMode::Reference`] it is the six sequential phases the
+    /// protocol is specified as (§4.2–4.4). The two orders are
+    /// bit-identical (derivation in DESIGN.md §5b).
     #[allow(clippy::too_many_arguments)]
     pub fn tick(
         &mut self,
@@ -439,33 +428,29 @@ impl GlobalTile {
         tracer: &mut Tracer,
         prof: &mut TickProfile,
     ) {
-        if cfg.fused_gt {
-            let t = prof.begin();
-            self.drain_status(now, nets, crit);
-            self.drain_branches(now, nets, crit, stats, tracer);
+        let fused = cfg.tick_mode == TickMode::Fast;
+        let t = prof.begin();
+        self.drain_status(now, nets, crit);
+        self.drain_branches(now, nets, crit, stats, tracer);
+        if fused {
             self.recv_refills(now, nets);
-            prof.end(TickPhase::GtChains, t);
-            let t = prof.begin();
+        }
+        prof.end(TickPhase::GtChains, t);
+        let t = prof.begin();
+        if fused {
             self.advance_frames_fused(now, nets, crit, stats, tracer);
-            prof.end(TickPhase::GtFrames, t);
-            let t = prof.begin();
-            self.fetch_advance(now, cfg, nets, crit, stats, mem, tracer);
-            prof.end(TickPhase::GtFetch, t);
         } else {
-            let t = prof.begin();
-            self.drain_status(now, nets, crit);
-            self.drain_branches(now, nets, crit, stats, tracer);
-            prof.end(TickPhase::GtChains, t);
-            let t = prof.begin();
             self.check_completion(now, crit, tracer);
             self.issue_commit(now, nets, crit, tracer);
             self.dealloc(now, crit, stats, tracer);
-            prof.end(TickPhase::GtFrames, t);
-            let t = prof.begin();
-            self.recv_refills(now, nets);
-            self.fetch_advance(now, cfg, nets, crit, stats, mem, tracer);
-            prof.end(TickPhase::GtFetch, t);
         }
+        prof.end(TickPhase::GtFrames, t);
+        let t = prof.begin();
+        if !fused {
+            self.recv_refills(now, nets);
+        }
+        self.fetch_advance(now, cfg, nets, crit, stats, mem, tracer);
+        prof.end(TickPhase::GtFetch, t);
     }
 
     fn frame_ok(&self, frame: FrameId, gen: Gen) -> bool {

@@ -103,20 +103,6 @@ impl InstTile {
         self.jobs.is_empty() && self.refill.is_none()
     }
 
-    /// Clock-gating predicate: a tick can only change state while the
-    /// tile holds a dispatch job or refill, or a message is bound for
-    /// its GDN/GRN/GSN column positions. When this is false the tick
-    /// body is a provable no-op and the scheduler skips it.
-    pub fn active(&self, nets: &Nets) -> bool {
-        if !self.idle() {
-            return true;
-        }
-        let pos = it_col_pos(self.index);
-        nets.gdn_col.has_pending_at(pos)
-            || nets.grn.has_pending_at(pos)
-            || nets.gsn_it.has_pending_at(pos)
-    }
-
     /// The earliest cycle a tick can make progress without new input,
     /// for the epoch-skipping scheduler: now while dispatch beats are
     /// queued or a completed refill awaits its completion signal, the

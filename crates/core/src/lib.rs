@@ -71,8 +71,8 @@ pub mod trace;
 
 pub use chip::{Chip, ChipConfig, ChipStats};
 pub use config::{
-    CoreConfig, CoreGeometry, FrameMask, MemBackend, PredictorConfig, StationMask, TileMask,
-    ET_COLS, ET_ROWS, MAX_FRAMES, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS, RS_PER_FRAME,
+    CoreConfig, CoreGeometry, FrameMask, MemBackend, PredictorConfig, StationMask, TickMode,
+    TileMask, ET_COLS, ET_ROWS, MAX_FRAMES, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS, RS_PER_FRAME,
 };
 pub use critpath::{Cat, CritBreakdown, CritPath, CATS, NUM_CATS};
 pub use diag::{FrameDiag, HangReport, NetDiag, TileDiag};

@@ -137,10 +137,10 @@ impl PortMap {
         }
     }
 
-    /// All OCN ports this map drives, for tagging. Every supported
-    /// geometry's clients fit the prototype port blocks: `num_dts ≤ 8`
-    /// stays below `it_base = 10`, and `num_its ≤ 9` fits the ten
-    /// I-side ports.
+    /// All OCN ports this map drives, for tagging. A solo core owns
+    /// the whole block, which every supported geometry fits
+    /// (`num_dts ≤ 8`, `num_its ≤ 9`, ten ports a side); a chip slot
+    /// may own only five a side, which `ChipConfig::validate` checks.
     pub(crate) fn ports(&self, geom: CoreGeometry) -> impl Iterator<Item = usize> + '_ {
         let num_dts = geom.num_dts();
         (0..num_dts + geom.num_its()).map(move |c| self.port_of(c, num_dts))

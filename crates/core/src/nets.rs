@@ -131,12 +131,13 @@ impl Nets {
         }
     }
 
-    /// Ticks the contention-modelled networks. Meshes with nothing in
-    /// flight are clock-gated ([`Mesh::active`] is their predicate);
-    /// the chains are event-driven (send/recv) and never need a tick.
+    /// Ticks the contention-modelled networks. A mesh with no message
+    /// inside any router is inert until the next injection and is not
+    /// ticked; the chains are event-driven (send/recv) and never need
+    /// a tick.
     pub fn tick(&mut self, now: u64) {
         for (n, m) in self.opn.iter_mut().enumerate() {
-            if !m.active() {
+            if m.in_flight() == 0 {
                 continue;
             }
             self.opn_highwater[n] = self.opn_highwater[n].max(m.in_flight());
@@ -157,7 +158,7 @@ impl Nets {
     }
 
     /// True if any OPN has a delivered message waiting at `tile` —
-    /// part of the tile's clock-gating wakeup predicate.
+    /// one of the tile's wake sources in the activity scan.
     pub fn opn_delivered_at(&self, tile: TileId) -> bool {
         let node = tile.opn();
         self.opn.iter().any(|m| m.has_delivered(node))
@@ -212,9 +213,11 @@ impl Nets {
         out
     }
 
-    /// True once every network has drained.
+    /// True once every network has drained: nothing inside a router,
+    /// nothing delivered to an OPN eject queue and not yet consumed,
+    /// nothing pending on a chain.
     pub fn idle(&self) -> bool {
-        self.opn.iter().all(|m| m.in_flight() == 0)
+        self.opn.iter().all(|m| m.in_flight() == 0 && m.undrained() == 0)
             && self.gdn_col.idle()
             && self.gdn_rows.iter().all(Chain::idle)
             && self.gsn_rt.idle()

@@ -9,7 +9,7 @@ use trips_isa::mem::SparseMem;
 use trips_isa::{ArchReg, ProgramImage};
 use trips_micronet::MeshStats;
 
-use crate::config::{CoreConfig, CoreGeometry, TileMask};
+use crate::config::{CoreConfig, CoreGeometry, TickMode, TileMask};
 use crate::critpath::CritPath;
 use crate::diag::{HangReport, TileDiag};
 use crate::dt::DataTile;
@@ -75,12 +75,12 @@ impl std::error::Error for SimError {}
 /// Host-side clock-gating counters.
 ///
 /// Deliberately kept *outside* [`CoreStats`]: gating is a host
-/// optimization, and the gated/ungated equivalence suite compares
+/// optimization, and the `Fast`/`Reference` equivalence suite compares
 /// whole `CoreStats` values bit-for-bit — these counters necessarily
-/// differ between the two modes.
+/// differ between the two schedules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatingStats {
-    /// Tile ticks executed (the tile's `active()` held, or gating off).
+    /// Tile ticks executed (the tile's activity-mask bit was set).
     pub ticks_run: u64,
     /// Tile ticks skipped because the tile was provably inactive —
     /// including every tile of every epoch-skipped cycle, so
@@ -128,12 +128,6 @@ pub struct Processor {
     pub(crate) gating: GatingStats,
     pub(crate) profile: TickProfile,
     pub(crate) cycle: u64,
-    /// Set when the previous scanned cycle found every tile active:
-    /// the next cycle ticks all tiles without scanning. Ticking a tile
-    /// whose predicate is false is a provable no-op (the predicates
-    /// are conservative), so this trades a handful of no-op ticks for
-    /// half the scan overhead on fully-busy stretches.
-    scan_holiday: bool,
 }
 
 impl Processor {
@@ -155,7 +149,6 @@ impl Processor {
             gating: GatingStats::default(),
             profile: TickProfile::disabled(),
             cycle: 0,
-            scan_holiday: false,
             cfg,
         };
         p.reset(0);
@@ -218,8 +211,8 @@ impl Processor {
     /// Host-side observability only — not part of [`CoreStats`], so
     /// it never participates in bit-identity comparisons. The
     /// gating-equivalence tests use it to prove the dirty-frame lists
-    /// are non-vacuous: with `work_lists` on, real workloads must
-    /// examine strictly fewer frames than the full scans do.
+    /// are non-vacuous: under [`TickMode::Fast`] real workloads must
+    /// examine strictly fewer frames than `Reference`'s full scans.
     pub fn work_list_visits(&self) -> u64 {
         self.rts.iter().map(|t| t.advance_visits).sum::<u64>()
             + self.dts.iter().map(|t| t.advance_visits).sum::<u64>()
@@ -263,7 +256,7 @@ impl Processor {
                     diagnosis: Box::new(self.diagnose()),
                 });
             }
-            self.tick();
+            self.tick_until(max_cycles);
             if self.cfg.check_invariants {
                 self.check_invariants()
                     .map_err(|v| SimError::Invariant { cycle: v.cycle, violation: v.detail })?;
@@ -369,7 +362,7 @@ impl Processor {
             if self.quiesced() {
                 return true;
             }
-            self.tick();
+            self.tick_until(end);
         }
         self.quiesced()
     }
@@ -424,19 +417,16 @@ impl Processor {
 
     /// True when every tile and network has drained (no queued work
     /// besides architectural state) — useful for tests that stop the
-    /// clock manually.
-    ///
-    /// Defined as the complement of the clock-gating `active()`
-    /// predicates, so "quiesced" and "every tile gated off" can never
-    /// disagree: a core is quiesced exactly when a gated scheduler
-    /// would skip every tile and network.
+    /// clock manually. With the nets idle no message can wake a tile,
+    /// so what remains is each tile's own `busy()` (the IT's is
+    /// `!idle()`) and the memory system.
     pub fn quiesced(&self) -> bool {
         self.nets.idle()
-            && !self.gt.active(&self.nets)
-            && self.its.iter().all(|t| !t.active(&self.nets))
-            && self.rts.iter().all(|t| !t.active(&self.nets))
-            && self.ets.iter().all(|t| !t.active(&self.nets))
-            && self.dts.iter().all(|t| !t.active(&self.nets))
+            && !self.gt.busy()
+            && self.its.iter().all(InstTile::idle)
+            && !self.rts.iter().any(RegTile::busy)
+            && !self.ets.iter().any(ExecTile::busy)
+            && !self.dts.iter().any(DataTile::busy)
             && self.memsys.quiet()
     }
 
@@ -460,8 +450,8 @@ impl Processor {
     /// memory-system completion is queued for it. Messages still in
     /// flight fold their arrival times into the returned wake instead
     /// of waking the tile early — a tick whose only stimulus is an
-    /// immature message is a provable no-op, so this gates *tighter*
-    /// than the `active()` predicates while remaining bit-identical.
+    /// immature message is a provable no-op, so gating on maturity
+    /// stays bit-identical.
     /// The OPN meshes and the memory system fold in as `now` whenever
     /// they must tick this cycle (packets in routers, injections or
     /// completions pending), or as their earliest bank timer.
@@ -592,149 +582,65 @@ impl Processor {
         self.cycle = w;
     }
 
+    /// This cycle's activity mask and earliest future wake under the
+    /// core's schedule: the [scan](Self::scan_activity) under
+    /// [`TickMode::Fast`]; every tile and no wake to jump to under
+    /// [`TickMode::Reference`] (so a `Reference` core never skips, and
+    /// neither does a chip that seats one).
+    pub(crate) fn schedule(&self, now: u64) -> (TileMask, Option<u64>) {
+        match self.cfg.tick_mode {
+            TickMode::Fast => self.scan_activity(now),
+            TickMode::Reference => (self.cfg.geometry.full_mask(), None),
+        }
+    }
+
     /// Advances one cycle.
     ///
-    /// With [`CoreConfig::gate_ticks`] set (the default) the cycle
-    /// starts with one `scan_activity` pass and
-    /// each tile whose mask bit is clear is skipped; the common
-    /// fully-busy cycle reduces to a single mask comparison. With
-    /// [`CoreConfig::skip_epochs`] also set, a cycle in which *no*
-    /// tile can act and every wake source is in the future
-    /// fast-forwards `cycle` straight to the earliest wake instead of
-    /// grinding the intervening no-op cycles (the skipped cycles are
-    /// provably inert: no tile can progress, the meshes are empty, and
-    /// the memory system's earliest timer is the wake itself). Gated,
-    /// epoch-skipped, and ungated runs are all bit-identical in
-    /// architectural state and `CoreStats` (enforced by the
-    /// `gating_equivalence` test suite).
+    /// The cycle starts from its schedule (the activity scan under
+    /// [`TickMode::Fast`], every tile under [`TickMode::Reference`]):
+    /// each tile whose mask bit is clear is skipped, and a cycle in
+    /// which *no* tile can act and every wake source is in the future
+    /// first fast-forwards `cycle` to the earliest wake instead of
+    /// grinding the intervening no-op cycles (provably inert: no tile
+    /// can progress, the meshes are empty, and the memory system's
+    /// earliest timer is the wake itself). Both schedules are
+    /// bit-identical in architectural state and `CoreStats` (enforced
+    /// by the `gating_equivalence` test suite).
     pub fn tick(&mut self) {
-        let gate = self.cfg.gate_ticks;
-        let full = self.cfg.geometry.full_mask();
-        let mask = if !gate {
-            full
-        } else if self.scan_holiday {
-            // The previous scan found every tile active; tick them all
-            // again without paying for a scan. Any tile that went idle
-            // in between ticks as a no-op — bit-identical by the same
-            // argument that makes ungated runs identical to gated ones.
-            self.scan_holiday = false;
-            full
-        } else {
-            let tp = self.profile.begin();
-            let mask = loop {
-                let now = self.cycle;
-                let (mask, wake) = self.scan_activity(now);
-                if mask == 0 && self.cfg.skip_epochs {
-                    if let Some(w) = wake {
-                        if w > now {
-                            self.skip_to(w);
-                            // Re-scan at the landing cycle: a timer or
-                            // arrival has just matured there.
-                            continue;
-                        }
-                    }
-                }
-                break mask;
-            };
-            self.scan_holiday = mask == full;
-            self.profile.end(TickPhase::Scan, tp);
-            mask
-        };
-        self.tick_with_mask(mask);
+        self.tick_until(u64::MAX);
     }
 
-    /// Advances one cycle with a precomputed activity mask (the
-    /// masked-tile phase, then the micronets and memory system). The
-    /// [`Chip`](crate::chip::Chip) computes its cores' masks up front
-    /// so it can coordinate epoch skips across the whole chip before
-    /// committing any core to a tick.
+    /// [`Processor::tick`], never past `horizon`: a jump that reaches
+    /// it stops there without ticking, so a caller with a cycle budget
+    /// observes the same cycle, and the same state, as a
+    /// cycle-by-cycle run that exhausts the budget.
+    pub(crate) fn tick_until(&mut self, horizon: u64) {
+        let tp = self.profile.begin();
+        let mask = loop {
+            let (mask, wake) = self.schedule(self.cycle);
+            let Some(w) = skip_target(self.cycle, mask == 0, wake, horizon) else {
+                break Some(mask);
+            };
+            self.skip_to(w);
+            if w == horizon {
+                break None;
+            }
+            // Re-scan at the landing cycle: a timer or arrival has
+            // just matured there.
+        };
+        self.profile.end(TickPhase::Scan, tp);
+        if let Some(mask) = mask {
+            self.tick_with_mask(mask);
+        }
+    }
+
+    /// Advances one cycle with a precomputed activity mask: ticks
+    /// exactly the tiles whose bit is set, then the micronets and the
+    /// memory system. The [`Chip`](crate::chip::Chip) computes its
+    /// cores' masks up front so it can coordinate epoch skips across
+    /// the whole chip before committing any core to a tick.
     pub(crate) fn tick_with_mask(&mut self, mask: TileMask) {
         let now = self.cycle;
-        if mask == self.cfg.geometry.full_mask() {
-            self.tick_tiles_all(now);
-        } else {
-            self.tick_tiles_masked(now, mask);
-        }
-        let tp = self.profile.begin();
-        self.nets.tick(now);
-        self.profile.end(TickPhase::Nets, tp);
-        // The secondary system runs after the tiles and nets: requests
-        // issued this cycle inject now, and responses it delivers are
-        // consumed by the tiles next cycle (see DESIGN.md §5d).
-        let tp = self.profile.begin();
-        self.memsys.tick(now, &mut self.tracer);
-        self.profile.end(TickPhase::MemSys, tp);
-        self.cycle += 1;
-    }
-
-    /// The fully-busy fast path: every tile ticks, no per-tile
-    /// branching.
-    fn tick_tiles_all(&mut self, now: u64) {
-        self.gt.tick(
-            now,
-            &self.cfg,
-            &mut self.nets,
-            &mut self.crit,
-            &mut self.stats,
-            &self.mem,
-            &mut self.tracer,
-            &mut self.profile,
-        );
-        let tp = self.profile.begin();
-        for i in 0..self.its.len() {
-            self.its[i].tick(
-                now,
-                &self.cfg,
-                &mut self.nets,
-                &self.mem,
-                &mut self.memsys,
-                &mut self.tracer,
-            );
-        }
-        self.profile.end(TickPhase::It, tp);
-        let tp = self.profile.begin();
-        for i in 0..self.rts.len() {
-            self.rts[i].tick(
-                now,
-                &self.cfg,
-                &mut self.nets,
-                &mut self.crit,
-                &mut self.stats,
-                &mut self.tracer,
-            );
-        }
-        self.profile.end(TickPhase::Rt, tp);
-        let tp = self.profile.begin();
-        for i in 0..self.ets.len() {
-            self.ets[i].tick(
-                now,
-                &self.cfg,
-                &mut self.nets,
-                &mut self.crit,
-                &mut self.stats,
-                &mut self.tracer,
-            );
-        }
-        self.profile.end(TickPhase::Et, tp);
-        let tp = self.profile.begin();
-        for i in 0..self.dts.len() {
-            self.dts[i].tick(
-                now,
-                &self.cfg,
-                &mut self.nets,
-                &mut self.crit,
-                &mut self.stats,
-                &mut self.mem,
-                &mut self.memsys,
-                &mut self.tracer,
-            );
-        }
-        self.profile.end(TickPhase::Dt, tp);
-        self.gating.ticks_run += self.cfg.geometry.tile_ticks() as u64;
-    }
-
-    /// The gated path: tick exactly the tiles whose mask bit is set.
-    fn tick_tiles_masked(&mut self, now: u64, mask: TileMask) {
         let g: CoreGeometry = self.cfg.geometry;
         if mask & ((1 as TileMask) << GT_BIT) != 0 {
             self.gt.tick(
@@ -809,5 +715,78 @@ impl Processor {
         let run = u64::from(mask.count_ones());
         self.gating.ticks_run += run;
         self.gating.ticks_gated += g.tile_ticks() as u64 - run;
+
+        let tp = self.profile.begin();
+        self.nets.tick(now);
+        self.profile.end(TickPhase::Nets, tp);
+        // The secondary system runs after the tiles and nets: requests
+        // issued this cycle inject now, and responses it delivers are
+        // consumed by the tiles next cycle (see DESIGN.md §5d).
+        let tp = self.profile.begin();
+        self.memsys.tick(now, &mut self.tracer);
+        self.profile.end(TickPhase::MemSys, tp);
+        self.cycle += 1;
+    }
+}
+
+/// The one epoch-skip decision, shared by [`Processor::tick_until`]
+/// and the chip's tick: when nothing can act at `now` (`idle`: every
+/// activity mask is empty) and the earliest `wake` lies in the
+/// future, the cycle to jump to — the wake clamped to the caller's
+/// `horizon`, so a run with a cycle budget stops on the budget exactly
+/// as a cycle-by-cycle one does. `None` means tick this cycle.
+pub(crate) fn skip_target(now: u64, idle: bool, wake: Option<u64>, horizon: u64) -> Option<u64> {
+    let w = wake?.min(horizon);
+    (idle && w > now).then_some(w)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msg::{FrameId, OpnPayload};
+    use crate::nets::OpnOutbox;
+    use trips_isa::semantics::Tok;
+    use trips_isa::OperandSlot;
+    use trips_tasm::{compile, ProgramBuilder, Quality};
+
+    #[test]
+    fn an_operand_parked_in_an_eject_queue_keeps_the_core_unquiesced() {
+        let mut p = ProgramBuilder::new();
+        let mut f = p.func("main", 0);
+        f.halt();
+        f.finish();
+        let image = compile(&p.finish(), Quality::Hand).expect("compiles").image;
+        let mut cpu = Processor::new(CoreConfig::prototype_pinned());
+        cpu.run(&image, 10_000).expect("halts");
+        assert!(cpu.drain(1_000) && cpu.quiesced() && cpu.next_wake().is_none());
+
+        // Leak one operand (for a generation no frame will ever have)
+        // and run only the mesh until it sits in its eject queue: no
+        // router holds it and no tile is busy, so the eject queue is
+        // the only thing standing between this core and "quiesced".
+        let (src, dst) = (TileId::Et(0, 0), TileId::Et(0, 1));
+        let leak = OpnPayload::Operand {
+            frame: FrameId(0),
+            gen: u32::MAX,
+            idx: 0,
+            slot: OperandSlot::Left,
+            tok: Tok::Val(7),
+            ev: 0,
+        };
+        let mut outbox = OpnOutbox::default();
+        outbox.push(dst, leak);
+        outbox.flush(&mut cpu.nets, cpu.cycle, src, &mut cpu.tracer);
+        let net = cpu.nets.opn_for(dst);
+        while cpu.nets.opn[net].in_flight() > 0 {
+            cpu.nets.tick(cpu.cycle);
+            cpu.cycle += 1;
+        }
+        assert_eq!(cpu.nets.opn[net].undrained(), 1);
+        assert!(!cpu.nets.idle() && !cpu.quiesced(), "a parked operand must not read as drained");
+        assert_eq!(cpu.next_wake(), Some(cpu.cycle), "its consumer is runnable now");
+
+        // The ET drops the stale operand on its next tick.
+        assert!(cpu.drain(10), "the core drains once the operand is consumed");
+        assert!(cpu.next_wake().is_none());
     }
 }

@@ -92,7 +92,7 @@ pub struct RegTile {
     /// list for [`RegTile::advance_frames`]. Maintained at every
     /// (de)activation site and audited against the frames, so the
     /// masked walk visits exactly the frames the full scan would act
-    /// on. Maintained unconditionally; `cfg.work_lists` only selects
+    /// on. Maintained under both schedules; `TickMode` only selects
     /// which iteration the tick uses.
     active_mask: FrameMask,
     /// Bit `fi` set iff `frames[fi]` is active, saw its commit wave,
@@ -146,23 +146,12 @@ impl RegTile {
     /// (the write queue empties at `commit_bw` registers per cycle).
     /// Every other state change in this tile is message-triggered and
     /// completed in the tick that consumes the message.
-    fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         // `committing_mask` is the old frame scan's predicate
         // (`active && committing && !commit_done`) held as a bitmask,
         // so the busy test — asked by the activity scan every scanned
         // cycle — is two loads instead of an eight-frame walk.
         !self.outbox.is_empty() || self.committing_mask != 0
-    }
-
-    /// Clock-gating predicate: internal work pending, or any message
-    /// bound for this tile on the GDN header row, GCN, RT status
-    /// chain, or OPN.
-    pub fn active(&self, nets: &Nets) -> bool {
-        self.busy()
-            || nets.gdn_rows[0].has_pending_at(row_pos_of_col(self.bank as usize))
-            || nets.gcn.has_pending_at(self.geom.gcn_pos(TileId::Rt(self.bank)))
-            || nets.gsn_rt.has_pending_at(rt_chain_pos(self.bank as usize))
-            || nets.opn_delivered_at(TileId::Rt(self.bank))
     }
 
     /// The earliest cycle a tick can make progress without a new
@@ -443,13 +432,10 @@ impl RegTile {
             }
         }
 
-        // The completion walk only acts on active frames; with work
-        // lists on it iterates the active-frame mask (same ascending
-        // frame order as the full scan, which skips the inactive
-        // rest). The toggle exists so the equivalence suite can
-        // compare the two walks bit for bit.
-        let all: FrameMask = crate::config::all_frames_mask(self.frames.len());
-        let mut pending: FrameMask = if cfg.work_lists { self.active_mask } else { all };
+        // The completion walk only acts on active frames, so `Fast`
+        // iterates the active-frame mask (same ascending frame order
+        // as `Reference`'s full scan, which skips the inactive rest).
+        let mut pending = cfg.tick_mode.walk(self.active_mask, self.frames.len());
         while pending != 0 {
             let fi = pending.trailing_zeros() as usize;
             pending &= pending - 1;

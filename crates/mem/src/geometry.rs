@@ -145,6 +145,15 @@ impl OcnGeometry {
         BLOCK_SIDE_PORTS * self.core_block(k) + 5 * (k % CORES_PER_BLOCK)
     }
 
+    /// Client ports per side (west for DTs, east for ITs) that core
+    /// `k`'s slot owns: its half of the block's ten, or all ten when no
+    /// neighbour shares the block (the last core of an odd-sized die).
+    pub fn core_side_ports(&self, k: usize) -> usize {
+        assert!(k < self.ncores, "core {k} of {}", self.ncores);
+        let alone = k.is_multiple_of(CORES_PER_BLOCK) && k + 1 == self.ncores;
+        BLOCK_SIDE_PORTS / if alone { 1 } else { CORES_PER_BLOCK }
+    }
+
     /// First east-side port of core `k`'s IT slice.
     pub fn core_it_base(&self, k: usize) -> usize {
         self.west_ports() + self.core_dt_base(k)

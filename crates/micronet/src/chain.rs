@@ -15,8 +15,8 @@
 //! `(arrival, seq)`. The common case — sends arrive in increasing
 //! time order — appends at the tail in O(1), and the queries the
 //! scheduler hammers every cycle (`idle`, `pending`,
-//! `has_pending_at`, [`Chain::next_arrival`]) are O(1) counter or
-//! head-pointer reads instead of per-`VecDeque` scans.
+//! [`Chain::next_arrival`]) are O(1) counter or head-pointer reads
+//! instead of per-`VecDeque` scans.
 
 use crate::fault::{ChainFaultConfig, ChainFaultState};
 
@@ -225,15 +225,6 @@ impl<T> Chain<T> {
     /// True if no messages are pending anywhere. O(1).
     pub fn idle(&self) -> bool {
         self.pending_count == 0
-    }
-
-    /// True if any message (mature or still in flight) is bound for
-    /// `pos`. This is the clock-gating wakeup test for the tile at
-    /// that position: conservative — the tile is clocked from the
-    /// moment a message is addressed to it, not only once the message
-    /// arrives — so a gated tile can never sleep through a delivery.
-    pub fn has_pending_at(&self, pos: usize) -> bool {
-        self.heads[pos] != NIL
     }
 
     /// Messages pending across all positions. O(1).

@@ -240,13 +240,6 @@ impl<P> Mesh<P> {
         self.in_flight
     }
 
-    /// True when a tick would move anything — the clock-gating
-    /// predicate. A mesh with no message inside any router is
-    /// architecturally inert until the next injection.
-    pub fn active(&self) -> bool {
-        self.in_flight > 0
-    }
-
     /// Cycle of the mesh's next state change, for the epoch-skipping
     /// scheduler. A mesh moves packets every cycle it has any message
     /// inside a router, so the answer is either "now" or "never until

@@ -29,8 +29,8 @@ The same gate also covers ``BENCH_chipsim.json`` (the dual-core chip
 contention benchmark shares the ``workloads[].{name, sim_cycles}`` row
 shape); ``--label`` names the suite in the output so interleaved gate
 runs stay readable. Host time per row is read from ``wall_secs``
-(chipsim: whole-pairing wall seconds; simperf: the gated run's host
-seconds) with ``gated_secs`` accepted as a fallback so baselines
+(chipsim: whole-pairing wall seconds; simperf: the run's host seconds)
+with ``gated_secs`` accepted as a fallback so baselines
 recorded before simperf's rename still compare; either denominates
 that file's throughput.
 

@@ -26,7 +26,10 @@
 
 use std::collections::HashMap;
 
-use trips_core::{Chip, ChipConfig, ChipStats, CoreConfig, CoreStats, MemBackend, Processor};
+use trips_core::{
+    Chip, ChipConfig, ChipStats, CoreConfig, CoreGeometry, CoreStats, MemBackend, Processor,
+    SimError, TickMode,
+};
 use trips_isa::mem::SparseMem;
 use trips_isa::{ArchReg, ProgramImage};
 use trips_mem::MemConfig;
@@ -214,27 +217,58 @@ fn chip_epoch_skip_is_bit_identical_and_not_vacuous() {
     // The chip coordinates skips: only when every core's mask is
     // empty does the whole lockstep ensemble fast-forward (folding
     // the shared system's earliest event), so per-core skipping can
-    // never desynchronise the cores from the shared-NUCA phase.
+    // never desynchronise the cores from the shared-NUCA phase. A
+    // `Reference` core's mask is never empty, so a chip seating even
+    // one must tick every cycle — and still match both pure chips.
     let a = suite::by_name("listwalk").expect("registered");
     let b = suite::by_name("saxpy").expect("registered");
-    let cfg = |skip| {
-        let core = CoreConfig { skip_epochs: skip, ..CoreConfig::prototype() };
-        ChipConfig::with_cores(2, core, MemConfig::prototype())
+    let images = [a, b].map(|wl| wl.build_trips(Quality::Hand).expect("compiles").image);
+    let run = |modes: [TickMode; 2]| {
+        let cores =
+            modes.map(|tick_mode| CoreConfig { tick_mode, ..CoreConfig::prototype() }).to_vec();
+        let mut chip = Chip::new(ChipConfig { cores, ..ChipConfig::n_cores(2) });
+        let stats = chip.run(&images, MAX_CYCLES).unwrap_or_else(|e| panic!("{modes:?}: {e}"));
+        let arch: Vec<_> =
+            (0..2).map(|k| (regs(chip.core(k)), chip.core(k).memory().clone())).collect();
+        let skipped: u64 = (0..2).map(|k| chip.core(k).gating_stats().cycles_skipped).sum();
+        ((stats, arch), skipped)
     };
-    let (s_stats, s_arch) = chip_run_with(&[&a, &b], cfg(true));
-    let (c_stats, c_arch) = chip_run_with(&[&a, &b], cfg(false));
-    assert_eq!(s_stats, c_stats, "chip epoch skipping must match cycle-by-cycle bit-for-bit");
-    assert_eq!(s_arch, c_arch, "chip epoch skipping changed architectural state");
+    let (fast, _) = run([TickMode::Fast, TickMode::Fast]);
+    let (reference, r_skipped) = run([TickMode::Reference, TickMode::Reference]);
+    let (mixed, m_skipped) = run([TickMode::Fast, TickMode::Reference]);
+    assert!(fast == reference, "an all-Fast chip must match an all-Reference chip bit-for-bit");
+    assert!(mixed == reference, "a mixed Fast/Reference chip diverges from the pure chips");
+    assert_eq!((r_skipped, m_skipped), (0, 0), "a chip seating a Reference core must never skip");
 
     // Non-vacuous: a one-core chip running the pointer chase must
     // actually fast-forward — it mirrors the solo-NUCA case, where
     // every DRAM miss leaves the core with provably nothing to do.
-    let mut chip =
-        Chip::new(ChipConfig::with_cores(1, CoreConfig::prototype(), MemConfig::prototype()));
-    let image = a.build_trips(Quality::Hand).expect("compiles").image;
-    chip.run(std::slice::from_ref(&image), MAX_CYCLES).expect("halts");
+    let mut chip = Chip::new(ChipConfig::n_cores(1));
+    chip.run(&images[..1], MAX_CYCLES).expect("halts");
     let g = chip.core(0).gating_stats();
     assert!(g.epochs_skipped > 0, "one-core chip skipped no epochs on listwalk: {g:?}");
+}
+
+#[test]
+fn timed_out_chip_runs_report_the_same_cycle_under_both_schedules() {
+    // The chip's coordinated skip is clamped to the caller's cycle
+    // budget like the solo core's: a timed-out run stops on the
+    // budget, with the same diagnosis, whichever schedule ran it.
+    let wl = suite::by_name("listwalk").expect("registered");
+    let image = wl.build_trips(Quality::Hand).expect("compiles").image;
+    let images = [image.clone(), image];
+    for budget in (1000..6000).step_by(37) {
+        let run = |tick_mode| {
+            let core = CoreConfig { tick_mode, ..CoreConfig::prototype() };
+            Chip::new(ChipConfig::with_cores(2, core, MemConfig::prototype())).run(&images, budget)
+        };
+        let fast = run(TickMode::Fast);
+        assert!(
+            matches!(fast, Err(SimError::Timeout { cycles, .. }) if cycles == budget),
+            "budget {budget}: expected a timeout on the budget: {fast:?}"
+        );
+        assert!(fast == run(TickMode::Reference), "budget {budget}: timeouts differ");
+    }
 }
 
 #[test]
@@ -383,4 +417,48 @@ fn chip_invariants_and_conservation_hold_under_contention() {
     // leak check (the whole chip must drain).
     let (chip_stats, _) = chip_run(&[&a, &b], true);
     assert_eq!(chip_stats.cores.len(), 2);
+}
+
+/// Two fat cores (8 DTs + 9 ITs each) cannot share a block whose
+/// slots own five OCN ports a side.
+fn two_fat_cores() -> ChipConfig {
+    let fat = CoreConfig::with_geometry(CoreGeometry::fat());
+    ChipConfig::with_cores(2, fat, MemConfig::prototype())
+}
+
+#[test]
+#[should_panic(
+    expected = "the fat geometry has 8 DTs and 9 ITs, but slot 0 of a 2-core die owns 5"
+)]
+fn a_die_whose_cores_overflow_their_ocn_slots_is_refused_by_name() {
+    Chip::new(two_fat_cores());
+}
+
+#[test]
+fn chip_config_validate_knows_each_slots_port_budget() {
+    assert!(two_fat_cores().validate().is_err());
+    assert!(ChipConfig::with_cores(0, CoreConfig::prototype(), MemConfig::prototype())
+        .validate()
+        .is_err());
+    assert!(ChipConfig::n_cores(17).validate().is_err());
+    for n in 1..=16 {
+        ChipConfig::with_cores(n, CoreConfig::prototype_pinned(), MemConfig::prototype())
+            .validate()
+            .unwrap_or_else(|e| panic!("{n} prototype cores: {e}"));
+    }
+    // A core alone in its block owns all ten ports a side: a fat core
+    // fits a one-core die, and the odd slot out of a three-core die.
+    let fat = CoreConfig::with_geometry(CoreGeometry::fat());
+    let mut lone = Chip::new(ChipConfig::with_cores(1, fat.clone(), MemConfig::prototype()));
+    let wl = suite::by_name("vadd").expect("registered");
+    let image = wl.build_trips(Quality::Hand).expect("compiles").image;
+    let stats = lone.run(std::slice::from_ref(&image), MAX_CYCLES).expect("halts");
+    let mut solo =
+        Processor::new(CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..fat.clone() });
+    assert_eq!(stats.cores[0], solo.run(&image, MAX_CYCLES).expect("halts"));
+    let mut odd = ChipConfig::with_cores(3, CoreConfig::prototype_pinned(), MemConfig::prototype());
+    odd.cores[2] = fat.clone();
+    odd.validate().expect("the last core of an odd die has its block to itself");
+    odd.cores.swap(1, 2);
+    assert!(odd.validate().unwrap_err().contains("core 1"), "a fat core in a shared block");
 }

@@ -136,15 +136,20 @@ fn back_to_back_runs_reset_state() {
 }
 
 /// When the core quiesces, the flight recorder agrees: every operand
-/// injected into the OPN was also ejected.
+/// injected into the OPN was also ejected — and so does the
+/// scheduler: "nothing left to do" (`quiesced`) and "nothing will ever
+/// wake" (`next_wake() == None`) are the same statement.
 #[test]
 fn quiesced_core_has_balanced_opn_traffic() {
     let wl = suite::by_name("vadd").expect("registered");
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
     let mut cpu = Processor::new(CoreConfig::prototype());
     cpu.enable_tracing(1 << 14);
+    assert!(!cpu.quiesced() && cpu.next_wake().is_some(), "a reset core is about to fetch");
     cpu.run(&image, 10_000_000).unwrap_or_else(|e| panic!("{e}"));
-    assert!(cpu.quiesced(), "halted core should have drained:\n{}", cpu.diagnose());
+    assert!(cpu.drain(10_000), "halted core should drain:\n{}", cpu.diagnose());
+    assert!(cpu.quiesced(), "drained core should be quiesced:\n{}", cpu.diagnose());
+    assert_eq!(cpu.next_wake(), None, "a quiesced core has nothing left to wake for");
     let t = cpu.tracer();
     assert!(t.opn_injected > 0, "vadd must use the operand network");
     assert_eq!(

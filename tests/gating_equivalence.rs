@@ -1,120 +1,79 @@
-//! Clock gating must be invisible: a gated run and an ungated run of
+//! The two tick schedules must be indistinguishable: a
+//! [`TickMode::Fast`] run (activity scan, gated tiles, epoch skips,
+//! dirty-frame walks, fused GT pass) and a [`TickMode::Reference`] run
+//! (every tile, every frame, every cycle, the GT in §4 spec order) of
 //! the same image must produce bit-identical statistics and
-//! architectural state. The tick scheduler's `active()` predicates
-//! are conservative by construction (a tile may tick unnecessarily,
-//! never the reverse), and this suite enforces that across the whole
-//! workload suite at both code qualities.
-//!
-//! Epoch skipping (DESIGN.md §5b) layers on top: when every tile is
-//! idle *now* the scheduler fast-forwards the cycle counter to the
-//! earliest future wake instead of grinding through provably empty
-//! cycles. The skipped cycles would each have been an all-gated
-//! no-op, so a skipping run must also be bit-identical — to the
-//! cycle-by-cycle gated run *and* to the ungated run.
+//! architectural state (DESIGN.md §5b). Every shortcut `Fast` takes is
+//! a claim that the skipped work was a no-op; `Reference` takes none
+//! of them, so one comparison covers them all — singly and combined.
 
-use trips_core::{CoreConfig, CoreStats, MemBackend, Processor};
+use trips_core::{CoreConfig, CoreStats, MemBackend, Processor, TickMode};
 use trips_harness::{num_threads, parallel_map};
 use trips_isa::mem::SparseMem;
-use trips_isa::ArchReg;
+use trips_isa::{ArchReg, ProgramImage};
 use trips_tasm::Quality;
 use trips_workloads::{suite, Workload};
 
 const MAX_CYCLES: u64 = 200_000_000;
 
-/// Runs `wl` at `quality` under the given scheduler configuration,
-/// returning the full observable outcome: stats, all 128
-/// architectural registers, and memory.
-fn outcome_cfg(
-    wl: &Workload,
-    quality: Quality,
-    gate: bool,
-    skip: bool,
-) -> (CoreStats, Vec<u64>, SparseMem) {
-    let image = wl
-        .build_trips(quality)
-        .unwrap_or_else(|e| panic!("{} ({quality:?}): compile failed: {e}", wl.name))
-        .image;
-    let mut cpu = Processor::new(CoreConfig {
-        gate_ticks: gate,
-        skip_epochs: skip,
-        ..CoreConfig::prototype()
-    });
-    let stats = cpu
-        .run(&image, MAX_CYCLES)
-        .unwrap_or_else(|e| panic!("{} ({quality:?}): simulation failed: {e}", wl.name));
+/// The full observable outcome of a run: stats, all 128 architectural
+/// registers, and memory.
+type Outcome = (CoreStats, Vec<u64>, SparseMem);
+
+/// Runs `image` under `cfg`, returning the outcome and the core (for
+/// its host-side counters).
+fn run(image: &ProgramImage, cfg: CoreConfig) -> (Outcome, Processor) {
+    let mut cpu = Processor::new(cfg);
+    let stats = cpu.run(image, MAX_CYCLES).unwrap_or_else(|e| panic!("simulation failed: {e}"));
     let regs = (0..128).map(|r| cpu.arch_reg(ArchReg::new(r))).collect();
-    (stats, regs, cpu.memory().clone())
+    let mem = cpu.memory().clone();
+    ((stats, regs, mem), cpu)
 }
 
-/// Default-scheduler outcome: gating (and with it epoch skipping)
-/// either fully on or fully off.
-fn outcome(wl: &Workload, quality: Quality, gate: bool) -> (CoreStats, Vec<u64>, SparseMem) {
-    outcome_cfg(wl, quality, gate, gate)
+fn reference(cfg: CoreConfig) -> CoreConfig {
+    CoreConfig { tick_mode: TickMode::Reference, ..cfg }
+}
+
+fn hand_image(name: &str) -> ProgramImage {
+    suite::by_name(name).expect("registered").build_trips(Quality::Hand).expect("compiles").image
 }
 
 #[test]
-fn gated_and_ungated_runs_are_bit_identical_across_the_suite() {
+fn fast_and_reference_are_bit_identical_across_the_suite() {
+    // Any divergence means a wake time was computed too late (work
+    // silently delayed), a skip jumped past a message-maturity point,
+    // a work-list mask missed a mutation site (a dirty frame was
+    // skipped), or the fused GT pass reordered an observable protocol
+    // action.
     let items: Vec<(Workload, Quality)> = suite::all()
         .into_iter()
         .flat_map(|wl| [(wl, Quality::Hand), (wl, Quality::Compiled)])
         .collect();
     let failures: Vec<String> = parallel_map(items, num_threads(), |(wl, quality)| {
-        let (g_stats, g_regs, g_mem) = outcome(&wl, quality, true);
-        let (u_stats, u_regs, u_mem) = outcome(&wl, quality, false);
+        let image = wl
+            .build_trips(quality)
+            .unwrap_or_else(|e| panic!("{} ({quality:?}): compile failed: {e}", wl.name))
+            .image;
+        let ((f_stats, f_regs, f_mem), _) = run(&image, CoreConfig::prototype());
+        let ((r_stats, r_regs, r_mem), _) = run(&image, reference(CoreConfig::prototype()));
         let mut errs = Vec::new();
-        if g_stats != u_stats {
+        if f_stats != r_stats {
             errs.push(format!(
-                "{} ({quality:?}): CoreStats diverge\n  gated:   {g_stats:?}\n  ungated: {u_stats:?}",
+                "{} ({quality:?}): CoreStats diverge\n  fast:      {f_stats:?}\n  reference: {r_stats:?}",
                 wl.name
             ));
         }
-        if g_regs != u_regs {
-            let diffs: Vec<String> = g_regs
+        if f_regs != r_regs {
+            let diffs: Vec<String> = f_regs
                 .iter()
-                .zip(&u_regs)
+                .zip(&r_regs)
                 .enumerate()
                 .filter(|(_, (a, b))| a != b)
-                .map(|(r, (a, b))| format!("G{r}: gated={a:#x} ungated={b:#x}"))
+                .map(|(r, (a, b))| format!("G{r}: fast={a:#x} reference={b:#x}"))
                 .collect();
             errs.push(format!("{} ({quality:?}): registers diverge: {}", wl.name, diffs.join(", ")));
         }
-        if g_mem != u_mem {
-            errs.push(format!("{} ({quality:?}): memory diverges", wl.name));
-        }
-        errs
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    assert!(failures.is_empty(), "gating changed observable behaviour:\n{}", failures.join("\n"));
-}
-
-#[test]
-fn epoch_skipping_matches_cycle_by_cycle_gating() {
-    // Skip-on vs skip-off, both gated: the skipped epochs must be
-    // exactly the cycles the cycle-by-cycle scheduler would have spent
-    // ticking nothing. Any divergence here means a wake time was
-    // computed too late (work silently delayed) or the skip jumped
-    // past a message-maturity point.
-    let items: Vec<(Workload, Quality)> = suite::all()
-        .into_iter()
-        .flat_map(|wl| [(wl, Quality::Hand), (wl, Quality::Compiled)])
-        .collect();
-    let failures: Vec<String> = parallel_map(items, num_threads(), |(wl, quality)| {
-        let (s_stats, s_regs, s_mem) = outcome_cfg(&wl, quality, true, true);
-        let (c_stats, c_regs, c_mem) = outcome_cfg(&wl, quality, true, false);
-        let mut errs = Vec::new();
-        if s_stats != c_stats {
-            errs.push(format!(
-                "{} ({quality:?}): CoreStats diverge\n  skipping: {s_stats:?}\n  \
-                 cycle-by-cycle: {c_stats:?}",
-                wl.name
-            ));
-        }
-        if s_regs != c_regs {
-            errs.push(format!("{} ({quality:?}): registers diverge", wl.name));
-        }
-        if s_mem != c_mem {
+        if f_mem != r_mem {
             errs.push(format!("{} ({quality:?}): memory diverges", wl.name));
         }
         errs
@@ -124,7 +83,7 @@ fn epoch_skipping_matches_cycle_by_cycle_gating() {
     .collect();
     assert!(
         failures.is_empty(),
-        "epoch skipping changed observable behaviour:\n{}",
+        "the Fast schedule changed observable behaviour:\n{}",
         failures.join("\n")
     );
 }
@@ -135,12 +94,9 @@ fn epoch_skipping_actually_skips_cycles() {
     // the NUCA backend is the stress case: a pointer chase whose misses
     // leave the whole core with nothing to do for the DRAM latency, so
     // the skip path must fast-forward a meaningful share of the run.
-    let wl = suite::by_name("listwalk").expect("registered");
-    let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let nuca =
-        || CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..CoreConfig::prototype() };
-    let mut cpu = Processor::new(nuca());
-    let stats = cpu.run(&image, MAX_CYCLES).expect("halts");
+    let image = hand_image("listwalk");
+    let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..CoreConfig::prototype() };
+    let ((stats, ..), cpu) = run(&image, nuca.clone());
     let g = cpu.gating_stats();
     assert!(g.epochs_skipped > 0, "no epochs were skipped: {g:?}");
     let frac = g.cycles_skipped as f64 / stats.cycles as f64;
@@ -152,104 +108,28 @@ fn epoch_skipping_actually_skips_cycles() {
         stats.cycles
     );
 
-    // With skipping disabled the counters must stay at zero — the
-    // cycle-by-cycle scheduler never fast-forwards.
-    let mut noskip = Processor::new(CoreConfig { skip_epochs: false, ..nuca() });
-    noskip.run(&image, MAX_CYCLES).expect("halts");
-    let n = noskip.gating_stats();
-    assert_eq!(n.cycles_skipped, 0, "skip_epochs=false must never skip: {n:?}");
-    assert_eq!(n.epochs_skipped, 0, "skip_epochs=false must never skip: {n:?}");
-}
-
-/// Outcome with the tick fast paths (DESIGN.md §5b) individually
-/// toggled: dirty-frame work lists and the fused GT frame pass.
-/// Scheduler defaults (gating + skipping on) everywhere — these flags
-/// must be inert on their own axis.
-fn outcome_fast(
-    wl: &Workload,
-    quality: Quality,
-    work_lists: bool,
-    fused_gt: bool,
-) -> (CoreStats, Vec<u64>, SparseMem) {
-    let image = wl
-        .build_trips(quality)
-        .unwrap_or_else(|e| panic!("{} ({quality:?}): compile failed: {e}", wl.name))
-        .image;
-    let mut cpu = Processor::new(CoreConfig { work_lists, fused_gt, ..CoreConfig::prototype() });
-    let stats = cpu
-        .run(&image, MAX_CYCLES)
-        .unwrap_or_else(|e| panic!("{} ({quality:?}): simulation failed: {e}", wl.name));
-    let regs = (0..128).map(|r| cpu.arch_reg(ArchReg::new(r))).collect();
-    (stats, regs, cpu.memory().clone())
-}
-
-#[test]
-fn work_lists_and_fused_gt_are_bit_identical_across_the_suite() {
-    // The prototype default (both fast paths on) against each flag
-    // individually off and both off. Any divergence means a work-list
-    // mask missed a mutation site (a dirty frame was skipped) or the
-    // fused GT pass reordered an observable protocol action.
-    let items: Vec<(Workload, Quality)> = suite::all()
-        .into_iter()
-        .flat_map(|wl| [(wl, Quality::Hand), (wl, Quality::Compiled)])
-        .collect();
-    let failures: Vec<String> = parallel_map(items, num_threads(), |(wl, quality)| {
-        let fast = outcome_fast(&wl, quality, true, true);
-        let mut errs = Vec::new();
-        for (work_lists, fused_gt) in [(false, true), (true, false), (false, false)] {
-            let slow = outcome_fast(&wl, quality, work_lists, fused_gt);
-            if fast.0 != slow.0 {
-                errs.push(format!(
-                    "{} ({quality:?}, work_lists={work_lists}, fused_gt={fused_gt}): \
-                     CoreStats diverge\n  fast: {:?}\n  slow: {:?}",
-                    wl.name, fast.0, slow.0
-                ));
-            }
-            if fast.1 != slow.1 {
-                errs.push(format!(
-                    "{} ({quality:?}, work_lists={work_lists}, fused_gt={fused_gt}): \
-                     registers diverge",
-                    wl.name
-                ));
-            }
-            if fast.2 != slow.2 {
-                errs.push(format!(
-                    "{} ({quality:?}, work_lists={work_lists}, fused_gt={fused_gt}): \
-                     memory diverges",
-                    wl.name
-                ));
-            }
-        }
-        errs
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    assert!(
-        failures.is_empty(),
-        "tick fast paths changed observable behaviour:\n{}",
-        failures.join("\n")
+    // Reference never gates a tile and never fast-forwards.
+    let (_, oracle) = run(&image, reference(nuca));
+    let r = oracle.gating_stats();
+    assert_eq!(
+        (r.ticks_gated, r.cycles_skipped, r.epochs_skipped),
+        (0, 0, 0),
+        "Reference must tick every tile of every cycle: {r:?}"
     );
 }
 
 #[test]
-fn work_lists_actually_skip_frames() {
+fn dirty_frame_walks_actually_skip_frames() {
     // Sanity that the work-list equivalence is not vacuous: on real
     // workloads the dirty-frame walks must examine strictly fewer
     // frames than the full scans do. `work_list_visits` counts frames
     // examined by the RT/DT advancement walks and the ET select walk;
-    // it lives outside CoreStats so the bit-identity checks above
-    // never see it.
+    // it lives outside CoreStats so the bit-identity check above
+    // never sees it.
     for name in ["matrix", "dct8x8"] {
-        let wl = suite::by_name(name).expect("registered");
-        let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-        let mut visits = [0u64; 2];
-        for (i, work_lists) in [true, false].into_iter().enumerate() {
-            let mut cpu = Processor::new(CoreConfig { work_lists, ..CoreConfig::prototype() });
-            cpu.run(&image, MAX_CYCLES).expect("halts");
-            visits[i] = cpu.work_list_visits();
-        }
-        let [dirty, full] = visits;
+        let image = hand_image(name);
+        let dirty = run(&image, CoreConfig::prototype()).1.work_list_visits();
+        let full = run(&image, reference(CoreConfig::prototype())).1.work_list_visits();
         assert!(
             dirty < full,
             "{name}: dirty-frame walks examined {dirty} frames but full scans examined \
@@ -261,24 +141,45 @@ fn work_lists_actually_skip_frames() {
 #[test]
 fn gating_actually_skips_ticks() {
     // Sanity that the equivalence above is not vacuous: on a real
-    // workload the gated scheduler must skip a meaningful share of
-    // tile ticks (drained tiles exist in any block-structured run).
-    let wl = suite::by_name("matrix").expect("registered");
-    let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let mut cpu = Processor::new(CoreConfig::prototype());
-    cpu.run(&image, MAX_CYCLES).expect("halts");
+    // workload the scan must gate off a meaningful share of tile ticks
+    // (drained tiles exist in any block-structured run).
+    let (_, cpu) = run(&hand_image("matrix"), CoreConfig::prototype());
     let g = cpu.gating_stats();
     assert!(g.ticks_gated > 0, "no ticks were gated: {g:?}");
     assert!(
         g.gated_fraction() > 0.05,
-        "suspiciously little gating ({:.1}%): predicates may have regressed to always-active",
+        "suspiciously little gating ({:.1}%): the scan may have regressed to always-active",
         100.0 * g.gated_fraction()
     );
+}
 
-    let mut ungated = Processor::new(CoreConfig { gate_ticks: false, ..CoreConfig::prototype() });
-    ungated.run(&image, MAX_CYCLES).expect("halts");
-    let u = ungated.gating_stats();
-    assert_eq!(u.ticks_gated, 0, "ungated mode must never skip a tile");
+#[test]
+fn timed_out_runs_report_the_same_cycle_under_both_schedules() {
+    use trips_core::SimError;
+    // An epoch skip must not carry the clock past the caller's cycle
+    // budget: a run that times out stops on the budget exactly, with
+    // the same hang report, whichever schedule ran it. listwalk on
+    // NUCA skips constantly, so most budgets land inside a skip.
+    // (`chip_equivalence` runs the same sweep on a two-core chip.)
+    let image = hand_image("listwalk");
+    let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..CoreConfig::prototype() };
+    let budgets: Vec<u64> = (1000..6000).step_by(37).collect();
+    let failures: Vec<String> = parallel_map(budgets, num_threads(), |budget| {
+        let fast = Processor::new(nuca.clone()).run(&image, budget);
+        let oracle = Processor::new(reference(nuca.clone())).run(&image, budget);
+        let mut errs = Vec::new();
+        if !matches!(fast, Err(SimError::Timeout { cycles, .. }) if cycles == budget) {
+            errs.push(format!("budget {budget}: expected a timeout on the budget: {fast:?}"));
+        }
+        if fast != oracle {
+            errs.push(format!("budget {budget}: Fast and Reference timeouts differ"));
+        }
+        errs
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 #[test]
@@ -287,21 +188,19 @@ fn fat_die_full_scan_handles_the_max_frames_mask() {
     // The 16-frame fat die fills `FrameMask` exactly, so the full-scan
     // constant must be computed without a shift by the type width — a
     // debug-build panic (this test runs unoptimized) and an empty mask
-    // in release, where the `work_lists=false` walks silently visit no
-    // frames. Run the boundary die with work lists off, which iterates
-    // the all-frames mask every advancement walk, and require
-    // bit-identity with the work-list schedule.
+    // in release, where `Reference`'s walks would silently visit no
+    // frames. Run the boundary die as `Reference`, which iterates the
+    // all-frames mask every advancement walk, and require bit-identity
+    // with `Fast`.
     let fat = CoreGeometry::fat();
     assert_eq!(fat.frames, MAX_FRAMES, "fat must pin the FrameMask boundary");
-    let wl = suite::by_name("vadd").expect("registered");
-    let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let run = |work_lists: bool| {
-        let mut cpu = Processor::new(CoreConfig { work_lists, ..CoreConfig::with_geometry(fat) });
-        let stats = cpu.run(&image, MAX_CYCLES).expect("halts");
-        let regs: Vec<u64> = (0..128).map(|r| cpu.arch_reg(ArchReg::new(r))).collect();
-        (stats, regs, cpu.memory().clone())
-    };
-    assert_eq!(run(false), run(true), "full-scan vs work-list walks diverge on the fat die");
+    let image = hand_image("vadd");
+    let cfg = CoreConfig::with_geometry(fat);
+    assert_eq!(
+        run(&image, reference(cfg.clone())).0,
+        run(&image, cfg).0,
+        "Reference and Fast walks diverge on the fat die"
+    );
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! (Seeded generation via `trips_harness::Rng`; the environment has no
 //! crates.io access so `proptest` is unavailable.)
 
-use trips::core::{Chip, ChipConfig, CoreConfig, CoreGeometry, FaultPlan, Processor};
+use trips::core::{Chip, ChipConfig, CoreConfig, CoreGeometry, FaultPlan, Processor, TickMode};
 use trips::isa::Opcode;
 use trips::tasm::{blockinterp, compile, interp, ProgramBuilder, Quality, VReg};
 use trips_harness::Rng;
@@ -133,15 +133,12 @@ fn random_programs_agree_everywhere() {
         for q in [Quality::Compiled, Quality::Hand] {
             let compiled = compile(&prog, q).expect("compiles");
             let bi = blockinterp::run_image(&compiled.image, 100_000).expect("block interp");
-            // Axes: the clock-gated scheduler and the fused GT frame
-            // pass (DESIGN.md §5b), each exercised off against the
-            // other's default to keep the case count linear.
-            for (gate, fused_gt) in [(true, true), (false, true), (true, false)] {
-                let cfg = CoreConfig { gate_ticks: gate, fused_gt, ..CoreConfig::prototype() };
+            // Both tick schedules (DESIGN.md §5b).
+            for tick_mode in [TickMode::Fast, TickMode::Reference] {
+                let cfg = CoreConfig { tick_mode, ..CoreConfig::prototype() };
                 let mut cpu = Processor::new(cfg);
-                cpu.run(&compiled.image, 5_000_000).unwrap_or_else(|e| {
-                    panic!("core run (case {case}, {q}, gate {gate}, fused {fused_gt}): {e}")
-                });
+                cpu.run(&compiled.image, 5_000_000)
+                    .unwrap_or_else(|e| panic!("core run (case {case}, {q}, {tick_mode:?}): {e}"));
                 for &c in &cells {
                     let want = reference.mem.read_u64(c);
                     assert_eq!(
@@ -152,8 +149,7 @@ fn random_programs_agree_everywhere() {
                     assert_eq!(
                         cpu.memory().read_u64(c),
                         want,
-                        "core diverged at {c:#x} (case {case}, {q}, gate {gate}, \
-                         fused {fused_gt}, steps {steps:?})"
+                        "core diverged at {c:#x} (case {case}, {q}, {tick_mode:?}, steps {steps:?})"
                     );
                 }
             }
@@ -214,8 +210,17 @@ fn random_programs_agree_on_multicore_chips() {
         let reference = interp::run(&prog, 1_000_000).expect("ir interp");
         let compiled = compile(&prog, Quality::Hand).expect("compiles");
 
-        for n in [1usize, 2, 4] {
-            let mut chip = Chip::new(ChipConfig::n_cores(n));
+        // A die the ambient geometry's DTs/ITs overflow (fat cores
+        // two to a block) is not a chip; the lone core always fits.
+        let dies: Vec<ChipConfig> = [1, 2, 4]
+            .into_iter()
+            .map(ChipConfig::n_cores)
+            .filter(|c| c.validate().is_ok())
+            .collect();
+        assert_eq!(dies[0].cores.len(), 1, "a one-core die seats every geometry");
+        for cfg in dies {
+            let n = cfg.cores.len();
+            let mut chip = Chip::new(cfg);
             let images = vec![compiled.image.clone(); n];
             chip.run(&images, 5_000_000)
                 .unwrap_or_else(|e| panic!("chip run (case {case}, {n} cores): {e}"));
