@@ -39,6 +39,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use trips_bench::fuzz;
 use trips_core::{Chip, ChipConfig, CohSnapshot, CoreConfig, MemBackend, Processor};
 use trips_harness::{num_threads, parallel_map};
 use trips_mem::MemConfig;
@@ -136,7 +137,7 @@ struct SharedPerf {
     coh: CohSnapshot,
     invals_received: u64,
     coherence_flushes: u64,
-    oracle_ok: bool,
+    oracle: Result<(), String>,
 }
 
 /// One shared-memory point: the workload on a coherent `n`-core chip,
@@ -150,9 +151,7 @@ fn run_shared_point(wl: &SharedWorkload, n: usize) -> SharedPerf {
     let start = Instant::now();
     let stats = chip.run(&images, MAX_CYCLES).unwrap_or_else(|e| panic!("{} x{n}: {e}", wl.name));
     let host_secs = start.elapsed().as_secs_f64();
-    let oracle_ok = expected
-        .iter()
-        .all(|&(addr, want)| (0..n).all(|k| chip.core(k).memory().read_u64(addr) == want));
+    let oracle = fuzz::compare_shared_state(&chip, &expected);
     SharedPerf {
         name: format!("{}_n{n}", wl.name),
         ncores: n,
@@ -166,7 +165,7 @@ fn run_shared_point(wl: &SharedWorkload, n: usize) -> SharedPerf {
             .map(|m| m.invals_received)
             .sum(),
         coherence_flushes: stats.cores.iter().map(|c| c.coherence_flushes).sum(),
-        oracle_ok,
+        oracle,
     }
 }
 
@@ -200,7 +199,7 @@ fn run_shared_suite(smoke: bool, threads: usize) {
             r.invals_received,
             r.coh.dir_highwater,
             r.coherence_flushes,
-            if r.oracle_ok { "ok" } else { "FAIL" },
+            if r.oracle.is_ok() { "ok" } else { "FAIL" },
         );
     }
 
@@ -246,8 +245,8 @@ fn run_shared_suite(smoke: bool, threads: usize) {
     let mut failed = false;
     let mut suite_invals = 0;
     for r in &rows {
-        if !r.oracle_ok {
-            eprintln!("chipsim: FAIL — {} diverged from its sequential oracle", r.name);
+        if let Err(why) = &r.oracle {
+            eprintln!("chipsim: FAIL — {} diverged from its sequential oracle: {why}", r.name);
             failed = true;
         }
         if r.coh.getms == 0 {

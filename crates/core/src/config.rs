@@ -156,10 +156,11 @@ impl CoreGeometry {
                 let et_rows: usize = r.parse().map_err(|_| format!("bad rows {r:?}"))?;
                 let et_cols: usize = c.parse().map_err(|_| format!("bad cols {c:?}"))?;
                 let frames: usize = frames.parse().map_err(|_| format!("bad frames {frames:?}"))?;
-                let ets = et_rows * et_cols;
-                if ets == 0 {
-                    return Err("zero-sized ET array".into());
+                // Bounded before the derivations below multiply them.
+                if !(1..=8).contains(&et_rows) || !(1..=8).contains(&et_cols) {
+                    return Err(format!("ET array {r}x{c} must have power-of-two dims in 1..=8"));
                 }
+                let ets = et_rows * et_cols;
                 let derived = CoreGeometry {
                     et_rows,
                     et_cols,

@@ -16,7 +16,10 @@
 //! does not shift the random streams of the others (crucial for
 //! shrinking to stay meaningful).
 
+use std::fmt;
+
 use trips_harness::Rng;
+use trips_mem::OcnGeometry;
 use trips_micronet::{ChainFaultConfig, Coord, FaultPort, MeshFaultConfig, PortStall};
 
 use crate::config::CoreGeometry;
@@ -368,70 +371,170 @@ impl FaultPlan {
         }
         out
     }
+}
 
-    /// Renders the plan as a Rust expression that reconstructs it —
-    /// the `protofuzz` reproducer snippet pastes this into a `#[test]`.
-    pub fn to_rust_literal(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "FaultPlan {{");
-        let _ = writeln!(s, "    seed: {:#x},", self.seed);
-        let _ = writeln!(s, "    rotate_arbitration: {},", self.rotate_arbitration);
-        if self.links.is_empty() {
-            let _ = writeln!(s, "    links: vec![],");
-        } else {
-            let _ = writeln!(s, "    links: vec![");
-            for l in &self.links {
-                let _ = writeln!(
-                    s,
-                    "        LinkFault {{ net: {}, row: {}, col: {}, port: FaultPort::{:?}, \
-                     chance: Ratio {{ num: {}, den: {} }}, max_burst: {} }},",
-                    l.net, l.row, l.col, l.port, l.chance.num, l.chance.den, l.max_burst
-                );
-            }
-            let _ = writeln!(s, "    ],");
+/// A port's name in the plan grammar: `eject`, `north`, ...
+fn port_name(port: FaultPort) -> String {
+    format!("{port:?}").to_lowercase()
+}
+
+/// The one-line form [`FaultPlan::parse`] reads back: `seed=0xdd
+/// [rotate] {opn=N.R.C.port:num/den*burst} {ocn=R.C.port:num/den*burst}
+/// [chain=num/den+extra] [storm=num/den]`, ports lower-case.
+impl fmt::Display for FaultPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "seed={:#x}", self.seed)?;
+        if self.rotate_arbitration {
+            f.write_str(" rotate")?;
         }
-        if self.ocn_links.is_empty() {
-            let _ = writeln!(s, "    ocn_links: vec![],");
-        } else {
-            let _ = writeln!(s, "    ocn_links: vec![");
-            for l in &self.ocn_links {
-                let _ = writeln!(
-                    s,
-                    "        OcnFault {{ row: {}, col: {}, port: FaultPort::{:?}, \
-                     chance: Ratio {{ num: {}, den: {} }}, max_burst: {} }},",
-                    l.row, l.col, l.port, l.chance.num, l.chance.den, l.max_burst
-                );
-            }
-            let _ = writeln!(s, "    ],");
+        for l in &self.links {
+            let (Ratio { num, den }, burst) = (l.chance, l.max_burst);
+            write!(
+                f,
+                " opn={}.{}.{}.{}:{num}/{den}*{burst}",
+                l.net,
+                l.row,
+                l.col,
+                port_name(l.port)
+            )?;
         }
+        for l in &self.ocn_links {
+            let (Ratio { num, den }, burst) = (l.chance, l.max_burst);
+            write!(f, " ocn={}.{}.{}:{num}/{den}*{burst}", l.row, l.col, port_name(l.port))?;
+        }
+        if let Some(ChainDelay { chance: Ratio { num, den }, max_extra }) = self.chain_delay {
+            write!(f, " chain={num}/{den}+{max_extra}")?;
+        }
+        self.flush_storm.iter().try_for_each(|Ratio { num, den }| write!(f, " storm={num}/{den}"))
+    }
+}
+
+/// Splits `s` at each separator in turn: the heads, then the rest.
+fn fields<const N: usize>(mut s: &str, seps: [char; N]) -> Option<([&str; N], &str)> {
+    let mut heads = [""; N];
+    for (head, sep) in heads.iter_mut().zip(seps) {
+        (*head, s) = s.split_once(sep)?;
+    }
+    Some((heads, s))
+}
+
+impl FaultPlan {
+    /// Parses the one-line form [`fmt::Display`] writes; tokens may
+    /// come in any order, links keep theirs.
+    ///
+    /// # Errors
+    ///
+    /// Names the first token that is unknown, malformed or repeated,
+    /// or the missing `seed=`. Bounds are [`FaultPlan::validate`]'s.
+    pub fn parse(s: &str) -> Result<FaultPlan, String> {
+        fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
+            s.parse().ok()
+        }
+        let port = |s| FaultPort::ALL.into_iter().find(|p| port_name(*p) == s);
+        let ratio = |n, d| Some(Ratio { num: num(n)?, den: num(d)? });
+        let mut plan = FaultPlan::default();
+        let mut seed = None;
+        for tok in s.split_whitespace() {
+            let (key, val) = tok.split_once('=').unwrap_or((tok, ""));
+            // Each arm yields whether the token repeats an earlier one.
+            let repeated = match key {
+                "rotate" if tok == key => {
+                    Some(std::mem::replace(&mut plan.rotate_arbitration, true))
+                }
+                "seed" => match val.strip_prefix("0x") {
+                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                    None => num(val),
+                }
+                .map(|v| seed.replace(v).is_some()),
+                "opn" => fields(val, ['.', '.', '.', ':', '/', '*']).and_then(|(f, burst)| {
+                    let [net, row, col, p, n, d] = f;
+                    plan.links.push(LinkFault {
+                        net: num(net)?,
+                        row: num(row)?,
+                        col: num(col)?,
+                        port: port(p)?,
+                        chance: ratio(n, d)?,
+                        max_burst: num(burst)?,
+                    });
+                    Some(false)
+                }),
+                "ocn" => fields(val, ['.', '.', ':', '/', '*']).and_then(|(f, burst)| {
+                    let [row, col, p, n, d] = f;
+                    plan.ocn_links.push(OcnFault {
+                        row: num(row)?,
+                        col: num(col)?,
+                        port: port(p)?,
+                        chance: ratio(n, d)?,
+                        max_burst: num(burst)?,
+                    });
+                    Some(false)
+                }),
+                "chain" => fields(val, ['/', '+']).and_then(|([n, d], extra)| {
+                    let delay = ChainDelay { chance: ratio(n, d)?, max_extra: num(extra)? };
+                    Some(plan.chain_delay.replace(delay).is_some())
+                }),
+                "storm" => fields(val, ['/'])
+                    .and_then(|([n], d)| Some(plan.flush_storm.replace(ratio(n, d)?).is_some())),
+                _ => None,
+            };
+            match repeated {
+                None => return Err(format!("bad plan token {tok:?}")),
+                Some(true) => return Err(format!("plan repeats {key:?}")),
+                Some(false) => {}
+            }
+        }
+        plan.seed = seed.ok_or("a plan needs its seed=<n>")?;
+        Ok(plan)
+    }
+
+    /// Checks the plan against the machine it is about to be installed
+    /// in: a core of geometry `geom` with `opn_networks` operand
+    /// networks, on a die whose OCN is `ocn`. The fault hooks assume
+    /// all of this and panic (or divide by zero) deep inside the
+    /// meshes otherwise. A permanent stall (`num >= den`, any burst)
+    /// is legal — the deliberate-deadlock test relies on it.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field.
+    pub fn validate(
+        &self,
+        geom: CoreGeometry,
+        opn_networks: usize,
+        ocn: OcnGeometry,
+    ) -> Result<(), String> {
+        let chances = (self.links.iter().map(|l| ("an OPN link", l.chance)))
+            .chain(self.ocn_links.iter().map(|l| ("an OCN link", l.chance)))
+            .chain(self.chain_delay.map(|d| ("the chain delay", d.chance)))
+            .chain(self.flush_storm.map(|r| ("the flush storm", r)));
+        for (what, Ratio { num, den }) in chances {
+            if den == 0 {
+                return Err(format!("{what} has chance {num}/0"));
+            }
+        }
+        let (rows, cols, die) = (geom.mesh_rows(), geom.mesh_cols(), geom.name());
+        for l in &self.links {
+            if l.net >= opn_networks || usize::from(l.row) >= rows || usize::from(l.col) >= cols {
+                let at = format!("{}.{}.{}", l.net, l.row, l.col);
+                return Err(format!(
+                    "OPN link {at} lies outside the {die} die's {opn_networks} {rows}x{cols} OPN(s)"
+                ));
+            }
+        }
+        let (rows, cols, n) = (ocn.rows(), ocn.cols(), ocn.ncores());
+        if let Some(l) = self.ocn_links.iter().find(|l| l.row >= rows || l.col >= cols) {
+            let at = format!("{}.{}", l.row, l.col);
+            return Err(format!(
+                "OCN link {at} lies outside the {rows}x{cols} OCN of a {n}-core die"
+            ));
+        }
+        // A delayed arrival is `now + extra`; keep it far from wrapping.
         match self.chain_delay {
-            None => {
-                let _ = writeln!(s, "    chain_delay: None,");
+            Some(d) if d.max_extra > u64::from(u32::MAX) => {
+                Err(format!("chain delay bound {} exceeds 2^32 cycles", d.max_extra))
             }
-            Some(d) => {
-                let _ = writeln!(
-                    s,
-                    "    chain_delay: Some(ChainDelay {{ chance: Ratio {{ num: {}, den: {} }}, \
-                     max_extra: {} }}),",
-                    d.chance.num, d.chance.den, d.max_extra
-                );
-            }
+            _ => Ok(()),
         }
-        match self.flush_storm {
-            None => {
-                let _ = writeln!(s, "    flush_storm: None,");
-            }
-            Some(r) => {
-                let _ = writeln!(
-                    s,
-                    "    flush_storm: Some(Ratio {{ num: {}, den: {} }}),",
-                    r.num, r.den
-                );
-            }
-        }
-        let _ = write!(s, "}}");
-        s
     }
 }
 
@@ -492,39 +595,42 @@ mod tests {
     }
 
     #[test]
-    fn literal_roundtrip_mentions_every_fault() {
-        let plan = FaultPlan {
-            seed: 0xabc,
-            rotate_arbitration: true,
-            links: vec![LinkFault {
-                net: 0,
-                row: 2,
-                col: 3,
-                port: FaultPort::North,
-                chance: Ratio { num: 1, den: 8 },
-                max_burst: 4,
-            }],
-            ocn_links: vec![OcnFault {
-                row: 9,
-                col: 1,
-                port: FaultPort::South,
-                chance: Ratio { num: 1, den: 16 },
-                max_burst: 7,
-            }],
-            chain_delay: Some(ChainDelay { chance: Ratio { num: 1, den: 4 }, max_extra: 3 }),
-            flush_storm: Some(Ratio { num: 1, den: 32 }),
+    fn display_and_parse_round_trip() {
+        for seed in 0..512 {
+            for plan in [FaultPlan::random(seed), FaultPlan::random_for(seed, CoreGeometry::mini())]
+            {
+                assert_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan));
+            }
+        }
+        let text = "seed=0xabc rotate opn=1.2.3.north:1/8*18446744073709551615 \
+                    ocn=9.1.south:1/16*7 chain=1/4+3 storm=1/32";
+        let plan = FaultPlan::parse(text).expect("every token kind parses");
+        assert_eq!(plan.to_string(), text);
+        assert_eq!((plan.seed, plan.links[0].net, plan.links[0].max_burst), (0xabc, 1, u64::MAX));
+        for bad in ["", "rotate", "seed=1 seed=2", "seed=1 rotate=1", "seed=1 opn=0.0.up:1/2*1"] {
+            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn validate_names_what_does_not_fit_the_machine() {
+        let check = |text: &str, geom: CoreGeometry, nets| {
+            FaultPlan::parse(text).expect("parses").validate(geom, nets, OcnGeometry::for_cores(2))
         };
-        let lit = plan.to_rust_literal();
-        for needle in [
-            "0xabc",
-            "FaultPort::North",
-            "max_burst: 4",
-            "max_extra: 3",
-            "den: 32",
-            "OcnFault { row: 9",
-            "FaultPort::South",
+        let proto = CoreGeometry::prototype();
+        // The deliberate-deadlock plan: a permanent stall is legal.
+        assert_eq!(check("seed=0 opn=0.0.0.eject:1/1*18446744073709551615", proto, 1), Ok(()));
+        assert_eq!(check("seed=0 opn=1.4.4.west:1/2*1 ocn=9.3.east:1/2*1", proto, 2), Ok(()));
+        for (text, geom, needle) in [
+            ("seed=0 opn=0.4.0.west:1/2*1", CoreGeometry::mini(), "outside the mini die"),
+            ("seed=0 opn=1.0.0.west:1/2*1", proto, "outside the prototype die"),
+            ("seed=0 ocn=10.0.west:1/2*1", proto, "10x4 OCN of a 2-core die"),
+            ("seed=0 opn=0.0.0.west:1/0*1", proto, "an OPN link has chance 1/0"),
+            ("seed=0 storm=0/0", proto, "the flush storm has chance 0/0"),
+            ("seed=0 chain=1/2+4294967296", proto, "exceeds 2^32"),
         ] {
-            assert!(lit.contains(needle), "literal missing {needle}:\n{lit}");
+            let err = check(text, geom, 1).expect_err(text);
+            assert!(err.contains(needle), "{text}: {err}");
         }
     }
 

@@ -59,15 +59,17 @@ pub struct SharedWorkload {
     pub name: &'static str,
     /// Generator, parameterized on the core count.
     pub gen: fn(usize) -> SharedProgram,
+    /// Fewest cores `gen` accepts; it panics below this.
+    pub min_cores: usize,
 }
 
 /// The shared-memory registry, used by `chipsim --shared` and the
 /// protofuzz coherence axis.
 pub fn all() -> Vec<SharedWorkload> {
     vec![
-        SharedWorkload { name: "pcring", gen: pcring },
-        SharedWorkload { name: "psum", gen: psum },
-        SharedWorkload { name: "lockcount", gen: lockcount },
+        SharedWorkload { name: "pcring", gen: pcring, min_cores: 2 },
+        SharedWorkload { name: "psum", gen: psum, min_cores: 1 },
+        SharedWorkload { name: "lockcount", gen: lockcount, min_cores: 1 },
     ]
 }
 

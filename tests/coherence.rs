@@ -17,6 +17,7 @@
 //! multiprogrammed chip) lives in `chip_equivalence.rs` with the rest
 //! of the chip seam.
 
+use trips_bench::fuzz;
 use trips_core::{Chip, ChipConfig, ChipStats, CoreConfig, MemBackend};
 use trips_isa::ProgramImage;
 use trips_mem::MemConfig;
@@ -44,22 +45,7 @@ fn run_shared(
     cfg.shared_memory = true;
     let mut chip = Chip::new(cfg);
     let stats = chip.run(images, MAX_CYCLES).unwrap_or_else(|e| panic!("{name}: {e}"));
-    for &(addr, want) in expected {
-        for k in 0..n {
-            assert_eq!(
-                chip.core(k).memory().read_u64(addr),
-                want,
-                "{name}: core {k}'s replica disagrees with the sequential oracle at {addr:#x}"
-            );
-        }
-    }
-    for k in 1..n {
-        assert_eq!(
-            chip.core(0).memory(),
-            chip.core(k).memory(),
-            "{name}: core {k}'s replica diverged from core 0's"
-        );
-    }
+    fuzz::compare_shared_state(&chip, expected).unwrap_or_else(|e| panic!("{name}: {e}"));
     (stats, chip)
 }
 

@@ -9,122 +9,27 @@
 //! pins the protocol fix that made its plan survivable.
 //!
 //! New reproducers come from the fuzzer itself: a failing `protofuzz`
-//! run prints a `#[test]` snippet that pastes directly into this file
-//! (the helper it calls is [`assert_plan_matches_oracle`]).
+//! run prints a `#[test]` whose body is one [`assert_scenario`] call —
+//! the shrunk scenario (workloads, machine, geometry, tick schedule,
+//! plan) on one line, in the grammar of `trips_bench::fuzz`.
 
-use trips::core::{
-    ChainDelay, CoreConfig, CoreGeometry, FaultPlan, FaultPort, LinkFault, MemBackend, OcnFault,
-    Processor, Ratio, SimError,
-};
+use trips::core::{CoreConfig, FaultPlan, Processor, SimError};
 use trips::tasm::Quality;
 use trips::workloads::suite;
-use trips_bench::fuzz::{self, Oracle};
+use trips_bench::fuzz::{Oracles, Scenario};
 
 /// Cycle budget for one reproducer. Far above any passing run of the
 /// micro workloads (a few hundred thousand cycles even under heavy
 /// chain delay); a reproducer that exhausts it has re-wedged.
 const REPRO_MAX_CYCLES: u64 = 10_000_000;
 
-/// Runs `workload` under `plan` with every protocol invariant checked
-/// each tick, then asserts bit-exact architectural agreement with the
-/// block-interpreter oracle. This is the entry point `protofuzz`
-/// reproducer snippets call.
-fn assert_plan_matches_oracle(workload: &str, quality: Quality, plan: &FaultPlan) {
-    let wl = suite::by_name(workload).expect("workload registered in the suite");
-    let oracle = Oracle::build(&wl, quality);
-    if let Err(why) = fuzz::run_against_oracle(&oracle, Some(plan), true, REPRO_MAX_CYCLES) {
-        panic!("{workload} ({quality:?}) under plan seed {:#x}: {why}", plan.seed);
-    }
-}
-
-/// [`assert_plan_matches_oracle`] on a named non-prototype die — the
-/// entry point for reproducers `protofuzz` found on its geometry-axis
-/// seeds (`seed % 8 == 2`, which run the `mini` die). The plan's OPN
-/// coordinates were drawn folded into that die's mesh, so the named
-/// geometry is part of the reproducer.
-#[allow(dead_code)]
-fn assert_plan_matches_oracle_geom(workload: &str, quality: Quality, geom: &str, plan: &FaultPlan) {
-    let wl = suite::by_name(workload).expect("workload registered in the suite");
-    let oracle = Oracle::build(&wl, quality);
-    let geometry = CoreGeometry::parse(geom).expect("reproducer names a valid geometry");
-    if let Err(why) = fuzz::run_against_oracle_geom(
-        &oracle,
-        MemBackend::prototype(),
-        geometry,
-        Some(plan),
-        true,
-        REPRO_MAX_CYCLES,
-    ) {
-        panic!("{workload} ({quality:?}, {geom}) under plan seed {:#x}: {why}", plan.seed);
-    }
-}
-
-/// The entry point for reproducers `protofuzz` found on its
-/// coherence-axis seeds (`seed % 16 == 6`, or any seed under
-/// `--coherence`): re-runs the named shared-memory workload on a
-/// coherent `ncores`-core chip of the named die under the plan, with
-/// the §5g invariant suite checked every tick, and asserts every
-/// replica matches the sequential final-state oracle.
-#[allow(dead_code)]
-fn assert_shared_plan_matches_oracle(workload: &str, ncores: usize, geom: &str, plan: &FaultPlan) {
-    let geometry = CoreGeometry::parse(geom).expect("reproducer names a valid geometry");
-    if let Err(why) = fuzz::run_shared_against_oracle(
-        workload,
-        ncores,
-        geometry,
-        Some(plan),
-        true,
-        REPRO_MAX_CYCLES,
-    ) {
-        panic!("{workload} (shared x{ncores}, {geom}) under plan seed {:#x}: {why}", plan.seed);
-    }
-}
-
-/// [`assert_plan_matches_oracle`] under the NUCA secondary backend —
-/// the entry point for reproducers `protofuzz` found on its NUCA
-/// seeds (`seed % 4 == 3`), where OCN link stalls also perturb fill
-/// and store-acknowledgement timing.
-fn assert_plan_matches_oracle_nuca(workload: &str, quality: Quality, plan: &FaultPlan) {
-    let wl = suite::by_name(workload).expect("workload registered in the suite");
-    let oracle = Oracle::build(&wl, quality);
-    if let Err(why) = fuzz::run_against_oracle_with(
-        &oracle,
-        MemBackend::nuca_prototype(),
-        Some(plan),
-        true,
-        REPRO_MAX_CYCLES,
-    ) {
-        panic!("{workload} ({quality:?}, nuca) under plan seed {:#x}: {why}", plan.seed);
-    }
-}
-
-/// [`assert_plan_matches_oracle`] on a chip sharing one NUCA — the
-/// entry point for reproducers `protofuzz` found on its chip seeds
-/// (`seed % 8 == 5`), where OCN faults hit the shared network with
-/// all cores live. `co_runners` is the comma-joined workloads of
-/// slots 1.. (so a dual-core repro passes one name, a quad-core repro
-/// three). Each core is compared against its own oracle; contention
-/// is timing-only, so any divergence indicts the protocols.
-#[allow(dead_code)]
-fn assert_chip_plan_matches_oracles(
-    workload: &str,
-    co_runners: &str,
-    quality: Quality,
-    plan: &FaultPlan,
-) {
-    let oracles: Vec<Oracle> = std::iter::once(workload)
-        .chain(co_runners.split(','))
-        .map(|name| {
-            let wl = suite::by_name(name).expect("workload registered in the suite");
-            Oracle::build(&wl, quality)
-        })
-        .collect();
-    let refs: Vec<&Oracle> = oracles.iter().collect();
-    if let Err(why) = fuzz::run_chip_against_oracles(&refs, Some(plan), true, REPRO_MAX_CYCLES) {
-        panic!(
-            "{workload}+{co_runners} ({quality:?}, chip) under plan seed {:#x}: {why}",
-            plan.seed
-        );
+/// Runs the scenario `line` describes with every protocol invariant
+/// checked each tick, then asserts bit-exact agreement with its
+/// oracle(s). This is the entry point `protofuzz` reproducers call.
+fn assert_scenario(line: &str) {
+    let run = |sc: Scenario| sc.run(&Oracles::default(), REPRO_MAX_CYCLES);
+    if let Err(why) = Scenario::parse(line).and_then(run) {
+        panic!("{line}: {why}");
     }
 }
 
@@ -133,21 +38,7 @@ fn assert_chip_plan_matches_oracles(
 /// link faults on the shared network must still match both oracles.
 #[test]
 fn chip_with_ocn_faults_matches_both_oracles() {
-    let plan = FaultPlan {
-        seed: 0x0c1b,
-        rotate_arbitration: false,
-        links: vec![],
-        ocn_links: vec![OcnFault {
-            row: 1,
-            col: 0,
-            port: FaultPort::Eject,
-            chance: Ratio { num: 1, den: 7 },
-            max_burst: 3,
-        }],
-        chain_delay: None,
-        flush_storm: None,
-    };
-    assert_chip_plan_matches_oracles("saxpy", "vadd", Quality::Hand, &plan);
+    assert_scenario("chip saxpy,vadd hand prototype fast seed=0xc1b ocn=1.0.eject:1/7*3");
 }
 
 /// Minimized protofuzz reproducer (seed 0x1).
@@ -161,15 +52,7 @@ fn chip_with_ocn_faults_matches_both_oracles() {
 /// (`ensure_frame`), the same idiom the OPN write path uses.
 #[test]
 fn protofuzz_repro_matrix_1() {
-    let plan = FaultPlan {
-        seed: 0x1,
-        rotate_arbitration: false,
-        links: vec![],
-        ocn_links: vec![],
-        chain_delay: Some(ChainDelay { chance: Ratio { num: 1, den: 8 }, max_extra: 4 }),
-        flush_storm: None,
-    };
-    assert_plan_matches_oracle("matrix", Quality::Hand, &plan);
+    assert_scenario("solo matrix hand prototype fast seed=0x1 chain=1/8+4");
 }
 
 /// Minimized protofuzz reproducer (seed 0x4).
@@ -183,15 +66,7 @@ fn protofuzz_repro_matrix_1() {
 /// until the command arrives.
 #[test]
 fn protofuzz_repro_matrix_4() {
-    let plan = FaultPlan {
-        seed: 0x4,
-        rotate_arbitration: false,
-        links: vec![],
-        ocn_links: vec![],
-        chain_delay: Some(ChainDelay { chance: Ratio { num: 1, den: 8 }, max_extra: 5 }),
-        flush_storm: None,
-    };
-    assert_plan_matches_oracle("matrix", Quality::Hand, &plan);
+    assert_scenario("solo matrix hand prototype fast seed=0x4 chain=1/8+5");
 }
 
 /// Minimized protofuzz reproducer (seed 0xd).
@@ -207,15 +82,7 @@ fn protofuzz_repro_matrix_4() {
 /// write-port budget: a younger commit cannot overtake an older one.
 #[test]
 fn protofuzz_repro_matrix_d() {
-    let plan = FaultPlan {
-        seed: 0xd,
-        rotate_arbitration: false,
-        links: vec![],
-        ocn_links: vec![],
-        chain_delay: Some(ChainDelay { chance: Ratio { num: 1, den: 4 }, max_extra: 4 }),
-        flush_storm: None,
-    };
-    assert_plan_matches_oracle("matrix", Quality::Hand, &plan);
+    assert_scenario("solo matrix hand prototype fast seed=0xd chain=1/4+4");
 }
 
 /// Minimized protofuzz reproducer (seed 0x48).
@@ -231,15 +98,7 @@ fn protofuzz_repro_matrix_d() {
 /// port per DT.
 #[test]
 fn protofuzz_repro_dct8x8_48() {
-    let plan = FaultPlan {
-        seed: 0x48,
-        rotate_arbitration: true,
-        links: vec![],
-        ocn_links: vec![],
-        chain_delay: Some(ChainDelay { chance: Ratio { num: 1, den: 2 }, max_extra: 5 }),
-        flush_storm: Some(Ratio { num: 1, den: 16 }),
-    };
-    assert_plan_matches_oracle("dct8x8", Quality::Hand, &plan);
+    assert_scenario("solo dct8x8 hand prototype fast seed=0x48 rotate chain=1/2+5 storm=1/16");
 }
 
 /// Minimized protofuzz reproducer (seed 0x288).
@@ -259,40 +118,9 @@ fn protofuzz_repro_dct8x8_48() {
 /// (which had the same index-order walk for its store ack).
 #[test]
 fn protofuzz_repro_dct8x8_288() {
-    let plan = FaultPlan {
-        seed: 0x288,
-        rotate_arbitration: false,
-        links: vec![
-            LinkFault {
-                net: 0,
-                row: 2,
-                col: 3,
-                port: FaultPort::West,
-                chance: Ratio { num: 1, den: 2 },
-                max_burst: 5,
-            },
-            LinkFault {
-                net: 0,
-                row: 0,
-                col: 1,
-                port: FaultPort::North,
-                chance: Ratio { num: 1, den: 16 },
-                max_burst: 4,
-            },
-            LinkFault {
-                net: 0,
-                row: 3,
-                col: 3,
-                port: FaultPort::East,
-                chance: Ratio { num: 1, den: 2 },
-                max_burst: 2,
-            },
-        ],
-        ocn_links: vec![],
-        chain_delay: Some(ChainDelay { chance: Ratio { num: 1, den: 2 }, max_extra: 3 }),
-        flush_storm: Some(Ratio { num: 1, den: 64 }),
-    };
-    assert_plan_matches_oracle("dct8x8", Quality::Hand, &plan);
+    assert_scenario(
+        "solo dct8x8 hand prototype fast seed=0x288 opn=0.2.3.west:1/2*5 opn=0.0.1.north:1/16*4 opn=0.3.3.east:1/2*2 chain=1/2+3 storm=1/64",
+    );
 }
 
 /// Minimized protofuzz chip reproducer (seed 0xdd).
@@ -308,21 +136,9 @@ fn protofuzz_repro_dct8x8_288() {
 /// all four cores contending on the shared network.
 #[test]
 fn protofuzz_repro_chip_matrix_vadd_dct8x8_matrix_dd() {
-    let plan = FaultPlan {
-        seed: 0xdd,
-        rotate_arbitration: true,
-        links: vec![],
-        ocn_links: vec![OcnFault {
-            row: 3,
-            col: 0,
-            port: FaultPort::Eject,
-            chance: Ratio { num: 1, den: 16 },
-            max_burst: 3,
-        }],
-        chain_delay: Some(ChainDelay { chance: Ratio { num: 1, den: 8 }, max_extra: 3 }),
-        flush_storm: None,
-    };
-    assert_chip_plan_matches_oracles("matrix", "vadd,dct8x8,matrix", Quality::Hand, &plan);
+    assert_scenario(
+        "chip matrix,vadd,dct8x8,matrix hand prototype fast seed=0xdd rotate ocn=3.0.eject:1/16*3 chain=1/8+3",
+    );
 }
 
 /// A deliberately lethal plan: the GT's OPN eject port is permanently
@@ -332,21 +148,8 @@ fn protofuzz_repro_chip_matrix_vadd_dct8x8_matrix_dd() {
 /// network and tile so a fuzz failure is actionable.
 #[test]
 fn deliberate_deadlock_is_diagnosed() {
-    let plan = FaultPlan {
-        seed: 0,
-        rotate_arbitration: false,
-        links: vec![LinkFault {
-            net: 0,
-            row: 0, // GT sits at OPN coordinate (0, 0)
-            col: 0,
-            port: FaultPort::Eject,
-            chance: Ratio { num: 1, den: 1 },
-            max_burst: u64::MAX,
-        }],
-        ocn_links: vec![],
-        chain_delay: None,
-        flush_storm: None,
-    };
+    // The GT sits at OPN coordinate (0, 0).
+    let plan = FaultPlan::parse("seed=0 opn=0.0.0.eject:1/1*18446744073709551615").expect("parses");
     let wl = suite::by_name("vadd").expect("registered");
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
     let cfg = CoreConfig { faults: Some(plan), ..CoreConfig::prototype() };
@@ -398,30 +201,9 @@ fn inert_fault_plan_is_bit_identical() {
 /// conservation invariants hold every tick.
 #[test]
 fn ocn_stalls_under_nuca_match_oracle() {
-    let plan = FaultPlan {
-        seed: 0x0c9,
-        rotate_arbitration: false,
-        links: vec![],
-        ocn_links: vec![
-            OcnFault {
-                row: 1,
-                col: 0,
-                port: FaultPort::Eject,
-                chance: Ratio { num: 1, den: 2 },
-                max_burst: 6,
-            },
-            OcnFault {
-                row: 5,
-                col: 3,
-                port: FaultPort::West,
-                chance: Ratio { num: 1, den: 4 },
-                max_burst: 3,
-            },
-        ],
-        chain_delay: None,
-        flush_storm: None,
-    };
-    assert_plan_matches_oracle_nuca("matrix", Quality::Hand, &plan);
+    assert_scenario(
+        "nuca matrix hand prototype fast seed=0xc9 ocn=1.0.eject:1/2*6 ocn=5.3.west:1/4*3",
+    );
 }
 
 /// The invariant checker itself must pass on clean (unfaulted) runs of
@@ -429,9 +211,6 @@ fn ocn_stalls_under_nuca_match_oracle() {
 #[test]
 fn invariants_hold_on_clean_runs() {
     for name in ["vadd", "sha"] {
-        let wl = suite::by_name(name).expect("registered");
-        let oracle = Oracle::build(&wl, Quality::Hand);
-        fuzz::run_against_oracle(&oracle, None, true, REPRO_MAX_CYCLES)
-            .unwrap_or_else(|why| panic!("{name}: {why}"));
+        assert_scenario(&format!("solo {name} hand prototype fast"));
     }
 }
