@@ -434,7 +434,9 @@ impl AlphaCore {
                             }
                             Some(sa) => {
                                 let sb = u64::from(self.rob[j].store_bytes);
-                                let overlap = sa < ea + u64::from(bytes) && ea < sa + sb;
+                                // On the 2^64 address ring, as `SparseMem` wraps.
+                                let overlap = ea.wrapping_sub(sa) < sb
+                                    || sa.wrapping_sub(ea) < u64::from(bytes);
                                 if overlap && self.rob[j].store_val.is_none() {
                                     blocked = true;
                                     break;
@@ -457,9 +459,9 @@ impl AlphaCore {
                         };
                         let sb = u64::from(self.rob[j].store_bytes);
                         for b in 0..u64::from(bytes) {
-                            let a = ea + b;
-                            if a >= sa && a < sa + sb {
-                                buf[b as usize] = (sv >> (8 * (a - sa))) as u8;
+                            let into = ea.wrapping_add(b).wrapping_sub(sa);
+                            if into < sb {
+                                buf[b as usize] = (sv >> (8 * into)) as u8;
                                 forwarded = true;
                             }
                         }

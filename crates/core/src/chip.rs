@@ -185,7 +185,7 @@ pub struct Chip {
     /// Host threads for the core-tick phase (1 = serial), resolved
     /// from [`ChipConfig::threaded`] at construction.
     threads: usize,
-    /// Scratch for the per-core activity scans (avoids a per-cycle
+    /// Scratch for the per-core schedules (avoids a per-cycle
     /// allocation).
     scans: Vec<(TileMask, Option<u64>)>,
 }
@@ -330,11 +330,9 @@ impl Chip {
             }
             // `start` rebuilt the core-owned backend from its config;
             // a chip core instead adapts to the shared system.
-            core.memsys = if self.cfg.shared_memory {
-                MemSys::shared_coherent(k, n, self.cfg.cores[k].geometry)
-            } else {
-                MemSys::shared(k, n, self.cfg.cores[k].geometry)
-            };
+            let geom = self.cfg.cores[k].geometry;
+            core.memsys = MemSys::shared(k, n, geom, self.cfg.shared_memory, &core.nets.wake);
+            core.refile();
         }
         if self.cfg.shared_memory {
             // One physical address space: every core's memory replica

@@ -40,8 +40,8 @@ pub type FrameMask = u16;
 /// enough for any legal [`CoreGeometry::rs_per_frame`] (≤ 32).
 pub type StationMask = u32;
 
-/// A set of tile-tick slots for the activity scan (bit layout per
-/// [`CoreGeometry::tile_ticks`]). An 8×8 array needs 86 bits
+/// A set of tile-tick slots (bit layout per
+/// [`CoreGeometry::tile_bit`]). An 8×8 array needs 86 bits
 /// (1 GT + 9 ITs + 4 RTs + 64 ETs + 8 DTs).
 pub type TileMask = u128;
 
@@ -351,31 +351,32 @@ impl CoreGeometry {
         r as usize % self.regs_per_bank()
     }
 
-    // ---- tick-mask layout (activity scan) ----
+    // ---- tick-mask / wake-table layout ----
 
     /// Tile ticks per cycle: GT + ITs + RTs + ETs + DTs.
     pub fn tile_ticks(&self) -> usize {
         1 + self.num_its() + self.num_rts() + self.num_ets() + self.num_dts()
     }
 
-    /// First activity-mask bit of the ITs (the GT holds bit 0).
-    pub fn it_bit(&self) -> u32 {
-        1
+    /// Mask bit (and wake-table entry) of IT `it` — the ITs follow the
+    /// GT's bit 0. (ITs are not OPN clients, so they have no
+    /// [`TileId`]; every other tile goes through
+    /// [`CoreGeometry::tile_bit`].)
+    pub fn it_bit(&self, it: usize) -> u32 {
+        1 + it as u32
     }
 
-    /// First activity-mask bit of the RTs.
-    pub fn rt_bit(&self) -> u32 {
-        self.it_bit() + self.num_its() as u32
-    }
-
-    /// First activity-mask bit of the ETs.
-    pub fn et_bit(&self) -> u32 {
-        self.rt_bit() + self.num_rts() as u32
-    }
-
-    /// First activity-mask bit of the DTs.
-    pub fn dt_bit(&self) -> u32 {
-        self.et_bit() + self.num_ets() as u32
+    /// Mask bit (and wake-table entry) of a routed tile: GT, ITs, RTs,
+    /// the ET array row-major, DTs.
+    pub fn tile_bit(&self, tile: TileId) -> u32 {
+        let rt0 = self.it_bit(self.num_its());
+        let et0 = rt0 + self.num_rts() as u32;
+        match tile {
+            TileId::Gt => 0,
+            TileId::Rt(b) => rt0 + u32::from(b),
+            TileId::Et(r, c) => et0 + u32::from(r) * self.et_cols as u32 + u32::from(c),
+            TileId::Dt(d) => et0 + self.num_ets() as u32 + u32::from(d),
+        }
     }
 
     /// The all-tiles activity mask.
@@ -501,13 +502,14 @@ impl MemBackend {
 /// much provably inert work the host skips (DESIGN.md §5b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickMode {
-    /// The default: one activity scan per cycle, only tiles that can
-    /// act are ticked, cycles in which nothing can act are skipped,
-    /// the RT/DT/ET frame walks visit dirty frames only, and the GT
-    /// does its completion/commit/dealloc work in one age-order pass.
+    /// The default: one read of the wake table per cycle, only tiles
+    /// that are due are ticked, cycles in which nothing can act are
+    /// skipped, the RT/DT/ET frame walks visit dirty frames only, and
+    /// the GT does its completion/commit/dealloc work in one age-order
+    /// pass.
     Fast,
     /// The oracle the tests compare [`TickMode::Fast`] against: no
-    /// scan, every tile every cycle, every frame walk over
+    /// gating, every tile every cycle, every frame walk over
     /// `all_frames_mask`, the GT's phases in the §4 specification
     /// order, never a skipped cycle.
     Reference,

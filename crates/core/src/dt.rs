@@ -14,6 +14,7 @@
 use trips_isa::mem::SparseMem;
 use trips_isa::semantics::{extend_load, Tok};
 use trips_isa::{Opcode, Target};
+use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, FrameMask};
 use crate::critpath::{Cat, CritPath};
@@ -120,6 +121,13 @@ struct ExecLoad {
 /// perfect backend always knows the fill cycle up front).
 const PENDING_FILL: u64 = u64::MAX;
 
+/// Whether byte ranges `[a, a+an)` and `[b, b+bn)` intersect on the
+/// 2⁶⁴ address ring (an access straddling the top continues at 0, as
+/// in [`SparseMem`]).
+fn ranges_overlap(a: u64, an: u64, b: u64, bn: u64) -> bool {
+    b.wrapping_sub(a) < an || a.wrapping_sub(b) < bn
+}
+
 #[derive(Debug)]
 struct Mshr {
     line: u64,
@@ -208,35 +216,35 @@ impl DataTile {
     pub(crate) fn busy(&self) -> bool {
         // The two masks hold the old frame scan's predicate
         // (`active && ((committing && !commit_done) || deferred)`)
-        // bit by bit, so the busy test — asked by the activity scan
-        // every scanned cycle — is a few loads instead of an
+        // bit by bit, so the busy test is a few loads instead of an
         // eight-frame walk.
         !self.idle() || self.committing_mask != 0 || self.deferred_mask != 0
     }
 
-    /// The earliest cycle a tick can make progress without a new
-    /// message, for the epoch-skipping scheduler: now while the
-    /// outbox, a commit drain, or a deferred load needs attention
+    /// This tile's wake-table entry, from scratch (filed on the way out
+    /// of every tick, recomputed by the audit): due now while the
+    /// outbox, a commit drain or a deferred load needs attention
     /// (deferred loads stay "now" because their eligibility can flip
-    /// through this DT's own frame deallocation, with no message);
-    /// otherwise the earliest timed MSHR fill or queued load response.
-    /// Fills awaiting a NUCA completion event (`PENDING_FILL`) are
-    /// message-driven and folded by the activity scan via
-    /// `MemSys::has_events`.
-    pub(crate) fn next_wake(&self, now: u64) -> Option<u64> {
-        if !self.outbox.is_empty() || self.committing_mask != 0 || self.deferred_mask != 0 {
-            return Some(now);
+    /// through this DT's own frame deallocation, with no message), or
+    /// an operand or memory-system completion is unconsumed; else the
+    /// earliest timed MSHR fill (`PENDING_FILL` is `u64::MAX`: a NUCA
+    /// fill is event-driven), queued load response or chain-inbox head.
+    pub(crate) fn due(&self, nets: &Nets, memsys: &MemSys) -> u64 {
+        let (tile, d) = (self.tile_id(), self.index as usize);
+        if !self.outbox.is_empty()
+            || self.committing_mask != 0
+            || self.deferred_mask != 0
+            || nets.opn_delivered_at(tile)
+            || memsys.has_events(MemClient::Dt(self.index))
+        {
+            return WakeTable::NOW;
         }
-        let mut wake: Option<u64> = None;
-        for m in &self.mshrs {
-            if m.fill_at != PENDING_FILL {
-                wake = Some(wake.map_or(m.fill_at, |w: u64| w.min(m.fill_at)));
-            }
-        }
-        for &(t, _) in &self.respond_q {
-            wake = Some(wake.map_or(t, |w: u64| w.min(t)));
-        }
-        wake.map(|w| w.max(now))
+        let timers = self.mshrs.iter().map(|m| m.fill_at).chain(self.respond_q.iter().map(|r| r.0));
+        (timers.min().unwrap_or(WakeTable::ASLEEP))
+            .min(nets.gcn.next_arrival(self.geom.gcn_pos(tile)))
+            .min(nets.gdn_rows[d + 1].next_arrival(1))
+            .min(nets.dsn.next_arrival(d))
+            .min(nets.gsn_dt.next_arrival(dt_chain_pos(d)))
     }
 
     /// Queued work for the hang diagnoser (`None` when nothing is
@@ -466,8 +474,8 @@ impl DataTile {
     ) {
         let dt = self.index;
         let nd = self.geom.num_dts() as u64;
-        let (s0, s1) = (ea, ea + bytes as u64);
-        for line in (s0 >> 6)..=((s1 - 1) >> 6) {
+        let (first, last) = (ea >> 6, ea.wrapping_add(bytes as u64 - 1) >> 6);
+        for line in std::iter::once(first).chain((last != first).then_some(last)) {
             if line % nd != u64::from(self.index) {
                 continue;
             }
@@ -482,11 +490,8 @@ impl DataTile {
             if f.committing {
                 continue;
             }
-            let overlaps = f.performed_loads.iter().any(|l| {
-                let (l0, l1) = (l.ea, l.ea + u64::from(l.bytes));
-                l0 < s1 && s0 < l1
-            });
-            if overlaps {
+            let overlaps = |l: &LoadRec| ranges_overlap(l.ea, u64::from(l.bytes), ea, bytes as u64);
+            if f.performed_loads.iter().any(overlaps) {
                 victim = Some((yf, f.gen));
                 break;
             }
@@ -804,11 +809,10 @@ impl DataTile {
                     continue;
                 }
                 // Byte overlay.
-                let (s0, s1) = (s.ea, s.ea + u64::from(s.bytes));
                 for b in 0..u64::from(bytes) {
-                    let a = ea + b;
-                    if a >= s0 && a < s1 {
-                        buf[b as usize] = (s.val >> (8 * (a - s0))) as u8;
+                    let into = ea.wrapping_add(b).wrapping_sub(s.ea);
+                    if into < u64::from(s.bytes) {
+                        buf[b as usize] = (s.val >> (8 * into)) as u8;
                         forwarded = true;
                     }
                 }
@@ -904,7 +908,6 @@ impl DataTile {
         bytes: u32,
     ) -> Option<(FrameId, Gen, u64)> {
         let my_pos = self.order.iter().position(|&x| x == frame)?;
-        let (s0, s1) = (ea, ea + u64::from(bytes));
         for (pi, &yf) in self.order.iter().enumerate() {
             if pi < my_pos {
                 continue;
@@ -915,8 +918,9 @@ impl DataTile {
                 if yf == frame && l.lsid <= lsid {
                     continue;
                 }
-                let (l0, l1) = (l.ea, l.ea + u64::from(l.bytes));
-                if l0 < s1 && s0 < l1 && best.is_none_or(|b| l.lsid < b.lsid) {
+                if ranges_overlap(l.ea, u64::from(l.bytes), ea, u64::from(bytes))
+                    && best.is_none_or(|b| l.lsid < b.lsid)
+                {
                     best = Some(l);
                 }
             }

@@ -11,6 +11,7 @@
 
 use trips_isa::semantics::{eval, Tok};
 use trips_isa::{Instruction, Opcode, OperandNeeds, OperandSlot, Pred, Target};
+use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, FrameMask, StationMask};
 use crate::critpath::{Cat, CritPath};
@@ -148,25 +149,25 @@ impl ExecTile {
         self.maybe_ready || !self.idle()
     }
 
-    /// The earliest cycle a tick can make progress without a new
-    /// message, for the epoch-skipping scheduler: now while an
-    /// instruction may be selectable or the outbox holds operands,
-    /// else the earliest in-flight completion or queued bypass
-    /// delivery. A tile with only waiting stations returns `None` —
-    /// the operand that fills them arrives by message, which the
-    /// activity scan folds from the OPN and chains.
-    pub(crate) fn next_wake(&self, now: u64) -> Option<u64> {
-        if self.maybe_ready || !self.outbox.is_empty() {
-            return Some(now);
+    /// This tile's wake-table entry, from scratch (filed on the way out
+    /// of every tick, recomputed by the audit): due now while an
+    /// instruction may be selectable, the outbox holds operands or an
+    /// operand is undrained; else the earliest in-flight completion,
+    /// queued bypass delivery or chain-inbox head. A tile with only
+    /// waiting stations sleeps — the operand that fills them arrives by
+    /// message, and the OPN files it here.
+    pub(crate) fn due(&self, nets: &Nets) -> u64 {
+        let tile = self.tile_id();
+        if self.maybe_ready || !self.outbox.is_empty() || nets.opn_delivered_at(tile) {
+            return WakeTable::NOW;
         }
-        let mut wake: Option<u64> = None;
-        for f in &self.inflight {
-            wake = Some(wake.map_or(f.done, |w: u64| w.min(f.done)));
-        }
-        for &(t, ..) in &self.local_q {
-            wake = Some(wake.map_or(t, |w: u64| w.min(t)));
-        }
-        wake.map(|w| w.max(now))
+        let timers = self.inflight.iter().map(|f| f.done).chain(self.local_q.iter().map(|q| q.0));
+        (timers.min().unwrap_or(WakeTable::ASLEEP))
+            .min(nets.gcn.next_arrival(self.geom.gcn_pos(tile)))
+            .min(
+                nets.gdn_rows[self.row as usize + 1]
+                    .next_arrival(row_pos_of_col(self.col as usize)),
+            )
     }
 
     /// Queued work for the hang diagnoser (`None` when idle and no

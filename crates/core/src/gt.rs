@@ -9,6 +9,7 @@
 
 use trips_isa::mem::SparseMem;
 use trips_isa::{decode_header, BlockFlags, BranchKind, CHUNK_BYTES};
+use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, FrameMask, TickMode, MAX_FRAMES};
 use crate::critpath::{Cat, CritPath, NO_EVENT};
@@ -252,17 +253,16 @@ impl GlobalTile {
         self.fetch.is_some() || self.next_pc.is_some() || !self.order.is_empty()
     }
 
-    /// The earliest cycle at which a tick can make progress without a
-    /// new message, for the epoch-skipping scheduler. `Some(now)`
-    /// mirrors each tick phase's own progress condition: a commit
-    /// command ready to issue, a completed-but-unconverted block, a
-    /// fully-acked head block, a fetch stage whose timer has expired,
-    /// or a startable fetch. `Some(t > now)` is a pure timer wait
-    /// (tag/predict latency, dispatch pacing); `None` means every
-    /// in-flight block is waiting on micronet input, which the
-    /// activity scan folds from the chains and OPN directly.
-    pub(crate) fn next_wake(&self, now: u64, max_frames: usize) -> Option<u64> {
-        let mut wake: Option<u64> = None;
+    /// This tile's wake-table entry, from scratch (filed on the way out
+    /// of every tick, recomputed by the audit). Due now mirrors each
+    /// tick phase's own progress condition: a commit command ready to
+    /// issue, a completed-but-unconverted block, a fully-acked head
+    /// block, a startable fetch, an undrained branch operand. Otherwise
+    /// the earliest of the fetch FSM's timer (tag/predict latency,
+    /// dispatch pacing) and the three status-chain heads; a GT whose
+    /// every in-flight block waits on micronet input sleeps until the
+    /// chain or OPN carrying it files the arrival here.
+    pub(crate) fn due(&self, max_frames: usize, nets: &Nets) -> u64 {
         // Commit pipeline: a command goes out once the first unsent
         // block (in age order) is Complete; an Executing block with
         // all three done-conditions converts this tick.
@@ -277,7 +277,7 @@ impl GlobalTile {
                     && f.stores_done
                     && f.branch.is_some())
             {
-                return Some(now);
+                return WakeTable::NOW;
             }
             break;
         }
@@ -285,15 +285,13 @@ impl GlobalTile {
         if let Some(&frame) = self.order.front() {
             let f = &self.frames[frame.0 as usize];
             if f.state == FState::Committing && f.rt_ack && f.dt_ack {
-                return Some(now);
+                return WakeTable::NOW;
             }
         }
-        // Fetch FSM.
+        let mut timer = WakeTable::ASLEEP;
         if let Some(op) = &self.fetch {
             match op.stage {
-                Stage::Tag { done_at } | Stage::Predict { done_at } => {
-                    wake = Some(done_at.max(now));
-                }
+                Stage::Tag { done_at } | Stage::Predict { done_at } => timer = done_at,
                 // Waits on a GSN-IT RefillDone message.
                 Stage::Refill => {}
                 Stage::AwaitDispatch => {
@@ -301,7 +299,7 @@ impl GlobalTile {
                     let inhibit = self.frames[fi].flags.contains(BlockFlags::INHIBIT_SPECULATION);
                     let oldest = self.order.front() == Some(&op.frame);
                     if !inhibit || oldest {
-                        wake = Some(self.dispatch_free_at.max(now));
+                        timer = self.dispatch_free_at;
                     }
                     // else: gated until older blocks drain, which the
                     // commit/dealloc conditions above track.
@@ -313,9 +311,15 @@ impl GlobalTile {
             && self.order.len() < max_frames
             && self.frames.iter().any(|f| f.state == FState::Free)
         {
-            return Some(now);
+            return WakeTable::NOW;
         }
-        wake
+        if nets.opn_delivered_at(TileId::Gt) {
+            return WakeTable::NOW;
+        }
+        timer
+            .min(nets.gsn_rt.next_arrival(0))
+            .min(nets.gsn_dt.next_arrival(0))
+            .min(nets.gsn_it.next_arrival(0))
     }
 
     /// Per-frame status for the hang diagnoser, in age order.

@@ -37,6 +37,9 @@
 //!   tile; and the OCN's own packet accounting balances. The network
 //!   may delay a fill or a store acknowledgement arbitrarily but can
 //!   never drop or duplicate one.
+//! * **Wake table** — every tile's filed due cycle equals the one
+//!   recomputed from its state and inbox heads (the scheduler's whole
+//!   input; a missed push would let a tile sleep through its event).
 //!
 //! The remaining tentpole properties are checked at run boundaries
 //! rather than per tick: *flush fully drains a frame's in-flight
@@ -92,5 +95,5 @@ fn check_detail(p: &Processor) -> Result<(), String> {
         m.audit().map_err(|e| format!("OPN{n}: {e}"))?;
     }
     p.memsys.audit()?;
-    Ok(())
+    p.audit_wake_table()
 }

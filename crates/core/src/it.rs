@@ -17,6 +17,7 @@ use std::collections::VecDeque;
 
 use trips_isa::mem::SparseMem;
 use trips_isa::{decode_body_chunk, decode_header, BlockHeader, Instruction, CHUNK_BYTES};
+use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry};
 use crate::memsys::{FillPath, MemClient, MemEvent, MemSys};
@@ -103,24 +104,26 @@ impl InstTile {
         self.jobs.is_empty() && self.refill.is_none()
     }
 
-    /// The earliest cycle a tick can make progress without new input,
-    /// for the epoch-skipping scheduler: now while dispatch beats are
-    /// queued or a completed refill awaits its completion signal, the
-    /// bank timer for a perfect-backend refill in flight, `None` when
-    /// the refill waits on NUCA fills or the south neighbour (both
-    /// folded by the activity scan as message events).
-    pub(crate) fn next_wake(&self, now: u64) -> Option<u64> {
-        if !self.jobs.is_empty() {
-            return Some(now);
+    /// This tile's wake-table entry, from scratch (filed on the way out
+    /// of every tick, recomputed by the audit): due now while dispatch
+    /// beats are queued, a completed refill awaits its completion
+    /// signal or a fill event is unconsumed; else the earliest of the
+    /// perfect-backend refill's bank timer (`u64::MAX` when the refill
+    /// waits on NUCA fills) and the three column inboxes' heads.
+    pub(crate) fn due(&self, nets: &Nets, memsys: &MemSys) -> u64 {
+        if !self.jobs.is_empty() || memsys.has_events(MemClient::It(self.index as u8)) {
+            return WakeTable::NOW;
         }
-        let r = self.refill.as_ref()?;
-        if r.own_done && r.south_done && !r.signalled {
-            return Some(now);
-        }
-        if !r.own_done && r.done_at != u64::MAX {
-            return Some(r.done_at.max(now));
-        }
-        None
+        let timer = match &self.refill {
+            Some(r) if r.own_done && r.south_done && !r.signalled => WakeTable::NOW,
+            Some(r) if !r.own_done => r.done_at,
+            _ => WakeTable::ASLEEP,
+        };
+        let pos = it_col_pos(self.index);
+        timer
+            .min(nets.gdn_col.next_arrival(pos))
+            .min(nets.grn.next_arrival(pos))
+            .min(nets.gsn_it.next_arrival(pos))
     }
 
     /// Queued work for the hang diagnoser (`None` when idle).

@@ -43,8 +43,10 @@
 use std::collections::VecDeque;
 
 use trips_mem::{MemReq, OcnGeometry, SecondarySystem, ID_COH};
+use trips_micronet::{WakePort, WakeTable};
 
 use crate::config::{CoreConfig, CoreGeometry, MemBackend};
+use crate::msg::TileId;
 use crate::stats::MemSysStats;
 use crate::trace::{TraceKind, Tracer};
 
@@ -253,6 +255,9 @@ struct Adapter {
     inval_ready: Vec<VecDeque<u64>>,
     /// Per-client completions the tile has not consumed yet.
     ready: Vec<VecDeque<MemEvent>>,
+    /// The core's wake table, by client: a completion or invalidation
+    /// queued for a tile is filed with it.
+    wake: WakePort,
     /// Per-client accepted-but-undelivered request count (the
     /// conservation ledger: pending + in-system + ready).
     outstanding: Vec<u64>,
@@ -271,10 +276,13 @@ struct Adapter {
 }
 
 impl Adapter {
-    fn new(ports: PortMap, geom: CoreGeometry, coherent: bool) -> Adapter {
+    fn new(ports: PortMap, geom: CoreGeometry, coherent: bool, wake: &WakeTable) -> Adapter {
         let num_clients = geom.num_dts() + geom.num_its();
+        let dts = (0..geom.num_dts()).map(|d| geom.tile_bit(TileId::Dt(d as u8)));
+        let its = (0..geom.num_its()).map(|i| geom.it_bit(i));
         Adapter {
             ports,
+            wake: WakePort::new(wake, dts.chain(its).collect()),
             coherent,
             num_dts: geom.num_dts(),
             num_clients,
@@ -429,6 +437,7 @@ impl Adapter {
         for c in 0..self.num_clients {
             let port = self.ports.port_of(c, self.num_dts);
             while let Some(resp) = sys.pop_response(now, port) {
+                self.wake.file(c, now);
                 // An unsolicited invalidation from the home directory:
                 // park it for the owning DT, which drops its tag and
                 // poisons overlapping MSHRs *before* acknowledging
@@ -517,7 +526,7 @@ enum Imp {
 impl MemSys {
     /// Builds the backend selected by `cfg.mem_backend`, installing
     /// the fault plan's OCN stalls when one is configured.
-    pub(crate) fn new(cfg: &CoreConfig) -> MemSys {
+    pub(crate) fn new(cfg: &CoreConfig, wake: &WakeTable) -> MemSys {
         let imp = match &cfg.mem_backend {
             MemBackend::PerfectL2 { latency } => Imp::Perfect { latency: *latency },
             MemBackend::Nuca(mc) => {
@@ -527,7 +536,7 @@ impl MemSys {
                 }
                 Imp::Owned {
                     sys: Box::new(sys),
-                    ad: Adapter::new(PortMap::SOLO, cfg.geometry, false),
+                    ad: Adapter::new(PortMap::SOLO, cfg.geometry, false, wake),
                 }
             }
         };
@@ -535,20 +544,25 @@ impl MemSys {
     }
 
     /// A shared-NUCA adapter for core `k` of an `ncores`-core chip
-    /// (the chip owns the [`SecondarySystem`] and drives the phases).
-    pub(crate) fn shared(k: usize, ncores: usize, geom: CoreGeometry) -> MemSys {
-        MemSys { imp: Imp::Shared { ad: Adapter::new(PortMap::for_core(k, ncores), geom, false) } }
-    }
-
-    /// A *coherent* shared-NUCA adapter: same port slice as
-    /// [`MemSys::shared`] but `phys_base = 0` (one physical address
-    /// space), D-side fills sent as GetS, writebacks as GetM, and
-    /// received invalidations delivered to the owning DT (which drops
-    /// its copy, then acknowledges via [`MemSys::ack_inval`]).
-    pub(crate) fn shared_coherent(k: usize, ncores: usize, geom: CoreGeometry) -> MemSys {
-        MemSys {
-            imp: Imp::Shared { ad: Adapter::new(PortMap::for_core_shared(k, ncores), geom, true) },
-        }
+    /// (the chip owns the [`SecondarySystem`] and drives the phases),
+    /// coherent or not. The coherent adapter has the same port slice
+    /// but `phys_base = 0` (one physical address space), sends D-side
+    /// fills as GetS and writebacks as GetM, and delivers received
+    /// invalidations to the owning DT (which drops its copy, then
+    /// acknowledges via [`MemSys::ack_inval`]).
+    pub(crate) fn shared(
+        k: usize,
+        ncores: usize,
+        geom: CoreGeometry,
+        coherent: bool,
+        wake: &WakeTable,
+    ) -> MemSys {
+        let ports = if coherent {
+            PortMap::for_core_shared(k, ncores)
+        } else {
+            PortMap::for_core(k, ncores)
+        };
+        MemSys { imp: Imp::Shared { ad: Adapter::new(ports, geom, coherent, wake) } }
     }
 
     /// The port map of core `k` of an `ncores`-core die (for tagging
@@ -635,9 +649,8 @@ impl MemSys {
         }
     }
 
-    /// True when `client` has an unconsumed completion (keeps the tile
-    /// ticking under clock gating — the event is invisible to the
-    /// tile's own `active()` predicate).
+    /// True when `client` has an unconsumed completion or invalidation
+    /// — the client tile is due now.
     pub(crate) fn has_events(&self, client: MemClient) -> bool {
         match &self.imp {
             Imp::Perfect { .. } => false,

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use trips_micronet::{Chain, Mesh, MeshMsg};
+use trips_micronet::{Chain, Mesh, MeshMsg, WakePort, WakeTable};
 
 use crate::config::{CoreConfig, CoreGeometry};
 use crate::diag::NetDiag;
@@ -36,6 +36,11 @@ pub fn dt_chain_pos(dt: usize) -> usize {
 pub struct Nets {
     /// The tile-array geometry the networks are sized for.
     pub geom: CoreGeometry,
+    /// The core's tile wake table, indexed by activity-mask bit
+    /// ([`CoreGeometry::tile_bit`]). Every chain and mesh below holds
+    /// a port onto it and files each delivery with the receiving tile;
+    /// the memory system holds the third kind of port.
+    pub wake: WakeTable,
     /// Operand network(s): one in the prototype, two for the
     /// bandwidth ablation. Traffic steers by destination so that
     /// same-destination operands stay ordered.
@@ -68,15 +73,35 @@ impl Nets {
     /// Networks for the given configuration. When the configuration
     /// carries a [`FaultPlan`](crate::FaultPlan), each network gets its
     /// compiled fault state here, seeded per network so runs replay
-    /// exactly.
+    /// exactly. Each network's wake port names the tile behind every
+    /// delivery position (the layouts of [`it_col_pos`] and friends).
     pub fn new(cfg: &CoreConfig) -> Nets {
         let g = cfg.geometry;
         let mesh = (g.mesh_rows() as u8, g.mesh_cols() as u8);
+        let wake = WakeTable::new(g.tile_ticks());
+        let gt = [g.tile_bit(TileId::Gt)];
+        let its: Vec<u32> = (0..g.num_its()).map(|i| g.it_bit(i)).collect();
+        let rts: Vec<u32> = (0..g.num_rts()).map(|b| g.tile_bit(TileId::Rt(b as u8))).collect();
+        let dts: Vec<u32> = (0..g.num_dts()).map(|d| g.tile_bit(TileId::Dt(d as u8))).collect();
+        let ets: Vec<u32> = (0..g.num_ets())
+            .map(|k| g.tile_bit(TileId::Et((k / g.et_cols) as u8, (k % g.et_cols) as u8)))
+            .collect();
+        let port = |tiles: &[&[u32]]| Some(WakePort::new(&wake, tiles.concat()));
+        // The OPN, row-major: GT and RTs, then each DT with its ET row.
+        // A router with no tile behind it (the fat die's RT row is
+        // narrower than its mesh) files out of range — loudly.
+        let nobody = vec![u32::MAX; g.et_cols - g.num_rts()];
+        let mut routers = vec![&gt[..], &rts, &nobody];
+        for r in 0..g.et_rows {
+            routers.extend([&dts[r..=r], &ets[r * g.et_cols..(r + 1) * g.et_cols]]);
+        }
+        let mesh_port = port(&routers);
         // Row 0 of the GDN carries the GT and RTs, body rows a DT and
         // their ETs; each chain is as long as its row's tile count.
         let row_len = |it: usize| if it == 0 { 2 + g.num_rts() } else { 2 + g.et_cols };
         let mut nets = Nets {
             geom: g,
+            wake: wake.clone(),
             opn: (0..cfg.opn_networks.max(1))
                 .map(|_| Mesh::new(mesh.0, mesh.1, cfg.opn_fifo))
                 .collect(),
@@ -91,6 +116,22 @@ impl Nets {
             grn: Chain::new(1 + g.num_its()),
             dsn: Chain::new(g.num_dts()),
         };
+        for m in &mut nets.opn {
+            m.set_wake(mesh_port.clone());
+        }
+        nets.gdn_col.set_wake(port(&[&gt, &its]));
+        nets.grn.set_wake(port(&[&gt, &its]));
+        nets.gsn_it.set_wake(port(&[&gt, &its]));
+        nets.gsn_rt.set_wake(port(&[&gt, &rts]));
+        nets.gsn_dt.set_wake(port(&[&gt, &dts]));
+        nets.gcn.set_wake(port(&[&gt, &rts, &dts, &ets]));
+        nets.dsn.set_wake(port(&[&dts]));
+        for (r, row) in nets.gdn_rows.iter_mut().enumerate() {
+            row.set_wake(match r {
+                0 => port(&[&its[..1], &gt, &rts]),
+                _ => port(&[&its[r..=r], &dts[r - 1..r], &ets[(r - 1) * g.et_cols..r * g.et_cols]]),
+            });
+        }
         if let Some(plan) = &cfg.faults {
             for (n, m) in nets.opn.iter_mut().enumerate() {
                 m.set_fault(plan.mesh_fault(n).as_ref());
@@ -158,7 +199,7 @@ impl Nets {
     }
 
     /// True if any OPN has a delivered message waiting at `tile` —
-    /// one of the tile's wake sources in the activity scan.
+    /// one of the tile's wake sources.
     pub fn opn_delivered_at(&self, tile: TileId) -> bool {
         let node = tile.opn();
         self.opn.iter().any(|m| m.has_delivered(node))

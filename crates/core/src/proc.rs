@@ -9,7 +9,7 @@ use trips_isa::mem::SparseMem;
 use trips_isa::{ArchReg, ProgramImage};
 use trips_micronet::MeshStats;
 
-use crate::config::{CoreConfig, CoreGeometry, TickMode, TileMask};
+use crate::config::{CoreConfig, TickMode, TileMask};
 use crate::critpath::CritPath;
 use crate::diag::{HangReport, TileDiag};
 use crate::dt::DataTile;
@@ -17,9 +17,9 @@ use crate::et::ExecTile;
 use crate::gt::GlobalTile;
 use crate::invariants::{self, InvariantViolation};
 use crate::it::InstTile;
-use crate::memsys::{MemClient, MemSys};
+use crate::memsys::MemSys;
 use crate::msg::TileId;
-use crate::nets::{dt_chain_pos, it_col_pos, row_pos_of_col, rt_chain_pos, Nets};
+use crate::nets::Nets;
 use crate::profile::{TickPhase, TickProfile};
 use crate::rt::RegTile;
 use crate::stats::CoreStats;
@@ -105,12 +105,6 @@ impl GatingStats {
     }
 }
 
-/// Activity-mask bit of the GT (the per-geometry first bits of the
-/// other tile classes come from [`CoreGeometry::it_bit`] and friends;
-/// the mask itself is a [`TileMask`] so the 8×8 "fat" geometry's 86
-/// tile ticks fit).
-const GT_BIT: u32 = 0;
-
 /// A TRIPS processor core.
 pub struct Processor {
     pub(crate) cfg: CoreConfig,
@@ -134,14 +128,15 @@ impl Processor {
     /// A processor with the given configuration (state is built when
     /// [`Processor::run`] loads a program).
     pub fn new(cfg: CoreConfig) -> Processor {
+        let nets = Nets::new(&cfg);
         let mut p = Processor {
             gt: GlobalTile::new(&cfg, 0),
             its: Vec::new(),
             rts: Vec::new(),
             ets: Vec::new(),
             dts: Vec::new(),
-            nets: Nets::new(&cfg),
-            memsys: MemSys::new(&cfg),
+            memsys: MemSys::new(&cfg, &nets.wake),
+            nets,
             mem: SparseMem::new(),
             crit: CritPath::new(cfg.critpath),
             stats: CoreStats::default(),
@@ -165,13 +160,53 @@ impl Processor {
             .collect();
         self.dts = (0..g.num_dts()).map(|d| DataTile::new(d as u8, &self.cfg)).collect();
         self.nets = Nets::new(&self.cfg);
-        self.memsys = MemSys::new(&self.cfg);
+        self.memsys = MemSys::new(&self.cfg, &self.nets.wake);
         self.crit = CritPath::new(self.cfg.critpath);
         self.stats = CoreStats::default();
         self.tracer.clear();
         self.gating = GatingStats::default();
         self.profile.clear();
         self.cycle = 0;
+        self.refile();
+    }
+
+    /// Every tile's wake-table entry recomputed from the tile's own
+    /// state and inbox heads, in table order (GT, ITs, RTs, ETs, DTs —
+    /// [`CoreGeometry::tile_bit`](crate::CoreGeometry::tile_bit)'s layout).
+    fn dues(&self) -> impl Iterator<Item = u64> + '_ {
+        let (nets, memsys) = (&self.nets, &self.memsys);
+        std::iter::once(self.gt.due(self.cfg.max_frames, nets))
+            .chain(self.its.iter().map(move |t| t.due(nets, memsys)))
+            .chain(self.rts.iter().map(move |t| t.due(nets)))
+            .chain(self.ets.iter().map(move |t| t.due(nets)))
+            .chain(self.dts.iter().map(move |t| t.due(nets, memsys)))
+    }
+
+    /// Re-files the whole wake table from scratch — for whoever edits
+    /// tile state from outside a tick (reset, the chip parking a core
+    /// or swapping its memory adapter).
+    pub(crate) fn refile(&mut self) {
+        for (i, due) in self.dues().enumerate() {
+            self.nets.wake.set(i, due);
+        }
+    }
+
+    /// The wake-table audit: every filed entry must agree with the
+    /// from-scratch recomputation on *whether* its tile is due at the
+    /// current cycle and, if not, on *when*. A push site that forgot to
+    /// file (the tile would sleep through its event) and a stale entry
+    /// (a spurious tick) both fail here.
+    pub(crate) fn audit_wake_table(&self) -> Result<(), String> {
+        let now = self.cycle;
+        for (i, (filed, fresh)) in self.nets.wake.iter().zip(self.dues()).enumerate() {
+            if filed.max(now) != fresh.max(now) {
+                return Err(format!(
+                    "wake table entry {i} is filed due at {filed} but its tile's state and \
+                     inboxes say {fresh} (u64::MAX = asleep)"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Turns on the flight recorder with a ring buffer of `capacity`
@@ -306,10 +341,9 @@ impl Processor {
     /// store touched drops/poisons its copy and raises a violation
     /// flush for any speculatively performed overlapping load.
     pub(crate) fn shared_invalidate(&mut self, now: u64, ea: u64, bytes: usize) {
-        let (s0, s1) = (ea, ea + bytes as u64);
         let nd = self.cfg.geometry.num_dts() as u64;
         let mut seen: u64 = 0; // bitmask of DTs already visited
-        for line in (s0 >> 6)..=((s1 - 1) >> 6) {
+        for line in [ea >> 6, ea.wrapping_add(bytes as u64 - 1) >> 6] {
             let d = (line % nd) as usize;
             if seen & (1 << d) != 0 {
                 continue;
@@ -324,6 +358,9 @@ impl Processor {
                 &mut self.stats,
                 &mut self.tracer,
             );
+            // Edited from outside its tick: the DT re-files.
+            let bit = self.cfg.geometry.tile_bit(TileId::Dt(d as u8));
+            self.nets.wake.set(bit as usize, self.dts[d].due(&self.nets, &self.memsys));
         }
     }
 
@@ -440,129 +477,51 @@ impl Processor {
         self.crit.debug_chain(self.gt.final_ev, n)
     }
 
-    /// One fused pass over every wake source, producing the cycle's
-    /// tile activity mask and the earliest *future* cycle anything in
-    /// the core can act (`None`: only a new external event could).
+    /// The cycle's tile activity mask and the earliest *future* cycle
+    /// anything in the core can act (`None`: only a new external event
+    /// could), read off the wake table.
     ///
-    /// A tile's mask bit is set when it can make progress at `now`:
-    /// its own [`next_wake`] says so, a message bound for it has
-    /// *matured* (`arrival ≤ now`), an OPN delivery awaits it, or a
-    /// memory-system completion is queued for it. Messages still in
-    /// flight fold their arrival times into the returned wake instead
-    /// of waking the tile early — a tick whose only stimulus is an
-    /// immature message is a provable no-op, so gating on maturity
-    /// stays bit-identical.
-    /// The OPN meshes and the memory system fold in as `now` whenever
-    /// they must tick this cycle (packets in routers, injections or
-    /// completions pending), or as their earliest bank timer.
+    /// Entry `i` is the earliest cycle tile `i` can make progress: its
+    /// own timers, the heads of its chain inboxes, "now" for an
+    /// undrained OPN delivery or memory completion. Nobody polls for
+    /// it — each source lowers its consumer's entry where it creates
+    /// the event ([`Chain`](trips_micronet::Chain) sends,
+    /// [`Mesh`](trips_micronet::Mesh) ejections, memory-system
+    /// completions), and a tile that ticked overwrites its own entry
+    /// from its state on the way out. A tile that did not tick changed
+    /// nothing the pushes did not report, so the table always equals
+    /// the from-scratch recomputation (the invariant suite checks
+    /// exactly that: [`Processor::check_invariants`]).
     ///
-    /// Evaluating the whole mask at cycle start (rather than each
-    /// predicate just before its tile) can only gate *more*: every
-    /// micronet has at least one cycle of latency, so anything an
-    /// earlier tile sends this cycle matures next cycle at the
-    /// soonest, and the skipped tick would have been one of those
-    /// no-op ticks.
+    /// A message still in flight wakes its tile at arrival, not before
+    /// — a tick whose only stimulus is an immature message is a
+    /// provable no-op. Every micronet has at least one cycle of
+    /// latency, so anything a tile sends this cycle matures next cycle
+    /// at the soonest: a mask read at cycle start is complete.
     ///
-    /// [`next_wake`]: GlobalTile::next_wake
-    pub(crate) fn scan_activity(&self, now: u64) -> (TileMask, Option<u64>) {
-        let g = self.cfg.geometry;
-        let mut mask: TileMask = 0;
-        // Earliest future wake seen so far (`u64::MAX` = none). Only
-        // consumed when the final mask is 0 — i.e. when no source
-        // anywhere was mature — so per-tile short-circuiting below
-        // (which stops folding a tile's remaining sources once one is
-        // mature) can never lose a wake the scheduler would use.
-        let mut wake = u64::MAX;
-        // True iff the source is mature (can act at `now`); folds a
-        // future time into the wake accumulator otherwise.
-        let chk = |wake: &mut u64, src: Option<u64>| -> bool {
-            match src {
-                Some(t) if t <= now => true,
-                Some(t) => {
-                    *wake = (*wake).min(t);
-                    false
-                }
-                None => false,
-            }
-        };
-
-        let nets = &self.nets;
-        // GT.
-        if chk(&mut wake, self.gt.next_wake(now, self.cfg.max_frames))
-            || chk(&mut wake, nets.gsn_rt.next_arrival(0))
-            || chk(&mut wake, nets.gsn_dt.next_arrival(0))
-            || chk(&mut wake, nets.gsn_it.next_arrival(0))
-            || nets.opn_delivered_at(TileId::Gt)
-        {
-            mask |= (1 as TileMask) << GT_BIT;
+    /// The OPN meshes and the memory system own no entry; they fold in
+    /// as `now` whenever they must tick this cycle (packets in routers,
+    /// injections or completions pending), or as their earliest timer.
+    fn due_tiles(&self, now: u64) -> (TileMask, Option<u64>) {
+        let (mut mask, mut wake): (TileMask, u64) = (0, u64::MAX);
+        // `wake` is consumed only when the mask comes out empty, i.e.
+        // when every entry is in the future — so folding all of them
+        // needs no branch.
+        for (i, due) in self.nets.wake.iter().enumerate() {
+            mask |= TileMask::from(due <= now) << i;
+            wake = wake.min(due);
         }
-        // ITs.
-        for (i, it) in self.its.iter().enumerate() {
-            let pos = it_col_pos(i);
-            if chk(&mut wake, it.next_wake(now))
-                || chk(&mut wake, nets.gdn_col.next_arrival(pos))
-                || chk(&mut wake, nets.grn.next_arrival(pos))
-                || chk(&mut wake, nets.gsn_it.next_arrival(pos))
-                || self.memsys.has_events(MemClient::It(i as u8))
-            {
-                mask |= (1 as TileMask) << (g.it_bit() + i as u32);
-            }
-        }
-        // RTs.
-        for (b, rt) in self.rts.iter().enumerate() {
-            if chk(&mut wake, rt.next_wake(now))
-                || chk(&mut wake, nets.gdn_rows[0].next_arrival(row_pos_of_col(b)))
-                || chk(&mut wake, nets.gcn.next_arrival(g.gcn_pos(TileId::Rt(b as u8))))
-                || chk(&mut wake, nets.gsn_rt.next_arrival(rt_chain_pos(b)))
-                || nets.opn_delivered_at(TileId::Rt(b as u8))
-            {
-                mask |= (1 as TileMask) << (g.rt_bit() + b as u32);
-            }
-        }
-        // ETs.
-        for (k, et) in self.ets.iter().enumerate() {
-            let (r, c) = (k / g.et_cols, k % g.et_cols);
-            if chk(&mut wake, et.next_wake(now))
-                || chk(&mut wake, nets.gcn.next_arrival(g.gcn_pos(TileId::Et(r as u8, c as u8))))
-                || chk(&mut wake, nets.gdn_rows[r + 1].next_arrival(row_pos_of_col(c)))
-                || nets.opn_delivered_at(TileId::Et(r as u8, c as u8))
-            {
-                mask |= (1 as TileMask) << (g.et_bit() + k as u32);
-            }
-        }
-        // DTs.
-        for (d, dt) in self.dts.iter().enumerate() {
-            if chk(&mut wake, dt.next_wake(now))
-                || chk(&mut wake, nets.gcn.next_arrival(g.gcn_pos(TileId::Dt(d as u8))))
-                || chk(&mut wake, nets.gdn_rows[d + 1].next_arrival(1))
-                || chk(&mut wake, nets.dsn.next_arrival(d))
-                || chk(&mut wake, nets.gsn_dt.next_arrival(dt_chain_pos(d)))
-                || nets.opn_delivered_at(TileId::Dt(d as u8))
-                || self.memsys.has_events(MemClient::Dt(d as u8))
-            {
-                mask |= (1 as TileMask) << (g.dt_bit() + d as u32);
-            }
-        }
-        // The OPN meshes tick every cycle they hold packets; the
-        // memory system folds its injection/completion queues and bank
-        // timers. These are bit-less sources: mature ⇒ wake = now.
-        for m in &nets.opn {
-            if let Some(t) = m.next_event(now) {
-                wake = wake.min(t.max(now));
-            }
-        }
-        if let Some(t) = self.memsys.next_event(now) {
+        let meshes = self.nets.opn.iter().filter_map(|m| m.next_event(now));
+        for t in meshes.chain(self.memsys.next_event(now)) {
             wake = wake.min(t.max(now));
         }
-        (mask, if wake == u64::MAX { None } else { Some(wake) })
+        (mask, (wake != u64::MAX).then_some(wake))
     }
 
     /// The earliest future cycle at which anything in this core can
     /// act, or `None` when it is fully quiescent (or can act *now*).
-    /// The fold of every tile's `next_wake`, every micronet's next
-    /// arrival, and the memory system's pending-event times.
     pub fn next_wake(&self) -> Option<u64> {
-        let (mask, wake) = self.scan_activity(self.cycle);
+        let (mask, wake) = self.due_tiles(self.cycle);
         if mask != 0 {
             Some(self.cycle)
         } else {
@@ -583,20 +542,20 @@ impl Processor {
     }
 
     /// This cycle's activity mask and earliest future wake under the
-    /// core's schedule: the [scan](Self::scan_activity) under
+    /// core's schedule: the [wake table](Self::due_tiles)'s under
     /// [`TickMode::Fast`]; every tile and no wake to jump to under
     /// [`TickMode::Reference`] (so a `Reference` core never skips, and
     /// neither does a chip that seats one).
     pub(crate) fn schedule(&self, now: u64) -> (TileMask, Option<u64>) {
         match self.cfg.tick_mode {
-            TickMode::Fast => self.scan_activity(now),
+            TickMode::Fast => self.due_tiles(now),
             TickMode::Reference => (self.cfg.geometry.full_mask(), None),
         }
     }
 
     /// Advances one cycle.
     ///
-    /// The cycle starts from its schedule (the activity scan under
+    /// The cycle starts from its schedule (the wake table under
     /// [`TickMode::Fast`], every tile under [`TickMode::Reference`]):
     /// each tile whose mask bit is clear is skipped, and a cycle in
     /// which *no* tile can act and every wake source is in the future
@@ -625,7 +584,7 @@ impl Processor {
             if w == horizon {
                 break None;
             }
-            // Re-scan at the landing cycle: a timer or arrival has
+            // Re-read at the landing cycle: a timer or arrival has
             // just matured there.
         };
         self.profile.end(TickPhase::Scan, tp);
@@ -635,86 +594,58 @@ impl Processor {
     }
 
     /// Advances one cycle with a precomputed activity mask: ticks
-    /// exactly the tiles whose bit is set, then the micronets and the
-    /// memory system. The [`Chip`](crate::chip::Chip) computes its
-    /// cores' masks up front so it can coordinate epoch skips across
-    /// the whole chip before committing any core to a tick.
+    /// exactly the tiles whose bit is set — each re-filing its wake
+    /// entry on the way out — then the micronets and the memory
+    /// system. The [`Chip`](crate::chip::Chip) computes its cores'
+    /// masks up front so it can coordinate epoch skips across the
+    /// whole chip before committing any core to a tick.
     pub(crate) fn tick_with_mask(&mut self, mask: TileMask) {
         let now = self.cycle;
-        let g: CoreGeometry = self.cfg.geometry;
-        if mask & ((1 as TileMask) << GT_BIT) != 0 {
-            self.gt.tick(
-                now,
-                &self.cfg,
-                &mut self.nets,
-                &mut self.crit,
-                &mut self.stats,
-                &self.mem,
-                &mut self.tracer,
-                &mut self.profile,
-            );
+        let Processor { cfg, gt, its, rts, ets, dts, nets, memsys, mem, crit, stats, .. } = self;
+        let Processor { tracer, profile, gating, .. } = self;
+        // Mask bits — and wake-table entries — run in tick order: GT,
+        // ITs, RTs, ETs, DTs (`CoreGeometry::tile_bit`).
+        let mut entries = 0..;
+        let mut next_if_due = || entries.next().filter(|&e| mask >> e & 1 != 0);
+        if let Some(entry) = next_if_due() {
+            gt.tick(now, cfg, nets, crit, stats, mem, tracer, profile);
+            nets.wake.set(entry, gt.due(cfg.max_frames, nets));
         }
-        let tp = self.profile.begin();
-        for i in 0..self.its.len() {
-            if mask & ((1 as TileMask) << (g.it_bit() + i as u32)) != 0 {
-                self.its[i].tick(
-                    now,
-                    &self.cfg,
-                    &mut self.nets,
-                    &self.mem,
-                    &mut self.memsys,
-                    &mut self.tracer,
-                );
+        let tp = profile.begin();
+        for it in its {
+            if let Some(entry) = next_if_due() {
+                it.tick(now, cfg, nets, mem, memsys, tracer);
+                nets.wake.set(entry, it.due(nets, memsys));
             }
         }
-        self.profile.end(TickPhase::It, tp);
-        let tp = self.profile.begin();
-        for i in 0..self.rts.len() {
-            if mask & ((1 as TileMask) << (g.rt_bit() + i as u32)) != 0 {
-                self.rts[i].tick(
-                    now,
-                    &self.cfg,
-                    &mut self.nets,
-                    &mut self.crit,
-                    &mut self.stats,
-                    &mut self.tracer,
-                );
+        profile.end(TickPhase::It, tp);
+        let tp = profile.begin();
+        for rt in rts {
+            if let Some(entry) = next_if_due() {
+                rt.tick(now, cfg, nets, crit, stats, tracer);
+                nets.wake.set(entry, rt.due(nets));
             }
         }
-        self.profile.end(TickPhase::Rt, tp);
-        let tp = self.profile.begin();
-        for i in 0..self.ets.len() {
-            if mask & ((1 as TileMask) << (g.et_bit() + i as u32)) != 0 {
-                self.ets[i].tick(
-                    now,
-                    &self.cfg,
-                    &mut self.nets,
-                    &mut self.crit,
-                    &mut self.stats,
-                    &mut self.tracer,
-                );
+        profile.end(TickPhase::Rt, tp);
+        let tp = profile.begin();
+        for et in ets {
+            if let Some(entry) = next_if_due() {
+                et.tick(now, cfg, nets, crit, stats, tracer);
+                nets.wake.set(entry, et.due(nets));
             }
         }
-        self.profile.end(TickPhase::Et, tp);
-        let tp = self.profile.begin();
-        for i in 0..self.dts.len() {
-            if mask & ((1 as TileMask) << (g.dt_bit() + i as u32)) != 0 {
-                self.dts[i].tick(
-                    now,
-                    &self.cfg,
-                    &mut self.nets,
-                    &mut self.crit,
-                    &mut self.stats,
-                    &mut self.mem,
-                    &mut self.memsys,
-                    &mut self.tracer,
-                );
+        profile.end(TickPhase::Et, tp);
+        let tp = profile.begin();
+        for dt in dts {
+            if let Some(entry) = next_if_due() {
+                dt.tick(now, cfg, nets, crit, stats, mem, memsys, tracer);
+                nets.wake.set(entry, dt.due(nets, memsys));
             }
         }
-        self.profile.end(TickPhase::Dt, tp);
+        profile.end(TickPhase::Dt, tp);
         let run = u64::from(mask.count_ones());
-        self.gating.ticks_run += run;
-        self.gating.ticks_gated += g.tile_ticks() as u64 - run;
+        gating.ticks_run += run;
+        gating.ticks_gated += cfg.geometry.tile_ticks() as u64 - run;
 
         let tp = self.profile.begin();
         self.nets.tick(now);
@@ -749,13 +680,34 @@ mod tests {
     use trips_isa::OperandSlot;
     use trips_tasm::{compile, ProgramBuilder, Quality};
 
-    #[test]
-    fn an_operand_parked_in_an_eject_queue_keeps_the_core_unquiesced() {
+    fn halt_image() -> ProgramImage {
         let mut p = ProgramBuilder::new();
         let mut f = p.func("main", 0);
         f.halt();
         f.finish();
-        let image = compile(&p.finish(), Quality::Hand).expect("compiles").image;
+        compile(&p.finish(), Quality::Hand).expect("compiles").image
+    }
+
+    #[test]
+    fn a_push_site_that_stops_filing_is_caught_by_the_audit_within_one_cycle() {
+        let mut cpu = Processor::new(CoreConfig::prototype_pinned());
+        cpu.start(&halt_image());
+        // Mute one push site: the GCN keeps delivering, but no longer
+        // files its sends with the receiving tiles.
+        cpu.nets.gcn.set_wake(None);
+        while cpu.nets.gcn.total_sent == 0 {
+            cpu.check_invariants().expect("the table is exact until the muted site sends");
+            assert!(cpu.cycle < 1_000, "the halt block never committed");
+            cpu.tick();
+        }
+        let err = cpu.check_invariants().expect_err("sleeping tiles were sent a commit wave");
+        assert!(err.detail.contains("wake table entry"), "{err}");
+        assert_eq!(err.cycle, cpu.cycle, "caught at the end of the sending cycle");
+    }
+
+    #[test]
+    fn an_operand_parked_in_an_eject_queue_keeps_the_core_unquiesced() {
+        let image = halt_image();
         let mut cpu = Processor::new(CoreConfig::prototype_pinned());
         cpu.run(&image, 10_000).expect("halts");
         assert!(cpu.drain(1_000) && cpu.quiesced() && cpu.next_wake().is_none());

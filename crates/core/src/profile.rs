@@ -12,7 +12,7 @@
 //!
 //! Enabled (via [`Processor::enable_profiling`]), it accumulates
 //! host-nanoseconds and invocation counts per [`TickPhase`] — the
-//! activity scan, the GT's chain-drain / frame-walk / fetch-FSM
+//! schedule read, the GT's chain-drain / frame-walk / fetch-FSM
 //! sub-phases, each other tile kind as a group, the micronets, and the
 //! memory system — and renders the totals as a table
 //! ([`TickProfile::report`]) or JSON ([`TickProfile::json`], written
@@ -31,8 +31,8 @@ use std::time::Instant;
 /// Phases of one simulated cycle, in tick order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickPhase {
-    /// The activity scan (`scan_activity`), including epoch-skip
-    /// decisions.
+    /// Reading the schedule off the wake table (`schedule`),
+    /// including epoch-skip decisions.
     Scan,
     /// GT: draining the status/branch/refill chain heads.
     GtChains,

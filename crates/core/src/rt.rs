@@ -11,6 +11,7 @@
 
 use trips_isa::semantics::Tok;
 use trips_isa::{ArchReg, ReadInst, Target};
+use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, FrameMask, MAX_FRAMES};
 use crate::critpath::{Cat, CritPath, NO_EVENT};
@@ -149,22 +150,22 @@ impl RegTile {
     pub(crate) fn busy(&self) -> bool {
         // `committing_mask` is the old frame scan's predicate
         // (`active && committing && !commit_done`) held as a bitmask,
-        // so the busy test — asked by the activity scan every scanned
-        // cycle — is two loads instead of an eight-frame walk.
+        // so the busy test is two loads instead of an eight-frame walk.
         !self.outbox.is_empty() || self.committing_mask != 0
     }
 
-    /// The earliest cycle a tick can make progress without a new
-    /// message, for the epoch-skipping scheduler. The RT holds no
-    /// timers: while busy it progresses every cycle, otherwise only a
-    /// message can wake it (the activity scan folds those from the
-    /// chains and OPN directly).
-    pub(crate) fn next_wake(&self, now: u64) -> Option<u64> {
-        if self.busy() {
-            Some(now)
-        } else {
-            None
+    /// This tile's wake-table entry, from scratch (filed on the way out
+    /// of every tick, recomputed by the audit). The RT holds no timers:
+    /// while busy or holding an undrained operand it is due now,
+    /// otherwise at the earliest head of its three chain inboxes.
+    pub(crate) fn due(&self, nets: &Nets) -> u64 {
+        let (tile, b) = (TileId::Rt(self.bank), self.bank as usize);
+        if self.busy() || nets.opn_delivered_at(tile) {
+            return WakeTable::NOW;
         }
+        (nets.gdn_rows[0].next_arrival(row_pos_of_col(b)))
+            .min(nets.gcn.next_arrival(self.geom.gcn_pos(tile)))
+            .min(nets.gsn_rt.next_arrival(rt_chain_pos(b)))
     }
 
     /// Queued work for the hang diagnoser (`None` when idle).

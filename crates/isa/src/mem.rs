@@ -58,11 +58,9 @@ impl SparseMem {
     /// Panics if `n > 8`.
     pub fn read_uint(&self, addr: u64, n: u32) -> u64 {
         assert!(n <= 8, "read of {n} bytes");
-        let mut v = 0u64;
-        for i in (0..n as u64).rev() {
-            v = (v << 8) | u64::from(self.read_u8(addr + i));
-        }
-        v
+        let mut le = [0u8; 8];
+        self.read_bytes(addr, &mut le[..n as usize]);
+        u64::from_le_bytes(le)
     }
 
     /// Writes the low `n <= 8` bytes of `val` little-endian.
@@ -72,9 +70,7 @@ impl SparseMem {
     /// Panics if `n > 8`.
     pub fn write_uint(&mut self, addr: u64, val: u64, n: u32) {
         assert!(n <= 8, "write of {n} bytes");
-        for i in 0..n as u64 {
-            self.write_u8(addr + i, (val >> (8 * i)) as u8);
-        }
+        self.write_bytes(addr, &val.to_le_bytes()[..n as usize]);
     }
 
     /// Reads a 64-bit little-endian word.
@@ -87,17 +83,33 @@ impl SparseMem {
         self.write_uint(addr, val, 8)
     }
 
-    /// Reads `out.len()` bytes.
-    pub fn read_bytes(&self, addr: u64, out: &mut [u8]) {
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
+    /// Reads `out.len()` bytes, resolving each page the span touches
+    /// once. The address space is a ring: an access running past
+    /// 2⁶⁴ − 1 continues at address 0.
+    pub fn read_bytes(&self, mut addr: u64, mut out: &mut [u8]) {
+        while !out.is_empty() {
+            let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+            let (span, rest) = out.split_at_mut(out.len().min(PAGE_SIZE - off));
+            match self.pages.get(&(addr >> PAGE_SHIFT)) {
+                Some(p) => span.copy_from_slice(&p[off..off + span.len()]),
+                None => span.fill(0),
+            }
+            addr = addr.wrapping_add(span.len() as u64);
+            out = rest;
         }
     }
 
-    /// Writes a byte slice.
-    pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        for (i, &b) in data.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+    /// Writes a byte slice (same page-span walk and wrap-around as
+    /// [`SparseMem::read_bytes`]); every page touched becomes resident.
+    pub fn write_bytes(&mut self, mut addr: u64, mut data: &[u8]) {
+        while !data.is_empty() {
+            let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+            let (span, rest) = data.split_at(data.len().min(PAGE_SIZE - off));
+            let page =
+                self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0; PAGE_SIZE]));
+            page[off..off + span.len()].copy_from_slice(span);
+            addr = addr.wrapping_add(span.len() as u64);
+            data = rest;
         }
     }
 
@@ -157,6 +169,15 @@ mod tests {
         let mut m = SparseMem::new();
         m.write_u64(0xffc, u64::MAX);
         assert_eq!(m.read_u64(0xffc), u64::MAX);
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn an_access_straddling_the_top_of_the_address_space_wraps_to_zero() {
+        let mut m = SparseMem::new();
+        m.write_u64(0xffff_ffff_ffff_fffc, 0x1122_3344_5566_7788);
+        assert_eq!(m.read_u64(0xffff_ffff_ffff_fffc), 0x1122_3344_5566_7788);
+        assert_eq!(m.read_uint(0, 4), 0x1122_3344, "the high half landed at address 0");
         assert_eq!(m.resident_pages(), 2);
     }
 

@@ -13,12 +13,14 @@
 //! Storage is a single arena shared by every position: one slab of
 //! slots threaded into per-position intrusive lists sorted by
 //! `(arrival, seq)`. The common case — sends arrive in increasing
-//! time order — appends at the tail in O(1), and the queries the
-//! scheduler hammers every cycle (`idle`, `pending`,
-//! [`Chain::next_arrival`]) are O(1) counter or head-pointer reads
-//! instead of per-`VecDeque` scans.
+//! time order — appends at the tail in O(1), and `idle`, `pending`
+//! and [`Chain::next_arrival`] are O(1) counter or head-pointer reads
+//! instead of per-`VecDeque` scans. A chain with a [`WakePort`]
+//! installed announces every send to the receiving position's
+//! consumer, so nobody has to poll the heads at all.
 
 use crate::fault::{ChainFaultConfig, ChainFaultState};
+use crate::wake::WakePort;
 
 /// Sentinel "null" slot index for the intrusive lists.
 const NIL: u32 = u32::MAX;
@@ -50,6 +52,8 @@ pub struct Chain<T> {
     pub total_sent: u64,
     /// Installed timing fault (`None` on the production path).
     fault: Option<ChainFaultState>,
+    /// Where sends are announced (`None`: a free-standing chain).
+    wake: Option<WakePort>,
 }
 
 impl<T> Chain<T> {
@@ -69,7 +73,14 @@ impl<T> Chain<T> {
             seq: 0,
             total_sent: 0,
             fault: None,
+            wake: None,
         }
+    }
+
+    /// Installs (or clears) the wake port: every send is filed at its
+    /// arrival cycle with the consumer at the receiving position.
+    pub fn set_wake(&mut self, port: Option<WakePort>) {
+        self.wake = port;
     }
 
     /// Installs (or clears) a timing fault: probabilistic extra delay
@@ -126,6 +137,9 @@ impl<T> Chain<T> {
             let s = &self.slots[idx as usize];
             (s.at, s.seq)
         };
+        if let Some(w) = &self.wake {
+            w.file(to, at);
+        }
         let tail = self.tails[to];
         if tail == NIL {
             self.heads[to] = idx;
@@ -232,27 +246,16 @@ impl<T> Chain<T> {
         self.pending_count
     }
 
-    /// Arrival cycle of the earliest message bound for `pos`, if any.
-    /// The per-position lists are sorted by `(arrival, seq)`, so this
-    /// is the head's timestamp: the cycle at which the tile at `pos`
-    /// must be awake to receive it.
-    pub fn next_arrival(&self, pos: usize) -> Option<u64> {
-        let head = self.heads[pos];
-        if head == NIL {
-            None
-        } else {
-            Some(self.slots[head as usize].at)
+    /// Arrival cycle of the earliest message bound for `pos`
+    /// (`u64::MAX` when there is none — a wake table's "asleep"). The
+    /// per-position lists are sorted by `(arrival, seq)`, so this is
+    /// the head's timestamp: the cycle at which the tile at `pos` must
+    /// be awake to receive it.
+    pub fn next_arrival(&self, pos: usize) -> u64 {
+        match self.heads[pos] {
+            NIL => u64::MAX,
+            head => self.slots[head as usize].at,
         }
-    }
-
-    /// Arrival cycle of the earliest undelivered message anywhere on
-    /// the chain — the next cycle at which this net can change any
-    /// tile's input state. `None` when the chain is idle.
-    pub fn next_event(&self) -> Option<u64> {
-        if self.pending_count == 0 {
-            return None;
-        }
-        self.heads.iter().filter(|&&h| h != NIL).map(|&h| self.slots[h as usize].at).min()
     }
 
     /// The oldest undelivered message: `(arrival_cycle, position)`.
@@ -288,6 +291,7 @@ impl<T: Clone> Chain<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wake::WakeTable;
 
     #[test]
     fn latency_is_distance() {
@@ -367,22 +371,28 @@ mod tests {
     }
 
     #[test]
-    fn next_arrival_tracks_the_head() {
+    fn next_arrival_tracks_the_head_and_sends_are_filed_with_the_consumer() {
         let mut c: Chain<u32> = Chain::new(4);
-        assert_eq!(c.next_arrival(0), None);
-        assert_eq!(c.next_event(), None);
+        // Positions 0 and 2 deliver to consumer 1, position 1 to 0.
+        let table = WakeTable::new(2);
+        c.set_wake(Some(WakePort::new(&table, vec![1, 0, 1, 0])));
+        assert_eq!(c.next_arrival(0), u64::MAX);
         c.send(0, 3, 0, 1); // arrives at 3
+        assert_eq!(table.iter().nth(1), Some(3));
         c.send(1, 1, 0, 2); // arrives at 2
         c.send(0, 0, 2, 9); // arrives at 2, other position
-        assert_eq!(c.next_arrival(0), Some(2));
-        assert_eq!(c.next_arrival(2), Some(2));
-        assert_eq!(c.next_arrival(1), None);
-        assert_eq!(c.next_event(), Some(2));
+        assert_eq!(c.next_arrival(0), 2);
+        assert_eq!(c.next_arrival(2), 2);
+        assert_eq!(c.next_arrival(1), u64::MAX);
+        assert_eq!(
+            table.iter().collect::<Vec<_>>(),
+            [WakeTable::ASLEEP, 2],
+            "lowered, never raised"
+        );
         assert_eq!(c.recv(2, 0), Some(2));
-        assert_eq!(c.next_arrival(0), Some(3), "head advances past the received message");
+        assert_eq!(c.next_arrival(0), 3, "head advances past the received message");
         assert_eq!(c.recv(3, 0), Some(1));
         assert_eq!(c.recv(2, 2), Some(9));
-        assert_eq!(c.next_event(), None);
         assert!(c.idle());
     }
 

@@ -16,6 +16,9 @@
 //! * [`PacketMesh`] — a multi-flit packet mesh with virtual channels,
 //!   used for the on-chip network (OCN): the 4×10, 16-byte-link,
 //!   4-virtual-channel network of the secondary memory system.
+//! * [`WakeTable`] — one due cycle per tile, lowered by the chains and
+//!   the mesh as they deliver, so a scheduler reads who has work
+//!   instead of polling every inbox.
 //! * [`widths`] — the bit widths of every TRIPS micronet (Table 2),
 //!   derived from the message definitions and consumed by the area
 //!   model.
@@ -52,6 +55,7 @@ mod link;
 mod mesh;
 mod packet;
 mod routerset;
+mod wake;
 pub mod widths;
 
 pub use chain::Chain;
@@ -59,3 +63,4 @@ pub use fault::{ChainFaultConfig, FaultPort, LinkFaultConfig, MeshFaultConfig, P
 pub use link::Link;
 pub use mesh::{Coord, Mesh, MeshMsg, MeshStats};
 pub use packet::{PacketMesh, PacketMsg, PacketStats, PacketWork, MAX_TAGS, VIRTUAL_CHANNELS};
+pub use wake::{WakePort, WakeTable};

@@ -15,6 +15,7 @@ use std::collections::VecDeque;
 
 use crate::fault::{MeshFaultConfig, MeshFaultState};
 use crate::routerset::RouterSet;
+use crate::wake::WakePort;
 
 /// Position of a router in the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -176,11 +177,13 @@ pub struct Mesh<P> {
     /// each applied move) and recounted by [`Mesh::audit`].
     occupied: RouterSet,
     /// Routers with a non-empty eject queue, for
-    /// [`Mesh::has_delivered`], which the core's activity scan asks of
-    /// every destination tile every scanned cycle. Maintained at the
-    /// two mutation sites (the tick's eject arm, [`Mesh::eject`] on the
-    /// last message) and audited like `occupied`.
+    /// [`Mesh::has_delivered`]. Maintained at the two mutation sites
+    /// (the tick's eject arm, [`Mesh::eject`] on the last message) and
+    /// audited like `occupied`.
     delivered: RouterSet,
+    /// Where deliveries are announced, by router index (`None`: a
+    /// free-standing mesh).
+    wake: Option<WakePort>,
     /// Messages in eject queues.
     undrained: usize,
     /// Installed timing faults (`None` on the production path).
@@ -214,6 +217,7 @@ impl<P> Mesh<P> {
             occupied: RouterSet::with_capacity(n),
             delivered: RouterSet::with_capacity(n),
             undrained: 0,
+            wake: None,
             fault: None,
             incoming: vec![[false; PORTS]; n],
             moves: Vec::with_capacity(n),
@@ -257,8 +261,7 @@ impl<P> Mesh<P> {
 
     /// True if a delivered message awaits consumption at `node` —
     /// a destination tile must be clocked while this holds. One bit
-    /// test on the `delivered` set (the activity scan asks this for
-    /// every tile every scanned cycle).
+    /// test on the `delivered` set.
     pub fn has_delivered(&self, node: Coord) -> bool {
         self.delivered.contains(self.idx(node))
     }
@@ -266,6 +269,13 @@ impl<P> Mesh<P> {
     /// True if the caller can inject at `src` this cycle.
     pub fn can_inject(&self, src: Coord) -> bool {
         self.routers[self.idx(src)].inputs[LOCAL].len() < self.fifo_cap
+    }
+
+    /// Installs (or clears) the wake port: every delivery into router
+    /// `r`'s eject queue (row-major index) is filed with `r`'s consumer
+    /// at the delivering cycle.
+    pub fn set_wake(&mut self, port: Option<WakePort>) {
+        self.wake = port;
     }
 
     /// Installs (or clears) a timing-fault configuration. Faults stall
@@ -493,6 +503,9 @@ impl<P> Mesh<P> {
                     self.routers[r].eject.push_back(msg);
                     self.delivered.insert(r);
                     self.undrained += 1;
+                    if let Some(w) = &self.wake {
+                        w.file(r, now);
+                    }
                 }
                 _ => {
                     let (nb, port) = self.neighbor(r, out);

@@ -30,6 +30,52 @@ fn four_way_agreement_on_cfar() {
     }
 }
 
+/// The address space is a ring: an 8-byte store and load at
+/// `0xFFFF_FFFF_FFFF_FFFC` straddle 2⁶⁴ and continue at address 0 — on
+/// every engine, with the same value, and without tripping an overflow
+/// check anywhere on the way (this test runs with them on: tier-1's
+/// debug build and CI's `fat-overflow` lane).
+#[test]
+fn an_access_straddling_the_top_of_the_address_space_wraps_on_every_engine() {
+    use trips::isa::Opcode;
+    use trips::tasm::ProgramBuilder;
+    const TOP: u64 = 0xFFFF_FFFF_FFFF_FFFC;
+    const VAL: u64 = 0x1122_3344_5566_7788;
+    const OUT: u64 = 0x10_0000;
+    let mut p = ProgramBuilder::new();
+    let mut f = p.func("main", 0);
+    let top = f.iconst(TOP as i64);
+    let val = f.iconst(VAL as i64);
+    f.store(Opcode::Sd, top, 0, val);
+    let back = f.load(Opcode::Ld, top, 0);
+    let out = f.iconst(OUT as i64);
+    f.store(Opcode::Sd, out, 0, back);
+    f.halt();
+    f.finish();
+    let prog = p.finish();
+
+    let reference = interp::run(&prog, 10_000).expect("ir interp");
+    let compiled = compile(&prog, Quality::Hand).expect("compiles");
+    let bi = blockinterp::run_image(&compiled.image, 10_000).expect("block interp");
+    let mut cpu = Processor::new(CoreConfig::prototype());
+    cpu.run(&compiled.image, 100_000).unwrap_or_else(|e| panic!("core: {e}"));
+    let risc = trips::alpha::compile_risc(&prog).expect("risc");
+    let mut alpha = AlphaCore::new(AlphaConfig::alpha21264(), &risc).expect("valid");
+    alpha.run(100_000).expect("alpha");
+
+    let mems = [
+        ("ir", &reference.mem),
+        ("blockinterp", &bi.mem),
+        ("core", cpu.memory()),
+        ("alpha", alpha.memory()),
+    ];
+    for (engine, mem) in mems {
+        assert_eq!(mem.read_u64(OUT), VAL, "{engine}: the loaded value");
+        assert_eq!(mem.read_uint(TOP, 4), VAL & 0xffff_ffff, "{engine}: low half below 2^64");
+        assert_eq!(mem.read_uint(0, 4), VAL >> 32, "{engine}: high half wrapped to address 0");
+    }
+}
+
 /// §4.1: back-to-back block fetches sustain one dispatch every eight
 /// cycles, and a block's first instructions reach their tiles about
 /// ten cycles after the fetch begins.

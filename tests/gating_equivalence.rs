@@ -1,5 +1,5 @@
 //! The two tick schedules must be indistinguishable: a
-//! [`TickMode::Fast`] run (activity scan, gated tiles, epoch skips,
+//! [`TickMode::Fast`] run (wake table, gated tiles, epoch skips,
 //! dirty-frame walks, fused GT pass) and a [`TickMode::Reference`] run
 //! (every tile, every frame, every cycle, the GT in §4 spec order) of
 //! the same image must produce bit-identical statistics and
@@ -89,6 +89,67 @@ fn fast_and_reference_are_bit_identical_across_the_suite() {
 }
 
 #[test]
+fn the_wake_table_audit_holds_on_every_cycle_of_the_suite() {
+    use trips_core::CoreGeometry;
+    // `Fast`'s whole schedule is read off the wake table, and the table
+    // is right only if every event source files with its consumer. With
+    // `check_invariants` on, every cycle ends by recomputing each
+    // tile's entry from scratch and comparing: a push site missed on
+    // any path these programs take fails by name, on the cycle it
+    // happens. Every Table-3 program behind the perfect L2 plus the
+    // memory-bound four on the NUCA (fill events, epoch skips), on the
+    // die `TRIPS_GEOMETRY` selects (the prototype by default, the fat
+    // die in CI's `fat-overflow` lane) and on the mini die.
+    let nuca =
+        ["saxpy", "listwalk", "vadd", "conv"].map(|n| suite::by_name(n).expect("registered"));
+    let programs: Vec<(Workload, bool)> =
+        suite::all().into_iter().map(|wl| (wl, false)).chain(nuca.map(|wl| (wl, true))).collect();
+    let mut dies = vec![CoreGeometry::from_env(), CoreGeometry::mini()];
+    dies.dedup();
+    let items: Vec<(Workload, bool, CoreGeometry)> = dies
+        .into_iter()
+        .flat_map(|g| programs.iter().map(move |&(wl, on_nuca)| (wl, on_nuca, g)))
+        .collect();
+    let failures: Vec<String> = parallel_map(items, num_threads(), |(wl, on_nuca, g)| {
+        let image = wl.build_trips(Quality::Hand).expect("compiles").image;
+        let mut cfg = CoreConfig { check_invariants: true, ..CoreConfig::with_geometry(g) };
+        if on_nuca {
+            cfg.mem_backend = MemBackend::nuca_prototype();
+        }
+        let run = Processor::new(cfg).run(&image, MAX_CYCLES);
+        run.err().map(|e| format!("{} on {}: {e}", wl.name, g.name()))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn the_schedule_is_pinned_cycle_for_cycle() {
+    use trips_core::GatingStats;
+    // The gating counters are a fingerprint of the schedule: which
+    // tiles ticked on which cycles, and every jump taken. Architectural
+    // equivalence cannot see a mask that merely got looser or tighter;
+    // these literals can — any change to what wakes a tile, or when,
+    // shows up here as a diff to review.
+    let perfect = CoreConfig::prototype_pinned();
+    let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..perfect.clone() };
+    let pinned = [
+        ("vadd", &perfect, (8_580, 12_030, 7, 3)),
+        ("matrix", &perfect, (174_514, 184_856, 7, 3)),
+        ("listwalk", &nuca, (115_540, 4_971_170, 66_330, 4_980)),
+    ];
+    for (name, cfg, (ticks_run, ticks_gated, cycles_skipped, epochs_skipped)) in pinned {
+        assert_eq!(
+            run(&hand_image(name), cfg.clone()).1.gating_stats(),
+            GatingStats { ticks_run, ticks_gated, cycles_skipped, epochs_skipped },
+            "{name}"
+        );
+    }
+}
+
+#[test]
 fn epoch_skipping_actually_skips_cycles() {
     // Sanity that the equivalence above is not vacuous. listwalk under
     // the NUCA backend is the stress case: a pointer chase whose misses
@@ -141,14 +202,14 @@ fn dirty_frame_walks_actually_skip_frames() {
 #[test]
 fn gating_actually_skips_ticks() {
     // Sanity that the equivalence above is not vacuous: on a real
-    // workload the scan must gate off a meaningful share of tile ticks
+    // workload the table must gate off a meaningful share of tile ticks
     // (drained tiles exist in any block-structured run).
     let (_, cpu) = run(&hand_image("matrix"), CoreConfig::prototype());
     let g = cpu.gating_stats();
     assert!(g.ticks_gated > 0, "no ticks were gated: {g:?}");
     assert!(
         g.gated_fraction() > 0.05,
-        "suspiciously little gating ({:.1}%): the scan may have regressed to always-active",
+        "suspiciously little gating ({:.1}%): the table may have regressed to always-due",
         100.0 * g.gated_fraction()
     );
 }
