@@ -8,11 +8,11 @@
 
 use trips_bench::run_trips;
 use trips_core::CoreConfig;
-use trips_harness::{criterion_group, criterion_main, num_threads, parallel_map, Criterion};
+use trips_harness::{num_threads, parallel_map};
 use trips_tasm::Quality;
 use trips_workloads::suite;
 
-fn deppred(c: &mut Criterion) {
+fn main() {
     println!("\nAblation: dependence predictor (simulated cycles / violation flushes)");
     println!(
         "{:<12} {:>12} {:>8} {:>12} {:>8}",
@@ -36,26 +36,4 @@ fn deppred(c: &mut Criterion) {
         println!("{row}");
     }
     println!("(violations with the predictor on are first-touch training misses)");
-
-    let wl = suite::by_name("256.bzip2").expect("registered");
-    c.bench_function("sim/bzip2_deppred_on", |b| {
-        b.iter(|| run_trips(&wl, Quality::Hand, CoreConfig::prototype()).cycles)
-    });
-    c.bench_function("sim/bzip2_deppred_off", |b| {
-        b.iter(|| {
-            run_trips(
-                &wl,
-                Quality::Hand,
-                CoreConfig { deppred_disabled: true, ..CoreConfig::prototype() },
-            )
-            .cycles
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = deppred
-}
-criterion_main!(benches);

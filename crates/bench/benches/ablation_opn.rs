@@ -3,17 +3,16 @@
 //! §7 names "more operand network bandwidth" as a likely architectural
 //! extension because operand hop latency and contention dominate the
 //! critical path (Table 3). This bench runs communication-heavy
-//! kernels with one OPN (the prototype) and with two parallel OPNs,
-//! printing the simulated-cycle series, and times one representative
-//! configuration under Criterion.
+//! kernels with one OPN (the prototype) and with two parallel OPNs
+//! and prints the simulated-cycle series.
 
 use trips_bench::run_trips;
 use trips_core::CoreConfig;
-use trips_harness::{criterion_group, criterion_main, num_threads, parallel_map, Criterion};
+use trips_harness::{num_threads, parallel_map};
 use trips_tasm::Quality;
 use trips_workloads::suite;
 
-fn opn_bandwidth(c: &mut Criterion) {
+fn main() {
     println!("\nAblation: OPN bandwidth (simulated cycles, hand quality)");
     println!("{:<10} {:>10} {:>10} {:>8}", "bench", "1xOPN", "2xOPN", "gain");
     let names = vec!["vadd", "conv", "dct8x8", "pm", "matrix"];
@@ -36,22 +35,4 @@ fn opn_bandwidth(c: &mut Criterion) {
     for row in rows {
         println!("{row}");
     }
-
-    let wl = suite::by_name("conv").expect("registered");
-    c.bench_function("sim/conv_hand_1xopn", |b| {
-        b.iter(|| run_trips(&wl, Quality::Hand, CoreConfig::prototype()).cycles)
-    });
-    c.bench_function("sim/conv_hand_2xopn", |b| {
-        b.iter(|| {
-            run_trips(&wl, Quality::Hand, CoreConfig { opn_networks: 2, ..CoreConfig::prototype() })
-                .cycles
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = opn_bandwidth
-}
-criterion_main!(benches);

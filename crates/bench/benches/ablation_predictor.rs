@@ -7,11 +7,11 @@
 
 use trips_bench::run_trips;
 use trips_core::{CoreConfig, PredictorConfig};
-use trips_harness::{criterion_group, criterion_main, num_threads, parallel_map, Criterion};
+use trips_harness::{num_threads, parallel_map};
 use trips_tasm::Quality;
 use trips_workloads::suite;
 
-fn predictor(c: &mut Criterion) {
+fn main() {
     println!("\nAblation: next-block predictor (hand quality)");
     println!("{:<12} {:>12} {:>9} {:>12} {:>9}", "bench", "full:cyc", "acc", "seq:cyc", "acc");
     let names = vec!["tblook01", "197.parser", "rspeed01", "a2time01", "matrix"];
@@ -35,16 +35,4 @@ fn predictor(c: &mut Criterion) {
     for row in rows {
         println!("{row}");
     }
-
-    let wl = suite::by_name("tblook01").expect("registered");
-    c.bench_function("sim/tblook01_full_predictor", |b| {
-        b.iter(|| run_trips(&wl, Quality::Hand, CoreConfig::prototype()).cycles)
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = predictor
-}
-criterion_main!(benches);

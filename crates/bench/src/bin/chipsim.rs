@@ -12,9 +12,9 @@
 //! worst per-core slowdown vs. solo, chip-wide bank-conflict stalls
 //! and the OCN in-flight high-water mark at each width.
 //!
-//! Flags:
+//! Flags ([`USAGE`]; anything else is a usage error, exit 2):
 //!   --smoke      one contended pairing + one compute control, and a
-//!                1→4-core curve (CI)
+//!                1→4-core curve (the checked-in baseline)
 //!   --ncores N   run only the N-core curve point (exploration)
 //!   --shared     run the **coherent shared-memory** suite instead:
 //!                every shared-registry workload on dual (and, full
@@ -26,33 +26,68 @@
 //!                flushes into `BENCH_coherence.json`
 //!
 //! Writes `BENCH_chipsim.json` (or, under `--shared`,
-//! `BENCH_coherence.json`) in the current directory (same
-//! `workloads[].{name, sim_cycles, wall_secs}` shape the perf gate
-//! diffs; curve rows are named `curve_nN` and report **aggregate**
-//! core cycles as `sim_cycles`, so throughput stays comparable as the
-//! die widens). Exits nonzero if the memory-bound pairing shows no
+//! `BENCH_coherence.json`) in the current directory: a header naming
+//! the core geometry (`TRIPS_GEOMETRY` selects it) and the mode, then
+//! one `workloads[]` row per run — simulated quantities only, so the
+//! bytes are a pure function of the model and `git diff` is the gate.
+//! Curve rows are named `curve_nN` and report **aggregate** core
+//! cycles as `sim_cycles`. Exits 1 if the memory-bound pairing shows no
 //! cross-core bank conflicts, or if curve contention fails to grow
 //! with the core count — a chip that cannot contend is not modelling
-//! shared memory. Under `--shared` it exits nonzero if any replica
+//! shared memory. Under `--shared` it exits 1 if any replica
 //! disagrees with its oracle or a run generates no coherence traffic.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
-use trips_bench::fuzz;
+use trips_bench::{fuzz, usage_exit};
 use trips_core::{Chip, ChipConfig, CohSnapshot, CoreConfig, MemBackend, Processor};
+use trips_harness::json::{self, Object};
 use trips_harness::{num_threads, parallel_map};
-use trips_mem::MemConfig;
+use trips_mem::{MemConfig, MAX_CORES};
 use trips_tasm::Quality;
 use trips_workloads::shared::{SharedProgram, SharedWorkload};
 use trips_workloads::{suite, Workload};
 
 const MAX_CYCLES: u64 = trips_bench::MAX_CYCLES;
 
+const USAGE: &str = "usage: chipsim [--smoke] [--ncores N | --shared]";
+
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    smoke: bool,
+    shared: bool,
+    ncores: Option<usize>,
+}
+
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--smoke" => args.smoke = true,
+            "--shared" => args.shared = true,
+            "--ncores" => {
+                let v = it.next().ok_or("--ncores needs a core count")?;
+                let n = v.parse().ok().filter(|n| (1..=MAX_CORES).contains(n));
+                args.ncores = Some(n.ok_or(format!("--ncores {v}: not in 1..={MAX_CORES}"))?);
+            }
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    if args.shared && args.ncores.is_some() {
+        return Err("--ncores picks a curve point; --shared runs no curve".into());
+    }
+    Ok(args)
+}
+
+/// The header every chipsim file leads with: which die the cores
+/// were, and which table this is.
+fn header(smoke: bool) -> Object {
+    Object::default().str("geometry", &CoreConfig::prototype().geometry.name()).lit("smoke", smoke)
+}
+
 struct PairPerf {
     name: String,
     chip_cycles: u64,
-    host_secs: f64,
     core_cycles: [u64; 2],
     slowdown: [f64; 2],
     conflict_stalls: u64,
@@ -75,17 +110,14 @@ fn run_pair(a: &Workload, b: &Workload, solo: &HashMap<&'static str, u64>) -> Pa
     ];
     let mut chip =
         Chip::new(ChipConfig::with_cores(2, CoreConfig::prototype(), MemConfig::prototype()));
-    let start = Instant::now();
     let stats =
         chip.run(&images, MAX_CYCLES).unwrap_or_else(|e| panic!("{}+{}: {e}", a.name, b.name));
-    let host_secs = start.elapsed().as_secs_f64();
     let core_cycles = [stats.cores[0].cycles, stats.cores[1].cycles];
     let slowdown =
         [core_cycles[0] as f64 / solo[a.name] as f64, core_cycles[1] as f64 / solo[b.name] as f64];
     PairPerf {
         name: format!("{}+{}", a.name, b.name),
         chip_cycles: stats.cycles,
-        host_secs,
         core_cycles,
         slowdown,
         conflict_stalls: stats.total_conflict_stalls(),
@@ -97,7 +129,6 @@ struct CurvePerf {
     ncores: usize,
     chip_cycles: u64,
     agg_core_cycles: u64,
-    host_secs: f64,
     max_slowdown: f64,
     conflict_stalls: u64,
     ocn_highwater: usize,
@@ -110,9 +141,7 @@ fn run_curve_point(n: usize, solo: &HashMap<&'static str, u64>) -> CurvePerf {
     let images: Vec<_> =
         group.iter().map(|wl| wl.build_trips(Quality::Hand).expect("compiles").image).collect();
     let mut chip = Chip::new(ChipConfig::n_cores(n));
-    let start = Instant::now();
     let stats = chip.run(&images, MAX_CYCLES).unwrap_or_else(|e| panic!("curve n={n}: {e}"));
-    let host_secs = start.elapsed().as_secs_f64();
     let max_slowdown = group
         .iter()
         .zip(&stats.cores)
@@ -122,7 +151,6 @@ fn run_curve_point(n: usize, solo: &HashMap<&'static str, u64>) -> CurvePerf {
         ncores: n,
         chip_cycles: stats.cycles,
         agg_core_cycles: stats.cores.iter().map(|c| c.cycles).sum(),
-        host_secs,
         max_slowdown,
         conflict_stalls: stats.total_conflict_stalls(),
         ocn_highwater: stats.ocn_tag_highwater.iter().copied().max().unwrap_or(0),
@@ -133,7 +161,6 @@ struct SharedPerf {
     name: String,
     ncores: usize,
     chip_cycles: u64,
-    host_secs: f64,
     coh: CohSnapshot,
     invals_received: u64,
     coherence_flushes: u64,
@@ -148,15 +175,12 @@ fn run_shared_point(wl: &SharedWorkload, n: usize) -> SharedPerf {
     let mut cfg = ChipConfig::with_cores(n, CoreConfig::prototype(), MemConfig::prototype());
     cfg.shared_memory = true;
     let mut chip = Chip::new(cfg);
-    let start = Instant::now();
     let stats = chip.run(&images, MAX_CYCLES).unwrap_or_else(|e| panic!("{} x{n}: {e}", wl.name));
-    let host_secs = start.elapsed().as_secs_f64();
     let oracle = fuzz::compare_shared_state(&chip, &expected);
     SharedPerf {
         name: format!("{}_n{n}", wl.name),
         ncores: n,
         chip_cycles: stats.cycles,
-        host_secs,
         coh: stats.coherence.expect("a shared-memory run reports a coherence snapshot"),
         invals_received: stats
             .cores
@@ -171,18 +195,14 @@ fn run_shared_point(wl: &SharedWorkload, n: usize) -> SharedPerf {
 
 /// The `--shared` experiment: the shared-memory registry across die
 /// widths, the coherence-traffic table, and `BENCH_coherence.json`.
-fn run_shared_suite(smoke: bool, threads: usize) {
+fn run_shared_suite(smoke: bool) {
     let widths: &[usize] = if smoke { &[2] } else { &[2, 4] };
     let points: Vec<(SharedWorkload, usize)> = suite::shared_memory()
         .into_iter()
         .flat_map(|wl| widths.iter().map(move |&n| (wl, n)))
         .collect();
-    println!(
-        "chipsim: coherent shared-memory suite ({} points, {threads} thread(s))",
-        points.len()
-    );
-    println!();
-    let rows = parallel_map(points, threads, |(wl, n)| run_shared_point(&wl, n));
+    println!("chipsim: coherent shared-memory suite ({} points)\n", points.len());
+    let rows = parallel_map(points, num_threads(), |(wl, n)| run_shared_point(&wl, n));
 
     println!(
         "{:<14} {:>12} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>8}",
@@ -203,36 +223,26 @@ fn run_shared_suite(smoke: bool, threads: usize) {
         );
     }
 
-    // Hand-built JSON (no serde in the container); same
-    // `workloads[].{name, sim_cycles, wall_secs}` shape the perf gate
-    // diffs with `--label coherence`.
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"sim_cycles\": {}, \"wall_secs\": {:.6}, \"ncores\": {}, \
-             \"gets\": {}, \"getms\": {}, \"invalidations\": {}, \"inval_acks\": {}, \
-             \"deferred_acks\": {}, \"invals_received\": {}, \"dir_lines\": {}, \
-             \"dir_highwater\": {}, \"coherence_flushes\": {}}}{}\n",
-            r.name,
-            r.chip_cycles,
-            r.host_secs,
-            r.ncores,
-            r.coh.gets,
-            r.coh.getms,
-            r.coh.invals_sent,
-            r.coh.inval_acks,
-            r.coh.deferred_acks,
-            r.invals_received,
-            r.coh.dir_lines,
-            r.coh.dir_highwater,
-            r.coherence_flushes,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let json = header(smoke)
+        .rows(
+            "workloads",
+            rows.iter().map(|r| {
+                Object::default()
+                    .str("name", &r.name)
+                    .lit("sim_cycles", r.chip_cycles)
+                    .lit("ncores", r.ncores)
+                    .lit("gets", r.coh.gets)
+                    .lit("getms", r.coh.getms)
+                    .lit("invalidations", r.coh.invals_sent)
+                    .lit("inval_acks", r.coh.inval_acks)
+                    .lit("deferred_acks", r.coh.deferred_acks)
+                    .lit("invals_received", r.invals_received)
+                    .lit("dir_lines", r.coh.dir_lines)
+                    .lit("dir_highwater", r.coh.dir_highwater)
+                    .lit("coherence_flushes", r.coherence_flushes)
+            }),
+        )
+        .document();
     std::fs::write("BENCH_coherence.json", &json).expect("write BENCH_coherence.json");
     println!("\nwrote BENCH_coherence.json");
 
@@ -272,18 +282,12 @@ fn run_shared_suite(smoke: bool, threads: usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    if args.iter().any(|a| a == "--shared") {
-        run_shared_suite(smoke, num_threads());
+    let Args { smoke, shared, ncores } = parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| usage_exit(&format!("chipsim: {e}\n{USAGE}")));
+    if shared {
+        run_shared_suite(smoke);
         return;
     }
-    let ncores_override: Option<usize> = args.iter().position(|a| a == "--ncores").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| (1..=16).contains(&n))
-            .expect("--ncores takes a core count in 1..=16")
-    });
     let threads = num_threads();
 
     let mut pairs = suite::pairs();
@@ -293,7 +297,7 @@ fn main() {
             (a.name, b.name) == ("listwalk", "saxpy") || (a.name, b.name) == ("dct8x8", "sha")
         });
     }
-    let curve_ns: Vec<usize> = match ncores_override {
+    let curve_ns: Vec<usize> = match ncores {
         Some(n) => vec![n],
         None if smoke => vec![1, 2, 4],
         None => vec![1, 2, 4, 8, 16],
@@ -308,11 +312,7 @@ fn main() {
         }
     }
 
-    println!(
-        "chipsim: dual-core shared-NUCA contention ({} pairs, {threads} thread(s))",
-        pairs.len()
-    );
-    println!();
+    println!("chipsim: dual-core shared-NUCA contention ({} pairs)\n", pairs.len());
 
     let solo: HashMap<&'static str, u64> = names
         .iter()
@@ -366,52 +366,28 @@ fn main() {
         );
     }
 
-    // Hand-built JSON: the container has no serde. Same row shape the
-    // perf gate diffs (`name`, `sim_cycles`, `wall_secs`). The field
-    // was once called `gated_secs`, which misread: it is the whole
-    // pairing's wall time, not a gated-vs-ungated comparison time.
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"sim_cycles\": {}, \"wall_secs\": {:.6}, \
-             \"core_cycles\": [{}, {}], \"slowdown\": [{:.4}, {:.4}], \
-             \"bank_conflict_stalls\": {}, \"ocn_tag_highwater\": [{}, {}]}}{}\n",
-            r.name,
-            r.chip_cycles,
-            r.host_secs,
-            r.core_cycles[0],
-            r.core_cycles[1],
-            r.slowdown[0],
-            r.slowdown[1],
-            r.conflict_stalls,
-            r.ocn_highwater[0],
-            r.ocn_highwater[1],
-            if i + 1 == rows.len() && curve.is_empty() { "" } else { "," },
-        ));
-    }
-    // Curve rows: `sim_cycles` is the aggregate over cores so the
-    // cycles-per-second floor measures simulator throughput, not die
-    // width (a 16-core chip advances 16 core-cycles per chip cycle).
-    for (i, c) in curve.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"curve_n{}\", \"sim_cycles\": {}, \"wall_secs\": {:.6}, \
-             \"ncores\": {}, \"chip_cycles\": {}, \"max_slowdown\": {:.4}, \
-             \"bank_conflict_stalls\": {}, \"ocn_tag_highwater\": {}}}{}\n",
-            c.ncores,
-            c.agg_core_cycles,
-            c.host_secs,
-            c.ncores,
-            c.chip_cycles,
-            c.max_slowdown,
-            c.conflict_stalls,
-            c.ocn_highwater,
-            if i + 1 == curve.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let pair_rows = rows.iter().map(|r| {
+        Object::default()
+            .str("name", &r.name)
+            .lit("sim_cycles", r.chip_cycles)
+            .raw("core_cycles", json::array(r.core_cycles))
+            .raw("slowdown", json::array(r.slowdown.map(|s| json::fixed(s, 4))))
+            .lit("bank_conflict_stalls", r.conflict_stalls)
+            .raw("ocn_tag_highwater", json::array(r.ocn_highwater))
+    });
+    // Curve rows: `sim_cycles` is the aggregate over cores (a 16-core
+    // chip advances 16 core-cycles per chip cycle).
+    let curve_rows = curve.iter().map(|c| {
+        Object::default()
+            .str("name", &format!("curve_n{}", c.ncores))
+            .lit("sim_cycles", c.agg_core_cycles)
+            .lit("ncores", c.ncores)
+            .lit("chip_cycles", c.chip_cycles)
+            .lit("max_slowdown", json::fixed(c.max_slowdown, 4))
+            .lit("bank_conflict_stalls", c.conflict_stalls)
+            .lit("ocn_tag_highwater", c.ocn_highwater)
+    });
+    let json = header(smoke).rows("workloads", pair_rows.chain(curve_rows)).document();
     std::fs::write("BENCH_chipsim.json", &json).expect("write BENCH_chipsim.json");
     println!("\nwrote BENCH_chipsim.json");
 
@@ -453,5 +429,27 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(str::to_string))
+    }
+
+    #[test]
+    fn a_flag_chipsim_does_not_know_is_a_usage_error_not_a_full_run() {
+        assert_eq!(parse(""), Ok(Args::default()));
+        let smoke4 = Args { smoke: true, shared: false, ncores: Some(4) };
+        assert_eq!(parse("--smoke --ncores 4"), Ok(smoke4));
+        assert_eq!(parse("--shared --smoke"), Ok(Args { smoke: true, shared: true, ncores: None }));
+        assert!(parse("--smok").expect_err("a typo").contains("\"--smok\""));
+        for bad in ["--ncores", "--ncores x", "--ncores 0", "--ncores 17", "--ncores -1", "smoke"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        assert!(parse("--shared --ncores 2").expect_err("no curve").contains("no curve"));
     }
 }

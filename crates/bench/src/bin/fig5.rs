@@ -1,5 +1,6 @@
 //! Regenerates Figure 5: (a) the dataflow execution example and
 //! (b) the block completion/commit/acknowledgement pipeline overlap.
+//! `--exec` prints only (a), `--commit` only (b).
 
 use trips_core::{CoreConfig, Processor};
 use trips_isa::{
@@ -112,9 +113,7 @@ fn fig5b() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let exec = args.iter().any(|a| a == "--exec");
-    let commit = args.iter().any(|a| a == "--commit");
+    let [exec, commit] = trips_bench::flags_or_exit("fig5", ["--exec", "--commit"]);
     if exec || !commit {
         fig5a();
     }

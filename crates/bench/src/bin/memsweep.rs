@@ -10,17 +10,15 @@
 //! cache modes fail to diverge on any workload, since identical cycle
 //! counts would mean the OCN/bank model is not actually in the loop.
 //!
-//! ```text
-//! memsweep [--threads N]
-//! ```
-//!
-//! Writes `BENCH_memsweep.json` in the current directory (the hand-
-//! built JSON idiom of `simperf`; the container has no serde).
+//! Takes no flags (`TRIPS_THREADS` sizes the worker pool, as for every
+//! binary). Writes `BENCH_memsweep.json` in the current directory:
+//! simulated quantities only, checked in and gated by `git diff`.
 
 use std::process::ExitCode;
 
-use trips_bench::run_trips;
+use trips_bench::{flags_or_exit, run_trips};
 use trips_core::{CoreConfig, CoreStats, MemBackend};
+use trips_harness::json::{fixed, Object};
 use trips_harness::{num_threads, parallel_map};
 use trips_mem::{MemConfig, MemMode};
 use trips_tasm::Quality;
@@ -57,23 +55,8 @@ fn run_point(wl: &Workload, p: Point) -> CoreStats {
 }
 
 fn main() -> ExitCode {
-    let mut threads = num_threads();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = n,
-                None => {
-                    eprintln!("memsweep: --threads needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("memsweep: unknown flag {other:?}\nusage: memsweep [--threads N]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let [] = flags_or_exit("memsweep", []);
+    let threads = num_threads();
 
     let wls = sweep_workloads();
     let cases: Vec<(usize, usize)> =
@@ -90,7 +73,7 @@ fn main() -> ExitCode {
         "{:<10} {:<12} {:>10} {:>8} {:>8} {:>8} {:>9} {:>8}",
         "workload", "config", "cycles", "dfills", "ifills", "dram", "bank-hit", "fill-lat"
     );
-    let mut json = String::from("{\n  \"points\": [\n");
+    let mut rows = Vec::new();
     let mut diverged = Vec::new();
     for (wi, wl) in wls.iter().enumerate() {
         let mut cycles_by_mode: Vec<(MemMode, u64)> = Vec::new();
@@ -109,20 +92,17 @@ fn main() -> ExitCode {
                 100.0 * m.hit_rate(),
                 8.0 * m.fill_latency.mean(),
             );
-            json.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"cycles\": {}, \
-                 \"dside_fills\": {}, \"iside_fills\": {}, \"dram_accesses\": {}, \
-                 \"bank_hit_rate\": {:.4}, \"mean_fill_latency\": {:.1}}}{}\n",
-                wl.name,
-                p.label,
-                s.cycles,
-                m.dside_fills,
-                m.iside_fills,
-                m.dram_accesses,
-                m.hit_rate(),
-                8.0 * m.fill_latency.mean(),
-                if wi + 1 == wls.len() && pi + 1 == POINTS.len() { "" } else { "," },
-            ));
+            rows.push(
+                Object::default()
+                    .str("workload", wl.name)
+                    .str("config", p.label)
+                    .lit("cycles", s.cycles)
+                    .lit("dside_fills", m.dside_fills)
+                    .lit("iside_fills", m.iside_fills)
+                    .lit("dram_accesses", m.dram_accesses)
+                    .lit("bank_hit_rate", fixed(m.hit_rate(), 4))
+                    .lit("mean_fill_latency", fixed(8.0 * m.fill_latency.mean(), 1)),
+            );
             cycles_by_mode.push((p.mode, s.cycles));
         }
         let shared: Vec<u64> = cycles_by_mode
@@ -139,7 +119,7 @@ fn main() -> ExitCode {
             diverged.push(wl.name);
         }
     }
-    json.push_str("  ]\n}\n");
+    let json = Object::default().rows("points", rows).document();
     std::fs::write("BENCH_memsweep.json", &json).expect("write BENCH_memsweep.json");
     println!("\nwrote BENCH_memsweep.json");
 

@@ -20,19 +20,20 @@
 //!   simulator would no longer be sensitive to the structures the
 //!   sweep resizes.
 //!
-//! Flags:
-//!   --smoke   micro + kernel suites only, blessed lattice only (CI;
-//!             the checked-in `BENCH_pareto.json` baseline is this
-//!             configuration, diffed by `compare_simperf.py`)
+//! Flags (anything else is a usage error, exit 2):
+//!   --smoke   micro + kernel suites only, blessed lattice only (the
+//!             checked-in `BENCH_pareto.json` is this configuration)
 //!
-//! Writes `BENCH_pareto.json` in the current directory.
+//! Writes `BENCH_pareto.json` in the current directory: simulated
+//! quantities only, so `git diff` against the checked-in file is the
+//! gate.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use trips_area::{core_area_mm2, ChipConfig};
-use trips_bench::run_trips;
+use trips_bench::{flags_or_exit, run_trips};
 use trips_core::{CoreConfig, CoreGeometry};
+use trips_harness::json::{fixed, Object};
 use trips_harness::{num_threads, parallel_map};
 use trips_tasm::Quality;
 use trips_workloads::{suite, Class, Workload};
@@ -45,7 +46,6 @@ struct WorkloadRun {
     name: &'static str,
     sim_cycles: u64,
     insts_committed: u64,
-    wall_secs: f64,
 }
 
 struct Point {
@@ -64,32 +64,24 @@ impl Point {
     }
 }
 
-fn json_escape_free(name: &str) -> &str {
-    debug_assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || ".-_/x".contains(c)));
-    name
-}
-
-fn sweep_point(geom: CoreGeometry, workloads: &[Workload], threads: usize) -> Point {
+fn sweep_point(geom: CoreGeometry, workloads: &[Workload]) -> Point {
     let area = core_area_mm2(&ChipConfig {
         core: CoreConfig::with_geometry(geom),
         ..ChipConfig::prototype()
     });
-    let runs = parallel_map(workloads.to_vec(), threads, move |wl| {
-        let start = Instant::now();
+    let runs = parallel_map(workloads.to_vec(), num_threads(), move |wl| {
         let stats = run_trips(&wl, Quality::Hand, CoreConfig::with_geometry(geom));
         WorkloadRun {
             name: wl.name,
             sim_cycles: stats.cycles,
             insts_committed: stats.insts_committed,
-            wall_secs: start.elapsed().as_secs_f64(),
         }
     });
     Point { geom, core_area_mm2: area, runs }
 }
 
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let threads = num_threads();
+    let [smoke] = flags_or_exit("paretosweep", ["--smoke"]);
 
     let workloads: Vec<Workload> = suite::all()
         .into_iter()
@@ -105,74 +97,49 @@ fn main() -> ExitCode {
         }
     }
 
+    println!("paretosweep: {} geometries x {} workloads\n", lattice.len(), workloads.len());
     println!(
-        "paretosweep: {} geometries x {} workloads ({threads} thread(s))",
-        lattice.len(),
-        workloads.len()
-    );
-    println!();
-    println!(
-        "{:<10} {:>4} {:>7} {:>12} {:>14} {:>8} {:>10}",
-        "geometry", "ETs", "frames", "core mm2", "sim cycles", "IPC", "host sec"
+        "{:<10} {:>4} {:>7} {:>12} {:>14} {:>8}",
+        "geometry", "ETs", "frames", "core mm2", "sim cycles", "IPC"
     );
 
-    let points: Vec<Point> = lattice.iter().map(|&g| sweep_point(g, &workloads, threads)).collect();
+    let points: Vec<Point> = lattice.iter().map(|&g| sweep_point(g, &workloads)).collect();
     for p in &points {
         let cycles: u64 = p.runs.iter().map(|r| r.sim_cycles).sum();
-        let host: f64 = p.runs.iter().map(|r| r.wall_secs).sum();
         println!(
-            "{:<10} {:>4} {:>7} {:>12.1} {:>14} {:>8.3} {:>10.2}",
+            "{:<10} {:>4} {:>7} {:>12.1} {:>14} {:>8.3}",
             p.geom.name(),
             p.geom.num_ets(),
             p.geom.frames,
             p.core_area_mm2,
             cycles,
             p.ipc(),
-            host,
         );
     }
 
-    // Hand-built JSON: the container has no serde. The flat
-    // `workloads` array ({name, sim_cycles, wall_secs} per
-    // workload-geometry pair) is the row shape compare_simperf.py
-    // gates; `points` carries the Pareto curve itself.
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"geometry\": \"{}\", \"ets\": {}, \"frames\": {}, \
-             \"core_area_mm2\": {:.3}, \"ipc\": {:.4}}}{}\n",
-            json_escape_free(&p.geom.name()),
-            p.geom.num_ets(),
-            p.geom.frames,
-            p.core_area_mm2,
-            p.ipc(),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"workloads\": [\n");
-    let total_rows: usize = points.iter().map(|p| p.runs.len()).sum();
-    let mut row = 0;
-    for p in &points {
-        let gname = p.geom.name();
-        for r in &p.runs {
-            row += 1;
-            json.push_str(&format!(
-                "    {{\"name\": \"{}.{}\", \"sim_cycles\": {}, \"wall_secs\": {:.6}, \
-                 \"insts_committed\": {}}}{}\n",
-                json_escape_free(r.name),
-                json_escape_free(&gname),
-                r.sim_cycles,
-                r.wall_secs,
-                r.insts_committed,
-                if row == total_rows { "" } else { "," },
-            ));
-        }
-    }
-    json.push_str("  ]\n}\n");
+    // `points` is the Pareto curve; `workloads` the flat per
+    // workload-geometry rows beneath it.
+    let point_rows = points.iter().map(|p| {
+        Object::default()
+            .str("geometry", &p.geom.name())
+            .lit("ets", p.geom.num_ets())
+            .lit("frames", p.geom.frames)
+            .lit("core_area_mm2", fixed(p.core_area_mm2, 3))
+            .lit("ipc", fixed(p.ipc(), 4))
+    });
+    let run_rows = points.iter().flat_map(|p| {
+        p.runs.iter().map(|r| {
+            Object::default()
+                .str("name", &format!("{}.{}", r.name, p.geom.name()))
+                .lit("sim_cycles", r.sim_cycles)
+                .lit("insts_committed", r.insts_committed)
+        })
+    });
+    let json = Object::default()
+        .lit("smoke", smoke)
+        .rows("points", point_rows)
+        .rows("workloads", run_rows)
+        .document();
     std::fs::write("BENCH_pareto.json", &json).expect("write BENCH_pareto.json");
     println!("\nwrote BENCH_pareto.json");
 

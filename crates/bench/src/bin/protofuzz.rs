@@ -111,13 +111,8 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("protofuzz: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| trips_bench::usage_exit(&format!("protofuzz: {e}\n{USAGE}")));
     let total = args.seeds.end - args.seeds.start;
     let what = match args.sweep.coherence {
         true => "shared-memory workloads on coherent chips".to_string(),

@@ -8,19 +8,17 @@
 //!   --quick       micro + kernel suites only
 //!   (default: everything)
 
-use trips_bench::{run_alpha, run_trips, speedup};
+use trips_bench::{flags_or_exit, run_alpha, run_trips, speedup};
 use trips_core::{CoreConfig, CATS};
 use trips_harness::{num_threads, parallel_map};
 use trips_tasm::Quality;
 use trips_workloads::{suite, Class};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let want_over = args.iter().any(|a| a == "--overheads");
-    let want_perf = args.iter().any(|a| a == "--perf");
+    let [want_over, want_perf, quick] =
+        flags_or_exit("table3", ["--overheads", "--perf", "--quick"]);
     let overheads = want_over || !want_perf;
     let perf = want_perf || !want_over;
-    let quick = args.iter().any(|a| a == "--quick");
 
     println!("Table 3. Network overheads and preliminary performance (model-regenerated).");
     println!("Methodology as in §5.4: perfect L2 on both machines; hand numbers use");

@@ -74,17 +74,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("tracedump: {e}");
-            eprintln!(
-                "usage: tracedump --workload NAME [--quality hand|compiled] \
-                 [--format text|chrome] [--capacity N] [--out FILE]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| {
+        trips_bench::usage_exit(&format!(
+            "tracedump: {e}\nusage: tracedump --workload NAME [--quality hand|compiled] \
+             [--format text|chrome] [--capacity N] [--out FILE]"
+        ))
+    });
 
     let Some(wl) = suite::by_name(&args.workload) else {
         eprintln!("tracedump: unknown workload {:?}; known:", args.workload);

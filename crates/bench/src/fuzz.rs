@@ -21,7 +21,7 @@
 //! invariant violation, hang, or leaked post-halt state is a protocol
 //! bug by construction.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -29,6 +29,7 @@ use trips_core::{
     Chip, ChipConfig, ChipStats, CoreConfig, CoreGeometry, CoreStats, FaultPlan, MemBackend,
     Processor, TickMode,
 };
+use trips_harness::json::Object;
 use trips_harness::parallel_map;
 use trips_isa::mem::SparseMem;
 use trips_isa::{ArchReg, ProgramImage};
@@ -36,6 +37,9 @@ use trips_mem::{MemConfig, OcnGeometry, MAX_CORES};
 use trips_tasm::{blockinterp, Quality};
 use trips_workloads::shared::SharedProgram;
 use trips_workloads::{suite, Workload};
+
+/// The JSON string escape, at the path the perf ledger imports it from.
+pub use trips_harness::json::escape as json_escape;
 
 /// Cycle budget for one fuzzed run. Random plans slow a run down
 /// (stall bursts, chain delays, flush storms) but never wedge it —
@@ -636,39 +640,16 @@ impl Fuzzer {
             Err(invalid) => (invalid, None),
         };
         let (hangs, trace) = post.unwrap_or_else(|| (String::new(), "null".into()));
-        let mut s = String::from("{\n");
-        for (key, text) in [
-            ("scenario", &shrunk.scenario.to_string()),
-            ("shrunk_failure", &shrunk.why),
-            ("unshrunk_scenario", &fail.scenario.to_string()),
-            ("failure", &fail.why),
-            ("rerun", &rerun),
-            ("hang_report", &hangs),
-        ] {
-            let _ = writeln!(s, "  \"{key}\": \"{}\",", json_escape(text));
-        }
-        let _ = writeln!(s, "  \"chrome_trace\": {}\n}}", trace.trim_end());
-        s
+        Object::default()
+            .str("scenario", &shrunk.scenario.to_string())
+            .str("shrunk_failure", &shrunk.why)
+            .str("unshrunk_scenario", &fail.scenario.to_string())
+            .str("failure", &fail.why)
+            .str("rerun", &rerun)
+            .str("hang_report", &hangs)
+            .raw("chrome_trace", trace.trim_end())
+            .document()
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -914,11 +895,5 @@ nuca vadd hand prototype fast | shared:4 pcring hand prototype fast";
         assert!(min.flush_storm.is_some(), "shrinker must preserve the failure");
         assert!(min.links.is_empty() && min.chain_delay.is_none() && !min.rotate_arbitration);
         assert_eq!(why, "storm still present");
-    }
-
-    #[test]
-    fn json_escape_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -14,18 +14,16 @@
 //! host-nanoseconds and invocation counts per [`TickPhase`] — the
 //! schedule read, the GT's chain-drain / frame-walk / fetch-FSM
 //! sub-phases, each other tile kind as a group, the micronets, and the
-//! memory system — and renders the totals as a table
-//! ([`TickProfile::report`]) or JSON ([`TickProfile::json`], written
-//! by `simperf --profile` as `BENCH_tickprofile.json`). Profiled runs
-//! are architecturally identical to unprofiled ones (the instrument
-//! only reads the host clock); wall-clock measurements are taken on
-//! separate unprofiled runs so the `Instant` overhead never pollutes
-//! the reported throughput.
+//! memory system — read back per phase with [`TickProfile::acc`] (the
+//! perf ledger's traced runs report them as `core.tick.*`). Profiled
+//! runs are architecturally identical to unprofiled ones (the
+//! instrument only reads the host clock); wall-clock measurements are
+//! taken on separate unprofiled runs so the `Instant` overhead never
+//! pollutes the reported throughput.
 //!
 //! [`Processor::tick`]: crate::Processor::tick
 //! [`Processor::enable_profiling`]: crate::Processor::enable_profiling
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Phases of one simulated cycle, in tick order.
@@ -72,7 +70,7 @@ impl TickPhase {
         TickPhase::MemSys,
     ];
 
-    /// Stable snake_case name (used as the JSON key).
+    /// Stable snake_case name (the ledger's metric-name stem).
     pub fn name(self) -> &'static str {
         match self {
             TickPhase::Scan => "scan",
@@ -172,62 +170,6 @@ impl TickProfile {
     pub fn acc(&self, phase: TickPhase) -> PhaseAcc {
         self.acc[phase.index()]
     }
-
-    /// Total nanoseconds across all phases.
-    pub fn total_ns(&self) -> u64 {
-        self.acc.iter().map(|a| a.ns).sum()
-    }
-
-    /// Folds another profile's counts into this one (for aggregating
-    /// across workloads).
-    pub fn merge(&mut self, other: &TickProfile) {
-        for (a, b) in self.acc.iter_mut().zip(other.acc.iter()) {
-            a.ns += b.ns;
-            a.calls += b.calls;
-        }
-    }
-
-    /// A human-readable per-phase table, phases in tick order.
-    pub fn report(&self) -> String {
-        let total = self.total_ns().max(1) as f64;
-        let mut out = String::new();
-        writeln!(
-            out,
-            "{:<10} {:>12} {:>12} {:>9} {:>7}",
-            "phase", "total ms", "calls", "ns/call", "share"
-        )
-        .unwrap();
-        for p in TickPhase::ALL {
-            let a = self.acc(p);
-            writeln!(
-                out,
-                "{:<10} {:>12.3} {:>12} {:>9.1} {:>6.1}%",
-                p.name(),
-                a.ns as f64 / 1e6,
-                a.calls,
-                a.ns as f64 / (a.calls.max(1) as f64),
-                100.0 * a.ns as f64 / total,
-            )
-            .unwrap();
-        }
-        out
-    }
-
-    /// The per-phase counts as a JSON object (`{"scan": {"ns": ...,
-    /// "calls": ...}, ...}`), hand-built like every other benchmark
-    /// artifact (the container has no serde).
-    pub fn json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, p) in TickPhase::ALL.iter().enumerate() {
-            let a = self.acc(*p);
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write!(out, "\"{}\": {{\"ns\": {}, \"calls\": {}}}", p.name(), a.ns, a.calls).unwrap();
-        }
-        out.push('}');
-        out
-    }
 }
 
 impl Default for TickProfile {
@@ -247,7 +189,6 @@ mod tests {
         assert!(t.is_none(), "disabled begin must not read the clock");
         p.end(TickPhase::Scan, t);
         assert_eq!(p.acc(TickPhase::Scan), PhaseAcc::default());
-        assert_eq!(p.total_ns(), 0);
     }
 
     #[test]
@@ -260,12 +201,5 @@ mod tests {
         }
         assert_eq!(p.acc(TickPhase::Et).calls, 3);
         assert_eq!(p.acc(TickPhase::Rt).calls, 0);
-        let json = p.json();
-        assert!(json.contains("\"et\": {\"ns\": "), "json names phases: {json}");
-        let mut other = TickProfile::enabled();
-        let t = other.begin();
-        other.end(TickPhase::Et, t);
-        p.merge(&other);
-        assert_eq!(p.acc(TickPhase::Et).calls, 4);
     }
 }

@@ -1,23 +1,25 @@
 //! # trips-harness — self-contained test and bench support
 //!
 //! The build environment for this repository has no access to
-//! crates.io, so the usual `rand`/`proptest`/`criterion` stack is
-//! unavailable. This crate supplies the two pieces the workspace
-//! actually needs, with zero dependencies:
+//! crates.io, so the usual `rand`/`rayon`/`serde` stack is
+//! unavailable. This crate supplies the pieces the workspace actually
+//! needs, with zero dependencies:
 //!
 //! * [`Rng`] — a small, fast, seeded PRNG (SplitMix64) for
 //!   deterministic randomized tests;
-//! * [`Criterion`] — a minimal wall-clock micro-benchmark harness with
-//!   a Criterion-compatible surface (`bench_function`, `iter`,
-//!   `sample_size`, and the [`criterion_group!`]/[`criterion_main!`]
-//!   macros) so the `harness = false` bench targets keep their shape;
 //! * [`parallel_map`] — a scoped-thread worker pool (in place of
 //!   `rayon`) that shards independent simulator runs across host
-//!   cores while preserving input order in the results.
+//!   cores while preserving input order in the results;
+//! * [`json`] — the one writer behind every JSON file the harness
+//!   binaries emit.
+//!
+//! It times nothing: host time is measured in one place, the perf
+//! ledger (`benchmark/`).
+
+pub mod json;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 pub use std::hint::black_box;
 
@@ -88,101 +90,6 @@ impl Rng {
     }
 }
 
-/// Timing results of one benchmark: wall-clock per iteration.
-struct Sample {
-    mean_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-}
-
-/// A minimal stand-in for `criterion::Criterion`.
-pub struct Criterion {
-    sample_size: usize,
-}
-
-impl Default for Criterion {
-    fn default() -> Criterion {
-        Criterion { sample_size: 10 }
-    }
-}
-
-impl Criterion {
-    /// Number of timed samples per benchmark (compatibility shim).
-    #[must_use]
-    pub fn sample_size(mut self, n: usize) -> Criterion {
-        self.sample_size = n.max(2);
-        self
-    }
-
-    /// Runs `f` as a named benchmark: one warm-up sample, then
-    /// `sample_size` timed samples, printing mean/min/max per
-    /// iteration.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F)
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher { iters: 1, elapsed_ns: 0.0 };
-        // Warm-up and iteration-count calibration: grow the iteration
-        // count until one sample takes ≥ ~5 ms.
-        loop {
-            b.elapsed_ns = 0.0;
-            f(&mut b);
-            if b.elapsed_ns >= 5_000_000.0 || b.iters >= 1 << 20 {
-                break;
-            }
-            b.iters *= 4;
-        }
-        let mut means = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            b.elapsed_ns = 0.0;
-            f(&mut b);
-            means.push(b.elapsed_ns / b.iters as f64);
-        }
-        let s = Sample {
-            mean_ns: means.iter().sum::<f64>() / means.len() as f64,
-            min_ns: means.iter().cloned().fold(f64::INFINITY, f64::min),
-            max_ns: means.iter().cloned().fold(0.0, f64::max),
-        };
-        println!(
-            "{name:<40} {:>12} {:>12} {:>12}   ({} samples x {} iters)",
-            fmt_ns(s.mean_ns),
-            fmt_ns(s.min_ns),
-            fmt_ns(s.max_ns),
-            self.sample_size,
-            b.iters,
-        );
-    }
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} µs", ns / 1e3)
-    } else {
-        format!("{ns:.1} ns")
-    }
-}
-
-/// The per-benchmark timing driver handed to the closure.
-pub struct Bencher {
-    iters: u64,
-    elapsed_ns: f64,
-}
-
-impl Bencher {
-    /// Times `routine`, running it the calibrated number of times.
-    pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        let start = Instant::now();
-        for _ in 0..self.iters {
-            black_box(routine());
-        }
-        self.elapsed_ns += start.elapsed().as_nanos() as f64;
-    }
-}
-
 /// Worker threads to use for [`parallel_map`]: the `TRIPS_THREADS`
 /// environment variable when set to a positive integer, otherwise the
 /// host's available parallelism (1 if that cannot be determined).
@@ -241,36 +148,6 @@ where
     out.sort_by_key(|&(i, _)| i);
     debug_assert_eq!(out.len(), slots.len());
     out.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Criterion-compatible group definition. Both the simple
-/// `criterion_group!(name, target, ...)` and the configured
-/// `criterion_group! { name = ..; config = ..; targets = .. }` forms
-/// are accepted.
-#[macro_export]
-macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c: $crate::Criterion = $config;
-            $($target(&mut c);)+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c = $crate::Criterion::default();
-            $($target(&mut c);)+
-        }
-    };
-}
-
-/// Criterion-compatible main: runs every listed group.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
 }
 
 #[cfg(test)]
