@@ -4,6 +4,7 @@
 use trips_area::{floorplan, table1, ChipConfig};
 
 fn main() {
+    let [] = trips_bench::flags_or_exit("fig6", []);
     let cfg = ChipConfig::prototype();
     println!("Figure 6. TRIPS physical floorplan (ASCII rendition).");
     println!();

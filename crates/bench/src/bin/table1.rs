@@ -3,6 +3,7 @@
 use trips_area::{chip_summary, render_table1, ChipConfig};
 
 fn main() {
+    let [] = trips_bench::flags_or_exit("table1", []);
     let cfg = ChipConfig::prototype();
     println!("Table 1. TRIPS Tile Specifications (model-regenerated).");
     print!("{}", render_table1(&cfg));

@@ -3,6 +3,7 @@
 use trips_area::networks_table;
 
 fn main() {
+    let [] = trips_bench::flags_or_exit("table2", []);
     println!("Table 2. TRIPS Control and Data Networks (model-regenerated).");
     println!("{:<28} {:>18} {:>12}", "Network", "Use", "Bits");
     for row in networks_table() {

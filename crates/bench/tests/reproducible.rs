@@ -45,4 +45,15 @@ fn an_unknown_flag_is_a_usage_error_that_writes_nothing() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage: chipsim"));
         assert!(!dir.join("BENCH_chipsim.json").exists(), "a mistyped flag overwrote the baseline");
     });
+    // The binaries that take no argument refuse any, before printing.
+    for (bin, exe) in [
+        ("fig6", env!("CARGO_BIN_EXE_fig6")),
+        ("table1", env!("CARGO_BIN_EXE_table1")),
+        ("table2", env!("CARGO_BIN_EXE_table2")),
+    ] {
+        let out = Command::new(exe).arg("--help").output().expect("the binary runs");
+        assert_eq!(out.status.code(), Some(2), "{bin}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(&format!("usage: {bin}")), "{out:?}");
+        assert!(out.stdout.is_empty(), "{bin} printed its table for an argument it refused");
+    }
 }

@@ -323,7 +323,7 @@ impl OpnOutbox {
                 i += 1;
                 continue;
             }
-            if !nets.opn[n].can_inject(src.opn()) {
+            if !nets.opn[n].can_inject(src.opn(), 0) {
                 stalled |= bit;
                 nets.opn_inject_stalls += 1;
                 i += 1;
@@ -500,7 +500,7 @@ mod tests {
         let no = nets.opn_for(open_dst);
         assert_ne!(nb, no);
         // Fill the blocked network's local inject FIFO at src.
-        while nets.opn[nb].can_inject(src.opn()) {
+        while nets.opn[nb].can_inject(src.opn(), 0) {
             nets.opn[nb].inject(0, MeshMsg::new(src.opn(), blocked_dst.opn(), operand()));
         }
         let mut ob = OpnOutbox::default();
@@ -529,7 +529,7 @@ mod tests {
         let dst = TileId::Et(0, 1);
         // Fill the inject FIFO at src by direct injection, then one
         // raw failed injection (the non-outbox path).
-        while nets.opn[0].can_inject(src.opn()) {
+        while nets.opn[0].can_inject(src.opn(), 0) {
             nets.opn[0].inject(0, MeshMsg::new(src.opn(), dst.opn(), operand()));
         }
         assert!(!nets.opn[0].inject(0, MeshMsg::new(src.opn(), dst.opn(), operand())));

@@ -4,7 +4,9 @@
 //! die tiles that block vertically per [`OcnGeometry`].
 
 use trips_isa::mem::SparseMem;
-use trips_micronet::{MeshFaultConfig, PacketMesh, PacketMsg, PacketStats, PacketWork, MAX_TAGS};
+use trips_micronet::{
+    Mesh, MeshFaultConfig, MeshMsg, MeshWork, PacketStats, MAX_TAGS, VIRTUAL_CHANNELS,
+};
 
 use crate::geometry::OcnGeometry;
 use crate::tiles::{MemTile, NetTile, LINE};
@@ -236,7 +238,7 @@ pub struct SecondarySystem {
     /// The floorplan: prototype blocks tiled per the die's core count
     /// (4×10 mesh, 16 banks, 20 ports per block — Figure 6).
     geo: OcnGeometry,
-    ocn: PacketMesh<Packet>,
+    ocn: Mesh<Packet, VIRTUAL_CHANNELS>,
     banks: Vec<MemTile>,
     nts: Vec<NetTile>,
     backing: SparseMem,
@@ -348,7 +350,7 @@ impl SecondarySystem {
             })
             .collect();
         SecondarySystem {
-            ocn: PacketMesh::new(geo.rows(), geo.cols(), cfg.vc_cap),
+            ocn: Mesh::new(geo.rows(), geo.cols(), cfg.vc_cap),
             banks,
             nts,
             backing: SparseMem::new(),
@@ -509,18 +511,15 @@ impl SecondarySystem {
         } else {
             self.requests += 1;
         }
-        let accepted = self.ocn.inject(
-            now,
-            PacketMsg::new(src, dst, Packet::Req { port, req }, flits, vc)
-                .with_tag(self.port_tag[port]),
-        );
+        let msg = MeshMsg::packet(src, dst, Packet::Req { port, req }, flits, vc);
+        let accepted = self.ocn.inject(now, msg.with_tag(self.port_tag[port]));
         debug_assert!(accepted, "admitted a moment ago");
         true
     }
 
     /// Pops a response for `port`, if one has arrived by `now`.
     pub fn pop_response(&mut self, now: u64, port: usize) -> Option<MemResp> {
-        match self.ocn.eject(now, self.geo.port_coord(port)) {
+        match self.ocn.eject_at(now, self.geo.port_coord(port)) {
             Some(m) => match m.payload {
                 Packet::Resp { resp, .. } => {
                     if resp.id & ID_COH != 0 {
@@ -550,7 +549,7 @@ impl SecondarySystem {
     /// `accepted - delivered ==
     ///  in_system - coh_tokens_in_system + dir_deferred`.
     pub fn in_system(&self) -> usize {
-        self.ocn.in_flight() + self.ocn.queued_ejects() + self.in_bank.len()
+        self.ocn.in_flight() + self.ocn.undrained() + self.in_bank.len()
     }
 
     /// Cycle of the next state change inside the secondary system, for
@@ -569,7 +568,7 @@ impl SecondarySystem {
     /// installing), so a fill is in place by the time anything can
     /// tell, however many cycles were skipped since it came due.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        if self.ocn.in_flight() > 0 || self.ocn.queued_ejects() > 0 {
+        if self.ocn.in_flight() > 0 || self.ocn.undrained() > 0 {
             return Some(now);
         }
         self.in_bank.iter().map(|&(ready, _, _)| ready.max(now)).min()
@@ -581,11 +580,11 @@ impl SecondarySystem {
     }
 
     /// The OCN's deterministic cost counters — ticks, routers
-    /// arbitrated, queue heads routed (see [`PacketWork`]). They
+    /// arbitrated, queue heads routed (see [`MeshWork`]). They
     /// repeat exactly for a given request pattern, so a test can gate
     /// "the network did work proportional to its traffic" as it gates
     /// cycle counts.
-    pub fn ocn_work(&self) -> PacketWork {
+    pub fn ocn_work(&self) -> MeshWork {
         self.ocn.work()
     }
 
@@ -607,7 +606,7 @@ impl SecondarySystem {
     }
 
     /// OCN conservation audit (see
-    /// [`PacketMesh::audit`](trips_micronet::PacketMesh)).
+    /// [`Mesh::audit`](trips_micronet::Mesh::audit)).
     ///
     /// # Errors
     ///
@@ -623,7 +622,7 @@ impl SecondarySystem {
         // fill due; `mshr_fill` is lazy, and both places that look at
         // a bank's tags or MSHR settle it first, so the fill still
         // lands before anything can observe the bank.
-        if self.ocn.queued_ejects() > 0 {
+        if self.ocn.undrained() > 0 {
             self.accept_at_banks(now);
         }
         self.finish_bank_accesses(now);
@@ -634,7 +633,7 @@ impl SecondarySystem {
     /// arrived at each bank's router.
     fn accept_at_banks(&mut self, now: u64) {
         for (bi, bank) in self.banks.iter_mut().enumerate() {
-            if let Some(m) = self.ocn.eject(now, bank.coord) {
+            if let Some(m) = self.ocn.eject_at(now, bank.coord) {
                 match m.payload {
                     Packet::Req { port, req } if req.kind == ReqKind::InvalAck => {
                         // Processed on arrival: no service slot, no tag
@@ -749,7 +748,7 @@ impl SecondarySystem {
                 let src = self.banks[bi].coord;
                 if self.ocn.admit(src, vc) {
                     let dst = self.geo.port_coord(port);
-                    let msg = PacketMsg::new(src, dst, pkt, flits, vc);
+                    let msg = MeshMsg::packet(src, dst, pkt, flits, vc);
                     let accepted = self.ocn.inject(now, msg.with_tag(self.port_tag[port]));
                     debug_assert!(accepted, "admitted a moment ago");
                     self.in_bank_count[bi] = self.in_bank_count[bi].saturating_sub(1);

@@ -114,22 +114,6 @@ pub struct ChainFaultConfig {
     pub max_extra: u64,
 }
 
-/// Fault configuration for one [`Link`](crate::Link): as
-/// [`ChainFaultConfig`], but no clamping is needed — a link's queue is
-/// drained strictly front-first, so per-message extra delay can never
-/// reorder it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFaultConfig {
-    /// Seed for this link's private fault PRNG.
-    pub seed: u64,
-    /// Extra-delay probability numerator (0 disables the fault).
-    pub num: u64,
-    /// Extra-delay probability denominator.
-    pub den: u64,
-    /// Maximum extra delay in cycles (at least 1 is used).
-    pub max_extra: u64,
-}
-
 /// Compiled per-mesh fault state: per-router/per-port stall parameters
 /// and burst deadlines, plus the arbitration-rotation switch.
 #[derive(Debug, Clone)]
@@ -245,35 +229,6 @@ impl ChainFaultState {
         at = at.max(self.floor[to]);
         self.floor[to] = at;
         at
-    }
-}
-
-/// Compiled per-link fault state.
-#[derive(Debug, Clone)]
-pub(crate) struct LinkFaultState {
-    rng: Rng,
-    num: u64,
-    den: u64,
-    max_extra: u64,
-}
-
-impl LinkFaultState {
-    pub(crate) fn new(cfg: &LinkFaultConfig) -> LinkFaultState {
-        LinkFaultState {
-            rng: Rng::new(cfg.seed),
-            num: cfg.num,
-            den: cfg.den,
-            max_extra: cfg.max_extra.max(1),
-        }
-    }
-
-    /// Extra cycles of delay for the message being sent now.
-    pub(crate) fn extra(&mut self) -> u64 {
-        if self.num > 0 && self.rng.chance(self.num, self.den) {
-            1 + self.rng.range_u64(0, self.max_extra)
-        } else {
-            0
-        }
     }
 }
 

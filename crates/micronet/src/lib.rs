@@ -6,16 +6,19 @@
 //! crate provides the network substrate the processor model is built
 //! on:
 //!
-//! * [`Link`] — a registered, nearest-neighbour, credit-flow-controlled
-//!   wire segment with one-cycle latency, the primitive from which the
-//!   six control micronets (GDN, GCN, GSN, GRN, DSN, ESN) are wired.
-//! * [`Mesh`] — a two-dimensional mesh of single-flit wormhole routers
-//!   with Y-X dimension-order routing, used for the operand network
-//!   (OPN): a 5×5 mesh with separate control/data phits delivering one
-//!   64-bit operand per link per cycle.
-//! * [`PacketMesh`] — a multi-flit packet mesh with virtual channels,
-//!   used for the on-chip network (OCN): the 4×10, 16-byte-link,
-//!   4-virtual-channel network of the secondary memory system.
+//! * [`Chain`] — a linear path of point-to-point links traversed one
+//!   tile per cycle, delivering in send order: the primitive from
+//!   which the six control micronets (GDN, GCN, GSN, GRN, DSN, ESN)
+//!   are wired. It models latency, not link contention.
+//! * [`Mesh`] — a two-dimensional mesh of wormhole routers with Y-X
+//!   dimension-order routing, credit flow control and round-robin
+//!   arbitration: the one router behind both data networks.
+//!   `Mesh<P>` (one virtual channel, single-flit messages) is the
+//!   operand network (OPN), a 5×5 mesh with separate control/data
+//!   phits delivering one 64-bit operand per link per cycle;
+//!   `Mesh<P, VIRTUAL_CHANNELS>` carrying multi-flit packets is the
+//!   on-chip network (OCN), the 4×10, 16-byte-link, 4-virtual-channel
+//!   network of the secondary memory system.
 //! * [`WakeTable`] — one due cycle per tile, lowered by the chains and
 //!   the mesh as they deliver, so a scheduler reads who has work
 //!   instead of polling every inbox.
@@ -51,16 +54,14 @@
 
 mod chain;
 mod fault;
-mod link;
 mod mesh;
-mod packet;
 mod routerset;
 mod wake;
 pub mod widths;
 
 pub use chain::Chain;
-pub use fault::{ChainFaultConfig, FaultPort, LinkFaultConfig, MeshFaultConfig, PortStall};
-pub use link::Link;
-pub use mesh::{Coord, Mesh, MeshMsg, MeshStats};
-pub use packet::{PacketMesh, PacketMsg, PacketStats, PacketWork, MAX_TAGS, VIRTUAL_CHANNELS};
+pub use fault::{ChainFaultConfig, FaultPort, MeshFaultConfig, PortStall};
+pub use mesh::{
+    Coord, Mesh, MeshMsg, MeshStats, MeshWork, PacketStats, MAX_TAGS, VIRTUAL_CHANNELS,
+};
 pub use wake::{WakePort, WakeTable};

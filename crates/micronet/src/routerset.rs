@@ -1,6 +1,6 @@
 //! A fixed-capacity set of router indices, one bit per router.
 //!
-//! Both meshes keep "which routers hold anything" as a set so a tick
+//! A mesh keeps "which routers hold anything" as a set so a tick
 //! costs what is in flight, not what the die could hold. The set is
 //! as many 64-bit words as the mesh needs — the 5×5 OPN fits one, the
 //! fat die's 9×9 OPN and every multi-block OCN do not — and no caller
