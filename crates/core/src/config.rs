@@ -269,33 +269,39 @@ impl CoreGeometry {
     }
 
     // ---- block-onto-tiles folding ----
+    //
+    // Shift-only: `validate` makes every dimension a power of two, so
+    // `x / d` is `x >> d.trailing_zeros()` and `x % d` is `x & (d - 1)`.
+    // These run per dispatched instruction and per delivered operand,
+    // where a 64-bit divide by a runtime value costs more than the rest
+    // of the helper (DESIGN.md §5f).
 
     /// Block-body instructions per ET row (one body IT's slice).
     pub fn insts_per_row(&self) -> usize {
-        128 / self.et_rows
+        128 >> self.et_rows.trailing_zeros()
     }
 
     /// Dispatch beats per block: each body IT streams its slice at
     /// `et_cols` instructions per beat, so `insts_per_row / et_cols`
     /// (= `rs_per_frame`; 8 on the prototype).
     pub fn beats(&self) -> usize {
-        self.insts_per_row() / self.et_cols
+        self.insts_per_row() >> self.et_cols.trailing_zeros()
     }
 
     /// Header read/write slots the header IT issues per beat
-    /// (4 on the prototype).
+    /// (`32 / beats`; 4 on the prototype).
     pub fn header_slots_per_beat(&self) -> usize {
-        32 / self.beats()
+        32 >> self.beats().trailing_zeros()
     }
 
     /// Header read/write slots homed at each RT (8 on the prototype).
     pub fn slots_per_rt(&self) -> usize {
-        32 / self.num_rts()
+        32 >> self.num_rts().trailing_zeros()
     }
 
     /// Architectural registers homed at each RT (32 on the prototype).
     pub fn regs_per_bank(&self) -> usize {
-        128 / self.num_rts()
+        128 >> self.num_rts().trailing_zeros()
     }
 
     /// The (row, col, station-slot) placement of block-body
@@ -304,9 +310,10 @@ impl CoreGeometry {
     /// `p / et_cols` — the prototype's chunk striping generalized
     /// (4×4 recovers `InstSlot::from_index` exactly).
     pub fn inst_place(&self, idx: u8) -> (u8, u8, u8) {
-        let ipr = self.insts_per_row();
-        let p = idx as usize % ipr;
-        ((idx as usize / ipr) as u8, (p % self.et_cols) as u8, (p / self.et_cols) as u8)
+        let (ipr, cols) = (self.insts_per_row(), self.et_cols);
+        let p = idx as usize & (ipr - 1);
+        let (row, slot) = (idx as usize >> ipr.trailing_zeros(), p >> cols.trailing_zeros());
+        (row as u8, (p & (cols - 1)) as u8, slot as u8)
     }
 
     /// The ET hosting block-body instruction `idx`.
@@ -323,19 +330,19 @@ impl CoreGeometry {
 
     /// The RT hosting header read/write slot `slot`.
     pub fn tile_of_header_slot(&self, slot: u8) -> TileId {
-        TileId::Rt(slot / self.slots_per_rt() as u8)
+        TileId::Rt(slot >> self.slots_per_rt().trailing_zeros())
     }
 
     /// The DT owning byte address `ea` (cache lines interleave across
     /// the DTs at 64-byte granularity, §3.5).
     pub fn tile_of_addr(&self, ea: u64) -> TileId {
-        TileId::Dt(((ea >> 6) % self.num_dts() as u64) as u8)
+        TileId::Dt(((ea >> 6) & (self.num_dts() as u64 - 1)) as u8)
     }
 
     /// The DT that owns LSID `lsid`'s queue entry for requests with
     /// no address (nullified stores).
     pub fn dt_of_lsid(&self, lsid: u8) -> u8 {
-        lsid % self.num_dts() as u8
+        lsid & (self.num_dts() - 1) as u8
     }
 
     /// The hardware register bank (RT index) holding register `r`.
@@ -343,12 +350,12 @@ impl CoreGeometry {
     /// whole encoding banks fold together, so a header slot and the
     /// register it names always land on the same RT.
     pub fn reg_bank(&self, r: u8) -> usize {
-        r as usize / self.regs_per_bank()
+        r as usize >> self.regs_per_bank().trailing_zeros()
     }
 
     /// The index of register `r` within its hardware bank.
     pub fn reg_index(&self, r: u8) -> usize {
-        r as usize % self.regs_per_bank()
+        r as usize & (self.regs_per_bank() - 1)
     }
 
     // ---- tick-mask / wake-table layout ----
@@ -754,6 +761,61 @@ mod tests {
             assert_eq!(g.beats() * g.header_slots_per_beat(), 32);
             assert_eq!(g.beats() * g.et_cols, g.insts_per_row());
         }
+    }
+
+    #[test]
+    fn shift_folding_equals_the_division_formulas_on_every_legal_die() {
+        // The reference is the `/`-`%` arithmetic the helpers were
+        // first written in, over every input a `u8` (or a line address)
+        // can carry — not only the in-range ones: an out-of-range
+        // index must keep folding to the same out-of-range tile.
+        let dims = [1usize, 2, 4, 8];
+        let mut dies = 0;
+        for (et_rows, et_cols) in dims.iter().flat_map(|&r| dims.map(|c| (r, c))) {
+            for frames in 1..=MAX_FRAMES {
+                let ets = et_rows * et_cols;
+                let g = CoreGeometry {
+                    et_rows,
+                    et_cols,
+                    frames,
+                    rs_per_frame: 128 / ets.max(4),
+                    lsq_depth: 64,
+                };
+                if g.validate().is_err() {
+                    assert!(ets < 4, "{et_rows}x{et_cols}/{frames} must be a legal die");
+                    continue;
+                }
+                dies += 1;
+                let ipr = 128 / et_rows;
+                let beats = ipr / et_cols;
+                let rts = et_cols.min(4);
+                assert_eq!(g.insts_per_row(), ipr);
+                assert_eq!(g.beats(), beats);
+                assert_eq!(g.beats(), g.rs_per_frame);
+                assert_eq!(g.header_slots_per_beat(), 32 / beats);
+                assert_eq!(g.slots_per_rt(), 32 / rts);
+                assert_eq!(g.regs_per_bank(), 128 / rts);
+                for v in 0..=u8::MAX {
+                    let i = v as usize;
+                    let p = i % ipr;
+                    let place = ((i / ipr) as u8, (p % et_cols) as u8, (p / et_cols) as u8);
+                    assert_eq!(g.inst_place(v), place, "{} inst {v}", g.name());
+                    assert_eq!(g.tile_of_inst(v), TileId::Et(place.0, place.1));
+                    assert_eq!(g.inst_slot(v), place.2 as usize);
+                    assert_eq!(g.tile_of_header_slot(v), TileId::Rt(v / (32 / rts) as u8));
+                    assert_eq!(g.dt_of_lsid(v), v % et_rows as u8);
+                    assert_eq!(g.reg_bank(v), i / (128 / rts));
+                    assert_eq!(g.reg_index(v), i % (128 / rts));
+                }
+                for line in (0..64u64).chain([u64::MAX >> 6, (u64::MAX >> 6) - 5]) {
+                    for ea in [line << 6, (line << 6) | 63] {
+                        let dt = ((ea >> 6) % et_rows as u64) as u8;
+                        assert_eq!(g.tile_of_addr(ea), TileId::Dt(dt), "{} ea {ea:#x}", g.name());
+                    }
+                }
+            }
+        }
+        assert_eq!(dies, 13 * MAX_FRAMES, "13 of the 16 power-of-two arrays have ≥4 ETs");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, FrameMask};
 use crate::critpath::{Cat, CritPath};
+use crate::gt::GlobalTile;
 use crate::memsys::{FillPath, MemClient, MemEvent, MemSys};
 use crate::msg::{DsnMsg, EvId, FrameId, GcnMsg, Gen, GsnMsg, OpnPayload, RowMsg, TileId};
 use crate::nets::{dt_chain_pos, opn_recv, Nets, OpnOutbox};
@@ -278,7 +279,7 @@ impl DataTile {
     /// DT-side protocol invariants: LSQ-ID sanity, occupancy
     /// accounting, and the cross-tile generation bound (see
     /// [`crate::invariants`]).
-    pub(crate) fn audit(&self, gt_gens: &[Gen], gt_free: &[bool]) -> Result<(), String> {
+    pub(crate) fn audit(&self, gt: &GlobalTile) -> Result<(), String> {
         let mut seen: FrameMask = 0;
         for &f in &self.order {
             let bit = (1 as FrameMask) << f.0;
@@ -320,13 +321,14 @@ impl DataTile {
                 continue;
             }
             live += f.own_stores.len() + f.performed_loads.len();
-            if f.gen > gt_gens[fi] {
+            let (gt_gen, gt_free) = gt.slot(fi);
+            if f.gen > gt_gen {
                 return Err(format!(
                     "DT{}: frame {fi} active at gen {} but the GT is at gen {}",
-                    self.index, f.gen, gt_gens[fi]
+                    self.index, f.gen, gt_gen
                 ));
             }
-            if f.gen == gt_gens[fi] && gt_free[fi] {
+            if f.gen == gt_gen && gt_free {
                 return Err(format!(
                     "DT{}: frame {fi} active at the GT's current gen {} but the GT slot is free",
                     self.index, f.gen

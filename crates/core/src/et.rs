@@ -15,6 +15,7 @@ use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, FrameMask, StationMask};
 use crate::critpath::{Cat, CritPath};
+use crate::gt::GlobalTile;
 use crate::msg::{EvId, FrameId, GcnMsg, Gen, OpnPayload, RowMsg, TileId};
 use crate::nets::{opn_recv_batch, row_pos_of_col, Nets, OpnOutbox};
 use crate::stats::CoreStats;
@@ -200,13 +201,18 @@ impl ExecTile {
     }
 
     /// ET-side protocol invariants (see [`crate::invariants`]).
-    pub(crate) fn audit(&self, gt_gens: &[Gen], gt_free: &[bool]) -> Result<(), String> {
-        let at = format!("ET({},{})", self.row, self.col);
+    pub(crate) fn audit(&self, gt: &GlobalTile) -> Result<(), String> {
+        // The label is built on the failing path only: this runs on
+        // every ET every checked cycle.
+        self.audit_frames(gt).map_err(|e| format!("ET({},{}): {e}", self.row, self.col))
+    }
+
+    fn audit_frames(&self, gt: &GlobalTile) -> Result<(), String> {
         let mut seen: FrameMask = 0;
         for &f in &self.order {
             let bit = (1 as FrameMask) << f.0;
             if seen & bit != 0 {
-                return Err(format!("{at}: frame {} twice in activation order", f.0));
+                return Err(format!("frame {} twice in activation order", f.0));
             }
             seen |= bit;
         }
@@ -214,14 +220,14 @@ impl ExecTile {
             let listed = self.ready_frames & (1 << fi) != 0;
             if (f.ready != 0) != listed {
                 return Err(format!(
-                    "{at}: frame {fi} ready mask {:#04x} but work-list bit {listed}",
+                    "frame {fi} ready mask {:#04x} but work-list bit {listed}",
                     f.ready
                 ));
             }
             let in_order = seen & (1 << fi) != 0;
             if f.active != in_order {
                 return Err(format!(
-                    "{at}: frame {fi} active={} but {} the activation order",
+                    "frame {fi} active={} but {} the activation order",
                     f.active,
                     if in_order { "in" } else { "not in" }
                 ));
@@ -229,15 +235,16 @@ impl ExecTile {
             if !f.active {
                 continue;
             }
-            if f.gen > gt_gens[fi] {
+            let (gt_gen, gt_free) = gt.slot(fi);
+            if f.gen > gt_gen {
                 return Err(format!(
-                    "{at}: frame {fi} active at gen {} but the GT is at gen {}",
-                    f.gen, gt_gens[fi]
+                    "frame {fi} active at gen {} but the GT is at gen {}",
+                    f.gen, gt_gen
                 ));
             }
-            if f.gen == gt_gens[fi] && gt_free[fi] {
+            if f.gen == gt_gen && gt_free {
                 return Err(format!(
-                    "{at}: frame {fi} active at the GT's current gen {} but the GT slot is free",
+                    "frame {fi} active at the GT's current gen {} but the GT slot is free",
                     f.gen
                 ));
             }

@@ -174,15 +174,11 @@ impl GlobalTile {
         self.order.len()
     }
 
-    /// Current generation of every frame slot (for the invariant
-    /// checker's cross-tile generation comparison).
-    pub(crate) fn slot_gens(&self) -> Vec<Gen> {
-        self.frames.iter().map(|f| f.gen).collect()
-    }
-
-    /// Which frame slots are free (for the invariant checker).
-    pub(crate) fn slot_free(&self) -> Vec<bool> {
-        self.frames.iter().map(|f| f.state == FState::Free).collect()
+    /// Frame slot `fi`'s current generation and whether it is free (for
+    /// the tile audits' cross-tile generation comparison).
+    pub(crate) fn slot(&self, fi: usize) -> (Gen, bool) {
+        let f = &self.frames[fi];
+        (f.gen, f.state == FState::Free)
     }
 
     /// GT-internal protocol invariants, checked every tick under

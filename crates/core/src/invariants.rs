@@ -80,16 +80,14 @@ pub fn check(p: &Processor) -> Result<(), InvariantViolation> {
 
 fn check_detail(p: &Processor) -> Result<(), String> {
     p.gt.audit()?;
-    let gens = p.gt.slot_gens();
-    let free = p.gt.slot_free();
     for rt in &p.rts {
-        rt.audit(&gens, &free)?;
+        rt.audit(&p.gt)?;
     }
     for et in &p.ets {
-        et.audit(&gens, &free)?;
+        et.audit(&p.gt)?;
     }
     for dt in &p.dts {
-        dt.audit(&gens, &free)?;
+        dt.audit(&p.gt)?;
     }
     for (n, m) in p.nets.opn.iter().enumerate() {
         m.audit().map_err(|e| format!("OPN{n}: {e}"))?;

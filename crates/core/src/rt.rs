@@ -15,6 +15,7 @@ use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, FrameMask, MAX_FRAMES};
 use crate::critpath::{Cat, CritPath, NO_EVENT};
+use crate::gt::GlobalTile;
 use crate::msg::{EvId, FrameId, GcnMsg, Gen, GsnMsg, OpnPayload, RowMsg, TileId};
 use crate::nets::{opn_recv_batch, row_pos_of_col, rt_chain_pos, Nets, OpnOutbox};
 use crate::stats::CoreStats;
@@ -190,7 +191,7 @@ impl RegTile {
     }
 
     /// RT-side protocol invariants (see [`crate::invariants`]).
-    pub(crate) fn audit(&self, gt_gens: &[Gen], gt_free: &[bool]) -> Result<(), String> {
+    pub(crate) fn audit(&self, gt: &GlobalTile) -> Result<(), String> {
         let mut seen: FrameMask = 0;
         for &f in &self.order {
             let bit = (1 as FrameMask) << f.0;
@@ -219,13 +220,14 @@ impl RegTile {
             if !f.active {
                 continue;
             }
-            if f.gen > gt_gens[fi] {
+            let (gt_gen, gt_free) = gt.slot(fi);
+            if f.gen > gt_gen {
                 return Err(format!(
                     "RT{}: frame {fi} active at gen {} but the GT is at gen {}",
-                    self.bank, f.gen, gt_gens[fi]
+                    self.bank, f.gen, gt_gen
                 ));
             }
-            if f.gen == gt_gens[fi] && gt_free[fi] {
+            if f.gen == gt_gen && gt_free {
                 return Err(format!(
                     "RT{}: frame {fi} active at the GT's current gen {} but the GT slot is free",
                     self.bank, f.gen

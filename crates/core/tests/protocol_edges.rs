@@ -146,3 +146,80 @@ fn single_frame_mode_is_correct() {
     assert_eq!(wide.memory().read_u64(0x10_0000), 190);
     assert!(w.cycles < n.cycles, "speculation must help: {} vs {}", w.cycles, n.cycles);
 }
+
+/// The ITs' decoded-slice cache is invisible to self-modifying code:
+/// block B runs (and every IT keeps its decoded slices), S overwrites
+/// B's two instruction words with stores, and the next visit to B
+/// dispatches the new instructions. Stale slices would run the old B,
+/// which branches to S again — forever.
+///
+/// Between S and the second visit run more blocks than the core has
+/// frames: fetch is speculative and the model has no I-cache coherence,
+/// so B must not be *fetched* until S has committed and its stores
+/// have drained to memory — which a full frame file guarantees.
+#[test]
+fn a_store_into_a_fetched_block_is_dispatched_on_the_next_visit() {
+    const B: u64 = 0x1_0000;
+    let cfg = CoreConfig::prototype();
+    let fillers = cfg.geometry.frames + 1;
+    let block_of = |insts: &[Instruction]| {
+        let mut b = TripsBlock::new();
+        for &i in insts {
+            b.push(i).unwrap();
+        }
+        b
+    };
+    // B writes R4; the old body goes on to S, the new one halts.
+    let b_with = |n: i32, exit: Instruction| {
+        let mut b = block_of(&[Instruction::movi(n, [Target::write(0), Target::none()]), exit]);
+        b.set_write(0, WriteInst::new(ArchReg::new(4))).unwrap();
+        b.validate().unwrap();
+        b
+    };
+    let old = b_with(1, Instruction::branch(Opcode::Bro, 0, 2));
+    let new = trips_isa::encode(&b_with(2, Instruction::branch(Opcode::Halt, 0, 0)));
+    let word = |i: usize| u32::from_le_bytes(new[128 + 4 * i..][..4].try_into().unwrap());
+    let genu = |v: u32, t| Instruction::constant(Opcode::Genu, (v >> 16) as u16, t);
+    let app = |v: u32, t| Instruction::constant(Opcode::App, v as u16, t);
+    let body = (B + 128) as u32;
+    let mut s = block_of(&[
+        genu(body, Target::left(1)),
+        app(body, Target::left(2)),
+        Instruction::op(Opcode::Mov, [Target::left(7), Target::left(8)]),
+        genu(word(0), Target::left(4)),
+        app(word(0), Target::right(7)),
+        genu(word(1), Target::left(6)),
+        app(word(1), Target::right(8)),
+        Instruction::store(Opcode::Sw, 0, 0),
+        Instruction::store(Opcode::Sw, 1, 4),
+        Instruction::branch(Opcode::Bro, 0, 2),
+    ]);
+    s.header.store_mask = 0b11;
+    s.validate().unwrap();
+
+    // B, S, then the fillers, 256 bytes each; the last filler branches
+    // back to B.
+    let mut img = ProgramImage::new();
+    img.entry = B;
+    img.add_block(B, &old);
+    img.add_block(B + 0x100, &s);
+    for k in 0..fillers {
+        let back = -2 * (fillers as i32 + 1);
+        let offset = if k + 1 == fillers { back } else { 2 };
+        let filler = block_of(&[Instruction::branch(Opcode::Bro, 0, offset)]);
+        img.add_block(B + 0x100 * (k as u64 + 2), &filler);
+    }
+
+    let mut visited = Vec::new();
+    let reference = trips_tasm::blockinterp::run_image_trace(&img, 100, |pc| visited.push(pc))
+        .expect("the oracle runs the patched program");
+    assert_eq!(reference.regs[4], 2);
+    assert_eq!(visited.len(), fillers + 3, "B, S, the fillers, B");
+
+    let mut cpu = Processor::new(cfg);
+    let stats = cpu.run(&img, 100_000).expect("stale slices would loop until the budget runs out");
+    assert_eq!(cpu.arch_reg(ArchReg::new(4)), 2, "the second visit ran the stored instructions");
+    let committed: Vec<u64> = stats.timeline.iter().map(|t| t.pc).collect();
+    assert_eq!(committed, visited, "the core commits the oracle's block sequence");
+    assert_eq!(cpu.memory().read_u64(B + 128), reference.mem.read_u64(B + 128));
+}

@@ -45,6 +45,11 @@ pub struct Chain<T> {
     heads: Vec<u32>,
     /// Per-position list tails (`NIL` iff the head is).
     tails: Vec<u32>,
+    /// Arrival cycle of each position's head (`u64::MAX` when empty),
+    /// kept beside `heads` so the common "nothing yet" answer of
+    /// [`Chain::recv`] and [`Chain::next_arrival`] reads one word
+    /// instead of chasing the head into the slot arena.
+    head_at: Vec<u64>,
     /// Undelivered messages across all positions.
     pending_count: usize,
     seq: u64,
@@ -69,6 +74,7 @@ impl<T> Chain<T> {
             free: NIL,
             heads: vec![NIL; n],
             tails: vec![NIL; n],
+            head_at: vec![u64::MAX; n],
             pending_count: 0,
             seq: 0,
             total_sent: 0,
@@ -144,6 +150,7 @@ impl<T> Chain<T> {
         if tail == NIL {
             self.heads[to] = idx;
             self.tails[to] = idx;
+            self.head_at[to] = at;
         } else {
             let t = &self.slots[tail as usize];
             if (t.at, t.seq) <= (at, seq) {
@@ -157,6 +164,7 @@ impl<T> Chain<T> {
                 if (at, seq) < (h.at, h.seq) {
                     self.slots[idx as usize].next = head;
                     self.heads[to] = idx;
+                    self.head_at[to] = at;
                 } else {
                     let mut prev = head;
                     loop {
@@ -219,19 +227,35 @@ impl<T> Chain<T> {
     }
 
     /// Receives the oldest message available at `pos` by cycle `now`.
+    /// Tiles poll their inboxes every tick and nearly always hear
+    /// "nothing yet": that answer is one inlined compare.
+    #[inline]
     pub fn recv(&mut self, now: u64, pos: usize) -> Option<T> {
-        let head = self.heads[pos];
-        if head == NIL || self.slots[head as usize].at > now {
+        if self.head_at[pos] > now {
             return None;
+        }
+        self.pop_head(pos)
+    }
+
+    /// Unlinks and returns `pos`'s head message.
+    fn pop_head(&mut self, pos: usize) -> Option<T> {
+        let head = self.heads[pos];
+        if head == NIL {
+            return None; // only at `now == u64::MAX`, the "never" stamp
         }
         let slot = &mut self.slots[head as usize];
         let msg = slot.msg.take();
-        self.heads[pos] = slot.next;
+        let next = slot.next;
         slot.next = self.free;
         self.free = head;
-        if self.heads[pos] == NIL {
-            self.tails[pos] = NIL;
-        }
+        self.heads[pos] = next;
+        self.head_at[pos] = match next {
+            NIL => {
+                self.tails[pos] = NIL;
+                u64::MAX
+            }
+            next => self.slots[next as usize].at,
+        };
         self.pending_count -= 1;
         msg
     }
@@ -252,10 +276,7 @@ impl<T> Chain<T> {
     /// the head's timestamp: the cycle at which the tile at `pos` must
     /// be awake to receive it.
     pub fn next_arrival(&self, pos: usize) -> u64 {
-        match self.heads[pos] {
-            NIL => u64::MAX,
-            head => self.slots[head as usize].at,
-        }
+        self.head_at[pos]
     }
 
     /// The oldest undelivered message: `(arrival_cycle, position)`.

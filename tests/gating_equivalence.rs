@@ -136,9 +136,9 @@ fn the_schedule_is_pinned_cycle_for_cycle() {
     let perfect = CoreConfig::prototype_pinned();
     let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..perfect.clone() };
     let pinned = [
-        ("vadd", &perfect, (8_580, 12_030, 7, 3)),
-        ("matrix", &perfect, (174_514, 184_856, 7, 3)),
-        ("listwalk", &nuca, (115_540, 4_971_170, 66_330, 4_980)),
+        ("vadd", &perfect, (7_862, 12_748, 7, 3)),
+        ("matrix", &perfect, (148_604, 210_766, 7, 3)),
+        ("listwalk", &nuca, (106_238, 4_980_472, 66_330, 4_980)),
     ];
     for (name, cfg, (ticks_run, ticks_gated, cycles_skipped, epochs_skipped)) in pinned {
         assert_eq!(
