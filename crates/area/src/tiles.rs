@@ -216,7 +216,7 @@ pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
             let wb = 64 * 8 + 40;
             // The LSQ's address CAM is discrete latches (cells), but
             // its 64-bit data payload per entry is a dense array.
-            let lsq_data = (c.lsq_entries * 64) as u64;
+            let lsq_data = (c.geometry.lsq_depth * 64) as u64;
             data + tags + deppred + tlb + mshr + wb as u64 + lsq_data
         }
         TileKind::Et => {

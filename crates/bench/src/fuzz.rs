@@ -399,7 +399,10 @@ fn fuzz_core(
 /// The one place a fuzz run builds a [`Processor`]: runs the oracle's
 /// image on `cfg` and compares the final state against the oracle.
 fn run_core(oracle: &Oracle, cfg: CoreConfig, max_cycles: u64, trace: bool) -> Ran<CoreStats> {
-    let mut cpu = Processor::new(cfg);
+    let mut cpu = match Processor::try_new(cfg) {
+        Ok(cpu) => cpu,
+        Err(e) => return (Err(e), None),
+    };
     if trace {
         cpu.enable_tracing(1 << 15);
     }
@@ -420,7 +423,10 @@ fn run_chip(
     trace: bool,
     check: impl FnOnce(&Chip, &ChipStats) -> Result<(), String>,
 ) -> Ran {
-    let mut chip = Chip::new(cfg);
+    let mut chip = match Chip::try_new(cfg) {
+        Ok(chip) => chip,
+        Err(e) => return (Err(e), None),
+    };
     if trace {
         chip.enable_tracing(1 << 14);
     }

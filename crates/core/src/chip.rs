@@ -111,12 +111,13 @@ impl ChipConfig {
 
     /// Checks that the die can be built: 1..=16 cores (the computed
     /// OCN geometry and its tag space, [`trips_mem::MAX_CORES`]), each
-    /// with no more DTs and ITs than its slot owns OCN ports for.
+    /// a buildable core ([`CoreConfig::validate`]) with no more DTs and
+    /// ITs than its slot owns OCN ports for.
     ///
     /// # Errors
     ///
-    /// Names the core count, or the first core whose geometry
-    /// overflows its slot together with the slot's port budget.
+    /// Names the core count, or the first core with its offending field
+    /// or the port budget of the slot its geometry overflows.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.cores.len();
         if !(1..=trips_mem::MAX_CORES).contains(&n) {
@@ -124,6 +125,7 @@ impl ChipConfig {
         }
         let ocn = OcnGeometry::for_cores(n);
         for (k, core) in self.cores.iter().enumerate() {
+            core.validate().map_err(|e| format!("core {k}: {e}"))?;
             let (g, side) = (core.geometry, ocn.core_side_ports(k));
             if g.num_dts() > side || g.num_its() > side {
                 return Err(format!(
@@ -191,22 +193,27 @@ pub struct Chip {
 }
 
 impl Chip {
+    /// [`Chip::try_new`], panicking with its error.
+    pub fn new(cfg: ChipConfig) -> Chip {
+        Chip::try_new(cfg).unwrap_or_else(|e| panic!("invalid ChipConfig: {e}"))
+    }
+
     /// Builds the chip: one [`Processor`] per entry of `cfg.cores`,
     /// all bound to one shared secondary system.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with [`ChipConfig::validate`]'s message if the die
-    /// cannot be built.
-    pub fn new(cfg: ChipConfig) -> Chip {
+    /// What [`ChipConfig::validate`] rejects.
+    pub fn try_new(cfg: ChipConfig) -> Result<Chip, String> {
         const _: () = assert!(trips_mem::MAX_CORES <= MAX_TAGS, "core tags must fit the tag space");
-        cfg.validate().unwrap_or_else(|e| panic!("invalid ChipConfig: {e}"));
+        cfg.validate()?;
         let n = cfg.cores.len();
-        let cores: Vec<Processor> = cfg.cores.iter().cloned().map(Processor::new).collect();
+        let cores =
+            cfg.cores.iter().cloned().map(Processor::try_new).collect::<Result<Vec<_>, _>>()?;
         let sys = Chip::build_sys(&cfg);
         let banks = sys.geometry().banks();
         let threads = if cfg.threaded == Some(true) { n } else { 1 };
-        Chip {
+        Ok(Chip {
             cores,
             sys,
             arb: BankArb::new(banks),
@@ -216,7 +223,7 @@ impl Chip {
             finished: vec![None; n],
             threads,
             scans: vec![(0, None); n],
-        }
+        })
     }
 
     fn build_sys(cfg: &ChipConfig) -> SecondarySystem {

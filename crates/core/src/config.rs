@@ -3,6 +3,7 @@
 use trips_mem::MemConfig;
 
 use crate::fault::FaultPlan;
+use crate::frames::FrameSet;
 use crate::msg::TileId;
 
 /// Number of ET rows/columns in the **prototype** (the die the paper
@@ -25,16 +26,9 @@ pub const NUM_FRAMES: usize = 8;
 pub const RS_PER_FRAME: usize = 8;
 
 /// Hard ceiling on [`CoreGeometry::frames`], sized so a frame set
-/// always fits a [`FrameMask`] and the fixed-size generation arrays
+/// always fits a [`FrameSet`] and the fixed-size generation arrays
 /// carried by GCN flush waves.
 pub const MAX_FRAMES: usize = 16;
-
-/// A set of frame indices (bit `i` = frame `i`). Wide enough for any
-/// legal [`CoreGeometry::frames`] (≤ [`MAX_FRAMES`]); the prototype
-/// uses the low 8 bits, so every prototype mask value is numerically
-/// identical to the old `u8` masks — the widening is inert (DESIGN.md
-/// §5f).
-pub type FrameMask = u16;
 
 /// A set of reservation-station slots within one ET frame. Wide
 /// enough for any legal [`CoreGeometry::rs_per_frame`] (≤ 32).
@@ -44,16 +38,6 @@ pub type StationMask = u32;
 /// [`CoreGeometry::tile_bit`]). An 8×8 array needs 86 bits
 /// (1 GT + 9 ITs + 4 RTs + 64 ETs + 8 DTs).
 pub type TileMask = u128;
-
-/// The mask selecting every frame of a `frames`-deep frame file (bit
-/// `i` set for `i < frames`). Computed by shifting `MAX` down rather
-/// than `1` up because `frames == MAX_FRAMES` fills the whole
-/// [`FrameMask`]: `(1 << 16) - 1` on a u16 is a shift by the type
-/// width — a debug-build panic and release-build garbage.
-pub fn all_frames_mask(frames: usize) -> FrameMask {
-    debug_assert!((1..=MAX_FRAMES).contains(&frames));
-    FrameMask::MAX >> (FrameMask::BITS as usize - frames)
-}
 
 /// Runtime-parameterized core geometry: the ET array, the frame file,
 /// and the LSQ — everything Table 1 and the tick loop size from.
@@ -517,20 +501,20 @@ pub enum TickMode {
     Fast,
     /// The oracle the tests compare [`TickMode::Fast`] against: no
     /// gating, every tile every cycle, every frame walk over
-    /// `all_frames_mask`, the GT's phases in the §4 specification
+    /// [`FrameSet::all`], the GT's phases in the §4 specification
     /// order, never a skipped cycle.
     Reference,
 }
 
 impl TickMode {
-    /// The frames a tile's walk visits: the tile's dirty-frame mask
+    /// The frames a tile's walk visits: the tile's dirty-frame set
     /// under `Fast`, every frame of the `frames`-deep file under
-    /// `Reference`. A frame outside `dirty` is inert by the mask's
+    /// `Reference`. A frame outside `dirty` is inert by the set's
     /// own definition, so the two walks act on the same frames.
-    pub(crate) fn walk(self, dirty: FrameMask, frames: usize) -> FrameMask {
+    pub(crate) fn walk(self, dirty: FrameSet, frames: usize) -> FrameSet {
         match self {
             TickMode::Fast => dirty,
-            TickMode::Reference => all_frames_mask(frames),
+            TickMode::Reference => FrameSet::all(frames),
         }
     }
 }
@@ -539,9 +523,8 @@ impl TickMode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
     /// The tile-array geometry (ET array, frame file, LSQ depth).
-    /// [`CoreGeometry::prototype`] is the paper's die; `lsq_entries`
-    /// and `max_frames` below must stay within what the geometry
-    /// provides.
+    /// [`CoreGeometry::prototype`] is the paper's die; `max_frames`
+    /// below must stay within what the geometry provides.
     pub geometry: CoreGeometry,
     /// Parallel operand networks (1 in the prototype; 2 models the
     /// "more operand network bandwidth" extension of §7).
@@ -575,9 +558,6 @@ pub struct CoreConfig {
     /// Disable the dependence predictor entirely (ablation): loads
     /// always issue aggressively.
     pub deppred_disabled: bool,
-    /// Load/store queue entries per DT (replicated per bank, §3.5:
-    /// 256; follows [`CoreGeometry::lsq_depth`]).
-    pub lsq_entries: usize,
     /// Outstanding miss lines per DT MSHR (§3.5: 4).
     pub mshr_lines: usize,
     /// Cycles of next-block prediction in the fetch pipeline (§4.1: 3).
@@ -646,7 +626,6 @@ impl CoreConfig {
             deppred_entries: 1024,
             deppred_clear_blocks: 10_000,
             deppred_disabled: false,
-            lsq_entries: geometry.lsq_depth,
             mshr_lines: 4,
             predict_lat: 3,
             tag_lat: 2,
@@ -657,6 +636,32 @@ impl CoreConfig {
             tick_mode: TickMode::Fast,
             faults: None,
             check_invariants: false,
+        }
+    }
+
+    /// Checks that a core built from this cannot panic or wedge later:
+    /// a valid geometry (a struct literal skips
+    /// [`CoreGeometry::validate`]) and every sized field in range.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.geometry.validate().map_err(|e| format!("geometry: {e}"))?;
+        let ranges = [
+            ("max_frames", self.max_frames, self.geometry.frames), // the GT's allocation bound
+            ("opn_networks", self.opn_networks, 32), // the outboxes' grant bits are a `u32`
+            ("l1d_ways", self.l1d_ways, 255),        // the LRU counters are `u8`
+            ("opn_fifo", self.opn_fifo, usize::MAX),
+            ("l1d_sets", self.l1d_sets, usize::MAX),
+            ("mshr_lines", self.mshr_lines, usize::MAX),
+            ("commit_bw", self.commit_bw, usize::MAX),
+            ("deppred_entries", self.deppred_entries, usize::MAX),
+        ];
+        match ranges.into_iter().find(|&(_, v, max)| !(1..=max).contains(&v)) {
+            Some((field, _, usize::MAX)) => Err(format!("{field} must be at least 1")),
+            Some((field, v, max)) => Err(format!("{field} {v} outside 1..={max}")),
+            None => Ok(()),
         }
     }
 
@@ -683,7 +688,7 @@ mod tests {
         assert_eq!(c.div_lat, 24);
         assert_eq!(c.deppred_entries, 1024);
         assert_eq!(c.deppred_clear_blocks, 10_000);
-        assert_eq!(c.lsq_entries, 256);
+        assert_eq!(c.geometry.lsq_depth, 256);
         assert_eq!(c.max_frames, 8);
         assert_eq!(c.predict_lat + c.tag_lat, 5, "front of the 13-cycle fetch pipe");
     }
@@ -816,18 +821,6 @@ mod tests {
             }
         }
         assert_eq!(dies, 13 * MAX_FRAMES, "13 of the 16 power-of-two arrays have ≥4 ETs");
-    }
-
-    #[test]
-    fn all_frames_mask_covers_every_legal_depth() {
-        // The MAX_FRAMES point fills the whole FrameMask — the naive
-        // `(1 << frames) - 1` overflows there (the fat die).
-        assert_eq!(all_frames_mask(1), 0b1);
-        assert_eq!(all_frames_mask(NUM_FRAMES), 0xff);
-        assert_eq!(all_frames_mask(MAX_FRAMES), FrameMask::MAX);
-        for frames in 1..=MAX_FRAMES {
-            assert_eq!(all_frames_mask(frames).count_ones() as usize, frames);
-        }
     }
 
     #[test]

@@ -16,8 +16,9 @@ use trips_isa::semantics::{extend_load, Tok};
 use trips_isa::{Opcode, Target};
 use trips_micronet::WakeTable;
 
-use crate::config::{CoreConfig, CoreGeometry, FrameMask};
+use crate::config::{CoreConfig, CoreGeometry};
 use crate::critpath::{Cat, CritPath};
+use crate::frames::{FrameFile, FrameSet};
 use crate::gt::GlobalTile;
 use crate::memsys::{FillPath, MemClient, MemEvent, MemSys};
 use crate::msg::{DsnMsg, EvId, FrameId, GcnMsg, Gen, GsnMsg, OpnPayload, RowMsg, TileId};
@@ -52,11 +53,11 @@ struct PendingLoad {
     ev: EvId,
 }
 
+/// A frame's body ([`FrameFile`] holds its lifecycle): LSQ records and
+/// store-completion counting.
 #[derive(Debug, Default)]
 struct DtFrame {
-    active: bool,
-    in_order: bool,
-    gen: Gen,
+    /// The store mask arrived (by dispatch, so the frame has its age).
     mask_known: bool,
     store_mask: u32,
     arrived: u32,
@@ -66,27 +67,20 @@ struct DtFrame {
     pending: Vec<OpnPayload>,
     done_sent: bool,
     done_ev: EvId,
-    committing: bool,
     commit_cursor: usize,
     /// All own stores drained through the commit port.
     stores_drained: bool,
     /// Store writebacks awaiting a secondary-system acknowledgement
-    /// (always 0 under the perfect backend).
+    /// (always 0 under the perfect backend); the frame's commit drain
+    /// is done once it is drained *and* acknowledged.
     acks_pending: u32,
-    /// Drained *and* acknowledged: this DT's commit work is done.
-    commit_done: bool,
-    south_ack: bool,
-    ack_sent: bool,
 }
 
 impl DtFrame {
     /// Reinitializes in place, keeping the record-list allocations
     /// (frame churn is hot; `*f = default()` would free and re-grow
     /// every list on every block).
-    fn reset(&mut self, active: bool, gen: Gen, southmost: bool) {
-        self.active = active;
-        self.in_order = false;
-        self.gen = gen;
+    fn reset(&mut self) {
         self.mask_known = false;
         self.store_mask = 0;
         self.arrived = 0;
@@ -96,13 +90,9 @@ impl DtFrame {
         self.pending.clear();
         self.done_sent = false;
         self.done_ev = 0;
-        self.committing = false;
         self.commit_cursor = 0;
         self.stores_drained = false;
         self.acks_pending = 0;
-        self.commit_done = false;
-        self.south_ack = southmost;
-        self.ack_sent = false;
     }
 }
 
@@ -146,8 +136,7 @@ pub struct DataTile {
     /// Tile index (0 is nearest the GT).
     pub index: u8,
     geom: CoreGeometry,
-    frames: Vec<DtFrame>,
-    order: Vec<FrameId>,
+    frames: FrameFile<DtFrame>,
     tags: Vec<Vec<Option<u64>>>,
     lru: Vec<u8>,
     deppred: Vec<bool>,
@@ -157,23 +146,11 @@ pub struct DataTile {
     outbox: OpnOutbox,
     /// Current LSQ occupancy (own live memory records).
     occupancy: usize,
-    /// Bit `fi` set iff `frames[fi]` is active — the dirty-frame work
-    /// list for [`DataTile::advance_frames`]'s detection/ack walk.
-    /// Maintained at every (de)activation site and audited against
-    /// the frames; `TickMode` only selects which iteration the tick
-    /// uses.
-    active_mask: FrameMask,
-    /// Bit `fi` set iff `frames[fi]` is active, saw its commit wave,
-    /// and has not finished its commit work (`committing &&
-    /// !commit_done`). Always maintained and always used: with
-    /// `deferred_mask` it is the clock-gating predicate's frame term,
-    /// which must stay exact or the scheduler sleeps through a drain.
-    committing_mask: FrameMask,
-    /// Bit `fi` set iff `frames[fi]` is active with a non-empty
-    /// deferred-load list. Exact for the same reason: a parked load's
-    /// eligibility can flip through this DT's own deallocations, so
-    /// the tile must stay clocked while any bit is set.
-    deferred_mask: FrameMask,
+    /// The active frames with a non-empty deferred-load list. Exact
+    /// like the file's draining set, and for the same reason: a parked
+    /// load's eligibility can flip through this DT's own deallocations,
+    /// so the tile must stay clocked while any frame is in it.
+    deferred: FrameSet,
     /// Frames examined by the advance/wake walks (not in
     /// [`CoreStats`]; host-side observability for the non-vacuousness
     /// tests).
@@ -186,8 +163,11 @@ impl DataTile {
         DataTile {
             index,
             geom: cfg.geometry,
-            frames: (0..cfg.geometry.frames).map(|_| DtFrame::default()).collect(),
-            order: Vec::new(),
+            frames: FrameFile::new(
+                cfg.geometry.frames,
+                index as usize == cfg.geometry.num_dts() - 1,
+                DtFrame::default,
+            ),
             tags: vec![vec![None; cfg.l1d_ways]; cfg.l1d_sets],
             lru: vec![0; cfg.l1d_sets],
             deppred: vec![false; cfg.deppred_entries],
@@ -196,9 +176,7 @@ impl DataTile {
             respond_q: Vec::with_capacity(8),
             outbox: OpnOutbox::with_capacity(16),
             occupancy: 0,
-            active_mask: 0,
-            committing_mask: 0,
-            deferred_mask: 0,
+            deferred: FrameSet::EMPTY,
             advance_visits: 0,
         }
     }
@@ -215,11 +193,7 @@ impl DataTile {
     /// through this DT's *own* frame deallocation in
     /// [`advance_frames`], with no message involved.
     pub(crate) fn busy(&self) -> bool {
-        // The two masks hold the old frame scan's predicate
-        // (`active && ((committing && !commit_done) || deferred)`)
-        // bit by bit, so the busy test is a few loads instead of an
-        // eight-frame walk.
-        !self.idle() || self.committing_mask != 0 || self.deferred_mask != 0
+        !self.idle() || !self.frames.draining().is_empty() || !self.deferred.is_empty()
     }
 
     /// This tile's wake-table entry, from scratch (filed on the way out
@@ -233,8 +207,8 @@ impl DataTile {
     pub(crate) fn due(&self, nets: &Nets, memsys: &MemSys) -> u64 {
         let (tile, d) = (self.tile_id(), self.index as usize);
         if !self.outbox.is_empty()
-            || self.committing_mask != 0
-            || self.deferred_mask != 0
+            || !self.frames.draining().is_empty()
+            || !self.deferred.is_empty()
             || nets.opn_delivered_at(tile)
             || memsys.has_events(MemClient::Dt(self.index))
         {
@@ -251,9 +225,9 @@ impl DataTile {
     /// Queued work for the hang diagnoser (`None` when nothing is
     /// held, including deferred loads and parked requests).
     pub fn diag(&self) -> Option<String> {
-        let deferred: usize =
-            self.frames.iter().filter(|f| f.active).map(|f| f.deferred.len()).sum();
-        let parked: usize = self.frames.iter().filter(|f| f.active).map(|f| f.pending.len()).sum();
+        let active = || self.frames.active().iter().map(|f| &self.frames[f]);
+        let deferred: usize = active().map(|f| f.deferred.len()).sum();
+        let parked: usize = active().map(|f| f.pending.len()).sum();
         if self.idle() && deferred == 0 && parked == 0 {
             return None;
         }
@@ -280,93 +254,52 @@ impl DataTile {
     /// accounting, and the cross-tile generation bound (see
     /// [`crate::invariants`]).
     pub(crate) fn audit(&self, gt: &GlobalTile) -> Result<(), String> {
-        let mut seen: FrameMask = 0;
-        for &f in &self.order {
-            let bit = (1 as FrameMask) << f.0;
-            if seen & bit != 0 {
-                return Err(format!("DT{}: frame {} twice in dispatch order", self.index, f.0));
-            }
-            seen |= bit;
-            let fr = &self.frames[f.0 as usize];
-            if !(fr.active && fr.in_order) {
-                return Err(format!(
-                    "DT{}: frame {} in dispatch order but active={} in_order={}",
-                    self.index, f.0, fr.active, fr.in_order
-                ));
-            }
-        }
-        let mut live = 0usize;
-        for (fi, f) in self.frames.iter().enumerate() {
-            if f.active != (self.active_mask & (1 << fi) != 0) {
-                return Err(format!(
-                    "DT{}: frame {fi} active={} but the work-list mask says {}",
-                    self.index, f.active, !f.active
-                ));
-            }
-            let draining = f.active && f.committing && !f.commit_done;
-            if draining != (self.committing_mask & (1 << fi) != 0) {
-                return Err(format!(
-                    "DT{}: frame {fi} draining={draining} but the committing mask disagrees",
-                    self.index
-                ));
-            }
-            let parked = f.active && !f.deferred.is_empty();
-            if parked != (self.deferred_mask & (1 << fi) != 0) {
-                return Err(format!(
-                    "DT{}: frame {fi} parked={parked} but the deferred mask disagrees",
-                    self.index
-                ));
-            }
-            if !f.active {
-                continue;
-            }
-            live += f.own_stores.len() + f.performed_loads.len();
-            let (gt_gen, gt_free) = gt.slot(fi);
-            if f.gen > gt_gen {
-                return Err(format!(
-                    "DT{}: frame {fi} active at gen {} but the GT is at gen {}",
-                    self.index, f.gen, gt_gen
-                ));
-            }
-            if f.gen == gt_gen && gt_free {
-                return Err(format!(
-                    "DT{}: frame {fi} active at the GT's current gen {} but the GT slot is free",
-                    self.index, f.gen
-                ));
-            }
-            for s in &f.own_stores {
-                if s.lsid >= 32 {
+        self.audit_frames(gt).map_err(|e| format!("DT{}: {e}", self.index))
+    }
+
+    fn audit_frames(&self, gt: &GlobalTile) -> Result<(), String> {
+        let (mut live, mut parked) = (0usize, FrameSet::EMPTY);
+        self.frames.audit(
+            |fi| gt.slot(fi),
+            |frame, active, f| {
+                let fi = frame.0;
+                if !active {
+                    return Ok(());
+                }
+                if !f.deferred.is_empty() {
+                    parked.insert(frame);
+                }
+                live += f.own_stores.len() + f.performed_loads.len();
+                for s in &f.own_stores {
+                    if s.lsid >= 32 {
+                        return Err(format!("frame {fi} store LSQ id {} out of range", s.lsid));
+                    }
+                    if f.mask_known && f.store_mask & (1 << s.lsid) == 0 {
+                        return Err(format!(
+                            "frame {fi} holds store lsid {} absent from its store mask {:#x}",
+                            s.lsid, f.store_mask
+                        ));
+                    }
+                }
+                if let Some(l) = f.performed_loads.iter().find(|l| l.lsid >= 32) {
+                    return Err(format!("frame {fi} load LSQ id {} out of range", l.lsid));
+                }
+                if f.mask_known && f.arrived & !f.store_mask != 0 {
                     return Err(format!(
-                        "DT{}: frame {fi} store LSQ id {} out of range",
-                        self.index, s.lsid
+                        "frame {fi} arrival bits {:#x} outside the store mask {:#x}",
+                        f.arrived, f.store_mask
                     ));
                 }
-                if f.mask_known && f.store_mask & (1 << s.lsid) == 0 {
-                    return Err(format!(
-                        "DT{}: frame {fi} holds store lsid {} absent from its store mask {:#x}",
-                        self.index, s.lsid, f.store_mask
-                    ));
-                }
-            }
-            for l in &f.performed_loads {
-                if l.lsid >= 32 {
-                    return Err(format!(
-                        "DT{}: frame {fi} load LSQ id {} out of range",
-                        self.index, l.lsid
-                    ));
-                }
-            }
-            if f.mask_known && f.arrived & !f.store_mask != 0 {
-                return Err(format!(
-                    "DT{}: frame {fi} arrival bits {:#x} outside the store mask {:#x}",
-                    self.index, f.arrived, f.store_mask
-                ));
-            }
+                Ok(())
+            },
+        )?;
+        if parked != self.deferred {
+            return Err(format!("deferred set {:#b}, recount {parked:#b}", self.deferred));
         }
         if live != self.occupancy {
             return Err(format!(
-                "DT{}: LSQ occupancy counter {} disagrees with live records {}",
-                self.index, self.occupancy, live
+                "LSQ occupancy counter {} disagrees with live records {live}",
+                self.occupancy
             ));
         }
         Ok(())
@@ -376,31 +309,13 @@ impl DataTile {
         TileId::Dt(self.index)
     }
 
-    fn ensure_frame(&mut self, frame: FrameId, gen: Gen, from_dispatch: bool) -> bool {
-        let f = &mut self.frames[frame.0 as usize];
-        if f.gen > gen {
-            return false;
-        }
-        if !(f.active && f.gen == gen) {
-            let southmost = self.index as usize == self.geom.num_dts() - 1;
-            f.reset(true, gen, southmost);
-            self.active_mask |= 1 << frame.0;
-            self.committing_mask &= !(1 << frame.0);
-            self.deferred_mask &= !(1 << frame.0);
-        }
-        if from_dispatch {
-            let f = &mut self.frames[frame.0 as usize];
-            if !f.in_order {
-                f.in_order = true;
-                self.order.push(frame);
-            }
-        }
-        true
-    }
-
-    fn frame_ok(&self, frame: FrameId, gen: Gen) -> bool {
-        let f = &self.frames[frame.0 as usize];
-        f.active && f.gen == gen
+    /// [`FrameFile::ensure`] with this tile's body reset.
+    fn ensure(&mut self, frame: FrameId, gen: Gen, from_dispatch: bool) -> bool {
+        let deferred = &mut self.deferred;
+        self.frames.ensure(frame, gen, from_dispatch, |f| {
+            f.reset();
+            deferred.remove(frame);
+        })
     }
 
     fn set_index(&self, ea: u64, cfg: &CoreConfig) -> (usize, u64) {
@@ -486,32 +401,20 @@ impl DataTile {
                 m.poisoned = true;
             }
         }
-        let mut victim: Option<(FrameId, Gen)> = None;
-        for &yf in &self.order {
-            let f = &self.frames[yf.0 as usize];
-            if f.committing {
-                continue;
-            }
-            let overlaps = |l: &LoadRec| ranges_overlap(l.ea, u64::from(l.bytes), ea, bytes as u64);
-            if f.performed_loads.iter().any(overlaps) {
-                victim = Some((yf, f.gen));
-                break;
-            }
-        }
-        if let Some((frame, gen)) = victim {
+        let overlaps = |l: &LoadRec| ranges_overlap(l.ea, u64::from(l.bytes), ea, bytes as u64);
+        let victim = self.frames.order().iter().copied().find(|&yf| {
+            !self.frames.is_committing(yf) && self.frames[yf].performed_loads.iter().any(overlaps)
+        });
+        if let Some(frame) = victim {
             stats.coherence_flushes += 1;
             tracer.record(now, || TraceKind::Violation { dt, frame });
-            nets.gsn_dt.send(
-                now,
-                dt_chain_pos(self.index as usize),
-                0,
-                GsnMsg::Violation { frame, gen },
-            );
+            let (pos, gen) = (dt_chain_pos(self.index as usize), self.frames.gen(frame));
+            nets.gsn_dt.send(now, pos, 0, GsnMsg::Violation { frame, gen });
         }
     }
 
     fn deppred_index(&self, ea: u64) -> usize {
-        ((ea >> 3) as usize ^ (ea >> 13) as usize) % self.deppred.len().max(1)
+        ((ea >> 3) as usize ^ (ea >> 13) as usize) % self.deppred.len()
     }
 
     /// One cycle.
@@ -532,30 +435,18 @@ impl DataTile {
         while let Some(msg) = nets.gcn.recv(now, self.geom.gcn_pos(self.tile_id())) {
             match msg {
                 GcnMsg::Commit { frame, gen } => {
-                    if self.frame_ok(frame, gen) {
+                    if self.frames.commit_wave(frame, gen) {
                         tracer.record(now, || TraceKind::CommitWave { tile, frame });
-                        self.frames[frame.0 as usize].committing = true;
-                        self.committing_mask |= 1 << frame.0;
                     }
                 }
                 GcnMsg::Flush { mask, gens } => {
                     tracer.record(now, || TraceKind::FlushWave { tile, mask });
-                    for (fi, &new_gen) in gens.iter().enumerate().take(self.frames.len()) {
-                        if mask & (1 << fi) == 0 {
-                            continue;
-                        }
-                        let f = &mut self.frames[fi];
-                        if f.gen < new_gen {
-                            self.occupancy = self
-                                .occupancy
-                                .saturating_sub(f.own_stores.len() + f.performed_loads.len());
-                            f.reset(false, new_gen, false);
-                            self.active_mask &= !(1 << fi);
-                            self.committing_mask &= !(1 << fi);
-                            self.deferred_mask &= !(1 << fi);
-                            self.order.retain(|&x| x.0 as usize != fi);
-                        }
-                    }
+                    let (occupancy, deferred) = (&mut self.occupancy, &mut self.deferred);
+                    self.frames.flush(mask, &gens, |frame, f| {
+                        *occupancy =
+                            occupancy.saturating_sub(f.own_stores.len() + f.performed_loads.len());
+                        deferred.remove(frame);
+                    });
                 }
             }
         }
@@ -564,8 +455,8 @@ impl DataTile {
         let row = self.index as usize + 1;
         while let Some(msg) = nets.gdn_rows[row].recv(now, 1) {
             if let RowMsg::DtMask { frame, gen, store_mask, ev } = msg {
-                if self.ensure_frame(frame, gen, true) {
-                    let f = &mut self.frames[frame.0 as usize];
+                if self.ensure(frame, gen, true) {
+                    let f = &mut self.frames[frame];
                     f.mask_known = true;
                     f.store_mask = store_mask;
                     f.done_ev = crit.later(f.done_ev, ev);
@@ -579,8 +470,8 @@ impl DataTile {
 
         // DSN store-arrival broadcasts from the other DTs.
         while let Some(d) = nets.dsn.recv(now, self.index as usize) {
-            if self.ensure_frame(d.frame, d.gen, false) {
-                let f = &mut self.frames[d.frame.0 as usize];
+            if self.ensure(d.frame, d.gen, false) {
+                let f = &mut self.frames[d.frame];
                 f.arrived |= 1 << d.lsid;
                 f.done_ev = crit.later(f.done_ev, d.ev);
             }
@@ -594,26 +485,23 @@ impl DataTile {
                 | OpnPayload::StoreReq { frame, gen, ev, .. } => (*frame, *gen, *ev),
                 _ => continue,
             };
-            if !self.ensure_frame(frame, gen, false) {
+            if !self.ensure(frame, gen, false) {
                 continue;
             }
             let e_hop = crit.event(now - u64::from(queued), ev0, Cat::OpnHop, u64::from(hops) + 1);
             let e_arr = crit.event(now, e_hop, Cat::OpnContention, u64::from(queued));
             let payload = retag(m.payload, e_arr);
-            let f = &self.frames[frame.0 as usize];
-            if f.in_order && f.mask_known {
+            if self.frames[frame].mask_known {
                 self.process_req(now, cfg, nets, crit, stats, mem, memsys, payload, tracer);
             } else {
-                self.frames[frame.0 as usize].pending.push(payload);
+                self.frames[frame].pending.push(payload);
             }
         }
 
         // South neighbour's commit acks.
         while let Some(msg) = nets.gsn_dt.recv(now, dt_chain_pos(self.index as usize)) {
             if let GsnMsg::StoresCommitted { frame, gen } = msg {
-                if self.frame_ok(frame, gen) {
-                    self.frames[frame.0 as usize].south_ack = true;
-                }
+                self.frames.neighbour_ack(frame, gen);
             }
         }
 
@@ -644,7 +532,7 @@ impl DataTile {
                     }
                 }
                 MemEvent::StoreAck { frame } => {
-                    let f = &mut self.frames[frame as usize];
+                    let f = &mut self.frames[FrameId(frame)];
                     f.acks_pending = f.acks_pending.saturating_sub(1);
                 }
             }
@@ -706,14 +594,8 @@ impl DataTile {
                 let stalled = !cfg.deppred_disabled && self.deppred[self.deppred_index(ea)];
                 if stalled && !self.prior_stores_arrived(frame, lsid) {
                     stats.deppred_stalls += 1;
-                    self.frames[frame.0 as usize].deferred.push(PendingLoad {
-                        lsid,
-                        opcode,
-                        ea,
-                        target,
-                        ev,
-                    });
-                    self.deferred_mask |= 1 << frame.0;
+                    self.frames[frame].deferred.push(PendingLoad { lsid, opcode, ea, target, ev });
+                    self.deferred.insert(frame);
                     return;
                 }
                 self.execute_load(
@@ -753,10 +635,7 @@ impl DataTile {
         if forwarded {
             stats.lsq_forwards += 1;
         }
-        {
-            let f = &mut self.frames[frame.0 as usize];
-            f.performed_loads.push(LoadRec { lsid, ea, bytes });
-        }
+        self.frames[frame].performed_loads.push(LoadRec { lsid, ea, bytes });
         self.occupancy += 1;
         let ld = ExecLoad { frame, gen, opcode, ea, raw, target, ev };
         if self.is_hit(ea, cfg) || forwarded {
@@ -796,11 +675,9 @@ impl DataTile {
         let mut buf = [0u8; 8];
         mem.read_bytes(ea, &mut buf[..bytes as usize]);
         let mut forwarded = false;
-        let my_pos =
-            self.order.iter().position(|&x| x == frame).expect("load frame must be in order");
-        for pi in 0..=my_pos {
-            let of = self.order[pi];
-            let fr = &self.frames[of.0 as usize];
+        let my_pos = self.frames.age(frame).expect("load frame must be in order");
+        for &of in &self.frames.order()[..=my_pos] {
+            let fr = &self.frames[of];
             let mut stores: Vec<&StoreRec> = fr.own_stores.iter().collect();
             stores.sort_by_key(|s| s.lsid);
             for s in stores {
@@ -824,11 +701,11 @@ impl DataTile {
     }
 
     fn prior_stores_arrived(&self, frame: FrameId, lsid: u8) -> bool {
-        let Some(my_pos) = self.order.iter().position(|&x| x == frame) else {
+        let Some(my_pos) = self.frames.age(frame) else {
             return false;
         };
         for pi in 0..=my_pos {
-            let f = &self.frames[self.order[pi].0 as usize];
+            let f = &self.frames[self.frames.order()[pi]];
             if pi < my_pos {
                 if !f.mask_known || f.arrived & f.store_mask != f.store_mask {
                     return false;
@@ -864,7 +741,7 @@ impl DataTile {
         let dt = self.index;
         tracer.record(now, || TraceKind::LsqInsert { dt, frame, lsid, store: true });
         {
-            let f = &mut self.frames[frame.0 as usize];
+            let f = &mut self.frames[frame];
             f.arrived |= 1 << lsid;
             f.own_stores.push(StoreRec { lsid, ea, val, bytes, nullified, ev });
             f.done_ev = crit.later(f.done_ev, ev);
@@ -909,12 +786,9 @@ impl DataTile {
         ea: u64,
         bytes: u32,
     ) -> Option<(FrameId, Gen, u64)> {
-        let my_pos = self.order.iter().position(|&x| x == frame)?;
-        for (pi, &yf) in self.order.iter().enumerate() {
-            if pi < my_pos {
-                continue;
-            }
-            let f = &self.frames[yf.0 as usize];
+        let my_pos = self.frames.age(frame)?;
+        for &yf in &self.frames.order()[my_pos..] {
+            let f = &self.frames[yf];
             let mut best: Option<&LoadRec> = None;
             for l in &f.performed_loads {
                 if yf == frame && l.lsid <= lsid {
@@ -927,7 +801,7 @@ impl DataTile {
                 }
             }
             if let Some(l) = best {
-                return Some((yf, f.gen, l.ea));
+                return Some((yf, self.frames.gen(yf), l.ea));
             }
         }
         None
@@ -943,20 +817,13 @@ impl DataTile {
         tracer: &mut Tracer,
     ) {
         let dt = self.index;
-        // `Fast` visits only frames holding a deferred load
-        // (`deferred_mask` is exactly the full scan's
-        // `active && !deferred.is_empty()` predicate).
-        let mut pending = cfg.tick_mode.walk(self.deferred_mask, self.frames.len());
-        while pending != 0 {
-            let fi = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
+        // `Fast` visits only frames holding a deferred load (`deferred`
+        // is exactly the full scan's `active && !deferred.is_empty()`
+        // predicate).
+        for frame in cfg.tick_mode.walk(self.deferred, self.frames.len()).iter() {
             self.advance_visits += 1;
-            if !self.frames[fi].active || self.frames[fi].deferred.is_empty() {
-                continue;
-            }
-            let frame = FrameId(fi as u8);
-            let gen = self.frames[fi].gen;
-            let deferred = std::mem::take(&mut self.frames[fi].deferred);
+            let Some((gen, f)) = self.frames.live(frame) else { continue };
+            let deferred = std::mem::take(&mut f.deferred);
             for d in deferred {
                 if self.prior_stores_arrived(frame, d.lsid) {
                     let lsid = d.lsid;
@@ -966,17 +833,17 @@ impl DataTile {
                         d.ev, tracer,
                     );
                 } else {
-                    self.frames[fi].deferred.push(d);
+                    self.frames[frame].deferred.push(d);
                 }
             }
-            if self.frames[fi].deferred.is_empty() {
-                self.deferred_mask &= !(1 << fi);
+            if self.frames[frame].deferred.is_empty() {
+                self.deferred.remove(frame);
             }
         }
     }
 
     fn respond(&mut self, now: u64, crit: &mut CritPath, ld: ExecLoad) {
-        if !self.frame_ok(ld.frame, ld.gen) {
+        if !self.frames.ok(ld.frame, ld.gen) {
             return;
         }
         let ev = crit.event(now, ld.ev, Cat::Other, now.saturating_sub(crit.time_of(ld.ev)).max(1));
@@ -1010,20 +877,12 @@ impl DataTile {
         let my_pos = dt_chain_pos(self.index as usize);
         let north = my_pos - 1;
 
-        // Commit drain: one store per cycle to the cache/memory. The
-        // port is shared across frames and must retire blocks in age
-        // order — two in-flight commits can both store to the same
-        // address, and a younger block's drain overtaking an older's
-        // would leave the stale older value as the final memory
-        // state. Commit waves arrive in age order on the GCN, so the
-        // committing frames form an oldest-first prefix of the
-        // dispatch order; drain the oldest unfinished one.
-        'drain: for oi in 0..self.order.len() {
-            let fi = self.order[oi].0 as usize;
-            let f = &mut self.frames[fi];
-            if !f.active || !f.committing {
-                break;
-            }
+        // Commit drain: one store per cycle to the cache/memory, through
+        // the one port all frames share, oldest committing frame first
+        // (two in-flight commits can both store to the same address).
+        let mut cursor = 0;
+        'drain: while let Some(frame) = self.frames.next_draining(&mut cursor) {
+            let f = &mut self.frames[frame];
             if f.stores_drained {
                 continue;
             }
@@ -1031,7 +890,7 @@ impl DataTile {
                 f.own_stores.sort_by_key(|s| s.lsid);
             }
             loop {
-                let f = &mut self.frames[fi];
+                let f = &mut self.frames[frame];
                 let Some(s) = f.own_stores.get(f.commit_cursor).copied() else {
                     f.stores_drained = true;
                     break; // next (younger) frame may use the port
@@ -1055,8 +914,8 @@ impl DataTile {
                     // ESN-style store completion: under the NUCA
                     // backend the line is written back and commit
                     // completion waits for the acknowledgement.
-                    if memsys.store_write(self.index, fi as u8, s.ea, s.val, s.bytes as usize) {
-                        self.frames[fi].acks_pending += 1;
+                    if memsys.store_write(self.index, frame.0, s.ea, s.val, s.bytes as usize) {
+                        self.frames[frame].acks_pending += 1;
                     }
                     break 'drain; // the store port is spent this cycle
                 }
@@ -1065,82 +924,47 @@ impl DataTile {
 
         // A frame's commit work is done once its stores are drained
         // *and* every writeback is acknowledged. The perfect backend
-        // never issues writebacks, so this degenerates to
-        // `commit_done = stores_drained` in the same cycle — exactly
-        // the pre-backend behaviour. `committing_mask` holds exactly
-        // the frames the full scan could flip (`active && committing
-        // && !commit_done`; a frame already done is a no-op there), so
-        // the masked walk is the same transition set.
-        let mut drain = cfg.tick_mode.walk(self.committing_mask, self.frames.len());
-        while drain != 0 {
-            let fi = drain.trailing_zeros() as usize;
-            drain &= drain - 1;
+        // never issues writebacks, so this degenerates to drain-done in
+        // the same cycle — exactly the pre-backend behaviour. The
+        // draining set holds exactly the frames the full scan could
+        // flip (a frame already done is a no-op there), so the walk
+        // over it is the same transition set.
+        for frame in cfg.tick_mode.walk(self.frames.draining(), self.frames.len()).iter() {
             self.advance_visits += 1;
-            let f = &mut self.frames[fi];
-            if f.active && f.committing && f.stores_drained && f.acks_pending == 0 {
-                f.commit_done = true;
-                self.committing_mask &= !(1 << fi);
+            let f = &self.frames[frame];
+            if self.frames.is_committing(frame) && f.stores_drained && f.acks_pending == 0 {
+                self.frames.drain_done(frame);
             }
         }
 
-        // Detection and acks only ever act on active frames, so
-        // `Fast` walks the active-frame mask (same ascending order
-        // the full scan visits them in).
-        let mut pending = cfg.tick_mode.walk(self.active_mask, self.frames.len());
-        while pending != 0 {
-            let fi = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
+        // Detection only ever acts on active frames, so `Fast` walks
+        // the active set (same ascending order the full scan visits
+        // them in).
+        for frame in cfg.tick_mode.walk(self.frames.active(), self.frames.len()).iter() {
             self.advance_visits += 1;
-            let frame = FrameId(fi as u8);
             // Store-completion detection: the nearest DT notifies the
             // GT (§4.4).
+            let Some((gen, f)) = self.frames.live(frame) else { continue };
+            if self.index == 0
+                && f.mask_known
+                && !f.done_sent
+                && f.arrived & f.store_mask == f.store_mask
             {
-                let f = &mut self.frames[fi];
-                if f.active
-                    && self.index == 0
-                    && f.mask_known
-                    && !f.done_sent
-                    && f.arrived & f.store_mask == f.store_mask
-                {
-                    f.done_sent = true;
-                    let ev = crit.event(now, f.done_ev, Cat::BlockComplete, 1);
-                    let gen = f.gen;
-                    tracer.record(now, || TraceKind::StoresDone { frame });
-                    nets.gsn_dt.send(now, my_pos, 0, GsnMsg::StoresDone { frame, gen, ev });
-                }
+                f.done_sent = true;
+                let ev = crit.event(now, f.done_ev, Cat::BlockComplete, 1);
+                tracer.record(now, || TraceKind::StoresDone { frame });
+                nets.gsn_dt.send(now, my_pos, 0, GsnMsg::StoresDone { frame, gen, ev });
             }
         }
 
-        // Ack + deallocate strictly oldest-first: a frame may leave
-        // `order` only from the head (the same age-order discipline
-        // as the store drain above, and as the RT's ack walk). Acking
-        // by readiness alone let a *younger* frame deallocate while
-        // an older one still awaited its (delayed) south ack — and
-        // once the younger frame's drained stores left the LSQ, load
-        // forwarding fell through to the older frame's still-queued
-        // stale store, resurrecting a superseded value past memory.
-        // Under clean timing acks become ready oldest-first anyway,
-        // so this only delays (never drops) an ack under fault-plan
-        // chain delays.
-        while let Some(&frame) = self.order.first() {
-            let fi = frame.0 as usize;
-            let f = &mut self.frames[fi];
-            if !(f.active && f.commit_done && f.south_ack && !f.ack_sent) {
-                break;
-            }
-            f.ack_sent = true;
+        // Ack + deallocate, strictly oldest-first.
+        while let Some((frame, gen)) = self.frames.retire_head() {
             tracer.record(now, || TraceKind::CommitAck { tile: TileId::Dt(index), frame });
-            nets.gsn_dt.send(now, my_pos, north, GsnMsg::StoresCommitted { frame, gen: f.gen });
+            nets.gsn_dt.send(now, my_pos, north, GsnMsg::StoresCommitted { frame, gen });
+            let f = &self.frames[frame];
             self.occupancy =
                 self.occupancy.saturating_sub(f.own_stores.len() + f.performed_loads.len());
-            f.active = false;
-            f.gen += 1;
-            f.own_stores.clear();
-            f.performed_loads.clear();
-            self.active_mask &= !(1 << fi);
-            self.deferred_mask &= !(1 << fi);
-            debug_assert_eq!(self.committing_mask & (1 << fi), 0, "acked while draining");
-            self.order.remove(0);
+            self.deferred.remove(frame);
             self.blocks_since_clear += 1;
             if self.blocks_since_clear >= cfg.deppred_clear_blocks {
                 self.blocks_since_clear = 0;

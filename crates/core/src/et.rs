@@ -13,8 +13,9 @@ use trips_isa::semantics::{eval, Tok};
 use trips_isa::{Instruction, Opcode, OperandNeeds, OperandSlot, Pred, Target};
 use trips_micronet::WakeTable;
 
-use crate::config::{CoreConfig, CoreGeometry, FrameMask, StationMask};
+use crate::config::{CoreConfig, CoreGeometry, StationMask, MAX_FRAMES};
 use crate::critpath::{Cat, CritPath};
+use crate::frames::{FrameFile, FrameSet};
 use crate::gt::GlobalTile;
 use crate::msg::{EvId, FrameId, GcnMsg, Gen, OpnPayload, RowMsg, TileId};
 use crate::nets::{opn_recv_batch, row_pos_of_col, Nets, OpnOutbox};
@@ -38,10 +39,9 @@ struct Station {
     disp_ev: EvId,
 }
 
+/// A frame's body ([`FrameFile`] holds its lifecycle): the stations.
 #[derive(Debug, Default)]
 struct EtFrame {
-    active: bool,
-    gen: Gen,
     stations: Vec<Option<Station>>,
     /// Bit `s` set iff `stations[s]` is waiting with all needed
     /// operands present — maintained at dispatch and operand delivery
@@ -58,9 +58,7 @@ impl EtFrame {
     /// `EtFrame::default()` here; with geometry-sized `Vec` stations
     /// the replacement would both shrink the array and reallocate
     /// every flush).
-    fn reset(&mut self, active: bool, gen: Gen) {
-        self.active = active;
-        self.gen = gen;
+    fn reset(&mut self) {
         self.stations.fill(None);
         self.ready = 0;
         self.early.clear();
@@ -83,8 +81,9 @@ pub struct ExecTile {
     /// Grid column (0..geometry cols).
     pub col: u8,
     geom: CoreGeometry,
-    frames: Vec<EtFrame>,
-    order: Vec<FrameId>,
+    /// No commit drain, no ack chain, and age is first-touch order:
+    /// every message counts as a dispatch (DESIGN.md §5i).
+    frames: FrameFile<EtFrame>,
     inflight: Vec<InFlight>,
     local_q: Vec<(u64, FrameId, Gen, u8, OperandSlot, Tok, EvId)>,
     fu_busy_until: u64,
@@ -96,14 +95,14 @@ pub struct ExecTile {
     /// select stage is provably a no-op, so the clock-gating predicate
     /// can let the tile sleep.
     maybe_ready: bool,
-    /// Bit `fi` set iff `frames[fi].ready != 0` — the dirty-frame
-    /// work list for the select stage, maintained wherever a `ready`
-    /// bit is set or cleared and audited against the frames. A frame
-    /// with no ready station contributes nothing to select (its mask
-    /// walk is empty and it cannot set the unpipelined-deferral
-    /// flag), so skipping it is invisible; `TickMode` only selects
-    /// which iteration the tick uses.
-    ready_frames: FrameMask,
+    /// The frames with `ready != 0` — the dirty-frame work list for
+    /// the select stage, maintained wherever a `ready` bit is set or
+    /// cleared and audited against the frames. A frame with no ready
+    /// station contributes nothing to select (its mask walk is empty
+    /// and it cannot set the unpipelined-deferral flag), so skipping
+    /// it is invisible; `TickMode` only selects which iteration the
+    /// tick uses.
+    ready_frames: FrameSet,
     /// Frames examined by the select walk (not in [`CoreStats`];
     /// host-side observability for the non-vacuousness tests).
     pub(crate) select_visits: u64,
@@ -124,16 +123,16 @@ impl ExecTile {
             row,
             col,
             geom,
-            frames: (0..geom.frames)
-                .map(|_| EtFrame { stations: vec![None; geom.rs_per_frame], ..EtFrame::default() })
-                .collect(),
-            order: Vec::with_capacity(geom.frames),
+            frames: FrameFile::new(geom.frames, false, || EtFrame {
+                stations: vec![None; geom.rs_per_frame],
+                ..EtFrame::default()
+            }),
             inflight: Vec::with_capacity(geom.rs_per_frame),
             local_q: Vec::with_capacity(geom.rs_per_frame),
             fu_busy_until: 0,
             outbox: OpnOutbox::with_capacity(16),
             maybe_ready: false,
-            ready_frames: 0,
+            ready_frames: FrameSet::EMPTY,
             select_visits: 0,
         }
     }
@@ -174,11 +173,8 @@ impl ExecTile {
     /// Queued work for the hang diagnoser (`None` when idle and no
     /// station waits on a missing operand).
     pub fn diag(&self) -> Option<String> {
-        let waiting: usize = self
-            .frames
-            .iter()
-            .filter(|f| f.active)
-            .flat_map(|f| f.stations.iter().flatten())
+        let waiting: usize = (self.frames.active().iter())
+            .flat_map(|f| self.frames[f].stations.iter().flatten())
             .filter(|s| s.state == SState::Waiting)
             .count();
         if self.idle() && waiting == 0 {
@@ -208,46 +204,23 @@ impl ExecTile {
     }
 
     fn audit_frames(&self, gt: &GlobalTile) -> Result<(), String> {
-        let mut seen: FrameMask = 0;
-        for &f in &self.order {
-            let bit = (1 as FrameMask) << f.0;
-            if seen & bit != 0 {
-                return Err(format!("frame {} twice in activation order", f.0));
-            }
-            seen |= bit;
+        let mut ready = FrameSet::EMPTY;
+        self.frames.audit(
+            |fi| gt.slot(fi),
+            |frame, _, f| {
+                if f.ready != 0 {
+                    ready.insert(frame);
+                }
+                Ok(())
+            },
+        )?;
+        if ready != self.ready_frames {
+            return Err(format!("ready frames {:#b}, recount {ready:#b}", self.ready_frames));
         }
-        for (fi, f) in self.frames.iter().enumerate() {
-            let listed = self.ready_frames & (1 << fi) != 0;
-            if (f.ready != 0) != listed {
-                return Err(format!(
-                    "frame {fi} ready mask {:#04x} but work-list bit {listed}",
-                    f.ready
-                ));
-            }
-            let in_order = seen & (1 << fi) != 0;
-            if f.active != in_order {
-                return Err(format!(
-                    "frame {fi} active={} but {} the activation order",
-                    f.active,
-                    if in_order { "in" } else { "not in" }
-                ));
-            }
-            if !f.active {
-                continue;
-            }
-            let (gt_gen, gt_free) = gt.slot(fi);
-            if f.gen > gt_gen {
-                return Err(format!(
-                    "frame {fi} active at gen {} but the GT is at gen {}",
-                    f.gen, gt_gen
-                ));
-            }
-            if f.gen == gt_gen && gt_free {
-                return Err(format!(
-                    "frame {fi} active at the GT's current gen {} but the GT slot is free",
-                    f.gen
-                ));
-            }
+        // First touch gives age: every active frame is ordered (the
+        // order holds active frames, each once, so the counts decide).
+        if self.frames.order().len() != self.frames.active().iter().count() {
+            return Err("an active frame is missing from the activation order".into());
         }
         Ok(())
     }
@@ -267,23 +240,23 @@ impl ExecTile {
         }
     }
 
-    fn ensure_frame(&mut self, frame: FrameId, gen: Gen) -> bool {
-        let f = &mut self.frames[frame.0 as usize];
-        if f.active && f.gen == gen {
-            return true;
-        }
-        if f.gen > gen {
-            return false;
-        }
-        f.reset(true, gen);
-        self.ready_frames &= !((1 as FrameMask) << frame.0);
-        self.order.push(frame);
-        true
+    /// [`FrameFile::ensure`] with this tile's body reset; any message
+    /// gives the frame its age.
+    fn ensure(&mut self, frame: FrameId, gen: Gen) -> bool {
+        let ready_frames = &mut self.ready_frames;
+        self.frames.ensure(frame, gen, true, |f| {
+            f.reset();
+            ready_frames.remove(frame);
+        })
     }
 
-    fn frame_ok(&self, frame: FrameId, gen: Gen) -> bool {
-        let f = &self.frames[frame.0 as usize];
-        f.active && f.gen == gen
+    /// The GCN flush wave (and, one frame wide, the commit wave).
+    fn flush(&mut self, mask: FrameSet, gens: &[Gen; MAX_FRAMES]) {
+        let ready_frames = &mut self.ready_frames;
+        self.frames.flush(mask, gens, |frame, f| {
+            f.ready = 0;
+            ready_frames.remove(frame);
+        });
     }
 
     /// One cycle.
@@ -301,37 +274,23 @@ impl ExecTile {
         while let Some(msg) = nets.gcn.recv(now, self.geom.gcn_pos(tile)) {
             match msg {
                 GcnMsg::Commit { frame, gen } => {
-                    if self.frame_ok(frame, gen) {
+                    if self.frames.ok(frame, gen) {
                         tracer.record(now, || TraceKind::CommitWave { tile, frame });
-                        let f = &mut self.frames[frame.0 as usize];
-                        stats.insts_committed += f.fired;
+                        stats.insts_committed += self.frames[frame].fired;
                         // The commit command flushes remaining
                         // speculative in-flight state for the block
-                        // (§4.4). Bumping the generation matches the
-                        // GT's deallocation bump so straggler operands
+                        // (§4.4): for an ET it *is* a flush of that one
+                        // frame to the next generation — matching the
+                        // GT's deallocation bump, so straggler operands
                         // of this incarnation are recognized as stale.
-                        f.active = false;
-                        f.gen += 1;
-                        f.stations.fill(None);
-                        f.ready = 0;
-                        f.early.clear();
-                        self.ready_frames &= !((1 as FrameMask) << frame.0);
-                        self.order.retain(|&x| x != frame);
+                        let mut gens = [0; MAX_FRAMES];
+                        gens[frame.0 as usize] = gen + 1;
+                        self.flush(FrameSet::bit(frame), &gens);
                     }
                 }
                 GcnMsg::Flush { mask, gens } => {
                     tracer.record(now, || TraceKind::FlushWave { tile, mask });
-                    for (fi, &new_gen) in gens.iter().enumerate().take(self.frames.len()) {
-                        if mask & ((1 as FrameMask) << fi) == 0 {
-                            continue;
-                        }
-                        let f = &mut self.frames[fi];
-                        if f.gen < new_gen {
-                            f.reset(false, new_gen);
-                            self.ready_frames &= !((1 as FrameMask) << fi);
-                            self.order.retain(|&x| x.0 as usize != fi);
-                        }
-                    }
+                    self.flush(mask, &gens);
                 }
             }
         }
@@ -341,12 +300,12 @@ impl ExecTile {
         let pos = row_pos_of_col(self.col as usize);
         while let Some(msg) = nets.gdn_rows[row_chain].recv(now, pos) {
             if let RowMsg::Inst { frame, gen, idx, inst, ev } = msg {
-                if !self.ensure_frame(frame, gen) {
+                if !self.ensure(frame, gen) {
                     continue;
                 }
                 let dev = crit.event(now, ev, Cat::IFetch, now.saturating_sub(crit.time_of(ev)));
                 let slot = self.geom.inst_slot(idx);
-                let f = &mut self.frames[frame.0 as usize];
+                let f = &mut self.frames[frame];
                 debug_assert!(f.stations[slot].is_none(), "reservation station collision");
                 let mut st =
                     Station { inst, idx, ops: [None; 3], state: SState::Waiting, disp_ev: dev };
@@ -362,7 +321,7 @@ impl ExecTile {
                 check_dead(&mut st);
                 if st.state == SState::Waiting && is_ready(&st) {
                     f.ready |= 1 << slot;
-                    self.ready_frames |= 1 << frame.0;
+                    self.ready_frames.insert(frame);
                 }
                 f.stations[slot] = Some(st);
                 self.maybe_ready = true;
@@ -375,7 +334,7 @@ impl ExecTile {
         opn_recv_batch(nets, now, self.tile_id(), tracer, |m| {
             let (hops, queued) = (m.hops, m.queued);
             if let OpnPayload::Operand { frame, gen, idx, slot, tok, ev } = m.payload {
-                if !self.ensure_frame(frame, gen) {
+                if !self.ensure(frame, gen) {
                     return;
                 }
                 let e_hop =
@@ -404,7 +363,7 @@ impl ExecTile {
         while i < self.local_q.len() {
             if self.local_q[i].0 <= now {
                 let (_, frame, gen, idx, slot, tok, ev) = self.local_q.swap_remove(i);
-                if self.frame_ok(frame, gen) {
+                if self.frames.ok(frame, gen) {
                     self.deliver_operand(frame, idx, slot, tok, ev);
                 }
             } else {
@@ -421,7 +380,7 @@ impl ExecTile {
     fn deliver_operand(&mut self, frame: FrameId, idx: u8, slot: OperandSlot, tok: Tok, ev: EvId) {
         self.maybe_ready = true;
         let sslot = self.geom.inst_slot(idx);
-        let f = &mut self.frames[frame.0 as usize];
+        let f = &mut self.frames[frame];
         match &mut f.stations[sslot] {
             Some(st) if st.idx == idx => {
                 let cell = &mut st.ops[slot_ix(slot)];
@@ -435,7 +394,7 @@ impl ExecTile {
                 check_dead(st);
                 if st.state == SState::Waiting && is_ready(st) {
                     f.ready |= 1 << sslot;
-                    self.ready_frames |= 1 << frame.0;
+                    self.ready_frames.insert(frame);
                 }
             }
             _ => f.early.push((idx, slot, tok, ev)),
@@ -461,28 +420,24 @@ impl ExecTile {
         // The first issue returns, so nothing below mutates
         // `ready_frames` while this snapshot is still consulted.
         let visit = cfg.tick_mode.walk(self.ready_frames, self.frames.len());
-        for oi in 0..self.order.len() {
-            let frame = self.order[oi];
-            let fi = frame.0 as usize;
-            if visit & (1 << fi) == 0 {
+        for oi in 0..self.frames.order().len() {
+            let frame = self.frames.order()[oi];
+            if !visit.contains(frame) {
                 // A frame with an empty ready mask yields an empty
                 // walk below and cannot set `deferred`; skipping it
                 // is invisible.
                 continue;
             }
             self.select_visits += 1;
-            if !self.frames[fi].active {
-                continue;
-            }
             // The ready mask tracks exactly the stations the old full
             // scan would have accepted (waiting, operands complete),
             // in the same slot order.
-            let mut mask = self.frames[fi].ready;
+            let mut mask = self.frames[frame].ready;
             while mask != 0 {
                 let slot = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let st =
-                    self.frames[fi].stations[slot].as_ref().expect("ready bit implies station");
+                    self.frames[frame].stations[slot].as_ref().expect("ready bit implies station");
                 debug_assert!(st.state == SState::Waiting && is_ready(st), "stale ready bit");
                 let (lat, pipelined) = self.exec_latency(cfg, st.inst.opcode);
                 if !pipelined && self.fu_busy_until > now {
@@ -490,13 +445,14 @@ impl ExecTile {
                     continue;
                 }
                 // Issue.
-                let gen = self.frames[fi].gen;
-                self.frames[fi].ready &= !(1 << slot);
-                if self.frames[fi].ready == 0 {
-                    self.ready_frames &= !(1 << fi);
+                let gen = self.frames.gen(frame);
+                let f = &mut self.frames[frame];
+                f.ready &= !(1 << slot);
+                if f.ready == 0 {
+                    self.ready_frames.remove(frame);
                 }
-                self.frames[fi].fired += 1;
-                let st = self.frames[fi].stations[slot].as_mut().expect("checked above");
+                f.fired += 1;
+                let st = f.stations[slot].as_mut().expect("checked above");
                 st.state = SState::Issued;
                 let mut parent = st.disp_ev;
                 for op in st.ops.iter().flatten() {
@@ -522,13 +478,12 @@ impl ExecTile {
     }
 
     fn finish(&mut self, now: u64, fin: InFlight, crit: &mut CritPath, stats: &mut CoreStats) {
-        if !self.frame_ok(fin.frame, fin.gen) {
+        if !self.frames.ok(fin.frame, fin.gen) {
             return;
         }
-        let fi = fin.frame.0 as usize;
         let gen = fin.gen;
         let st = {
-            let f = &mut self.frames[fi];
+            let f = &mut self.frames[fin.frame];
             let Some(st) = f.stations[fin.slot].as_mut() else {
                 return;
             };

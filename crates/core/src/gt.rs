@@ -11,10 +11,11 @@ use trips_isa::mem::SparseMem;
 use trips_isa::{decode_header, BlockFlags, BranchKind, CHUNK_BYTES};
 use trips_micronet::WakeTable;
 
-use crate::config::{CoreConfig, CoreGeometry, FrameMask, TickMode, MAX_FRAMES};
+use crate::config::{CoreConfig, CoreGeometry, TickMode, MAX_FRAMES};
 use crate::critpath::{Cat, CritPath, NO_EVENT};
 use crate::diag::FrameDiag;
 use crate::fault::StormState;
+use crate::frames::FrameSet;
 use crate::msg::{EvId, FrameId, GcnMsg, GdnFetch, Gen, GrnRefill, GsnMsg, OpnPayload, TileId};
 use crate::nets::{it_col_pos, opn_recv, Nets};
 use crate::predictor::{NextBlockPredictor, PredictorCheckpoint};
@@ -185,17 +186,16 @@ impl GlobalTile {
     /// fuzzing (see [`crate::invariants`] for the full catalogue).
     pub(crate) fn audit(&self) -> Result<(), String> {
         // Age order holds each in-flight frame exactly once.
-        let mut seen: FrameMask = 0;
+        let mut seen = FrameSet::EMPTY;
         for &f in &self.order {
-            let bit = (1 as FrameMask) << f.0;
-            if seen & bit != 0 {
+            if seen.contains(f) {
                 return Err(format!("frame {} appears twice in the GT age order", f.0));
             }
-            seen |= bit;
+            seen.insert(f);
         }
         for fi in 0..self.frames.len() {
             let f = &self.frames[fi];
-            let in_order = seen & (1 << fi) != 0;
+            let in_order = seen.contains(FrameId(fi as u8));
             if in_order == (f.state == FState::Free) {
                 return Err(format!(
                     "frame {fi} is {:?} but {} the GT age order",
@@ -599,7 +599,7 @@ impl GlobalTile {
             return;
         };
         let first_victim = if inclusive { pos } else { pos + 1 };
-        let mut mask: FrameMask = 0;
+        let mut mask = FrameSet::EMPTY;
         let mut gens = [0u32; MAX_FRAMES];
         for (g, f) in gens.iter_mut().zip(&self.frames) {
             *g = f.gen;
@@ -607,19 +607,17 @@ impl GlobalTile {
         while self.order.len() > first_victim {
             let v = self.order.pop_back().expect("length checked");
             let vi = v.0 as usize;
-            mask |= (1 as FrameMask) << vi;
+            mask.insert(v);
             let f = &mut self.frames[vi];
             let gen = f.gen + 1;
             *f = Frame { gen, ..Frame::default() };
             gens[vi] = gen;
             self.slot_free_ev[vi] = cause_ev;
         }
-        if let Some(op) = self.fetch {
-            if mask & ((1 as FrameMask) << op.frame.0) != 0 {
-                self.fetch = None;
-            }
+        if self.fetch.is_some_and(|op| mask.contains(op.frame)) {
+            self.fetch = None;
         }
-        if mask != 0 {
+        if !mask.is_empty() {
             nets.gcn_broadcast(now, GcnMsg::Flush { mask, gens });
         }
         self.next_pc = new_pc;

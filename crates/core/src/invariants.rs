@@ -16,6 +16,9 @@
 //!   writes done, all stores done, and its branch resolved (§4.4's
 //!   three completion inputs); commit commands go out in age order;
 //!   commit acks only exist for frames whose commit command went out.
+//! * **Tile frame lifecycle** (`frames::FrameFile::audit`, one copy for
+//!   RT, DT and ET) — a tile's age order holds active frames, each
+//!   once; every frame set a schedule reads equals its recount.
 //! * **Cross-tile generation bound** — no tile holds an *active* frame
 //!   at a generation newer than the GT's, and a tile frame active at
 //!   the GT's current generation implies the GT slot is not free:

@@ -56,6 +56,7 @@ pub mod diag;
 mod dt;
 mod et;
 mod fault;
+mod frames;
 mod gt;
 pub mod invariants;
 mod it;
@@ -71,12 +72,13 @@ pub mod trace;
 
 pub use chip::{Chip, ChipConfig, ChipStats};
 pub use config::{
-    CoreConfig, CoreGeometry, FrameMask, MemBackend, PredictorConfig, StationMask, TickMode,
-    TileMask, ET_COLS, ET_ROWS, MAX_FRAMES, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS, RS_PER_FRAME,
+    CoreConfig, CoreGeometry, MemBackend, PredictorConfig, StationMask, TickMode, TileMask,
+    ET_COLS, ET_ROWS, MAX_FRAMES, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS, RS_PER_FRAME,
 };
 pub use critpath::{Cat, CritBreakdown, CritPath, CATS, NUM_CATS};
 pub use diag::{FrameDiag, HangReport, NetDiag, TileDiag};
 pub use fault::{ChainDelay, FaultPlan, LinkFault, OcnFault, Ratio};
+pub use frames::FrameSet;
 pub use invariants::InvariantViolation;
 pub use predictor::{NextBlockPredictor, Prediction, PredictorCheckpoint};
 pub use proc::{GatingStats, Processor, SimError};

@@ -5,7 +5,8 @@ use trips_isa::semantics::Tok;
 use trips_isa::{BranchKind, Instruction, Opcode, OperandSlot, ReadInst, Target, WriteInst};
 use trips_micronet::Coord;
 
-use crate::config::{FrameMask, MAX_FRAMES};
+use crate::config::MAX_FRAMES;
+use crate::frames::FrameSet;
 
 /// An in-flight block slot (0..[`CoreGeometry::frames`]).
 ///
@@ -332,8 +333,8 @@ pub enum GcnMsg {
     /// Flush the frames in `mask`; each flushed frame's generation is
     /// bumped to the paired value.
     Flush {
-        /// Bit `i` set = flush frame `i`.
-        mask: FrameMask,
+        /// The frames to flush.
+        mask: FrameSet,
         /// New generation for each flushed frame (indices past the
         /// geometry's frame count are unused).
         gens: [Gen; MAX_FRAMES],

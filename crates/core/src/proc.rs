@@ -125,9 +125,19 @@ pub struct Processor {
 }
 
 impl Processor {
+    /// [`Processor::try_new`], panicking with its error.
+    pub fn new(cfg: CoreConfig) -> Processor {
+        Processor::try_new(cfg).unwrap_or_else(|e| panic!("invalid CoreConfig: {e}"))
+    }
+
     /// A processor with the given configuration (state is built when
     /// [`Processor::run`] loads a program).
-    pub fn new(cfg: CoreConfig) -> Processor {
+    ///
+    /// # Errors
+    ///
+    /// What [`CoreConfig::validate`] rejects.
+    pub fn try_new(cfg: CoreConfig) -> Result<Processor, String> {
+        cfg.validate()?;
         let nets = Nets::new(&cfg);
         let mut p = Processor {
             gt: GlobalTile::new(&cfg, 0),
@@ -147,7 +157,7 @@ impl Processor {
             cfg,
         };
         p.reset(0);
-        p
+        Ok(p)
     }
 
     fn reset(&mut self, entry: u64) {
@@ -341,14 +351,10 @@ impl Processor {
     /// store touched drops/poisons its copy and raises a violation
     /// flush for any speculatively performed overlapping load.
     pub(crate) fn shared_invalidate(&mut self, now: u64, ea: u64, bytes: usize) {
-        let nd = self.cfg.geometry.num_dts() as u64;
-        let mut seen: u64 = 0; // bitmask of DTs already visited
-        for line in [ea >> 6, ea.wrapping_add(bytes as u64 - 1) >> 6] {
-            let d = (line % nd) as usize;
-            if seen & (1 << d) != 0 {
-                continue;
-            }
-            seen |= 1 << d;
+        // The first line's DT, and the last line's when it differs.
+        let dt_of = |line: u64| (line % self.cfg.geometry.num_dts() as u64) as usize;
+        let (first, last) = (dt_of(ea >> 6), dt_of(ea.wrapping_add(bytes as u64 - 1) >> 6));
+        for d in std::iter::once(first).chain((last != first).then_some(last)) {
             self.dts[d].shared_invalidate(
                 now,
                 ea,
@@ -686,6 +692,37 @@ mod tests {
         f.halt();
         f.finish();
         compile(&p.finish(), Quality::Hand).expect("compiles").image
+    }
+
+    #[test]
+    fn try_new_names_the_field_of_every_machine_that_would_panic_or_wedge_later() {
+        use crate::chip::{Chip, ChipConfig};
+        use crate::config::CoreGeometry;
+        let ok = CoreConfig::prototype_pinned;
+        // Never met `CoreGeometry::validate`: a struct literal.
+        let three_rows = CoreGeometry { et_rows: 3, ..CoreGeometry::prototype() };
+        let table = [
+            (CoreConfig { opn_networks: 33, ..ok() }, "opn_networks"), // `1u32 << 33` in the outbox
+            (CoreConfig { opn_networks: 0, ..ok() }, "opn_networks"),
+            (CoreConfig { l1d_sets: 0, ..ok() }, "l1d_sets"), // `% 0` in the DT's set index
+            (CoreConfig { max_frames: 9, ..ok() }, "max_frames"), // past the 8-frame file
+            (CoreConfig { max_frames: 0, ..ok() }, "max_frames"), // the GT never fetches
+            (CoreConfig { geometry: three_rows, ..ok() }, "geometry"),
+            (CoreConfig { opn_fifo: 0, ..ok() }, "opn_fifo"),
+            (CoreConfig { l1d_ways: 0, ..ok() }, "l1d_ways"),
+            (CoreConfig { l1d_ways: 256, ..ok() }, "l1d_ways"), // the LRU counter is a `u8`
+            (CoreConfig { mshr_lines: 0, ..ok() }, "mshr_lines"),
+            (CoreConfig { commit_bw: 0, ..ok() }, "commit_bw"),
+            (CoreConfig { deppred_entries: 0, ..ok() }, "deppred_entries"),
+        ];
+        for (cfg, field) in table {
+            let err = Processor::try_new(cfg.clone()).err().unwrap_or_else(|| panic!("{field}"));
+            assert!(err.contains(field), "{field}: {err}");
+            let die = ChipConfig::with_cores(2, cfg, trips_mem::MemConfig::prototype());
+            let err = Chip::try_new(die).err().unwrap_or_else(|| panic!("chip, {field}"));
+            assert!(err.starts_with("core 0: ") && err.contains(field), "{field}: {err}");
+        }
+        assert!(Processor::try_new(ok()).is_ok());
     }
 
     #[test]

@@ -13,8 +13,9 @@ use trips_isa::semantics::Tok;
 use trips_isa::{ArchReg, ReadInst, Target};
 use trips_micronet::WakeTable;
 
-use crate::config::{CoreConfig, CoreGeometry, FrameMask, MAX_FRAMES};
+use crate::config::{CoreConfig, CoreGeometry, MAX_FRAMES};
 use crate::critpath::{Cat, CritPath, NO_EVENT};
+use crate::frames::{FrameFile, FrameSet};
 use crate::gt::GlobalTile;
 use crate::msg::{EvId, FrameId, GcnMsg, Gen, GsnMsg, OpnPayload, RowMsg, TileId};
 use crate::nets::{opn_recv_batch, row_pos_of_col, rt_chain_pos, Nets, OpnOutbox};
@@ -40,29 +41,22 @@ struct Waiter {
     resume_below: FrameId,
 }
 
+/// A frame's body ([`FrameFile`] holds its lifecycle): the write queue.
 #[derive(Debug, Default)]
 struct RtFrame {
-    active: bool,
-    gen: Gen,
     writes: Vec<WriteEntry>,
     header_done: bool,
     done_sent: bool,
     east_done: bool,
     done_ev: EvId,
-    committing: bool,
     commit_cursor: usize,
-    commit_done: bool,
-    east_ack: bool,
-    ack_sent: bool,
 }
 
 impl RtFrame {
     /// Reinitializes in place, keeping the write-queue and waiter
     /// allocations (frame churn is hot; `*f = default()` would free
     /// and re-grow every queue on every block).
-    fn reset(&mut self, active: bool, gen: Gen, eastmost: bool, done_ev: EvId) {
-        self.active = active;
-        self.gen = gen;
+    fn reset(&mut self, eastmost: bool) {
         for w in &mut self.writes {
             w.reg = None;
             w.declared = false;
@@ -72,12 +66,8 @@ impl RtFrame {
         self.header_done = false;
         self.done_sent = false;
         self.east_done = eastmost;
-        self.done_ev = done_ev;
-        self.committing = false;
+        self.done_ev = NO_EVENT;
         self.commit_cursor = 0;
-        self.commit_done = false;
-        self.east_ack = eastmost;
-        self.ack_sent = false;
     }
 }
 
@@ -85,25 +75,12 @@ impl RtFrame {
 pub struct RegTile {
     /// Bank index.
     pub bank: u8,
+    /// The last RT of the status chain: no east neighbour to wait for.
+    eastmost: bool,
     geom: CoreGeometry,
     regs: Vec<u64>,
-    frames: Vec<RtFrame>,
-    order: Vec<FrameId>,
+    frames: FrameFile<RtFrame>,
     outbox: OpnOutbox,
-    /// Bit `fi` set iff `frames[fi]` is active — the dirty-frame work
-    /// list for [`RegTile::advance_frames`]. Maintained at every
-    /// (de)activation site and audited against the frames, so the
-    /// masked walk visits exactly the frames the full scan would act
-    /// on. Maintained under both schedules; `TickMode` only selects
-    /// which iteration the tick uses.
-    active_mask: FrameMask,
-    /// Bit `fi` set iff `frames[fi]` is active, saw its commit wave,
-    /// and has not finished draining (`committing && !commit_done`) —
-    /// the exact predicate of [`RegTile::busy`]'s old frame scan.
-    /// Always maintained and always used: this mask drives the
-    /// clock-gating predicate, which must stay exact or the scheduler
-    /// sleeps through a commit drain.
-    committing_mask: FrameMask,
     /// Frames examined by the advance walk (not in [`CoreStats`]; a
     /// host-side observability counter for the non-vacuousness tests,
     /// like [`GatingStats`](crate::GatingStats)).
@@ -113,22 +90,18 @@ pub struct RegTile {
 impl RegTile {
     /// A fresh RT for `bank` of a `geom`-sized core.
     pub fn new(bank: u8, geom: CoreGeometry) -> RegTile {
-        let mut frames = Vec::with_capacity(geom.frames);
-        for _ in 0..geom.frames {
-            frames.push(RtFrame {
-                writes: vec![WriteEntry::default(); geom.slots_per_rt()],
-                ..RtFrame::default()
-            });
-        }
+        let body = || RtFrame {
+            writes: vec![WriteEntry::default(); geom.slots_per_rt()],
+            ..RtFrame::default()
+        };
+        let eastmost = bank as usize == geom.num_rts() - 1;
         RegTile {
             bank,
+            eastmost,
             geom,
             regs: vec![0; geom.regs_per_bank()],
-            frames,
-            order: Vec::with_capacity(geom.frames),
+            frames: FrameFile::new(geom.frames, eastmost, body),
             outbox: OpnOutbox::with_capacity(16),
-            active_mask: 0,
-            committing_mask: 0,
             advance_visits: 0,
         }
     }
@@ -140,7 +113,7 @@ impl RegTile {
 
     /// True when no frame state or traffic is pending.
     pub fn idle(&self) -> bool {
-        self.order.is_empty() && self.outbox.is_empty()
+        self.frames.order().is_empty() && self.outbox.is_empty()
     }
 
     /// True while a tick can make progress without a new message:
@@ -149,10 +122,7 @@ impl RegTile {
     /// Every other state change in this tile is message-triggered and
     /// completed in the tick that consumes the message.
     pub(crate) fn busy(&self) -> bool {
-        // `committing_mask` is the old frame scan's predicate
-        // (`active && committing && !commit_done`) held as a bitmask,
-        // so the busy test is two loads instead of an eight-frame walk.
-        !self.outbox.is_empty() || self.committing_mask != 0
+        !self.outbox.is_empty() || !self.frames.draining().is_empty()
     }
 
     /// This tile's wake-table entry, from scratch (filed on the way out
@@ -175,8 +145,8 @@ impl RegTile {
             return None;
         }
         let mut parts = Vec::new();
-        for &frame in &self.order {
-            let f = &self.frames[frame.0 as usize];
+        for &frame in self.frames.order() {
+            let f = &self.frames[frame];
             let missing = f.writes.iter().filter(|w| w.declared && w.value.is_none()).count();
             let waiters: usize = f.writes.iter().map(|w| w.waiters.len()).sum();
             parts.push(format!(
@@ -192,81 +162,19 @@ impl RegTile {
 
     /// RT-side protocol invariants (see [`crate::invariants`]).
     pub(crate) fn audit(&self, gt: &GlobalTile) -> Result<(), String> {
-        let mut seen: FrameMask = 0;
-        for &f in &self.order {
-            let bit = (1 as FrameMask) << f.0;
-            if seen & bit != 0 {
-                return Err(format!("RT{}: frame {} twice in dispatch order", self.bank, f.0));
+        let body = |frame: FrameId, active: bool, f: &RtFrame| {
+            if active && f.commit_cursor > f.writes.len() {
+                return Err(format!("frame {} commit cursor past the write queue", frame.0));
             }
-            seen |= bit;
-            if !self.frames[f.0 as usize].active {
-                return Err(format!("RT{}: inactive frame {} in dispatch order", self.bank, f.0));
-            }
-        }
-        for (fi, f) in self.frames.iter().enumerate() {
-            if f.active != (self.active_mask & (1 << fi) != 0) {
-                return Err(format!(
-                    "RT{}: frame {fi} active={} but the work-list mask says {}",
-                    self.bank, f.active, !f.active
-                ));
-            }
-            let draining = f.active && f.committing && !f.commit_done;
-            if draining != (self.committing_mask & (1 << fi) != 0) {
-                return Err(format!(
-                    "RT{}: frame {fi} draining={draining} but the committing mask disagrees",
-                    self.bank
-                ));
-            }
-            if !f.active {
-                continue;
-            }
-            let (gt_gen, gt_free) = gt.slot(fi);
-            if f.gen > gt_gen {
-                return Err(format!(
-                    "RT{}: frame {fi} active at gen {} but the GT is at gen {}",
-                    self.bank, f.gen, gt_gen
-                ));
-            }
-            if f.gen == gt_gen && gt_free {
-                return Err(format!(
-                    "RT{}: frame {fi} active at the GT's current gen {} but the GT slot is free",
-                    self.bank, f.gen
-                ));
-            }
-            if f.commit_cursor > f.writes.len() {
-                return Err(format!(
-                    "RT{}: frame {fi} commit cursor ran past the write queue",
-                    self.bank
-                ));
-            }
-        }
-        Ok(())
+            Ok(())
+        };
+        self.frames.audit(|fi| gt.slot(fi), body).map_err(|e| format!("RT{}: {e}", self.bank))
     }
 
-    /// Activates (or validates) a frame. Only GDN dispatch messages
-    /// may establish the age order — OPN traffic can overtake the
-    /// dispatch chains, and the write-queue search depends on correct
-    /// relative block ages.
-    fn ensure_frame(&mut self, frame: FrameId, gen: Gen, from_dispatch: bool) -> bool {
-        let f = &mut self.frames[frame.0 as usize];
-        if f.gen > gen {
-            return false; // stale message for a flushed/retired incarnation
-        }
-        if !(f.active && f.gen == gen) {
-            let eastmost = self.bank as usize == self.geom.num_rts() - 1;
-            f.reset(true, gen, eastmost, NO_EVENT);
-            self.active_mask |= 1 << frame.0;
-            self.committing_mask &= !(1 << frame.0);
-        }
-        if from_dispatch && !self.order.contains(&frame) {
-            self.order.push(frame);
-        }
-        true
-    }
-
-    fn frame_ok(&self, frame: FrameId, gen: Gen) -> bool {
-        let f = &self.frames[frame.0 as usize];
-        f.active && f.gen == gen
+    /// [`FrameFile::ensure`] with this tile's body reset.
+    fn ensure(&mut self, frame: FrameId, gen: Gen, from_dispatch: bool) -> bool {
+        let eastmost = self.eastmost;
+        self.frames.ensure(frame, gen, from_dispatch, |f| f.reset(eastmost))
     }
 
     /// One cycle.
@@ -285,22 +193,22 @@ impl RegTile {
         while let Some(msg) = nets.gdn_rows[0].recv(now, pos) {
             match msg {
                 RowMsg::Read { frame, gen, read, ev, .. } => {
-                    if self.ensure_frame(frame, gen, true) {
+                    if self.ensure(frame, gen, true) {
                         let dev = crit.event(now, ev, Cat::IFetch, now - crit.time_of(ev));
                         self.resolve_read(now, frame, gen, read, dev, None, crit);
                     }
                 }
                 RowMsg::Write { frame, gen, slot, write, .. } => {
-                    if self.ensure_frame(frame, gen, true) {
+                    if self.ensure(frame, gen, true) {
                         let w = slot as usize % self.geom.slots_per_rt();
-                        let e = &mut self.frames[frame.0 as usize].writes[w];
+                        let e = &mut self.frames[frame].writes[w];
                         e.reg = Some(write.reg);
                         e.declared = true;
                     }
                 }
                 RowMsg::HeaderDone { frame, gen, ev } => {
-                    if self.ensure_frame(frame, gen, true) {
-                        let f = &mut self.frames[frame.0 as usize];
+                    if self.ensure(frame, gen, true) {
+                        let f = &mut self.frames[frame];
                         f.header_done = true;
                         // Anchor the completion chain to the dispatch
                         // so a block with no register writes still
@@ -321,7 +229,7 @@ impl RegTile {
         opn_recv_batch(nets, now, TileId::Rt(self.bank), tracer, |m| {
             let (hops, queued) = (m.hops, m.queued);
             if let OpnPayload::WriteVal { frame, gen, wslot, tok, ev } = m.payload {
-                if !self.ensure_frame(frame, gen, false) {
+                if !self.ensure(frame, gen, false) {
                     return;
                 }
                 let e_hop =
@@ -335,13 +243,11 @@ impl RegTile {
         while let Some(msg) = nets.gcn.recv(now, self.geom.gcn_pos(TileId::Rt(self.bank))) {
             match msg {
                 GcnMsg::Commit { frame, gen } => {
-                    if self.frame_ok(frame, gen) {
+                    if self.frames.commit_wave(frame, gen) {
                         tracer.record(now, || TraceKind::CommitWave {
                             tile: TileId::Rt(self.bank),
                             frame,
                         });
-                        self.frames[frame.0 as usize].committing = true;
-                        self.committing_mask |= 1 << frame.0;
                     }
                 }
                 GcnMsg::Flush { mask, gens } => {
@@ -355,7 +261,7 @@ impl RegTile {
         // East neighbour's status chain messages.
         while let Some(msg) = nets.gsn_rt.recv(now, rt_chain_pos(self.bank as usize)) {
             match msg {
-                // `ensure_frame`, not `frame_ok`: completion hops
+                // `ensure`, not `ok`: completion hops
                 // overlap the flush window, so a neighbour that saw
                 // the flush wave (GCN) and the redispatch (GDN) early
                 // can legally complete the *next* generation before
@@ -365,14 +271,12 @@ impl RegTile {
                 // wedge the daisy chain; fast-forwarding the frame —
                 // the same implicit-flush idiom OPN write arrivals
                 // use — keeps the hop. Stale generations still drop.
-                GsnMsg::WritesDone { frame, gen, ev } if self.ensure_frame(frame, gen, false) => {
-                    let f = &mut self.frames[frame.0 as usize];
+                GsnMsg::WritesDone { frame, gen, ev } if self.ensure(frame, gen, false) => {
+                    let f = &mut self.frames[frame];
                     f.east_done = true;
                     f.done_ev = crit.later(f.done_ev, ev);
                 }
-                GsnMsg::WritesCommitted { frame, gen } if self.frame_ok(frame, gen) => {
-                    self.frames[frame.0 as usize].east_ack = true;
-                }
+                GsnMsg::WritesCommitted { frame, gen } => self.frames.neighbour_ack(frame, gen),
                 _ => {}
             }
         }
@@ -396,28 +300,13 @@ impl RegTile {
         let my_pos = rt_chain_pos(self.bank as usize);
         let west = my_pos - 1;
 
-        // Commit: drain writes to the architectural file. The file's
-        // write ports are shared across frames and must apply blocks
-        // in age order — two in-flight commits can both write the
-        // same register, and a younger block's drain overtaking an
-        // older's would leave the stale older value as the final
-        // architectural state. Commit waves arrive in age order on
-        // the GCN, so the committing frames form an oldest-first
-        // prefix of the dispatch order; walk it with a shared
-        // per-tick budget and stall younger drains behind older ones.
-        let mut budget = cfg.commit_bw;
-        for oi in 0..self.order.len() {
-            if budget == 0 {
-                break;
-            }
-            let fi = self.order[oi].0 as usize;
-            let f = &mut self.frames[fi];
-            if !f.active || !f.committing {
-                break;
-            }
-            if f.commit_done {
-                continue;
-            }
+        // Commit: drain writes to the architectural file through the
+        // write ports all frames share, oldest committing frame first
+        // (two in-flight commits can both write the same register).
+        let (mut budget, mut cursor) = (cfg.commit_bw, 0);
+        while budget > 0 {
+            let Some(frame) = self.frames.next_draining(&mut cursor) else { break };
+            let f = &mut self.frames[frame];
             while f.commit_cursor < f.writes.len() {
                 let e = &f.writes[f.commit_cursor];
                 if let (true, Some(reg), Some((Tok::Val(v), _))) = (e.declared, e.reg, e.value) {
@@ -430,24 +319,16 @@ impl RegTile {
                 f.commit_cursor += 1;
             }
             if f.commit_cursor >= f.writes.len() {
-                f.commit_done = true;
-                self.committing_mask &= !(1 << fi);
+                self.frames.drain_done(frame);
             }
         }
 
         // The completion walk only acts on active frames, so `Fast`
-        // iterates the active-frame mask (same ascending frame order
-        // as `Reference`'s full scan, which skips the inactive rest).
-        let mut pending = cfg.tick_mode.walk(self.active_mask, self.frames.len());
-        while pending != 0 {
-            let fi = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
+        // iterates the active set (same ascending frame order as
+        // `Reference`'s full scan, which skips the inactive rest).
+        for frame in cfg.tick_mode.walk(self.frames.active(), self.frames.len()).iter() {
             self.advance_visits += 1;
-            let frame = FrameId(fi as u8);
-            let f = &mut self.frames[fi];
-            if !f.active {
-                continue;
-            }
+            let Some((gen, f)) = self.frames.live(frame) else { continue };
             // Block-completion detection: all declared writes have
             // values and the east neighbour agrees.
             if !f.done_sent && f.header_done && f.east_done {
@@ -456,70 +337,30 @@ impl RegTile {
                     f.done_sent = true;
                     tracer.record(now, || TraceKind::WritesDone { rt: bank, frame });
                     let ev = crit.event(now, f.done_ev, Cat::BlockComplete, 1);
-                    nets.gsn_rt.send(
-                        now,
-                        my_pos,
-                        west,
-                        GsnMsg::WritesDone { frame, gen: f.gen, ev },
-                    );
+                    nets.gsn_rt.send(now, my_pos, west, GsnMsg::WritesDone { frame, gen, ev });
                 }
             }
         }
 
-        // Ack + deallocate strictly oldest-first: a frame may leave
-        // `order` only from the head. Acking by readiness alone (the
-        // old frame-index walk) let a *younger* frame deallocate
-        // while an older one still awaited its (delayed) east ack —
-        // and once the younger frame's drained value left the write
-        // queues, read forwarding fell through to the older frame's
-        // still-queued stale entry, resurrecting a superseded value
-        // past the architectural file. Same age-order discipline as
-        // the commit drain above; under clean timing acks become
-        // ready oldest-first anyway, so this only bites (and only
-        // delays, never drops, an ack) under fault-plan chain delays.
-        while let Some(&frame) = self.order.first() {
-            let fi = frame.0 as usize;
-            let f = &mut self.frames[fi];
-            if !(f.active && f.commit_done && f.east_ack && !f.ack_sent) {
-                break;
-            }
-            f.ack_sent = true;
+        // Ack + deallocate, strictly oldest-first.
+        while let Some((frame, gen)) = self.frames.retire_head() {
             tracer.record(now, || TraceKind::CommitAck { tile: TileId::Rt(bank), frame });
-            nets.gsn_rt.send(now, my_pos, west, GsnMsg::WritesCommitted { frame, gen: f.gen });
-            // Deactivate; the generation bump matches the GT's
-            // deallocation bump so stragglers read as stale.
-            f.active = false;
-            f.gen += 1;
-            debug_assert_eq!(self.committing_mask & (1 << fi), 0, "acked while draining");
-            self.active_mask &= !(1 << fi);
-            self.order.remove(0);
+            nets.gsn_rt.send(now, my_pos, west, GsnMsg::WritesCommitted { frame, gen });
         }
     }
 
-    fn flush(&mut self, now: u64, mask: FrameMask, gens: [Gen; MAX_FRAMES], crit: &mut CritPath) {
+    fn flush(&mut self, now: u64, mask: FrameSet, gens: [Gen; MAX_FRAMES], crit: &mut CritPath) {
         let mut orphaned: Vec<Waiter> = Vec::new();
-        for (fi, &new_gen) in gens.iter().enumerate().take(self.frames.len()) {
-            if mask & (1 << fi) == 0 {
-                continue;
+        self.frames.flush(mask, &gens, |_, f| {
+            for w in &mut f.writes {
+                orphaned.append(&mut w.waiters);
             }
-            let f = &mut self.frames[fi];
-            if f.active && f.gen < new_gen {
-                for w in &mut f.writes {
-                    orphaned.append(&mut w.waiters);
-                }
-                f.reset(false, new_gen, false, 0);
-                self.active_mask &= !(1 << fi);
-                self.committing_mask &= !(1 << fi);
-                self.order.retain(|&x| x.0 as usize != fi);
-            } else if !f.active && f.gen < new_gen {
-                f.gen = new_gen;
-            }
-        }
+        });
         // Waiters from surviving frames must retry their search (they
         // were waiting on a squashed producer). Waiters from flushed
         // frames are gone with their frames.
         for w in orphaned {
-            if self.frame_ok(w.frame, w.gen) {
+            if self.frames.ok(w.frame, w.gen) {
                 let resume = Some(w.resume_below);
                 self.resolve_read(now, w.frame, w.gen, w.read, w.ev, resume, crit);
             }
@@ -540,23 +381,14 @@ impl RegTile {
         resume_below: Option<FrameId>,
         crit: &mut CritPath,
     ) {
-        let start =
-            match resume_below {
-                Some(below) => self.order.iter().position(|&x| x == below).unwrap_or(
-                    self.order.iter().position(|&x| x == frame).unwrap_or(self.order.len()),
-                ),
-                None => self
-                    .order
-                    .iter()
-                    .position(|&x| x == frame)
-                    .expect("reader frame must be in dispatch order"),
-            };
+        let age = |f| self.frames.age(f);
+        let start = match resume_below {
+            Some(below) => age(below).or_else(|| age(frame)).unwrap_or(self.frames.order().len()),
+            None => age(frame).expect("reader frame must be in dispatch order"),
+        };
         for oi in (0..start).rev() {
-            let older = self.order[oi];
-            let of = &mut self.frames[older.0 as usize];
-            if !of.active {
-                continue;
-            }
+            let older = self.frames.order()[oi];
+            let of = &mut self.frames[older];
             let hit = of.writes.iter_mut().find(|w| w.declared && w.reg == Some(read.reg));
             if let Some(entry) = hit {
                 match entry.value {
@@ -594,11 +426,10 @@ impl RegTile {
         ev: EvId,
         crit: &mut CritPath,
     ) {
-        let fi = frame.0 as usize;
         let slot = wslot as usize % self.geom.slots_per_rt();
         let waiters;
         {
-            let f = &mut self.frames[fi];
+            let f = &mut self.frames[frame];
             let e = &mut f.writes[slot];
             debug_assert!(e.value.is_none(), "double write delivery to W[{wslot}]");
             e.value = Some((tok, ev));
@@ -606,7 +437,7 @@ impl RegTile {
             waiters = std::mem::take(&mut e.waiters);
         }
         for w in waiters {
-            if !self.frame_ok(w.frame, w.gen) {
+            if !self.frames.ok(w.frame, w.gen) {
                 continue;
             }
             match tok {

@@ -20,7 +20,8 @@
 
 use std::fmt::Write as _;
 
-use crate::config::{CoreGeometry, FrameMask};
+use crate::config::CoreGeometry;
+use crate::frames::FrameSet;
 use crate::msg::{FrameId, OpnPayload, TileId};
 
 /// Classes of operand-network payloads, for trace labelling.
@@ -168,7 +169,7 @@ pub enum TraceKind {
         /// The tile.
         tile: TileId,
         /// Frame mask being flushed.
-        mask: FrameMask,
+        mask: FrameSet,
     },
     /// A tile finished its commit work and joined the ack chain.
     CommitAck {

@@ -49,7 +49,7 @@ fn chip_with_ocn_faults_matches_both_oracles() {
 /// to drop the hop under an exact-generation check; since completion
 /// hops are sent exactly once, the daisy chain wedged and the run
 /// timed out awaiting `WritesDone`. Fixed by fast-forwarding the frame
-/// (`ensure_frame`), the same idiom the OPN write path uses.
+/// (`FrameFile::ensure`), the same idiom the OPN write path uses.
 #[test]
 fn protofuzz_repro_matrix_1() {
     assert_scenario("solo matrix hand prototype fast seed=0x1 chain=1/8+4");
@@ -139,6 +139,29 @@ fn protofuzz_repro_chip_matrix_vadd_dct8x8_matrix_dd() {
     assert_scenario(
         "chip matrix,vadd,dct8x8,matrix hand prototype fast seed=0xdd rotate ocn=3.0.eject:1/16*3 chain=1/8+3",
     );
+}
+
+/// Bug 5's reproducers with measured bite (seeds 0x80 and 0x2d).
+///
+/// `protofuzz_repro_dct8x8_288` and the quad-chip `dd` scenario above
+/// no longer fail when the bug they were shrunk from is put back (not
+/// in this tree, and not in the tree before `FrameFile` with the old
+/// index-order ack walk restored in `rt.rs`/`dt.rs`): model timing has
+/// moved under them since they were pinned. These two do — found by
+/// `protofuzz --smoke` on a scratch build whose
+/// `FrameFile::retire_head` retires any ready frame, lowest index
+/// first (EXPERIMENTS.md, "Frame-file calibration"). The solo one
+/// shows the original symptom exactly: dct8x8 exits 21 blocks early.
+#[test]
+fn protofuzz_repro_dct8x8_80() {
+    assert_scenario("solo dct8x8 hand prototype fast seed=0x80 rotate chain=1/2+5");
+}
+
+/// The quad-chip twin of `protofuzz_repro_dct8x8_80` (one cell of core
+/// 1's matrix result).
+#[test]
+fn protofuzz_repro_chip_matrix_matrix_sha_vadd_2d() {
+    assert_scenario("chip matrix,matrix,sha,vadd hand prototype fast seed=0x2d rotate chain=1/4+6");
 }
 
 /// A deliberately lethal plan: the GT's OPN eject port is permanently
