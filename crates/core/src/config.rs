@@ -1,5 +1,7 @@
 //! Configuration of the processor core model.
 
+use std::fmt;
+
 use trips_mem::MemConfig;
 
 use crate::fault::FaultPlan;
@@ -30,9 +32,91 @@ pub const RS_PER_FRAME: usize = 8;
 /// carried by GCN flush waves.
 pub const MAX_FRAMES: usize = 16;
 
-/// A set of reservation-station slots within one ET frame. Wide
-/// enough for any legal [`CoreGeometry::rs_per_frame`] (≤ 32).
-pub type StationMask = u32;
+/// A set of indices below 32, in the style of
+/// [`FrameSet`](crate::frames::FrameSet): built only from
+/// [`SlotSet::EMPTY`], [`SlotSet::bit`] and [`SlotSet::below`] (plus
+/// the ISA's own header word, [`SlotSet::from_header`]), so no caller
+/// shifts by a slot index and an index of 32 or more fails at the one
+/// shift (debug and overflow-checked builds) instead of wrapping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct SlotSet(u32);
+
+/// The ready reservation stations of one ET frame (any legal
+/// [`CoreGeometry::rs_per_frame`] is ≤ 32).
+pub type StationMask = SlotSet;
+
+/// LSIDs of one block (the ISA gives a block 32).
+pub type LsidMask = SlotSet;
+
+impl SlotSet {
+    /// No slot.
+    pub const EMPTY: SlotSet = SlotSet(0);
+
+    /// Just slot `i` (< 32).
+    pub fn bit(i: usize) -> SlotSet {
+        debug_assert!(i < 32, "slot {i} past the 32-slot set");
+        SlotSet(1 << i)
+    }
+
+    /// Every slot below `i` (≤ 31), e.g. the LSIDs older than `i`.
+    pub fn below(i: usize) -> SlotSet {
+        SlotSet(SlotSet::bit(i).0 - 1)
+    }
+
+    /// A block header's store mask: the ISA encodes it as this very
+    /// word (bit `l` = LSID `l` is a store).
+    pub fn from_header(store_mask: u32) -> SlotSet {
+        SlotSet(store_mask)
+    }
+
+    /// Adds slot `i`.
+    pub fn insert(&mut self, i: usize) {
+        self.0 |= SlotSet::bit(i).0;
+    }
+
+    /// Removes slot `i`.
+    pub fn remove(&mut self, i: usize) {
+        self.0 &= !SlotSet::bit(i).0;
+    }
+
+    /// Whether slot `i` is in the set.
+    pub fn contains(self, i: usize) -> bool {
+        self.0 & SlotSet::bit(i).0 != 0
+    }
+
+    /// Whether the set holds no slot.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether every slot of `self` is in `other`.
+    pub fn is_subset(self, other: SlotSet) -> bool {
+        self.0 & !other.0 == 0
+    }
+
+    /// The slots in both sets.
+    pub fn intersect(self, other: SlotSet) -> SlotSet {
+        SlotSet(self.0 & other.0)
+    }
+
+    /// The slots of the set, ascending.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    }
+}
+
+impl fmt::LowerHex for SlotSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::LowerHex::fmt(&self.0, f)
+    }
+}
 
 /// A set of tile-tick slots (bit layout per
 /// [`CoreGeometry::tile_bit`]). An 8×8 array needs 86 bits

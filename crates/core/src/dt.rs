@@ -16,7 +16,7 @@ use trips_isa::semantics::{extend_load, Tok};
 use trips_isa::{Opcode, Target};
 use trips_micronet::WakeTable;
 
-use crate::config::{CoreConfig, CoreGeometry};
+use crate::config::{CoreConfig, CoreGeometry, LsidMask};
 use crate::critpath::{Cat, CritPath};
 use crate::frames::{FrameFile, FrameSet};
 use crate::gt::GlobalTile;
@@ -59,8 +59,9 @@ struct PendingLoad {
 struct DtFrame {
     /// The store mask arrived (by dispatch, so the frame has its age).
     mask_known: bool,
-    store_mask: u32,
-    arrived: u32,
+    store_mask: LsidMask,
+    /// The store LSIDs that have arrived at some DT (own and DSN).
+    arrived: LsidMask,
     own_stores: Vec<StoreRec>,
     performed_loads: Vec<LoadRec>,
     deferred: Vec<PendingLoad>,
@@ -82,8 +83,8 @@ impl DtFrame {
     /// every list on every block).
     fn reset(&mut self) {
         self.mask_known = false;
-        self.store_mask = 0;
-        self.arrived = 0;
+        self.store_mask = LsidMask::EMPTY;
+        self.arrived = LsidMask::EMPTY;
         self.own_stores.clear();
         self.performed_loads.clear();
         self.deferred.clear();
@@ -274,7 +275,7 @@ impl DataTile {
                     if s.lsid >= 32 {
                         return Err(format!("frame {fi} store LSQ id {} out of range", s.lsid));
                     }
-                    if f.mask_known && f.store_mask & (1 << s.lsid) == 0 {
+                    if f.mask_known && !f.store_mask.contains(s.lsid.into()) {
                         return Err(format!(
                             "frame {fi} holds store lsid {} absent from its store mask {:#x}",
                             s.lsid, f.store_mask
@@ -284,7 +285,7 @@ impl DataTile {
                 if let Some(l) = f.performed_loads.iter().find(|l| l.lsid >= 32) {
                     return Err(format!("frame {fi} load LSQ id {} out of range", l.lsid));
                 }
-                if f.mask_known && f.arrived & !f.store_mask != 0 {
+                if f.mask_known && !f.arrived.is_subset(f.store_mask) {
                     return Err(format!(
                         "frame {fi} arrival bits {:#x} outside the store mask {:#x}",
                         f.arrived, f.store_mask
@@ -458,7 +459,7 @@ impl DataTile {
                 if self.ensure(frame, gen, true) {
                     let f = &mut self.frames[frame];
                     f.mask_known = true;
-                    f.store_mask = store_mask;
+                    f.store_mask = LsidMask::from_header(store_mask);
                     f.done_ev = crit.later(f.done_ev, ev);
                     let pending = std::mem::take(&mut f.pending);
                     for p in pending {
@@ -472,7 +473,7 @@ impl DataTile {
         while let Some(d) = nets.dsn.recv(now, self.index as usize) {
             if self.ensure(d.frame, d.gen, false) {
                 let f = &mut self.frames[d.frame];
-                f.arrived |= 1 << d.lsid;
+                f.arrived.insert(d.lsid.into());
                 f.done_ev = crit.later(f.done_ev, d.ev);
             }
         }
@@ -707,13 +708,12 @@ impl DataTile {
         for pi in 0..=my_pos {
             let f = &self.frames[self.frames.order()[pi]];
             if pi < my_pos {
-                if !f.mask_known || f.arrived & f.store_mask != f.store_mask {
+                if !f.mask_known || !f.store_mask.is_subset(f.arrived) {
                     return false;
                 }
             } else {
-                let prior: u32 = (1u32 << lsid) - 1;
-                let need = f.store_mask & prior;
-                if f.arrived & need != need {
+                let need = f.store_mask.intersect(LsidMask::below(lsid.into()));
+                if !need.is_subset(f.arrived) {
                     return false;
                 }
             }
@@ -742,7 +742,7 @@ impl DataTile {
         tracer.record(now, || TraceKind::LsqInsert { dt, frame, lsid, store: true });
         {
             let f = &mut self.frames[frame];
-            f.arrived |= 1 << lsid;
+            f.arrived.insert(lsid.into());
             f.own_stores.push(StoreRec { lsid, ea, val, bytes, nullified, ev });
             f.done_ev = crit.later(f.done_ev, ev);
         }
@@ -945,10 +945,7 @@ impl DataTile {
             // Store-completion detection: the nearest DT notifies the
             // GT (§4.4).
             let Some((gen, f)) = self.frames.live(frame) else { continue };
-            if self.index == 0
-                && f.mask_known
-                && !f.done_sent
-                && f.arrived & f.store_mask == f.store_mask
+            if self.index == 0 && f.mask_known && !f.done_sent && f.store_mask.is_subset(f.arrived)
             {
                 f.done_sent = true;
                 let ev = crit.event(now, f.done_ev, Cat::BlockComplete, 1);

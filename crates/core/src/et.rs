@@ -43,10 +43,10 @@ struct Station {
 #[derive(Debug, Default)]
 struct EtFrame {
     stations: Vec<Option<Station>>,
-    /// Bit `s` set iff `stations[s]` is waiting with all needed
-    /// operands present — maintained at dispatch and operand delivery
-    /// so the select stage walks a mask instead of rescanning every
-    /// station each cycle.
+    /// Holds `s` iff `stations[s]` is waiting with all needed operands
+    /// present — maintained at dispatch and operand delivery so the
+    /// select stage walks a set instead of rescanning every station
+    /// each cycle.
     ready: StationMask,
     early: Vec<(u8, OperandSlot, Tok, EvId)>,
     fired: u64,
@@ -60,7 +60,7 @@ impl EtFrame {
     /// every flush).
     fn reset(&mut self) {
         self.stations.fill(None);
-        self.ready = 0;
+        self.ready = StationMask::EMPTY;
         self.early.clear();
         self.fired = 0;
     }
@@ -208,7 +208,7 @@ impl ExecTile {
         self.frames.audit(
             |fi| gt.slot(fi),
             |frame, _, f| {
-                if f.ready != 0 {
+                if !f.ready.is_empty() {
                     ready.insert(frame);
                 }
                 Ok(())
@@ -254,7 +254,7 @@ impl ExecTile {
     fn flush(&mut self, mask: FrameSet, gens: &[Gen; MAX_FRAMES]) {
         let ready_frames = &mut self.ready_frames;
         self.frames.flush(mask, gens, |frame, f| {
-            f.ready = 0;
+            f.ready = StationMask::EMPTY;
             ready_frames.remove(frame);
         });
     }
@@ -320,7 +320,7 @@ impl ExecTile {
                 }
                 check_dead(&mut st);
                 if st.state == SState::Waiting && is_ready(&st) {
-                    f.ready |= 1 << slot;
+                    f.ready.insert(slot);
                     self.ready_frames.insert(frame);
                 }
                 f.stations[slot] = Some(st);
@@ -393,7 +393,7 @@ impl ExecTile {
                 *cell = Some((tok, ev));
                 check_dead(st);
                 if st.state == SState::Waiting && is_ready(st) {
-                    f.ready |= 1 << sslot;
+                    f.ready.insert(sslot);
                     self.ready_frames.insert(frame);
                 }
             }
@@ -429,13 +429,10 @@ impl ExecTile {
                 continue;
             }
             self.select_visits += 1;
-            // The ready mask tracks exactly the stations the old full
+            // The ready set tracks exactly the stations the old full
             // scan would have accepted (waiting, operands complete),
             // in the same slot order.
-            let mut mask = self.frames[frame].ready;
-            while mask != 0 {
-                let slot = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
+            for slot in self.frames[frame].ready.iter() {
                 let st =
                     self.frames[frame].stations[slot].as_ref().expect("ready bit implies station");
                 debug_assert!(st.state == SState::Waiting && is_ready(st), "stale ready bit");
@@ -447,8 +444,8 @@ impl ExecTile {
                 // Issue.
                 let gen = self.frames.gen(frame);
                 let f = &mut self.frames[frame];
-                f.ready &= !(1 << slot);
-                if f.ready == 0 {
+                f.ready.remove(slot);
+                if f.ready.is_empty() {
                     self.ready_frames.remove(frame);
                 }
                 f.fired += 1;

@@ -224,6 +224,36 @@ impl BankArb {
     }
 }
 
+/// One FIFO per client and their total occupancy `len`, kept by `push`
+/// and `pop` (the only mutators) and recounted by `audit`.
+struct ClientQueues<T> {
+    queues: Vec<VecDeque<T>>,
+    len: u64,
+}
+
+impl<T> ClientQueues<T> {
+    fn new(clients: usize) -> ClientQueues<T> {
+        ClientQueues { queues: (0..clients).map(|_| VecDeque::new()).collect(), len: 0 }
+    }
+
+    fn push(&mut self, c: usize, item: T) {
+        self.queues[c].push_back(item);
+        self.len += 1;
+    }
+
+    fn pop(&mut self, c: usize) -> Option<T> {
+        let item = self.queues[c].pop_front();
+        self.len -= u64::from(item.is_some());
+        item
+    }
+
+    fn audit(&self, name: &str) -> Result<(), String> {
+        let recount: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
+        let err = || format!("memsys {name} count {} != recounted {recount}", self.len);
+        (recount == self.len).then_some(()).ok_or_else(err)
+    }
+}
+
 /// Client-side state of a NUCA-backed core: the request/completion
 /// FIFOs, the conservation ledger, and the per-core statistics. Owns
 /// no network — the [`SecondarySystem`] is passed into
@@ -240,27 +270,27 @@ struct Adapter {
     /// Total clients (`num_dts + num_its`).
     num_clients: usize,
     /// Per-client requests the network has not accepted yet.
-    pending: Vec<VecDeque<MemReq>>,
+    pending: ClientQueues<MemReq>,
     /// Per-client invalidation acks awaiting injection. Coherence
     /// tokens live entirely outside the request/response ledger
     /// (`outstanding`/`issued`/`delivered` never see them); they take
     /// priority over `pending` so a stalled writeback can never wedge
     /// the ack that would release it.
-    coh_pending: Vec<VecDeque<MemReq>>,
+    coh_pending: ClientQueues<MemReq>,
     /// Per-client invalidated lines the owning DT has not consumed
     /// yet. The DT drops its tag *before* the ack is queued (see
     /// [`MemSys::ack_inval`]), which is what makes the chip's SWMR
     /// invariant sound: by the time the directory counts the last ack,
     /// every victim copy is provably gone.
-    inval_ready: Vec<VecDeque<u64>>,
+    inval_ready: ClientQueues<u64>,
     /// Per-client completions the tile has not consumed yet.
-    ready: Vec<VecDeque<MemEvent>>,
+    ready: ClientQueues<MemEvent>,
     /// The core's wake table, by client: a completion or invalidation
     /// queued for a tile is filed with it.
     wake: WakePort,
-    /// Per-client accepted-but-undelivered request count (the
+    /// Accepted-but-undelivered requests over all clients (the
     /// conservation ledger: pending + in-system + ready).
-    outstanding: Vec<u64>,
+    outstanding: u64,
     /// Committed stores awaiting chip-level propagation to every
     /// core's replica (coherent mode only): `(ea, val, bytes)` in
     /// commit-drain order.
@@ -286,11 +316,11 @@ impl Adapter {
             coherent,
             num_dts: geom.num_dts(),
             num_clients,
-            pending: vec![VecDeque::new(); num_clients],
-            coh_pending: vec![VecDeque::new(); num_clients],
-            inval_ready: vec![VecDeque::new(); num_clients],
-            ready: vec![VecDeque::new(); num_clients],
-            outstanding: vec![0; num_clients],
+            pending: ClientQueues::new(num_clients),
+            coh_pending: ClientQueues::new(num_clients),
+            inval_ready: ClientQueues::new(num_clients),
+            ready: ClientQueues::new(num_clients),
+            outstanding: 0,
             prop: Vec::new(),
             sent_at: Vec::new(),
             issued: 0,
@@ -312,8 +342,8 @@ impl Adapter {
         } else {
             MemReq::read_line(id, addr)
         };
-        self.pending[c].push_back(req);
-        self.outstanding[c] += 1;
+        self.pending.push(c, req);
+        self.outstanding += 1;
         match client {
             MemClient::Dt(_) => self.stats.dside_fills += 1,
             MemClient::It(_) => self.stats.iside_fills += 1,
@@ -330,15 +360,13 @@ impl Adapter {
         } else {
             MemReq::write_line(id, addr, [0; 64])
         };
-        self.pending[c].push_back(req);
-        self.outstanding[c] += 1;
+        self.pending.push(c, req);
+        self.outstanding += 1;
         self.stats.store_writebacks += 1;
     }
 
     fn quiet(&self) -> bool {
-        self.outstanding.iter().all(|&o| o == 0)
-            && self.coh_pending.iter().all(VecDeque::is_empty)
-            && self.inval_ready.iter().all(VecDeque::is_empty)
+        self.outstanding + self.coh_pending.len + self.inval_ready.len == 0
     }
 
     /// True when the adapter itself has same-cycle work: a request
@@ -346,10 +374,7 @@ impl Adapter {
     /// inside the OCN/banks are the [`SecondarySystem`]'s events, not
     /// the adapter's.
     fn busy_now(&self) -> bool {
-        self.pending.iter().any(|q| !q.is_empty())
-            || self.coh_pending.iter().any(|q| !q.is_empty())
-            || self.inval_ready.iter().any(|q| !q.is_empty())
-            || self.ready.iter().any(|q| !q.is_empty())
+        self.pending.len + self.coh_pending.len + self.inval_ready.len + self.ready.len != 0
     }
 
     /// Injects pending requests into `sys` in fixed client order. With
@@ -364,6 +389,9 @@ impl Adapter {
         tracer: &mut Tracer,
         mut arb: Option<(&mut BankArb, u8)>,
     ) {
+        if self.pending.len + self.coh_pending.len == 0 {
+            return;
+        }
         for c in 0..self.num_clients {
             let port = self.ports.port_of(c, self.num_dts);
             // Invalidation acks first — outside the issued/delivered
@@ -371,7 +399,7 @@ impl Adapter {
             // completion may be waiting on this very ack. A client
             // whose ack stalls injects nothing else this cycle.
             let mut ack_stalled = false;
-            while let Some(req) = self.coh_pending[c].front() {
+            while let Some(req) = self.coh_pending.queues[c].front() {
                 let addr = req.addr;
                 if let Some((arb, core)) = arb.as_mut() {
                     if !arb.try_grant(sys.home_bank(port, addr), *core) {
@@ -387,7 +415,7 @@ impl Adapter {
                     ack_stalled = true;
                     break;
                 }
-                let req = self.coh_pending[c].pop_front().expect("front just seen");
+                let req = self.coh_pending.pop(c).expect("front just seen");
                 let accepted = sys.request(now, port, req);
                 debug_assert!(accepted, "admitted a moment ago");
                 tracer.record(now, || TraceKind::OcnInject {
@@ -399,7 +427,7 @@ impl Adapter {
             if ack_stalled {
                 continue;
             }
-            while let Some(req) = self.pending[c].front() {
+            while let Some(req) = self.pending.queues[c].front() {
                 let is_fill = req.id & ID_FILL != 0;
                 let addr = req.addr;
                 if let Some((arb, core)) = arb.as_mut() {
@@ -412,7 +440,7 @@ impl Adapter {
                     self.stats.inject_stalls += 1;
                     break;
                 }
-                let req = self.pending[c].pop_front().expect("front just seen");
+                let req = self.pending.pop(c).expect("front just seen");
                 let line = req.id & !ID_FILL;
                 let accepted = sys.request(now, port, req);
                 debug_assert!(accepted, "admitted a moment ago");
@@ -433,9 +461,16 @@ impl Adapter {
     /// the per-client completion queues (consumed by the tiles next
     /// cycle). Fill lines are recovered from the request id, which
     /// carries the core-local line index regardless of `phys_base`.
+    /// Only ports whose eject queue holds a packet are visited.
     fn drain(&mut self, now: u64, sys: &mut SecondarySystem, tracer: &mut Tracer) {
+        if !sys.responses_waiting() {
+            return;
+        }
         for c in 0..self.num_clients {
             let port = self.ports.port_of(c, self.num_dts);
+            if !sys.has_response(port) {
+                continue;
+            }
             while let Some(resp) = sys.pop_response(now, port) {
                 self.wake.file(c, now);
                 // An unsolicited invalidation from the home directory:
@@ -446,7 +481,7 @@ impl Adapter {
                 // directory's SWMR argument rests on.
                 if resp.id & ID_COH != 0 {
                     self.stats.invals_received += 1;
-                    self.inval_ready[c].push_back(resp.id & !ID_COH);
+                    self.inval_ready.push(c, resp.id & !ID_COH);
                     continue;
                 }
                 self.delivered += 1;
@@ -466,9 +501,9 @@ impl Adapter {
                         // cycles, far past the histogram's 0..31 range.
                         self.stats.fill_latency.record((now - at) / 8);
                     }
-                    self.ready[c].push_back(MemEvent::Fill { line });
+                    self.ready.push(c, MemEvent::Fill { line });
                 } else {
-                    self.ready[c].push_back(MemEvent::StoreAck { frame: resp.id as u8 });
+                    self.ready.push(c, MemEvent::StoreAck { frame: resp.id as u8 });
                 }
             }
         }
@@ -477,28 +512,30 @@ impl Adapter {
     /// Updates the outstanding high-water mark (end of each tick the
     /// adapter participated in).
     fn note_peak(&mut self) {
-        let total: u64 = self.outstanding.iter().sum();
-        self.stats.peak_outstanding = self.stats.peak_outstanding.max(total);
+        self.stats.peak_outstanding = self.stats.peak_outstanding.max(self.outstanding);
     }
 
-    /// The client-side conservation ledger: every request handed over
-    /// is exactly one of pending, inside the system, or ready.
+    /// Every occupancy count against a recount of its queues, then the
+    /// client-side conservation ledger: every request handed over is
+    /// exactly one of pending, inside the system, or ready.
     fn audit_ledger(&self) -> Result<(), String> {
-        let ledger: u64 = self.outstanding.iter().sum();
-        let held: u64 = self.pending.iter().map(|q| q.len() as u64).sum::<u64>()
-            + (self.issued - self.delivered)
-            + self.ready.iter().map(|q| q.len() as u64).sum::<u64>();
-        if ledger != held {
-            return Err(format!("memsys ledger {ledger} != pending + in-flight + ready {held}"));
+        self.pending.audit("pending")?;
+        self.coh_pending.audit("coh_pending")?;
+        self.inval_ready.audit("inval_ready")?;
+        self.ready.audit("ready")?;
+        let held = self.pending.len + (self.issued - self.delivered) + self.ready.len;
+        if self.outstanding != held {
+            return Err(format!(
+                "memsys ledger {} != pending + in-flight + ready {held}",
+                self.outstanding
+            ));
         }
         Ok(())
     }
 
     fn diag(&self, in_system: u64) -> String {
-        let pending: usize = self.pending.iter().map(VecDeque::len).sum::<usize>()
-            + self.coh_pending.iter().map(VecDeque::len).sum::<usize>()
-            + self.inval_ready.iter().map(VecDeque::len).sum::<usize>();
-        let ready: usize = self.ready.iter().map(VecDeque::len).sum();
+        let pending = self.pending.len + self.coh_pending.len + self.inval_ready.len;
+        let ready = self.ready.len;
         format!(
             "{pending} request(s) awaiting injection, {in_system} in the OCN/banks, \
              {ready} completion(s) unconsumed"
@@ -639,11 +676,8 @@ impl MemSys {
         match &mut self.imp {
             Imp::Perfect { .. } => None,
             Imp::Owned { ad, .. } | Imp::Shared { ad } => {
-                let c = client.index(ad.num_dts);
-                let ev = ad.ready[c].pop_front();
-                if ev.is_some() {
-                    ad.outstanding[c] -= 1;
-                }
+                let ev = ad.ready.pop(client.index(ad.num_dts));
+                ad.outstanding -= u64::from(ev.is_some());
                 ev
             }
         }
@@ -656,7 +690,7 @@ impl MemSys {
             Imp::Perfect { .. } => false,
             Imp::Owned { ad, .. } | Imp::Shared { ad } => {
                 let c = client.index(ad.num_dts);
-                !ad.ready[c].is_empty() || !ad.inval_ready[c].is_empty()
+                !ad.ready.queues[c].is_empty() || !ad.inval_ready.queues[c].is_empty()
             }
         }
     }
@@ -679,7 +713,7 @@ impl MemSys {
         match &mut self.imp {
             Imp::Perfect { .. } => None,
             Imp::Owned { ad, .. } | Imp::Shared { ad } => {
-                ad.inval_ready[client.index(ad.num_dts)].pop_front()
+                ad.inval_ready.pop(client.index(ad.num_dts))
             }
         }
     }
@@ -693,7 +727,7 @@ impl MemSys {
         match &mut self.imp {
             Imp::Perfect { .. } => unreachable!("ack_inval on a perfect backend"),
             Imp::Owned { ad, .. } | Imp::Shared { ad } => {
-                ad.coh_pending[client.index(ad.num_dts)].push_back(MemReq::inval_ack(line));
+                ad.coh_pending.push(client.index(ad.num_dts), MemReq::inval_ack(line));
             }
         }
     }
@@ -791,20 +825,8 @@ impl MemSys {
     pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
         match &self.imp {
             Imp::Perfect { .. } => None,
-            Imp::Owned { sys, ad } => {
-                if ad.busy_now() {
-                    Some(now)
-                } else {
-                    sys.next_event(now)
-                }
-            }
-            Imp::Shared { ad } => {
-                if ad.busy_now() {
-                    Some(now)
-                } else {
-                    None
-                }
-            }
+            Imp::Owned { sys, ad } => ad.busy_now().then_some(now).or_else(|| sys.next_event(now)),
+            Imp::Shared { ad } => ad.busy_now().then_some(now),
         }
     }
 
@@ -873,18 +895,8 @@ impl MemSys {
     pub(crate) fn diag(&self) -> Option<String> {
         match &self.imp {
             Imp::Perfect { .. } => None,
-            Imp::Owned { sys, ad } => {
-                if ad.quiet() {
-                    return None;
-                }
-                Some(ad.diag(sys.in_system() as u64))
-            }
-            Imp::Shared { ad } => {
-                if ad.quiet() {
-                    return None;
-                }
-                Some(ad.diag(ad.issued - ad.delivered))
-            }
+            Imp::Owned { sys, ad } => (!ad.quiet()).then(|| ad.diag(sys.in_system() as u64)),
+            Imp::Shared { ad } => (!ad.quiet()).then(|| ad.diag(ad.issued - ad.delivered)),
         }
     }
 }
@@ -932,6 +944,41 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_skewed_occupancy_count_is_caught_by_the_audit_within_one_cycle() {
+        use crate::Processor;
+        use trips_tasm::{compile, ProgramBuilder, Quality};
+        let mut p = ProgramBuilder::new();
+        let mut f = p.func("main", 0);
+        f.halt();
+        f.finish();
+        let image = compile(&p.finish(), Quality::Hand).expect("compiles").image;
+        for name in ["pending", "coh_pending", "inval_ready", "ready"] {
+            let nuca = MemBackend::Nuca(trips_mem::MemConfig::prototype());
+            let cfg = CoreConfig { mem_backend: nuca, ..CoreConfig::prototype_pinned() };
+            let mut cpu = Processor::new(cfg);
+            cpu.start(&image);
+            // A few cycles in: the first I-side refills are queued.
+            for _ in 0..5 {
+                cpu.tick();
+                cpu.check_invariants().expect("the counts are exact until skewed");
+            }
+            let Imp::Owned { ad, .. } = &mut cpu.memsys.imp else {
+                unreachable!("a solo NUCA core owns its secondary system")
+            };
+            *match name {
+                "pending" => &mut ad.pending.len,
+                "coh_pending" => &mut ad.coh_pending.len,
+                "inval_ready" => &mut ad.inval_ready.len,
+                _ => &mut ad.ready.len,
+            } += 1;
+            cpu.tick();
+            let err = cpu.check_invariants().expect_err("the skewed count must be caught");
+            assert!(err.detail.contains(&format!("memsys {name} count")), "{name}: {err}");
+            assert_eq!(err.cycle, cpu.cycle, "{name}: caught at the end of the skewed cycle");
         }
     }
 

@@ -509,14 +509,10 @@ impl Processor {
     /// as `now` whenever they must tick this cycle (packets in routers,
     /// injections or completions pending), or as their earliest timer.
     fn due_tiles(&self, now: u64) -> (TileMask, Option<u64>) {
-        let (mut mask, mut wake): (TileMask, u64) = (0, u64::MAX);
         // `wake` is consumed only when the mask comes out empty, i.e.
         // when every entry is in the future — so folding all of them
         // needs no branch.
-        for (i, due) in self.nets.wake.iter().enumerate() {
-            mask |= TileMask::from(due <= now) << i;
-            wake = wake.min(due);
-        }
+        let (mask, mut wake) = self.nets.wake.due_mask(now);
         let meshes = self.nets.opn.iter().filter_map(|m| m.next_event(now));
         for t in meshes.chain(self.memsys.next_event(now)) {
             wake = wake.min(t.max(now));
@@ -610,43 +606,39 @@ impl Processor {
         let Processor { cfg, gt, its, rts, ets, dts, nets, memsys, mem, crit, stats, .. } = self;
         let Processor { tracer, profile, gating, .. } = self;
         // Mask bits — and wake-table entries — run in tick order: GT,
-        // ITs, RTs, ETs, DTs (`CoreGeometry::tile_bit`).
-        let mut entries = 0..;
-        let mut next_if_due = || entries.next().filter(|&e| mask >> e & 1 != 0);
-        if let Some(entry) = next_if_due() {
+        // ITs, RTs, ETs, DTs (`CoreGeometry::tile_bit`). Each group
+        // walks only its set bits, ascending: the due tiles tick in the
+        // order a walk over every tile would have ticked them.
+        if mask & 1 != 0 {
             gt.tick(now, cfg, nets, crit, stats, mem, tracer, profile);
-            nets.wake.set(entry, gt.due(cfg.max_frames, nets));
+            nets.wake.set(0, gt.due(cfg.max_frames, nets));
         }
+        let first = 1;
         let tp = profile.begin();
-        for it in its {
-            if let Some(entry) = next_if_due() {
-                it.tick(now, cfg, nets, mem, memsys, tracer);
-                nets.wake.set(entry, it.due(nets, memsys));
-            }
+        for i in group_bits(mask, first, its.len()) {
+            its[i].tick(now, cfg, nets, mem, memsys, tracer);
+            nets.wake.set(first + i, its[i].due(nets, memsys));
         }
         profile.end(TickPhase::It, tp);
+        let first = first + its.len();
         let tp = profile.begin();
-        for rt in rts {
-            if let Some(entry) = next_if_due() {
-                rt.tick(now, cfg, nets, crit, stats, tracer);
-                nets.wake.set(entry, rt.due(nets));
-            }
+        for i in group_bits(mask, first, rts.len()) {
+            rts[i].tick(now, cfg, nets, crit, stats, tracer);
+            nets.wake.set(first + i, rts[i].due(nets));
         }
         profile.end(TickPhase::Rt, tp);
+        let first = first + rts.len();
         let tp = profile.begin();
-        for et in ets {
-            if let Some(entry) = next_if_due() {
-                et.tick(now, cfg, nets, crit, stats, tracer);
-                nets.wake.set(entry, et.due(nets));
-            }
+        for i in group_bits(mask, first, ets.len()) {
+            ets[i].tick(now, cfg, nets, crit, stats, tracer);
+            nets.wake.set(first + i, ets[i].due(nets));
         }
         profile.end(TickPhase::Et, tp);
+        let first = first + ets.len();
         let tp = profile.begin();
-        for dt in dts {
-            if let Some(entry) = next_if_due() {
-                dt.tick(now, cfg, nets, crit, stats, mem, memsys, tracer);
-                nets.wake.set(entry, dt.due(nets, memsys));
-            }
+        for i in group_bits(mask, first, dts.len()) {
+            dts[i].tick(now, cfg, nets, crit, stats, mem, memsys, tracer);
+            nets.wake.set(first + i, dts[i].due(nets, memsys));
         }
         profile.end(TickPhase::Dt, tp);
         let run = u64::from(mask.count_ones());
@@ -675,6 +667,20 @@ impl Processor {
 pub(crate) fn skip_target(now: u64, idle: bool, wake: Option<u64>, horizon: u64) -> Option<u64> {
     let w = wake?.min(horizon);
     (idle && w > now).then_some(w)
+}
+
+/// The set bits of `mask` among entries `first..first + n`, ascending,
+/// as offsets from `first`: one tile group's share of a cycle's
+/// activity mask.
+fn group_bits(mask: TileMask, first: usize, n: usize) -> impl Iterator<Item = usize> {
+    let mut bits = (mask >> first) & !(TileMask::MAX << n);
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            i
+        })
+    })
 }
 
 #[cfg(test)]

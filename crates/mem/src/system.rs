@@ -535,6 +535,19 @@ impl SecondarySystem {
         }
     }
 
+    /// Whether any OCN eject queue (client port or bank) holds a packet;
+    /// if not, no [`SecondarySystem::pop_response`] returns one.
+    pub fn responses_waiting(&self) -> bool {
+        self.ocn.undrained() > 0
+    }
+
+    /// Whether `port`'s eject queue holds a packet (its tail may still
+    /// be arriving); if not, `pop_response` at `port` returns `None`.
+    #[inline]
+    pub fn has_response(&self, port: usize) -> bool {
+        self.ocn.has_delivered(self.geo.port_coord(port))
+    }
+
     /// Requests currently inside the system: OCN router queues,
     /// undrained eject queues, and bank service slots. Every accepted
     /// request is exactly one packet somewhere (the request on its way
@@ -630,9 +643,13 @@ impl SecondarySystem {
     }
 
     /// Bank-side: accepts the packet (at most one per cycle) that has
-    /// arrived at each bank's router.
+    /// arrived at each bank's router (skipping routers with nothing
+    /// delivered, where the pop would find nothing).
     fn accept_at_banks(&mut self, now: u64) {
         for (bi, bank) in self.banks.iter_mut().enumerate() {
+            if !self.ocn.has_delivered(bank.coord) {
+                continue;
+            }
             if let Some(m) = self.ocn.eject_at(now, bank.coord) {
                 match m.payload {
                     Packet::Req { port, req } if req.kind == ReqKind::InvalAck => {
