@@ -9,7 +9,10 @@
 //! [`Processor`] whose `memsys` adapter is bound to a disjoint
 //! computed `PortMap` slice of the shared [`SecondarySystem`], and
 //! the chip drives the inject → OCN/bank tick → drain phases once per
-//! cycle for all cores around the one system. Because each slot's
+//! cycle for all cores around the one system. The chip is the cores'
+//! one owner and ticks them in turn on the calling thread; host
+//! parallelism lives across independent runs, each building its own
+//! chip (DESIGN.md §5e). Because each slot's
 //! port/bank picture is a whole-block translation of a prototype
 //! slot, a core of any die is cycle-bit-identical to the same slot of
 //! the prototype die (pinned by `tests/chip_equivalence.rs`).
@@ -67,16 +70,9 @@ pub struct ChipConfig {
     pub cores: Vec<CoreConfig>,
     /// The shared NUCA secondary system.
     pub mem: MemConfig,
-    /// Tick the cores on separate host threads, synchronizing at the
-    /// shared-system boundary each cycle: `Some(true)` runs one worker
-    /// per core; `None` (the default) and `Some(false)` tick the cores
-    /// in turn on the calling thread. Serial is the default because
-    /// the workers are forked and joined once per chip cycle, which
-    /// costs tens of microseconds against a core tick of a few — the
-    /// ledger measured the threaded chip 3–6× slower end to end
-    /// (`core.chip_default_over_serial`). The core-tick phase touches
-    /// only per-core state, so threaded and serial chips are
-    /// bit-identical (pinned by `tests/chip_equivalence.rs`).
+    /// Retired: the cores always tick in turn on the calling thread.
+    /// `None` and `Some(false)` are accepted; [`ChipConfig::validate`]
+    /// rejects `Some(true)`. The field leaves with ROADMAP 6f.
     pub threaded: Option<bool>,
     /// Run the cores in one coherent physical address space (MSI
     /// directory protocol at the NUCA banks) instead of the default
@@ -116,9 +112,13 @@ impl ChipConfig {
     ///
     /// # Errors
     ///
-    /// Names the core count, or the first core with its offending field
-    /// or the port budget of the slot its geometry overflows.
+    /// Names the core count, a threaded schedule, or the first core with
+    /// its offending field or the port budget of the slot its geometry
+    /// overflows.
     pub fn validate(&self) -> Result<(), String> {
+        if self.threaded == Some(true) {
+            return Err("threaded: Some(true) is unsupported; cores tick on one thread".into());
+        }
         let n = self.cores.len();
         if !(1..=trips_mem::MAX_CORES).contains(&n) {
             return Err(format!("a die seats 1..={} cores, not {n}", trips_mem::MAX_CORES));
@@ -184,9 +184,6 @@ pub struct Chip {
     cycle: u64,
     /// Each core's stats, captured the cycle it halted.
     finished: Vec<Option<CoreStats>>,
-    /// Host threads for the core-tick phase (1 = serial), resolved
-    /// from [`ChipConfig::threaded`] at construction.
-    threads: usize,
     /// Scratch for the per-core schedules (avoids a per-cycle
     /// allocation).
     scans: Vec<(TileMask, Option<u64>)>,
@@ -212,7 +209,6 @@ impl Chip {
             cfg.cores.iter().cloned().map(Processor::try_new).collect::<Result<Vec<_>, _>>()?;
         let sys = Chip::build_sys(&cfg);
         let banks = sys.geometry().banks();
-        let threads = if cfg.threaded == Some(true) { n } else { 1 };
         Ok(Chip {
             cores,
             sys,
@@ -221,7 +217,6 @@ impl Chip {
             rr: 0,
             cycle: 0,
             finished: vec![None; n],
-            threads,
             scans: vec![(0, None); n],
         })
     }
@@ -438,13 +433,6 @@ impl Chip {
     /// priority counter advances by the skipped span exactly as it
     /// would have cycle-by-cycle, so arbitration after a skip is
     /// bit-identical.
-    ///
-    /// **Threading.** With `ChipConfig::threaded: Some(true)` the
-    /// per-core tick phase runs on `trips_harness` scoped threads (one
-    /// core per worker); cores touch only their own state during that
-    /// phase — a `Shared` memsys tick is a no-op — so the join before
-    /// the shared-system phase is the only synchronization needed, and
-    /// threaded/serial schedules are bit-identical.
     fn tick_until(&mut self, horizon: u64) {
         let n = self.cores.len();
         loop {
@@ -468,21 +456,11 @@ impl Chip {
             }
         }
         let now = self.cycle;
-        if self.threads > 1 {
-            // A halted core ticks too: its clock stays in lockstep
-            // and its tiles consume still-arriving completions (its
-            // stats were snapshotted the cycle it halted).
-            let cores = std::mem::take(&mut self.cores);
-            let jobs: Vec<(Processor, TileMask)> =
-                cores.into_iter().zip(self.scans.iter().map(|&(m, _)| m)).collect();
-            self.cores = trips_harness::parallel_map(jobs, self.threads, |(mut core, mask)| {
-                core.tick_with_mask(mask);
-                core
-            });
-        } else {
-            for (k, core) in self.cores.iter_mut().enumerate() {
-                core.tick_with_mask(self.scans[k].0);
-            }
+        // A halted core ticks too: its clock stays in lockstep and its
+        // tiles consume still-arriving completions (its stats were
+        // snapshotted the cycle it halted).
+        for (core, &(mask, _)) in self.cores.iter_mut().zip(&self.scans) {
+            core.tick_with_mask(mask);
         }
         if self.cfg.shared_memory {
             self.propagate_stores(now);
@@ -509,8 +487,8 @@ impl Chip {
     /// replica — the writer's included — in one global order (writer
     /// core index, then drain order within the core), so same-cycle
     /// conflicting stores resolve identically everywhere and the
-    /// replicas stay byte-for-byte equal. A serial phase, run after
-    /// the (possibly threaded) core-tick join. Remote cores also take
+    /// replicas stay byte-for-byte equal. Runs after every core has
+    /// ticked this cycle. Remote cores also take
     /// the speculation repair: cached copies of the touched lines are
     /// dropped, in-flight fills poisoned, and any speculatively
     /// performed overlapping load squashed via a violation flush.

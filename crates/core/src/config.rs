@@ -928,6 +928,36 @@ mod tests {
     }
 
     #[test]
+    fn geometry_parse_never_panics() {
+        // Arbitrary specs over the grammar's alphabet and one- to
+        // three-character mutations of valid ones: every input is a
+        // die that validates or an error, never a panic.
+        let alphabet: Vec<char> = "0123456789x/+- minprotyfaé".chars().collect();
+        let valid = ["mini", "prototype", "fat", "2x4/8", "8x2/4", "8x8/16", "4x4/1"];
+        let mut rng = trips_harness::Rng::new(0x6e0);
+        let pick = |rng: &mut trips_harness::Rng| alphabet[rng.range_usize(0, alphabet.len())];
+        for i in 0..4000 {
+            let mut spec: Vec<char> = if i % 2 == 0 {
+                (0..rng.range_usize(0, 12)).map(|_| pick(&mut rng)).collect()
+            } else {
+                valid[rng.range_usize(0, valid.len())].chars().collect()
+            };
+            for _ in 0..rng.range_usize(1, 4) {
+                let (at, c) = (rng.range_usize(0, spec.len() + 1), pick(&mut rng));
+                match rng.range_u8(0, 3) {
+                    0 if at < spec.len() => spec[at] = c,
+                    1 if at < spec.len() => _ = spec.remove(at),
+                    _ => spec.insert(at, c),
+                }
+            }
+            let spec: String = spec.into_iter().collect();
+            if let Ok(g) = CoreGeometry::parse(&spec) {
+                assert_eq!(g.validate(), Ok(()), "{spec:?}");
+            }
+        }
+    }
+
+    #[test]
     fn default_backend_is_the_perfect_l2() {
         assert_eq!(
             CoreConfig::prototype_pinned().mem_backend,

@@ -232,51 +232,34 @@ impl FaultPlan {
 
     /// The mesh fault configuration for OPN network `net`, if any.
     pub(crate) fn mesh_fault(&self, net: usize) -> Option<MeshFaultConfig> {
-        let stalls: Vec<PortStall> = self
-            .links
-            .iter()
-            .filter(|l| l.net == net)
-            .map(|l| PortStall {
-                router: Coord { row: l.row, col: l.col },
-                port: l.port,
-                num: l.chance.num,
-                den: l.chance.den,
-                max_burst: l.max_burst,
-            })
-            .collect();
-        if stalls.is_empty() && !self.rotate_arbitration {
-            return None;
-        }
-        Some(MeshFaultConfig {
-            seed: self.subseed(TAG_MESH + net as u64),
-            rotate_arbitration: self.rotate_arbitration,
-            stalls,
-        })
+        self.mesh_config(TAG_MESH + net as u64, self.links.iter().copied().filter(|l| l.net == net))
     }
 
     /// The mesh fault configuration for the secondary system's OCN, if
     /// any (installed by the NUCA backend only; arbitration rotation
     /// extends to the OCN's round-robin pointers too).
     pub(crate) fn ocn_fault(&self) -> Option<MeshFaultConfig> {
-        let stalls: Vec<PortStall> = self
-            .ocn_links
-            .iter()
-            .map(|l| PortStall {
-                router: Coord { row: l.row, col: l.col },
-                port: l.port,
-                num: l.chance.num,
-                den: l.chance.den,
-                max_burst: l.max_burst,
+        self.mesh_config(TAG_OCN, self.ocn_links.iter().copied())
+    }
+
+    /// One mesh's fault configuration under sub-seed `tag`: its stalled
+    /// ports plus the plan's arbitration rotation, if either is live.
+    fn mesh_config<P: StalledPort>(
+        &self,
+        tag: u64,
+        ports: impl Iterator<Item = P>,
+    ) -> Option<MeshFaultConfig> {
+        let stalls: Vec<PortStall> = ports
+            .map(|mut p| {
+                let (router, port, &mut Ratio { num, den }, &mut max_burst) = p.parts();
+                PortStall { router, port, num, den, max_burst }
             })
             .collect();
         if stalls.is_empty() && !self.rotate_arbitration {
             return None;
         }
-        Some(MeshFaultConfig {
-            seed: self.subseed(TAG_OCN),
-            rotate_arbitration: self.rotate_arbitration,
-            stalls,
-        })
+        let rotate_arbitration = self.rotate_arbitration;
+        Some(MeshFaultConfig { seed: self.subseed(tag), rotate_arbitration, stalls })
     }
 
     /// The chain fault configuration for sub-seed `tag`, if the plan
@@ -304,43 +287,8 @@ impl FaultPlan {
     /// converges because every candidate strictly reduces a finite
     /// measure (fault count + Σ log den + Σ burst/extra).
     pub fn shrink_candidates(&self) -> Vec<FaultPlan> {
-        let mut out = Vec::new();
-        for i in 0..self.links.len() {
-            let mut p = self.clone();
-            p.links.remove(i);
-            out.push(p);
-        }
-        for i in 0..self.links.len() {
-            let l = self.links[i];
-            if l.max_burst > 1 {
-                let mut p = self.clone();
-                p.links[i].max_burst = l.max_burst / 2;
-                out.push(p);
-            }
-            if l.chance.num < l.chance.den && l.chance.den <= 512 {
-                let mut p = self.clone();
-                p.links[i].chance.den = l.chance.den * 2;
-                out.push(p);
-            }
-        }
-        for i in 0..self.ocn_links.len() {
-            let mut p = self.clone();
-            p.ocn_links.remove(i);
-            out.push(p);
-        }
-        for i in 0..self.ocn_links.len() {
-            let l = self.ocn_links[i];
-            if l.max_burst > 1 {
-                let mut p = self.clone();
-                p.ocn_links[i].max_burst = l.max_burst / 2;
-                out.push(p);
-            }
-            if l.chance.num < l.chance.den && l.chance.den <= 512 {
-                let mut p = self.clone();
-                p.ocn_links[i].chance.den = l.chance.den * 2;
-                out.push(p);
-            }
-        }
+        let mut out = self.shrink_ports(|p| &mut p.links);
+        out.extend(self.shrink_ports(|p| &mut p.ocn_links));
         if self.rotate_arbitration {
             let mut p = self.clone();
             p.rotate_arbitration = false;
@@ -370,6 +318,53 @@ impl FaultPlan {
             out.push(p);
         }
         out
+    }
+
+    /// The shrinker's moves on one list of stalled ports, `list`
+    /// picking it out of a plan: drop each port, then halve each one's
+    /// burst bound and its probability.
+    fn shrink_ports<P: StalledPort>(&self, list: fn(&mut Self) -> &mut Vec<P>) -> Vec<Self> {
+        let n = list(&mut self.clone()).len();
+        let mut out = Vec::new();
+        for i in 0..n {
+            let mut p = self.clone();
+            list(&mut p).remove(i);
+            out.push(p);
+        }
+        for i in 0..n {
+            let (mut shorter, mut rarer) = (self.clone(), self.clone());
+            let (.., burst) = list(&mut shorter)[i].parts();
+            if *burst > 1 {
+                *burst /= 2;
+                out.push(shorter);
+            }
+            let (_, _, chance, _) = list(&mut rarer)[i].parts();
+            if chance.num < chance.den && chance.den <= 512 {
+                chance.den *= 2;
+                out.push(rarer);
+            }
+        }
+        out
+    }
+}
+
+/// A stalled router output port on either mesh: what [`LinkFault`]
+/// and [`OcnFault`] share, so one translator and one shrinker serve
+/// both networks.
+trait StalledPort: Copy {
+    /// The router, the port, and the two knobs the shrinker weakens.
+    fn parts(&mut self) -> (Coord, FaultPort, &mut Ratio, &mut u64);
+}
+
+impl StalledPort for LinkFault {
+    fn parts(&mut self) -> (Coord, FaultPort, &mut Ratio, &mut u64) {
+        (Coord { row: self.row, col: self.col }, self.port, &mut self.chance, &mut self.max_burst)
+    }
+}
+
+impl StalledPort for OcnFault {
+    fn parts(&mut self) -> (Coord, FaultPort, &mut Ratio, &mut u64) {
+        (Coord { row: self.row, col: self.col }, self.port, &mut self.chance, &mut self.max_burst)
     }
 }
 
@@ -592,6 +587,25 @@ mod tests {
             assert!(steps < 10_000, "shrinker failed to converge");
         }
         assert!(plan.is_empty() || plan.shrink_candidates().is_empty());
+    }
+
+    #[test]
+    fn shrink_candidates_and_mesh_translations_are_pinned() {
+        // An FNV-1a digest of every rendered candidate list and of both
+        // networks' fault configurations, over 256 random plans: the
+        // shrinker's order and the translators' output are part of the
+        // reproducer format, so any change shows up here.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for seed in 0..256 {
+            let plan = FaultPlan::random(seed);
+            let cands: Vec<String> =
+                plan.shrink_candidates().iter().map(|p| p.to_string()).collect();
+            let text = format!("{cands:?} {:?} {:?}", plan.mesh_fault(0), plan.ocn_fault());
+            for b in text.bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, 0xbcc8_a0f0_6437_d86a, "digest {digest:#018x}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use trips_isa::mem::SparseMem;
 use trips_isa::{decode_body_chunk, decode_header, BlockHeader, Instruction, CHUNK_BYTES};
@@ -62,7 +62,7 @@ struct Slice {
 /// the fetched bytes on use.
 #[derive(Default)]
 struct SliceCache {
-    by_addr: HashMap<u64, Arc<Slice>, BuildHasherDefault<AddrHasher>>,
+    by_addr: HashMap<u64, Rc<Slice>, BuildHasherDefault<AddrHasher>>,
     /// Slices decoded: fetches that found no entry with equal bytes.
     decodes: u64,
 }
@@ -93,7 +93,7 @@ struct DispatchJob {
     /// one beat per cycle, in arrival order.
     start: u64,
     /// Fetched at `start` (what simulated memory holds *then*).
-    slice: Option<Arc<Slice>>,
+    slice: Option<Rc<Slice>>,
     /// Live beats not yet issued; bit 0 alone while the slice is
     /// unfetched, so the fetch itself is the job's first timer.
     live: u64,
@@ -437,7 +437,7 @@ impl SliceCache {
         index: usize,
         mem: &SparseMem,
         cmd: &GdnFetch,
-    ) -> Arc<Slice> {
+    ) -> Rc<Slice> {
         // A body slice is at most a whole 128-instruction body.
         let mut buf = [0u8; 4 * CHUNK_BYTES];
         let (first, bytes) = match InstTile::slice_span(g, index, cmd.chunks) {
@@ -453,7 +453,7 @@ impl SliceCache {
             return hit.clone();
         }
         self.decodes += 1;
-        let slice = Arc::new(Slice::decode(g, index, bytes));
+        let slice = Rc::new(Slice::decode(g, index, bytes));
         self.by_addr.insert(cmd.addr, slice.clone());
         slice
     }

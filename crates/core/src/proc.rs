@@ -729,6 +729,10 @@ mod tests {
             assert!(err.starts_with("core 0: ") && err.contains(field), "{field}: {err}");
         }
         assert!(Processor::try_new(ok()).is_ok());
+        // A threaded chip is refused, not quietly run serially.
+        let threaded = ChipConfig { threaded: Some(true), ..ChipConfig::n_cores(2) };
+        let err = Chip::try_new(threaded).err().expect("a threaded chip is refused");
+        assert!(err.contains("threaded"), "{err}");
     }
 
     #[test]

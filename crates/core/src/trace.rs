@@ -18,7 +18,7 @@
 //!
 //! [`Processor::tick`]: crate::Processor::tick
 
-use std::fmt::Write as _;
+use trips_harness::json::Object;
 
 use crate::config::CoreGeometry;
 use crate::frames::FrameSet;
@@ -385,17 +385,13 @@ impl Tracer {
     /// the result in `about:tracing` or Perfetto. One simulated cycle
     /// maps to one microsecond of trace time.
     pub fn chrome_trace(&self) -> String {
-        let mut out = String::with_capacity(256 + self.buf.len() * 128);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-        let mut first = true;
-        self.chrome_body(&mut out, 0, &mut first);
-        out.push_str("\n]}\n");
-        out
+        chrome_document(self.chrome_rows(0))
     }
 
-    /// The lane metadata and events of one core, written as process
-    /// `pid` — the body shared between the solo and chip exporters.
-    fn chrome_body(&self, out: &mut String, pid: u32, first: &mut bool) {
+    /// The lane metadata and events of one core as process `pid`, one
+    /// trace event per row — the body shared between the solo and chip
+    /// exporters.
+    fn chrome_rows(&self, pid: u32) -> impl Iterator<Item = Object> + '_ {
         // Lane names, derived from the geometry (prototype layout:
         // GT 0, IT 1..6, RT 6..10, DT 10..14, ET 14..30, OPN 30..34,
         // OCN 34 — exactly the original fixed numbering).
@@ -419,31 +415,16 @@ impl Tracer {
             lanes.push((lane_opn(g, net), format!("OPN{net}")));
         }
         lanes.push((lane_ocn(g), "OCN".into()));
-        for (tid, name) in lanes {
-            if !*first {
-                out.push_str(",\n");
-            }
-            *first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            );
-        }
-        for ev in self.events() {
-            out.push_str(",\n");
-            self.chrome_event(out, pid, ev);
-        }
-    }
-
-    fn chrome_event(&self, out: &mut String, pid: u32, ev: &TraceEvent) {
-        let ts = ev.cycle;
-        let (tid, name, args) = describe(self.geom, &ev.kind);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
-             \"ts\":{ts},\"args\":{{{args}}}}}"
-        );
+        let lane_names = lanes.into_iter().map(move |(tid, name)| {
+            let meta = Object::default().str("name", "thread_name").str("ph", "M");
+            meta.lit("pid", pid).lit("tid", tid).raw("args", Object::default().str("name", &name))
+        });
+        let events = self.events().map(move |ev| {
+            let (tid, name, args) = describe(g, &ev.kind);
+            let event = Object::default().str("name", &name).str("ph", "i").str("s", "t");
+            event.lit("pid", pid).lit("tid", tid).lit("ts", ev.cycle).raw("args", args)
+        });
+        lane_names.chain(events)
     }
 }
 
@@ -453,24 +434,16 @@ impl Tracer {
 /// per-core recorder. A one-element slice produces the same lanes as
 /// [`Tracer::chrome_trace`] plus the process label.
 pub fn chrome_trace_chip(cores: &[&Tracer]) -> String {
-    let events: usize = cores.iter().map(|t| t.buf.len()).sum();
-    let mut out = String::with_capacity(256 + events * 128);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    let mut first = true;
-    for (pid, tracer) in cores.iter().enumerate() {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
-             \"args\":{{\"name\":\"core {pid}\"}}}}"
-        );
-        tracer.chrome_body(&mut out, pid as u32, &mut first);
-    }
-    out.push_str("\n]}\n");
-    out
+    chrome_document(cores.iter().zip(0u32..).flat_map(|(tracer, pid)| {
+        let label = Object::default().str("name", &format!("core {pid}"));
+        let process = Object::default().str("name", "process_name").str("ph", "M");
+        std::iter::once(process.lit("pid", pid).raw("args", label)).chain(tracer.chrome_rows(pid))
+    }))
+}
+
+/// One Chrome `trace_event` document holding `rows`.
+fn chrome_document(rows: impl IntoIterator<Item = Object>) -> String {
+    Object::default().str("displayTimeUnit", "ns").rows("traceEvents", rows).document()
 }
 
 const LANE_GT: u32 = 0;
@@ -504,99 +477,80 @@ fn lane_ocn(g: CoreGeometry) -> u32 {
     lane_opn(g, 4)
 }
 
-/// (lane, event name, json args body) for one event kind.
-fn describe(g: CoreGeometry, kind: &TraceKind) -> (u32, String, String) {
+/// (lane, event name, args) for one event kind.
+fn describe(g: CoreGeometry, kind: &TraceKind) -> (u32, String, Object) {
+    let hex = |v: u64| format!("{v:#x}");
+    let named = |what: &str, f: FrameId| format!("{what} f{}", f.0);
+    let of = |f: FrameId| Object::default().lit("frame", f.0);
+    let opn = |src: TileId, dst: TileId, net: u8| {
+        Object::default().str("src", &src.to_string()).str("dst", &dst.to_string()).lit("net", net)
+    };
+    let ocn = |port: u8, addr: u64, write: bool| {
+        Object::default().lit("port", port).str("addr", &hex(addr)).lit("write", write)
+    };
+    let dt = |d| lane_tile(g, TileId::Dt(d));
     match *kind {
-        TraceKind::FetchIssued { frame, pc } => (
-            LANE_GT,
-            format!("fetch f{}", frame.0),
-            format!("\"frame\":{},\"pc\":\"{pc:#x}\"", frame.0),
-        ),
-        TraceKind::DispatchCmd { frame, pc } => (
-            LANE_GT,
-            format!("dispatch f{}", frame.0),
-            format!("\"frame\":{},\"pc\":\"{pc:#x}\"", frame.0),
-        ),
-        TraceKind::DispatchBeat { it, frame, beat } => (
-            lane_it(it),
-            format!("beat f{}", frame.0),
-            format!("\"frame\":{},\"beat\":{beat}", frame.0),
-        ),
-        TraceKind::OpnInject { net, class, src, dst } => (
-            lane_opn(g, net),
-            format!("inject {}", class.name()),
-            format!("\"src\":\"{src}\",\"dst\":\"{dst}\",\"net\":{net}"),
-        ),
+        TraceKind::FetchIssued { frame, pc } => {
+            (LANE_GT, named("fetch", frame), of(frame).str("pc", &hex(pc)))
+        }
+        TraceKind::DispatchCmd { frame, pc } => {
+            (LANE_GT, named("dispatch", frame), of(frame).str("pc", &hex(pc)))
+        }
+        TraceKind::DispatchBeat { it, frame, beat } => {
+            (lane_it(it), named("beat", frame), of(frame).lit("beat", beat))
+        }
+        TraceKind::OpnInject { net, class, src, dst } => {
+            (lane_opn(g, net), format!("inject {}", class.name()), opn(src, dst, net))
+        }
         TraceKind::OpnEject { net, class, src, dst, hops, queued } => (
             lane_opn(g, net),
             format!("eject {}", class.name()),
-            format!(
-                "\"src\":\"{src}\",\"dst\":\"{dst}\",\"net\":{net},\"hops\":{hops},\
-                 \"queued\":{queued}"
-            ),
+            opn(src, dst, net).lit("hops", hops).lit("queued", queued),
         ),
-        TraceKind::LsqInsert { dt, frame, lsid, store } => (
-            lane_tile(g, TileId::Dt(dt)),
-            format!("lsq {} f{}", if store { "store" } else { "load" }, frame.0),
-            format!("\"frame\":{},\"lsid\":{lsid},\"store\":{store}", frame.0),
+        TraceKind::LsqInsert { dt: d, frame, lsid, store } => (
+            dt(d),
+            named(if store { "lsq store" } else { "lsq load" }, frame),
+            of(frame).lit("lsid", lsid).lit("store", store),
         ),
-        TraceKind::LsqWakeup { dt, frame, lsid } => (
-            lane_tile(g, TileId::Dt(dt)),
-            format!("lsq wakeup f{}", frame.0),
-            format!("\"frame\":{},\"lsid\":{lsid}", frame.0),
-        ),
-        TraceKind::WritesDone { rt, frame } => (
-            lane_tile(g, TileId::Rt(rt)),
-            format!("writes done f{}", frame.0),
-            format!("\"frame\":{}", frame.0),
-        ),
-        TraceKind::StoresDone { frame } => (
-            lane_tile(g, TileId::Dt(0)),
-            format!("stores done f{}", frame.0),
-            format!("\"frame\":{}", frame.0),
-        ),
-        TraceKind::BlockComplete { frame } => {
-            (LANE_GT, format!("complete f{}", frame.0), format!("\"frame\":{}", frame.0))
+        TraceKind::LsqWakeup { dt: d, frame, lsid } => {
+            (dt(d), named("lsq wakeup", frame), of(frame).lit("lsid", lsid))
         }
-        TraceKind::CommitCmd { frame } => {
-            (LANE_GT, format!("commit f{}", frame.0), format!("\"frame\":{}", frame.0))
+        TraceKind::WritesDone { rt, frame } => {
+            (lane_tile(g, TileId::Rt(rt)), named("writes done", frame), of(frame))
         }
-        TraceKind::CommitWave { tile, frame } => (
+        TraceKind::StoresDone { frame } => (dt(0), named("stores done", frame), of(frame)),
+        TraceKind::BlockComplete { frame } => (LANE_GT, named("complete", frame), of(frame)),
+        TraceKind::CommitCmd { frame } => (LANE_GT, named("commit", frame), of(frame)),
+        TraceKind::CommitWave { tile, frame } => {
+            (lane_tile(g, tile), named("commit wave", frame), of(frame))
+        }
+        TraceKind::FlushWave { tile, mask } => (
             lane_tile(g, tile),
-            format!("commit wave f{}", frame.0),
-            format!("\"frame\":{}", frame.0),
+            "flush wave".to_string(),
+            Object::default().str("mask", &format!("{mask:#010b}")),
         ),
-        TraceKind::FlushWave { tile, mask } => {
-            (lane_tile(g, tile), "flush wave".to_string(), format!("\"mask\":\"{mask:#010b}\""))
-        }
         TraceKind::CommitAck { tile, frame } => {
-            (lane_tile(g, tile), format!("ack f{}", frame.0), format!("\"frame\":{}", frame.0))
+            (lane_tile(g, tile), named("ack", frame), of(frame))
         }
-        TraceKind::BlockAck { frame, pc } => (
-            LANE_GT,
-            format!("dealloc f{}", frame.0),
-            format!("\"frame\":{},\"pc\":\"{pc:#x}\"", frame.0),
-        ),
-        TraceKind::Violation { dt, frame } => (
-            lane_tile(g, TileId::Dt(dt)),
-            format!("violation f{}", frame.0),
-            format!("\"frame\":{}", frame.0),
-        ),
+        TraceKind::BlockAck { frame, pc } => {
+            (LANE_GT, named("dealloc", frame), of(frame).str("pc", &hex(pc)))
+        }
+        TraceKind::Violation { dt: d, frame } => (dt(d), named("violation", frame), of(frame)),
         TraceKind::RefillStart { it, addr } => {
-            (lane_it(it), "refill".to_string(), format!("\"addr\":\"{addr:#x}\""))
+            (lane_it(it), "refill".to_string(), Object::default().str("addr", &hex(addr)))
         }
         TraceKind::RefillDone { it, addr } => {
-            (lane_it(it), "refill done".to_string(), format!("\"addr\":\"{addr:#x}\""))
+            (lane_it(it), "refill done".to_string(), Object::default().str("addr", &hex(addr)))
         }
         TraceKind::OcnInject { port, addr, write } => (
             lane_ocn(g),
             format!("inject {}", if write { "writeback" } else { "fill" }),
-            format!("\"port\":{port},\"addr\":\"{addr:#x}\",\"write\":{write}"),
+            ocn(port, addr, write),
         ),
         TraceKind::OcnEject { port, addr, write } => (
             lane_ocn(g),
             format!("eject {}", if write { "ack" } else { "fill" }),
-            format!("\"port\":{port},\"addr\":\"{addr:#x}\",\"write\":{write}"),
+            ocn(port, addr, write),
         ),
     }
 }
@@ -674,8 +628,12 @@ mod tests {
         let json = t.chrome_trace();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"hops\":3"));
+        assert!(json.contains("\"hops\": 3"));
         assert!(json.contains("thread_name"));
         assert!(json.contains("ET(1,2)"));
+        assert!(json.contains(
+            "\n    {\"name\": \"fetch f0\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": 0, \
+             \"ts\": 1, \"args\": {\"frame\": 0, \"pc\": \"0x80\"}}"
+        ));
     }
 }

@@ -55,6 +55,8 @@ impl Display for Fixed {
 /// Values whose `Display` is already JSON: integers, booleans, [`Fixed`].
 pub trait Literal: Display {}
 impl Literal for bool {}
+impl Literal for u8 {}
+impl Literal for u32 {}
 impl Literal for u64 {}
 impl Literal for usize {}
 impl Literal for Fixed {}

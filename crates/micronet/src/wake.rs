@@ -7,20 +7,18 @@
 //! consumer must be awake into the consumer's [`WakeTable`] entry at
 //! the moment it creates the event.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// One due cycle per consumer: entry `i` is the earliest cycle
 /// consumer `i` can act ([`WakeTable::ASLEEP`] = only a new event can
 /// wake it).
 ///
-/// A handle, cloned into every event source of one core. The entries
-/// are atomics only to make the handle `Send` — a chip moves whole
-/// cores, handles and all, between worker threads — and a core is
-/// touched by one thread at a time with a join in between, so every
-/// access is `Relaxed`.
+/// A handle, cloned into every event source of one core. A core has
+/// one owner and runs on one thread, so the entries are plain cells:
+/// a read is a load, a filing a compare and a store.
 #[derive(Debug, Clone)]
-pub struct WakeTable(Arc<[AtomicU64]>);
+pub struct WakeTable(Rc<[Cell<u64>]>);
 
 impl WakeTable {
     /// Due since forever: the consumer can act at any cycle.
@@ -31,7 +29,7 @@ impl WakeTable {
     /// A table of `n` (≤ 128, the due mask's width) sleeping consumers.
     pub fn new(n: usize) -> WakeTable {
         assert!(n <= 128, "{n} consumers overflow the 128-bit due mask");
-        WakeTable((0..n).map(|_| AtomicU64::new(WakeTable::ASLEEP)).collect())
+        WakeTable((0..n).map(|_| Cell::new(WakeTable::ASLEEP)).collect())
     }
 
     /// Bit `i` set iff consumer `i` is due at `now`, and the earliest
@@ -43,7 +41,7 @@ impl WakeTable {
         let (mut mask, mut earliest) = (0, WakeTable::ASLEEP);
         for (w, chunk) in self.0.chunks(64).enumerate() {
             let word = chunk.iter().rev().fold(0u64, |word, due| {
-                let due = due.load(Relaxed);
+                let due = due.get();
                 earliest = earliest.min(due);
                 word << 1 | u64::from(due <= now)
             });
@@ -55,12 +53,12 @@ impl WakeTable {
     /// Overwrites consumer `i`'s due cycle (the consumer re-filing
     /// itself from its own state).
     pub fn set(&self, i: usize, at: u64) {
-        self.0[i].store(at, Relaxed);
+        self.0[i].set(at);
     }
 
     /// Every consumer's due cycle, in index order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0.iter().map(|d| d.load(Relaxed))
+        self.0.iter().map(Cell::get)
     }
 }
 
@@ -84,8 +82,8 @@ impl WakePort {
     /// `at`: lowers the consumer's due cycle to it.
     pub fn file(&self, pos: usize, at: u64) {
         let due = &self.table.0[self.consumer[pos] as usize];
-        if at < due.load(Relaxed) {
-            due.store(at, Relaxed);
+        if at < due.get() {
+            due.set(at);
         }
     }
 }

@@ -208,27 +208,6 @@ fn memory_bound_pairing_actually_contends() {
 }
 
 #[test]
-fn threaded_chip_is_bit_identical_to_serial() {
-    needs_a_seatable_die!();
-    // The core-tick phase touches only per-core state (a Shared
-    // memsys tick is a no-op), so ticking cores on worker threads and
-    // joining before the shared-NUCA phase must be invisible. Forcing
-    // `threaded` exercises real worker threads even on a one-CPU host
-    // — the pool spawns as many workers as it is told to.
-    let a = suite::by_name("listwalk").expect("registered");
-    let b = suite::by_name("saxpy").expect("registered");
-    let cfg = |threaded| {
-        let mut c = ChipConfig::with_cores(2, CoreConfig::prototype(), MemConfig::prototype());
-        c.threaded = Some(threaded);
-        c
-    };
-    let (s_stats, s_arch) = chip_run_with(&[&a, &b], cfg(false));
-    let (t_stats, t_arch) = chip_run_with(&[&a, &b], cfg(true));
-    assert_eq!(t_stats, s_stats, "threaded chip run must match the serial run bit-for-bit");
-    assert_eq!(t_arch, s_arch, "threaded chip architectural state diverges from serial");
-}
-
-#[test]
 fn chip_epoch_skip_is_bit_identical_and_not_vacuous() {
     needs_a_seatable_die!();
     // The chip coordinates skips: only when every core's mask is
