@@ -13,6 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use trips_isa::mem::SparseMem;
 use trips_isa::semantics::{eval, extend_load};
 use trips_isa::Opcode;
+use trips_mem::TagStore;
 
 use crate::risc::{RInst, Reg, RiscProgram};
 
@@ -244,8 +245,7 @@ pub struct AlphaCore {
     finished: bool,
     bpred: Tournament,
     ras: Vec<usize>,
-    tags: Vec<Vec<Option<u64>>>,
-    lru: Vec<u8>,
+    tags: TagStore,
     cycle: u64,
     stats: AlphaStats,
 }
@@ -263,8 +263,7 @@ impl AlphaCore {
             mem.write_bytes(*base, data);
         }
         Ok(AlphaCore {
-            tags: vec![vec![None; cfg.l1_ways]; cfg.l1_sets],
-            lru: vec![0; cfg.l1_sets],
+            tags: TagStore::new(cfg.l1_sets, cfg.l1_ways),
             pc: prog.entry,
             cfg,
             prog: prog.clone(),
@@ -342,23 +341,20 @@ impl AlphaCore {
         }
     }
 
-    fn is_hit(&self, ea: u64) -> bool {
+    /// The L1's (set, tag) for `ea`: the tag is the whole line index.
+    fn set_index(&self, ea: u64) -> (usize, u64) {
         let line = ea >> 6;
-        let set = (line as usize) % self.cfg.l1_sets;
-        let tag = line;
-        self.tags[set].contains(&Some(tag))
+        ((line as usize) % self.cfg.l1_sets, line)
+    }
+
+    fn is_hit(&self, ea: u64) -> bool {
+        let (set, tag) = self.set_index(ea);
+        self.tags.contains(set, tag)
     }
 
     fn install(&mut self, ea: u64) {
-        let line = ea >> 6;
-        let set = (line as usize) % self.cfg.l1_sets;
-        let tag = line;
-        if self.tags[set].contains(&Some(tag)) {
-            return;
-        }
-        let way = self.lru[set] as usize % self.cfg.l1_ways;
-        self.tags[set][way] = Some(tag);
-        self.lru[set] = (self.lru[set] + 1) % self.cfg.l1_ways as u8;
+        let (set, tag) = self.set_index(ea);
+        self.tags.install(set, tag);
     }
 
     fn latency(&self, inst: &RInst) -> u64 {

@@ -106,15 +106,16 @@ impl ChipConfig {
     }
 
     /// Checks that the die can be built: 1..=16 cores (the computed
-    /// OCN geometry and its tag space, [`trips_mem::MAX_CORES`]), each
+    /// OCN geometry and its tag space, [`trips_mem::MAX_CORES`]), a
+    /// valid shared [`MemConfig`] ([`MemConfig::validate`]), each
     /// a buildable core ([`CoreConfig::validate`]) with no more DTs and
     /// ITs than its slot owns OCN ports for.
     ///
     /// # Errors
     ///
-    /// Names the core count, a threaded schedule, or the first core with
-    /// its offending field or the port budget of the slot its geometry
-    /// overflows.
+    /// Names the core count, a threaded schedule, the offending `mem`
+    /// field, or the first core with its offending field or the port
+    /// budget of the slot its geometry overflows.
     pub fn validate(&self) -> Result<(), String> {
         if self.threaded == Some(true) {
             return Err("threaded: Some(true) is unsupported; cores tick on one thread".into());
@@ -123,6 +124,7 @@ impl ChipConfig {
         if !(1..=trips_mem::MAX_CORES).contains(&n) {
             return Err(format!("a die seats 1..={} cores, not {n}", trips_mem::MAX_CORES));
         }
+        self.mem.validate().map_err(|e| format!("mem: {e}"))?;
         let ocn = OcnGeometry::for_cores(n);
         for (k, core) in self.cores.iter().enumerate() {
             core.validate().map_err(|e| format!("core {k}: {e}"))?;

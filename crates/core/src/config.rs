@@ -725,7 +725,9 @@ impl CoreConfig {
 
     /// Checks that a core built from this cannot panic or wedge later:
     /// a valid geometry (a struct literal skips
-    /// [`CoreGeometry::validate`]) and every sized field in range.
+    /// [`CoreGeometry::validate`]), every sized field in range, and a
+    /// valid NUCA configuration ([`MemConfig::validate`]) when that is
+    /// the backend.
     ///
     /// # Errors
     ///
@@ -745,7 +747,10 @@ impl CoreConfig {
         match ranges.into_iter().find(|&(_, v, max)| !(1..=max).contains(&v)) {
             Some((field, _, usize::MAX)) => Err(format!("{field} must be at least 1")),
             Some((field, v, max)) => Err(format!("{field} {v} outside 1..={max}")),
-            None => Ok(()),
+            None => match &self.mem_backend {
+                MemBackend::Nuca(mc) => mc.validate().map_err(|e| format!("mem_backend: {e}")),
+                MemBackend::PerfectL2 { .. } => Ok(()),
+            },
         }
     }
 

@@ -14,6 +14,7 @@
 use trips_isa::mem::SparseMem;
 use trips_isa::semantics::{extend_load, Tok};
 use trips_isa::{Opcode, Target};
+use trips_mem::TagStore;
 use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, LsidMask};
@@ -138,8 +139,7 @@ pub struct DataTile {
     pub index: u8,
     geom: CoreGeometry,
     frames: FrameFile<DtFrame>,
-    tags: Vec<Vec<Option<u64>>>,
-    lru: Vec<u8>,
+    tags: TagStore,
     deppred: Vec<bool>,
     blocks_since_clear: u64,
     mshrs: Vec<Mshr>,
@@ -169,8 +169,7 @@ impl DataTile {
                 index as usize == cfg.geometry.num_dts() - 1,
                 DtFrame::default,
             ),
-            tags: vec![vec![None; cfg.l1d_ways]; cfg.l1d_sets],
-            lru: vec![0; cfg.l1d_sets],
+            tags: TagStore::new(cfg.l1d_sets, cfg.l1d_ways),
             deppred: vec![false; cfg.deppred_entries],
             blocks_since_clear: 0,
             mshrs: Vec::with_capacity(cfg.mshr_lines),
@@ -330,26 +329,19 @@ impl DataTile {
 
     fn is_hit(&self, ea: u64, cfg: &CoreConfig) -> bool {
         let (set, tag) = self.set_index(ea, cfg);
-        self.tags[set].contains(&Some(tag))
+        self.tags.contains(set, tag)
     }
 
     fn install(&mut self, ea: u64, cfg: &CoreConfig) {
         let (set, tag) = self.set_index(ea, cfg);
-        if self.tags[set].contains(&Some(tag)) {
-            return;
-        }
-        let way = self.lru[set] as usize % cfg.l1d_ways;
-        self.tags[set][way] = Some(tag);
-        self.lru[set] = (self.lru[set] + 1) % cfg.l1d_ways as u8;
+        self.tags.install(set, tag);
     }
 
     /// Drops the cached copy of `ea`'s line, if held (coherent chips:
     /// directory invalidations and value-plane store propagation).
     fn drop_line(&mut self, ea: u64, cfg: &CoreConfig) {
         let (set, tag) = self.set_index(ea, cfg);
-        if let Some(w) = self.tags[set].iter().position(|&t| t == Some(tag)) {
-            self.tags[set][w] = None;
-        }
+        self.tags.remove(set, tag);
     }
 
     /// Every line this DT's cache currently holds (global line
@@ -359,13 +351,7 @@ impl DataTile {
     /// exactly.
     pub(crate) fn cached_lines(&self) -> Vec<u64> {
         let nd = self.geom.num_dts() as u64;
-        let mut lines = Vec::new();
-        for ways in &self.tags {
-            for tag in ways.iter().flatten() {
-                lines.push(tag * nd + u64::from(self.index));
-            }
-        }
-        lines
+        self.tags.iter().map(|tag| tag * nd + u64::from(self.index)).collect()
     }
 
     /// A remote core's committed store landed in this core's memory

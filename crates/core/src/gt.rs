@@ -9,6 +9,7 @@
 
 use trips_isa::mem::SparseMem;
 use trips_isa::{decode_header, BlockFlags, BranchKind, CHUNK_BYTES};
+use trips_mem::TagStore;
 use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, TickMode, MAX_FRAMES};
@@ -128,8 +129,7 @@ pub struct GlobalTile {
     pc_ready_ev: EvId,
     fetch: Option<FetchOp>,
     dispatch_free_at: u64,
-    itag: Vec<Vec<Option<u64>>>,
-    itag_lru: Vec<u8>,
+    itag: TagStore,
     /// The next-block predictor.
     pub predictor: NextBlockPredictor,
     halt_pending: bool,
@@ -158,8 +158,7 @@ impl GlobalTile {
             pc_ready_ev: NO_EVENT,
             fetch: None,
             dispatch_free_at: 0,
-            itag: vec![vec![None; ITAG_WAYS]; ITAG_SETS],
-            itag_lru: vec![0; ITAG_SETS],
+            itag: TagStore::new(ITAG_SETS, ITAG_WAYS),
             predictor: NextBlockPredictor::new(cfg.predictor),
             halt_pending: false,
             halted: false,
@@ -391,21 +390,19 @@ impl GlobalTile {
         s
     }
 
+    /// The I-cache tag array's (set, tag) for a block address.
+    fn itag_index(addr: u64) -> (usize, u64) {
+        (((addr >> 7) as usize) % ITAG_SETS, addr >> 13)
+    }
+
     fn itag_lookup(&self, addr: u64) -> bool {
-        let set = ((addr >> 7) as usize) % ITAG_SETS;
-        let tag = addr >> 13;
-        self.itag[set].contains(&Some(tag))
+        let (set, tag) = GlobalTile::itag_index(addr);
+        self.itag.contains(set, tag)
     }
 
     fn itag_insert(&mut self, addr: u64) {
-        let set = ((addr >> 7) as usize) % ITAG_SETS;
-        let tag = addr >> 13;
-        if self.itag[set].contains(&Some(tag)) {
-            return;
-        }
-        let way = self.itag_lru[set] as usize % ITAG_WAYS;
-        self.itag[set][way] = Some(tag);
-        self.itag_lru[set] = (self.itag_lru[set] + 1) % ITAG_WAYS as u8;
+        let (set, tag) = GlobalTile::itag_index(addr);
+        self.itag.install(set, tag);
     }
 
     /// One cycle.

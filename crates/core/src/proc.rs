@@ -130,54 +130,52 @@ impl Processor {
         Processor::try_new(cfg).unwrap_or_else(|e| panic!("invalid CoreConfig: {e}"))
     }
 
-    /// A processor with the given configuration (state is built when
-    /// [`Processor::run`] loads a program).
+    /// A processor with the given configuration, built for a run from
+    /// address 0 ([`Processor::run`] rebuilds it for its image).
     ///
     /// # Errors
     ///
     /// What [`CoreConfig::validate`] rejects.
     pub fn try_new(cfg: CoreConfig) -> Result<Processor, String> {
         cfg.validate()?;
+        Ok(Processor::build(cfg, 0, Tracer::disabled(), TickProfile::disabled()))
+    }
+
+    /// Every tile, network and counter built fresh for a run from
+    /// `entry`: the one builder behind [`Processor::try_new`] and each
+    /// run's reset. Only the configuration and the recorders (emptied)
+    /// carry over.
+    fn build(
+        cfg: CoreConfig,
+        entry: u64,
+        mut tracer: Tracer,
+        mut profile: TickProfile,
+    ) -> Processor {
+        let g = cfg.geometry;
         let nets = Nets::new(&cfg);
+        tracer.clear();
+        profile.clear();
         let mut p = Processor {
-            gt: GlobalTile::new(&cfg, 0),
-            its: Vec::new(),
-            rts: Vec::new(),
-            ets: Vec::new(),
-            dts: Vec::new(),
+            gt: GlobalTile::new(&cfg, entry),
+            its: (0..g.num_its()).map(InstTile::new).collect(),
+            rts: (0..g.num_rts()).map(|b| RegTile::new(b as u8, g)).collect(),
+            ets: (0..g.et_rows)
+                .flat_map(|r| (0..g.et_cols).map(move |c| ExecTile::new(r as u8, c as u8, g)))
+                .collect(),
+            dts: (0..g.num_dts()).map(|d| DataTile::new(d as u8, &cfg)).collect(),
             memsys: MemSys::new(&cfg, &nets.wake),
             nets,
             mem: SparseMem::new(),
             crit: CritPath::new(cfg.critpath),
             stats: CoreStats::default(),
-            tracer: Tracer::disabled(),
+            tracer,
             gating: GatingStats::default(),
-            profile: TickProfile::disabled(),
+            profile,
             cycle: 0,
             cfg,
         };
-        p.reset(0);
-        Ok(p)
-    }
-
-    fn reset(&mut self, entry: u64) {
-        let g = self.cfg.geometry;
-        self.gt = GlobalTile::new(&self.cfg, entry);
-        self.its = (0..g.num_its()).map(InstTile::new).collect();
-        self.rts = (0..g.num_rts()).map(|b| RegTile::new(b as u8, g)).collect();
-        self.ets = (0..g.et_rows)
-            .flat_map(|r| (0..g.et_cols).map(move |c| ExecTile::new(r as u8, c as u8, g)))
-            .collect();
-        self.dts = (0..g.num_dts()).map(|d| DataTile::new(d as u8, &self.cfg)).collect();
-        self.nets = Nets::new(&self.cfg);
-        self.memsys = MemSys::new(&self.cfg, &self.nets.wake);
-        self.crit = CritPath::new(self.cfg.critpath);
-        self.stats = CoreStats::default();
-        self.tracer.clear();
-        self.gating = GatingStats::default();
-        self.profile.clear();
-        self.cycle = 0;
-        self.refile();
+        p.refile();
+        p
     }
 
     /// Every tile's wake-table entry recomputed from the tile's own
@@ -336,7 +334,12 @@ impl Processor {
     /// can prepare every core and then drive the lockstep tick loop
     /// itself.
     pub(crate) fn start(&mut self, image: &ProgramImage) {
-        self.reset(image.entry);
+        let tracer = std::mem::take(&mut self.tracer);
+        let profile = std::mem::take(&mut self.profile);
+        // Free the finished run's tiles before building the next run's,
+        // so the two sets are never resident together (peak memory).
+        (self.its, self.rts, self.ets, self.dts) = Default::default();
+        *self = Processor::build(self.cfg.clone(), image.entry, tracer, profile);
         self.mem = SparseMem::from_image(image);
     }
 
@@ -703,7 +706,8 @@ mod tests {
     #[test]
     fn try_new_names_the_field_of_every_machine_that_would_panic_or_wedge_later() {
         use crate::chip::{Chip, ChipConfig};
-        use crate::config::CoreGeometry;
+        use crate::config::{CoreGeometry, MemBackend};
+        use trips_mem::{MemConfig, MemMode};
         let ok = CoreConfig::prototype_pinned;
         // Never met `CoreGeometry::validate`: a struct literal.
         let three_rows = CoreGeometry { et_rows: 3, ..CoreGeometry::prototype() };
@@ -724,9 +728,29 @@ mod tests {
         for (cfg, field) in table {
             let err = Processor::try_new(cfg.clone()).err().unwrap_or_else(|| panic!("{field}"));
             assert!(err.contains(field), "{field}: {err}");
-            let die = ChipConfig::with_cores(2, cfg, trips_mem::MemConfig::prototype());
+            let die = ChipConfig::with_cores(2, cfg, MemConfig::prototype());
             let err = Chip::try_new(die).err().unwrap_or_else(|| panic!("chip, {field}"));
             assert!(err.starts_with("core 0: ") && err.contains(field), "{field}: {err}");
+        }
+        // A NUCA the banks could not be built or run from, as the solo
+        // backend and as the chip's shared system.
+        let mem = MemConfig::prototype;
+        let table = [
+            (MemConfig { ways: 0, ..mem() }, "ways"), // `/ 0` sizing the banks
+            (MemConfig { ways: 256, ..mem() }, "ways"), // the round-robin pointer is a `u8`
+            (MemConfig { bank_kb: 0, ..mem() }, "bank_kb"), // `% 0` sets at the first access
+            (MemConfig { banks: 0, ..mem() }, "banks"),
+            (MemConfig { mode: MemMode::L2Split, banks: 1, ..mem() }, "banks"), // an empty half
+            (MemConfig { vc_cap: 0, ..mem() }, "vc_cap"),
+            (MemConfig { interleave_shift: 64, ..mem() }, "interleave_shift"), // shift overflow
+        ];
+        for (mc, field) in table {
+            let solo = CoreConfig { mem_backend: MemBackend::Nuca(mc.clone()), ..ok() };
+            let err = Processor::try_new(solo).err().unwrap_or_else(|| panic!("solo, {field}"));
+            assert!(err.starts_with("mem_backend: ") && err.contains(field), "{field}: {err}");
+            let die = ChipConfig::with_cores(2, ok(), mc);
+            let err = Chip::try_new(die).err().unwrap_or_else(|| panic!("chip mem, {field}"));
+            assert!(err.starts_with("mem: ") && err.contains(field), "{field}: {err}");
         }
         assert!(Processor::try_new(ok()).is_ok());
         // A threaded chip is refused, not quietly run serially.

@@ -43,6 +43,7 @@
 mod dma;
 mod geometry;
 mod system;
+mod tags;
 mod tiles;
 
 pub use dma::{DmaEngine, DmaJob};
@@ -50,4 +51,5 @@ pub use geometry::{OcnGeometry, BLOCK_ROWS, BLOCK_SIDE_PORTS, CORES_PER_BLOCK, M
 pub use system::{
     CohSnapshot, DirView, MemConfig, MemMode, MemReq, MemResp, ReqKind, SecondarySystem, ID_COH,
 };
+pub use tags::TagStore;
 pub use tiles::{MemTile, NetTile};

@@ -69,6 +69,36 @@ impl MemConfig {
             interleave_shift: 0,
         }
     }
+
+    /// Checks that a system built from this cannot panic or silently
+    /// misroute later.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        let (ways, banks) = (self.ways, self.banks);
+        if !(1..=255).contains(&ways) {
+            // The banks' round-robin victim pointers are a `u8`.
+            return Err(format!("ways {ways} outside 1..=255"));
+        }
+        if self.bank_kb.saturating_mul(1024) / LINE < ways {
+            return Err(format!("bank_kb {} holds no full set of {ways} ways", self.bank_kb));
+        }
+        if !(1..=16).contains(&banks) {
+            return Err(format!("banks {banks} outside 1..=16"));
+        }
+        if self.mode == MemMode::L2Split && banks % 2 != 0 {
+            return Err(format!("banks {banks} cannot split into two L2 halves"));
+        }
+        if self.vc_cap == 0 {
+            return Err("vc_cap must be at least 1".into());
+        }
+        if self.interleave_shift >= u64::BITS {
+            return Err(format!("interleave_shift {} outside 0..64", self.interleave_shift));
+        }
+        Ok(())
+    }
 }
 
 /// Request kinds.
@@ -292,7 +322,8 @@ impl SecondarySystem {
     /// # Panics
     ///
     /// Panics unless `1 <= ncores <= 16` (see
-    /// [`OcnGeometry::for_cores`]).
+    /// [`OcnGeometry::for_cores`]) and `cfg` passes
+    /// [`MemConfig::validate`].
     pub fn for_cores(cfg: MemConfig, ncores: usize) -> SecondarySystem {
         SecondarySystem::build(cfg, ncores, false)
     }
@@ -308,12 +339,13 @@ impl SecondarySystem {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 <= ncores <= 16`.
+    /// As [`SecondarySystem::for_cores`].
     pub fn for_cores_shared(cfg: MemConfig, ncores: usize) -> SecondarySystem {
         SecondarySystem::build(cfg, ncores, true)
     }
 
     fn build(cfg: MemConfig, ncores: usize, coherent: bool) -> SecondarySystem {
+        cfg.validate().unwrap_or_else(|e| panic!("invalid MemConfig: {e}"));
         let geo = OcnGeometry::with_banks(ncores, cfg.banks);
         let banks: Vec<MemTile> = (0..geo.banks())
             .map(|i| {

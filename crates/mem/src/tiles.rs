@@ -2,6 +2,8 @@
 
 use trips_micronet::Coord;
 
+use crate::tags::TagStore;
+
 /// Cache line size throughout the memory system.
 pub const LINE: usize = 64;
 
@@ -17,10 +19,7 @@ pub struct MemTile {
     pub coord: Coord,
     /// True when the bank acts as scratchpad (no tags, no misses).
     pub scratchpad: bool,
-    sets: usize,
-    ways: usize,
-    tags: Vec<Vec<Option<u64>>>,
-    lru: Vec<u8>,
+    tags: TagStore,
     /// The single-entry MSHR: an outstanding miss (line id, ready).
     mshr: Option<(u64, u64)>,
     /// Accesses served.
@@ -32,14 +31,10 @@ pub struct MemTile {
 impl MemTile {
     /// A bank of `kb` kilobytes with `ways` ways at `coord`.
     pub fn new(coord: Coord, kb: usize, ways: usize) -> MemTile {
-        let sets = kb * 1024 / LINE / ways;
         MemTile {
             coord,
             scratchpad: false,
-            sets,
-            ways,
-            tags: vec![vec![None; ways]; sets],
-            lru: vec![0; sets],
+            tags: TagStore::new(kb * 1024 / LINE / ways, ways),
             mshr: None,
             hits: 0,
             misses: 0,
@@ -47,7 +42,7 @@ impl MemTile {
     }
 
     fn set_of(&self, line: u64) -> usize {
-        (line as usize) % self.sets
+        (line as usize) % self.tags.sets()
     }
 
     /// True when `line` is resident (scratchpad banks always hit).
@@ -55,19 +50,14 @@ impl MemTile {
         if self.scratchpad {
             return true;
         }
-        let s = self.set_of(line);
-        self.tags[s].contains(&Some(line))
+        self.tags.contains(self.set_of(line), line)
     }
 
-    /// Installs `line`, evicting LRU.
+    /// Installs `line`, evicting its set's round-robin victim.
     pub fn install(&mut self, line: u64) {
-        if self.scratchpad || self.present(line) {
-            return;
+        if !self.scratchpad {
+            self.tags.install(self.set_of(line), line);
         }
-        let s = self.set_of(line);
-        let way = self.lru[s] as usize % self.ways;
-        self.tags[s][way] = Some(line);
-        self.lru[s] = (self.lru[s] + 1) % self.ways as u8;
     }
 
     /// True if the MSHR can accept a miss at `now`.

@@ -13,7 +13,9 @@
 # machine code belongs to after inlining), then per function anywhere in
 # the sample's inline chain (inclusive: a function inlined into its
 # caller is still counted; standard-library frames are left out of this
-# second table). Needs gcc and addr2line; x86-64 Linux. The
+# second table). A sample outside the executable is one row per shared
+# object in both tables, named by its file ("[libc.so.6]": malloc and
+# free show up there). Needs gcc and addr2line; x86-64 Linux. The
 # kernel delivers roughly 330 samples per CPU-second on a shared host,
 # so an 8-second run carries about 2 600.
 set -euo pipefail
@@ -34,11 +36,21 @@ SAMPLE_OUT=$tmp/pcs LD_PRELOAD=$tmp/sampler.so \
 tail -n 1 "$tmp/run.out" | grep -q '"correct": *true' ||
     echo "sample_profile: the run did not report correct=true" >&2
 
-# One addr2line record per distinct PC, weighted by how often it was hit.
-sort "$tmp/pcs" | uniq -c >"$tmp/counts"
+# One addr2line record per distinct PC in the executable, weighted by how
+# often it was hit; samples elsewhere arrive already named by their
+# mapping ("[libc.so.6]") and count as one row each.
+sort "$tmp/pcs" | uniq -c >"$tmp/all"
+grep -v ' \[' "$tmp/all" >"$tmp/counts" || true
+grep ' \[' "$tmp/all" >"$tmp/mapped" || true
 awk '{ print "0x" $2 }' "$tmp/counts" | addr2line -a -i -f -C -e "$bin" >"$tmp/symbols"
 
-awk -v top=30 '
+awk -v top=30 -v mapped="$tmp/mapped" '
+    BEGIN {
+        while ((getline line < mapped) > 0) {
+            split(line, f, " ")
+            physical[f[2]] += f[1]; inclusive[f[2]] += f[1]; total += f[1]
+        }
+    }
     # Pass 1: sample count of the n-th distinct PC.
     NR == FNR { weight[FNR] = $1; total += $1; next }
     # Pass 2: addr2line output — an address line, then (function,
