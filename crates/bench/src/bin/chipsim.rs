@@ -34,7 +34,7 @@
 //! cycles as `sim_cycles`. Exits 1 if the memory-bound pairing shows no
 //! cross-core bank conflicts, or if curve contention fails to grow
 //! with the core count — a chip that cannot contend is not modelling
-//! shared memory. Under `--shared` it exits 1 if any replica
+//! shared memory. Under `--shared` it exits 1 if the shared memory
 //! disagrees with its oracle or a run generates no coherence traffic.
 
 use std::collections::HashMap;
@@ -168,8 +168,8 @@ struct SharedPerf {
 }
 
 /// One shared-memory point: the workload on a coherent `n`-core chip,
-/// self-gated on its sequential final-state oracle across every
-/// core's replica.
+/// self-gated on its sequential final-state oracle over the shared
+/// memory.
 fn run_shared_point(wl: &SharedWorkload, n: usize) -> SharedPerf {
     let SharedProgram { images, expected } = (wl.gen)(n);
     let mut cfg = ChipConfig::with_cores(n, CoreConfig::prototype(), MemConfig::prototype());
@@ -246,7 +246,7 @@ fn run_shared_suite(smoke: bool) {
     std::fs::write("BENCH_coherence.json", &json).expect("write BENCH_coherence.json");
     println!("\nwrote BENCH_coherence.json");
 
-    // Self-gates: every replica must match the sequential oracle, and
+    // Self-gates: the shared memory must match the sequential oracle, and
     // a coherent run that moved no coherence traffic tested nothing.
     // GetM traffic is per-row (every shared workload writes);
     // invalidations are gated suite-wide — a workload with disjoint

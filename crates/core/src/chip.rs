@@ -40,14 +40,19 @@
 //! NUCA bank carries a directory slice over the lines it homes,
 //! D-side fills travel as GetS, store writebacks as GetM, and the
 //! directory invalidates remote copies over the same OCN. Values
-//! still follow the timing-only discipline — every committed store is
-//! propagated to every core's memory replica in one global order (the
-//! chip's *value plane*), while the protocol messages decide *when*
-//! fills and store acks complete (the *timing plane*). See DESIGN.md
-//! §5g for the protocol tables and the invariant arguments.
+//! still follow the timing-only discipline — every core holds a
+//! handle to one shared memory, and the chip writes each committed
+//! store to it once, at the end of the cycle its DT drains it, in one
+//! global order (the chip's *value plane*), while the protocol
+//! messages decide *when* fills and store acks complete (the *timing
+//! plane*). See DESIGN.md §5g for the protocol tables and the
+//! invariant arguments.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
+use trips_isa::mem::SparseMem;
 use trips_isa::ProgramImage;
 use trips_mem::{CohSnapshot, DirView, MemConfig, OcnGeometry, SecondarySystem};
 use trips_micronet::MAX_TAGS;
@@ -339,16 +344,16 @@ impl Chip {
             core.refile();
         }
         if self.cfg.shared_memory {
-            // One physical address space: every core's memory replica
-            // is the union of every live image, loaded in slot order —
-            // identical across cores by construction, which is the
-            // value plane's starting condition (store propagation
-            // keeps the replicas identical from here on).
-            for core in self.cores.iter_mut() {
-                core.mem = trips_isa::mem::SparseMem::new();
-                for image in images.iter().flatten() {
-                    core.mem.load_image(image);
-                }
+            // One physical address space: one memory, the union of
+            // every live image loaded in slot order, and every core
+            // holds a handle to it.
+            let mut mem = SparseMem::new();
+            for image in images.iter().flatten() {
+                mem.load_image(image);
+            }
+            let mem = Rc::new(RefCell::new(mem));
+            for core in &mut self.cores {
+                core.mem = Rc::clone(&mem);
             }
         }
         for (k, image) in images.iter().enumerate() {
@@ -485,24 +490,24 @@ impl Chip {
     }
 
     /// The value plane of the coherent chip: every store drained at
-    /// commit this cycle is applied to **every** core's memory
-    /// replica — the writer's included — in one global order (writer
-    /// core index, then drain order within the core), so same-cycle
-    /// conflicting stores resolve identically everywhere and the
-    /// replicas stay byte-for-byte equal. Runs after every core has
-    /// ticked this cycle. Remote cores also take
-    /// the speculation repair: cached copies of the touched lines are
-    /// dropped, in-flight fills poisoned, and any speculatively
-    /// performed overlapping load squashed via a violation flush.
+    /// commit this cycle is written **once** to the one shared memory,
+    /// in one global order (writer core index, then drain order within
+    /// the core), so same-cycle conflicting stores resolve the same
+    /// way for every core. Runs after every core has ticked this
+    /// cycle, so a store becomes visible to every core — its writer
+    /// included — at the end of the cycle it drains; the writer's
+    /// younger loads see it earlier only through LSQ forwarding.
+    /// Remote cores also take the speculation repair: cached copies of
+    /// the touched lines are dropped, in-flight fills poisoned, and any
+    /// speculatively performed overlapping load squashed via a
+    /// violation flush.
     fn propagate_stores(&mut self, now: u64) {
         for k in 0..self.cores.len() {
             let props = self.cores[k].memsys.take_propagations();
             for (ea, val, bytes) in props {
-                for j in 0..self.cores.len() {
-                    self.cores[j].mem.write_uint(ea, val, bytes as u32);
-                    if j != k {
-                        self.cores[j].shared_invalidate(now, ea, bytes);
-                    }
+                self.cores[k].mem.borrow_mut().write_uint(ea, val, bytes as u32);
+                for j in (0..self.cores.len()).filter(|&j| j != k) {
+                    self.cores[j].shared_invalidate(now, ea, bytes);
                 }
             }
         }
@@ -691,5 +696,34 @@ impl Chip {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trips_tasm::Quality;
+    use trips_workloads::{shared, suite};
+
+    /// The value plane has one memory: a coherent chip's cores all hold
+    /// a handle to it, while a multiprogrammed chip's cores keep their
+    /// own.
+    #[test]
+    fn only_coherent_cores_share_one_memory() {
+        let die = ChipConfig::with_cores(4, CoreConfig::prototype_pinned(), MemConfig::prototype());
+        let shares =
+            |chip: &Chip, j: usize, k: usize| Rc::ptr_eq(&chip.cores[j].mem, &chip.cores[k].mem);
+
+        let mut chip = Chip::new(ChipConfig { shared_memory: true, ..die.clone() });
+        chip.run(&shared::pcring(4).images, 20_000_000).expect("pcring halts");
+        assert!((1..4).all(|k| shares(&chip, 0, k)), "a coherent core holds its own memory");
+
+        let vadd = suite::by_name("vadd").expect("registered");
+        let image = vadd.build_trips(Quality::Hand).expect("compiles").image;
+        let mut chip = Chip::new(die);
+        chip.run(&vec![image; 4], 20_000_000).expect("vadd halts");
+        for j in 0..4 {
+            assert!((j + 1..4).all(|k| !shares(&chip, j, k)), "multiprogrammed core {j} shares");
+        }
     }
 }

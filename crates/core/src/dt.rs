@@ -354,14 +354,14 @@ impl DataTile {
         self.tags.iter().map(|tag| tag * nd + u64::from(self.index)).collect()
     }
 
-    /// A remote core's committed store landed in this core's memory
-    /// replica (coherent chips, value plane). Drops any cached copy of
+    /// A remote core's committed store landed in the shared memory
+    /// (coherent chips, value plane). Drops any cached copy of
     /// the touched line(s) this DT homes, poisons overlapping in-flight
     /// fills, and — the speculation repair — squashes from the oldest
     /// non-committing block that already performed an overlapping
     /// load, exactly like a memory-ordering violation (§3.5): that
     /// load observed the old value, so the block and everything
-    /// younger re-execute against the updated replica. Blocks already
+    /// younger re-execute against the updated memory. Blocks already
     /// committing are exempt — their loads are architecturally
     /// committed, and the store propagation order makes that the
     /// sequential order.
@@ -886,15 +886,19 @@ impl DataTile {
                     f.stores_drained = true;
                 }
                 if !s.nullified {
-                    mem.write_uint(s.ea, s.val, s.bytes);
                     stats.stores += 1;
-                    // A coherent chip must not adopt the line here:
-                    // the GetM is still in flight, and a silent
-                    // install would put a copy in the cache the home
-                    // directory does not list (inclusion). The writer
-                    // re-acquires the line through a GetS fill like
-                    // any other reader.
+                    // A coherent chip neither writes nor adopts the
+                    // line here. The chip writes the store to the one
+                    // shared memory at the end of the cycle, so no
+                    // core ticking later this cycle sees it early
+                    // (this core's younger loads forward from the
+                    // LSQ until the ack retires the frame). And the
+                    // GetM is still in flight: a silent install would
+                    // put a copy in the cache the home directory does
+                    // not list (inclusion). The writer re-acquires the
+                    // line through a GetS fill like any other reader.
                     if !memsys.is_coherent() {
+                        mem.write_uint(s.ea, s.val, s.bytes);
                         self.install(s.ea, cfg);
                     }
                     // ESN-style store completion: under the NUCA

@@ -45,7 +45,7 @@ enum Decoded {
 /// bytes it was decoded from. Decode is a pure function of those bytes,
 /// so a job whose fetch reads equal bytes shares the entry and one that
 /// reads different bytes (self-modifying code, a store propagated into
-/// a chip replica, another program at the same address) replaces it —
+/// the shared memory, another program at the same address) replaces it —
 /// no store path has to know the cache exists (DESIGN.md §5b).
 #[derive(Debug)]
 struct Slice {

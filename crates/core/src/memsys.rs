@@ -291,8 +291,8 @@ struct Adapter {
     /// Accepted-but-undelivered requests over all clients (the
     /// conservation ledger: pending + in-system + ready).
     outstanding: u64,
-    /// Committed stores awaiting chip-level propagation to every
-    /// core's replica (coherent mode only): `(ea, val, bytes)` in
+    /// Committed stores awaiting chip-level propagation to the shared
+    /// memory (coherent mode only): `(ea, val, bytes)` in
     /// commit-drain order.
     prop: Vec<(u64, u64, usize)>,
     /// Fill-request issue times, for the miss-latency histogram:
@@ -634,7 +634,7 @@ impl MemSys {
     /// implicitly and returns false. The line payload is zeros — the
     /// core's memory image is the data authority (timing-only model).
     /// `val`/`bytes` matter only to the coherent mode, which queues
-    /// the store for chip-level propagation to every core's replica.
+    /// the store for chip-level propagation to the shared memory.
     pub(crate) fn store_write(
         &mut self,
         dt: u8,

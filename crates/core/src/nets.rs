@@ -91,7 +91,8 @@ impl Nets {
         // A router with no tile behind it (the fat die's RT row is
         // narrower than its mesh) files out of range — loudly.
         let nobody = vec![u32::MAX; g.et_cols - g.num_rts()];
-        let mut routers = vec![&gt[..], &rts, &nobody];
+        let mut routers = Vec::with_capacity(3 + 2 * g.et_rows);
+        routers.extend([&gt[..], &rts, &nobody]);
         for r in 0..g.et_rows {
             routers.extend([&dts[r..=r], &ets[r * g.et_cols..(r + 1) * g.et_cols]]);
         }

@@ -3,7 +3,9 @@
 //! prototype is 1 + 5 + 4 + 16 + 4), plus the seven micronetworks
 //! connecting them.
 
+use std::cell::{Ref, RefCell};
 use std::fmt;
+use std::rc::Rc;
 
 use trips_isa::mem::SparseMem;
 use trips_isa::{ArchReg, ProgramImage};
@@ -115,7 +117,10 @@ pub struct Processor {
     pub(crate) dts: Vec<DataTile>,
     pub(crate) nets: Nets,
     pub(crate) memsys: MemSys,
-    pub(crate) mem: SparseMem,
+    /// The memory this core loads from and stores to: its own on a
+    /// solo core or a multiprogrammed chip, one store shared by every
+    /// core of a coherent chip (each holds a clone of the one handle).
+    pub(crate) mem: Rc<RefCell<SparseMem>>,
     pub(crate) crit: CritPath,
     pub(crate) stats: CoreStats,
     pub(crate) tracer: Tracer,
@@ -165,7 +170,7 @@ impl Processor {
             dts: (0..g.num_dts()).map(|d| DataTile::new(d as u8, &cfg)).collect(),
             memsys: MemSys::new(&cfg, &nets.wake),
             nets,
-            mem: SparseMem::new(),
+            mem: Rc::default(),
             crit: CritPath::new(cfg.critpath),
             stats: CoreStats::default(),
             tracer,
@@ -262,9 +267,11 @@ impl Processor {
             + self.ets.iter().map(|t| t.select_visits).sum::<u64>()
     }
 
-    /// The simulated memory (for inspecting results after a run).
-    pub fn memory(&self) -> &SparseMem {
-        &self.mem
+    /// The simulated memory (for inspecting results after a run): the
+    /// core's own, or on a coherent chip the one store every core
+    /// shares. Only a tick borrows it mutably, and only while it runs.
+    pub fn memory(&self) -> Ref<'_, SparseMem> {
+        self.mem.borrow()
     }
 
     /// An architectural register value (thread 0).
@@ -340,7 +347,7 @@ impl Processor {
         // so the two sets are never resident together (peak memory).
         (self.its, self.rts, self.ets, self.dts) = Default::default();
         *self = Processor::build(self.cfg.clone(), image.entry, tracer, profile);
-        self.mem = SparseMem::from_image(image);
+        self.mem.replace(SparseMem::from_image(image));
     }
 
     /// Whether the GT has committed a `halt` branch.
@@ -349,8 +356,8 @@ impl Processor {
     }
 
     /// The invalidation half of the chip's value-plane store
-    /// propagation, run on every core *except* the writer (whose
-    /// replica simply takes the write): each DT homing a line the
+    /// propagation, run on every core *except* the writer (whose own
+    /// younger loads already forwarded from its LSQ): each DT homing a line the
     /// store touched drops/poisons its copy and raises a violation
     /// flush for any speculatively performed overlapping load.
     pub(crate) fn shared_invalidate(&mut self, now: u64, ea: u64, bytes: usize) {
@@ -608,6 +615,7 @@ impl Processor {
         let now = self.cycle;
         let Processor { cfg, gt, its, rts, ets, dts, nets, memsys, mem, crit, stats, .. } = self;
         let Processor { tracer, profile, gating, .. } = self;
+        let mem = &mut *mem.borrow_mut();
         // Mask bits — and wake-table entries — run in tick order: GT,
         // ITs, RTs, ETs, DTs (`CoreGeometry::tile_bit`). Each group
         // walks only its set bits, ascending: the due tiles tick in the

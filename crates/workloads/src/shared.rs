@@ -3,9 +3,9 @@
 //! Unlike the Table 3 programs (one image per core, disjoint address
 //! spaces), these build **one** program with one function per core;
 //! every core loads the same image — code, globals, everything — and
-//! starts at its own function's entry, so all replicas begin
-//! byte-identical and all communication flows through the coherence
-//! protocol. Each workload carries a final-state oracle: the `(addr,
+//! starts at its own function's entry, so the one shared memory
+//! starts as that image and all communication flows through the
+//! coherence protocol. Each workload carries a final-state oracle: the `(addr,
 //! value)` pairs a sequential execution would leave behind, which any
 //! legal interleaving under the chip's TSO-like ordering must
 //! reproduce exactly.

@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# Calibrates the bug corpus: each tests/bugs/<name>.patch puts one
+# historical bug back, and every guard its header names
+# (`Guard: tests/<file>.rs::<test>`) must fail with the bug in. A guard
+# that passes has gone blind.
+#
+#   scripts/calibrate_bugs.sh                     # every patch
+#   scripts/calibrate_bugs.sh tests/bugs/x.patch  # just these
+#
+# For each patch: a scratch `git worktree` of HEAD, the patch applied,
+# a release build, each named guard run on its own, then the whole
+# tier-1 suite (`cargo test --release` at the root) to report which
+# other tests the bug also trips. Exits 1 if a patch does not apply or
+# build, or if any guard passes. One release build per patch (about a
+# minute each); the worktrees share one target directory.
+set -euo pipefail
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+if [ "$#" -gt 0 ]; then patches=("$@"); else patches=(tests/bugs/*.patch); fi
+unset TRIPS_GEOMETRY
+
+scratch=$(mktemp -d)
+tree="$scratch/tree"
+export CARGO_TARGET_DIR="$scratch/target"
+cleanup() {
+  git worktree remove --force "$tree" 2>/dev/null || true
+  rm -rf "$scratch"
+}
+trap cleanup EXIT
+
+status=0
+for patch in "${patches[@]}"; do
+  name=$(basename "$patch" .patch)
+  git worktree remove --force "$tree" 2>/dev/null || true
+  git worktree add --detach --quiet "$tree" HEAD
+  if ! git -C "$tree" apply "$root/$patch"; then
+    echo "$name: does not apply to HEAD; port the bug to the current code"
+    status=1
+    continue
+  fi
+  if ! (cd "$tree" && cargo test --release --no-run -q) >"$scratch/build.log" 2>&1; then
+    echo "$name: does not build with the bug in:"
+    tail -20 "$scratch/build.log"
+    status=1
+    continue
+  fi
+  guards=$(sed -n '/^diff --git /q; s/^Guard: //p' "$patch")
+  if [ -z "$guards" ]; then
+    echo "$name: the header names no guard"
+    status=1
+  fi
+  for guard in $guards; do
+    file=${guard%%::*}
+    test=${guard#*::}
+    log="$scratch/guard.log"
+    if (cd "$tree" && cargo test --release -q --test "$(basename "$file" .rs)" -- --exact "$test") \
+      >"$log" 2>&1; then
+      if grep -q 'running 0 tests' "$log"; then
+        echo "$name: guard $guard does not exist"
+      else
+        echo "$name: guard $guard PASSES with the bug in (blind)"
+      fi
+      status=1
+    else
+      echo "$name: guard $guard fails, as it must"
+    fi
+  done
+  # Every tier-1 test the bug trips, as `tests/<file>.rs::<test>`.
+  others=$(cd "$tree" && cargo test --release --no-fail-fast 2>&1 | awk '
+    / Running tests\// { file = $2 }
+    /^test .* \.\.\. FAILED$/ { print "  " file "::" $2 }' | sort || true)
+  echo "$name: tier-1 tests failing with the bug in:"
+  echo "${others:-  (none)}"
+done
+exit "$status"

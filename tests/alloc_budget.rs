@@ -79,7 +79,7 @@ fn a_four_core_coherent_nuca_builds_within_budget() {
 #[test]
 fn a_prototype_core_builds_within_budget() {
     let n = allocations(|| Processor::new(CoreConfig::prototype_pinned()));
-    within("Processor::new(prototype)", n, 374);
+    within("Processor::new(prototype)", n, 373);
 }
 
 #[test]
@@ -93,5 +93,5 @@ fn a_second_coherent_chip_run_stays_within_budget() {
     let mut chip = Chip::new(cfg);
     chip.run(&program.images, 20_000_000).expect("pcring halts");
     let n = allocations(|| chip.run(&program.images, 20_000_000).expect("pcring halts again"));
-    within("the second Chip::run of pcring on 4 coherent cores", n, 5_505);
+    within("the second Chip::run of pcring on 4 coherent cores", n, 5_238);
 }

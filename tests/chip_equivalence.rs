@@ -63,7 +63,8 @@ fn solo(wl: &Workload) -> (CoreStats, Vec<u64>, SparseMem) {
     });
     let stats = cpu.run(&image, MAX_CYCLES).unwrap_or_else(|e| panic!("{}: {e}", wl.name));
     let r = regs(&cpu);
-    (stats, r, cpu.memory().clone())
+    let mem = cpu.memory().clone();
+    (stats, r, mem)
 }
 
 /// Runs one workload per core on a fresh chip built from `ccfg`,
@@ -106,7 +107,8 @@ fn run_slot(wl: &Workload, slot: usize, n: usize) -> (CoreStats, Vec<u64>, Spars
             assert_eq!(c, &CoreStats::default(), "idle slot {j} of an {n}-core die was not idle");
         }
     }
-    (stats.cores[slot].clone(), regs(chip.core(slot)), chip.core(slot).memory().clone())
+    let mem = chip.core(slot).memory().clone();
+    (stats.cores[slot].clone(), regs(chip.core(slot)), mem)
 }
 
 #[test]

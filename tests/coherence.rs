@@ -3,15 +3,14 @@
 //! Three properties pin `ChipConfig::shared_memory`:
 //!
 //! 1. **Correctness** — every shared-memory workload's final state
-//!    matches its sequential oracle on every core's replica, with the
-//!    coherence invariant suite (SWMR, directory/cache agreement,
-//!    message conservation) checked every tick.
-//! 2. **Replica convergence** — after the run, all cores' memory
-//!    replicas are byte-identical: the value plane applied every
-//!    drained store to every replica in one global order.
-//! 3. **Non-vacuousness** — the runs actually exercise the protocol:
+//!    matches its sequential oracle in the one memory the cores share,
+//!    with the coherence invariant suite (SWMR, directory/cache
+//!    agreement, message conservation) checked every tick.
+//! 2. **Non-vacuousness** — the runs actually exercise the protocol:
 //!    GetS/GetM traffic, invalidations sent and received, and a
 //!    populated [`CohSnapshot`] in the chip stats.
+//! 3. **Value-plane timing** — a committed store becomes visible at
+//!    the end of the cycle it drains, pinned by per-core cycle counts.
 //!
 //! The off-gate (shared_memory=false bit-identical to the
 //! multiprogrammed chip) lives in `chip_equivalence.rs` with the rest
@@ -39,8 +38,8 @@ macro_rules! needs_a_seatable_die {
 
 const MAX_CYCLES: u64 = 20_000_000;
 
-/// Runs a shared-memory chip and checks the oracle against **every**
-/// core's replica, plus replica convergence.
+/// Runs a shared-memory chip and checks the oracle against the shared
+/// memory.
 fn run_shared(
     images: &[ProgramImage],
     expected: &[(u64, u64)],
@@ -176,9 +175,7 @@ fn shared_runs_are_deterministic() {
     let (s1, c1) = run_shared(&images, &expected, false, "pcring-run1");
     let (s2, c2) = run_shared(&images, &expected, false, "pcring-run2");
     assert_eq!(s1, s2, "ChipStats must be bit-identical across shared-memory reruns");
-    for k in 0..2 {
-        assert_eq!(c1.core(k).memory(), c2.core(k).memory(), "core {k} replica diverged");
-    }
+    assert_eq!(*c1.core(0).memory(), *c2.core(0).memory(), "the shared memory diverged");
 }
 
 #[test]
@@ -196,5 +193,34 @@ fn coherence_traffic_is_not_vacuous() {
     for (k, core) in stats.cores.iter().enumerate() {
         let mem = core.mem.as_ref().expect("NUCA stats present");
         assert!(mem.invals_received > 0, "core {k} never received an invalidation");
+    }
+}
+
+/// The value plane's timing, pinned cycle for cycle: a committed store
+/// becomes visible to every core — its writer included — at the end
+/// of the cycle its DT drains it, never to a core that ticks later in
+/// that same cycle. A store that landed at drain time would reach the
+/// cores ticking after its writer one cycle early, which no oracle
+/// sees (the final values agree) but these per-core cycle counts do:
+/// that variant gives `[4392, 4529, 4691, 4823]` and `[1858, 1967]`
+/// (`tests/bugs/value_plane_early_visibility.patch`).
+#[test]
+fn stores_become_visible_at_the_end_of_their_drain_cycle() {
+    needs_a_seatable_die!();
+    let pins: [(&str, &[u64]); 2] = [
+        ("shared:4 lockcount hand prototype fast seed=0x23 rotate", &[4418, 4555, 4747, 4926]),
+        (
+            "shared:2 lockcount hand prototype fast seed=0x3e rotate opn=0.4.0.east:1/8*3 \
+             opn=0.2.3.north:1/4*7 ocn=5.0.south:1/4*5 ocn=0.1.north:1/4*2 chain=1/4+1",
+            &[1897, 2027],
+        ),
+    ];
+    for (line, want) in pins {
+        let scenario = fuzz::Scenario::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let stats = scenario
+            .run(&fuzz::Oracles::default(), MAX_CYCLES)
+            .unwrap_or_else(|e| panic!("{line}: {e}"));
+        let cycles: Vec<u64> = stats.iter().map(|s| s.cycles).collect();
+        assert_eq!(cycles, want, "{line}: per-core cycles moved");
     }
 }

@@ -66,7 +66,7 @@ fn an_access_straddling_the_top_of_the_address_space_wraps_on_every_engine() {
     let mems = [
         ("ir", &reference.mem),
         ("blockinterp", &bi.mem),
-        ("core", cpu.memory()),
+        ("core", &*cpu.memory()),
         ("alpha", alpha.memory()),
     ];
     for (engine, mem) in mems {

@@ -205,7 +205,8 @@ fn inert_fault_plan_is_bit_identical() {
         let stats = cpu.run(&image, REPRO_MAX_CYCLES).expect("halts");
         let regs: Vec<u64> =
             (0..128u8).map(|r| cpu.arch_reg(trips::isa::ArchReg::new(r))).collect();
-        (stats, regs, cpu.memory().clone())
+        let mem = cpu.memory().clone();
+        (stats, regs, mem)
     };
     let clean = outcome(None);
     let probed = outcome(Some(FaultPlan::inert_probe(0xdead_beef)));

@@ -298,7 +298,8 @@ fn prototype_geometry_is_bit_identical_to_the_fixed_constants() {
             let mut cpu = Processor::new(cfg);
             let stats = cpu.run(&image, MAX_CYCLES).expect("halts");
             let regs: Vec<u64> = (0..128).map(|r| cpu.arch_reg(ArchReg::new(r))).collect();
-            (stats, regs, cpu.memory().clone())
+            let mem = cpu.memory().clone();
+            (stats, regs, mem)
         };
         let seam = run(CoreConfig::with_geometry(CoreGeometry::prototype()));
         let pinned = run(CoreConfig::prototype_pinned());

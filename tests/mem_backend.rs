@@ -40,7 +40,8 @@ fn outcome(wl: &Workload, backend: MemBackend) -> (CoreStats, Vec<u64>, SparseMe
         .run(&image, MAX_CYCLES)
         .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", wl.name));
     let regs = (0..128).map(|r| cpu.arch_reg(ArchReg::new(r))).collect();
-    (stats, regs, cpu.memory().clone())
+    let mem = cpu.memory().clone();
+    (stats, regs, mem)
 }
 
 /// A NUCA configuration with effectively no capacity pressure: banks
