@@ -93,12 +93,10 @@ pub struct ChipConfig {
 
 impl ChipConfig {
     /// The prototype: 2 cores, 16 × 64 KB NUCA banks, 24 NTs, 4-way
-    /// SMT register files. Pinned to the prototype die — the published
-    /// Table 1 must regenerate byte-identically regardless of
-    /// `TRIPS_GEOMETRY`.
+    /// SMT register files, around the paper's prototype core.
     pub fn prototype() -> ChipConfig {
         ChipConfig {
-            core: CoreConfig::prototype_pinned(),
+            core: CoreConfig::prototype(),
             cores: 2,
             mt_banks: 16,
             mt_bank_kb: 64,

@@ -27,7 +27,8 @@
 //!
 //! Writes `BENCH_chipsim.json` (or, under `--shared`,
 //! `BENCH_coherence.json`) in the current directory: a header naming
-//! the core geometry (`TRIPS_GEOMETRY` selects it) and the mode, then
+//! the core geometry (the paper's, or the die `TRIPS_GEOMETRY` names;
+//! a spec that does not parse is a usage error) and the mode, then
 //! one `workloads[]` row per run — simulated quantities only, so the
 //! bytes are a pure function of the model and `git diff` is the gate.
 //! Curve rows are named `curve_nN` and report **aggregate** core
@@ -40,7 +41,7 @@
 use std::collections::HashMap;
 
 use trips_bench::{fuzz, usage_exit};
-use trips_core::{Chip, ChipConfig, CohSnapshot, CoreConfig, MemBackend, Processor};
+use trips_core::{Chip, ChipConfig, CohSnapshot, CoreConfig, CoreGeometry, MemBackend, Processor};
 use trips_harness::json::{self, Object};
 use trips_harness::{num_threads, parallel_map};
 use trips_mem::{MemConfig, MAX_CORES};
@@ -81,8 +82,13 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
 
 /// The header every chipsim file leads with: which die the cores
 /// were, and which table this is.
-fn header(smoke: bool) -> Object {
-    Object::default().str("geometry", &CoreConfig::prototype().geometry.name()).lit("smoke", smoke)
+fn header(die: CoreGeometry, smoke: bool) -> Object {
+    Object::default().str("geometry", &die.name()).lit("smoke", smoke)
+}
+
+/// A chip of `n` cores of the given die on the prototype NUCA.
+fn chip_of(n: usize, die: CoreGeometry) -> ChipConfig {
+    ChipConfig::with_cores(n, CoreConfig::with_geometry(die), MemConfig::prototype())
 }
 
 struct PairPerf {
@@ -94,22 +100,24 @@ struct PairPerf {
     ocn_highwater: [usize; 2],
 }
 
-fn solo_cycles(wl: &Workload) -> u64 {
+/// Each workload's cycles alone on one core of the die.
+type SoloCycles = HashMap<&'static str, u64>;
+
+fn solo_cycles(wl: &Workload, die: CoreGeometry) -> u64 {
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
     let mut cpu = Processor::new(CoreConfig {
         mem_backend: MemBackend::nuca_prototype(),
-        ..CoreConfig::prototype()
+        ..CoreConfig::with_geometry(die)
     });
     cpu.run(&image, MAX_CYCLES).unwrap_or_else(|e| panic!("{} solo: {e}", wl.name)).cycles
 }
 
-fn run_pair(a: &Workload, b: &Workload, solo: &HashMap<&'static str, u64>) -> PairPerf {
+fn run_pair(a: &Workload, b: &Workload, die: CoreGeometry, solo: &SoloCycles) -> PairPerf {
     let images = [
         a.build_trips(Quality::Hand).expect("compiles").image,
         b.build_trips(Quality::Hand).expect("compiles").image,
     ];
-    let mut chip =
-        Chip::new(ChipConfig::with_cores(2, CoreConfig::prototype(), MemConfig::prototype()));
+    let mut chip = Chip::new(chip_of(2, die));
     let stats =
         chip.run(&images, MAX_CYCLES).unwrap_or_else(|e| panic!("{}+{}: {e}", a.name, b.name));
     let core_cycles = [stats.cores[0].cycles, stats.cores[1].cycles];
@@ -134,13 +142,13 @@ struct CurvePerf {
     ocn_highwater: usize,
 }
 
-fn run_curve_point(n: usize, solo: &HashMap<&'static str, u64>) -> CurvePerf {
+fn run_curve_point(n: usize, die: CoreGeometry, solo: &SoloCycles) -> CurvePerf {
     // Group 0 of the table is the memory-bound one: listwalk/saxpy
     // alternating, so every core-pair block stays contended.
     let group = suite::groups(n).remove(0);
     let images: Vec<_> =
         group.iter().map(|wl| wl.build_trips(Quality::Hand).expect("compiles").image).collect();
-    let mut chip = Chip::new(ChipConfig::n_cores(n));
+    let mut chip = Chip::new(chip_of(n, die));
     let stats = chip.run(&images, MAX_CYCLES).unwrap_or_else(|e| panic!("curve n={n}: {e}"));
     let max_slowdown = group
         .iter()
@@ -170,11 +178,9 @@ struct SharedPerf {
 /// One shared-memory point: the workload on a coherent `n`-core chip,
 /// self-gated on its sequential final-state oracle over the shared
 /// memory.
-fn run_shared_point(wl: &SharedWorkload, n: usize) -> SharedPerf {
+fn run_shared_point(wl: &SharedWorkload, n: usize, die: CoreGeometry) -> SharedPerf {
     let SharedProgram { images, expected } = (wl.gen)(n);
-    let mut cfg = ChipConfig::with_cores(n, CoreConfig::prototype(), MemConfig::prototype());
-    cfg.shared_memory = true;
-    let mut chip = Chip::new(cfg);
+    let mut chip = Chip::new(ChipConfig { shared_memory: true, ..chip_of(n, die) });
     let stats = chip.run(&images, MAX_CYCLES).unwrap_or_else(|e| panic!("{} x{n}: {e}", wl.name));
     let oracle = fuzz::compare_shared_state(&chip, &expected);
     SharedPerf {
@@ -195,14 +201,14 @@ fn run_shared_point(wl: &SharedWorkload, n: usize) -> SharedPerf {
 
 /// The `--shared` experiment: the shared-memory registry across die
 /// widths, the coherence-traffic table, and `BENCH_coherence.json`.
-fn run_shared_suite(smoke: bool) {
+fn run_shared_suite(die: CoreGeometry, smoke: bool) {
     let widths: &[usize] = if smoke { &[2] } else { &[2, 4] };
     let points: Vec<(SharedWorkload, usize)> = suite::shared_memory()
         .into_iter()
         .flat_map(|wl| widths.iter().map(move |&n| (wl, n)))
         .collect();
     println!("chipsim: coherent shared-memory suite ({} points)\n", points.len());
-    let rows = parallel_map(points, num_threads(), |(wl, n)| run_shared_point(&wl, n));
+    let rows = parallel_map(points, num_threads(), |(wl, n)| run_shared_point(&wl, n, die));
 
     println!(
         "{:<14} {:>12} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>8}",
@@ -223,7 +229,7 @@ fn run_shared_suite(smoke: bool) {
         );
     }
 
-    let json = header(smoke)
+    let json = header(die, smoke)
         .rows(
             "workloads",
             rows.iter().map(|r| {
@@ -284,8 +290,9 @@ fn run_shared_suite(smoke: bool) {
 fn main() {
     let Args { smoke, shared, ncores } = parse_args(std::env::args().skip(1))
         .unwrap_or_else(|e| usage_exit(&format!("chipsim: {e}\n{USAGE}")));
+    let die = CoreGeometry::from_env().unwrap_or_else(|e| usage_exit(&format!("chipsim: {e}")));
     if shared {
-        run_shared_suite(smoke);
+        run_shared_suite(die, smoke);
         return;
     }
     let threads = num_threads();
@@ -314,14 +321,14 @@ fn main() {
 
     println!("chipsim: dual-core shared-NUCA contention ({} pairs)\n", pairs.len());
 
-    let solo: HashMap<&'static str, u64> = names
+    let solo: SoloCycles = names
         .iter()
         .map(|w| w.name)
-        .zip(parallel_map(names.clone(), threads, |wl| solo_cycles(&wl)))
+        .zip(parallel_map(names.clone(), threads, |wl| solo_cycles(&wl, die)))
         .collect();
 
-    let rows = parallel_map(pairs.clone(), threads, |(a, b)| run_pair(&a, &b, &solo));
-    let curve = parallel_map(curve_ns.clone(), threads, |n| run_curve_point(n, &solo));
+    let rows = parallel_map(pairs.clone(), threads, |(a, b)| run_pair(&a, &b, die, &solo));
+    let curve = parallel_map(curve_ns.clone(), threads, |n| run_curve_point(n, die, &solo));
 
     println!(
         "{:<20} {:>12} {:>10} {:>10} {:>9} {:>9} {:>10} {:>9}",
@@ -387,7 +394,7 @@ fn main() {
             .lit("bank_conflict_stalls", c.conflict_stalls)
             .lit("ocn_tag_highwater", c.ocn_highwater)
     });
-    let json = header(smoke).rows("workloads", pair_rows.chain(curve_rows)).document();
+    let json = header(die, smoke).rows("workloads", pair_rows.chain(curve_rows)).document();
     std::fs::write("BENCH_chipsim.json", &json).expect("write BENCH_chipsim.json");
     println!("\nwrote BENCH_chipsim.json");
 

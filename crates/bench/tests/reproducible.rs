@@ -6,17 +6,23 @@
 use std::path::Path;
 use std::process::{Command, Output};
 
-/// Runs the built `chipsim` in a fresh temp directory and hands the
-/// finished process and the directory to `check`.
-fn chipsim<T>(tag: &str, args: &[&str], threads: &str, check: impl Fn(Output, &Path) -> T) -> T {
+/// Runs the built `chipsim` in a fresh temp directory, on the paper's
+/// die unless `env` names another, and hands the finished process and
+/// the directory to `check`.
+fn chipsim<T>(
+    tag: &str,
+    args: &[&str],
+    env: &[(&str, &str)],
+    check: impl Fn(Output, &Path) -> T,
+) -> T {
     let dir = std::env::temp_dir().join(format!("trips-chipsim-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let out = Command::new(env!("CARGO_BIN_EXE_chipsim"))
         .args(args)
-        .env("TRIPS_THREADS", threads)
         // The baselines are the prototype die's (`update_baselines.sh`
         // refuses an ambient geometry), whatever lane this test runs in.
         .env_remove("TRIPS_GEOMETRY")
+        .envs(env.iter().copied())
         .current_dir(&dir)
         .output()
         .expect("chipsim runs");
@@ -28,7 +34,7 @@ fn chipsim<T>(tag: &str, args: &[&str], threads: &str, check: impl Fn(Output, &P
 #[test]
 fn chipsim_writes_the_same_bytes_on_one_thread_and_on_two() {
     let baseline = |threads| {
-        chipsim(threads, &["--shared", "--smoke"], threads, |out, dir| {
+        chipsim(threads, &["--shared", "--smoke"], &[("TRIPS_THREADS", threads)], |out, dir| {
             assert!(out.status.success(), "{threads} thread(s): {out:?}");
             std::fs::read_to_string(dir.join("BENCH_coherence.json")).expect("baseline written")
         })
@@ -43,7 +49,7 @@ fn chipsim_writes_the_same_bytes_on_one_thread_and_on_two() {
 
 #[test]
 fn an_unknown_flag_is_a_usage_error_that_writes_nothing() {
-    chipsim("usage", &["--smok"], "1", |out, dir| {
+    chipsim("usage", &["--smok"], &[], |out, dir| {
         assert_eq!(out.status.code(), Some(2));
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage: chipsim"));
         assert!(!dir.join("BENCH_chipsim.json").exists(), "a mistyped flag overwrote the baseline");
@@ -59,4 +65,15 @@ fn an_unknown_flag_is_a_usage_error_that_writes_nothing() {
         assert!(String::from_utf8_lossy(&out.stderr).contains(&format!("usage: {bin}")), "{out:?}");
         assert!(out.stdout.is_empty(), "{bin} printed its table for an argument it refused");
     }
+}
+
+#[test]
+fn a_geometry_that_does_not_parse_is_a_usage_error_that_writes_nothing() {
+    chipsim("bogus", &["--shared", "--smoke"], &[("TRIPS_GEOMETRY", "bogus")], |out, dir| {
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("TRIPS_GEOMETRY") && stderr.contains("bogus"), "{stderr}");
+        let written: Vec<_> = std::fs::read_dir(dir).expect("temp dir").collect();
+        assert!(written.is_empty(), "a bad geometry still wrote {written:?}");
+    });
 }

@@ -710,7 +710,7 @@ mod tests {
     /// own.
     #[test]
     fn only_coherent_cores_share_one_memory() {
-        let die = ChipConfig::with_cores(4, CoreConfig::prototype_pinned(), MemConfig::prototype());
+        let die = ChipConfig::n_cores(4);
         let shares =
             |chip: &Chip, j: usize, k: usize| Rc::ptr_eq(&chip.cores[j].mem, &chip.cores[k].mem);
 

@@ -182,23 +182,22 @@ impl CoreGeometry {
         CoreGeometry { et_rows: 8, et_cols: 8, frames: 16, rs_per_frame: 2, lsq_depth: 512 }
     }
 
-    /// The geometry selected by the `TRIPS_GEOMETRY` environment
-    /// variable (`prototype`, `mini`, `fat`, or `RxC/F` such as
-    /// `2x4/8`), defaulting to [`CoreGeometry::prototype`] when unset.
-    /// Read once per process; the CI mini-gate sets it for a whole
-    /// `cargo test` run.
+    /// The geometry the `TRIPS_GEOMETRY` environment variable names
+    /// (`prototype`, `mini`, `fat`, or `RxC/F` such as `2x4/8`), the
+    /// prototype when unset. For the edges that offer a non-paper die
+    /// (`chipsim`, the test lanes); nothing below them reads it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the variable is set but does not parse or validate
-    /// — a misconfigured gate must fail loudly, not silently run the
-    /// wrong die.
-    pub fn from_env() -> CoreGeometry {
-        static CHOICE: std::sync::OnceLock<CoreGeometry> = std::sync::OnceLock::new();
-        *CHOICE.get_or_init(|| match std::env::var("TRIPS_GEOMETRY") {
-            Err(_) => CoreGeometry::prototype(),
-            Ok(s) => CoreGeometry::parse(&s).unwrap_or_else(|e| panic!("TRIPS_GEOMETRY={s}: {e}")),
-        })
+    /// Names the variable and its value when it is not Unicode or does
+    /// not parse or validate — a misconfigured lane must fail, not run
+    /// the wrong die.
+    pub fn from_env() -> Result<CoreGeometry, String> {
+        match std::env::var("TRIPS_GEOMETRY") {
+            Err(std::env::VarError::NotPresent) => Ok(CoreGeometry::prototype()),
+            Err(e) => Err(format!("TRIPS_GEOMETRY: {e}")),
+            Ok(s) => CoreGeometry::parse(&s).map_err(|e| format!("TRIPS_GEOMETRY={s}: {e}")),
+        }
     }
 
     /// Parses a geometry name (`prototype`, `mini`, `fat`) or a
@@ -674,17 +673,9 @@ pub struct CoreConfig {
 }
 
 impl CoreConfig {
-    /// The configuration selected by `TRIPS_GEOMETRY` (the prototype
-    /// when unset — see [`CoreGeometry::from_env`]). Everything that
-    /// constructs "the default core" goes through here, so the CI
-    /// mini-gate can retarget the whole suite with one variable.
+    /// The paper's prototype core: [`CoreGeometry::prototype`] (4×4
+    /// ETs, 8 frames) with the paper's latencies and predictors.
     pub fn prototype() -> CoreConfig {
-        CoreConfig::with_geometry(CoreGeometry::from_env())
-    }
-
-    /// The prototype die, regardless of environment — for tests and
-    /// baselines that pin the paper's absolute numbers.
-    pub fn prototype_pinned() -> CoreConfig {
         CoreConfig::with_geometry(CoreGeometry::prototype())
     }
 
@@ -772,7 +763,7 @@ mod tests {
 
     #[test]
     fn prototype_matches_paper_parameters() {
-        let c = CoreConfig::prototype_pinned();
+        let c = CoreConfig::prototype();
         assert_eq!(c.l1d_sets * c.l1d_ways * 64, 8 * 1024, "8KB L1D bank");
         assert_eq!(c.div_lat, 24);
         assert_eq!(c.deppred_entries, 1024);
@@ -965,7 +956,7 @@ mod tests {
     #[test]
     fn default_backend_is_the_perfect_l2() {
         assert_eq!(
-            CoreConfig::prototype_pinned().mem_backend,
+            CoreConfig::prototype().mem_backend,
             MemBackend::PerfectL2 { latency: 12 },
             "Table 3 isolates core effects behind a 12-cycle perfect L2"
         );

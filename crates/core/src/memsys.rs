@@ -958,7 +958,7 @@ mod tests {
         let image = compile(&p.finish(), Quality::Hand).expect("compiles").image;
         for name in ["pending", "coh_pending", "inval_ready", "ready"] {
             let nuca = MemBackend::Nuca(trips_mem::MemConfig::prototype());
-            let cfg = CoreConfig { mem_backend: nuca, ..CoreConfig::prototype_pinned() };
+            let cfg = CoreConfig { mem_backend: nuca, ..CoreConfig::prototype() };
             let mut cpu = Processor::new(cfg);
             cpu.start(&image);
             // A few cycles in: the first I-side refills are queued.

@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn outbox_single_port_per_network() {
-        let cfg = CoreConfig::prototype_pinned();
+        let cfg = CoreConfig::prototype();
         let mut nets = Nets::new(&cfg);
         let mut tr = Tracer::disabled();
         let mut ob = OpnOutbox::default();
@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn two_networks_double_injection_for_distinct_destinations() {
-        let cfg = CoreConfig { opn_networks: 2, ..CoreConfig::prototype_pinned() };
+        let cfg = CoreConfig { opn_networks: 2, ..CoreConfig::prototype() };
         let mut nets = Nets::new(&cfg);
         let mut tr = Tracer::disabled();
         let mut ob = OpnOutbox::default();
@@ -466,7 +466,7 @@ mod tests {
 
     #[test]
     fn same_destination_shares_a_network_and_stays_ordered() {
-        let cfg = CoreConfig { opn_networks: 2, ..CoreConfig::prototype_pinned() };
+        let cfg = CoreConfig { opn_networks: 2, ..CoreConfig::prototype() };
         let mut nets = Nets::new(&cfg);
         let mut tr = Tracer::disabled();
         let mut ob = OpnOutbox::default();
@@ -491,7 +491,7 @@ mod tests {
 
     #[test]
     fn blocked_network_does_not_block_the_other() {
-        let cfg = CoreConfig { opn_networks: 2, ..CoreConfig::prototype_pinned() };
+        let cfg = CoreConfig { opn_networks: 2, ..CoreConfig::prototype() };
         let mut nets = Nets::new(&cfg);
         let mut tr = Tracer::disabled();
         let src = TileId::Et(0, 0);
@@ -523,7 +523,7 @@ mod tests {
         // `can_inject` first), so adding the two terms would count a
         // single full-FIFO episode twice for any client that also
         // drives `inject` directly.
-        let cfg = CoreConfig::prototype_pinned();
+        let cfg = CoreConfig::prototype();
         let mut nets = Nets::new(&cfg);
         let mut tr = Tracer::disabled();
         let src = TileId::Et(0, 0);
@@ -550,7 +550,7 @@ mod tests {
 
     #[test]
     fn gcn_wave_arrives_at_manhattan_distance() {
-        let cfg = CoreConfig::prototype_pinned();
+        let cfg = CoreConfig::prototype();
         let mut nets = Nets::new(&cfg);
         let msg = GcnMsg::Commit { frame: FrameId(1), gen: 0 };
         nets.gcn_broadcast(0, msg);
@@ -563,7 +563,7 @@ mod tests {
 
     #[test]
     fn opn_roundtrip_through_fabric() {
-        let cfg = CoreConfig::prototype_pinned();
+        let cfg = CoreConfig::prototype();
         let mut nets = Nets::new(&cfg);
         let mut tr = Tracer::enabled(16);
         let mut ob = OpnOutbox::default();

@@ -716,7 +716,7 @@ mod tests {
         use crate::chip::{Chip, ChipConfig};
         use crate::config::{CoreGeometry, MemBackend};
         use trips_mem::{MemConfig, MemMode};
-        let ok = CoreConfig::prototype_pinned;
+        let ok = CoreConfig::prototype;
         // Never met `CoreGeometry::validate`: a struct literal.
         let three_rows = CoreGeometry { et_rows: 3, ..CoreGeometry::prototype() };
         let table = [
@@ -769,7 +769,7 @@ mod tests {
 
     #[test]
     fn a_push_site_that_stops_filing_is_caught_by_the_audit_within_one_cycle() {
-        let mut cpu = Processor::new(CoreConfig::prototype_pinned());
+        let mut cpu = Processor::new(CoreConfig::prototype());
         cpu.start(&halt_image());
         // Mute one push site: the GCN keeps delivering, but no longer
         // files its sends with the receiving tiles.
@@ -787,7 +787,7 @@ mod tests {
     #[test]
     fn an_operand_parked_in_an_eject_queue_keeps_the_core_unquiesced() {
         let image = halt_image();
-        let mut cpu = Processor::new(CoreConfig::prototype_pinned());
+        let mut cpu = Processor::new(CoreConfig::prototype());
         cpu.run(&image, 10_000).expect("halts");
         assert!(cpu.drain(1_000) && cpu.quiesced() && cpu.next_wake().is_none());
 

@@ -2,10 +2,16 @@
 //! final memory as the architectural block interpreter on every
 //! program, at both code-quality levels.
 
-use trips_core::{CoreConfig, Processor};
+use trips_core::{CoreConfig, CoreGeometry, Processor};
 use trips_tasm::{blockinterp, compile, Opcode, ProgramBuilder, Quality};
 
 const OUT: u64 = 0x10_0000;
+
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
 
 fn run_both(p: trips_tasm::Program, cells: &[u64]) -> trips_core::CoreStats {
     let mut last_stats = None;
@@ -13,7 +19,7 @@ fn run_both(p: trips_tasm::Program, cells: &[u64]) -> trips_core::CoreStats {
         let c = compile(&p, q).unwrap_or_else(|e| panic!("compile({q}) failed: {e}"));
         let reference = blockinterp::run_image(&c.image, 500_000)
             .unwrap_or_else(|e| panic!("blockinterp({q}) failed: {e}"));
-        let mut cpu = Processor::new(CoreConfig::prototype());
+        let mut cpu = Processor::new(lane());
         let stats =
             cpu.run(&c.image, 3_000_000).unwrap_or_else(|e| panic!("core({q}) failed: {e}"));
         for (i, &cell) in cells.iter().enumerate() {

@@ -1,11 +1,17 @@
 //! Targeted protocol-edge tests: I-cache refills under capacity
 //! pressure, the speculation-inhibit block flag, and flush storms.
 
-use trips_core::{CoreConfig, Processor};
+use trips_core::{CoreConfig, CoreGeometry, Processor};
 use trips_isa::{
     ArchReg, BlockFlags, Instruction, Opcode, ProgramImage, ReadInst, Target, TripsBlock, WriteInst,
 };
 use trips_tasm::{compile, Opcode as TOp, ProgramBuilder, Quality};
+
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
 
 /// A long straight-line chain of blocks overflows the GT's I-cache
 /// tags, forcing the GRN refill protocol; results stay correct.
@@ -31,7 +37,7 @@ fn icache_refills_under_capacity_pressure() {
     f.halt();
     f.finish();
     let img = compile(&p.finish(), Quality::Compiled).expect("compiles").image;
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     let stats = cpu.run(&img, 10_000_000).expect("runs");
     let expect: u64 = (1..=200).sum();
     assert_eq!(cpu.memory().read_u64(0x10_0000), expect);
@@ -69,7 +75,7 @@ fn inhibit_speculation_serializes_dispatch() {
     img.add_block(0x1_0000, &a);
     img.add_block(0x1_0100, &b);
 
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     let stats = cpu.run(&img, 100_000).expect("runs");
     assert_eq!(cpu.memory().read_u64(0x11_0000), 7, "B read A's committed write");
     let tl = &stats.timeline;
@@ -102,7 +108,7 @@ fn unflagged_blocks_dispatch_speculatively() {
     img.add_block(0x1_0000, &a);
     img.add_block(0x1_0100, &b);
 
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     let stats = cpu.run(&img, 100_000).expect("runs");
     assert_eq!(cpu.memory().read_u64(0x11_0000), 7, "forwarding still delivers R4");
     let tl = &stats.timeline;
@@ -137,11 +143,11 @@ fn single_frame_mode_is_correct() {
     f.finish();
     let img = compile(&p.finish(), Quality::Compiled).expect("compiles").image;
 
-    let mut narrow = Processor::new(CoreConfig { max_frames: 1, ..CoreConfig::prototype() });
+    let mut narrow = Processor::new(CoreConfig { max_frames: 1, ..lane() });
     let n = narrow.run(&img, 10_000_000).expect("runs");
     assert_eq!(narrow.memory().read_u64(0x10_0000), 190);
 
-    let mut wide = Processor::new(CoreConfig::prototype());
+    let mut wide = Processor::new(lane());
     let w = wide.run(&img, 10_000_000).expect("runs");
     assert_eq!(wide.memory().read_u64(0x10_0000), 190);
     assert!(w.cycles < n.cycles, "speculation must help: {} vs {}", w.cycles, n.cycles);
@@ -160,7 +166,7 @@ fn single_frame_mode_is_correct() {
 #[test]
 fn a_store_into_a_fetched_block_is_dispatched_on_the_next_visit() {
     const B: u64 = 0x1_0000;
-    let cfg = CoreConfig::prototype();
+    let cfg = lane();
     let fillers = cfg.geometry.frames + 1;
     let block_of = |insts: &[Instruction]| {
         let mut b = TripsBlock::new();

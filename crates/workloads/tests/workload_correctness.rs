@@ -4,7 +4,7 @@
 //! Alpha-like core.
 
 use trips_alpha::{AlphaConfig, AlphaCore};
-use trips_core::{CoreConfig, Processor, TraceKind};
+use trips_core::{CoreConfig, CoreGeometry, Processor, TraceKind};
 use trips_harness::Rng;
 use trips_isa::{decode_body_chunk, ProgramImage, Target, CHUNK_BYTES, MAX_BLOCK_BYTES};
 use trips_tasm::{blockinterp, compile, interp, CODE_BASE};
@@ -12,6 +12,12 @@ use trips_workloads::{suite, Variant, Workload};
 
 const INTERP_BUDGET: u64 = 20_000_000;
 const CORE_BUDGET: u64 = 20_000_000;
+
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
 
 /// What `blockinterp` commits on each Table 3 program, as (blocks,
 /// insts) for [Hand, Compiled], recorded before the interpreter became
@@ -63,7 +69,7 @@ fn the_oracles_visit_order_is_the_cores_commit_order() {
     let mut visited = Vec::new();
     let r = blockinterp::run_image_trace(&image, INTERP_BUDGET, |pc| visited.push(pc));
     assert_eq!(r.expect("runs").blocks, visited.len() as u64);
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     cpu.enable_tracing(1 << 20);
     cpu.run(&image, CORE_BUDGET).expect("runs");
     assert_eq!(cpu.tracer().dropped(), 0, "the ring must hold the whole run");
@@ -176,7 +182,7 @@ fn check_trips(wl: &Workload, variant: Variant) {
         assert_eq!((bi.blocks, bi.insts), golden, "{}({q}): golden (blocks, insts)", wl.name);
     }
     // Cycle-level core.
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     let stats = cpu
         .run(&compiled.image, CORE_BUDGET)
         .unwrap_or_else(|e| panic!("{}({q}): core failed: {e}", wl.name));

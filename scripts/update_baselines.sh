@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# chipsim and memsweep build their cores from the ambient geometry (the
+# chipsim builds its cores from the die TRIPS_GEOMETRY names (the
 # coherence-smoke lane relies on that): a shell left over from the mini
 # lane would write mini-die numbers into the prototype baselines.
 if [ -n "${TRIPS_GEOMETRY+set}" ]; then

@@ -10,8 +10,7 @@
 //!
 //! A counting global allocator keeps one count per thread, so the test
 //! harness's parallel threads never see each other's allocations. The
-//! dies are pinned to the prototype so the counts do not follow
-//! `TRIPS_GEOMETRY`.
+//! budgets are the paper's die's; no test here follows a geometry lane.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,18 +77,14 @@ fn a_four_core_coherent_nuca_builds_within_budget() {
 
 #[test]
 fn a_prototype_core_builds_within_budget() {
-    let n = allocations(|| Processor::new(CoreConfig::prototype_pinned()));
+    let n = allocations(|| Processor::new(CoreConfig::prototype()));
     within("Processor::new(prototype)", n, 373);
 }
 
 #[test]
 fn a_second_coherent_chip_run_stays_within_budget() {
     let program = shared::pcring(4);
-    let core = CoreConfig::prototype_pinned();
-    let cfg = ChipConfig {
-        shared_memory: true,
-        ..ChipConfig::with_cores(4, core, MemConfig::prototype())
-    };
+    let cfg = ChipConfig { shared_memory: true, ..ChipConfig::n_cores(4) };
     let mut chip = Chip::new(cfg);
     chip.run(&program.images, 20_000_000).expect("pcring halts");
     let n = allocations(|| chip.run(&program.images, 20_000_000).expect("pcring halts again"));

@@ -36,12 +36,12 @@ use trips_mem::MemConfig;
 use trips_tasm::Quality;
 use trips_workloads::{suite, Workload};
 
-/// This suite seats the ambient die (`TRIPS_GEOMETRY`) on a chip. A die
+/// This suite seats the lane's die ([`lane`]) on a chip. A die
 /// no chip slot can seat — the fat lane's 8 DTs and 9 ITs against a
 /// slot's 5 OCN ports each — leaves nothing to test, and says so.
 macro_rules! needs_a_seatable_die {
     () => {
-        if let Err(e) = ChipConfig::n_cores(2).validate() {
+        if let Err(e) = ChipConfig::with_cores(2, lane(), MemConfig::prototype()).validate() {
             eprintln!("skipped: {e}");
             return;
         }
@@ -50,6 +50,12 @@ macro_rules! needs_a_seatable_die {
 
 const MAX_CYCLES: u64 = 200_000_000;
 
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
+
 fn regs(p: &Processor) -> Vec<u64> {
     (0..128).map(|r| p.arch_reg(ArchReg::new(r))).collect()
 }
@@ -57,10 +63,8 @@ fn regs(p: &Processor) -> Vec<u64> {
 /// Solo `Processor` + prototype NUCA outcome (the chip's anchor).
 fn solo(wl: &Workload) -> (CoreStats, Vec<u64>, SparseMem) {
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let mut cpu = Processor::new(CoreConfig {
-        mem_backend: MemBackend::nuca_prototype(),
-        ..CoreConfig::prototype()
-    });
+    let mut cpu =
+        Processor::new(CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..lane() });
     let stats = cpu.run(&image, MAX_CYCLES).unwrap_or_else(|e| panic!("{}: {e}", wl.name));
     let r = regs(&cpu);
     let mem = cpu.memory().clone();
@@ -83,14 +87,14 @@ fn chip_run_with(wls: &[&Workload], ccfg: ChipConfig) -> (ChipStats, Vec<(Vec<u6
 
 /// Runs one workload per core on a fresh default-config chip.
 fn chip_run(wls: &[&Workload], check_invariants: bool) -> (ChipStats, Vec<(Vec<u64>, SparseMem)>) {
-    let core_cfg = CoreConfig { check_invariants, ..CoreConfig::prototype() };
+    let core_cfg = CoreConfig { check_invariants, ..lane() };
     chip_run_with(wls, ChipConfig::with_cores(wls.len(), core_cfg, MemConfig::prototype()))
 }
 
 /// Runs `wl` alone in slot `slot` of an `n`-core chip (every other
 /// slot idle), returning the live core's stats and architecture.
 fn run_slot(wl: &Workload, slot: usize, n: usize) -> (CoreStats, Vec<u64>, SparseMem) {
-    let mut chip = Chip::new(ChipConfig::n_cores(n));
+    let mut chip = Chip::new(ChipConfig::with_cores(n, lane(), MemConfig::prototype()));
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
     let mut images: Vec<Option<&ProgramImage>> = vec![None; n];
     images[slot] = Some(&image);
@@ -222,8 +226,7 @@ fn chip_epoch_skip_is_bit_identical_and_not_vacuous() {
     let b = suite::by_name("saxpy").expect("registered");
     let images = [a, b].map(|wl| wl.build_trips(Quality::Hand).expect("compiles").image);
     let run = |modes: [TickMode; 2]| {
-        let cores =
-            modes.map(|tick_mode| CoreConfig { tick_mode, ..CoreConfig::prototype() }).to_vec();
+        let cores = modes.map(|tick_mode| CoreConfig { tick_mode, ..lane() }).to_vec();
         let mut chip = Chip::new(ChipConfig { cores, ..ChipConfig::n_cores(2) });
         let stats = chip.run(&images, MAX_CYCLES).unwrap_or_else(|e| panic!("{modes:?}: {e}"));
         let arch: Vec<_> =
@@ -241,7 +244,7 @@ fn chip_epoch_skip_is_bit_identical_and_not_vacuous() {
     // Non-vacuous: a one-core chip running the pointer chase must
     // actually fast-forward — it mirrors the solo-NUCA case, where
     // every DRAM miss leaves the core with provably nothing to do.
-    let mut chip = Chip::new(ChipConfig::n_cores(1));
+    let mut chip = Chip::new(ChipConfig::with_cores(1, lane(), MemConfig::prototype()));
     chip.run(&images[..1], MAX_CYCLES).expect("halts");
     let g = chip.core(0).gating_stats();
     assert!(g.epochs_skipped > 0, "one-core chip skipped no epochs on listwalk: {g:?}");
@@ -258,7 +261,7 @@ fn timed_out_chip_runs_report_the_same_cycle_under_both_schedules() {
     let images = [image.clone(), image];
     for budget in (1000..6000).step_by(37) {
         let run = |tick_mode| {
-            let core = CoreConfig { tick_mode, ..CoreConfig::prototype() };
+            let core = CoreConfig { tick_mode, ..lane() };
             Chip::new(ChipConfig::with_cores(2, core, MemConfig::prototype())).run(&images, budget)
         };
         let fast = run(TickMode::Fast);
@@ -383,7 +386,7 @@ fn shared_memory_off_is_bit_identical_to_the_default_chip() {
     // the coherent mode adds (directory slices, GetS/GetM, the value
     // plane) must be unreachable behind the flag.
     for (a, b) in suite::pairs() {
-        let core = CoreConfig { check_invariants: false, ..CoreConfig::prototype() };
+        let core = CoreConfig { check_invariants: false, ..lane() };
         let mut cfg = ChipConfig::with_cores(2, core, MemConfig::prototype());
         assert!(!cfg.shared_memory, "shared memory must default off");
         cfg.shared_memory = false;
@@ -441,14 +444,10 @@ fn a_die_whose_cores_overflow_their_ocn_slots_is_refused_by_name() {
 #[test]
 fn chip_config_validate_knows_each_slots_port_budget() {
     assert!(two_fat_cores().validate().is_err());
-    assert!(ChipConfig::with_cores(0, CoreConfig::prototype(), MemConfig::prototype())
-        .validate()
-        .is_err());
+    assert!(ChipConfig::with_cores(0, lane(), MemConfig::prototype()).validate().is_err());
     assert!(ChipConfig::n_cores(17).validate().is_err());
     for n in 1..=16 {
-        ChipConfig::with_cores(n, CoreConfig::prototype_pinned(), MemConfig::prototype())
-            .validate()
-            .unwrap_or_else(|e| panic!("{n} prototype cores: {e}"));
+        ChipConfig::n_cores(n).validate().unwrap_or_else(|e| panic!("{n} prototype cores: {e}"));
     }
     // A core alone in its block owns all ten ports a side: a fat core
     // fits a one-core die, and the odd slot out of a three-core die.
@@ -460,7 +459,7 @@ fn chip_config_validate_knows_each_slots_port_budget() {
     let mut solo =
         Processor::new(CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..fat.clone() });
     assert_eq!(stats.cores[0], solo.run(&image, MAX_CYCLES).expect("halts"));
-    let mut odd = ChipConfig::with_cores(3, CoreConfig::prototype_pinned(), MemConfig::prototype());
+    let mut odd = ChipConfig::n_cores(3);
     odd.cores[2] = fat.clone();
     odd.validate().expect("the last core of an odd die has its block to itself");
     odd.cores.swap(1, 2);

@@ -17,19 +17,19 @@
 //! of the chip seam.
 
 use trips_bench::fuzz;
-use trips_core::{Chip, ChipConfig, ChipStats, CoreConfig, MemBackend};
+use trips_core::{Chip, ChipConfig, ChipStats, CoreConfig, CoreGeometry, MemBackend};
 use trips_isa::ProgramImage;
 use trips_mem::MemConfig;
 use trips_tasm::{compile, BbId, FuncId, Opcode, ProgramBuilder, Quality};
 use trips_workloads::shared::SharedProgram;
 use trips_workloads::suite;
 
-/// This suite seats the ambient die (`TRIPS_GEOMETRY`) on a chip. A die
+/// This suite seats the lane's die ([`lane`]) on a chip. A die
 /// no chip slot can seat — the fat lane's 8 DTs and 9 ITs against a
 /// slot's 5 OCN ports each — leaves nothing to test, and says so.
 macro_rules! needs_a_seatable_die {
     () => {
-        if let Err(e) = ChipConfig::n_cores(2).validate() {
+        if let Err(e) = ChipConfig::with_cores(2, lane(), MemConfig::prototype()).validate() {
             eprintln!("skipped: {e}");
             return;
         }
@@ -37,6 +37,12 @@ macro_rules! needs_a_seatable_die {
 }
 
 const MAX_CYCLES: u64 = 20_000_000;
+
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
 
 /// Runs a shared-memory chip and checks the oracle against the shared
 /// memory.
@@ -47,11 +53,7 @@ fn run_shared(
     name: &str,
 ) -> (ChipStats, Chip) {
     let n = images.len();
-    let core = CoreConfig {
-        check_invariants,
-        mem_backend: MemBackend::nuca_prototype(),
-        ..CoreConfig::prototype()
-    };
+    let core = CoreConfig { check_invariants, mem_backend: MemBackend::nuca_prototype(), ..lane() };
     let mut cfg = ChipConfig::with_cores(n, core, MemConfig::prototype());
     cfg.shared_memory = true;
     let mut chip = Chip::new(cfg);

@@ -2,9 +2,15 @@
 //! core, the baseline, and the protocols' timing claims.
 
 use trips::alpha::{AlphaConfig, AlphaCore};
-use trips::core::{CoreConfig, Processor};
+use trips::core::{CoreConfig, CoreGeometry, Processor};
 use trips::tasm::{blockinterp, compile, interp, Quality};
 use trips::workloads::{suite, Variant};
+
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
 
 /// A full four-way agreement run on a representative benchmark.
 #[test]
@@ -15,7 +21,7 @@ fn four_way_agreement_on_cfar() {
 
     let compiled = compile(&prog, Quality::Hand).expect("compiles");
     let bi = blockinterp::run_image(&compiled.image, 1_000_000).expect("block interp");
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     cpu.run(&compiled.image, 50_000_000).unwrap_or_else(|e| panic!("core: {e}"));
 
     let risc = wl.build_risc().expect("risc");
@@ -57,7 +63,7 @@ fn an_access_straddling_the_top_of_the_address_space_wraps_on_every_engine() {
     let reference = interp::run(&prog, 10_000).expect("ir interp");
     let compiled = compile(&prog, Quality::Hand).expect("compiles");
     let bi = blockinterp::run_image(&compiled.image, 10_000).expect("block interp");
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     cpu.run(&compiled.image, 100_000).unwrap_or_else(|e| panic!("core: {e}"));
     let risc = trips::alpha::compile_risc(&prog).expect("risc");
     let mut alpha = AlphaCore::new(AlphaConfig::alpha21264(), &risc).expect("valid");
@@ -84,9 +90,8 @@ fn fetch_protocol_cadence() {
     let wl = suite::by_name("vadd").expect("registered");
     let image = wl.build_trips(Quality::Compiled).expect("compiles").image;
     // The eight-cycle cadence is a property of the paper's 4x4 die
-    // (beats = 128 insts / 16 ETs), so pin the geometry rather than
-    // following TRIPS_GEOMETRY.
-    let mut cpu = Processor::new(CoreConfig::prototype_pinned());
+    // (beats = 128 insts / 16 ETs).
+    let mut cpu = Processor::new(CoreConfig::prototype());
     let stats = cpu.run(&image, 10_000_000).unwrap_or_else(|e| panic!("{e}"));
 
     let tl = &stats.timeline;
@@ -118,7 +123,7 @@ fn fetch_protocol_cadence() {
 fn commit_pipeline_overlaps() {
     let wl = suite::by_name("matrix").expect("registered");
     let image = wl.build_trips(Quality::Compiled).expect("compiles").image;
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     let stats = cpu.run(&image, 50_000_000).unwrap_or_else(|e| panic!("{e}"));
     let tl = &stats.timeline;
     let overlapping = tl.windows(2).filter(|w| w[1].fetch < w[0].ack).count();
@@ -141,7 +146,7 @@ fn commit_pipeline_overlaps() {
 fn lsq_occupancy_stays_low() {
     let wl = suite::by_name("vadd").expect("registered");
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     let stats = cpu.run(&image, 10_000_000).unwrap_or_else(|e| panic!("{e}"));
     assert!(stats.lsq_peak_occupancy > 0);
     assert!(
@@ -157,9 +162,9 @@ fn lsq_occupancy_stays_low() {
 fn second_opn_does_not_hurt() {
     let wl = suite::by_name("conv").expect("registered");
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let mut base = Processor::new(CoreConfig::prototype());
+    let mut base = Processor::new(lane());
     let b = base.run(&image, 50_000_000).unwrap_or_else(|e| panic!("{e}"));
-    let mut wide = Processor::new(CoreConfig { opn_networks: 2, ..CoreConfig::prototype() });
+    let mut wide = Processor::new(CoreConfig { opn_networks: 2, ..lane() });
     let w = wide.run(&image, 50_000_000).unwrap_or_else(|e| panic!("{e}"));
     assert!(w.cycles <= b.cycles + b.cycles / 20, "2x OPN regressed: {} vs {}", w.cycles, b.cycles);
 }
@@ -171,7 +176,7 @@ fn back_to_back_runs_reset_state() {
     let wl = suite::by_name("vadd").expect("registered");
     let (_, cells) = wl.ir(Variant::Hand);
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     let first = cpu.run(&image, 10_000_000).unwrap_or_else(|e| panic!("first: {e}"));
     let mem_first: Vec<u64> = cells.iter().map(|&c| cpu.memory().read_u64(c)).collect();
     let second = cpu.run(&image, 10_000_000).unwrap_or_else(|e| panic!("second: {e}"));
@@ -189,7 +194,7 @@ fn back_to_back_runs_reset_state() {
 fn quiesced_core_has_balanced_opn_traffic() {
     let wl = suite::by_name("vadd").expect("registered");
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     cpu.enable_tracing(1 << 14);
     assert!(!cpu.quiesced() && cpu.next_wake().is_some(), "a reset core is about to fetch");
     cpu.run(&image, 10_000_000).unwrap_or_else(|e| panic!("{e}"));
@@ -211,7 +216,7 @@ fn quiesced_core_has_balanced_opn_traffic() {
 fn timeout_reports_where_the_hang_is() {
     let wl = suite::by_name("matrix").expect("registered");
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let mut cpu = Processor::new(CoreConfig::prototype());
+    let mut cpu = Processor::new(lane());
     // Far too few cycles: the first blocks are still mid-flight.
     let err = cpu.run(&image, 30).expect_err("30 cycles cannot finish matrix");
     let text = format!("{err}");
@@ -238,7 +243,7 @@ fn hand_quality_beats_compiled() {
             hand.stats.avg_block_size > tcc.stats.avg_block_size,
             "{name}: hand blocks should be larger"
         );
-        let mut cpu = Processor::new(CoreConfig::prototype());
+        let mut cpu = Processor::new(lane());
         let h = cpu.run(&hand.image, 100_000_000).unwrap_or_else(|e| panic!("hand run: {e}"));
         let t = cpu.run(&tcc.image, 100_000_000).unwrap_or_else(|e| panic!("tcc run: {e}"));
         assert!(h.cycles < t.cycles, "{name}: hand {} vs tcc {}", h.cycles, t.cycles);

@@ -13,7 +13,7 @@
 //! the shrunk scenario (workloads, machine, geometry, tick schedule,
 //! plan) on one line, in the grammar of `trips_bench::fuzz`.
 
-use trips::core::{CoreConfig, FaultPlan, Processor, SimError};
+use trips::core::{CoreConfig, CoreGeometry, FaultPlan, Processor, SimError};
 use trips::tasm::Quality;
 use trips::workloads::suite;
 use trips_bench::fuzz::{Oracles, Scenario};
@@ -22,6 +22,12 @@ use trips_bench::fuzz::{Oracles, Scenario};
 /// micro workloads (a few hundred thousand cycles even under heavy
 /// chain delay); a reproducer that exhausts it has re-wedged.
 const REPRO_MAX_CYCLES: u64 = 10_000_000;
+
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
 
 /// Runs the scenario `line` describes with every protocol invariant
 /// checked each tick, then asserts bit-exact agreement with its
@@ -175,7 +181,7 @@ fn deliberate_deadlock_is_diagnosed() {
     let plan = FaultPlan::parse("seed=0 opn=0.0.0.eject:1/1*18446744073709551615").expect("parses");
     let wl = suite::by_name("vadd").expect("registered");
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let cfg = CoreConfig { faults: Some(plan), ..CoreConfig::prototype() };
+    let cfg = CoreConfig { faults: Some(plan), ..lane() };
     let mut cpu = Processor::new(cfg);
     match cpu.run(&image, 200_000) {
         Err(SimError::Timeout { diagnosis, .. }) => {
@@ -200,7 +206,7 @@ fn inert_fault_plan_is_bit_identical() {
     let wl = suite::by_name("dct8x8").expect("registered");
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
     let outcome = |faults: Option<FaultPlan>| {
-        let cfg = CoreConfig { faults, ..CoreConfig::prototype() };
+        let cfg = CoreConfig { faults, ..lane() };
         let mut cpu = Processor::new(cfg);
         let stats = cpu.run(&image, REPRO_MAX_CYCLES).expect("halts");
         let regs: Vec<u64> =

@@ -7,7 +7,7 @@
 //! a claim that the skipped work was a no-op; `Reference` takes none
 //! of them, so one comparison covers them all — singly and combined.
 
-use trips_core::{CoreConfig, CoreStats, MemBackend, Processor, TickMode};
+use trips_core::{CoreConfig, CoreGeometry, CoreStats, MemBackend, Processor, TickMode};
 use trips_harness::{num_threads, parallel_map};
 use trips_isa::mem::SparseMem;
 use trips_isa::{ArchReg, ProgramImage};
@@ -15,6 +15,12 @@ use trips_tasm::Quality;
 use trips_workloads::{suite, Workload};
 
 const MAX_CYCLES: u64 = 200_000_000;
+
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
 
 /// The full observable outcome of a run: stats, all 128 architectural
 /// registers, and memory.
@@ -54,8 +60,8 @@ fn fast_and_reference_are_bit_identical_across_the_suite() {
             .build_trips(quality)
             .unwrap_or_else(|e| panic!("{} ({quality:?}): compile failed: {e}", wl.name))
             .image;
-        let ((f_stats, f_regs, f_mem), _) = run(&image, CoreConfig::prototype());
-        let ((r_stats, r_regs, r_mem), _) = run(&image, reference(CoreConfig::prototype()));
+        let ((f_stats, f_regs, f_mem), _) = run(&image, lane());
+        let ((r_stats, r_regs, r_mem), _) = run(&image, reference(lane()));
         let mut errs = Vec::new();
         if f_stats != r_stats {
             errs.push(format!(
@@ -90,7 +96,6 @@ fn fast_and_reference_are_bit_identical_across_the_suite() {
 
 #[test]
 fn the_wake_table_audit_holds_on_every_cycle_of_the_suite() {
-    use trips_core::CoreGeometry;
     // `Fast`'s whole schedule is read off the wake table, and the table
     // is right only if every event source files with its consumer. With
     // `check_invariants` on, every cycle ends by recomputing each
@@ -98,13 +103,13 @@ fn the_wake_table_audit_holds_on_every_cycle_of_the_suite() {
     // any path these programs take fails by name, on the cycle it
     // happens. Every Table-3 program behind the perfect L2 plus the
     // memory-bound four on the NUCA (fill events, epoch skips), on the
-    // die `TRIPS_GEOMETRY` selects (the prototype by default, the fat
-    // die in CI's `fat-overflow` lane) and on the mini die.
+    // lane's die (the prototype by default, the fat die in CI's
+    // `fat-overflow` lane) and on the mini die.
     let nuca =
         ["saxpy", "listwalk", "vadd", "conv"].map(|n| suite::by_name(n).expect("registered"));
     let programs: Vec<(Workload, bool)> =
         suite::all().into_iter().map(|wl| (wl, false)).chain(nuca.map(|wl| (wl, true))).collect();
-    let mut dies = vec![CoreGeometry::from_env(), CoreGeometry::mini()];
+    let mut dies = vec![lane().geometry, CoreGeometry::mini()];
     dies.dedup();
     let items: Vec<(Workload, bool, CoreGeometry)> = dies
         .into_iter()
@@ -133,7 +138,7 @@ fn the_schedule_is_pinned_cycle_for_cycle() {
     // equivalence cannot see a mask that merely got looser or tighter;
     // these literals can — any change to what wakes a tile, or when,
     // shows up here as a diff to review.
-    let perfect = CoreConfig::prototype_pinned();
+    let perfect = CoreConfig::prototype();
     let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..perfect.clone() };
     let pinned = [
         ("vadd", &perfect, (7_862, 12_748, 7, 3)),
@@ -156,7 +161,7 @@ fn epoch_skipping_actually_skips_cycles() {
     // leave the whole core with nothing to do for the DRAM latency, so
     // the skip path must fast-forward a meaningful share of the run.
     let image = hand_image("listwalk");
-    let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..CoreConfig::prototype() };
+    let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..lane() };
     let ((stats, ..), cpu) = run(&image, nuca.clone());
     let g = cpu.gating_stats();
     assert!(g.epochs_skipped > 0, "no epochs were skipped: {g:?}");
@@ -189,8 +194,8 @@ fn dirty_frame_walks_actually_skip_frames() {
     // never sees it.
     for name in ["matrix", "dct8x8"] {
         let image = hand_image(name);
-        let dirty = run(&image, CoreConfig::prototype()).1.work_list_visits();
-        let full = run(&image, reference(CoreConfig::prototype())).1.work_list_visits();
+        let dirty = run(&image, lane()).1.work_list_visits();
+        let full = run(&image, reference(lane())).1.work_list_visits();
         assert!(
             dirty < full,
             "{name}: dirty-frame walks examined {dirty} frames but full scans examined \
@@ -204,7 +209,7 @@ fn gating_actually_skips_ticks() {
     // Sanity that the equivalence above is not vacuous: on a real
     // workload the table must gate off a meaningful share of tile ticks
     // (drained tiles exist in any block-structured run).
-    let (_, cpu) = run(&hand_image("matrix"), CoreConfig::prototype());
+    let (_, cpu) = run(&hand_image("matrix"), lane());
     let g = cpu.gating_stats();
     assert!(g.ticks_gated > 0, "no ticks were gated: {g:?}");
     assert!(
@@ -223,7 +228,7 @@ fn timed_out_runs_report_the_same_cycle_under_both_schedules() {
     // NUCA skips constantly, so most budgets land inside a skip.
     // (`chip_equivalence` runs the same sweep on a two-core chip.)
     let image = hand_image("listwalk");
-    let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..CoreConfig::prototype() };
+    let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..lane() };
     let budgets: Vec<u64> = (1000..6000).step_by(37).collect();
     let failures: Vec<String> = parallel_map(budgets, num_threads(), |budget| {
         let fast = Processor::new(nuca.clone()).run(&image, budget);
@@ -245,7 +250,7 @@ fn timed_out_runs_report_the_same_cycle_under_both_schedules() {
 
 #[test]
 fn fat_die_full_scan_handles_the_max_frames_mask() {
-    use trips_core::{CoreGeometry, MAX_FRAMES};
+    use trips_core::MAX_FRAMES;
     // The 16-frame fat die fills `FrameMask` exactly, so the full-scan
     // constant must be computed without a shift by the type width — a
     // debug-build panic (this test runs unoptimized) and an empty mask
@@ -266,12 +271,12 @@ fn fat_die_full_scan_handles_the_max_frames_mask() {
 
 #[test]
 fn prototype_geometry_is_bit_identical_to_the_fixed_constants() {
-    use trips_core::{
-        CoreGeometry, ET_COLS, ET_ROWS, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS, RS_PER_FRAME,
-    };
-    // Structural gate: every quantity the tiles, networks, and tick
-    // scheduler size themselves by must reduce, at the prototype
-    // point, to exactly the constants the pre-geometry code baked in.
+    use trips_core::{ET_COLS, ET_ROWS, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS, RS_PER_FRAME};
+    // Every quantity the tiles, networks, and tick scheduler size
+    // themselves by must reduce, at the prototype point, to exactly the
+    // constants the pre-geometry code baked in. (The paper die's runs
+    // are pinned by `the_schedule_is_pinned_cycle_for_cycle` and the
+    // checked-in baselines.)
     let g = CoreGeometry::prototype();
     assert_eq!((g.et_rows, g.et_cols), (ET_ROWS, ET_COLS));
     assert_eq!(g.frames, NUM_FRAMES);
@@ -284,43 +289,4 @@ fn prototype_geometry_is_bit_identical_to_the_fixed_constants() {
     assert_eq!(g.beats(), 8, "one block dispatches in eight GDN beats");
     assert_eq!(g.tile_ticks(), 30, "1 GT + 5 ITs + 4 RTs + 16 ETs + 4 DTs");
     assert_eq!((g.mesh_rows(), g.mesh_cols()), (5, 5), "the OPN is the paper's 5x5 mesh");
-
-    // Dynamic gate: a core built from the geometry seam must be
-    // bit-identical — stats, registers, memory — to the pinned
-    // prototype configuration on real runs.
-    let items: Vec<(Workload, Quality)> = ["vadd", "matrix", "dct8x8"]
-        .into_iter()
-        .map(|n| (suite::by_name(n).expect("registered"), Quality::Hand))
-        .collect();
-    let failures: Vec<String> = parallel_map(items, num_threads(), |(wl, quality)| {
-        let image = wl.build_trips(quality).expect("compiles").image;
-        let run = |cfg: CoreConfig| {
-            let mut cpu = Processor::new(cfg);
-            let stats = cpu.run(&image, MAX_CYCLES).expect("halts");
-            let regs: Vec<u64> = (0..128).map(|r| cpu.arch_reg(ArchReg::new(r))).collect();
-            let mem = cpu.memory().clone();
-            (stats, regs, mem)
-        };
-        let seam = run(CoreConfig::with_geometry(CoreGeometry::prototype()));
-        let pinned = run(CoreConfig::prototype_pinned());
-        let mut errs = Vec::new();
-        if seam.0 != pinned.0 {
-            errs.push(format!(
-                "{}: CoreStats diverge\n  geometry seam: {:?}\n  pinned consts: {:?}",
-                wl.name, seam.0, pinned.0
-            ));
-        }
-        if seam.1 != pinned.1 || seam.2 != pinned.2 {
-            errs.push(format!("{}: architectural state diverges", wl.name));
-        }
-        errs
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    assert!(
-        failures.is_empty(),
-        "the geometry seam changed prototype behaviour:\n{}",
-        failures.join("\n")
-    );
 }

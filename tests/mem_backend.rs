@@ -17,7 +17,8 @@
 //!    client iteration order contain no hidden host state.
 
 use trips_core::{
-    CoreConfig, CoreStats, FaultPlan, FaultPort, MemBackend, OcnFault, Processor, Ratio,
+    CoreConfig, CoreGeometry, CoreStats, FaultPlan, FaultPort, MemBackend, OcnFault, Processor,
+    Ratio,
 };
 use trips_harness::{num_threads, parallel_map};
 use trips_isa::mem::SparseMem;
@@ -28,6 +29,12 @@ use trips_workloads::{suite, Workload};
 
 const MAX_CYCLES: u64 = 200_000_000;
 
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
+
 /// Runs `wl` at Hand quality under `backend`, returning the full
 /// observable outcome.
 fn outcome(wl: &Workload, backend: MemBackend) -> (CoreStats, Vec<u64>, SparseMem) {
@@ -35,7 +42,7 @@ fn outcome(wl: &Workload, backend: MemBackend) -> (CoreStats, Vec<u64>, SparseMe
         .build_trips(Quality::Hand)
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", wl.name))
         .image;
-    let mut cpu = Processor::new(CoreConfig { mem_backend: backend, ..CoreConfig::prototype() });
+    let mut cpu = Processor::new(CoreConfig { mem_backend: backend, ..lane() });
     let stats = cpu
         .run(&image, MAX_CYCLES)
         .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", wl.name));
@@ -187,9 +194,7 @@ fn nuca_under_ocn_link_faults_reproduces_the_recorded_timing() {
         let mut cpu = Processor::new(CoreConfig {
             mem_backend: MemBackend::nuca_prototype(),
             faults: Some(ocn_fault_plan()),
-            // The recorded cycle counts are the paper die's, whatever
-            // TRIPS_GEOMETRY says.
-            ..CoreConfig::prototype_pinned()
+            ..CoreConfig::prototype()
         });
         let stats = cpu.run(&image, MAX_CYCLES).expect("runs");
         let m = stats.mem.expect("NUCA stats present");

@@ -9,10 +9,17 @@
 
 use trips::core::{Chip, ChipConfig, CoreConfig, CoreGeometry, FaultPlan, Processor, TickMode};
 use trips::isa::Opcode;
+use trips::mem::MemConfig;
 use trips::tasm::{blockinterp, compile, interp, ProgramBuilder, Quality, VReg};
 use trips_harness::Rng;
 
 const OUT: u64 = 0x10_0000;
+
+/// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
+/// (CI's mini and fat lanes).
+fn lane() -> CoreConfig {
+    CoreConfig::with_geometry(CoreGeometry::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
 
 /// A tiny random-program AST the generator draws from.
 #[derive(Debug, Clone)]
@@ -135,7 +142,7 @@ fn random_programs_agree_everywhere() {
             let bi = blockinterp::run_image(&compiled.image, 100_000).expect("block interp");
             // Both tick schedules (DESIGN.md §5b).
             for tick_mode in [TickMode::Fast, TickMode::Reference] {
-                let cfg = CoreConfig { tick_mode, ..CoreConfig::prototype() };
+                let cfg = CoreConfig { tick_mode, ..lane() };
                 let mut cpu = Processor::new(cfg);
                 cpu.run(&compiled.image, 5_000_000)
                     .unwrap_or_else(|e| panic!("core run (case {case}, {q}, {tick_mode:?}): {e}"));
@@ -210,11 +217,11 @@ fn random_programs_agree_on_multicore_chips() {
         let reference = interp::run(&prog, 1_000_000).expect("ir interp");
         let compiled = compile(&prog, Quality::Hand).expect("compiles");
 
-        // A die the ambient geometry's DTs/ITs overflow (fat cores
+        // A die the lane's DTs/ITs overflow (fat cores
         // two to a block) is not a chip; the lone core always fits.
         let dies: Vec<ChipConfig> = [1, 2, 4]
             .into_iter()
-            .map(ChipConfig::n_cores)
+            .map(|n| ChipConfig::with_cores(n, lane(), MemConfig::prototype()))
             .filter(|c| c.validate().is_ok())
             .collect();
         assert_eq!(dies[0].cores.len(), 1, "a one-core die seats every geometry");
