@@ -8,18 +8,20 @@
 //! [`trips_mem::OcnGeometry`]): each core is an unmodified
 //! [`Processor`] whose `memsys` adapter is bound to a disjoint
 //! computed `PortMap` slice of the shared [`SecondarySystem`], and
-//! the chip drives the inject → OCN/bank tick → drain phases once per
-//! cycle for all cores around the one system. The chip is the cores'
-//! one owner and ticks them in turn on the calling thread; host
-//! parallelism lives across independent runs, each building its own
-//! chip (DESIGN.md §5e). Because each slot's
-//! port/bank picture is a whole-block translation of a prototype
-//! slot, a core of any die is cycle-bit-identical to the same slot of
-//! the prototype die (pinned by `tests/chip_equivalence.rs`).
+//! the chip's `Nuca` — the system's one owner — runs the memory phase
+//! (inject → OCN/bank tick → drain) once per cycle for all cores,
+//! the same phase a solo NUCA processor runs for itself. A chip core
+//! owns no `Nuca`, whatever its own `mem_backend` names. The chip is
+//! the cores' one owner and ticks them in turn on the calling thread;
+//! host parallelism lives across independent runs, each building its
+//! own chip (DESIGN.md §5e). Because each slot's port/bank picture is
+//! a whole-block translation of a prototype slot, a core of any die
+//! is cycle-bit-identical to the same slot of the prototype die
+//! (pinned by `tests/chip_equivalence.rs`).
 //!
-//! **Arbitration.** Within a core the original fixed client order
-//! stands, so a solo core is never restricted — a one-core chip is
-//! bit-identical to the `Processor` + `Nuca` path (pinned by
+//! **Arbitration.** Within a core the fixed client order stands, so a
+//! lone core is never restricted — a one-core chip is bit-identical
+//! to the `Processor` + `Nuca` path (pinned by
 //! `tests/chip_equivalence.rs`). Across cores, a per-cycle
 //! round-robin `BankArb` admits only one core's injections per NUCA
 //! bank per cycle; the losing core's client stalls in place (FIFO
@@ -58,7 +60,7 @@ use trips_mem::{CohSnapshot, DirView, MemConfig, OcnGeometry, SecondarySystem};
 use trips_micronet::MAX_TAGS;
 
 use crate::config::TileMask;
-use crate::memsys::{BankArb, MemSys};
+use crate::memsys::{MemSys, Nuca};
 use crate::proc::{skip_target, Processor, SimError};
 use crate::stats::CoreStats;
 use crate::trace::{chrome_trace_chip, Tracer};
@@ -182,12 +184,9 @@ impl ChipStats {
 /// N cores ticked in lockstep around one shared [`SecondarySystem`].
 pub struct Chip {
     cores: Vec<Processor>,
-    sys: SecondarySystem,
-    arb: BankArb,
+    /// The shared NUCA, its bank arbiter and injection priority.
+    nuca: Nuca,
     cfg: ChipConfig,
-    /// Round-robin injection priority: core `rr` injects first this
-    /// cycle.
-    rr: usize,
     cycle: u64,
     /// Each core's stats, captured the cycle it halted.
     finished: Vec<Option<CoreStats>>,
@@ -212,38 +211,29 @@ impl Chip {
         const _: () = assert!(trips_mem::MAX_CORES <= MAX_TAGS, "core tags must fit the tag space");
         cfg.validate()?;
         let n = cfg.cores.len();
-        let cores =
+        let mut cores =
             cfg.cores.iter().cloned().map(Processor::try_new).collect::<Result<Vec<_>, _>>()?;
-        let sys = Chip::build_sys(&cfg);
-        let banks = sys.geometry().banks();
+        for (k, core) in cores.iter_mut().enumerate() {
+            Chip::seat(core, k, &cfg);
+        }
         Ok(Chip {
             cores,
-            sys,
-            arb: BankArb::new(banks),
+            nuca: Nuca::new(&cfg.mem, &cfg.cores, cfg.shared_memory),
             cfg,
-            rr: 0,
             cycle: 0,
             finished: vec![None; n],
             scans: vec![(0, None); n],
         })
     }
 
-    fn build_sys(cfg: &ChipConfig) -> SecondarySystem {
-        let n = cfg.cores.len();
-        let mut sys = if cfg.shared_memory {
-            SecondarySystem::for_cores_shared(cfg.mem.clone(), n)
-        } else {
-            SecondarySystem::for_cores(cfg.mem.clone(), n)
-        };
-        if let Some(plan) = &cfg.cores[0].faults {
-            sys.set_ocn_fault(plan.ocn_fault().as_ref());
-        }
-        for (k, core_cfg) in cfg.cores.iter().enumerate() {
-            for port in MemSys::ports_for_core(k, n).ports(core_cfg.geometry) {
-                sys.set_port_tag(port, k as u8);
-            }
-        }
-        sys
+    /// Makes `core`, just built from its own config, slot `k` of the
+    /// die `cfg` describes: a client of the chip's NUCA that owns none,
+    /// whatever its `mem_backend` names.
+    fn seat(core: &mut Processor, k: usize, cfg: &ChipConfig) {
+        let (n, geom) = (cfg.cores.len(), cfg.cores[k].geometry);
+        core.memsys = MemSys::client(k, n, geom, cfg.shared_memory, &core.nets.wake);
+        core.nuca = None;
+        core.refile();
     }
 
     /// Number of cores.
@@ -258,7 +248,7 @@ impl Chip {
 
     /// The shared secondary system.
     pub fn secondary(&self) -> &SecondarySystem {
-        &self.sys
+        &self.nuca.sys
     }
 
     /// Turns on every core's flight recorder (`capacity` events each).
@@ -320,9 +310,7 @@ impl Chip {
         assert!(images.iter().any(Option::is_some), "at least one slot must be live");
         let n = self.cores.len();
         // Reset chip-level state for back-to-back runs.
-        self.sys = Chip::build_sys(&self.cfg);
-        self.arb = BankArb::new(self.sys.geometry().banks());
-        self.rr = 0;
+        self.nuca = Nuca::new(&self.cfg.mem, &self.cfg.cores, self.cfg.shared_memory);
         self.cycle = 0;
         self.finished = vec![None; n];
         for (k, core) in self.cores.iter_mut().enumerate() {
@@ -337,11 +325,7 @@ impl Chip {
                     core.gt.halted = true;
                 }
             }
-            // `start` rebuilt the core-owned backend from its config;
-            // a chip core instead adapts to the shared system.
-            let geom = self.cfg.cores[k].geometry;
-            core.memsys = MemSys::shared(k, n, geom, self.cfg.shared_memory, &core.nets.wake);
-            core.refile();
+            Chip::seat(core, k, &self.cfg);
         }
         if self.cfg.shared_memory {
             // One physical address space: one memory, the union of
@@ -376,9 +360,10 @@ impl Chip {
                 self.check_invariants()?;
             }
             for k in 0..self.cores.len() {
-                if self.cores[k].halted() && self.finished[k].is_none() {
-                    self.cores[k].memsys.absorb_sys(&self.sys);
-                    self.finished[k] = Some(self.cores[k].finish_stats());
+                let core = &mut self.cores[k];
+                if core.halted() && self.finished[k].is_none() {
+                    self.nuca.fold_stats(&mut core.memsys);
+                    self.finished[k] = Some(core.finish_stats());
                 }
             }
         }
@@ -406,26 +391,24 @@ impl Chip {
     }
 
     fn collect_stats(&mut self) -> ChipStats {
-        let tag_hw = self.sys.ocn_tag_highwater();
-        let tag_counts = self.sys.ocn_tag_counts();
+        let tag_hw = self.nuca.sys.ocn_tag_highwater();
+        let tag_counts = self.nuca.sys.ocn_tag_counts();
         let n = self.cores.len();
         ChipStats {
             cores: self.finished.iter().map(|s| s.clone().expect("core finished")).collect(),
             cycles: self.cycle,
-            bank_conflict_stalls: self.arb.conflict_stalls.clone(),
+            bank_conflict_stalls: self.nuca.arb.conflict_stalls.clone(),
             ocn_tag_highwater: tag_hw[..n].to_vec(),
             ocn_tag_counts: tag_counts[..n].to_vec(),
-            coherence: self.cfg.shared_memory.then(|| self.sys.coherence()),
+            coherence: self.cfg.shared_memory.then(|| self.nuca.sys.coherence()),
         }
     }
 
     /// One chip cycle: every core's tiles and micronets tick (a
     /// halted core is near-quiesced, so its gated tick is cheap and
-    /// lets it keep consuming late completions), then the shared
-    /// memory phase runs — inject per core in rotating priority
-    /// order, tick the OCN and banks once, drain responses per core.
-    /// The phase is skipped entirely when every adapter is quiet,
-    /// mirroring the solo fast path.
+    /// lets it keep consuming late completions), then the NUCA's
+    /// memory phase runs ([`Nuca::tick`], the same phase a solo NUCA
+    /// core runs for itself).
     ///
     /// **Epoch skipping.** Cores of a chip must stay in lockstep, so
     /// a core never fast-forwards on its own; instead the chip takes
@@ -441,7 +424,6 @@ impl Chip {
     /// would have cycle-by-cycle, so arbitration after a skip is
     /// bit-identical.
     fn tick_until(&mut self, horizon: u64) {
-        let n = self.cores.len();
         loop {
             let now = self.cycle;
             for (scan, core) in self.scans.iter_mut().zip(&self.cores) {
@@ -449,14 +431,14 @@ impl Chip {
             }
             let idle = self.scans.iter().all(|&(mask, _)| mask == 0);
             let wake =
-                self.scans.iter().filter_map(|&(_, w)| w).chain(self.sys.next_event(now)).min();
+                self.scans.iter().filter_map(|&(_, w)| w).chain(self.nuca.next_event(now)).min();
             let Some(w) = skip_target(now, idle, wake, horizon) else {
                 break;
             };
             for core in &mut self.cores {
                 core.skip_to(w);
             }
-            self.rr = (self.rr + (w - now) as usize) % n;
+            self.nuca.skip(w - now);
             self.cycle = w;
             if w == horizon {
                 return;
@@ -472,20 +454,7 @@ impl Chip {
         if self.cfg.shared_memory {
             self.propagate_stores(now);
         }
-        if self.cores.iter().any(|c| !c.memsys.quiet()) {
-            self.arb.begin_cycle();
-            for i in 0..n {
-                let k = (self.rr + i) % n;
-                let Processor { memsys, tracer, .. } = &mut self.cores[k];
-                memsys.shared_inject(now, &mut self.sys, tracer, &mut self.arb, k as u8);
-            }
-            self.sys.tick(now);
-            for core in &mut self.cores {
-                let Processor { memsys, tracer, .. } = core;
-                memsys.shared_drain(now, &mut self.sys, tracer);
-            }
-        }
-        self.rr = (self.rr + 1) % n;
+        self.nuca.tick(now, &mut self.cores);
         self.cycle += 1;
     }
 
@@ -531,7 +500,7 @@ impl Chip {
     /// True when every core has quiesced and nothing is left in the
     /// shared system.
     pub fn quiesced(&self) -> bool {
-        self.cores.iter().all(Processor::quiesced) && self.sys.in_system() == 0
+        self.cores.iter().all(Processor::quiesced) && self.nuca.sys.in_system() == 0
     }
 
     /// Chip-level conservation plus every core's own invariant suite:
@@ -578,8 +547,9 @@ impl Chip {
     ///    entry mid-invalidation parks exactly one deferred write
     ///    ack.
     fn check_coherence(&self) -> Result<(), String> {
-        let views = self.sys.dir_views();
-        let coh = self.sys.coherence();
+        let sys = &self.nuca.sys;
+        let views = sys.dir_views();
+        let coh = sys.coherence();
         let mut by_line: BTreeMap<u64, &DirView> = BTreeMap::new();
         for v in &views {
             if let Some(o) = v.owner_port {
@@ -656,46 +626,24 @@ impl Chip {
             ));
         }
         let mid_inval = views.iter().filter(|v| !v.pending_ports.is_empty()).count();
-        if mid_inval != self.sys.dir_deferred() {
+        if mid_inval != sys.dir_deferred() {
             return Err(format!(
                 "deferred-ack conservation broken: {mid_inval} entries mid-invalidation != \
                  {} parked write acks",
-                self.sys.dir_deferred()
+                sys.dir_deferred()
             ));
         }
         Ok(())
     }
 
-    /// The chip-wide conservation audit (see
-    /// [`Chip::check_invariants`]).
+    /// The chip-wide conservation audit, [`Nuca::audit`] over every
+    /// core (see [`Chip::check_invariants`]).
     ///
     /// # Errors
     ///
     /// A description of the first violated accounting equation.
     pub fn audit(&self) -> Result<(), String> {
-        self.sys.audit().map_err(|e| format!("OCN: {e}"))?;
-        let (issued, delivered) = self
-            .cores
-            .iter()
-            .map(|c| c.memsys.flow())
-            .fold((0u64, 0u64), |(i, d), (ci, cd)| (i + ci, d + cd));
-        // Coherence tokens (invalidations and their acks) travel the
-        // OCN outside the request/response ledger, and a write ack
-        // parked at the directory mid-invalidation is *outside* the
-        // system until released — both terms are zero on a
-        // non-coherent chip, degenerating to the original equation.
-        let in_system = self.sys.in_system() as i64;
-        let flow = issued as i64 - delivered as i64;
-        let expect = in_system - self.sys.coh_tokens_in_system() + self.sys.dir_deferred() as i64;
-        if flow != expect {
-            return Err(format!(
-                "chip conservation broken: Σissued {issued} - Σdelivered {delivered} \
-                 != in-system {in_system} - coherence tokens {} + parked acks {}",
-                self.sys.coh_tokens_in_system(),
-                self.sys.dir_deferred()
-            ));
-        }
-        Ok(())
+        self.nuca.audit(&self.cores)
     }
 }
 

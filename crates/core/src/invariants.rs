@@ -96,5 +96,8 @@ fn check_detail(p: &Processor) -> Result<(), String> {
         m.audit().map_err(|e| format!("OPN{n}: {e}"))?;
     }
     p.memsys.audit()?;
+    if let Some(nuca) = &p.nuca {
+        nuca.audit(std::slice::from_ref(p))?;
+    }
     p.audit_wake_table()
 }

@@ -3,7 +3,7 @@
 //! [`MemSys`] is the core-side adapter for
 //! [`CoreConfig::mem_backend`](crate::CoreConfig): the perfect-L2
 //! variant answers every fill after a flat latency and holds no state
-//! at all, while the NUCA variant owns a
+//! at all, while the NUCA variant is a client of a
 //! [`trips_mem::SecondarySystem`] and carries DT MSHR fills, IT
 //! I-cache refills, and commit-time store writebacks as [`MemReq`]
 //! packets over the 4×10 OCN.
@@ -25,28 +25,29 @@
 //! every tick, and the OCN itself resolves contention with its own
 //! deterministic round-robin.
 //!
-//! ## Sharing one NUCA between cores
+//! ## One owner for the NUCA
 //!
 //! The prototype chip has **two** cores on the same secondary system
-//! (§2), so the client-side state lives in an [`Adapter`] that does
-//! not own the [`SecondarySystem`]: a solo [`Processor`] wraps both
-//! together (`Imp::Owned`, behaviourally identical to the original
-//! single-owner design), while a [`Chip`](crate::chip::Chip) gives
-//! each core an `Imp::Shared` adapter bound to a disjoint
-//! [`PortMap`] slice of the die's OCN client ports — computed from
-//! [`OcnGeometry`] for any 1..=16-core die — and drives the
-//! inject → `SecondarySystem::tick` → drain phases itself, inserting
-//! a round-robin [`BankArb`] between cores that converge on one bank.
+//! (§2), so an [`Adapter`] holds only a core's client-side state, bound
+//! to its [`PortMap`] slice of the die's OCN client ports (computed
+//! from [`OcnGeometry`] for any 1..=16-core die). The
+//! [`SecondarySystem`] itself has one owner, [`Nuca`], which also holds
+//! the round-robin [`BankArb`] between cores that converge on one bank
+//! and runs the one memory phase — inject → `SecondarySystem::tick` →
+//! drain — for all of its cores. A [`Chip`](crate::chip::Chip) holds
+//! one for its *n* cores; a solo NUCA [`Processor`] holds one for
+//! itself, *n* = 1, whose lone core never loses an arbitration.
 //!
 //! [`Processor`]: crate::Processor
 
 use std::collections::VecDeque;
 
-use trips_mem::{MemReq, OcnGeometry, SecondarySystem, ID_COH};
+use trips_mem::{MemConfig, MemReq, OcnGeometry, SecondarySystem, ID_COH};
 use trips_micronet::{WakePort, WakeTable};
 
 use crate::config::{CoreConfig, CoreGeometry, MemBackend};
 use crate::msg::TileId;
+use crate::proc::Processor;
 use crate::stats::MemSysStats;
 use crate::trace::{TraceKind, Tracer};
 
@@ -77,11 +78,10 @@ impl MemClient {
 /// lines from aliasing another core's in the shared bank tags.
 ///
 /// The prototype gives each L1 bank a private OCN link (§3.6): core 0
-/// keeps the original solo mapping (DTs on west ports 0..4, ITs on
-/// east ports 10..15), core 1 takes the remaining ports of the block.
-/// Dies beyond two cores tile that block per [`OcnGeometry`], so
-/// every slot's map is a whole-block translation of one of the two
-/// prototype slots.
+/// drives DTs on west ports 0..4 and ITs on east ports 10..15, core 1
+/// takes the remaining ports of the block. Dies beyond two cores tile
+/// that block per [`OcnGeometry`], so every slot's map is a
+/// whole-block translation of one of the two prototype slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PortMap {
     /// First OCN port of the DT clients.
@@ -90,7 +90,7 @@ pub(crate) struct PortMap {
     it_base: usize,
     /// Added to every request address: cores run disjoint address
     /// spaces (no coherence in the model), so their lines must not
-    /// alias in the shared bank tags. Zero for a solo core. The
+    /// alias in the shared bank tags. Zero for core 0. The
     /// offset is a multiple of 2^40, invisible to bank striping and
     /// set indexing (both divide 2^34 line indices by small powers of
     /// two), so it shifts *which* tags a core occupies, never *where*
@@ -103,14 +103,11 @@ pub(crate) struct PortMap {
 }
 
 impl PortMap {
-    /// The solo mapping the single-`Processor` path has always used.
-    pub(crate) const SOLO: PortMap = PortMap { dt_base: 0, it_base: 10, phys_base: 0, block: 0 };
-
     /// The mapping for core `k` of an `ncores`-core die, computed
-    /// from [`OcnGeometry`]. Core 0 is exactly [`PortMap::SOLO`] —
-    /// the bit-identity anchor for the single-core-chip pin test —
-    /// and `for_core(1, 2)` is the dual-core prototype's hand map
-    /// this computation replaced (pinned by a test below).
+    /// from [`OcnGeometry`]. A solo core is `for_core(0, 1)`, the
+    /// same ports as slot 0 of the prototype die; `trips_mem`'s
+    /// geometry tests pin both prototype slots against the hand maps
+    /// this computation replaced.
     pub(crate) fn for_core(k: usize, ncores: usize) -> PortMap {
         assert!(k < ncores, "core {k} of an {ncores}-core die");
         let geo = OcnGeometry::for_cores(ncores);
@@ -139,7 +136,7 @@ impl PortMap {
         }
     }
 
-    /// All OCN ports this map drives, for tagging. A solo core owns
+    /// All OCN ports this map drives, for tagging. A lone core owns
     /// the whole block, which every supported geometry fits
     /// (`num_dts ≤ 8`, `num_its ≤ 9`, ten ports a side); a chip slot
     /// may own only five a side, which `ChipConfig::validate` checks.
@@ -183,7 +180,7 @@ pub(crate) enum FillPath {
 }
 
 /// Per-cycle round-robin arbitration between cores converging on one
-/// NUCA bank: within a core the fixed client order stands (so a solo
+/// NUCA bank: within a core the fixed client order stands (so a lone
 /// core is never restricted), but across cores each bank admits
 /// injections from only one core per cycle. The winning order rotates
 /// every cycle, bounding any core's wait for a contested bank to
@@ -256,10 +253,9 @@ impl<T> ClientQueues<T> {
 
 /// Client-side state of a NUCA-backed core: the request/completion
 /// FIFOs, the conservation ledger, and the per-core statistics. Owns
-/// no network — the [`SecondarySystem`] is passed into
-/// [`Adapter::inject`]/[`Adapter::drain`] by whoever owns it (the
-/// solo `MemSys` or the chip).
-struct Adapter {
+/// no network — the [`Nuca`] that owns the [`SecondarySystem`] passes
+/// it into [`Adapter::inject`]/[`Adapter::drain`].
+pub(crate) struct Adapter {
     ports: PortMap,
     /// Coherent (shared-memory) mode: D-side fills become MSI GetS,
     /// store writebacks become GetM, and received invalidations are
@@ -377,17 +373,19 @@ impl Adapter {
         self.pending.len + self.coh_pending.len + self.inval_ready.len + self.ready.len != 0
     }
 
-    /// Injects pending requests into `sys` in fixed client order. With
-    /// an arbiter, a client whose head request is homed at a bank
+    /// Injects pending requests into `sys` in fixed client order, as
+    /// core `core`. A client whose head request is homed at a bank
     /// another core already holds this cycle stalls in place
-    /// (preserving its FIFO order); without one, only the OCN's own
-    /// backpressure can refuse a request — the solo behaviour.
+    /// (preserving its FIFO order); otherwise only the OCN's own
+    /// backpressure can refuse a request, as it always does for a lone
+    /// core.
     fn inject(
         &mut self,
         now: u64,
         sys: &mut SecondarySystem,
         tracer: &mut Tracer,
-        mut arb: Option<(&mut BankArb, u8)>,
+        arb: &mut BankArb,
+        core: u8,
     ) {
         if self.pending.len + self.coh_pending.len == 0 {
             return;
@@ -401,12 +399,10 @@ impl Adapter {
             let mut ack_stalled = false;
             while let Some(req) = self.coh_pending.queues[c].front() {
                 let addr = req.addr;
-                if let Some((arb, core)) = arb.as_mut() {
-                    if !arb.try_grant(sys.home_bank(port, addr), *core) {
-                        self.stats.bank_conflict_stalls += 1;
-                        ack_stalled = true;
-                        break;
-                    }
+                if !arb.try_grant(sys.home_bank(port, addr), core) {
+                    self.stats.bank_conflict_stalls += 1;
+                    ack_stalled = true;
+                    break;
                 }
                 // Ask before handing the request over: a refused
                 // attempt leaves it in the queue, uncopied.
@@ -430,11 +426,9 @@ impl Adapter {
             while let Some(req) = self.pending.queues[c].front() {
                 let is_fill = req.id & ID_FILL != 0;
                 let addr = req.addr;
-                if let Some((arb, core)) = arb.as_mut() {
-                    if !arb.try_grant(sys.home_bank(port, addr), *core) {
-                        self.stats.bank_conflict_stalls += 1;
-                        break;
-                    }
+                if !arb.try_grant(sys.home_bank(port, addr), core) {
+                    self.stats.bank_conflict_stalls += 1;
+                    break;
                 }
                 if !sys.admit(port, req.kind) {
                     self.stats.inject_stalls += 1;
@@ -533,9 +527,9 @@ impl Adapter {
         Ok(())
     }
 
-    fn diag(&self, in_system: u64) -> String {
+    fn diag(&self) -> String {
         let pending = self.pending.len + self.coh_pending.len + self.inval_ready.len;
-        let ready = self.ready.len;
+        let (in_system, ready) = (self.issued - self.delivered, self.ready.len);
         format!(
             "{pending} request(s) awaiting injection, {in_system} in the OCN/banks, \
              {ready} completion(s) unconsumed"
@@ -543,51 +537,36 @@ impl Adapter {
     }
 }
 
-/// The secondary memory system in any backend configuration.
-pub(crate) struct MemSys {
-    imp: Imp,
-}
-
-enum Imp {
+/// The core-side memory system in any backend configuration.
+// One per core, built once per run: boxing the adapter would cost an
+// allocation per run and an indirection per tile due-check.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum MemSys {
     /// Flat-latency answer machine; holds no state.
     Perfect { latency: u64 },
-    /// A solo core owning its private NUCA — the original
-    /// single-processor path.
-    Owned { sys: Box<SecondarySystem>, ad: Adapter },
-    /// One core of a chip: the [`SecondarySystem`] lives in the
-    /// [`Chip`](crate::chip::Chip), which drives this adapter's
-    /// inject/drain phases. [`MemSys::tick`] is a no-op.
-    Shared { ad: Adapter },
+    /// A client of a NUCA whose [`Nuca`] owner — the solo core's own
+    /// or the chip's — runs the memory phase.
+    Adapter(Adapter),
 }
 
 impl MemSys {
-    /// Builds the backend selected by `cfg.mem_backend`, installing
-    /// the fault plan's OCN stalls when one is configured.
+    /// The backend `cfg.mem_backend` selects, for a solo core: the
+    /// perfect L2, or a NUCA client on core 0's ports of a one-core
+    /// die (its [`Nuca`] is built beside it).
     pub(crate) fn new(cfg: &CoreConfig, wake: &WakeTable) -> MemSys {
-        let imp = match &cfg.mem_backend {
-            MemBackend::PerfectL2 { latency } => Imp::Perfect { latency: *latency },
-            MemBackend::Nuca(mc) => {
-                let mut sys = SecondarySystem::new(mc.clone());
-                if let Some(plan) = &cfg.faults {
-                    sys.set_ocn_fault(plan.ocn_fault().as_ref());
-                }
-                Imp::Owned {
-                    sys: Box::new(sys),
-                    ad: Adapter::new(PortMap::SOLO, cfg.geometry, false, wake),
-                }
-            }
-        };
-        MemSys { imp }
+        match &cfg.mem_backend {
+            MemBackend::PerfectL2 { latency } => MemSys::Perfect { latency: *latency },
+            MemBackend::Nuca(_) => MemSys::client(0, 1, cfg.geometry, false, wake),
+        }
     }
 
-    /// A shared-NUCA adapter for core `k` of an `ncores`-core chip
-    /// (the chip owns the [`SecondarySystem`] and drives the phases),
-    /// coherent or not. The coherent adapter has the same port slice
-    /// but `phys_base = 0` (one physical address space), sends D-side
+    /// A NUCA client for core `k` of an `ncores`-core die, coherent or
+    /// not. The coherent client has the same port slice but
+    /// `phys_base = 0` (one physical address space), sends D-side
     /// fills as GetS and writebacks as GetM, and delivers received
     /// invalidations to the owning DT (which drops its copy, then
     /// acknowledges via [`MemSys::ack_inval`]).
-    pub(crate) fn shared(
+    pub(crate) fn client(
         k: usize,
         ncores: usize,
         geom: CoreGeometry,
@@ -599,13 +578,21 @@ impl MemSys {
         } else {
             PortMap::for_core(k, ncores)
         };
-        MemSys { imp: Imp::Shared { ad: Adapter::new(ports, geom, coherent, wake) } }
+        MemSys::Adapter(Adapter::new(ports, geom, coherent, wake))
     }
 
-    /// The port map of core `k` of an `ncores`-core die (for tagging
-    /// the shared system's ports).
-    pub(crate) fn ports_for_core(k: usize, ncores: usize) -> PortMap {
-        PortMap::for_core(k, ncores)
+    fn adapter(&self) -> Option<&Adapter> {
+        match self {
+            MemSys::Perfect { .. } => None,
+            MemSys::Adapter(ad) => Some(ad),
+        }
+    }
+
+    fn adapter_mut(&mut self) -> Option<&mut Adapter> {
+        match self {
+            MemSys::Perfect { .. } => None,
+            MemSys::Adapter(ad) => Some(ad),
+        }
     }
 
     /// A D-side line fill for DT `dt` (line = `ea >> 6`).
@@ -619,9 +606,9 @@ impl MemSys {
     }
 
     fn fill(&mut self, now: u64, client: MemClient, line: u64) -> FillPath {
-        match &mut self.imp {
-            Imp::Perfect { latency } => FillPath::At(now + *latency),
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => {
+        match self {
+            MemSys::Perfect { latency } => FillPath::At(now + *latency),
+            MemSys::Adapter(ad) => {
                 ad.push_fill(client, line);
                 FillPath::Queued
             }
@@ -643,56 +630,40 @@ impl MemSys {
         val: u64,
         bytes: usize,
     ) -> bool {
-        match &mut self.imp {
-            Imp::Perfect { .. } => false,
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => {
-                ad.push_store(dt, frame, ea, val, bytes);
-                true
-            }
-        }
+        let Some(ad) = self.adapter_mut() else { return false };
+        ad.push_store(dt, frame, ea, val, bytes);
+        true
     }
 
     /// Takes the committed stores queued for chip-level propagation
     /// (coherent mode; empty otherwise): `(ea, val, bytes)` in
     /// commit-drain order.
     pub(crate) fn take_propagations(&mut self) -> Vec<(u64, u64, usize)> {
-        match &mut self.imp {
-            Imp::Perfect { .. } => Vec::new(),
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => std::mem::take(&mut ad.prop),
-        }
+        self.adapter_mut().map(|ad| std::mem::take(&mut ad.prop)).unwrap_or_default()
     }
 
     /// The OCN port DT `dt` drives, for directory/cache agreement
     /// checks (coherent chips only; the perfect backend has no ports).
     pub(crate) fn dt_port(&self, dt: u8) -> usize {
-        match &self.imp {
-            Imp::Perfect { .. } => unreachable!("dt_port on a perfect backend"),
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => ad.ports.port_of(dt as usize, ad.num_dts),
-        }
+        let ad = self.adapter().expect("dt_port on a perfect backend");
+        ad.ports.port_of(dt as usize, ad.num_dts)
     }
 
     /// Pops the next completion for `client`, if one is ready.
     pub(crate) fn pop_event(&mut self, client: MemClient) -> Option<MemEvent> {
-        match &mut self.imp {
-            Imp::Perfect { .. } => None,
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => {
-                let ev = ad.ready.pop(client.index(ad.num_dts));
-                ad.outstanding -= u64::from(ev.is_some());
-                ev
-            }
-        }
+        let ad = self.adapter_mut()?;
+        let ev = ad.ready.pop(client.index(ad.num_dts));
+        ad.outstanding -= u64::from(ev.is_some());
+        ev
     }
 
     /// True when `client` has an unconsumed completion or invalidation
     /// — the client tile is due now.
     pub(crate) fn has_events(&self, client: MemClient) -> bool {
-        match &self.imp {
-            Imp::Perfect { .. } => false,
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => {
-                let c = client.index(ad.num_dts);
-                !ad.ready.queues[c].is_empty() || !ad.inval_ready.queues[c].is_empty()
-            }
-        }
+        self.adapter().is_some_and(|ad| {
+            let c = client.index(ad.num_dts);
+            !ad.ready.queues[c].is_empty() || !ad.inval_ready.queues[c].is_empty()
+        })
     }
 
     /// True when this adapter runs the coherent (shared-memory)
@@ -700,22 +671,15 @@ impl MemSys {
     /// multiprogrammed and coherent chips (e.g. no silent line install
     /// at commit drain, which would break directory inclusion).
     pub(crate) fn is_coherent(&self) -> bool {
-        match &self.imp {
-            Imp::Perfect { .. } => false,
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => ad.coherent,
-        }
+        self.adapter().is_some_and(|ad| ad.coherent)
     }
 
     /// Pops the next directory invalidation delivered to `client`
     /// (coherent mode). The DT must drop its tag and poison matching
     /// MSHRs, then call [`MemSys::ack_inval`] in the same tick.
     pub(crate) fn pop_inval(&mut self, client: MemClient) -> Option<u64> {
-        match &mut self.imp {
-            Imp::Perfect { .. } => None,
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => {
-                ad.inval_ready.pop(client.index(ad.num_dts))
-            }
-        }
+        let ad = self.adapter_mut()?;
+        ad.inval_ready.pop(client.index(ad.num_dts))
     }
 
     /// Queues the acknowledgement for an invalidation previously
@@ -724,180 +688,186 @@ impl MemSys {
     /// (which runs after the core ticks of the same cycle), so the
     /// directory can only observe it once the drop has happened.
     pub(crate) fn ack_inval(&mut self, client: MemClient, line: u64) {
-        match &mut self.imp {
-            Imp::Perfect { .. } => unreachable!("ack_inval on a perfect backend"),
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => {
-                ad.coh_pending.push(client.index(ad.num_dts), MemReq::inval_ack(line));
-            }
-        }
+        let ad = self.adapter_mut().expect("ack_inval on a perfect backend");
+        ad.coh_pending.push(client.index(ad.num_dts), MemReq::inval_ack(line));
     }
 
-    /// One cycle, run after the tiles and nets: inject pending
-    /// requests in client order, advance the OCN and banks, and steer
-    /// arrived responses back to their client queues (consumed by the
-    /// tiles next cycle). A no-op for the shared variant — the chip
-    /// drives the same phases around the one shared system.
-    pub(crate) fn tick(&mut self, now: u64, tracer: &mut Tracer) {
-        let Imp::Owned { sys, ad } = &mut self.imp else {
-            return;
-        };
-        if ad.quiet() {
-            return;
-        }
-        ad.inject(now, sys, tracer, None);
-        sys.tick(now);
-        ad.drain(now, sys, tracer);
-        ad.note_peak();
-    }
-
-    /// Chip phase 1: inject this core's pending requests through the
-    /// shared `sys`, arbitrated per bank.
-    pub(crate) fn shared_inject(
-        &mut self,
-        now: u64,
-        sys: &mut SecondarySystem,
-        tracer: &mut Tracer,
-        arb: &mut BankArb,
-        core: u8,
-    ) {
-        let Imp::Shared { ad } = &mut self.imp else {
-            unreachable!("shared_inject on a non-shared memsys");
-        };
-        ad.inject(now, sys, tracer, Some((arb, core)));
-    }
-
-    /// Chip phase 2 (after `sys.tick`): collect this core's responses
-    /// and update its outstanding high-water mark.
-    pub(crate) fn shared_drain(
-        &mut self,
-        now: u64,
-        sys: &mut SecondarySystem,
-        tracer: &mut Tracer,
-    ) {
-        let Imp::Shared { ad } = &mut self.imp else {
-            unreachable!("shared_drain on a non-shared memsys");
-        };
-        ad.drain(now, sys, tracer);
-        ad.note_peak();
-    }
-
-    /// `(issued, delivered)` through this adapter, for the chip-level
-    /// conservation audit (`Σ(issued−delivered) == sys.in_system()`).
-    pub(crate) fn flow(&self) -> (u64, u64) {
-        match &self.imp {
-            Imp::Perfect { .. } => (0, 0),
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => (ad.issued, ad.delivered),
-        }
-    }
-
-    /// Folds the shared system's counters (OCN, DRAM, banks) into
-    /// this core's snapshot-to-be. Called by the chip when the core
-    /// halts, so its [`MemSysStats`] describe the system state at its
-    /// own halt time — exactly what a solo run reports. The per-bank
-    /// vectors are sliced to the core's **own block**, so every core
-    /// of every die reports the same 16-entry bank vectors a solo run
-    /// does (on a one-block die the slice is the whole system —
-    /// unchanged from the dual-core prototype). OCN and DRAM counters
-    /// stay die-wide, as they always have.
-    pub(crate) fn absorb_sys(&mut self, sys: &SecondarySystem) {
-        let Imp::Shared { ad } = &mut self.imp else {
-            unreachable!("absorb_sys on a non-shared memsys");
-        };
-        ad.stats.ocn = sys.ocn_stats();
-        ad.stats.dram_accesses = sys.dram_accesses;
-        let block = sys.geometry().block_banks(ad.ports.block);
-        let (hits, misses): (Vec<u64>, Vec<u64>) =
-            sys.bank_stats()[block.clone()].iter().copied().unzip();
-        ad.stats.bank_hits = hits;
-        ad.stats.bank_misses = misses;
-        ad.stats.bank_peak_occupancy = sys.bank_peaks()[block].to_vec();
-    }
-
-    /// Cycle of the memory system's next state change, for the
-    /// epoch-skipping scheduler. `Some(now)` while the adapter has
-    /// same-cycle work (injections or undelivered completions); the
-    /// owned backend then defers to its private system's timers. The
+    /// `Some(now)` while the adapter has same-cycle work (injections or
+    /// undelivered completions), for the epoch-skipping scheduler;
+    /// packets inside the OCN and banks are the [`Nuca`]'s events. The
     /// perfect backend is stateless — fill timers live inside the
     /// requesting tile (DT MSHR `fill_at`, IT refill `done_at`) and
-    /// are folded by that tile's own `next_wake`. For the shared
-    /// variant the chip folds the one shared system's
-    /// [`SecondarySystem::next_event`] itself.
+    /// are folded by that tile's own `next_wake`.
     pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        match &self.imp {
-            Imp::Perfect { .. } => None,
-            Imp::Owned { sys, ad } => ad.busy_now().then_some(now).or_else(|| sys.next_event(now)),
-            Imp::Shared { ad } => ad.busy_now().then_some(now),
-        }
+        self.adapter()?.busy_now().then_some(now)
     }
 
     /// True when nothing is pending anywhere: no unaccepted request,
     /// nothing inside the OCN or banks, no unconsumed completion. The
-    /// complement of the work [`MemSys::tick`] could still do, so
-    /// "quiesced" and "nothing to tick" can never disagree.
+    /// complement of the work the memory phase could still do for
+    /// this core, so "quiesced" and "nothing to tick" can never
+    /// disagree.
     pub(crate) fn quiet(&self) -> bool {
-        match &self.imp {
-            Imp::Perfect { .. } => true,
-            Imp::Owned { ad, .. } | Imp::Shared { ad } => ad.quiet(),
-        }
+        self.adapter().is_none_or(Adapter::quiet)
     }
 
     /// A run-end statistics snapshot (`None` for the perfect backend,
-    /// keeping `CoreStats` bit-identical to the pre-backend model).
-    /// The owned variant folds in its private system's counters; the
-    /// shared variant reports whatever [`MemSys::absorb_sys`] last
+    /// keeping `CoreStats` bit-identical to the pre-backend model): the
+    /// adapter's own counters and whatever [`Nuca::fold_stats`] last
     /// captured.
     pub(crate) fn stats_snapshot(&self) -> Option<MemSysStats> {
-        match &self.imp {
-            Imp::Perfect { .. } => None,
-            Imp::Owned { sys, ad } => {
-                let mut s = ad.stats.clone();
-                s.ocn = sys.ocn_stats();
-                s.dram_accesses = sys.dram_accesses;
-                let (hits, misses): (Vec<u64>, Vec<u64>) = sys.bank_stats().into_iter().unzip();
-                s.bank_hits = hits;
-                s.bank_misses = misses;
-                s.bank_peak_occupancy = sys.bank_peaks().to_vec();
-                Some(s)
-            }
-            Imp::Shared { ad } => Some(ad.stats.clone()),
-        }
+        self.adapter().map(|ad| ad.stats.clone())
     }
 
-    /// Request/response conservation: every request a client handed
-    /// over is exactly one of pending, inside the system, or ready —
-    /// and, for the owned variant, the OCN's own packet accounting
-    /// balances. (A shared adapter checks its ledger only; the
-    /// system-wide equations are the chip's to audit, since no single
-    /// core sees all the traffic.)
+    /// The adapter's own ledger: every request a client handed over is
+    /// exactly one of pending, inside the system, or ready. The
+    /// system-wide equations are [`Nuca::audit`]'s, since only the
+    /// owner sees all the traffic.
     ///
     /// # Errors
     ///
     /// A description of the first violated accounting equation.
     pub(crate) fn audit(&self) -> Result<(), String> {
-        match &self.imp {
-            Imp::Perfect { .. } => Ok(()),
-            Imp::Owned { sys, ad } => {
-                sys.audit().map_err(|e| format!("OCN: {e}"))?;
-                let in_system = sys.in_system() as u64;
-                if ad.issued - ad.delivered != in_system {
-                    return Err(format!(
-                        "memsys conservation broken: issued {} - delivered {} != in-system {}",
-                        ad.issued, ad.delivered, in_system
-                    ));
-                }
-                ad.audit_ledger()
-            }
-            Imp::Shared { ad } => ad.audit_ledger(),
-        }
+        self.adapter().map_or(Ok(()), Adapter::audit_ledger)
     }
 
     /// Queued work for the hang diagnoser (`None` when quiet).
     pub(crate) fn diag(&self) -> Option<String> {
-        match &self.imp {
-            Imp::Perfect { .. } => None,
-            Imp::Owned { sys, ad } => (!ad.quiet()).then(|| ad.diag(sys.in_system() as u64)),
-            Imp::Shared { ad } => (!ad.quiet()).then(|| ad.diag(ad.issued - ad.delivered)),
+        self.adapter().filter(|ad| !ad.quiet()).map(Adapter::diag)
+    }
+}
+
+/// The one owner of a NUCA: the [`SecondarySystem`], the [`BankArb`]
+/// between its cores, and their rotating injection priority. A
+/// [`Chip`](crate::chip::Chip) holds one for its cores, a solo NUCA
+/// [`Processor`] one for itself; both run the same phase.
+pub(crate) struct Nuca {
+    pub(crate) sys: SecondarySystem,
+    pub(crate) arb: BankArb,
+    /// Round-robin injection priority: core `rr` injects first this
+    /// cycle.
+    rr: usize,
+    ncores: usize,
+}
+
+impl Nuca {
+    /// The NUCA of a die seating `cores` (1..=16, in slot order) on
+    /// `mem`, coherent or not: core 0's fault plan supplies the OCN
+    /// stalls (the OCN is chip-level hardware), and every OCN port is
+    /// tagged with the core whose [`PortMap`] drives it.
+    pub(crate) fn new(mem: &MemConfig, cores: &[CoreConfig], coherent: bool) -> Nuca {
+        let n = cores.len();
+        let mut sys = if coherent {
+            SecondarySystem::for_cores_shared(mem.clone(), n)
+        } else {
+            SecondarySystem::for_cores(mem.clone(), n)
+        };
+        if let Some(plan) = &cores[0].faults {
+            sys.set_ocn_fault(plan.ocn_fault().as_ref());
         }
+        for (k, core) in cores.iter().enumerate() {
+            for port in PortMap::for_core(k, n).ports(core.geometry) {
+                sys.set_port_tag(port, k as u8);
+            }
+        }
+        let arb = BankArb::new(sys.geometry().banks());
+        Nuca { sys, arb, rr: 0, ncores: n }
+    }
+
+    /// The solo core's own NUCA, if its backend names one.
+    pub(crate) fn solo(cfg: &CoreConfig) -> Option<Box<Nuca>> {
+        let MemBackend::Nuca(mem) = &cfg.mem_backend else { return None };
+        Some(Box::new(Nuca::new(mem, std::slice::from_ref(cfg), false)))
+    }
+
+    /// The memory phase of cycle `now`, run after every core's tiles
+    /// and nets have ticked: unless every adapter is quiet, inject
+    /// each core's pending requests in rotating priority order through
+    /// the bank arbiter, tick the OCN and banks once, then steer
+    /// arrived responses back to each core in index order (consumed by
+    /// the tiles next cycle). The priority rotates every cycle.
+    pub(crate) fn tick(&mut self, now: u64, cores: &mut [Processor]) {
+        if cores.iter().any(|c| !c.memsys.quiet()) {
+            self.arb.begin_cycle();
+            for i in 0..self.ncores {
+                let k = (self.rr + i) % self.ncores;
+                let Processor { memsys, tracer, .. } = &mut cores[k];
+                if let MemSys::Adapter(ad) = memsys {
+                    ad.inject(now, &mut self.sys, tracer, &mut self.arb, k as u8);
+                }
+            }
+            self.sys.tick(now);
+            for Processor { memsys, tracer, .. } in cores {
+                if let MemSys::Adapter(ad) = memsys {
+                    ad.drain(now, &mut self.sys, tracer);
+                    ad.note_peak();
+                }
+            }
+        }
+        self.skip(1);
+    }
+
+    /// Advances the injection priority over `cycles` skipped cycles,
+    /// exactly as that many quiet phases would have.
+    pub(crate) fn skip(&mut self, cycles: u64) {
+        self.rr = (self.rr + cycles as usize) % self.ncores;
+    }
+
+    /// Cycle of the system's next state change (see
+    /// [`SecondarySystem::next_event`]).
+    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
+        self.sys.next_event(now)
+    }
+
+    /// Folds the system's counters (OCN, DRAM, banks) into a core's
+    /// snapshot-to-be, at that core's halt time — so its
+    /// [`MemSysStats`] describe the system as it stood when the core
+    /// finished. The per-bank vectors are sliced to the core's **own
+    /// block**, so every core of every die reports the same 16-entry
+    /// bank vectors (on a one-block die the slice is the whole system).
+    /// OCN and DRAM counters stay die-wide.
+    pub(crate) fn fold_stats(&self, memsys: &mut MemSys) {
+        let Some(ad) = memsys.adapter_mut() else { return };
+        ad.stats.ocn = self.sys.ocn_stats();
+        ad.stats.dram_accesses = self.sys.dram_accesses;
+        let block = self.sys.geometry().block_banks(ad.ports.block);
+        let (hits, misses): (Vec<u64>, Vec<u64>) =
+            self.sys.bank_stats()[block.clone()].iter().copied().unzip();
+        ad.stats.bank_hits = hits;
+        ad.stats.bank_misses = misses;
+        ad.stats.bank_peak_occupancy = self.sys.bank_peaks()[block].to_vec();
+    }
+
+    /// The conservation audit: the OCN's own packet accounting
+    /// balances, and the cores' accepted-but-undelivered requests sum
+    /// to exactly what the system holds (no response can be lost *or*
+    /// misdelivered to another core's port without this failing).
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated accounting equation.
+    pub(crate) fn audit(&self, cores: &[Processor]) -> Result<(), String> {
+        self.sys.audit().map_err(|e| format!("OCN: {e}"))?;
+        let (issued, delivered) = cores
+            .iter()
+            .filter_map(|c| c.memsys.adapter())
+            .fold((0u64, 0u64), |(i, d), ad| (i + ad.issued, d + ad.delivered));
+        // Coherence tokens (invalidations and their acks) travel the
+        // OCN outside the request/response ledger, and a write ack
+        // parked at the directory mid-invalidation is *outside* the
+        // system until released — both terms are zero on a
+        // non-coherent die, degenerating to `issued - delivered ==
+        // in-system`.
+        let in_system = self.sys.in_system() as i64;
+        let flow = issued as i64 - delivered as i64;
+        let (tokens, parked) = (self.sys.coh_tokens_in_system(), self.sys.dir_deferred());
+        if flow != in_system - tokens + parked as i64 {
+            return Err(format!(
+                "NUCA conservation broken: Σissued {issued} - Σdelivered {delivered} \
+                 != in-system {in_system} - coherence tokens {tokens} + parked acks {parked}"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -949,7 +919,6 @@ mod tests {
 
     #[test]
     fn a_skewed_occupancy_count_is_caught_by_the_audit_within_one_cycle() {
-        use crate::Processor;
         use trips_tasm::{compile, ProgramBuilder, Quality};
         let mut p = ProgramBuilder::new();
         let mut f = p.func("main", 0);
@@ -966,8 +935,8 @@ mod tests {
                 cpu.tick();
                 cpu.check_invariants().expect("the counts are exact until skewed");
             }
-            let Imp::Owned { ad, .. } = &mut cpu.memsys.imp else {
-                unreachable!("a solo NUCA core owns its secondary system")
+            let MemSys::Adapter(ad) = &mut cpu.memsys else {
+                unreachable!("a NUCA core is a client of its NUCA")
             };
             *match name {
                 "pending" => &mut ad.pending.len,

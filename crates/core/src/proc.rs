@@ -19,7 +19,7 @@ use crate::et::ExecTile;
 use crate::gt::GlobalTile;
 use crate::invariants::{self, InvariantViolation};
 use crate::it::InstTile;
-use crate::memsys::MemSys;
+use crate::memsys::{MemSys, Nuca};
 use crate::msg::TileId;
 use crate::nets::Nets;
 use crate::profile::{TickPhase, TickProfile};
@@ -117,6 +117,10 @@ pub struct Processor {
     pub(crate) dts: Vec<DataTile>,
     pub(crate) nets: Nets,
     pub(crate) memsys: MemSys,
+    /// The NUCA a solo core whose backend names one owns and ticks
+    /// itself; `None` behind a perfect L2 and on every chip core, whose
+    /// NUCA is the chip's.
+    pub(crate) nuca: Option<Box<Nuca>>,
     /// The memory this core loads from and stores to: its own on a
     /// solo core or a multiprogrammed chip, one store shared by every
     /// core of a coherent chip (each holds a clone of the one handle).
@@ -169,6 +173,7 @@ impl Processor {
                 .collect(),
             dts: (0..g.num_dts()).map(|d| DataTile::new(d as u8, &cfg)).collect(),
             memsys: MemSys::new(&cfg, &nets.wake),
+            nuca: Nuca::solo(&cfg),
             nets,
             mem: Rc::default(),
             crit: CritPath::new(cfg.critpath),
@@ -395,6 +400,9 @@ impl Processor {
         // were added here — see `Nets::inject_stalls`).
         self.stats.protocol.opn_inject_stalls = self.nets.inject_stalls();
         self.stats.protocol.opn_inflight_highwater = self.nets.opn_highwater.clone();
+        if let Some(nuca) = &self.nuca {
+            nuca.fold_stats(&mut self.memsys);
+        }
         self.stats.mem = self.memsys.stats_snapshot();
         if self.crit.enabled() {
             self.stats.critpath = Some(self.crit.walk(self.gt.final_ev));
@@ -515,8 +523,9 @@ impl Processor {
     /// latency, so anything a tile sends this cycle matures next cycle
     /// at the soonest: a mask read at cycle start is complete.
     ///
-    /// The OPN meshes and the memory system own no entry; they fold in
-    /// as `now` whenever they must tick this cycle (packets in routers,
+    /// The OPN meshes and the memory system (the adapter and, on a solo
+    /// NUCA core, the owned [`Nuca`]) own no entry; they fold in as
+    /// `now` whenever they must tick this cycle (packets in routers,
     /// injections or completions pending), or as their earliest timer.
     fn due_tiles(&self, now: u64) -> (TileMask, Option<u64>) {
         // `wake` is consumed only when the mask comes out empty, i.e.
@@ -524,7 +533,8 @@ impl Processor {
         // needs no branch.
         let (mask, mut wake) = self.nets.wake.due_mask(now);
         let meshes = self.nets.opn.iter().filter_map(|m| m.next_event(now));
-        for t in meshes.chain(self.memsys.next_event(now)) {
+        let nuca = self.nuca.as_ref().and_then(|n| n.next_event(now));
+        for t in meshes.chain(self.memsys.next_event(now)).chain(nuca) {
             wake = wake.min(t.max(now));
         }
         (mask, (wake != u64::MAX).then_some(wake))
@@ -550,6 +560,9 @@ impl Processor {
         self.gating.ticks_gated += self.cfg.geometry.tile_ticks() as u64 * skipped;
         self.gating.cycles_skipped += skipped;
         self.gating.epochs_skipped += 1;
+        if let Some(nuca) = &mut self.nuca {
+            nuca.skip(skipped);
+        }
         self.cycle = w;
     }
 
@@ -615,7 +628,8 @@ impl Processor {
         let now = self.cycle;
         let Processor { cfg, gt, its, rts, ets, dts, nets, memsys, mem, crit, stats, .. } = self;
         let Processor { tracer, profile, gating, .. } = self;
-        let mem = &mut *mem.borrow_mut();
+        let mut guard = mem.borrow_mut();
+        let mem = &mut *guard;
         // Mask bits — and wake-table entries — run in tick order: GT,
         // ITs, RTs, ETs, DTs (`CoreGeometry::tile_bit`). Each group
         // walks only its set bits, ascending: the due tiles tick in the
@@ -655,15 +669,21 @@ impl Processor {
         let run = u64::from(mask.count_ones());
         gating.ticks_run += run;
         gating.ticks_gated += cfg.geometry.tile_ticks() as u64 - run;
+        // The memory phase below borrows the whole core.
+        drop(guard);
 
         let tp = self.profile.begin();
         self.nets.tick(now);
         self.profile.end(TickPhase::Nets, tp);
         // The secondary system runs after the tiles and nets: requests
         // issued this cycle inject now, and responses it delivers are
-        // consumed by the tiles next cycle (see DESIGN.md §5d).
+        // consumed by the tiles next cycle (see DESIGN.md §5d). A solo
+        // core runs its own NUCA's phase, as the one core of its die.
         let tp = self.profile.begin();
-        self.memsys.tick(now, &mut self.tracer);
+        if let Some(mut nuca) = self.nuca.take() {
+            nuca.tick(now, std::slice::from_mut(self));
+            self.nuca = Some(nuca);
+        }
         self.profile.end(TickPhase::MemSys, tp);
         self.cycle += 1;
     }

@@ -1,12 +1,13 @@
 //! The chip seam (DESIGN.md §5e).
 //!
-//! Four properties pin [`Chip`]:
+//! Five properties pin [`Chip`]:
 //!
 //! 1. **Single-core pinning** — a one-core chip is *bit-identical* to
 //!    the solo `Processor` + `Nuca` path: same `CoreStats` (including
-//!    every secondary-system counter), registers, and memory. The
-//!    chip's phase loop is the solo adapter's tick re-rolled around a
-//!    shared system, and this test is what keeps it that way.
+//!    every secondary-system counter), registers, and memory, also
+//!    under OCN link faults with the invariants on. Both run the one
+//!    NUCA memory phase, and this test is what keeps the two holders
+//!    of it driving it the same way.
 //! 2. **Co-runner independence** — contention is timing-only: each
 //!    core of a dual-core chip commits the same blocks, registers,
 //!    and memory as a solo run of its workload, for every pairing in
@@ -27,8 +28,8 @@
 use std::collections::HashMap;
 
 use trips_core::{
-    Chip, ChipConfig, ChipStats, CoreConfig, CoreGeometry, CoreStats, MemBackend, Processor,
-    SimError, TickMode,
+    Chip, ChipConfig, ChipStats, CoreConfig, CoreGeometry, CoreStats, FaultPlan, MemBackend,
+    Processor, SimError, TickMode,
 };
 use trips_isa::mem::SparseMem;
 use trips_isa::{ArchReg, ProgramImage};
@@ -62,9 +63,13 @@ fn regs(p: &Processor) -> Vec<u64> {
 
 /// Solo `Processor` + prototype NUCA outcome (the chip's anchor).
 fn solo(wl: &Workload) -> (CoreStats, Vec<u64>, SparseMem) {
+    solo_on(wl, lane())
+}
+
+/// [`solo`] on a core configured as `core`, its backend the NUCA.
+fn solo_on(wl: &Workload, core: CoreConfig) -> (CoreStats, Vec<u64>, SparseMem) {
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let mut cpu =
-        Processor::new(CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..lane() });
+    let mut cpu = Processor::new(CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..core });
     let stats = cpu.run(&image, MAX_CYCLES).unwrap_or_else(|e| panic!("{}: {e}", wl.name));
     let r = regs(&cpu);
     let mem = cpu.memory().clone();
@@ -117,10 +122,22 @@ fn run_slot(wl: &Workload, slot: usize, n: usize) -> (CoreStats, Vec<u64>, Spars
 
 #[test]
 fn single_core_chip_is_bit_identical_to_solo_nuca() {
-    for name in ["vadd", "saxpy", "listwalk"] {
+    // Two inputs: the clean die, and the die under invariant checking
+    // (each side's conservation audit every cycle) with the OCN link
+    // faults of `tests/mem_backend.rs::ocn_fault_plan`, whose PRNG
+    // draws the two sides must make in the same order.
+    let ocn_faults = "seed=0xc2006 rotate ocn=4.1.south:1/6*5 ocn=0.2.north:1/3*4 \
+                      ocn=9.3.eject:1/4*3 ocn=2.0.east:1/5*6";
+    let plan = FaultPlan::parse(ocn_faults).expect("parses");
+    let faulted = CoreConfig { check_invariants: true, faults: Some(plan), ..lane() };
+    for (name, core) in ["vadd", "saxpy", "listwalk"]
+        .into_iter()
+        .flat_map(|name| [(name, lane()), (name, faulted.clone())])
+    {
         let wl = suite::by_name(name).expect("registered");
-        let (solo_stats, solo_regs, solo_mem) = solo(&wl);
-        let (chip_stats, arch) = chip_run(&[&wl], false);
+        let (solo_stats, solo_regs, solo_mem) = solo_on(&wl, core.clone());
+        let chip_cfg = ChipConfig::with_cores(1, core, MemConfig::prototype());
+        let (chip_stats, arch) = chip_run_with(&[&wl], chip_cfg);
         assert_eq!(
             chip_stats.cores[0], solo_stats,
             "{name}: a one-core chip must report bit-identical CoreStats to the solo NUCA path"
@@ -279,8 +296,9 @@ fn a_lone_core_in_any_slot_of_any_die_matches_its_prototype_slot() {
     let wl = suite::by_name("saxpy").expect("registered");
     let (solo_stats, solo_regs, solo_mem) = solo(&wl);
 
-    // Slot 0 of the prototype die IS the solo path (PortMap::SOLO is
-    // `for_core(0, 2)`), idle co-slot and all.
+    // Slot 0 of the prototype die IS the solo path (a solo core's
+    // ports, `for_core(0, 1)`, are `for_core(0, 2)`'s), idle co-slot
+    // and all.
     let (s0, r0, m0) = run_slot(&wl, 0, 2);
     assert_eq!(s0, solo_stats, "slot 0 of the prototype die diverged from solo CoreStats");
     assert_eq!(r0, solo_regs, "slot 0 of the prototype die diverged from solo registers");
@@ -412,6 +430,23 @@ fn shared_memory_off_is_bit_identical_to_the_default_chip() {
             assert_eq!(mem.invals_received, 0, "core {k} received invalidations with it off");
         }
     }
+}
+
+#[test]
+fn a_chip_core_that_names_a_nuca_backend_still_runs_on_the_chips() {
+    needs_a_seatable_die!();
+    // `ChipConfig::cores` documents `mem_backend` as ignored: a chip
+    // core is a client of the chip's one NUCA and owns none. A core
+    // that kept its own NUCA would tick a second secondary system and
+    // move these stats.
+    let a = suite::by_name("vadd").expect("registered");
+    let b = suite::by_name("listwalk").expect("registered");
+    let perfect = CoreConfig { check_invariants: true, ..lane() };
+    let nuca = CoreConfig { mem_backend: MemBackend::nuca_prototype(), ..perfect.clone() };
+    let want = chip_run_with(&[&a, &b], ChipConfig::with_cores(2, perfect, MemConfig::prototype()));
+    let got = chip_run_with(&[&a, &b], ChipConfig::with_cores(2, nuca, MemConfig::prototype()));
+    assert_eq!(got.0, want.0, "a core's own mem_backend moved the chip's stats");
+    assert_eq!(got.1, want.1, "a core's own mem_backend moved architectural state");
 }
 
 #[test]
