@@ -6,10 +6,14 @@
 //!   --overheads   only the critical-path breakdown
 //!   --perf        only the speedup/IPC columns
 //!   --quick       micro + kernel suites only
-//!   (default: everything)
+//!   (default: everything, and `BENCH_table3.json` in the current
+//!   directory: per program the hand run's cycles, its raw
+//!   critical-path cycles per category and the events the recorder
+//!   stored — simulated quantities only, gated by `git diff`)
 
 use trips_bench::{flags_or_exit, run_alpha, run_trips, speedup};
 use trips_core::{CoreConfig, CATS};
+use trips_harness::json::Object;
 use trips_harness::{num_threads, parallel_map};
 use trips_tasm::Quality;
 use trips_workloads::{suite, Class};
@@ -48,8 +52,8 @@ fn main() {
     let rows = parallel_map(rows, num_threads(), |wl| {
         let mut row = format!("{:<12}", wl.name);
         let hand = run_trips(&wl, Quality::Hand, CoreConfig::prototype_critpath());
+        let bd = hand.critpath.expect("critpath enabled");
         if overheads {
-            let bd = hand.critpath.as_ref().expect("critpath enabled");
             for c in CATS {
                 row.push_str(&format!(" {:>8.2}%", 100.0 * bd.fraction(c)));
             }
@@ -66,8 +70,16 @@ fn main() {
                 hand.ipc(),
             ));
         }
-        row
+        let cats =
+            CATS.iter().fold(Object::default(), |o, &c| o.lit(c.label(), bd.cycles[c as usize]));
+        let json = Object::default()
+            .str("name", wl.name)
+            .lit("cycles", hand.cycles)
+            .raw("critpath", cats)
+            .lit("events_stored", hand.critpath_events);
+        (row, json)
     });
+    let (rows, json): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     for row in rows {
         println!("{row}");
     }
@@ -78,4 +90,10 @@ fn main() {
     println!("Cont. = operand network latency and contention, Fanout Ops = mov-tree");
     println!("execution, Blk Complete / Blk Commit = the distributed detection and");
     println!("commit protocols, Other = work a monolithic core also performs.");
+
+    if overheads && perf && !quick {
+        let doc = Object::default().rows("programs", json).document();
+        std::fs::write("BENCH_table3.json", doc).expect("write BENCH_table3.json");
+        println!("\nwrote BENCH_table3.json");
+    }
 }

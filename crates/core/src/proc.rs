@@ -406,6 +406,7 @@ impl Processor {
         self.stats.mem = self.memsys.stats_snapshot();
         if self.crit.enabled() {
             self.stats.critpath = Some(self.crit.walk(self.gt.final_ev));
+            self.stats.critpath_events = self.crit.len() as u64;
         }
         self.stats.clone()
     }

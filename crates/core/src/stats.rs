@@ -222,6 +222,8 @@ pub struct CoreStats {
     pub mem: Option<MemSysStats>,
     /// Critical-path breakdown (present when recording was enabled).
     pub critpath: Option<CritBreakdown>,
+    /// Events the critical-path recorder stored (0 when it was off).
+    pub critpath_events: u64,
     /// Lifecycle timestamps of the first committed blocks (up to 64),
     /// recording the Figure 5b fetch/complete/commit/ack overlap.
     pub timeline: Vec<BlockTiming>,

@@ -27,6 +27,9 @@ cargo build --release -p trips-bench
 ./target/release/chipsim --shared
 ./target/release/paretosweep --smoke
 ./target/release/memsweep
+# The full Table 3, no flags: it writes BENCH_table3.json (E3's raw
+# critical-path cycles and the recorder's stored-event counts).
+./target/release/table3
 
 # BENCH_ledger.json — per ledger workload at seed 7: sim_cycles and the
 # oracle verdict of a timed run, and every exact counter (unit "count")
