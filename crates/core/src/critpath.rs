@@ -61,23 +61,42 @@ impl Cat {
 /// Sentinel for "no parent" (a root event).
 pub const NO_EVENT: u32 = u32::MAX;
 
+/// Events per chunk: a power of two, so an id splits by shift and mask.
+const CHUNK_BITS: u32 = 16;
+const CHUNK_MASK: u32 = (1 << CHUNK_BITS) - 1;
+/// Edge latencies saturate here: the latency shares a word with the
+/// category's three bits.
+const LAT_MAX: u64 = (1 << 29) - 1;
+
+/// A stored event: 12 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Event {
     time: u32,
     parent: u32,
-    cat: Cat,
-    lat: u32,
+    /// `lat << 3 | cat`.
+    lat_cat: u32,
+}
+
+/// The id of the `n`-th stored event. Ids stop short of [`NO_EVENT`]:
+/// an id that wrapped onto it would read as a root.
+fn event_id(n: usize) -> u32 {
+    match u32::try_from(n) {
+        Ok(id) if id != NO_EVENT => id,
+        _ => panic!("critical-path recorder full: {n} events stored, ids end at {NO_EVENT}"),
+    }
 }
 
 /// The event graph recorder.
 ///
 /// When disabled, [`CritPath::event`] is a no-op returning
 /// [`NO_EVENT`], so the simulator pays nothing on runs that do not
-/// need attribution.
+/// need attribution. Events live in fixed-size chunks, so growth
+/// never moves the recorded graph.
 #[derive(Debug, Default)]
 pub struct CritPath {
     enabled: bool,
-    events: Vec<Event>,
+    chunks: Vec<Vec<Event>>,
+    len: usize,
 }
 
 /// Per-category cycle totals from a critical-path walk.
@@ -107,7 +126,7 @@ impl CritBreakdown {
 impl CritPath {
     /// A recorder; `enabled` selects whether events are stored.
     pub fn new(enabled: bool) -> CritPath {
-        CritPath { enabled, events: Vec::new() }
+        CritPath { enabled, ..CritPath::default() }
     }
 
     /// True if events are being recorded.
@@ -115,19 +134,33 @@ impl CritPath {
         self.enabled
     }
 
+    fn get(&self, ev: u32) -> Event {
+        self.chunks[(ev >> CHUNK_BITS) as usize][(ev & CHUNK_MASK) as usize]
+    }
+
     /// Appends an event at `time`, reached from `parent` over an edge
     /// of `cat` costing `lat` cycles. Returns the event's id.
+    ///
+    /// An event that costs nothing and happens at its parent's stored
+    /// time is not stored: it returns the parent's id. That is exact —
+    /// a walk adds 0 for it, and [`time_of`](Self::time_of) and
+    /// [`later`](Self::later) read the same time either way. A
+    /// saturated time is never elided.
     pub fn event(&mut self, time: u64, parent: u32, cat: Cat, lat: u64) -> u32 {
         if !self.enabled {
             return NO_EVENT;
         }
-        let id = self.events.len() as u32;
-        self.events.push(Event {
-            time: time.min(u32::MAX as u64) as u32,
-            parent,
-            cat,
-            lat: lat.min(u32::MAX as u64) as u32,
-        });
+        let time = time.min(u64::from(u32::MAX)) as u32;
+        if lat == 0 && parent != NO_EVENT && time != u32::MAX && self.get(parent).time == time {
+            return parent;
+        }
+        let id = event_id(self.len);
+        if id & CHUNK_MASK == 0 {
+            self.chunks.push(Vec::with_capacity(1 << CHUNK_BITS));
+        }
+        let lat_cat = (lat.min(LAT_MAX) as u32) << 3 | cat as u32;
+        self.chunks[(id >> CHUNK_BITS) as usize].push(Event { time, parent, lat_cat });
+        self.len += 1;
         id
     }
 
@@ -136,45 +169,35 @@ impl CritPath {
         if ev == NO_EVENT || !self.enabled {
             0
         } else {
-            u64::from(self.events[ev as usize].time)
+            u64::from(self.get(ev).time)
         }
+    }
+
+    /// True if [`later`](Self::later) picks `b`: it arrived strictly
+    /// later than `a`, or `a` is missing. Ask this, not whether the
+    /// returned id equals `b` — two events can share an id.
+    pub fn picks_second(&self, a: u32, b: u32) -> bool {
+        b != NO_EVENT && (a == NO_EVENT || self.time_of(a) < self.time_of(b))
     }
 
     /// Of two candidate parents, the one with the later recorded time
     /// (the last-arriving edge).
     pub fn later(&self, a: u32, b: u32) -> u32 {
-        match (a, b) {
-            (NO_EVENT, b) => b,
-            (a, NO_EVENT) => a,
-            (a, b) => {
-                if self.time_of(a) >= self.time_of(b) {
-                    a
-                } else {
-                    b
-                }
-            }
+        if self.picks_second(a, b) {
+            b
+        } else {
+            a
         }
     }
 
-    /// Number of recorded events.
+    /// Number of stored events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
-    /// True if nothing was recorded.
+    /// True if nothing was stored.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of events on the chain from `last` back to a root.
-    pub fn chain_len(&self, last: u32) -> usize {
-        let mut n = 0;
-        let mut cur = last;
-        while cur != NO_EVENT {
-            n += 1;
-            cur = self.events[cur as usize].parent;
-        }
-        n
+        self.len == 0
     }
 
     /// Renders the first `n` chain events from `last` for debugging.
@@ -187,12 +210,10 @@ impl CritPath {
                 out.push_str("ROOT\n");
                 break;
             }
-            let e = self.events[cur as usize];
-            let _ = writeln!(
-                out,
-                "ev{cur}: t={} {:?} lat={} parent={}",
-                e.time, e.cat, e.lat, e.parent as i64
-            );
+            let e = self.get(cur);
+            let (cat, lat) = (CATS[(e.lat_cat & 7) as usize], e.lat_cat >> 3);
+            let _ =
+                writeln!(out, "ev{cur}: t={} {cat:?} lat={lat} parent={}", e.time, e.parent as i64);
             cur = e.parent;
         }
         out
@@ -204,8 +225,8 @@ impl CritPath {
         let mut out = CritBreakdown::default();
         let mut cur = last;
         while cur != NO_EVENT {
-            let e = self.events[cur as usize];
-            out.cycles[e.cat as usize] += u64::from(e.lat);
+            let e = self.get(cur);
+            out.cycles[(e.lat_cat & 7) as usize] += u64::from(e.lat_cat >> 3);
             cur = e.parent;
         }
         out
@@ -215,6 +236,122 @@ impl CritPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trips_harness::Rng;
+
+    /// The reference model: the recorder this module had before it
+    /// elided events and packed them into chunks — one 16-byte record
+    /// per call in one `Vec`, every id distinct.
+    mod reference {
+        use super::super::{Cat, CritBreakdown, NO_EVENT};
+
+        #[derive(Clone, Copy)]
+        struct Event {
+            time: u32,
+            parent: u32,
+            cat: Cat,
+            lat: u32,
+        }
+
+        #[derive(Default)]
+        pub struct CritPath {
+            events: Vec<Event>,
+        }
+
+        impl CritPath {
+            pub fn event(&mut self, time: u64, parent: u32, cat: Cat, lat: u64) -> u32 {
+                let id = self.events.len() as u32;
+                self.events.push(Event {
+                    time: time.min(u32::MAX as u64) as u32,
+                    parent,
+                    cat,
+                    lat: lat.min(u32::MAX as u64) as u32,
+                });
+                id
+            }
+
+            pub fn time_of(&self, ev: u32) -> u64 {
+                if ev == NO_EVENT {
+                    0
+                } else {
+                    u64::from(self.events[ev as usize].time)
+                }
+            }
+
+            pub fn later(&self, a: u32, b: u32) -> u32 {
+                match (a, b) {
+                    (NO_EVENT, b) => b,
+                    (a, NO_EVENT) => a,
+                    (a, b) => {
+                        if self.time_of(a) >= self.time_of(b) {
+                            a
+                        } else {
+                            b
+                        }
+                    }
+                }
+            }
+
+            pub fn len(&self) -> usize {
+                self.events.len()
+            }
+
+            pub fn walk(&self, last: u32) -> CritBreakdown {
+                let mut out = CritBreakdown::default();
+                let mut cur = last;
+                while cur != NO_EVENT {
+                    let e = self.events[cur as usize];
+                    out.cycles[e.cat as usize] += u64::from(e.lat);
+                    cur = e.parent;
+                }
+                out
+            }
+        }
+    }
+
+    /// Feeds the recorder and the reference model the same 200 000
+    /// calls (three chunks' worth once elision is taken off) and
+    /// requires, call by call, that the two returned ids walk to the
+    /// same breakdown, read the same time and make `later` pick the
+    /// same side against an earlier event — half the time the parent,
+    /// so ties are common. Parents are earlier returned ids (uniform,
+    /// so chains stay short) or a root; half the times tie the
+    /// parent's, and a quarter of the latencies are 0.
+    #[test]
+    fn elided_chunked_recorder_matches_the_reference_model() {
+        let mut rng = Rng::new(0x3e38);
+        let (mut cp, mut model) = (CritPath::new(true), reference::CritPath::default());
+        // `ids[i]` = (our id, the model's id) returned by call `i`.
+        let mut ids: Vec<(u32, u32)> = Vec::new();
+        let mut elided = 0;
+        for call in 0..200_000 {
+            let (p, rp) = if ids.is_empty() || rng.chance(1, 16) {
+                (NO_EVENT, NO_EVENT)
+            } else {
+                ids[rng.range_usize(0, ids.len())]
+            };
+            let time = if rng.chance(1, 2) {
+                model.time_of(rp)
+            } else {
+                model.time_of(rp) + rng.range_u64(1, 40)
+            };
+            let lat = if rng.chance(1, 4) { 0 } else { rng.range_u64(1, 40) };
+            let cat = CATS[rng.range_usize(0, NUM_CATS)];
+            if lat == 0 && rp != NO_EVENT && model.time_of(rp) == time {
+                elided += 1;
+            }
+            let (a, b) = (cp.event(time, p, cat, lat), model.event(time, rp, cat, lat));
+            assert_eq!(cp.walk(a), model.walk(b), "call {call}: walk");
+            assert_eq!(cp.time_of(a), model.time_of(b), "call {call}: time_of");
+            let (x, rx) = if rng.chance(1, 2) { (p, rp) } else { ids[rng.range_usize(0, call)] };
+            assert_eq!(cp.picks_second(x, a), model.later(rx, b) == b, "call {call}: later(x, a)");
+            assert_eq!(cp.picks_second(a, x), model.later(b, rx) == rx, "call {call}: later(a, x)");
+            assert_eq!(cp.later(x, a), if model.later(rx, b) == b { a } else { x });
+            ids.push((a, b));
+        }
+        assert!(elided > 10_000, "only {elided} calls were elidable");
+        assert_eq!(cp.len(), model.len() - elided);
+        assert!(cp.len() > 2 << CHUNK_BITS, "{} events fill fewer than three chunks", cp.len());
+    }
 
     #[test]
     fn disabled_recorder_is_free() {
@@ -248,5 +385,49 @@ mod tests {
         assert_eq!(cp.later(b, a), b);
         assert_eq!(cp.later(NO_EVENT, a), a);
         assert_eq!(cp.later(a, NO_EVENT), a);
+    }
+
+    #[test]
+    fn latency_saturates_at_29_bits_without_touching_the_category() {
+        let mut cp = CritPath::new(true);
+        let a = cp.event(1, NO_EVENT, Cat::BlockCommit, u64::MAX);
+        let b = cp.event(2, a, Cat::Fanout, 1 << 29);
+        let c = cp.event(3, b, Cat::IFetch, (1 << 29) - 2);
+        let bd = cp.walk(c);
+        assert_eq!(bd.cycles[Cat::BlockCommit as usize], (1 << 29) - 1);
+        assert_eq!(bd.cycles[Cat::Fanout as usize], (1 << 29) - 1);
+        assert_eq!(bd.cycles[Cat::IFetch as usize], (1 << 29) - 2);
+        assert_eq!(bd.total(), 3 * (1 << 29) - 4);
+    }
+
+    #[test]
+    fn a_saturated_time_is_never_elided() {
+        let mut cp = CritPath::new(true);
+        let a = cp.event(u64::MAX, NO_EVENT, Cat::Other, 1);
+        let b = cp.event(u64::from(u32::MAX) + 7, a, Cat::Other, 0);
+        assert_ne!(a, b);
+        assert_eq!(cp.len(), 2);
+        // The same shape below saturation is elided.
+        let c = cp.event(9, NO_EVENT, Cat::Other, 1);
+        assert_eq!(cp.event(9, c, Cat::OpnHop, 0), c);
+        assert_eq!(cp.len(), 3);
+    }
+
+    #[test]
+    fn ids_stop_short_of_no_event() {
+        assert_eq!(event_id(0), 0);
+        assert_eq!(event_id(NO_EVENT as usize - 1), NO_EVENT - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967295 events stored")]
+    fn an_id_that_would_alias_no_event_is_refused() {
+        event_id(NO_EVENT as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967296 events stored")]
+    fn an_id_past_u32_is_refused() {
+        event_id(1 << 32);
     }
 }

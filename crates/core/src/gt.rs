@@ -954,11 +954,14 @@ impl GlobalTile {
                 return;
             };
             let frame = FrameId(slot as u8);
-            let parent = crit.later(self.pc_ready_ev, self.slot_free_ev[slot]);
-            let cat = if parent == self.slot_free_ev[slot] && parent != NO_EVENT {
-                Cat::BlockCommit
+            // Charged to the commit protocol when the freed slot, not the
+            // next PC, arrived last. Decided by side, not by id: an
+            // elided event shares its parent's id.
+            let (pc_ev, slot_ev) = (self.pc_ready_ev, self.slot_free_ev[slot]);
+            let (parent, cat) = if crit.picks_second(pc_ev, slot_ev) {
+                (slot_ev, Cat::BlockCommit)
             } else {
-                Cat::IFetch
+                (pc_ev, Cat::IFetch)
             };
             let fetch_ev = crit.event(now, parent, cat, now.saturating_sub(crit.time_of(parent)));
             stats.protocol.fetches_started += 1;
