@@ -61,7 +61,7 @@ impl Cat {
 /// Sentinel for "no parent" (a root event).
 pub const NO_EVENT: u32 = u32::MAX;
 
-/// Events per chunk: a power of two, so an id splits by shift and mask.
+/// log2 of the events per chunk (64 Ki), so an id splits by shift and mask.
 const CHUNK_BITS: u32 = 16;
 const CHUNK_MASK: u32 = (1 << CHUNK_BITS) - 1;
 /// Edge latencies saturate here: the latency shares a word with the
@@ -76,13 +76,14 @@ struct Event {
     /// `lat << 3 | cat`.
     lat_cat: u32,
 }
+const _: () = assert!(std::mem::size_of::<Event>() == 12);
 
 /// The id of the `n`-th stored event. Ids stop short of [`NO_EVENT`]:
 /// an id that wrapped onto it would read as a root.
 fn event_id(n: usize) -> u32 {
     match u32::try_from(n) {
         Ok(id) if id != NO_EVENT => id,
-        _ => panic!("critical-path recorder full: {n} events stored, ids end at {NO_EVENT}"),
+        _ => panic!("critical-path recorder full: {n} events stored, at most {NO_EVENT} fit"),
     }
 }
 
