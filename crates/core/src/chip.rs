@@ -9,15 +9,25 @@
 //! [`Processor`] whose `memsys` adapter is bound to a disjoint
 //! computed `PortMap` slice of the shared [`SecondarySystem`], and
 //! the chip's `Nuca` — the system's one owner — runs the memory phase
-//! (inject → OCN/bank tick → drain) once per cycle for all cores,
-//! the same phase a solo NUCA processor runs for itself. A chip core
-//! owns no `Nuca`, whatever its own `mem_backend` names. The chip is
-//! the cores' one owner and ticks them in turn on the calling thread;
+//! (inject → OCN/bank tick → drain) once per cycle for all cores. A
+//! chip core owns no `Nuca`, whatever its own `mem_backend` names.
+//! The chip is the cores' one owner and ticks them in turn on the
+//! calling thread;
 //! host parallelism lives across independent runs, each building its
 //! own chip (DESIGN.md §5e). Because each slot's port/bank picture is
 //! a whole-block translation of a prototype slot, a core of any die
 //! is cycle-bit-identical to the same slot of the prototype die
 //! (pinned by `tests/chip_equivalence.rs`).
+//!
+//! **One run loop.** Every die runs through the loop written here
+//! once, over its cores and the NUCA they share, if any: a chip's
+//! cores, or a solo [`Processor`] (and its own NUCA, taken out of the
+//! core for the call) as the one core of its die — [`Processor::run`],
+//! [`Processor::tick`] and [`Processor::drain`] lend it. The loop owns
+//! the cycle budget and the timeout, the per-step invariant suite,
+//! each core's halt snapshot, the post-halt leak check, and the epoch
+//! skip over every core's schedule and the NUCA's timers. The die's
+//! clock is its cores' own: they tick in lockstep.
 //!
 //! **Arbitration.** Within a core the fixed client order stands, so a
 //! lone core is never restricted — a one-core chip is bit-identical
@@ -56,12 +66,14 @@ use std::rc::Rc;
 
 use trips_isa::mem::SparseMem;
 use trips_isa::ProgramImage;
-use trips_mem::{CohSnapshot, DirView, MemConfig, OcnGeometry, SecondarySystem};
+use trips_mem::{CohSnapshot, DirView, MemConfig, OcnGeometry, SecondarySystem, MAX_CORES};
 use trips_micronet::MAX_TAGS;
 
 use crate::config::TileMask;
+use crate::invariants::{self, InvariantViolation};
 use crate::memsys::{MemSys, Nuca};
-use crate::proc::{skip_target, Processor, SimError};
+use crate::proc::{Processor, SimError};
+use crate::profile::TickPhase;
 use crate::stats::CoreStats;
 use crate::trace::{chrome_trace_chip, Tracer};
 use crate::CoreConfig;
@@ -79,7 +91,7 @@ pub struct ChipConfig {
     pub mem: MemConfig,
     /// Retired: the cores always tick in turn on the calling thread.
     /// `None` and `Some(false)` are accepted; [`ChipConfig::validate`]
-    /// rejects `Some(true)`. The field leaves with ROADMAP 6f.
+    /// rejects `Some(true)`. The field leaves with ROADMAP item 9b.
     pub threaded: Option<bool>,
     /// Run the cores in one coherent physical address space (MSI
     /// directory protocol at the NUCA banks) instead of the default
@@ -113,7 +125,7 @@ impl ChipConfig {
     }
 
     /// Checks that the die can be built: 1..=16 cores (the computed
-    /// OCN geometry and its tag space, [`trips_mem::MAX_CORES`]), a
+    /// OCN geometry and its tag space, [`MAX_CORES`]), a
     /// valid shared [`MemConfig`] ([`MemConfig::validate`]), each
     /// a buildable core ([`CoreConfig::validate`]) with no more DTs and
     /// ITs than its slot owns OCN ports for.
@@ -128,8 +140,8 @@ impl ChipConfig {
             return Err("threaded: Some(true) is unsupported; cores tick on one thread".into());
         }
         let n = self.cores.len();
-        if !(1..=trips_mem::MAX_CORES).contains(&n) {
-            return Err(format!("a die seats 1..={} cores, not {n}", trips_mem::MAX_CORES));
+        if !(1..=MAX_CORES).contains(&n) {
+            return Err(format!("a die seats 1..={} cores, not {n}", MAX_CORES));
         }
         self.mem.validate().map_err(|e| format!("mem: {e}"))?;
         let ocn = OcnGeometry::for_cores(n);
@@ -187,12 +199,6 @@ pub struct Chip {
     /// The shared NUCA, its bank arbiter and injection priority.
     nuca: Nuca,
     cfg: ChipConfig,
-    cycle: u64,
-    /// Each core's stats, captured the cycle it halted.
-    finished: Vec<Option<CoreStats>>,
-    /// Scratch for the per-core schedules (avoids a per-cycle
-    /// allocation).
-    scans: Vec<(TileMask, Option<u64>)>,
 }
 
 impl Chip {
@@ -208,22 +214,14 @@ impl Chip {
     ///
     /// What [`ChipConfig::validate`] rejects.
     pub fn try_new(cfg: ChipConfig) -> Result<Chip, String> {
-        const _: () = assert!(trips_mem::MAX_CORES <= MAX_TAGS, "core tags must fit the tag space");
+        const _: () = assert!(MAX_CORES <= MAX_TAGS, "core tags must fit the tag space");
         cfg.validate()?;
-        let n = cfg.cores.len();
         let mut cores =
             cfg.cores.iter().cloned().map(Processor::try_new).collect::<Result<Vec<_>, _>>()?;
         for (k, core) in cores.iter_mut().enumerate() {
             Chip::seat(core, k, &cfg);
         }
-        Ok(Chip {
-            cores,
-            nuca: Nuca::new(&cfg.mem, &cfg.cores, cfg.shared_memory),
-            cfg,
-            cycle: 0,
-            finished: vec![None; n],
-            scans: vec![(0, None); n],
-        })
+        Ok(Chip { cores, nuca: Nuca::new(&cfg.mem, &cfg.cores, cfg.shared_memory), cfg })
     }
 
     /// Makes `core`, just built from its own config, slot `k` of the
@@ -308,11 +306,8 @@ impl Chip {
     ) -> Result<ChipStats, SimError> {
         assert_eq!(images.len(), self.cores.len(), "one image slot per core");
         assert!(images.iter().any(Option::is_some), "at least one slot must be live");
-        let n = self.cores.len();
         // Reset chip-level state for back-to-back runs.
         self.nuca = Nuca::new(&self.cfg.mem, &self.cfg.cores, self.cfg.shared_memory);
-        self.cycle = 0;
-        self.finished = vec![None; n];
         for (k, core) in self.cores.iter_mut().enumerate() {
             match images[k] {
                 Some(image) => core.start(image),
@@ -327,7 +322,8 @@ impl Chip {
             }
             Chip::seat(core, k, &self.cfg);
         }
-        if self.cfg.shared_memory {
+        let shared = self.cfg.shared_memory;
+        if shared {
             // One physical address space: one memory, the union of
             // every live image loaded in slot order, and every core
             // holds a handle to it.
@@ -340,311 +336,393 @@ impl Chip {
                 core.mem = Rc::clone(&mem);
             }
         }
-        for (k, image) in images.iter().enumerate() {
-            if image.is_none() {
-                self.finished[k] = Some(CoreStats::default());
+        Die::new(&mut self.cores, Some(&mut self.nuca)).run(max_cycles, |die, cores| {
+            let (nuca, n) = (die.nuca.as_deref().expect("a chip's die has its NUCA"), cores.len());
+            ChipStats {
+                cycles: die.cycle(),
+                bank_conflict_stalls: nuca.arb.conflict_stalls.clone(),
+                ocn_tag_highwater: nuca.sys.ocn_tag_highwater()[..n].to_vec(),
+                ocn_tag_counts: nuca.sys.ocn_tag_counts()[..n].to_vec(),
+                coherence: shared.then(|| nuca.sys.coherence()),
+                cores,
             }
-        }
-        let check = self.cfg.cores.iter().any(|c| c.check_invariants);
-        while !self.cores.iter().all(Processor::halted) {
-            if self.cycle >= max_cycles {
-                let k = self.cores.iter().position(|c| !c.halted()).expect("an unhalted core");
-                return Err(SimError::Timeout {
-                    cycles: self.cycle,
-                    blocks_committed: self.cores[k].stats.blocks_committed,
-                    diagnosis: Box::new(self.cores[k].diagnose()),
-                });
-            }
-            self.tick_until(max_cycles);
-            if check {
-                self.check_invariants()?;
-            }
-            for k in 0..self.cores.len() {
-                let core = &mut self.cores[k];
-                if core.halted() && self.finished[k].is_none() {
-                    self.nuca.fold_stats(&mut core.memsys);
-                    self.finished[k] = Some(core.finish_stats());
-                }
-            }
-        }
-        let stats = self.collect_stats();
-        if check {
-            // Leak check, as in the solo path: after every core halts,
-            // the whole chip — cores and the shared system — must
-            // drain.
-            if !self.drain(10_000) {
-                return Err(SimError::Invariant {
-                    cycle: self.cycle,
-                    violation: format!(
-                        "chip failed to quiesce within 10000 cycles after halt: {}",
-                        self.cores
-                            .iter()
-                            .map(|c| c.diagnose().summary())
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    ),
-                });
-            }
-            self.check_invariants()?;
-        }
-        Ok(stats)
+        })
     }
 
-    fn collect_stats(&mut self) -> ChipStats {
-        let tag_hw = self.nuca.sys.ocn_tag_highwater();
-        let tag_counts = self.nuca.sys.ocn_tag_counts();
-        let n = self.cores.len();
-        ChipStats {
-            cores: self.finished.iter().map(|s| s.clone().expect("core finished")).collect(),
-            cycles: self.cycle,
-            bank_conflict_stalls: self.nuca.arb.conflict_stalls.clone(),
-            ocn_tag_highwater: tag_hw[..n].to_vec(),
-            ocn_tag_counts: tag_counts[..n].to_vec(),
-            coherence: self.cfg.shared_memory.then(|| self.nuca.sys.coherence()),
-        }
-    }
-
-    /// One chip cycle: every core's tiles and micronets tick (a
-    /// halted core is near-quiesced, so its gated tick is cheap and
-    /// lets it keep consuming late completions), then the NUCA's
-    /// memory phase runs ([`Nuca::tick`], the same phase a solo NUCA
-    /// core runs for itself).
-    ///
-    /// **Epoch skipping.** Cores of a chip must stay in lockstep, so
-    /// a core never fast-forwards on its own; instead the chip takes
-    /// every core's schedule up front and, when *all* of them report
-    /// no runnable tile, jumps the whole chip — every core's clock,
-    /// the rotating injection priority, and the chip cycle — to the
-    /// earliest wake across the cores and the shared system's own
-    /// bank timers (the same `skip_target` decision a solo core
-    /// makes, clamped to `horizon` the same way: a jump that lands on
-    /// it returns without ticking). A `Reference` core's mask is
-    /// never empty, so a chip that seats one never skips. The
-    /// priority counter advances by the skipped span exactly as it
-    /// would have cycle-by-cycle, so arbitration after a skip is
-    /// bit-identical.
-    fn tick_until(&mut self, horizon: u64) {
-        loop {
-            let now = self.cycle;
-            for (scan, core) in self.scans.iter_mut().zip(&self.cores) {
-                *scan = core.schedule(now);
-            }
-            let idle = self.scans.iter().all(|&(mask, _)| mask == 0);
-            let wake =
-                self.scans.iter().filter_map(|&(_, w)| w).chain(self.nuca.next_event(now)).min();
-            let Some(w) = skip_target(now, idle, wake, horizon) else {
-                break;
-            };
-            for core in &mut self.cores {
-                core.skip_to(w);
-            }
-            self.nuca.skip(w - now);
-            self.cycle = w;
-            if w == horizon {
-                return;
-            }
-        }
-        let now = self.cycle;
-        // A halted core ticks too: its clock stays in lockstep and its
-        // tiles consume still-arriving completions (its stats were
-        // snapshotted the cycle it halted).
-        for (core, &(mask, _)) in self.cores.iter_mut().zip(&self.scans) {
-            core.tick_with_mask(mask);
-        }
-        if self.cfg.shared_memory {
-            self.propagate_stores(now);
-        }
-        self.nuca.tick(now, &mut self.cores);
-        self.cycle += 1;
-    }
-
-    /// The value plane of the coherent chip: every store drained at
-    /// commit this cycle is written **once** to the one shared memory,
-    /// in one global order (writer core index, then drain order within
-    /// the core), so same-cycle conflicting stores resolve the same
-    /// way for every core. Runs after every core has ticked this
-    /// cycle, so a store becomes visible to every core — its writer
-    /// included — at the end of the cycle it drains; the writer's
-    /// younger loads see it earlier only through LSQ forwarding.
-    /// Remote cores also take the speculation repair: cached copies of
-    /// the touched lines are dropped, in-flight fills poisoned, and any
-    /// speculatively performed overlapping load squashed via a
-    /// violation flush.
-    fn propagate_stores(&mut self, now: u64) {
-        for k in 0..self.cores.len() {
-            let props = self.cores[k].memsys.take_propagations();
-            for (ea, val, bytes) in props {
-                self.cores[k].mem.borrow_mut().write_uint(ea, val, bytes as u32);
-                for j in (0..self.cores.len()).filter(|&j| j != k) {
-                    self.cores[j].shared_invalidate(now, ea, bytes);
-                }
-            }
-        }
-    }
-
-    /// Ticks until every core quiesces (or `budget` cycles elapse —
-    /// cycle-denominated, so an epoch-skipping drain covers the same
-    /// simulated span as a cycle-by-cycle one); returns whether the
-    /// chip quiesced.
+    /// Ticks until every core and the shared system quiesce, or
+    /// `budget` chip cycles elapse; returns whether the chip quiesced
+    /// (see [`Processor::drain`]).
     pub fn drain(&mut self, budget: u64) -> bool {
-        let end = self.cycle.saturating_add(budget);
-        while self.cycle < end {
-            if self.quiesced() {
-                return true;
-            }
-            self.tick_until(end);
-        }
-        self.quiesced()
+        Die::new(&mut self.cores, Some(&mut self.nuca)).drain(budget)
     }
 
     /// True when every core has quiesced and nothing is left in the
     /// shared system.
     pub fn quiesced(&self) -> bool {
-        self.cores.iter().all(Processor::quiesced) && self.nuca.sys.in_system() == 0
+        quiesced(&self.cores, Some(&self.nuca))
     }
 
-    /// Chip-level conservation plus every core's own invariant suite:
-    /// the shared OCN's packet accounting balances, and the cores'
-    /// accepted-but-undelivered requests sum to exactly what the
-    /// system holds (no response can be lost *or* misdelivered to
-    /// another core's port without this failing).
+    /// Every core's own invariant suite, the shared NUCA's conservation
+    /// audit, and on a [`ChipConfig::shared_memory`] chip the coherence
+    /// suite.
     ///
     /// # Errors
     ///
     /// The first violated invariant as a [`SimError::Invariant`].
     pub fn check_invariants(&self) -> Result<(), SimError> {
-        for (k, core) in self.cores.iter().enumerate() {
-            core.check_invariants().map_err(|v| SimError::Invariant {
-                cycle: v.cycle,
-                violation: format!("core {k}: {}", v.detail),
-            })?;
-        }
-        self.audit().map_err(|e| SimError::Invariant { cycle: self.cycle, violation: e })?;
-        if self.cfg.shared_memory {
-            self.check_coherence()
-                .map_err(|e| SimError::Invariant { cycle: self.cycle, violation: e })?;
-        }
-        Ok(())
+        check(&self.cores, Some(&self.nuca)).map_err(invariant)
+    }
+}
+
+/// A die in motion: its cores, in slot order, and the NUCA they share,
+/// if any — a [`Chip`]'s, or a solo NUCA [`Processor`]'s own, lent for
+/// the call. Every run, tick and drain of one core or sixteen goes
+/// through here: one budget check, one epoch skip, one leak check.
+pub(crate) struct Die<'a> {
+    cores: &'a mut [Processor],
+    nuca: Option<&'a mut Nuca>,
+    /// The cores share one coherent memory: the value plane runs each
+    /// cycle.
+    coherent: bool,
+    /// Each core's schedule for the cycle being decided (scratch, so a
+    /// step allocates nothing).
+    scans: [(TileMask, Option<u64>); MAX_CORES],
+}
+
+impl<'a> Die<'a> {
+    /// The die of `cores` around `nuca`.
+    pub(crate) fn new(cores: &'a mut [Processor], nuca: Option<&'a mut Nuca>) -> Die<'a> {
+        let coherent = cores[0].memsys.is_coherent();
+        Die { cores, nuca, coherent, scans: [(0, None); MAX_CORES] }
     }
 
-    /// The coherence invariant suite, run every checked tick of a
-    /// shared-memory chip (see DESIGN.md §5g for the arguments):
+    /// The die's clock: every core's, since they tick in lockstep.
+    fn cycle(&self) -> u64 {
+        self.cores[0].cycle
+    }
+
+    /// Ticks until every core halts or the clock reaches `max_cycles`.
+    /// A core halted before the first tick is an idle slot and reports
+    /// default stats; every other core's stats are snapshotted the
+    /// cycle it halts, after [`Nuca::fold_stats`], so a co-runner's
+    /// tail cannot leak into them. `at_halt` sees the die and those
+    /// stats once every core has halted, before the leak check's drain
+    /// ticks. When any core checks invariants, the whole suite
+    /// ([`check`]) runs every step, and after the halt the die must
+    /// drain.
+    pub(crate) fn run<R>(
+        &mut self,
+        max_cycles: u64,
+        at_halt: impl FnOnce(&Die<'_>, Vec<CoreStats>) -> R,
+    ) -> Result<R, SimError> {
+        let mut finished: Vec<Option<CoreStats>> =
+            self.cores.iter().map(|c| c.halted().then(CoreStats::default)).collect();
+        let checked = self.cores.iter().any(|c| c.cfg.check_invariants);
+        while let Some(core) = self.cores.iter().find(|c| !c.halted()) {
+            if core.cycle >= max_cycles {
+                return Err(SimError::Timeout {
+                    cycles: core.cycle,
+                    blocks_committed: core.stats.blocks_committed,
+                    diagnosis: Box::new(core.diagnose()),
+                });
+            }
+            self.tick_until(max_cycles);
+            if checked {
+                self.check()?;
+            }
+            for (core, done) in self.cores.iter_mut().zip(&mut finished) {
+                if core.halted() && done.is_none() {
+                    if let Some(nuca) = &self.nuca {
+                        nuca.fold_stats(&mut core.memsys);
+                    }
+                    *done = Some(core.finish_stats());
+                }
+            }
+        }
+        let out = at_halt(self, finished.into_iter().map(|s| s.expect("halted")).collect());
+        if checked {
+            // Leak check: after halt, every in-flight operand, wave,
+            // and queue — the shared system's included — must drain. An
+            // operand created but never consumed, or a flush that left
+            // residue behind, keeps a tile or net active forever and
+            // fails here.
+            if !self.drain(10_000) {
+                let hangs: Vec<String> =
+                    self.cores.iter().map(|c| c.diagnose().summary()).collect();
+                return Err(SimError::Invariant {
+                    cycle: self.cycle(),
+                    violation: format!(
+                        "failed to quiesce within 10000 cycles after halt (leaked operand or \
+                         undrained queue): {}",
+                        hangs.join("; ")
+                    ),
+                });
+            }
+            self.check()?;
+        }
+        Ok(out)
+    }
+
+    /// One step of the die, never past `horizon`.
     ///
-    /// 1. **Directory sanity** — no duplicate sharers, the owner is
-    ///    not also a sharer, pending victims are disjoint from the
-    ///    sharer list, and a stable M entry (owner set, no pending
-    ///    invalidations) lists no sharers.
-    /// 2. **Inclusion / agreement** — every line a DT cache actually
-    ///    holds is listed for that DT's port at the line's home
-    ///    directory (as owner, sharer, or pending victim). The
-    ///    directory may over-approximate (silent evictions), never
-    ///    under-approximate.
-    /// 3. **SWMR** — a stable M line has exactly one cached copy:
-    ///    the owner's. (With 2., any other copy would have to be
-    ///    listed, and 1. says a stable M entry lists nobody else.)
-    /// 4. **Message conservation** — unacknowledged invalidations
-    ///    equal invalidations sent minus acks counted, and every
-    ///    entry mid-invalidation parks exactly one deferred write
-    ///    ack.
-    fn check_coherence(&self) -> Result<(), String> {
-        let sys = &self.nuca.sys;
-        let views = sys.dir_views();
-        let coh = sys.coherence();
-        let mut by_line: BTreeMap<u64, &DirView> = BTreeMap::new();
-        for v in &views {
-            if let Some(o) = v.owner_port {
-                if v.sharer_ports.contains(&o) {
-                    return Err(format!(
-                        "dir bank {} line {:#x}: owner port {o} also on the sharer list",
-                        v.bank, v.line
-                    ));
-                }
+    /// **Epoch skipping.** Cores stay in lockstep, so none
+    /// fast-forwards on its own: the die takes every core's schedule
+    /// up front and, when *all* of them report no runnable tile, jumps
+    /// every core's clock and the NUCA's rotating injection priority to
+    /// the earliest wake across the cores and the NUCA's own timers
+    /// ([`skip_target`], clamped to `horizon`: a jump that lands on it
+    /// returns without ticking, so a run with a cycle budget observes
+    /// the same cycle, and the same state, as a cycle-by-cycle run that
+    /// exhausts it). A `Reference` core's mask is never empty, so a die
+    /// that seats one never skips.
+    ///
+    /// Otherwise every core ticks its due tiles and micronets
+    /// ([`Processor::tick_with_mask`]; a halted core ticks too: its
+    /// clock stays in lockstep and its tiles consume still-arriving
+    /// completions), then the value plane runs on a coherent die
+    /// ([`propagate_stores`]), then the NUCA's memory phase
+    /// ([`Nuca::tick`]).
+    /// The schedule read and the memory phase are timed into slot 0's
+    /// [`TickProfile`](crate::TickProfile), once per step.
+    pub(crate) fn tick_until(&mut self, horizon: u64) {
+        let tp = self.cores[0].profile.begin();
+        let ticks = loop {
+            let now = self.cycle();
+            for (scan, core) in self.scans.iter_mut().zip(&*self.cores) {
+                *scan = core.schedule(now);
             }
-            for (i, &s) in v.sharer_ports.iter().enumerate() {
-                if v.sharer_ports[..i].contains(&s) {
-                    return Err(format!(
-                        "dir bank {} line {:#x}: duplicate sharer port {s}",
-                        v.bank, v.line
-                    ));
-                }
+            let scans = &self.scans[..self.cores.len()];
+            let idle = scans.iter().all(|&(mask, _)| mask == 0);
+            let nuca = self.nuca.as_ref().and_then(|n| n.next_event(now));
+            let wake = scans.iter().filter_map(|&(_, w)| w).chain(nuca).min();
+            let Some(w) = skip_target(now, idle, wake, horizon) else {
+                break true;
+            };
+            for core in self.cores.iter_mut() {
+                core.skip_to(w);
             }
-            if v.pending_ports.iter().any(|p| v.sharer_ports.contains(p)) {
+            if let Some(nuca) = &mut self.nuca {
+                nuca.skip(w - now);
+            }
+            if w == horizon {
+                break false;
+            }
+            // Re-read at the landing cycle: a timer or arrival has
+            // just matured there.
+        };
+        self.cores[0].profile.end(TickPhase::Scan, tp);
+        if !ticks {
+            return;
+        }
+        let now = self.cycle();
+        for (core, &(mask, _)) in self.cores.iter_mut().zip(&self.scans) {
+            core.tick_with_mask(mask);
+        }
+        let tp = self.cores[0].profile.begin();
+        if self.coherent {
+            propagate_stores(self.cores, now);
+        }
+        if let Some(nuca) = &mut self.nuca {
+            nuca.tick(now, self.cores);
+        }
+        self.cores[0].profile.end(TickPhase::MemSys, tp);
+    }
+
+    /// Ticks until the die [quiesces](quiesced) or `budget` cycles
+    /// elapse; returns whether it quiesced. Cycle-denominated (not
+    /// step-denominated), so an epoch-skipping drain covers the same
+    /// simulated span as a cycle-by-cycle one.
+    pub(crate) fn drain(&mut self, budget: u64) -> bool {
+        let end = self.cycle().saturating_add(budget);
+        while self.cycle() < end {
+            if quiesced(self.cores, self.nuca.as_deref()) {
+                return true;
+            }
+            self.tick_until(end);
+        }
+        quiesced(self.cores, self.nuca.as_deref())
+    }
+
+    fn check(&self) -> Result<(), SimError> {
+        check(self.cores, self.nuca.as_deref()).map_err(invariant)
+    }
+}
+
+/// The one epoch-skip decision: when nothing can act at `now` (`idle`:
+/// every activity mask is empty) and the earliest `wake` lies in the
+/// future, the cycle to jump to — the wake clamped to the caller's
+/// `horizon`, so a run with a cycle budget stops on the budget exactly
+/// as a cycle-by-cycle one does. `None` means tick this cycle.
+fn skip_target(now: u64, idle: bool, wake: Option<u64>, horizon: u64) -> Option<u64> {
+    let w = wake?.min(horizon);
+    (idle && w > now).then_some(w)
+}
+
+/// True when every core has quiesced and nothing is left in the NUCA.
+fn quiesced(cores: &[Processor], nuca: Option<&Nuca>) -> bool {
+    cores.iter().all(Processor::quiesced) && nuca.is_none_or(|n| n.sys.in_system() == 0)
+}
+
+/// A die's whole invariant suite: every core's own
+/// ([`crate::invariants`]), then the NUCA's conservation audit (the
+/// OCN's packet accounting balances, and the cores'
+/// accepted-but-undelivered requests sum to exactly what the system
+/// holds, so no response can be lost *or* misdelivered to another
+/// core's port), then on a coherent die the coherence suite.
+///
+/// # Errors
+///
+/// The first violated invariant, at the die's cycle.
+pub(crate) fn check(cores: &[Processor], nuca: Option<&Nuca>) -> Result<(), InvariantViolation> {
+    for (k, core) in cores.iter().enumerate() {
+        invariants::check(core).map_err(|v| InvariantViolation {
+            cycle: v.cycle,
+            detail: format!("core {k}: {}", v.detail),
+        })?;
+    }
+    let Some(nuca) = nuca else { return Ok(()) };
+    let fail = |detail| InvariantViolation { cycle: cores[0].cycle, detail };
+    nuca.audit(cores).map_err(fail)?;
+    if cores[0].memsys.is_coherent() {
+        check_coherence(cores, &nuca.sys).map_err(fail)?;
+    }
+    Ok(())
+}
+
+fn invariant(v: InvariantViolation) -> SimError {
+    SimError::Invariant { cycle: v.cycle, violation: v.detail }
+}
+
+/// The value plane of the coherent chip: every store drained at
+/// commit this cycle is written **once** to the one shared memory,
+/// in one global order (writer core index, then drain order within
+/// the core), so same-cycle conflicting stores resolve the same
+/// way for every core. Runs after every core has ticked this
+/// cycle, so a store becomes visible to every core — its writer
+/// included — at the end of the cycle it drains; the writer's
+/// younger loads see it earlier only through LSQ forwarding.
+/// Remote cores also take the speculation repair: cached copies of
+/// the touched lines are dropped, in-flight fills poisoned, and any
+/// speculatively performed overlapping load squashed via a
+/// violation flush.
+fn propagate_stores(cores: &mut [Processor], now: u64) {
+    for k in 0..cores.len() {
+        let props = cores[k].memsys.take_propagations();
+        for (ea, val, bytes) in props {
+            cores[k].mem.borrow_mut().write_uint(ea, val, bytes as u32);
+            for j in (0..cores.len()).filter(|&j| j != k) {
+                cores[j].shared_invalidate(now, ea, bytes);
+            }
+        }
+    }
+}
+
+/// The coherence invariant suite, run every checked tick of a
+/// coherent die (see DESIGN.md §5g for the arguments):
+///
+/// 1. **Directory sanity** — no duplicate sharers, the owner is
+///    not also a sharer, pending victims are disjoint from the
+///    sharer list, and a stable M entry (owner set, no pending
+///    invalidations) lists no sharers.
+/// 2. **Inclusion / agreement** — every line a DT cache actually
+///    holds is listed for that DT's port at the line's home
+///    directory (as owner, sharer, or pending victim). The
+///    directory may over-approximate (silent evictions), never
+///    under-approximate.
+/// 3. **SWMR** — a stable M line has exactly one cached copy:
+///    the owner's. (With 2., any other copy would have to be
+///    listed, and 1. says a stable M entry lists nobody else.)
+/// 4. **Message conservation** — unacknowledged invalidations
+///    equal invalidations sent minus acks counted, and every
+///    entry mid-invalidation parks exactly one deferred write
+///    ack.
+fn check_coherence(cores: &[Processor], sys: &SecondarySystem) -> Result<(), String> {
+    let views = sys.dir_views();
+    let coh = sys.coherence();
+    let mut by_line: BTreeMap<u64, &DirView> = BTreeMap::new();
+    for v in &views {
+        if let Some(o) = v.owner_port {
+            if v.sharer_ports.contains(&o) {
                 return Err(format!(
-                    "dir bank {} line {:#x}: a pending victim is still on the sharer list",
+                    "dir bank {} line {:#x}: owner port {o} also on the sharer list",
                     v.bank, v.line
                 ));
             }
-            if v.owner_port.is_some() && v.pending_ports.is_empty() && !v.sharer_ports.is_empty() {
+        }
+        for (i, &s) in v.sharer_ports.iter().enumerate() {
+            if v.sharer_ports[..i].contains(&s) {
                 return Err(format!(
-                    "dir bank {} line {:#x}: stable M (owner {:?}) with sharers {:?}",
-                    v.bank, v.line, v.owner_port, v.sharer_ports
+                    "dir bank {} line {:#x}: duplicate sharer port {s}",
+                    v.bank, v.line
                 ));
             }
-            by_line.insert(v.line, v);
         }
-        // Inclusion, and SWMR via the holder sets it implies.
-        for (k, core) in self.cores.iter().enumerate() {
-            for dt in &core.dts {
-                let port = core.memsys.dt_port(dt.index) as u16;
-                for line in dt.cached_lines() {
-                    let Some(v) = by_line.get(&line) else {
+        if v.pending_ports.iter().any(|p| v.sharer_ports.contains(p)) {
+            return Err(format!(
+                "dir bank {} line {:#x}: a pending victim is still on the sharer list",
+                v.bank, v.line
+            ));
+        }
+        if v.owner_port.is_some() && v.pending_ports.is_empty() && !v.sharer_ports.is_empty() {
+            return Err(format!(
+                "dir bank {} line {:#x}: stable M (owner {:?}) with sharers {:?}",
+                v.bank, v.line, v.owner_port, v.sharer_ports
+            ));
+        }
+        by_line.insert(v.line, v);
+    }
+    // Inclusion, and SWMR via the holder sets it implies.
+    for (k, core) in cores.iter().enumerate() {
+        for dt in &core.dts {
+            let port = core.memsys.dt_port(dt.index) as u16;
+            for line in dt.cached_lines() {
+                let Some(v) = by_line.get(&line) else {
+                    return Err(format!(
+                        "core {k} DT{} caches line {line:#x} with no directory entry",
+                        dt.index
+                    ));
+                };
+                let listed = v.owner_port == Some(port)
+                    || v.sharer_ports.contains(&port)
+                    || v.pending_ports.contains(&port);
+                if !listed {
+                    return Err(format!(
+                        "core {k} DT{} caches line {line:#x} but the home directory \
+                         (bank {}) does not list port {port}: owner {:?} sharers {:?} \
+                         pending {:?}",
+                        dt.index, v.bank, v.owner_port, v.sharer_ports, v.pending_ports
+                    ));
+                }
+                if let Some(o) = v.owner_port {
+                    if v.pending_ports.is_empty() && o != port {
                         return Err(format!(
-                            "core {k} DT{} caches line {line:#x} with no directory entry",
+                            "SWMR violated: line {line:#x} is stable M at port {o} but \
+                             core {k} DT{} (port {port}) holds a copy",
                             dt.index
                         ));
-                    };
-                    let listed = v.owner_port == Some(port)
-                        || v.sharer_ports.contains(&port)
-                        || v.pending_ports.contains(&port);
-                    if !listed {
-                        return Err(format!(
-                            "core {k} DT{} caches line {line:#x} but the home directory \
-                             (bank {}) does not list port {port}: owner {:?} sharers {:?} \
-                             pending {:?}",
-                            dt.index, v.bank, v.owner_port, v.sharer_ports, v.pending_ports
-                        ));
-                    }
-                    if let Some(o) = v.owner_port {
-                        if v.pending_ports.is_empty() && o != port {
-                            return Err(format!(
-                                "SWMR violated: line {line:#x} is stable M at port {o} but \
-                                 core {k} DT{} (port {port}) holds a copy",
-                                dt.index
-                            ));
-                        }
                     }
                 }
             }
         }
-        // Conservation.
-        let pending_total: u64 = views.iter().map(|v| v.pending_ports.len() as u64).sum();
-        if pending_total != coh.invals_sent - coh.inval_acks {
-            return Err(format!(
-                "invalidation conservation broken: {pending_total} pending victims != \
-                 {} sent - {} acked",
-                coh.invals_sent, coh.inval_acks
-            ));
-        }
-        let mid_inval = views.iter().filter(|v| !v.pending_ports.is_empty()).count();
-        if mid_inval != sys.dir_deferred() {
-            return Err(format!(
-                "deferred-ack conservation broken: {mid_inval} entries mid-invalidation != \
-                 {} parked write acks",
-                sys.dir_deferred()
-            ));
-        }
-        Ok(())
     }
-
-    /// The chip-wide conservation audit, [`Nuca::audit`] over every
-    /// core (see [`Chip::check_invariants`]).
-    ///
-    /// # Errors
-    ///
-    /// A description of the first violated accounting equation.
-    pub fn audit(&self) -> Result<(), String> {
-        self.nuca.audit(&self.cores)
+    // Conservation.
+    let pending_total: u64 = views.iter().map(|v| v.pending_ports.len() as u64).sum();
+    if pending_total != coh.invals_sent - coh.inval_acks {
+        return Err(format!(
+            "invalidation conservation broken: {pending_total} pending victims != \
+             {} sent - {} acked",
+            coh.invals_sent, coh.inval_acks
+        ));
     }
+    let mid_inval = views.iter().filter(|v| !v.pending_ports.is_empty()).count();
+    if mid_inval != sys.dir_deferred() {
+        return Err(format!(
+            "deferred-ack conservation broken: {mid_inval} entries mid-invalidation != \
+             {} parked write acks",
+            sys.dir_deferred()
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

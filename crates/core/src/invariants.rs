@@ -39,7 +39,9 @@
 //!   injection, inside the OCN/banks, or a completion awaiting its
 //!   tile; and the OCN's own packet accounting balances. The network
 //!   may delay a fill or a store acknowledgement arbitrarily but can
-//!   never drop or duplicate one.
+//!   never drop or duplicate one. The adapter's half is checked here;
+//!   the system-wide equations belong to the die that owns the NUCA
+//!   ([`Processor::check_invariants`] runs both on a solo NUCA core).
 //! * **Wake table** — every tile's filed due cycle equals the one
 //!   recomputed from its state and inbox heads (the scheduler's whole
 //!   input; a missed push would let a tile sleep through its event).
@@ -47,9 +49,9 @@
 //! The remaining tentpole properties are checked at run boundaries
 //! rather than per tick: *flush fully drains a frame's in-flight
 //! state* and *no operand is created but never consumed* both reduce
-//! to the core quiescing after halt — [`Processor::run`] with
-//! invariants on drains the halted core and requires
-//! [`Processor::quiesced`]; any leaked operand, stuck wave, or
+//! to the die quiescing after halt — [`Processor::run`] (and a chip's
+//! run) with invariants on drains the halted die and requires every
+//! core [quiesced](Processor::quiesced) and its NUCA empty; any leaked operand, stuck wave, or
 //! undrained queue keeps a network or tile active and fails the run.
 
 use std::fmt;
@@ -71,8 +73,8 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
-/// Runs the full per-tick invariant suite against the processor's
-/// current state.
+/// Runs one core's per-tick invariant suite against its current state
+/// (the die adds its NUCA's audit: [`Processor::check_invariants`]).
 ///
 /// # Errors
 ///
@@ -96,8 +98,5 @@ fn check_detail(p: &Processor) -> Result<(), String> {
         m.audit().map_err(|e| format!("OPN{n}: {e}"))?;
     }
     p.memsys.audit()?;
-    if let Some(nuca) = &p.nuca {
-        nuca.audit(std::slice::from_ref(p))?;
-    }
     p.audit_wake_table()
 }

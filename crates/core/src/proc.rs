@@ -1,7 +1,10 @@
 //! The assembled processor: one GT, a column of ITs, a row of RTs, an
 //! ET array, and a column of DTs (sized by [`CoreGeometry`]; the
 //! prototype is 1 + 5 + 4 + 16 + 4), plus the seven micronetworks
-//! connecting them.
+//! connecting them. A solo core behind the NUCA owns its NUCA too. The
+//! core ticks its own half of a cycle ([`Processor::tick_with_mask`]);
+//! running, ticking and draining it lend it, and its NUCA, to the die
+//! loop in [`crate::chip`] as the one core of its die.
 
 use std::cell::{Ref, RefCell};
 use std::fmt;
@@ -11,13 +14,14 @@ use trips_isa::mem::SparseMem;
 use trips_isa::{ArchReg, ProgramImage};
 use trips_micronet::MeshStats;
 
+use crate::chip::{self, Die};
 use crate::config::{CoreConfig, TickMode, TileMask};
 use crate::critpath::CritPath;
 use crate::diag::{HangReport, TileDiag};
 use crate::dt::DataTile;
 use crate::et::ExecTile;
 use crate::gt::GlobalTile;
-use crate::invariants::{self, InvariantViolation};
+use crate::invariants::InvariantViolation;
 use crate::it::InstTile;
 use crate::memsys::{MemSys, Nuca};
 use crate::msg::TileId;
@@ -296,55 +300,33 @@ impl Processor {
     }
 
     /// Runs `image` from its entry block until a `halt` branch commits
-    /// or `max_cycles` elapse.
+    /// or `max_cycles` elapse, as the one core of its die (the loop a
+    /// [`Chip`](crate::chip::Chip) runs for all its cores).
+    /// With [`CoreConfig::check_invariants`] on, the whole suite runs
+    /// every cycle and the halted core must drain (the leak check).
     ///
     /// # Errors
     ///
-    /// [`SimError::Timeout`] if the program does not halt in budget.
+    /// [`SimError::Timeout`] if the program does not halt in budget,
+    /// [`SimError::Invariant`] if a checked run breaks an invariant.
     pub fn run(&mut self, image: &ProgramImage, max_cycles: u64) -> Result<CoreStats, SimError> {
         self.start(image);
-        while !self.gt.halted {
-            if self.cycle >= max_cycles {
-                return Err(SimError::Timeout {
-                    cycles: self.cycle,
-                    blocks_committed: self.stats.blocks_committed,
-                    diagnosis: Box::new(self.diagnose()),
-                });
-            }
-            self.tick_until(max_cycles);
-            if self.cfg.check_invariants {
-                self.check_invariants()
-                    .map_err(|v| SimError::Invariant { cycle: v.cycle, violation: v.detail })?;
-            }
-        }
-        // Snapshot the stats *before* any drain ticks so the reported
-        // counters describe the program run, not the post-halt drain.
-        let out = self.finish_stats();
-        if self.cfg.check_invariants {
-            // Leak check: after halt, every in-flight operand, wave,
-            // and queue must drain. An operand created but never
-            // consumed, or a flush that left residue behind, keeps a
-            // tile or net active forever and fails here.
-            if !self.drain(10_000) {
-                return Err(SimError::Invariant {
-                    cycle: self.cycle,
-                    violation: format!(
-                        "core failed to quiesce within 10000 cycles after halt \
-                         (leaked operand or undrained queue): {}",
-                        self.diagnose().summary()
-                    ),
-                });
-            }
-            self.check_invariants()
-                .map_err(|v| SimError::Invariant { cycle: v.cycle, violation: v.detail })?;
-        }
-        Ok(out)
+        self.on_die(|die| die.run(max_cycles, |_, mut stats| stats.pop().expect("one core")))
+    }
+
+    /// Lends the core, and its own NUCA if it has one, to `f` as the
+    /// one core of its die: the NUCA is taken out for the call and put
+    /// back afterwards.
+    fn on_die<R>(&mut self, f: impl FnOnce(&mut Die<'_>) -> R) -> R {
+        let mut nuca = self.nuca.take();
+        let out = f(&mut Die::new(std::slice::from_mut(self), nuca.as_deref_mut()));
+        self.nuca = nuca;
+        out
     }
 
     /// Resets the core and loads `image`: the first half of
     /// [`Processor::run`], split out so a [`Chip`](crate::chip::Chip)
-    /// can prepare every core and then drive the lockstep tick loop
-    /// itself.
+    /// can prepare every core before the die's run loop starts.
     pub(crate) fn start(&mut self, image: &ProgramImage) {
         let tracer = std::mem::take(&mut self.tracer);
         let profile = std::mem::take(&mut self.profile);
@@ -385,9 +367,10 @@ impl Processor {
         }
     }
 
-    /// Finalizes and snapshots the run statistics — the second half of
-    /// [`Processor::run`], called at halt time (before any post-halt
-    /// drain ticks, so the counters describe the program run).
+    /// Finalizes and snapshots the run statistics, called by the die's
+    /// run loop at halt time (after its NUCA's [`Nuca::fold_stats`],
+    /// before any post-halt drain ticks, so the counters describe the
+    /// program run).
     pub(crate) fn finish_stats(&mut self) -> CoreStats {
         self.stats.cycles = self.cycle;
         self.stats.opn = self.nets.opn.iter().fold(MeshStats::default(), |mut acc, m| {
@@ -400,9 +383,6 @@ impl Processor {
         // were added here — see `Nets::inject_stalls`).
         self.stats.protocol.opn_inject_stalls = self.nets.inject_stalls();
         self.stats.protocol.opn_inflight_highwater = self.nets.opn_highwater.clone();
-        if let Some(nuca) = &self.nuca {
-            nuca.fold_stats(&mut self.memsys);
-        }
         self.stats.mem = self.memsys.stats_snapshot();
         if self.crit.enabled() {
             self.stats.critpath = Some(self.crit.walk(self.gt.final_ev));
@@ -411,32 +391,25 @@ impl Processor {
         self.stats.clone()
     }
 
-    /// Ticks the core until it [quiesces](Self::quiesced) or `budget`
-    /// cycles elapse; returns whether it quiesced. Used by the
-    /// invariant harness to prove post-halt drainage, and available to
-    /// tests that stop the clock by hand.
+    /// Ticks the core until it and its own NUCA, if any,
+    /// [quiesce](Self::quiesced) or `budget` cycles elapse; returns
+    /// whether they did. Cycle-denominated, so an epoch-skipping drain
+    /// covers the same simulated span as a cycle-by-cycle one. The
+    /// run's leak check drains this way, and tests that stop the clock
+    /// by hand can too.
     pub fn drain(&mut self, budget: u64) -> bool {
-        // Cycle-denominated (not iteration-denominated) so an
-        // epoch-skipping drain covers the same simulated span as a
-        // cycle-by-cycle one.
-        let end = self.cycle.saturating_add(budget);
-        while self.cycle < end {
-            if self.quiesced() {
-                return true;
-            }
-            self.tick_until(end);
-        }
-        self.quiesced()
+        self.on_die(|die| die.drain(budget))
     }
 
     /// Runs the per-tick protocol invariant suite against the current
-    /// state (see [`crate::invariants`]).
+    /// state: the core's own (see [`crate::invariants`]) and, on a solo
+    /// NUCA core, its NUCA's conservation audit.
     ///
     /// # Errors
     ///
     /// The first violated invariant, with the current cycle.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        invariants::check(self)
+        chip::check(std::slice::from_ref(self), self.nuca.as_deref())
     }
 
     /// Snapshots which frames, tiles, and micronetworks still hold
@@ -524,32 +497,34 @@ impl Processor {
     /// latency, so anything a tile sends this cycle matures next cycle
     /// at the soonest: a mask read at cycle start is complete.
     ///
-    /// The OPN meshes and the memory system (the adapter and, on a solo
-    /// NUCA core, the owned [`Nuca`]) own no entry; they fold in as
-    /// `now` whenever they must tick this cycle (packets in routers,
+    /// The OPN meshes and the memory adapter own no entry; they fold in
+    /// as `now` whenever they must tick this cycle (packets in routers,
     /// injections or completions pending), or as their earliest timer.
+    /// The NUCA behind the adapter is the die's, which folds its timers
+    /// beside every core's.
     fn due_tiles(&self, now: u64) -> (TileMask, Option<u64>) {
         // `wake` is consumed only when the mask comes out empty, i.e.
         // when every entry is in the future — so folding all of them
         // needs no branch.
         let (mask, mut wake) = self.nets.wake.due_mask(now);
         let meshes = self.nets.opn.iter().filter_map(|m| m.next_event(now));
-        let nuca = self.nuca.as_ref().and_then(|n| n.next_event(now));
-        for t in meshes.chain(self.memsys.next_event(now)).chain(nuca) {
+        for t in meshes.chain(self.memsys.next_event(now)) {
             wake = wake.min(t.max(now));
         }
         (mask, (wake != u64::MAX).then_some(wake))
     }
 
-    /// The earliest future cycle at which anything in this core can
-    /// act, or `None` when it is fully quiescent (or can act *now*).
+    /// The earliest future cycle at which anything in this core, or its
+    /// own NUCA, can act; `None` when it is fully quiescent (or can act
+    /// *now*).
     pub fn next_wake(&self) -> Option<u64> {
-        let (mask, wake) = self.due_tiles(self.cycle);
+        let now = self.cycle;
+        let (mask, wake) = self.due_tiles(now);
         if mask != 0 {
-            Some(self.cycle)
-        } else {
-            wake
+            return Some(now);
         }
+        let nuca = self.nuca.as_ref().and_then(|n| n.next_event(now)).map(|t| t.max(now));
+        wake.into_iter().chain(nuca).min()
     }
 
     /// Books the gating accounting for fast-forwarding from the
@@ -561,9 +536,6 @@ impl Processor {
         self.gating.ticks_gated += self.cfg.geometry.tile_ticks() as u64 * skipped;
         self.gating.cycles_skipped += skipped;
         self.gating.epochs_skipped += 1;
-        if let Some(nuca) = &mut self.nuca {
-            nuca.skip(skipped);
-        }
         self.cycle = w;
     }
 
@@ -571,7 +543,7 @@ impl Processor {
     /// core's schedule: the [wake table](Self::due_tiles)'s under
     /// [`TickMode::Fast`]; every tile and no wake to jump to under
     /// [`TickMode::Reference`] (so a `Reference` core never skips, and
-    /// neither does a chip that seats one).
+    /// neither does a die that seats one).
     pub(crate) fn schedule(&self, now: u64) -> (TileMask, Option<u64>) {
         match self.cfg.tick_mode {
             TickMode::Fast => self.due_tiles(now),
@@ -579,7 +551,8 @@ impl Processor {
         }
     }
 
-    /// Advances one cycle.
+    /// Advances one cycle, as the one core of its die (with its own
+    /// NUCA, if it has one).
     ///
     /// The cycle starts from its schedule (the wake table under
     /// [`TickMode::Fast`], every tile under [`TickMode::Reference`]):
@@ -592,39 +565,16 @@ impl Processor {
     /// bit-identical in architectural state and `CoreStats` (enforced
     /// by the `gating_equivalence` test suite).
     pub fn tick(&mut self) {
-        self.tick_until(u64::MAX);
+        self.on_die(|die| die.tick_until(u64::MAX));
     }
 
-    /// [`Processor::tick`], never past `horizon`: a jump that reaches
-    /// it stops there without ticking, so a caller with a cycle budget
-    /// observes the same cycle, and the same state, as a
-    /// cycle-by-cycle run that exhausts the budget.
-    pub(crate) fn tick_until(&mut self, horizon: u64) {
-        let tp = self.profile.begin();
-        let mask = loop {
-            let (mask, wake) = self.schedule(self.cycle);
-            let Some(w) = skip_target(self.cycle, mask == 0, wake, horizon) else {
-                break Some(mask);
-            };
-            self.skip_to(w);
-            if w == horizon {
-                break None;
-            }
-            // Re-read at the landing cycle: a timer or arrival has
-            // just matured there.
-        };
-        self.profile.end(TickPhase::Scan, tp);
-        if let Some(mask) = mask {
-            self.tick_with_mask(mask);
-        }
-    }
-
-    /// Advances one cycle with a precomputed activity mask: ticks
-    /// exactly the tiles whose bit is set — each re-filing its wake
-    /// entry on the way out — then the micronets and the memory
-    /// system. The [`Chip`](crate::chip::Chip) computes its cores'
-    /// masks up front so it can coordinate epoch skips across the
-    /// whole chip before committing any core to a tick.
+    /// Advances the core's half of one cycle with a precomputed
+    /// activity mask: ticks exactly the tiles whose bit is set — each
+    /// re-filing its wake entry on the way out — then the micronets.
+    /// The die computes every core's mask up front, so it can decide
+    /// an epoch skip across all of them before committing any core to
+    /// a tick, and runs the NUCA's memory phase after every core has
+    /// ticked.
     pub(crate) fn tick_with_mask(&mut self, mask: TileMask) {
         let now = self.cycle;
         let Processor { cfg, gt, its, rts, ets, dts, nets, memsys, mem, crit, stats, .. } = self;
@@ -670,35 +620,13 @@ impl Processor {
         let run = u64::from(mask.count_ones());
         gating.ticks_run += run;
         gating.ticks_gated += cfg.geometry.tile_ticks() as u64 - run;
-        // The memory phase below borrows the whole core.
         drop(guard);
 
-        let tp = self.profile.begin();
-        self.nets.tick(now);
-        self.profile.end(TickPhase::Nets, tp);
-        // The secondary system runs after the tiles and nets: requests
-        // issued this cycle inject now, and responses it delivers are
-        // consumed by the tiles next cycle (see DESIGN.md §5d). A solo
-        // core runs its own NUCA's phase, as the one core of its die.
-        let tp = self.profile.begin();
-        if let Some(mut nuca) = self.nuca.take() {
-            nuca.tick(now, std::slice::from_mut(self));
-            self.nuca = Some(nuca);
-        }
-        self.profile.end(TickPhase::MemSys, tp);
+        let tp = profile.begin();
+        nets.tick(now);
+        profile.end(TickPhase::Nets, tp);
         self.cycle += 1;
     }
-}
-
-/// The one epoch-skip decision, shared by [`Processor::tick_until`]
-/// and the chip's tick: when nothing can act at `now` (`idle`: every
-/// activity mask is empty) and the earliest `wake` lies in the
-/// future, the cycle to jump to — the wake clamped to the caller's
-/// `horizon`, so a run with a cycle budget stops on the budget exactly
-/// as a cycle-by-cycle one does. `None` means tick this cycle.
-pub(crate) fn skip_target(now: u64, idle: bool, wake: Option<u64>, horizon: u64) -> Option<u64> {
-    let w = wake?.min(horizon);
-    (idle && w > now).then_some(w)
 }
 
 /// The set bits of `mask` among entries `first..first + n`, ascending,

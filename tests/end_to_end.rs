@@ -2,7 +2,7 @@
 //! core, the baseline, and the protocols' timing claims.
 
 use trips::alpha::{AlphaConfig, AlphaCore};
-use trips::core::{CoreConfig, CoreGeometry, Processor};
+use trips::core::{CoreConfig, CoreGeometry, MemBackend, Processor};
 use trips::tasm::{blockinterp, compile, interp, Quality};
 use trips::workloads::{suite, Variant};
 
@@ -189,25 +189,39 @@ fn back_to_back_runs_reset_state() {
 /// When the core quiesces, the flight recorder agrees: every operand
 /// injected into the OPN was also ejected — and so does the
 /// scheduler: "nothing left to do" (`quiesced`) and "nothing will ever
-/// wake" (`next_wake() == None`) are the same statement.
+/// wake" (`next_wake() == None`) are the same statement. Behind the
+/// NUCA too: a pointer chase stopped mid-run keeps waiting on fills in
+/// the NUCA alone, which `next_wake` must fold, and every hand tick and
+/// the drain lend the core's NUCA to its die and must hand it back.
 #[test]
 fn quiesced_core_has_balanced_opn_traffic() {
-    let wl = suite::by_name("vadd").expect("registered");
+    let wl = suite::by_name("listwalk").expect("registered");
     let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let mut cpu = Processor::new(lane());
-    cpu.enable_tracing(1 << 14);
-    assert!(!cpu.quiesced() && cpu.next_wake().is_some(), "a reset core is about to fetch");
-    cpu.run(&image, 10_000_000).unwrap_or_else(|e| panic!("{e}"));
-    assert!(cpu.drain(10_000), "halted core should drain:\n{}", cpu.diagnose());
-    assert!(cpu.quiesced(), "drained core should be quiesced:\n{}", cpu.diagnose());
-    assert_eq!(cpu.next_wake(), None, "a quiesced core has nothing left to wake for");
-    let t = cpu.tracer();
-    assert!(t.opn_injected > 0, "vadd must use the operand network");
-    assert_eq!(
-        t.opn_injected, t.opn_ejected,
-        "quiesced core must have ejected every injected operand"
-    );
-    assert!(!t.is_empty(), "tracing was enabled, events expected");
+    for mem_backend in [lane().mem_backend, MemBackend::nuca_prototype()] {
+        let mut cpu = Processor::new(CoreConfig { mem_backend, ..lane() });
+        cpu.enable_tracing(1 << 14);
+        assert!(!cpu.quiesced() && cpu.next_wake().is_some(), "a reset core is about to fetch");
+        cpu.run(&image, 300).expect_err("300 cycles cannot finish listwalk");
+        for _ in 0..500 {
+            let busy = !cpu.quiesced();
+            assert!(
+                !busy || cpu.next_wake().is_some(),
+                "a busy core must wake:\n{}",
+                cpu.diagnose()
+            );
+            cpu.tick();
+        }
+        assert!(cpu.drain(1_000_000), "the rest of the run should drain:\n{}", cpu.diagnose());
+        assert!(cpu.quiesced(), "drained core should be quiesced:\n{}", cpu.diagnose());
+        assert_eq!(cpu.next_wake(), None, "a quiesced core has nothing left to wake for");
+        let t = cpu.tracer();
+        assert!(t.opn_injected > 0, "listwalk must use the operand network");
+        assert_eq!(
+            t.opn_injected, t.opn_ejected,
+            "quiesced core must have ejected every injected operand"
+        );
+        assert!(!t.is_empty(), "tracing was enabled, events expected");
+    }
 }
 
 /// A timeout carries the hang diagnosis: the report names the stuck
