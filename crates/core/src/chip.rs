@@ -19,15 +19,11 @@
 //! is cycle-bit-identical to the same slot of the prototype die
 //! (pinned by `tests/chip_equivalence.rs`).
 //!
-//! **One run loop.** Every die runs through the loop written here
-//! once, over its cores and the NUCA they share, if any: a chip's
-//! cores, or a solo [`Processor`] (and its own NUCA, taken out of the
-//! core for the call) as the one core of its die — [`Processor::run`],
-//! [`Processor::tick`] and [`Processor::drain`] lend it. The loop owns
-//! the cycle budget and the timeout, the per-step invariant suite,
-//! each core's halt snapshot, the post-halt leak check, and the epoch
-//! skip over every core's schedule and the NUCA's timers. The die's
-//! clock is its cores' own: they tick in lockstep.
+//! **One run loop.** Every die runs through the loop written here,
+//! over its cores and the NUCA they share, if any: a chip's, or a solo
+//! [`Processor`] and its own NUCA, lent as a one-core die. It owns the
+//! cycle budget, the invariant suite, the halt snapshots, the leak
+//! check and the epoch skip; the die's clock is its cores'.
 //!
 //! **Arbitration.** Within a core the fixed client order stands, so a
 //! lone core is never restricted — a one-core chip is bit-identical
@@ -402,14 +398,11 @@ impl<'a> Die<'a> {
     }
 
     /// Ticks until every core halts or the clock reaches `max_cycles`.
-    /// A core halted before the first tick is an idle slot and reports
-    /// default stats; every other core's stats are snapshotted the
-    /// cycle it halts, after [`Nuca::fold_stats`], so a co-runner's
-    /// tail cannot leak into them. `at_halt` sees the die and those
-    /// stats once every core has halted, before the leak check's drain
-    /// ticks. When any core checks invariants, the whole suite
-    /// ([`check`]) runs every step, and after the halt the die must
-    /// drain.
+    /// A core halted before the first tick is an idle slot with default
+    /// stats; every other core's are snapshotted the cycle it halts.
+    /// `at_halt` sees the die and those stats before the leak check.
+    /// When any core checks invariants, [`check`] runs every step and
+    /// the halted die must drain.
     pub(crate) fn run<R>(
         &mut self,
         max_cycles: u64,
@@ -463,27 +456,15 @@ impl<'a> Die<'a> {
         Ok(out)
     }
 
-    /// One step of the die, never past `horizon`.
-    ///
-    /// **Epoch skipping.** Cores stay in lockstep, so none
-    /// fast-forwards on its own: the die takes every core's schedule
-    /// up front and, when *all* of them report no runnable tile, jumps
-    /// every core's clock and the NUCA's rotating injection priority to
-    /// the earliest wake across the cores and the NUCA's own timers
-    /// ([`skip_target`], clamped to `horizon`: a jump that lands on it
-    /// returns without ticking, so a run with a cycle budget observes
-    /// the same cycle, and the same state, as a cycle-by-cycle run that
-    /// exhausts it). A `Reference` core's mask is never empty, so a die
-    /// that seats one never skips.
-    ///
-    /// Otherwise every core ticks its due tiles and micronets
-    /// ([`Processor::tick_with_mask`]; a halted core ticks too: its
-    /// clock stays in lockstep and its tiles consume still-arriving
-    /// completions), then the value plane runs on a coherent die
-    /// ([`propagate_stores`]), then the NUCA's memory phase
-    /// ([`Nuca::tick`]).
-    /// The schedule read and the memory phase are timed into slot 0's
-    /// [`TickProfile`](crate::TickProfile), once per step.
+    /// One step of the die, never past `horizon`. When *no* core has a
+    /// runnable tile, every core's clock and the NUCA's priority jump
+    /// to the earliest wake across the cores and the NUCA
+    /// ([`skip_target`]; a jump that lands on `horizon` returns without
+    /// ticking). Otherwise every core ticks its due tiles and micronets
+    /// (a halted core too, keeping lockstep and consuming late
+    /// completions), then the value plane on a coherent die, then the
+    /// NUCA's memory phase. The scan and the memory phase are timed
+    /// into slot 0's profile, once per step.
     pub(crate) fn tick_until(&mut self, horizon: u64) {
         let tp = self.cores[0].profile.begin();
         let ticks = loop {

@@ -1,10 +1,8 @@
 //! The assembled processor: one GT, a column of ITs, a row of RTs, an
 //! ET array, and a column of DTs (sized by [`CoreGeometry`]; the
 //! prototype is 1 + 5 + 4 + 16 + 4), plus the seven micronetworks
-//! connecting them. A solo core behind the NUCA owns its NUCA too. The
-//! core ticks its own half of a cycle ([`Processor::tick_with_mask`]);
-//! running, ticking and draining it lend it, and its NUCA, to the die
-//! loop in [`crate::chip`] as the one core of its die.
+//! connecting them. A solo NUCA core also owns its NUCA; running,
+//! ticking and draining lend both to the die loop in [`crate::chip`].
 
 use std::cell::{Ref, RefCell};
 use std::fmt;
@@ -300,10 +298,7 @@ impl Processor {
     }
 
     /// Runs `image` from its entry block until a `halt` branch commits
-    /// or `max_cycles` elapse, as the one core of its die (the loop a
-    /// [`Chip`](crate::chip::Chip) runs for all its cores).
-    /// With [`CoreConfig::check_invariants`] on, the whole suite runs
-    /// every cycle and the halted core must drain (the leak check).
+    /// or `max_cycles` elapse, as the one core of its die.
     ///
     /// # Errors
     ///
@@ -393,10 +388,8 @@ impl Processor {
 
     /// Ticks the core until it and its own NUCA, if any,
     /// [quiesce](Self::quiesced) or `budget` cycles elapse; returns
-    /// whether they did. Cycle-denominated, so an epoch-skipping drain
-    /// covers the same simulated span as a cycle-by-cycle one. The
-    /// run's leak check drains this way, and tests that stop the clock
-    /// by hand can too.
+    /// whether they did. Available to tests that stop the clock by
+    /// hand.
     pub fn drain(&mut self, budget: u64) -> bool {
         self.on_die(|die| die.drain(budget))
     }

@@ -30,7 +30,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickPhase {
     /// Reading the schedule off the wake table (`schedule`),
-    /// including epoch-skip decisions.
+    /// including epoch-skip decisions: the die's, booked to its slot 0.
     Scan,
     /// GT: draining the status/branch/refill chain heads.
     GtChains,
@@ -48,7 +48,8 @@ pub enum TickPhase {
     Dt,
     /// The micronetworks (`Nets::tick`).
     Nets,
-    /// The secondary memory system.
+    /// The die's memory phase (the value plane and the NUCA), booked
+    /// to its slot 0.
     MemSys,
 }
 

@@ -88,5 +88,5 @@ fn a_second_coherent_chip_run_stays_within_budget() {
     let mut chip = Chip::new(cfg);
     chip.run(&program.images, 20_000_000).expect("pcring halts");
     let n = allocations(|| chip.run(&program.images, 20_000_000).expect("pcring halts again"));
-    within("the second Chip::run of pcring on 4 coherent cores", n, 5_238);
+    within("the second Chip::run of pcring on 4 coherent cores", n, 5_217);
 }
