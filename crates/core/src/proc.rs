@@ -613,8 +613,6 @@ impl Processor {
         let run = u64::from(mask.count_ones());
         gating.ticks_run += run;
         gating.ticks_gated += cfg.geometry.tile_ticks() as u64 - run;
-        drop(guard);
-
         let tp = profile.begin();
         nets.tick(now);
         profile.end(TickPhase::Nets, tp);
