@@ -2,27 +2,21 @@
 //! of the program critical path, and preliminary performance of the
 //! prototype versus the Alpha baseline.
 //!
-//! Flags:
-//!   --overheads   only the critical-path breakdown
-//!   --perf        only the speedup/IPC columns
-//!   --quick       micro + kernel suites only
-//!   (default: everything, and `BENCH_table3.json` in the current
-//!   directory: per program the hand run's cycles, its raw
-//!   critical-path cycles per category and the events the recorder
-//!   stored — simulated quantities only, gated by `git diff`)
+//! Takes no flags. Prints both halves for the whole suite and writes
+//! `BENCH_table3.json` in the current directory: per program the hand
+//! run's cycles, its critical-path cycles per category (they add up
+//! to the final commit's cycle) and the events the recorder stored —
+//! simulated quantities only, gated by `git diff`.
 
 use trips_bench::{flags_or_exit, run_alpha, run_trips, speedup};
 use trips_core::{CoreConfig, CATS};
 use trips_harness::json::Object;
 use trips_harness::{num_threads, parallel_map};
 use trips_tasm::Quality;
-use trips_workloads::{suite, Class};
+use trips_workloads::suite;
 
 fn main() {
-    let [want_over, want_perf, quick] =
-        flags_or_exit("table3", ["--overheads", "--perf", "--quick"]);
-    let overheads = want_over || !want_perf;
-    let perf = want_perf || !want_over;
+    let [] = flags_or_exit("table3", []);
 
     println!("Table 3. Network overheads and preliminary performance (model-regenerated).");
     println!("Methodology as in §5.4: perfect L2 on both machines; hand numbers use");
@@ -30,46 +24,34 @@ fn main() {
     println!();
 
     let mut header = format!("{:<12}", "Benchmark");
-    if overheads {
-        for c in CATS {
-            header.push_str(&format!(" {:>9}", c.label().replace("Block ", "Blk")));
-        }
+    for c in CATS {
+        header.push_str(&format!(" {:>9}", c.label().replace("Block ", "Blk")));
     }
-    if perf {
-        header.push_str(&format!(
-            " {:>8} {:>8} {:>8} {:>8} {:>8}",
-            "SpdTCC", "SpdHand", "IPCAlpha", "IPCTCC", "IPCHand"
-        ));
-    }
+    header.push_str(&format!(
+        " {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "SpdTCC", "SpdHand", "IPCAlpha", "IPCTCC", "IPCHand"
+    ));
     println!("{header}");
 
     // Rows are independent (workload, config) simulations; shard them
     // across host cores and print in suite order.
-    let rows: Vec<_> = suite::all()
-        .into_iter()
-        .filter(|wl| !quick || matches!(wl.class, Class::Micro | Class::Kernel))
-        .collect();
-    let rows = parallel_map(rows, num_threads(), |wl| {
+    let rows = parallel_map(suite::all(), num_threads(), |wl| {
         let mut row = format!("{:<12}", wl.name);
         let hand = run_trips(&wl, Quality::Hand, CoreConfig::prototype_critpath());
         let bd = hand.critpath.expect("critpath enabled");
-        if overheads {
-            for c in CATS {
-                row.push_str(&format!(" {:>8.2}%", 100.0 * bd.fraction(c)));
-            }
+        for c in CATS {
+            row.push_str(&format!(" {:>8.2}%", 100.0 * bd.fraction(c)));
         }
-        if perf {
-            let alpha = run_alpha(&wl);
-            let tcc = run_trips(&wl, Quality::Compiled, CoreConfig::prototype());
-            row.push_str(&format!(
-                " {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-                speedup(&alpha, &tcc),
-                speedup(&alpha, &hand),
-                alpha.ipc(),
-                tcc.ipc(),
-                hand.ipc(),
-            ));
-        }
+        let alpha = run_alpha(&wl);
+        let tcc = run_trips(&wl, Quality::Compiled, CoreConfig::prototype());
+        row.push_str(&format!(
+            " {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            speedup(&alpha, &tcc),
+            speedup(&alpha, &hand),
+            alpha.ipc(),
+            tcc.ipc(),
+            hand.ipc(),
+        ));
         let cats =
             CATS.iter().fold(Object::default(), |o, &c| o.lit(c.label(), bd.cycles[c as usize]));
         let json = Object::default()
@@ -91,9 +73,7 @@ fn main() {
     println!("execution, Blk Complete / Blk Commit = the distributed detection and");
     println!("commit protocols, Other = work a monolithic core also performs.");
 
-    if overheads && perf && !quick {
-        let doc = Object::default().rows("programs", json).document();
-        std::fs::write("BENCH_table3.json", doc).expect("write BENCH_table3.json");
-        println!("\nwrote BENCH_table3.json");
-    }
+    let doc = Object::default().rows("programs", json).document();
+    std::fs::write("BENCH_table3.json", doc).expect("write BENCH_table3.json");
+    println!("\nwrote BENCH_table3.json");
 }

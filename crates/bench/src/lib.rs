@@ -108,12 +108,16 @@ mod tests {
     #[test]
     fn unknown_flags_are_named_with_the_usage_line() {
         let parse = |line: &str| {
-            parse_flags("table3", ["--perf", "--quick"], line.split_whitespace().map(String::from))
+            parse_flags(
+                "chipsim",
+                ["--smoke", "--shared"],
+                line.split_whitespace().map(String::from),
+            )
         };
         assert_eq!(parse(""), Ok([false, false]));
-        assert_eq!(parse("--quick"), Ok([false, true]));
-        assert_eq!(parse("--quick --perf --quick"), Ok([true, true]));
-        let err = parse("--quick --qick").expect_err("a typo");
-        assert_eq!(err, "table3: unknown flag \"--qick\"\nusage: table3 [--perf] [--quick]");
+        assert_eq!(parse("--shared"), Ok([false, true]));
+        assert_eq!(parse("--shared --smoke --shared"), Ok([true, true]));
+        let err = parse("--shared --sharde").expect_err("a typo");
+        assert_eq!(err, "chipsim: unknown flag \"--sharde\"\nusage: chipsim [--smoke] [--shared]");
     }
 }

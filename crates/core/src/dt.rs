@@ -396,7 +396,10 @@ impl DataTile {
             stats.coherence_flushes += 1;
             tracer.record(now, || TraceKind::Violation { dt, frame });
             let (pos, gen) = (dt_chain_pos(self.index as usize), self.frames.gen(frame));
-            nets.gsn_dt.send(now, pos, 0, GsnMsg::Violation { frame, gen });
+            // The cause lies on another core, outside this core's
+            // graph: the flush hangs off the victim's last event here.
+            let ev = self.frames[frame].done_ev;
+            nets.gsn_dt.send(now, pos, 0, GsnMsg::Violation { frame, gen, ev });
         }
     }
 
@@ -466,7 +469,6 @@ impl DataTile {
 
         // Memory requests from the ETs.
         while let Some(m) = opn_recv(nets, now, self.tile_id(), tracer) {
-            let (hops, queued) = (m.hops, m.queued);
             let (frame, gen, ev0) = match &m.payload {
                 OpnPayload::LoadReq { frame, gen, ev, .. }
                 | OpnPayload::StoreReq { frame, gen, ev, .. } => (*frame, *gen, *ev),
@@ -475,8 +477,7 @@ impl DataTile {
             if !self.ensure(frame, gen, false) {
                 continue;
             }
-            let e_hop = crit.event(now - u64::from(queued), ev0, Cat::OpnHop, u64::from(hops) + 1);
-            let e_arr = crit.event(now, e_hop, Cat::OpnContention, u64::from(queued));
+            let e_arr = crit.opn_arrival(now, ev0, &m);
             let payload = retag(m.payload, e_arr);
             if self.frames[frame].mask_known {
                 self.process_req(now, cfg, nets, crit, stats, mem, memsys, payload, tracer);
@@ -757,7 +758,7 @@ impl DataTile {
                     now,
                     dt_chain_pos(self.index as usize),
                     0,
-                    GsnMsg::Violation { frame: victim, gen: victim_gen },
+                    GsnMsg::Violation { frame: victim, gen: victim_gen, ev },
                 );
             }
         }
@@ -832,7 +833,7 @@ impl DataTile {
         if !self.frames.ok(ld.frame, ld.gen) {
             return;
         }
-        let ev = crit.event(now, ld.ev, Cat::Other, now.saturating_sub(crit.time_of(ld.ev)).max(1));
+        let ev = crit.event(now, ld.ev, Cat::Other);
         let tok = Tok::Val(extend_load(ld.opcode, ld.raw));
         match ld.target {
             Target::None => {}
@@ -938,7 +939,7 @@ impl DataTile {
             if self.index == 0 && f.mask_known && !f.done_sent && f.store_mask.is_subset(f.arrived)
             {
                 f.done_sent = true;
-                let ev = crit.event(now, f.done_ev, Cat::BlockComplete, 1);
+                let ev = crit.event(now, f.done_ev, Cat::BlockComplete);
                 tracer.record(now, || TraceKind::StoresDone { frame });
                 nets.gsn_dt.send(now, my_pos, 0, GsnMsg::StoresDone { frame, gen, ev });
             }

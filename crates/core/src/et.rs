@@ -303,7 +303,7 @@ impl ExecTile {
                 if !self.ensure(frame, gen) {
                     continue;
                 }
-                let dev = crit.event(now, ev, Cat::IFetch, now.saturating_sub(crit.time_of(ev)));
+                let dev = crit.event(now, ev, Cat::IFetch);
                 let slot = self.geom.inst_slot(idx);
                 let f = &mut self.frames[frame];
                 debug_assert!(f.stations[slot].is_none(), "reservation station collision");
@@ -332,14 +332,11 @@ impl ExecTile {
         // may beat this ET's dispatch beats, so arrival activates the
         // frame and buffers early.
         opn_recv_batch(nets, now, self.tile_id(), tracer, |m| {
-            let (hops, queued) = (m.hops, m.queued);
             if let OpnPayload::Operand { frame, gen, idx, slot, tok, ev } = m.payload {
                 if !self.ensure(frame, gen) {
                     return;
                 }
-                let e_hop =
-                    crit.event(now - u64::from(queued), ev, Cat::OpnHop, u64::from(hops) + 1);
-                let e_arr = crit.event(now, e_hop, Cat::OpnContention, u64::from(queued));
+                let e_arr = crit.opn_arrival(now, ev, &m);
                 self.deliver_operand(frame, idx, slot, tok, e_arr);
             }
         });
@@ -455,8 +452,7 @@ impl ExecTile {
                 for op in st.ops.iter().flatten() {
                     parent = crit.later(parent, op.1);
                 }
-                let iev =
-                    crit.event(now, parent, Cat::Other, now.saturating_sub(crit.time_of(parent)));
+                let iev = crit.event(now, parent, Cat::Other);
                 st.disp_ev = iev; // reuse the field to carry the issue event
                 if !pipelined {
                     self.fu_busy_until = now + lat;
@@ -490,7 +486,7 @@ impl ExecTile {
         let inst = st.inst;
         let iev = st.disp_ev;
         let cat = if inst.opcode == Opcode::Mov { Cat::Fanout } else { Cat::Other };
-        let dev = crit.event(now, iev, cat, now.saturating_sub(crit.time_of(iev)).max(1));
+        let dev = crit.event(now, iev, cat);
 
         let l = st.ops[0].map(|(t, _)| t);
         let r = st.ops[1].map(|(t, _)| t);

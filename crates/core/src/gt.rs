@@ -64,6 +64,8 @@ struct Frame {
     t_dispatch: u64,
     t_complete: u64,
     t_commit: u64,
+    /// The block's last fetch-pipeline event: the fetch start, or the
+    /// end of its I-cache refill.
     fetch_ev: EvId,
     writes_ev: EvId,
     stores_ev: EvId,
@@ -430,7 +432,7 @@ impl GlobalTile {
         self.drain_status(now, nets, crit);
         self.drain_branches(now, nets, crit, stats, tracer);
         if fused {
-            self.recv_refills(now, nets);
+            self.recv_refills(now, nets, crit);
         }
         prof.end(TickPhase::GtChains, t);
         let t = prof.begin();
@@ -444,7 +446,7 @@ impl GlobalTile {
         prof.end(TickPhase::GtFrames, t);
         let t = prof.begin();
         if !fused {
-            self.recv_refills(now, nets);
+            self.recv_refills(now, nets, crit);
         }
         self.fetch_advance(now, cfg, nets, crit, stats, mem, tracer);
         prof.end(TickPhase::GtFetch, t);
@@ -456,7 +458,7 @@ impl GlobalTile {
     }
 
     fn drain_status(&mut self, now: u64, nets: &mut Nets, crit: &mut CritPath) {
-        let mut violations: Vec<(FrameId, Gen)> = Vec::new();
+        let mut violations: Vec<(FrameId, Gen, EvId)> = Vec::new();
         while let Some(msg) = nets.gsn_rt.recv(now, 0) {
             match msg {
                 GsnMsg::WritesDone { frame, gen, ev } if self.frame_ok(frame, gen) => {
@@ -480,13 +482,13 @@ impl GlobalTile {
                 GsnMsg::StoresCommitted { frame, gen } if self.frame_ok(frame, gen) => {
                     self.frames[frame.0 as usize].dt_ack = true;
                 }
-                GsnMsg::Violation { frame, gen } => violations.push((frame, gen)),
+                GsnMsg::Violation { frame, gen, ev } => violations.push((frame, gen, ev)),
                 _ => {}
             }
         }
         // Refill completions are consumed by the fetch FSM; violations
         // flush from the mis-speculated load's block, inclusive.
-        for (frame, gen) in violations {
+        for (frame, gen, ev) in violations {
             if !self.frame_ok(frame, gen) {
                 continue;
             }
@@ -497,7 +499,7 @@ impl GlobalTile {
             if let Some(cp) = self.frames[frame.0 as usize].pred_cp {
                 self.predictor.restore(cp);
             }
-            self.flush_from(now, frame, true, Some(pc), NO_EVENT, nets, crit);
+            self.flush_from(now, frame, true, Some(pc), ev, nets, crit);
         }
     }
 
@@ -510,7 +512,6 @@ impl GlobalTile {
         tracer: &mut Tracer,
     ) {
         while let Some(m) = opn_recv(nets, now, TileId::Gt, tracer) {
-            let (hops, queued) = (m.hops, m.queued);
             let OpnPayload::Branch { frame, gen, kind, exit, offset, reg_target, ev } = m.payload
             else {
                 continue;
@@ -522,8 +523,7 @@ impl GlobalTile {
             if self.frames[fi].branch.is_some() {
                 panic!("block {frame:?} fired more than one branch");
             }
-            let e_hop = crit.event(now - u64::from(queued), ev, Cat::OpnHop, u64::from(hops) + 1);
-            let e_arr = crit.event(now, e_hop, Cat::OpnContention, u64::from(queued));
+            let e_arr = crit.opn_arrival(now, ev, &m);
             let target = match kind {
                 BranchKind::Halt => None,
                 _ => Some(reg_target.unwrap_or_else(|| {
@@ -618,7 +618,7 @@ impl GlobalTile {
             nets.gcn_broadcast(now, GcnMsg::Flush { mask, gens });
         }
         self.next_pc = new_pc;
-        self.pc_ready_ev = crit.event(now, cause_ev, Cat::Other, 1);
+        self.pc_ready_ev = crit.event(now, cause_ev, Cat::Other);
         // A squashed halt observation must not keep gating fetch.
         if !self.halted {
             self.halt_pending = self.order.iter().any(|&f| {
@@ -641,12 +641,7 @@ impl GlobalTile {
             f.t_complete = now;
             tracer.record(now, || TraceKind::BlockComplete { frame: FrameId(fi as u8) });
             let parent = crit.later(crit.later(f.writes_ev, f.stores_ev), f.branch_ev);
-            f.complete_ev = crit.event(
-                now,
-                parent,
-                Cat::BlockComplete,
-                now.saturating_sub(crit.time_of(parent)),
-            );
+            f.complete_ev = crit.event(now, parent, Cat::BlockComplete);
         }
     }
 
@@ -672,8 +667,7 @@ impl GlobalTile {
         f.state = FState::Committing;
         f.t_commit = now;
         let parent = crit.later(f.complete_ev, self.last_commit_ev);
-        f.commit_ev =
-            crit.event(now, parent, Cat::BlockCommit, now.saturating_sub(crit.time_of(parent)));
+        f.commit_ev = crit.event(now, parent, Cat::BlockCommit);
         self.last_commit_ev = f.commit_ev;
         tracer.record(now, || TraceKind::CommitCmd { frame });
         nets.gcn_broadcast(now, GcnMsg::Commit { frame, gen: f.gen });
@@ -756,12 +750,7 @@ impl GlobalTile {
         self.frames[fi] = Frame { gen, ..Frame::default() };
         self.order.pop_front();
         stats.blocks_committed += 1;
-        let ev = crit.event(
-            now,
-            commit_ev,
-            Cat::BlockCommit,
-            now.saturating_sub(crit.time_of(commit_ev)),
-        );
+        let ev = crit.event(now, commit_ev, Cat::BlockCommit);
         self.slot_free_ev[fi] = ev;
         self.final_ev = ev;
         if was_halt {
@@ -823,13 +812,15 @@ impl GlobalTile {
     /// the fused tick may drain these with the other chain heads while
     /// the phased tick keeps them adjacent to the fetch FSM — same
     /// result either way.
-    fn recv_refills(&mut self, now: u64, nets: &mut Nets) {
+    fn recv_refills(&mut self, now: u64, nets: &mut Nets, crit: &mut CritPath) {
         while let Some(msg) = nets.gsn_it.recv(now, 0) {
             if let GsnMsg::RefillDone { addr } = msg {
                 self.itag_insert(addr);
                 if let Some(op) = &mut self.fetch {
                     if matches!(op.stage, Stage::Refill) && op.pc == addr {
                         op.stage = Stage::Tag { done_at: now + 1 };
+                        let f = &mut self.frames[op.frame.0 as usize];
+                        f.fetch_ev = crit.event(now, f.fetch_ev, Cat::Other);
                     }
                 }
             }
@@ -875,6 +866,8 @@ impl GlobalTile {
                                 });
                             } else {
                                 stats.icache_refills += 1;
+                                let f = &mut self.frames[op.frame.0 as usize];
+                                f.fetch_ev = crit.event(now, f.fetch_ev, Cat::IFetch);
                                 for it in 0..self.geom.num_its() {
                                     nets.grn.send(
                                         now,
@@ -900,8 +893,7 @@ impl GlobalTile {
                     f.hist_at_predict = cp.history();
                     if !self.halt_pending {
                         self.next_pc = Some(pred.target);
-                        self.pc_ready_ev =
-                            crit.event(now, self.frames[fi].fetch_ev, Cat::IFetch, cfg.predict_lat);
+                        self.pc_ready_ev = crit.event(now, self.frames[fi].fetch_ev, Cat::IFetch);
                     }
                     self.fetch = Some(FetchOp { stage: Stage::AwaitDispatch, ..op });
                 }
@@ -914,12 +906,7 @@ impl GlobalTile {
                         let f = &mut self.frames[fi];
                         f.state = FState::Executing;
                         f.t_dispatch = now;
-                        let ev = crit.event(
-                            now,
-                            f.fetch_ev,
-                            Cat::IFetch,
-                            now.saturating_sub(crit.time_of(f.fetch_ev)),
-                        );
+                        let ev = crit.event(now, f.fetch_ev, Cat::IFetch);
                         let cmd = GdnFetch {
                             frame: op.frame,
                             gen: f.gen,
@@ -963,7 +950,7 @@ impl GlobalTile {
             } else {
                 (pc_ev, Cat::IFetch)
             };
-            let fetch_ev = crit.event(now, parent, cat, now.saturating_sub(crit.time_of(parent)));
+            let fetch_ev = crit.event(now, parent, cat);
             stats.protocol.fetches_started += 1;
             if self.frames.iter().any(|f| f.state == FState::Committing) {
                 stats.protocol.overlapped_fetches += 1;

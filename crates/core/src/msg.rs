@@ -311,6 +311,9 @@ pub enum GsnMsg {
         frame: FrameId,
         /// Generation.
         gen: Gen,
+        /// The event of the DT access that found the violation: the
+        /// flush's cause on the critical path.
+        ev: EvId,
     },
     /// An IT finished refilling its chunk (IT chain, northward).
     RefillDone {

@@ -194,7 +194,7 @@ impl RegTile {
             match msg {
                 RowMsg::Read { frame, gen, read, ev, .. } => {
                     if self.ensure(frame, gen, true) {
-                        let dev = crit.event(now, ev, Cat::IFetch, now - crit.time_of(ev));
+                        let dev = crit.event(now, ev, Cat::IFetch);
                         self.resolve_read(now, frame, gen, read, dev, None, crit);
                     }
                 }
@@ -214,8 +214,7 @@ impl RegTile {
                         // so a block with no register writes still
                         // traces back through fetch on the critical
                         // path.
-                        let anchor =
-                            crit.event(now, ev, Cat::IFetch, now.saturating_sub(crit.time_of(ev)));
+                        let anchor = crit.event(now, ev, Cat::IFetch);
                         f.done_ev = crit.later(f.done_ev, anchor);
                     }
                 }
@@ -227,14 +226,11 @@ impl RegTile {
 
         // Write values from the OPN, one batched drain per cycle.
         opn_recv_batch(nets, now, TileId::Rt(self.bank), tracer, |m| {
-            let (hops, queued) = (m.hops, m.queued);
             if let OpnPayload::WriteVal { frame, gen, wslot, tok, ev } = m.payload {
                 if !self.ensure(frame, gen, false) {
                     return;
                 }
-                let e_hop =
-                    crit.event(now - u64::from(queued), ev, Cat::OpnHop, u64::from(hops) + 1);
-                let e_arr = crit.event(now, e_hop, Cat::OpnContention, u64::from(queued));
+                let e_arr = crit.opn_arrival(now, ev, &m);
                 self.write_arrived(now, frame, wslot, tok, e_arr, crit);
             }
         });
@@ -336,7 +332,7 @@ impl RegTile {
                 if all {
                     f.done_sent = true;
                     tracer.record(now, || TraceKind::WritesDone { rt: bank, frame });
-                    let ev = crit.event(now, f.done_ev, Cat::BlockComplete, 1);
+                    let ev = crit.event(now, f.done_ev, Cat::BlockComplete);
                     nets.gsn_rt.send(now, my_pos, west, GsnMsg::WritesDone { frame, gen, ev });
                 }
             }
@@ -397,13 +393,7 @@ impl RegTile {
                         return;
                     }
                     Some((Tok::Val(v), vev)) => {
-                        let pe = crit.later(ev, vev);
-                        let dev = crit.event(
-                            now,
-                            pe,
-                            Cat::Other,
-                            now.saturating_sub(crit.time_of(pe)).max(1),
-                        );
+                        let dev = crit.event(now, crit.later(ev, vev), Cat::Other);
                         self.deliver(frame, gen, read.targets, Tok::Val(v), dev);
                         return;
                     }
@@ -413,7 +403,7 @@ impl RegTile {
         }
         // Architectural file.
         let v = self.regs[self.geom.reg_index(read.reg.num())];
-        let dev = crit.event(now, ev, Cat::Other, 1);
+        let dev = crit.event(now, ev, Cat::Other);
         self.deliver(frame, gen, read.targets, Tok::Val(v), dev);
     }
 
@@ -442,13 +432,7 @@ impl RegTile {
             }
             match tok {
                 Tok::Val(v) => {
-                    let pe = crit.later(w.ev, ev);
-                    let dev = crit.event(
-                        now,
-                        pe,
-                        Cat::Other,
-                        now.saturating_sub(crit.time_of(pe)).max(1),
-                    );
+                    let dev = crit.event(now, crit.later(w.ev, ev), Cat::Other);
                     self.deliver(w.frame, w.gen, w.read.targets, Tok::Val(v), dev);
                 }
                 Tok::Null => {

@@ -27,7 +27,7 @@ cargo build --release -p trips-bench
 ./target/release/chipsim --shared
 ./target/release/paretosweep --smoke
 ./target/release/memsweep
-# The full Table 3, no flags: it writes BENCH_table3.json (E3's raw
+# The full Table 3: it writes BENCH_table3.json (E3's raw
 # critical-path cycles and the recorder's stored-event counts).
 ./target/release/table3
 

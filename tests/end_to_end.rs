@@ -245,6 +245,22 @@ fn timeout_reports_where_the_hang_is() {
     assert!(names_holder, "report should name the tile/net holding work:\n{text}");
 }
 
+/// Table 3's left half is exact: on every suite program, the
+/// critical-path walk charges each edge its gap, so the seven
+/// categories add up to the cycle of the final commit, the last cycle
+/// of the run. The walk itself panics on an edge with a negative gap
+/// and on a chain that starts anywhere but the first fetch at t = 0.
+#[test]
+fn critical_path_breakdown_adds_up_to_the_run() {
+    let mut cpu = Processor::new(CoreConfig::prototype_critpath());
+    for wl in suite::all() {
+        let image = wl.build_trips(Quality::Hand).expect("compiles").image;
+        let stats = cpu.run(&image, 50_000_000).unwrap_or_else(|e| panic!("{}: {e}", wl.name));
+        let bd = stats.critpath.expect("critpath enabled");
+        assert_eq!(bd.total(), stats.cycles - 1, "{}: {:?}", wl.name, bd.cycles);
+    }
+}
+
 /// The compiled/hand quality axis behaves as the paper describes:
 /// hand code has larger blocks and runs faster.
 #[test]
