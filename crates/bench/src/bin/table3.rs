@@ -8,7 +8,7 @@
 //! to the final commit's cycle) and the events the recorder stored —
 //! simulated quantities only, gated by `git diff`.
 
-use trips_bench::{flags_or_exit, run_alpha, run_trips, speedup};
+use trips_bench::{flags_or_exit, run_alpha, run_trips, speedup, table3_row};
 use trips_core::{CoreConfig, CATS};
 use trips_harness::json::Object;
 use trips_harness::{num_threads, parallel_map};
@@ -52,14 +52,7 @@ fn main() {
             tcc.ipc(),
             hand.ipc(),
         ));
-        let cats =
-            CATS.iter().fold(Object::default(), |o, &c| o.lit(c.label(), bd.cycles[c as usize]));
-        let json = Object::default()
-            .str("name", wl.name)
-            .lit("cycles", hand.cycles)
-            .raw("critpath", cats)
-            .lit("events_stored", hand.critpath_events);
-        (row, json)
+        (row, table3_row(wl.name, &hand))
     });
     let (rows, json): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     for row in rows {

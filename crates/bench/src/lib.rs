@@ -23,7 +23,8 @@
 pub mod fuzz;
 
 use trips_alpha::{AlphaConfig, AlphaCore, AlphaStats};
-use trips_core::{CoreConfig, CoreStats, Processor};
+use trips_core::{CoreConfig, CoreStats, Processor, CATS};
+use trips_harness::json::Object;
 use trips_tasm::Quality;
 use trips_workloads::Workload;
 
@@ -65,6 +66,24 @@ pub fn speedup(alpha: &AlphaStats, trips: &CoreStats) -> f64 {
         return 0.0;
     }
     alpha.cycles as f64 / trips.cycles as f64
+}
+
+/// Program `name`'s row of `BENCH_table3.json`, from its hand run on
+/// `CoreConfig::prototype_critpath()`: the run's cycles, its
+/// critical-path cycles per category keyed by `Cat::label` and the
+/// events the recorder stored.
+///
+/// # Panics
+///
+/// Panics if the run did not record its critical path.
+pub fn table3_row(name: &str, hand: &CoreStats) -> Object {
+    let bd = hand.critpath.expect("critpath enabled");
+    let cats = CATS.iter().fold(Object::default(), |o, &c| o.lit(c.label(), bd.cycles[c as usize]));
+    Object::default()
+        .str("name", name)
+        .lit("cycles", hand.cycles)
+        .raw("critpath", cats)
+        .lit("events_stored", hand.critpath_events)
 }
 
 /// Which of the on/off flags `known` the command line `args` gives —

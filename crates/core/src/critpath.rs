@@ -74,22 +74,37 @@ pub const NO_EVENT: u32 = u32::MAX;
 const CHUNK_BITS: u32 = 16;
 const CHUNK_MASK: u32 = (1 << CHUNK_BITS) - 1;
 
-/// A stored event: 12 bytes.
+/// A root's stored parent, [`NO_EVENT`] shifted into the link: one past the largest id.
+const ROOT: u32 = NO_EVENT >> 3;
+
+/// A stored event: 8 bytes, `time` and the link `parent << 3 | cat`.
 #[derive(Debug, Clone, Copy)]
 struct Event {
     time: u32,
-    parent: u32,
-    cat: Cat,
+    link: u32,
 }
-const _: () = assert!(std::mem::size_of::<Event>() == 12);
+const _: () = assert!(std::mem::size_of::<Event>() == 8);
 
-/// The id of the `n`-th stored event. Ids stop short of [`NO_EVENT`]:
-/// an id that wrapped onto it would read as a root.
-fn event_id(n: usize) -> u32 {
-    match u32::try_from(n) {
-        Ok(id) if id != NO_EVENT => id,
-        _ => panic!("critical-path recorder full: {n} events stored, at most {NO_EVENT} fit"),
+impl Event {
+    fn new(time: u32, parent: u32, cat: Cat) -> Event {
+        Event { time, link: parent << 3 | cat as u32 }
     }
+
+    fn parent(self) -> u32 {
+        Some(self.link >> 3).filter(|&id| id != ROOT).unwrap_or(NO_EVENT)
+    }
+
+    /// Indexing [`CATS`] panics on a corrupt value instead of misreading it.
+    fn cat(self) -> Cat {
+        CATS[(self.link & 7) as usize]
+    }
+}
+
+/// The id of the `n`-th stored event. Ids stop short of [`ROOT`]: an
+/// id there would read back from the link as [`NO_EVENT`], a root.
+fn event_id(n: usize) -> u32 {
+    assert!(n < ROOT as usize, "critical-path recorder full: {n} events stored, {ROOT} fit");
+    n as u32
 }
 
 /// The event graph recorder.
@@ -120,12 +135,7 @@ impl CritBreakdown {
 
     /// Fraction (0..=1) of the path in `cat`.
     pub fn fraction(&self, cat: Cat) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.cycles[cat as usize] as f64 / t as f64
-        }
+        self.cycles[cat as usize] as f64 / self.total().max(1) as f64
     }
 }
 
@@ -162,7 +172,7 @@ impl CritPath {
         if id & CHUNK_MASK == 0 {
             self.chunks.push(Vec::with_capacity(1 << CHUNK_BITS));
         }
-        self.chunks[(id >> CHUNK_BITS) as usize].push(Event { time, parent, cat });
+        self.chunks[(id >> CHUNK_BITS) as usize].push(Event::new(time, parent, cat));
         self.len += 1;
         id
     }
@@ -208,7 +218,7 @@ impl CritPath {
     /// Event `ev` and the gap from its parent's time (t = 0 for a root).
     fn edge(&self, ev: u32) -> (Event, i64) {
         let e = self.get(ev);
-        let from = if e.parent == NO_EVENT { 0 } else { self.get(e.parent).time };
+        let from = if e.parent() == NO_EVENT { 0 } else { self.get(e.parent()).time };
         (e, i64::from(e.time) - i64::from(from))
     }
 
@@ -224,8 +234,8 @@ impl CritPath {
                 break;
             }
             let (e, gap) = self.edge(cur);
-            let _ = writeln!(out, "ev{cur}: t={} {:?} gap={gap}", e.time, e.cat);
-            cur = e.parent;
+            let _ = writeln!(out, "ev{cur}: t={} {:?} gap={gap}", e.time, e.cat());
+            cur = e.parent();
         }
         out
     }
@@ -242,12 +252,12 @@ impl CritPath {
         let mut cur = last;
         while cur != NO_EVENT {
             let (e, gap) = self.edge(cur);
-            if gap < 0 || (e.parent == NO_EVENT && gap > 0) {
+            if gap < 0 || (e.parent() == NO_EVENT && gap > 0) {
                 let what = if gap < 0 { "precedes its parent" } else { "is a root after t = 0" };
                 panic!("critical path: ev{cur} {what}\n{}", self.debug_chain(cur, 16));
             }
-            out.cycles[e.cat as usize] += gap as u64;
-            cur = e.parent;
+            out.cycles[e.cat() as usize] += gap as u64;
+            cur = e.parent();
         }
         out
     }
@@ -459,20 +469,30 @@ mod tests {
     }
 
     #[test]
-    fn ids_stop_short_of_no_event() {
+    fn ids_stop_short_of_the_stored_root() {
         assert_eq!(event_id(0), 0);
-        assert_eq!(event_id(NO_EVENT as usize - 1), NO_EVENT - 1);
+        assert_eq!(event_id(ROOT as usize - 1), ROOT - 1);
     }
 
     #[test]
-    #[should_panic(expected = "4294967295 events stored")]
-    fn an_id_that_would_alias_no_event_is_refused() {
-        event_id(NO_EVENT as usize);
+    #[should_panic(expected = "536870911 events stored, 536870911 fit")]
+    fn an_id_that_would_alias_the_stored_root_is_refused() {
+        event_id(ROOT as usize);
     }
 
     #[test]
-    #[should_panic(expected = "4294967296 events stored")]
-    fn an_id_past_u32_is_refused() {
-        event_id(1 << 32);
+    #[should_panic(expected = "536870912 events stored")]
+    fn an_id_past_29_bits_is_refused() {
+        event_id(1 << 29);
+    }
+
+    #[test]
+    fn the_largest_id_and_every_cat_round_trip_through_the_link() {
+        for cat in CATS {
+            for parent in [0, 1, ROOT - 1, NO_EVENT] {
+                let e = Event::new(7, parent, cat);
+                assert_eq!((e.time, e.parent(), e.cat()), (7, parent, cat));
+            }
+        }
     }
 }

@@ -236,11 +236,6 @@ impl Processor {
         self.tracer = Tracer::enabled_with(capacity, self.cfg.geometry);
     }
 
-    /// Turns the flight recorder off and discards its buffer.
-    pub fn disable_tracing(&mut self) {
-        self.tracer = Tracer::disabled();
-    }
-
     /// The flight recorder (empty unless tracing is enabled).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -461,11 +456,6 @@ impl Processor {
     /// A diagnostic snapshot for debugging hangs.
     pub fn dump(&self) -> String {
         format!("cycle {}\n{}", self.cycle, self.gt.dump())
-    }
-
-    /// Renders the tail of the recorded critical path (debugging).
-    pub fn debug_critpath(&self, n: usize) -> String {
-        self.crit.debug_chain(self.gt.final_ev, n)
     }
 
     /// The cycle's tile activity mask and the earliest *future* cycle

@@ -9,47 +9,60 @@
 //! here.
 //!
 //! A counting global allocator keeps one count per thread, so the test
-//! harness's parallel threads never see each other's allocations. The
-//! budgets are the paper's die's; no test here follows a geometry lane.
+//! harness's parallel threads never see each other's allocations. It
+//! also keeps each thread's live heap bytes and their high-water mark,
+//! which gate a run's peak heap the same way. The budgets are the
+//! paper's die's; no test here follows a geometry lane.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use trips_core::{Chip, ChipConfig, CoreConfig, Processor};
 use trips_mem::{MemConfig, SecondarySystem};
-use trips_workloads::shared;
+use trips_tasm::Quality;
+use trips_workloads::{shared, suite};
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Signed: a block freed on another thread than its allocator's
+    // lowers that thread's count.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
-    // `try_with`: the slot is gone while a thread tears down, and an
-    // allocation then is simply not counted.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+/// Books one allocation that changes this thread's live heap by
+/// `bytes`. `try_with`: the slots are gone while a thread tears down,
+/// and an allocation then is simply not counted.
+fn count(allocations: u64, bytes: i64) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; the counter touches no allocator state.
+// unchanged; the counters touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(1, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -64,21 +77,31 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-fn within(what: &str, got: u64, budget: u64) {
-    assert!(got <= budget, "{what}: {got} allocations, budget {budget}");
-    eprintln!("{what}: {got} allocations (budget {budget})");
+/// The most heap bytes `f` holds live at once on this thread, above
+/// what was live when it started.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(before));
+    drop(f());
+    (PEAK_BYTES.with(Cell::get) - before) as u64
+}
+
+/// Fails unless `got` (counted in `unit`) is within `budget`.
+fn within(what: &str, got: u64, budget: u64, unit: &str) {
+    assert!(got <= budget, "{what}: {got} {unit}, budget {budget}");
+    eprintln!("{what}: {got} {unit} (budget {budget})");
 }
 
 #[test]
 fn a_four_core_coherent_nuca_builds_within_budget() {
     let n = allocations(|| SecondarySystem::for_cores_shared(MemConfig::prototype(), 4));
-    within("SecondarySystem::for_cores_shared(prototype, 4)", n, 160);
+    within("SecondarySystem::for_cores_shared(prototype, 4)", n, 160, "allocations");
 }
 
 #[test]
 fn a_prototype_core_builds_within_budget() {
     let n = allocations(|| Processor::new(CoreConfig::prototype()));
-    within("Processor::new(prototype)", n, 373);
+    within("Processor::new(prototype)", n, 373, "allocations");
 }
 
 #[test]
@@ -88,5 +111,19 @@ fn a_second_coherent_chip_run_stays_within_budget() {
     let mut chip = Chip::new(cfg);
     chip.run(&program.images, 20_000_000).expect("pcring halts");
     let n = allocations(|| chip.run(&program.images, 20_000_000).expect("pcring halts again"));
-    within("the second Chip::run of pcring on 4 coherent cores", n, 5_217);
+    within("the second Chip::run of pcring on 4 coherent cores", n, 5_217, "allocations");
+}
+
+/// The critical-path recorder dominates a recording run's heap: the
+/// hand run of `dct8x8` stores 199 139 events in four 64 Ki-record
+/// chunks, 2 MiB of the peak at 8 bytes a record.
+#[test]
+fn a_recording_run_of_dct8x8_peaks_within_budget() {
+    let wl = suite::by_name("dct8x8").expect("registered");
+    let image = wl.build_trips(Quality::Hand).expect("compiles").image;
+    let n = peak_bytes(|| {
+        let mut cpu = Processor::new(CoreConfig::prototype_critpath());
+        cpu.run(&image, 50_000_000).expect("dct8x8 halts")
+    });
+    within("the dct8x8 recording run's peak heap", n, 2_430_516, "bytes");
 }

@@ -5,6 +5,7 @@ use trips::alpha::{AlphaConfig, AlphaCore};
 use trips::core::{CoreConfig, CoreGeometry, MemBackend, Processor};
 use trips::tasm::{blockinterp, compile, interp, Quality};
 use trips::workloads::{suite, Variant};
+use trips_bench::table3_row;
 
 /// The die under test: the paper's, or the one `TRIPS_GEOMETRY` names
 /// (CI's mini and fat lanes).
@@ -250,14 +251,20 @@ fn timeout_reports_where_the_hang_is() {
 /// categories add up to the cycle of the final commit, the last cycle
 /// of the run. The walk itself panics on an edge with a negative gap
 /// and on a chain that starts anywhere but the first fetch at t = 0.
+/// Each category and the stored-event count must also equal the
+/// checked-in `BENCH_table3.json` row, which a total alone would not
+/// catch: a recorder that swapped two categories still adds up.
 #[test]
 fn critical_path_breakdown_adds_up_to_the_run() {
+    let baseline = include_str!("../BENCH_table3.json");
     let mut cpu = Processor::new(CoreConfig::prototype_critpath());
     for wl in suite::all() {
         let image = wl.build_trips(Quality::Hand).expect("compiles").image;
         let stats = cpu.run(&image, 50_000_000).unwrap_or_else(|e| panic!("{}: {e}", wl.name));
         let bd = stats.critpath.expect("critpath enabled");
         assert_eq!(bd.total(), stats.cycles - 1, "{}: {:?}", wl.name, bd.cycles);
+        let row = table3_row(wl.name, &stats).to_string();
+        assert!(baseline.contains(&row), "{}: not in BENCH_table3.json:\n{row}", wl.name);
     }
 }
 
