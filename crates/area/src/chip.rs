@@ -1,6 +1,7 @@
 //! Chip-level aggregation: Table 1, Table 2, and the §5.2 overhead
 //! observations.
 
+use trips_mem::BANKS_PER_BLOCK;
 use trips_micronet::widths::{NetworkSpec, NETWORKS};
 
 use crate::tiles::{tile_specs, ChipConfig, TileKind, TileSpec};
@@ -98,7 +99,7 @@ pub fn table1(cfg: &ChipConfig) -> (Vec<Table1Row>, ChipSummary) {
     // OCN: 4-ported routers with four virtual channels at the MTs and
     // NTs (§5.2: ~14% of the chip).
     let ocn_router_mm2 = 1.17;
-    let ocn_area = (cfg.mt_banks + cfg.nts) as f64 * ocn_router_mm2;
+    let ocn_area = (BANKS_PER_BLOCK + cfg.nts) as f64 * ocn_router_mm2;
 
     // LSQ: the replicated queues built from discrete latches occupy
     // ~40% of each DT (§7; 256 entries on the prototype).

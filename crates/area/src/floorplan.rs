@@ -1,5 +1,7 @@
 //! An ASCII rendition of the Figure 6 chip floorplan.
 
+use trips_mem::{BANKS_PER_BLOCK, BANK_KB, BANK_WAYS};
+
 use crate::tiles::ChipConfig;
 
 /// The fixed left edge of the die: controllers and the central OCN
@@ -68,9 +70,9 @@ pub fn floorplan(cfg: &ChipConfig) -> String {
         "  {} cores ({} geometry), {} MTs of {} KB ({}-way), {} NTs; die 18.30 x 18.37 mm\n",
         cfg.cores,
         g.name(),
-        cfg.mt_banks,
-        cfg.mt_bank_kb,
-        cfg.mt_ways,
+        BANKS_PER_BLOCK,
+        BANK_KB,
+        BANK_WAYS,
         cfg.nts
     ));
     s

@@ -7,7 +7,8 @@
 //! constants (an area model always needs a technology calibration; the
 //! published tile data of Table 1 is ours).
 
-use trips_core::CoreConfig;
+use trips_core::{CoreConfig, DEPPRED_ENTRIES, L1D_SETS, L1D_WAYS, MSHR_LINES};
+use trips_mem::{BANKS_PER_BLOCK, BANK_KB};
 
 /// The eleven tile types of the chip (§5.1: "the entire TRIPS design
 /// is composed of only 11 different types of tiles").
@@ -72,19 +73,14 @@ impl TileKind {
 }
 
 /// Chip-level configuration: two processor cores plus the secondary
-/// memory system.
+/// memory system, whose banks are `trips-mem`'s prototype NUCA
+/// ([`BANKS_PER_BLOCK`] banks of [`BANK_KB`] KB).
 #[derive(Debug, Clone)]
 pub struct ChipConfig {
     /// The processor-core configuration (both cores identical).
     pub core: CoreConfig,
     /// Processor cores on the chip.
     pub cores: usize,
-    /// Secondary-memory (NUCA) banks.
-    pub mt_banks: usize,
-    /// Kilobytes per NUCA bank.
-    pub mt_bank_kb: usize,
-    /// NUCA bank associativity.
-    pub mt_ways: usize,
     /// OCN network interface tiles.
     pub nts: usize,
     /// SMT threads per core (register file copies).
@@ -95,15 +91,7 @@ impl ChipConfig {
     /// The prototype: 2 cores, 16 × 64 KB NUCA banks, 24 NTs, 4-way
     /// SMT register files, around the paper's prototype core.
     pub fn prototype() -> ChipConfig {
-        ChipConfig {
-            core: CoreConfig::prototype(),
-            cores: 2,
-            mt_banks: 16,
-            mt_bank_kb: 64,
-            mt_ways: 4,
-            nts: 24,
-            threads: 4,
-        }
+        ChipConfig { core: CoreConfig::prototype(), cores: 2, nts: 24, threads: 4 }
     }
 }
 
@@ -206,11 +194,11 @@ pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
         TileKind::Dt => {
             // 8 KB data bank + tags, dependence predictor, TLB, MSHR,
             // write buffer. (The LSQ is latches, counted as cells.)
-            let data = (c.l1d_sets * c.l1d_ways * 64 * 8) as u64;
-            let tags = (c.l1d_sets * c.l1d_ways * 25) as u64;
-            let deppred = c.deppred_entries as u64;
+            let data = (L1D_SETS * L1D_WAYS * 64 * 8) as u64;
+            let tags = (L1D_SETS * L1D_WAYS * 25) as u64;
+            let deppred = DEPPRED_ENTRIES as u64;
             let tlb = 16 * 80u64;
-            let mshr = (c.mshr_lines * 4 * (64 + 40)) as u64;
+            let mshr = (MSHR_LINES * 4 * (64 + 40)) as u64;
             let wb = 64 * 8 + 40;
             // The LSQ's address CAM is discrete latches (cells), but
             // its 64-bit data payload per entry is a dense array.
@@ -224,8 +212,8 @@ pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
             (c.geometry.frames * c.geometry.rs_per_frame * (2 * 64 + 1 + 32 + 4)) as u64 + 1500
         }
         TileKind::Mt => {
-            let data = (cfg.mt_bank_kb * 1024 * 8) as u64;
-            let lines = (cfg.mt_bank_kb * 1024 / 64) as u64;
+            let data = (BANK_KB * 1024 * 8) as u64;
+            let lines = (BANK_KB * 1024 / 64) as u64;
             let tags = lines * 22;
             data + tags + 300
         }
@@ -246,7 +234,7 @@ fn tile_count(kind: TileKind, cfg: &ChipConfig) -> usize {
         TileKind::It => cfg.cores * g.num_its(),
         TileKind::Dt => cfg.cores * g.num_dts(),
         TileKind::Et => cfg.cores * g.num_ets(),
-        TileKind::Mt => cfg.mt_banks,
+        TileKind::Mt => BANKS_PER_BLOCK,
         TileKind::Nt => cfg.nts,
         TileKind::Sdc => 2,
         TileKind::Dma => 2,

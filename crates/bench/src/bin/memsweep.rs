@@ -48,8 +48,7 @@ fn sweep_workloads() -> Vec<Workload> {
 }
 
 fn run_point(wl: &Workload, p: Point) -> CoreStats {
-    let mc =
-        MemConfig { mode: p.mode, interleave_shift: p.interleave_shift, ..MemConfig::prototype() };
+    let mc = MemConfig { mode: p.mode, interleave_shift: p.interleave_shift };
     let cfg = CoreConfig { mem_backend: MemBackend::Nuca(mc), ..CoreConfig::prototype() };
     run_trips(wl, Quality::Hand, cfg)
 }

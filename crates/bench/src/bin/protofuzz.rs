@@ -23,13 +23,13 @@
 //! `assert_scenario("<that line>")`.
 //!
 //! Flags are [`USAGE`]. `--smoke` is the CI configuration: 210 seeds
-//! across four microbenchmarks. `--demo-bug` counts any run that saw a
-//! forced flush storm as failing, to drive the shrink-and-report tail
-//! on a healthy machine (CI does, on both mappings). `--gate on` (the
-//! default) fuzzes the `TickMode::Fast` schedule, `--gate off` the
-//! `Reference` one; under `Fast` epoch skipping is live, so perturbed
-//! arrival times also stress the next-wake computation — a skip past a
-//! maturity point the scan failed to fold surfaces as a divergence.
+//! across four microbenchmarks. CI also drives the shrink-and-report
+//! tail, on pinned seeds of builds with a `tests/bugs/` patch applied.
+//! `--gate on` (the default) fuzzes the `TickMode::Fast` schedule,
+//! `--gate off` the `Reference` one; under `Fast` epoch skipping is
+//! live, so perturbed arrival times also stress the next-wake
+//! computation — a skip past a maturity point the scan failed to fold
+//! surfaces as a divergence.
 
 use std::ops::Range;
 use std::process::ExitCode;
@@ -41,7 +41,7 @@ use trips_tasm::Quality;
 use trips_workloads::suite;
 
 const USAGE: &str = "usage: protofuzz [--smoke] [--seeds N] [--start S] [--workloads a,b,c] \
-                     [--quality hand|compiled] [--gate on|off] [--coherence] [--demo-bug] \
+                     [--quality hand|compiled] [--gate on|off] [--coherence] \
                      [--artifact FILE] [--threads N] [--max-cycles N]";
 
 struct Args {
@@ -62,11 +62,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             tick_mode: TickMode::Fast,
             coherence: false,
         },
-        fuzzer: Fuzzer {
-            oracles: Oracles::default(),
-            max_cycles: fuzz::FUZZ_MAX_CYCLES,
-            demo_bug: false,
-        },
+        fuzzer: Fuzzer { oracles: Oracles::default(), max_cycles: fuzz::FUZZ_MAX_CYCLES },
         artifact: "protofuzz-failure.json".into(),
         threads: num_threads(),
     };
@@ -89,9 +85,11 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
             }
             "--coherence" => args.sweep.coherence = true,
-            "--demo-bug" => args.fuzzer.demo_bug = true,
             "--artifact" => args.artifact = value()?,
-            "--threads" => args.threads = number(value()?)? as usize,
+            "--threads" => match number(value()?)? {
+                0 => return Err("--threads 0 runs nothing".into()),
+                n => args.threads = n as usize,
+            },
             "--max-cycles" => args.fuzzer.max_cycles = number(value()?)?,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -127,10 +125,6 @@ fn main() -> ExitCode {
 
     let Some(fail) = failures.first() else {
         eprintln!("protofuzz: all {total} plans passed (invariants + oracle)");
-        if fuzzer.demo_bug {
-            eprintln!("protofuzz: --demo-bug found no storming plan; widen --seeds");
-            return ExitCode::FAILURE;
-        }
         return ExitCode::SUCCESS;
     };
     eprintln!("protofuzz: {} failing plan(s); minimizing the first", failures.len());
@@ -147,13 +141,6 @@ fn main() -> ExitCode {
     }
     println!("// ---- paste into a #[test] in tests/fault_injection.rs ----");
     println!("assert_scenario(\"{}\");", shrunk.scenario);
-
-    if fuzzer.demo_bug {
-        // The demo's whole point is to produce the reproducer above;
-        // reaching it is success.
-        eprintln!("protofuzz: --demo-bug pipeline complete");
-        return ExitCode::SUCCESS;
-    }
     ExitCode::FAILURE
 }
 
@@ -184,7 +171,14 @@ mod tests {
     #[test]
     fn unknown_names_are_usage_errors() {
         assert!(parse("--workloads vadd,nope").err().expect("unknown").contains("\"nope\""));
-        for bad in ["--quality best", "--gate maybe", "--frobnicate", "--seeds", "--seeds x"] {
+        for bad in [
+            "--quality best",
+            "--gate maybe",
+            "--frobnicate",
+            "--seeds",
+            "--seeds x",
+            "--threads 0",
+        ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
     }

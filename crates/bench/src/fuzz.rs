@@ -578,10 +578,6 @@ pub struct Fuzzer {
     pub oracles: Oracles,
     /// Cycle budget of every run ([`FUZZ_MAX_CYCLES`] in `protofuzz`).
     pub max_cycles: u64,
-    /// `--demo-bug`: a run that merely *saw* a forced flush storm also
-    /// counts as failing, to exercise the shrink-and-report tail
-    /// without a real bug.
-    pub demo_bug: bool,
 }
 
 impl Fuzzer {
@@ -589,16 +585,7 @@ impl Fuzzer {
     /// and the shrinker share, so a shrunk plan fails for the same
     /// reason as the original.
     pub fn failure(&self, scenario: &Scenario) -> Option<String> {
-        let cores = match scenario.run(&self.oracles, self.max_cycles) {
-            Ok(cores) => cores,
-            Err(why) => return Some(why),
-        };
-        let storms: u64 = cores.iter().map(|c| c.protocol.forced_flushes).sum();
-        (self.demo_bug && storms > 0).then(|| {
-            format!(
-                "demo bug: {storms} forced flush storm(s) observed (synthetic failure predicate)"
-            )
-        })
+        scenario.run(&self.oracles, self.max_cycles).err()
     }
 
     /// Runs [`Scenario::from_seed`] for every seed on `threads` host
@@ -839,13 +826,13 @@ nuca vadd hand prototype fast | shared:4 pcring hand prototype fast";
         }
     }
 
-    /// The report tail, in-process, under the demo predicate: on each
-    /// machine kind one storming seed goes sweep → shrink → artifact,
-    /// and the artifact's scenario line is the whole reproducer.
+    /// The report tail, in-process: under a cycle budget no run halts
+    /// within, one faulted seed per machine kind goes sweep → shrink →
+    /// artifact, and the artifact's scenario line is the whole
+    /// reproducer.
     #[test]
     fn a_failure_on_every_axis_reaches_a_reproducer_line() {
-        let fuzzer =
-            Fuzzer { oracles: Oracles::default(), max_cycles: FUZZ_MAX_CYCLES, demo_bug: true };
+        let fuzzer = Fuzzer { oracles: Oracles::default(), max_cycles: 300 };
         let axes = [
             (sweep(&["vadd"], false), Machine::Solo),
             (sweep(&["vadd"], false), Machine::Chip),
@@ -855,17 +842,18 @@ nuca vadd hand prototype fast | shared:4 pcring hand prototype fast";
             let seed = (0..256)
                 .find(|&s| {
                     let sc = Scenario::from_seed(s, &sweep);
-                    sc.machine == machine && sc.plan.is_some_and(|p| p.flush_storm.is_some())
+                    sc.machine == machine && sc.plan.is_some()
                 })
-                .expect("a storming seed on this axis");
+                .expect("a faulted seed on this axis");
             let failures = fuzzer.sweep(seed..seed + 1, &sweep, 1);
-            let [fail] = failures.as_slice() else { panic!("seed {seed:#x} must storm") };
+            let [fail] = failures.as_slice() else { panic!("seed {seed:#x} must time out") };
             let shrunk = fuzzer.minimize(fail);
-            assert!(shrunk.why.starts_with("demo bug"), "the last failing candidate's reason");
             let plan = shrunk.scenario.plan.as_ref().expect("shrinking keeps a plan");
-            let storm_only =
-                FaultPlan { seed, flush_storm: plan.flush_storm, ..FaultPlan::default() };
-            assert_eq!(*plan, storm_only, "the demo failure needs the storm and nothing else");
+            assert_eq!(
+                *plan,
+                FaultPlan { seed, ..FaultPlan::default() },
+                "a timeout needs no fault"
+            );
 
             let artifact = fuzzer.failure_artifact(fail, &shrunk);
             let line = artifact
@@ -876,8 +864,46 @@ nuca vadd hand prototype fast | shared:4 pcring hand prototype fast";
             assert_eq!(parsed, shrunk.scenario);
             assert!(fuzzer.failure(&parsed).is_some(), "{line} must still fail");
             assert!(artifact.contains("\"chrome_trace\": {"), "traced re-run embedded");
-            let coherent = matches!(machine, Machine::Shared(_));
-            assert_eq!(artifact.contains("chip cycle") && artifact.contains("Some(Coh"), coherent);
+            let chip = matches!(machine, Machine::Chip | Machine::Shared(_));
+            assert_eq!(
+                artifact.contains("; core 1: "),
+                chip,
+                "a chip's hang report names each core"
+            );
+        }
+    }
+
+    /// A chip's post-mortem leads with what only the chip knows: its halt
+    /// cycle and, on a coherent die, the coherence counters. A check
+    /// that fails after the halt carries it, and so does the artifact of
+    /// a failure whose traced re-run halts.
+    #[test]
+    fn a_halted_chips_post_mortem_names_its_halt() {
+        let shared = Scenario::parse("shared:2 psum hand prototype fast").expect("valid");
+        let wl = suite::shared_by_name("psum").expect("a shared workload");
+        let (result, post) =
+            run_chip(shared.chip_config(), &(wl.gen)(2).images, FUZZ_MAX_CYCLES, true, |_, _| {
+                Err("the check fails".into())
+            });
+        assert_eq!(result.expect_err("the check's failure"), "the check fails");
+        let (hangs, trace) = post.expect("a traced run leaves a post-mortem");
+        assert!(
+            hangs.starts_with("halted at chip cycle ") && hangs.contains("Some(Coh"),
+            "{hangs}"
+        );
+        assert!(hangs.contains("; core 1: ") && trace.starts_with('{'), "{hangs}");
+
+        let fuzzer = Fuzzer { oracles: Oracles::default(), max_cycles: FUZZ_MAX_CYCLES };
+        for (line, coherent) in [
+            ("shared:2 psum hand prototype fast", true),
+            ("chip vadd,vadd hand prototype fast", false),
+        ] {
+            let fail =
+                FuzzFailure { scenario: Scenario::parse(line).expect(line), why: "once".into() };
+            let artifact = fuzzer.failure_artifact(&fail, &fail);
+            assert!(artifact.contains("\"rerun\": \"ran to halt: ["), "{line}");
+            assert!(artifact.contains("\"hang_report\": \"halted at chip cycle "), "{line}");
+            assert_eq!(artifact.contains("Some(Coh"), coherent, "{line}");
         }
     }
 

@@ -27,6 +27,48 @@ pub const NUM_FRAMES: usize = 8;
 /// Reservation stations per ET per frame (prototype).
 pub const RS_PER_FRAME: usize = 8;
 
+// The prototype's fixed latencies and table sizes (§3, Table 1). Every
+// die the model builds shares them; each bound a tile relies on is
+// checked where the constant is defined, so a value that would panic
+// or wedge a tile does not compile.
+
+/// OPN router input-FIFO depth, in flits.
+pub(crate) const OPN_FIFO: usize = 4;
+const _: () = assert!(OPN_FIFO >= 1, "a router with no FIFO slot never forwards");
+/// L1D sets per DT bank (8 KB, 2-way, 64 B lines = 64 sets, §3.5).
+pub const L1D_SETS: usize = 64;
+/// L1D associativity.
+pub const L1D_WAYS: usize = 2;
+const _: () = assert!(L1D_SETS >= 1, "the DT's set index is `% L1D_SETS`");
+const _: () = assert!(L1D_WAYS >= 1 && L1D_WAYS <= 255, "the LRU pointers are `u8`");
+/// L1D hit latency in cycles.
+pub(crate) const L1D_HIT_LAT: u64 = 2;
+/// Integer ALU latency.
+pub(crate) const INT_LAT: u64 = 1;
+/// Integer multiply latency (pipelined).
+pub(crate) const MUL_LAT: u64 = 3;
+/// Integer divide latency (unpipelined, §3.4: 24 cycles).
+pub(crate) const DIV_LAT: u64 = 24;
+/// FP add/mul/compare latency (pipelined).
+pub(crate) const FP_LAT: u64 = 4;
+/// FP divide/sqrt latency (unpipelined).
+pub(crate) const FDIV_LAT: u64 = 24;
+/// Dependence predictor entries (§3.5: a 1024-entry bit vector).
+pub const DEPPRED_ENTRIES: usize = 1024;
+const _: () = assert!(DEPPRED_ENTRIES >= 1, "the predictor index is `% DEPPRED_ENTRIES`");
+/// Blocks between dependence-predictor clears (§3.5: 10,000).
+pub(crate) const DEPPRED_CLEAR_BLOCKS: u64 = 10_000;
+/// Outstanding miss lines per DT MSHR (§3.5: 4).
+pub const MSHR_LINES: usize = 4;
+const _: () = assert!(MSHR_LINES >= 1, "a DT with no MSHR line never fills a miss");
+/// Cycles of next-block prediction in the fetch pipeline (§4.1: 3).
+pub(crate) const PREDICT_LAT: u64 = 3;
+/// Cycles of I-TLB + tag access + hit/miss detection (§4.1: 2).
+pub(crate) const TAG_LAT: u64 = 2;
+/// Architectural register writes committed per RT per cycle.
+pub(crate) const COMMIT_BW: usize = 1;
+const _: () = assert!(COMMIT_BW >= 1, "an RT with no write port never commits");
+
 /// Hard ceiling on [`CoreGeometry::frames`], sized so a frame set
 /// always fits a [`FrameSet`] and the fixed-size generation arrays
 /// carried by GCN flush waves.
@@ -612,43 +654,13 @@ pub struct CoreConfig {
     /// Parallel operand networks (1 in the prototype; 2 models the
     /// "more operand network bandwidth" extension of §7).
     pub opn_networks: usize,
-    /// OPN router input-FIFO depth.
-    pub opn_fifo: usize,
-    /// L1D sets per DT bank (8 KB, 2-way, 64 B lines = 64 sets).
-    pub l1d_sets: usize,
-    /// L1D associativity.
-    pub l1d_ways: usize,
-    /// L1D hit latency in cycles.
-    pub l1d_hit_lat: u64,
     /// The secondary memory system serving I-side refills and D-side
     /// misses (a perfect flat-latency L2 by default, or the §3.6 NUCA
     /// system).
     pub mem_backend: MemBackend,
-    /// Integer ALU latency.
-    pub int_lat: u64,
-    /// Integer multiply latency (pipelined).
-    pub mul_lat: u64,
-    /// Integer divide latency (unpipelined, §3.4: 24 cycles).
-    pub div_lat: u64,
-    /// FP add/mul/compare latency (pipelined).
-    pub fp_lat: u64,
-    /// FP divide/sqrt latency (unpipelined).
-    pub fdiv_lat: u64,
-    /// Dependence predictor entries (§3.5: 1024-entry bit vector).
-    pub deppred_entries: usize,
-    /// Blocks between dependence-predictor clears (§3.5: 10,000).
-    pub deppred_clear_blocks: u64,
     /// Disable the dependence predictor entirely (ablation): loads
     /// always issue aggressively.
     pub deppred_disabled: bool,
-    /// Outstanding miss lines per DT MSHR (§3.5: 4).
-    pub mshr_lines: usize,
-    /// Cycles of next-block prediction in the fetch pipeline (§4.1: 3).
-    pub predict_lat: u64,
-    /// Cycles of I-TLB + tag access + hit/miss detection (§4.1: 2).
-    pub tag_lat: u64,
-    /// Architectural register writes committed per RT per cycle.
-    pub commit_bw: usize,
     /// The next-block predictor.
     pub predictor: PredictorConfig,
     /// Record the critical-path event graph (costs memory and time).
@@ -688,23 +700,8 @@ impl CoreConfig {
         CoreConfig {
             geometry,
             opn_networks: 1,
-            opn_fifo: 4,
-            l1d_sets: 64,
-            l1d_ways: 2,
-            l1d_hit_lat: 2,
             mem_backend: MemBackend::prototype(),
-            int_lat: 1,
-            mul_lat: 3,
-            div_lat: 24,
-            fp_lat: 4,
-            fdiv_lat: 24,
-            deppred_entries: 1024,
-            deppred_clear_blocks: 10_000,
             deppred_disabled: false,
-            mshr_lines: 4,
-            predict_lat: 3,
-            tag_lat: 2,
-            commit_bw: 1,
             predictor: PredictorConfig::prototype(),
             critpath: false,
             max_frames: geometry.frames,
@@ -718,7 +715,8 @@ impl CoreConfig {
     /// a valid geometry (a struct literal skips
     /// [`CoreGeometry::validate`]), every sized field in range, and a
     /// valid NUCA configuration ([`MemConfig::validate`]) when that is
-    /// the backend.
+    /// the backend. The prototype's fixed sizes are checked where they
+    /// are defined, at compile time.
     ///
     /// # Errors
     ///
@@ -728,15 +726,8 @@ impl CoreConfig {
         let ranges = [
             ("max_frames", self.max_frames, self.geometry.frames), // the GT's allocation bound
             ("opn_networks", self.opn_networks, 32), // the outboxes' grant bits are a `u32`
-            ("l1d_ways", self.l1d_ways, 255),        // the LRU counters are `u8`
-            ("opn_fifo", self.opn_fifo, usize::MAX),
-            ("l1d_sets", self.l1d_sets, usize::MAX),
-            ("mshr_lines", self.mshr_lines, usize::MAX),
-            ("commit_bw", self.commit_bw, usize::MAX),
-            ("deppred_entries", self.deppred_entries, usize::MAX),
         ];
         match ranges.into_iter().find(|&(_, v, max)| !(1..=max).contains(&v)) {
-            Some((field, _, usize::MAX)) => Err(format!("{field} must be at least 1")),
             Some((field, v, max)) => Err(format!("{field} {v} outside 1..={max}")),
             None => match &self.mem_backend {
                 MemBackend::Nuca(mc) => mc.validate().map_err(|e| format!("mem_backend: {e}")),
@@ -763,14 +754,15 @@ mod tests {
 
     #[test]
     fn prototype_matches_paper_parameters() {
+        assert_eq!(L1D_SETS * L1D_WAYS * 64, 8 * 1024, "8KB L1D bank");
+        assert_eq!(DIV_LAT, 24);
+        assert_eq!(DEPPRED_ENTRIES, 1024);
+        assert_eq!(DEPPRED_CLEAR_BLOCKS, 10_000);
+        assert_eq!(MSHR_LINES, 4);
+        assert_eq!(PREDICT_LAT + TAG_LAT, 5, "front of the 13-cycle fetch pipe");
         let c = CoreConfig::prototype();
-        assert_eq!(c.l1d_sets * c.l1d_ways * 64, 8 * 1024, "8KB L1D bank");
-        assert_eq!(c.div_lat, 24);
-        assert_eq!(c.deppred_entries, 1024);
-        assert_eq!(c.deppred_clear_blocks, 10_000);
         assert_eq!(c.geometry.lsq_depth, 256);
         assert_eq!(c.max_frames, 8);
-        assert_eq!(c.predict_lat + c.tag_lat, 5, "front of the 13-cycle fetch pipe");
     }
 
     #[test]
@@ -960,9 +952,10 @@ mod tests {
             MemBackend::PerfectL2 { latency: 12 },
             "Table 3 isolates core effects behind a 12-cycle perfect L2"
         );
-        let MemBackend::Nuca(mc) = MemBackend::nuca_prototype() else {
-            panic!("nuca_prototype must select the NUCA system");
-        };
-        assert_eq!(mc.banks * mc.bank_kb, 1024, "1 MB secondary system");
+        assert!(
+            matches!(MemBackend::nuca_prototype(), MemBackend::Nuca(mc) if mc == MemConfig::prototype()),
+            "nuca_prototype must select the prototype NUCA system"
+        );
+        assert_eq!(trips_mem::BANKS_PER_BLOCK * trips_mem::BANK_KB, 1024, "1 MB secondary system");
     }
 }

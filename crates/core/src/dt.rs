@@ -17,7 +17,10 @@ use trips_isa::{Opcode, Target};
 use trips_mem::TagStore;
 use trips_micronet::WakeTable;
 
-use crate::config::{CoreConfig, CoreGeometry, LsidMask};
+use crate::config::{
+    CoreConfig, CoreGeometry, LsidMask, DEPPRED_CLEAR_BLOCKS, DEPPRED_ENTRIES, L1D_HIT_LAT,
+    L1D_SETS, L1D_WAYS, MSHR_LINES,
+};
 use crate::critpath::{Cat, CritPath};
 use crate::frames::{FrameFile, FrameSet};
 use crate::gt::GlobalTile;
@@ -169,10 +172,10 @@ impl DataTile {
                 index as usize == cfg.geometry.num_dts() - 1,
                 DtFrame::default,
             ),
-            tags: TagStore::new(cfg.l1d_sets, cfg.l1d_ways),
-            deppred: vec![false; cfg.deppred_entries],
+            tags: TagStore::new(L1D_SETS, L1D_WAYS),
+            deppred: vec![false; DEPPRED_ENTRIES],
             blocks_since_clear: 0,
-            mshrs: Vec::with_capacity(cfg.mshr_lines),
+            mshrs: Vec::with_capacity(MSHR_LINES),
             respond_q: Vec::with_capacity(8),
             outbox: OpnOutbox::with_capacity(16),
             occupancy: 0,
@@ -318,29 +321,29 @@ impl DataTile {
         })
     }
 
-    fn set_index(&self, ea: u64, cfg: &CoreConfig) -> (usize, u64) {
+    fn set_index(&self, ea: u64) -> (usize, u64) {
         let line = ea >> 6;
         let nd = self.geom.num_dts() as u64;
         debug_assert_eq!((line % nd) as u8, self.index, "address routed to wrong DT");
-        let set = ((line / nd) as usize) % cfg.l1d_sets;
+        let set = ((line / nd) as usize) % L1D_SETS;
         let tag = line / nd;
         (set, tag)
     }
 
-    fn is_hit(&self, ea: u64, cfg: &CoreConfig) -> bool {
-        let (set, tag) = self.set_index(ea, cfg);
+    fn is_hit(&self, ea: u64) -> bool {
+        let (set, tag) = self.set_index(ea);
         self.tags.contains(set, tag)
     }
 
-    fn install(&mut self, ea: u64, cfg: &CoreConfig) {
-        let (set, tag) = self.set_index(ea, cfg);
+    fn install(&mut self, ea: u64) {
+        let (set, tag) = self.set_index(ea);
         self.tags.install(set, tag);
     }
 
     /// Drops the cached copy of `ea`'s line, if held (coherent chips:
     /// directory invalidations and value-plane store propagation).
-    fn drop_line(&mut self, ea: u64, cfg: &CoreConfig) {
-        let (set, tag) = self.set_index(ea, cfg);
+    fn drop_line(&mut self, ea: u64) {
+        let (set, tag) = self.set_index(ea);
         self.tags.remove(set, tag);
     }
 
@@ -365,13 +368,11 @@ impl DataTile {
     /// committing are exempt — their loads are architecturally
     /// committed, and the store propagation order makes that the
     /// sequential order.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn shared_invalidate(
         &mut self,
         now: u64,
         ea: u64,
         bytes: usize,
-        cfg: &CoreConfig,
         nets: &mut Nets,
         stats: &mut CoreStats,
         tracer: &mut Tracer,
@@ -383,7 +384,7 @@ impl DataTile {
             if line % nd != u64::from(self.index) {
                 continue;
             }
-            self.drop_line(line << 6, cfg);
+            self.drop_line(line << 6);
             for m in self.mshrs.iter_mut().filter(|m| m.line == line) {
                 m.poisoned = true;
             }
@@ -404,7 +405,7 @@ impl DataTile {
     }
 
     fn deppred_index(&self, ea: u64) -> usize {
-        ((ea >> 3) as usize ^ (ea >> 13) as usize) % self.deppred.len()
+        ((ea >> 3) as usize ^ (ea >> 13) as usize) % DEPPRED_ENTRIES
     }
 
     /// One cycle.
@@ -499,7 +500,7 @@ impl DataTile {
         // after every core tick of this cycle, so the home directory
         // can only count an ack for a copy that is already gone.
         while let Some(line) = memsys.pop_inval(MemClient::Dt(self.index)) {
-            self.drop_line(line << 6, cfg);
+            self.drop_line(line << 6);
             for m in self.mshrs.iter_mut().filter(|m| m.line == line) {
                 m.poisoned = true;
             }
@@ -533,10 +534,10 @@ impl DataTile {
             if self.mshrs[k].fill_at <= now {
                 let m = self.mshrs.swap_remove(k);
                 if !m.poisoned {
-                    self.install(m.line << 6, cfg);
+                    self.install(m.line << 6);
                 }
                 for ld in m.waiting {
-                    self.respond_q.push((now + cfg.l1d_hit_lat, ld));
+                    self.respond_q.push((now + L1D_HIT_LAT, ld));
                 }
             } else {
                 k += 1;
@@ -587,7 +588,7 @@ impl DataTile {
                     return;
                 }
                 self.execute_load(
-                    now, cfg, stats, mem, memsys, frame, gen, lsid, opcode, ea, target, ev, tracer,
+                    now, stats, mem, memsys, frame, gen, lsid, opcode, ea, target, ev, tracer,
                 );
             }
             OpnPayload::StoreReq { frame, gen, lsid, ea, val, bytes, nullified, ev } => {
@@ -603,7 +604,6 @@ impl DataTile {
     fn execute_load(
         &mut self,
         now: u64,
-        cfg: &CoreConfig,
         stats: &mut CoreStats,
         mem: &SparseMem,
         memsys: &mut MemSys,
@@ -626,15 +626,15 @@ impl DataTile {
         self.frames[frame].performed_loads.push(LoadRec { lsid, ea, bytes });
         self.occupancy += 1;
         let ld = ExecLoad { frame, gen, opcode, ea, raw, target, ev };
-        if self.is_hit(ea, cfg) || forwarded {
+        if self.is_hit(ea) || forwarded {
             stats.l1d_hits += 1;
-            self.respond_q.push((now + cfg.l1d_hit_lat, ld));
+            self.respond_q.push((now + L1D_HIT_LAT, ld));
         } else {
             stats.l1d_misses += 1;
             let line = ea >> 6;
             if let Some(m) = self.mshrs.iter_mut().find(|m| m.line == line) {
                 m.waiting.push(ld);
-            } else if self.mshrs.len() < cfg.mshr_lines {
+            } else if self.mshrs.len() < MSHR_LINES {
                 let fill_at = match memsys.dside_fill(now, self.index, line) {
                     FillPath::At(t) => t,
                     FillPath::Queued => PENDING_FILL,
@@ -644,7 +644,7 @@ impl DataTile {
                 // MSHR full: model a structural stall by serializing
                 // behind the earliest fill.
                 let earliest =
-                    self.mshrs.iter_mut().min_by_key(|m| m.fill_at).expect("mshr_lines > 0");
+                    self.mshrs.iter_mut().min_by_key(|m| m.fill_at).expect("MSHR_LINES > 0");
                 earliest.waiting.push(ld);
             }
         }
@@ -816,7 +816,7 @@ impl DataTile {
                     let lsid = d.lsid;
                     tracer.record(now, || TraceKind::LsqWakeup { dt, frame, lsid });
                     self.execute_load(
-                        now, cfg, stats, mem, memsys, frame, gen, d.lsid, d.opcode, d.ea, d.target,
+                        now, stats, mem, memsys, frame, gen, d.lsid, d.opcode, d.ea, d.target,
                         d.ev, tracer,
                     );
                 } else {
@@ -900,7 +900,7 @@ impl DataTile {
                     // line through a GetS fill like any other reader.
                     if !memsys.is_coherent() {
                         mem.write_uint(s.ea, s.val, s.bytes);
-                        self.install(s.ea, cfg);
+                        self.install(s.ea);
                     }
                     // ESN-style store completion: under the NUCA
                     // backend the line is written back and commit
@@ -954,7 +954,7 @@ impl DataTile {
                 self.occupancy.saturating_sub(f.own_stores.len() + f.performed_loads.len());
             self.deferred.remove(frame);
             self.blocks_since_clear += 1;
-            if self.blocks_since_clear >= cfg.deppred_clear_blocks {
+            if self.blocks_since_clear >= DEPPRED_CLEAR_BLOCKS {
                 self.blocks_since_clear = 0;
                 self.deppred.iter_mut().for_each(|b| *b = false);
             }

@@ -13,7 +13,9 @@ use trips_isa::semantics::{eval, Tok};
 use trips_isa::{Instruction, Opcode, OperandNeeds, OperandSlot, Pred, Target};
 use trips_micronet::WakeTable;
 
-use crate::config::{CoreConfig, CoreGeometry, StationMask, MAX_FRAMES};
+use crate::config::{
+    CoreConfig, CoreGeometry, StationMask, DIV_LAT, FDIV_LAT, FP_LAT, INT_LAT, MAX_FRAMES, MUL_LAT,
+};
 use crate::critpath::{Cat, CritPath};
 use crate::frames::{FrameFile, FrameSet};
 use crate::gt::GlobalTile;
@@ -113,6 +115,17 @@ fn slot_ix(slot: OperandSlot) -> usize {
         OperandSlot::Left => 0,
         OperandSlot::Right => 1,
         OperandSlot::Predicate => 2,
+    }
+}
+
+/// An opcode's (latency, pipelined) on the prototype's ET (§3.4).
+fn exec_latency(op: Opcode) -> (u64, bool) {
+    match op {
+        Opcode::Div | Opcode::Divu | Opcode::Mod => (DIV_LAT, false),
+        Opcode::Fdiv | Opcode::Fsqrt => (FDIV_LAT, false),
+        Opcode::Mul => (MUL_LAT, true),
+        o if o.is_fp() => (FP_LAT, true),
+        _ => (INT_LAT, true),
     }
 }
 
@@ -227,17 +240,6 @@ impl ExecTile {
 
     fn tile_id(&self) -> TileId {
         TileId::Et(self.row, self.col)
-    }
-
-    fn exec_latency(&self, cfg: &CoreConfig, op: Opcode) -> (u64, bool) {
-        // (latency, pipelined)
-        match op {
-            Opcode::Div | Opcode::Divu | Opcode::Mod => (cfg.div_lat, false),
-            Opcode::Fdiv | Opcode::Fsqrt => (cfg.fdiv_lat, false),
-            Opcode::Mul => (cfg.mul_lat, true),
-            o if o.is_fp() => (cfg.fp_lat, true),
-            _ => (cfg.int_lat, true),
-        }
     }
 
     /// [`FrameFile::ensure`] with this tile's body reset; any message
@@ -433,7 +435,7 @@ impl ExecTile {
                 let st =
                     self.frames[frame].stations[slot].as_ref().expect("ready bit implies station");
                 debug_assert!(st.state == SState::Waiting && is_ready(st), "stale ready bit");
-                let (lat, pipelined) = self.exec_latency(cfg, st.inst.opcode);
+                let (lat, pipelined) = exec_latency(st.inst.opcode);
                 if !pipelined && self.fu_busy_until > now {
                     deferred = true;
                     continue;

@@ -12,7 +12,7 @@ use trips_isa::{decode_header, BlockFlags, BranchKind, CHUNK_BYTES};
 use trips_mem::TagStore;
 use trips_micronet::WakeTable;
 
-use crate::config::{CoreConfig, CoreGeometry, TickMode, MAX_FRAMES};
+use crate::config::{CoreConfig, CoreGeometry, TickMode, MAX_FRAMES, PREDICT_LAT, TAG_LAT};
 use crate::critpath::{Cat, CritPath, NO_EVENT};
 use crate::diag::FrameDiag;
 use crate::fault::StormState;
@@ -861,7 +861,7 @@ impl GlobalTile {
                                 f.store_mask = h.store_mask;
                                 f.flags = h.flags;
                                 self.fetch = Some(FetchOp {
-                                    stage: Stage::Predict { done_at: now + cfg.predict_lat },
+                                    stage: Stage::Predict { done_at: now + PREDICT_LAT },
                                     ..op
                                 });
                             } else {
@@ -963,8 +963,7 @@ impl GlobalTile {
             f.fetch_ev = fetch_ev;
             self.order.push_back(frame);
             self.next_pc = None; // consumed; refilled by the predict stage
-            self.fetch =
-                Some(FetchOp { frame, pc, stage: Stage::Tag { done_at: now + cfg.tag_lat } });
+            self.fetch = Some(FetchOp { frame, pc, stage: Stage::Tag { done_at: now + TAG_LAT } });
         }
     }
 }

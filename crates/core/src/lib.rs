@@ -73,8 +73,8 @@ pub mod trace;
 pub use chip::{Chip, ChipConfig, ChipStats};
 pub use config::{
     CoreConfig, CoreGeometry, LsidMask, MemBackend, PredictorConfig, SlotSet, StationMask,
-    TickMode, TileMask, ET_COLS, ET_ROWS, MAX_FRAMES, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS,
-    RS_PER_FRAME,
+    TickMode, TileMask, DEPPRED_ENTRIES, ET_COLS, ET_ROWS, L1D_SETS, L1D_WAYS, MAX_FRAMES,
+    MSHR_LINES, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS, RS_PER_FRAME,
 };
 pub use critpath::{Cat, CritBreakdown, CritPath, CATS, NUM_CATS};
 pub use diag::{FrameDiag, HangReport, NetDiag, TileDiag};

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use trips_micronet::{Chain, Mesh, MeshMsg, WakePort, WakeTable};
 
-use crate::config::{CoreConfig, CoreGeometry};
+use crate::config::{CoreConfig, CoreGeometry, OPN_FIFO};
 use crate::diag::NetDiag;
 use crate::fault;
 use crate::msg::{DsnMsg, GcnMsg, GdnFetch, GrnRefill, GsnMsg, OpnPayload, RowMsg, TileId};
@@ -104,7 +104,7 @@ impl Nets {
             geom: g,
             wake: wake.clone(),
             opn: (0..cfg.opn_networks.max(1))
-                .map(|_| Mesh::new(mesh.0, mesh.1, cfg.opn_fifo))
+                .map(|_| Mesh::new(mesh.0, mesh.1, OPN_FIFO))
                 .collect(),
             opn_inject_stalls: 0,
             opn_highwater: vec![0; cfg.opn_networks.max(1)],

@@ -346,7 +346,6 @@ impl Processor {
                 now,
                 ea,
                 bytes,
-                &self.cfg,
                 &mut self.nets,
                 &mut self.stats,
                 &mut self.tracer,
@@ -645,23 +644,16 @@ mod tests {
     fn try_new_names_the_field_of_every_machine_that_would_panic_or_wedge_later() {
         use crate::chip::{Chip, ChipConfig};
         use crate::config::{CoreGeometry, MemBackend};
-        use trips_mem::{MemConfig, MemMode};
+        use trips_mem::MemConfig;
         let ok = CoreConfig::prototype;
         // Never met `CoreGeometry::validate`: a struct literal.
         let three_rows = CoreGeometry { et_rows: 3, ..CoreGeometry::prototype() };
         let table = [
             (CoreConfig { opn_networks: 33, ..ok() }, "opn_networks"), // `1u32 << 33` in the outbox
             (CoreConfig { opn_networks: 0, ..ok() }, "opn_networks"),
-            (CoreConfig { l1d_sets: 0, ..ok() }, "l1d_sets"), // `% 0` in the DT's set index
             (CoreConfig { max_frames: 9, ..ok() }, "max_frames"), // past the 8-frame file
             (CoreConfig { max_frames: 0, ..ok() }, "max_frames"), // the GT never fetches
             (CoreConfig { geometry: three_rows, ..ok() }, "geometry"),
-            (CoreConfig { opn_fifo: 0, ..ok() }, "opn_fifo"),
-            (CoreConfig { l1d_ways: 0, ..ok() }, "l1d_ways"),
-            (CoreConfig { l1d_ways: 256, ..ok() }, "l1d_ways"), // the LRU counter is a `u8`
-            (CoreConfig { mshr_lines: 0, ..ok() }, "mshr_lines"),
-            (CoreConfig { commit_bw: 0, ..ok() }, "commit_bw"),
-            (CoreConfig { deppred_entries: 0, ..ok() }, "deppred_entries"),
         ];
         for (cfg, field) in table {
             let err = Processor::try_new(cfg.clone()).err().unwrap_or_else(|| panic!("{field}"));
@@ -670,26 +662,14 @@ mod tests {
             let err = Chip::try_new(die).err().unwrap_or_else(|| panic!("chip, {field}"));
             assert!(err.starts_with("core 0: ") && err.contains(field), "{field}: {err}");
         }
-        // A NUCA the banks could not be built or run from, as the solo
+        // A NUCA whose bank routing would overflow its shift, as the solo
         // backend and as the chip's shared system.
-        let mem = MemConfig::prototype;
-        let table = [
-            (MemConfig { ways: 0, ..mem() }, "ways"), // `/ 0` sizing the banks
-            (MemConfig { ways: 256, ..mem() }, "ways"), // the round-robin pointer is a `u8`
-            (MemConfig { bank_kb: 0, ..mem() }, "bank_kb"), // `% 0` sets at the first access
-            (MemConfig { banks: 0, ..mem() }, "banks"),
-            (MemConfig { mode: MemMode::L2Split, banks: 1, ..mem() }, "banks"), // an empty half
-            (MemConfig { vc_cap: 0, ..mem() }, "vc_cap"),
-            (MemConfig { interleave_shift: 64, ..mem() }, "interleave_shift"), // shift overflow
-        ];
-        for (mc, field) in table {
-            let solo = CoreConfig { mem_backend: MemBackend::Nuca(mc.clone()), ..ok() };
-            let err = Processor::try_new(solo).err().unwrap_or_else(|| panic!("solo, {field}"));
-            assert!(err.starts_with("mem_backend: ") && err.contains(field), "{field}: {err}");
-            let die = ChipConfig::with_cores(2, ok(), mc);
-            let err = Chip::try_new(die).err().unwrap_or_else(|| panic!("chip mem, {field}"));
-            assert!(err.starts_with("mem: ") && err.contains(field), "{field}: {err}");
-        }
+        let mc = MemConfig { interleave_shift: 64, ..MemConfig::prototype() };
+        let solo = CoreConfig { mem_backend: MemBackend::Nuca(mc.clone()), ..ok() };
+        let err = Processor::try_new(solo).err().expect("solo, interleave_shift");
+        assert!(err.starts_with("mem_backend: ") && err.contains("interleave_shift"), "{err}");
+        let err = Chip::try_new(ChipConfig::with_cores(2, ok(), mc)).err().expect("chip mem");
+        assert!(err.starts_with("mem: ") && err.contains("interleave_shift"), "{err}");
         assert!(Processor::try_new(ok()).is_ok());
         // A threaded chip is refused, not quietly run serially.
         let threaded = ChipConfig { threaded: Some(true), ..ChipConfig::n_cores(2) };

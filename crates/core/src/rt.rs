@@ -13,7 +13,7 @@ use trips_isa::semantics::Tok;
 use trips_isa::{ArchReg, ReadInst, Target};
 use trips_micronet::WakeTable;
 
-use crate::config::{CoreConfig, CoreGeometry, MAX_FRAMES};
+use crate::config::{CoreConfig, CoreGeometry, COMMIT_BW, MAX_FRAMES};
 use crate::critpath::{Cat, CritPath, NO_EVENT};
 use crate::frames::{FrameFile, FrameSet};
 use crate::gt::GlobalTile;
@@ -118,7 +118,7 @@ impl RegTile {
 
     /// True while a tick can make progress without a new message:
     /// operands queued for injection, or a commit drain in flight
-    /// (the write queue empties at `commit_bw` registers per cycle).
+    /// (the write queue empties at [`COMMIT_BW`] registers per cycle).
     /// Every other state change in this tile is message-triggered and
     /// completed in the tick that consumes the message.
     pub(crate) fn busy(&self) -> bool {
@@ -299,7 +299,7 @@ impl RegTile {
         // Commit: drain writes to the architectural file through the
         // write ports all frames share, oldest committing frame first
         // (two in-flight commits can both write the same register).
-        let (mut budget, mut cursor) = (cfg.commit_bw, 0);
+        let (mut budget, mut cursor) = (COMMIT_BW, 0);
         while budget > 0 {
             let Some(frame) = self.frames.next_draining(&mut cursor) else { break };
             let f = &mut self.frames[frame];

@@ -52,8 +52,18 @@ pub const CORES_PER_BLOCK: usize = 2;
 /// Largest die the geometry (and the OCN tag space) supports.
 pub const MAX_CORES: usize = 16;
 
+/// NUCA banks per block (§3.6: sixteen 64 KB banks, two columns of
+/// eight); an N-core die carries `BANKS_PER_BLOCK × ⌈N/2⌉` banks.
+pub const BANKS_PER_BLOCK: usize = 16;
+// Banks fill the block's two middle columns bottom-up, eight per
+// column, and an `L2Split` block gives each processor half of them.
+const _: () = assert!(
+    BANKS_PER_BLOCK > 0 && BANKS_PER_BLOCK <= 16 && BANKS_PER_BLOCK.is_multiple_of(2),
+    "two middle columns of at most eight banks, split evenly under `L2Split`"
+);
+
 /// The OCN/NUCA floorplan of an N-core die, derived entirely from the
-/// core count and the per-block bank count (16 on the prototype).
+/// core count.
 ///
 /// All coordinates follow the prototype convention: banks in mesh
 /// columns 1..=2 of their block, client ports on columns 0 and 3.
@@ -61,39 +71,21 @@ pub const MAX_CORES: usize = 16;
 pub struct OcnGeometry {
     ncores: usize,
     blocks: usize,
-    banks_per_block: usize,
 }
 
 impl OcnGeometry {
-    /// Geometry of an `ncores`-core die with the prototype's sixteen
-    /// banks per block.
+    /// Geometry of an `ncores`-core die with [`BANKS_PER_BLOCK`] banks
+    /// per block.
     ///
     /// # Panics
     ///
     /// Panics unless `1 <= ncores <= 16`.
     pub fn for_cores(ncores: usize) -> OcnGeometry {
-        OcnGeometry::with_banks(ncores, 16)
-    }
-
-    /// Geometry with a non-prototype per-block bank count (the
-    /// `memsweep`-style single-block experiments). Banks fill the two
-    /// middle columns bottom-up, eight per column, so
-    /// `banks_per_block <= 16`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= ncores <= 16` and
-    /// `1 <= banks_per_block <= 16`.
-    pub fn with_banks(ncores: usize, banks_per_block: usize) -> OcnGeometry {
         assert!(
             (1..=MAX_CORES).contains(&ncores),
             "a die carries 1..={MAX_CORES} cores, not {ncores}"
         );
-        assert!(
-            (1..=16).contains(&banks_per_block),
-            "a block holds 1..=16 banks, not {banks_per_block}"
-        );
-        OcnGeometry { ncores, blocks: ncores.div_ceil(CORES_PER_BLOCK), banks_per_block }
+        OcnGeometry { ncores, blocks: ncores.div_ceil(CORES_PER_BLOCK) }
     }
 
     /// Cores on the die.
@@ -118,7 +110,7 @@ impl OcnGeometry {
 
     /// Total NUCA banks on the die.
     pub fn banks(&self) -> usize {
-        self.banks_per_block * self.blocks
+        BANKS_PER_BLOCK * self.blocks
     }
 
     /// Total client ports (`20·blocks`; west side first).
@@ -168,14 +160,14 @@ impl OcnGeometry {
 
     /// Bank indices of block `b`.
     pub fn block_banks(&self, b: usize) -> Range<usize> {
-        b * self.banks_per_block..(b + 1) * self.banks_per_block
+        b * BANKS_PER_BLOCK..(b + 1) * BANKS_PER_BLOCK
     }
 
     /// Mesh coordinate of bank `i`: two columns of eight in its
     /// block's rows 1..=8 (the prototype layout, shifted by whole
     /// blocks).
     pub fn bank_coord(&self, i: usize) -> Coord {
-        let (b, w) = (i / self.banks_per_block, i % self.banks_per_block);
+        let (b, w) = (i / BANKS_PER_BLOCK, i % BANKS_PER_BLOCK);
         Coord { row: BLOCK_ROWS * b as u8 + 1 + (w % 8) as u8, col: 1 + (w / 8) as u8 }
     }
 
@@ -183,7 +175,7 @@ impl OcnGeometry {
     pub fn bank_index(&self, c: Coord) -> usize {
         let b = (c.row / BLOCK_ROWS) as usize;
         let local = (c.row % BLOCK_ROWS) as usize - 1 + (c.col as usize - 1) * 8;
-        b * self.banks_per_block + local
+        b * BANKS_PER_BLOCK + local
     }
 
     /// Mesh coordinate of client port `p`: west ports on column 0 at

@@ -47,9 +47,12 @@ mod tags;
 mod tiles;
 
 pub use dma::{DmaEngine, DmaJob};
-pub use geometry::{OcnGeometry, BLOCK_ROWS, BLOCK_SIDE_PORTS, CORES_PER_BLOCK, MAX_CORES};
+pub use geometry::{
+    OcnGeometry, BANKS_PER_BLOCK, BLOCK_ROWS, BLOCK_SIDE_PORTS, CORES_PER_BLOCK, MAX_CORES,
+};
 pub use system::{
-    CohSnapshot, DirView, MemConfig, MemMode, MemReq, MemResp, ReqKind, SecondarySystem, ID_COH,
+    CohSnapshot, DirView, MemConfig, MemMode, MemReq, MemResp, ReqKind, SecondarySystem, DRAM_LAT,
+    ID_COH, VC_CAP,
 };
 pub use tags::TagStore;
-pub use tiles::{MemTile, NetTile};
+pub use tiles::{MemTile, NetTile, BANK_KB, BANK_LAT, BANK_WAYS};

@@ -8,8 +8,8 @@ use trips_micronet::{
     Mesh, MeshFaultConfig, MeshMsg, MeshWork, PacketStats, MAX_TAGS, VIRTUAL_CHANNELS,
 };
 
-use crate::geometry::OcnGeometry;
-use crate::tiles::{MemTile, NetTile, LINE};
+use crate::geometry::{OcnGeometry, BANKS_PER_BLOCK};
+use crate::tiles::{MemTile, NetTile, BANK_LAT, LINE};
 
 /// Memory-system organization (§3.6 lists these configurations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +26,16 @@ pub enum MemMode {
     Scratchpad,
 }
 
-/// Configuration of the secondary system.
+/// DRAM access latency through an SDC, in cycles.
+pub const DRAM_LAT: u64 = 60;
+/// Per-virtual-channel OCN router buffering, in packets.
+pub const VC_CAP: usize = 2;
+const _: () = assert!(VC_CAP >= 1, "a channel with no buffer never forwards");
+
+/// The two settings of the secondary system that `memsweep` sweeps;
+/// the banks' size and timing are the prototype's constants
+/// ([`BANKS_PER_BLOCK`](crate::BANKS_PER_BLOCK), [`BANK_KB`](crate::BANK_KB),
+/// [`BANK_WAYS`](crate::BANK_WAYS), [`BANK_LAT`], [`DRAM_LAT`], [`VC_CAP`]).
 ///
 /// Derives `PartialEq`/`Eq` so it can sit inside a core configuration
 /// that is itself compared by the equivalence suites.
@@ -34,19 +43,6 @@ pub enum MemMode {
 pub struct MemConfig {
     /// Organization.
     pub mode: MemMode,
-    /// NUCA banks **per block** (16 in the prototype, two columns of
-    /// eight); an N-core die carries `banks × ⌈N/2⌉` banks in total.
-    pub banks: usize,
-    /// Kilobytes per bank.
-    pub bank_kb: usize,
-    /// Bank associativity.
-    pub ways: usize,
-    /// Bank access latency (tag + SRAM).
-    pub bank_lat: u64,
-    /// DRAM access latency through an SDC.
-    pub dram_lat: u64,
-    /// Per-virtual-channel router buffering, in packets.
-    pub vc_cap: usize,
     /// Right-shift applied to the line index before bank routing:
     /// 0 stripes consecutive lines across banks (the prototype), `k`
     /// gives each bank runs of `2^k` consecutive lines — coarser
@@ -56,18 +52,10 @@ pub struct MemConfig {
 }
 
 impl MemConfig {
-    /// The prototype: 16 × 64 KB 4-way banks as a shared L2.
+    /// The prototype: the banks as one shared L2, consecutive lines
+    /// striped across them.
     pub fn prototype() -> MemConfig {
-        MemConfig {
-            mode: MemMode::L2Shared,
-            banks: 16,
-            bank_kb: 64,
-            ways: 4,
-            bank_lat: 3,
-            dram_lat: 60,
-            vc_cap: 2,
-            interleave_shift: 0,
-        }
+        MemConfig { mode: MemMode::L2Shared, interleave_shift: 0 }
     }
 
     /// Checks that a system built from this cannot panic or silently
@@ -75,25 +63,8 @@ impl MemConfig {
     ///
     /// # Errors
     ///
-    /// Names the first offending field.
+    /// Names the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        let (ways, banks) = (self.ways, self.banks);
-        if !(1..=255).contains(&ways) {
-            // The banks' round-robin victim pointers are a `u8`.
-            return Err(format!("ways {ways} outside 1..=255"));
-        }
-        if self.bank_kb.saturating_mul(1024) / LINE < ways {
-            return Err(format!("bank_kb {} holds no full set of {ways} ways", self.bank_kb));
-        }
-        if !(1..=16).contains(&banks) {
-            return Err(format!("banks {banks} outside 1..=16"));
-        }
-        if self.mode == MemMode::L2Split && banks % 2 != 0 {
-            return Err(format!("banks {banks} cannot split into two L2 halves"));
-        }
-        if self.vc_cap == 0 {
-            return Err("vc_cap must be at least 1".into());
-        }
         if self.interleave_shift >= u64::BITS {
             return Err(format!("interleave_shift {} outside 0..64", self.interleave_shift));
         }
@@ -313,7 +284,7 @@ impl SecondarySystem {
 
     /// Builds the system for an `ncores`-core die: `⌈ncores/2⌉`
     /// prototype blocks tiled vertically, each with its own
-    /// `cfg.banks` banks and twenty client ports (see
+    /// [`BANKS_PER_BLOCK`] banks and twenty client ports (see
     /// [`OcnGeometry`]). Every port's routing table stripes over its
     /// **own block's** banks in prototype order, so each block is the
     /// prototype system translated — N=1/2 build exactly the die
@@ -346,10 +317,10 @@ impl SecondarySystem {
 
     fn build(cfg: MemConfig, ncores: usize, coherent: bool) -> SecondarySystem {
         cfg.validate().unwrap_or_else(|e| panic!("invalid MemConfig: {e}"));
-        let geo = OcnGeometry::with_banks(ncores, cfg.banks);
+        let geo = OcnGeometry::for_cores(ncores);
         let banks: Vec<MemTile> = (0..geo.banks())
             .map(|i| {
-                let mut mt = MemTile::new(geo.bank_coord(i), cfg.bank_kb, cfg.ways);
+                let mut mt = MemTile::new(geo.bank_coord(i));
                 mt.scratchpad = cfg.mode == MemMode::Scratchpad;
                 mt
             })
@@ -366,7 +337,7 @@ impl SecondarySystem {
                     match cfg.mode {
                         MemMode::L2Shared | MemMode::Scratchpad => block.collect(),
                         MemMode::L2Split => {
-                            let half = cfg.banks / 2;
+                            let half = BANKS_PER_BLOCK / 2;
                             if geo.is_west_port(p) {
                                 block.take(half).collect()
                             } else {
@@ -382,7 +353,7 @@ impl SecondarySystem {
             })
             .collect();
         SecondarySystem {
-            ocn: Mesh::new(geo.rows(), geo.cols(), cfg.vc_cap),
+            ocn: Mesh::new(geo.rows(), geo.cols(), VC_CAP),
             banks,
             nts,
             backing: SparseMem::new(),
@@ -715,18 +686,18 @@ impl SecondarySystem {
                         bank.mshr_fill(now);
                         let ready = if bank.present(line) {
                             bank.hits += 1;
-                            now + self.cfg.bank_lat
+                            now + BANK_LAT
                         } else if bank.mshr_free(now) {
                             bank.misses += 1;
                             self.dram_accesses += 1;
-                            bank.mshr_alloc(line, now + self.cfg.dram_lat);
-                            now + self.cfg.dram_lat + self.cfg.bank_lat
+                            bank.mshr_alloc(line, now + DRAM_LAT);
+                            now + DRAM_LAT + BANK_LAT
                         } else {
                             // Single-entry MSHR busy: serialize behind
                             // the outstanding fill.
                             bank.misses += 1;
                             self.dram_accesses += 1;
-                            now + 2 * self.cfg.dram_lat + self.cfg.bank_lat
+                            now + 2 * DRAM_LAT + BANK_LAT
                         };
                         self.in_bank.push((ready, bi, Packet::Req { port, req }));
                         self.in_bank_count[bi] += 1;
@@ -922,7 +893,7 @@ mod tests {
         l2.request(0, 0, MemReq::read_line(1, 0x1000));
         let (r1, lat1) = run_until_resp(&mut l2, 0, 0, 1000);
         assert_eq!(r1.data[0], 0xab);
-        assert!(lat1 > l2.config().dram_lat, "first touch goes to DRAM: {lat1}");
+        assert!(lat1 > DRAM_LAT, "first touch goes to DRAM: {lat1}");
         let t0 = 2000;
         l2.request(t0, 0, MemReq::read_line(2, 0x1000));
         let (_, lat2) = run_until_resp(&mut l2, 0, t0, 1000);

@@ -7,6 +7,15 @@ use crate::tags::TagStore;
 /// Cache line size throughout the memory system.
 pub const LINE: usize = 64;
 
+/// Kilobytes per NUCA bank (§3.6).
+pub const BANK_KB: usize = 64;
+/// NUCA bank associativity.
+pub const BANK_WAYS: usize = 4;
+const _: () = assert!(BANK_WAYS >= 1 && BANK_WAYS <= 255, "the victim pointers are `u8`");
+const _: () = assert!(BANK_KB * 1024 / LINE >= BANK_WAYS, "a bank holds a full set");
+/// Bank access latency (tag + SRAM), in cycles.
+pub const BANK_LAT: u64 = 3;
+
 /// A 64 KB, 4-way memory tile bank with a single-entry MSHR (§3.6).
 ///
 /// The bank holds tags only; line contents live in the backing store
@@ -29,12 +38,12 @@ pub struct MemTile {
 }
 
 impl MemTile {
-    /// A bank of `kb` kilobytes with `ways` ways at `coord`.
-    pub fn new(coord: Coord, kb: usize, ways: usize) -> MemTile {
+    /// A [`BANK_KB`] KB, [`BANK_WAYS`]-way bank at `coord`.
+    pub fn new(coord: Coord) -> MemTile {
         MemTile {
             coord,
             scratchpad: false,
-            tags: TagStore::new(kb * 1024 / LINE / ways, ways),
+            tags: TagStore::new(BANK_KB * 1024 / LINE / BANK_WAYS, BANK_WAYS),
             mshr: None,
             hits: 0,
             misses: 0,
@@ -121,7 +130,7 @@ mod tests {
 
     #[test]
     fn bank_tags_and_lru() {
-        let mut mt = MemTile::new(Coord { row: 1, col: 1 }, 64, 4);
+        let mut mt = MemTile::new(Coord { row: 1, col: 1 });
         assert!(!mt.present(5));
         mt.install(5);
         assert!(mt.present(5));
@@ -135,14 +144,14 @@ mod tests {
 
     #[test]
     fn scratchpad_always_hits() {
-        let mut mt = MemTile::new(Coord { row: 1, col: 1 }, 64, 4);
+        let mut mt = MemTile::new(Coord { row: 1, col: 1 });
         mt.scratchpad = true;
         assert!(mt.present(0xdead));
     }
 
     #[test]
     fn single_entry_mshr() {
-        let mut mt = MemTile::new(Coord { row: 1, col: 1 }, 64, 4);
+        let mut mt = MemTile::new(Coord { row: 1, col: 1 });
         assert!(mt.mshr_free(0));
         mt.mshr_alloc(9, 50);
         assert!(!mt.mshr_free(10));

@@ -10,9 +10,11 @@
 # For each patch: a scratch `git worktree` of HEAD, the patch applied,
 # a release build, each named guard run on its own, then the whole
 # tier-1 suite (`cargo test --release` at the root) to report which
-# other tests the bug also trips. Exits 1 if a patch does not apply or
-# build, or if any guard passes. One release build per patch (about a
-# minute each); the worktrees share one target directory.
+# other tests the bug also trips. Each guard's line ends with its wall
+# time (the test binary's run, build excluded): how long that bug
+# takes to be detected. Exits 1 if a patch does not apply or build, or
+# if any guard passes. One release build per patch (about a minute
+# each); the worktrees share one target directory.
 set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)
@@ -54,6 +56,7 @@ for patch in "${patches[@]}"; do
     file=${guard%%::*}
     test=${guard#*::}
     log="$scratch/guard.log"
+    start=$(date +%s.%N)
     if (cd "$tree" && cargo test --release -q --test "$(basename "$file" .rs)" -- --exact "$test") \
       >"$log" 2>&1; then
       if grep -q 'running 0 tests' "$log"; then
@@ -63,7 +66,8 @@ for patch in "${patches[@]}"; do
       fi
       status=1
     else
-      echo "$name: guard $guard fails, as it must"
+      secs=$(echo "$start $(date +%s.%N)" | awk '{ printf "%.1f", $2 - $1 }')
+      echo "$name: guard $guard fails, as it must (${secs} s)"
     fi
   done
   # Every tier-1 test the bug trips, as `tests/<file>.rs::<test>`.

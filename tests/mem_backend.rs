@@ -23,7 +23,6 @@ use trips_core::{
 use trips_harness::{num_threads, parallel_map};
 use trips_isa::mem::SparseMem;
 use trips_isa::ArchReg;
-use trips_mem::MemConfig;
 use trips_tasm::Quality;
 use trips_workloads::{suite, Workload};
 
@@ -51,14 +50,6 @@ fn outcome(wl: &Workload, backend: MemBackend) -> (CoreStats, Vec<u64>, SparseMe
     (stats, regs, mem)
 }
 
-/// A NUCA configuration with effectively no capacity pressure: banks
-/// large enough that nothing evicts. Requests still ride the OCN and
-/// pay bank latency, so timing differs from the perfect L2 — only the
-/// architectural outcome may not.
-fn nuca_uncontended() -> MemBackend {
-    MemBackend::Nuca(MemConfig { bank_kb: 4096, ..MemConfig::prototype() })
-}
-
 #[test]
 fn default_backend_is_the_perfect_l2_and_exports_no_mem_stats() {
     assert_eq!(CoreConfig::prototype().mem_backend, MemBackend::PerfectL2 { latency: 12 });
@@ -78,11 +69,13 @@ fn default_backend_is_the_perfect_l2_and_exports_no_mem_stats() {
     assert_eq!(default_mem, explicit_mem);
 }
 
+/// On the prototype's 64 KB banks, so evictions and the single-entry
+/// bank MSHRs are in play: only the timing may differ.
 #[test]
 fn nuca_matches_perfect_l2_architecturally_across_the_suite() {
     let failures: Vec<String> = parallel_map(suite::extended(), num_threads(), |wl| {
         let (p_stats, p_regs, p_mem) = outcome(&wl, MemBackend::prototype());
-        let (n_stats, n_regs, n_mem) = outcome(&wl, nuca_uncontended());
+        let (n_stats, n_regs, n_mem) = outcome(&wl, MemBackend::nuca_prototype());
         let mut errs = Vec::new();
         if p_stats.blocks_committed != n_stats.blocks_committed {
             errs.push(format!(
