@@ -1,13 +1,16 @@
 //! Per-tile area modelling.
 //!
 //! Array bits are computed from the microarchitectural configuration —
-//! the same `CoreConfig` the simulator runs — so a change to, say, the
-//! predictor sizing or the LSQ depth shows up in the regenerated
-//! Table 1. Logic cell counts and layout densities are calibrated
-//! constants (an area model always needs a technology calibration; the
-//! published tile data of Table 1 is ours).
+//! the same `CoreConfig` and constants the simulator runs — so a change
+//! to, say, the tile array or a predictor table shows up in the
+//! regenerated Table 1. Logic cell counts and layout densities are
+//! calibrated constants (an area model always needs a technology
+//! calibration; the published tile data of Table 1 is ours).
 
-use trips_core::{CoreConfig, DEPPRED_ENTRIES, L1D_SETS, L1D_WAYS, MSHR_LINES};
+use trips_core::{
+    CoreConfig, BTB_ENTRIES, BTYPE_ENTRIES, CHOOSER_ENTRIES, CTB_ENTRIES, DEPPRED_ENTRIES,
+    GSHARE_ENTRIES, L1D_SETS, L1D_WAYS, LOCAL_EXIT_ENTRIES, MSHR_LINES, RAS_ENTRIES,
+};
 use trips_mem::{BANKS_PER_BLOCK, BANK_KB};
 
 /// The eleven tile types of the chip (§5.1: "the entire TRIPS design
@@ -160,18 +163,15 @@ const MM2_PER_BIT: f64 = 8.3e-6;
 /// Derives each tile's array-bit census from the configuration.
 pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
     let c = &cfg.core;
-    let p = &c.predictor;
     match kind {
         TileKind::Gt => {
             // Exit predictor: local/gshare entries carry a 3-bit exit
             // plus confidence; chooser is 2-bit + tag bit.
-            let exit = (p.local_entries * 9 + p.gshare_entries * 4 + p.chooser_entries * 3) as u64;
+            let exit = (LOCAL_EXIT_ENTRIES * 9 + GSHARE_ENTRIES * 4 + CHOOSER_ENTRIES * 3) as u64;
             // Target predictor: BTB/CTB tagged targets, RAS addresses,
             // type table.
-            let target = (p.btb_entries * 40
-                + p.ctb_entries * 48
-                + p.ras_entries * 57
-                + p.btype_entries * 3) as u64;
+            let target =
+                (BTB_ENTRIES * 40 + CTB_ENTRIES * 48 + RAS_ENTRIES * 57 + BTYPE_ENTRIES * 3) as u64;
             // I-TLB, eight block PCs, I-cache tag array, control regs.
             let tags = 128 * 20;
             let misc = 8 * 40 + 16 * 64 + 640;
@@ -201,15 +201,16 @@ pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
             let mshr = (MSHR_LINES * 4 * (64 + 40)) as u64;
             let wb = 64 * 8 + 40;
             // The LSQ's address CAM is discrete latches (cells), but
-            // its 64-bit data payload per entry is a dense array.
-            let lsq_data = (c.geometry.lsq_depth * 64) as u64;
+            // its 64-bit data payload per entry is a dense array: 16
+            // entries per ET, at most 512 (the simulator bounds none).
+            let lsq_data = ((16 * c.geometry.num_ets()).min(512) * 64) as u64;
             data + tags + deppred + tlb + mshr + wb as u64 + lsq_data
         }
         TileKind::Et => {
-            // frames x rs_per_frame reservation stations (64 on the
+            // frames x beats reservation stations (64 on the
             // prototype): two 64-bit operands, a predicate bit, and
             // the 32-bit instruction plus status.
-            (c.geometry.frames * c.geometry.rs_per_frame * (2 * 64 + 1 + 32 + 4)) as u64 + 1500
+            (c.geometry.frames * c.geometry.beats() * (2 * 64 + 1 + 32 + 4)) as u64 + 1500
         }
         TileKind::Mt => {
             let data = (BANK_KB * 1024 * 8) as u64;
@@ -325,11 +326,16 @@ mod tests {
     }
 
     #[test]
-    fn predictor_resize_shows_up_in_gt_bits() {
-        let mut cfg = ChipConfig::prototype();
-        let before = array_bits(TileKind::Gt, &cfg);
-        cfg.core.predictor.gshare_entries *= 2;
-        let after = array_bits(TileKind::Gt, &cfg);
-        assert!(after > before, "the model derives from the configuration");
+    fn the_lsq_is_sized_from_the_et_array() {
+        // Only the LSQ's 64-bit payload varies with the die: mini's
+        // 64 entries are the floor every other point is measured from.
+        let dt_bits = |spec| {
+            let mut cfg = ChipConfig::prototype();
+            cfg.core.geometry = trips_core::CoreGeometry::parse(spec).unwrap();
+            array_bits(TileKind::Dt, &cfg)
+        };
+        for (spec, depth) in [("prototype", 256), ("fat", 512), ("2x4/8", 128), ("4x8/8", 512)] {
+            assert_eq!(dt_bits(spec) - dt_bits("mini"), (depth - 64) * 64, "{spec}");
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! Ablation: the next-block predictor (§3.1).
 //!
 //! Compares the full tournament exit predictor + BTB/CTB/RAS/type
-//! target predictor against a degenerate always-sequential predictor
-//! on the control-heavy part of the suite, where every block boundary
-//! is a prediction.
+//! target predictor against no predictor at all (every prediction is
+//! the block's sequential fall-through) on the control-heavy part of
+//! the suite, where every block boundary is a prediction.
 
 use trips_bench::run_trips;
-use trips_core::{CoreConfig, PredictorConfig};
+use trips_core::CoreConfig;
 use trips_harness::{num_threads, parallel_map};
 use trips_tasm::Quality;
 use trips_workloads::suite;
@@ -21,7 +21,7 @@ fn main() {
         let seq = run_trips(
             &wl,
             Quality::Hand,
-            CoreConfig { predictor: PredictorConfig::sequential_only(), ..CoreConfig::prototype() },
+            CoreConfig { predictor_disabled: true, ..CoreConfig::prototype() },
         );
         format!(
             "{:<12} {:>12} {:>8.1}% {:>12} {:>8.1}%",

@@ -70,6 +70,9 @@ fn parse_args() -> Result<Args, String> {
     if args.workload.is_empty() {
         return Err("missing --workload NAME".into());
     }
+    if args.capacity == 0 {
+        return Err("--capacity must be at least 1 (the trace ring holds N events)".into());
+    }
     Ok(args)
 }
 

@@ -65,6 +65,14 @@ fn an_unknown_flag_is_a_usage_error_that_writes_nothing() {
         assert!(String::from_utf8_lossy(&out.stderr).contains(&format!("usage: {bin}")), "{out:?}");
         assert!(out.stdout.is_empty(), "{bin} printed its table for an argument it refused");
     }
+    // A flag value the program cannot honour is refused the same way.
+    let out = Command::new(env!("CARGO_BIN_EXE_tracedump"))
+        .args(["--workload", "vadd", "--capacity", "0"])
+        .output()
+        .expect("tracedump runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: tracedump"), "{out:?}");
+    assert!(out.stdout.is_empty(), "tracedump traced a run for a capacity it refused");
 }
 
 #[test]

@@ -8,25 +8,6 @@ use crate::fault::FaultPlan;
 use crate::frames::FrameSet;
 use crate::msg::TileId;
 
-/// Number of ET rows/columns in the **prototype** (the die the paper
-/// built). Runtime sizing goes through [`CoreGeometry`]; these consts
-/// remain as the prototype's pinned values — the bit-identity anchor
-/// the `gating_equivalence` geometry gate checks
-/// [`CoreGeometry::prototype`] against.
-pub const ET_ROWS: usize = 4;
-/// ET columns per row (prototype).
-pub const ET_COLS: usize = 4;
-/// Register tiles (= register banks, prototype).
-pub const NUM_RTS: usize = 4;
-/// Data tiles (= L1D banks, prototype).
-pub const NUM_DTS: usize = 4;
-/// Instruction tiles (header + four body chunks, prototype).
-pub const NUM_ITS: usize = 5;
-/// In-flight block frames (prototype).
-pub const NUM_FRAMES: usize = 8;
-/// Reservation stations per ET per frame (prototype).
-pub const RS_PER_FRAME: usize = 8;
-
 // The prototype's fixed latencies and table sizes (§3, Table 1). Every
 // die the model builds shares them; each bound a tile relies on is
 // checked where the constant is defined, so a value that would panic
@@ -69,6 +50,35 @@ pub(crate) const TAG_LAT: u64 = 2;
 pub(crate) const COMMIT_BW: usize = 1;
 const _: () = assert!(COMMIT_BW >= 1, "an RT with no write port never commits");
 
+// The next-block predictor's tables (§3.1: a tournament local/gshare
+// exit predictor plus a BTB/CTB/RAS/type target predictor). Each table
+// is indexed `% entries`, so none may be empty.
+
+/// Local exit-predictor entries (paper: 9K bits).
+pub const LOCAL_EXIT_ENTRIES: usize = 1024;
+const _: () = assert!(LOCAL_EXIT_ENTRIES >= 1);
+/// Gshare exit-predictor entries (paper: 16K bits).
+pub const GSHARE_ENTRIES: usize = 4096;
+const _: () = assert!(GSHARE_ENTRIES >= 1);
+/// Tournament chooser entries (paper: 12K bits).
+pub const CHOOSER_ENTRIES: usize = 4096;
+const _: () = assert!(CHOOSER_ENTRIES >= 1);
+/// Exits of history the gshare index hashes, 3 bits each.
+pub(crate) const HISTORY_EXITS: usize = 8;
+const _: () = assert!(HISTORY_EXITS >= 1 && 3 * HISTORY_EXITS < 32, "the history is a `u32`");
+/// Branch target buffer entries (paper: 20K bits).
+pub const BTB_ENTRIES: usize = 512;
+const _: () = assert!(BTB_ENTRIES >= 1);
+/// Call target buffer entries (paper: 6K bits).
+pub const CTB_ENTRIES: usize = 128;
+const _: () = assert!(CTB_ENTRIES >= 1);
+/// Return address stack depth (paper: 7K bits).
+pub const RAS_ENTRIES: usize = 128;
+const _: () = assert!(RAS_ENTRIES >= 1, "a push and a pop index the stack");
+/// Branch type predictor entries (paper: 12K bits).
+pub const BTYPE_ENTRIES: usize = 4096;
+const _: () = assert!(BTYPE_ENTRIES >= 1);
+
 /// Hard ceiling on [`CoreGeometry::frames`], sized so a frame set
 /// always fits a [`FrameSet`] and the fixed-size generation arrays
 /// carried by GCN flush waves.
@@ -83,8 +93,8 @@ pub const MAX_FRAMES: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SlotSet(u32);
 
-/// The ready reservation stations of one ET frame (any legal
-/// [`CoreGeometry::rs_per_frame`] is ≤ 32).
+/// The ready reservation stations of one ET frame (any legal die has
+/// ≤ 32 per frame, [`CoreGeometry::beats`]).
 pub type StationMask = SlotSet;
 
 /// LSIDs of one block (the ISA gives a block 32).
@@ -165,8 +175,8 @@ impl fmt::LowerHex for SlotSet {
 /// (1 GT + 9 ITs + 4 RTs + 64 ETs + 8 DTs).
 pub type TileMask = u128;
 
-/// Runtime-parameterized core geometry: the ET array, the frame file,
-/// and the LSQ — everything Table 1 and the tick loop size from.
+/// Runtime-parameterized core geometry: the ET array and the frame
+/// file — everything Table 1 and the tick loop size from.
 ///
 /// The block format is ISA-fixed (128 instructions, 32 header
 /// read/write slots, 32 LSIDs, 128 architectural registers in four
@@ -175,7 +185,7 @@ pub type TileMask = u128;
 ///
 /// * `et_rows × et_cols` execution tiles, each holding
 ///   `128 / (et_rows * et_cols)` instructions of every block
-///   (`rs_per_frame` reservation stations per frame).
+///   (that many reservation stations per frame, [`CoreGeometry::beats`]).
 /// * One DT per ET row (the DT sits at the head of its row's GDN
 ///   chain) and one body IT per row plus the header IT, so
 ///   `num_dts = et_rows` and `num_its = et_rows + 1`.
@@ -187,28 +197,24 @@ pub type TileMask = u128;
 /// * An `(et_rows + 1) × (et_cols + 1)` OPN mesh (the perimeter row 0
 ///   / column 0 carry the GT, RTs, and DTs, as in Figure 2).
 ///
-/// [`CoreGeometry::prototype`] reproduces today's constants exactly
-/// and is pinned bit-identical by the equivalence gates.
+/// [`CoreGeometry::prototype`] is the paper's die, pinned bit-identical
+/// by the equivalence gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CoreGeometry {
     /// ET rows (1..=8, power of two).
     pub et_rows: usize,
     /// ET columns (1..=8, power of two).
     pub et_cols: usize,
-    /// In-flight block frames (1..=[`MAX_FRAMES`]).
+    /// In-flight block frames (1..=[`MAX_FRAMES`]); 1 disables
+    /// speculation.
     pub frames: usize,
-    /// Reservation stations per ET per frame; must equal
-    /// `128 / (et_rows * et_cols)` (a frame holds exactly one block).
-    pub rs_per_frame: usize,
-    /// Load/store queue entries per DT (area model + config wiring).
-    pub lsq_depth: usize,
 }
 
 impl CoreGeometry {
-    /// The prototype geometry of the paper: 4×4 ETs, 8 frames, 8
-    /// reservation stations per frame, 256-entry LSQs.
+    /// The prototype geometry of the paper: 4×4 ETs (so 8 reservation
+    /// stations per ET per frame), 8 frames.
     pub fn prototype() -> CoreGeometry {
-        CoreGeometry { et_rows: 4, et_cols: 4, frames: 8, rs_per_frame: 8, lsq_depth: 256 }
+        CoreGeometry { et_rows: 4, et_cols: 4, frames: 8 }
     }
 
     /// The blessed CI fast-lane geometry: a 2×2 ET array with 4
@@ -216,12 +222,12 @@ impl CoreGeometry {
     /// speculation depth, making a full tier-1 pass much cheaper than
     /// prototype while exercising every protocol.
     pub fn mini() -> CoreGeometry {
-        CoreGeometry { et_rows: 2, et_cols: 2, frames: 4, rs_per_frame: 32, lsq_depth: 64 }
+        CoreGeometry { et_rows: 2, et_cols: 2, frames: 4 }
     }
 
     /// The scaled-up sweep point: an 8×8 ET array with 16 frames.
     pub fn fat() -> CoreGeometry {
-        CoreGeometry { et_rows: 8, et_cols: 8, frames: 16, rs_per_frame: 2, lsq_depth: 512 }
+        CoreGeometry { et_rows: 8, et_cols: 8, frames: 16 }
     }
 
     /// The geometry the `TRIPS_GEOMETRY` environment variable names
@@ -243,10 +249,8 @@ impl CoreGeometry {
     }
 
     /// Parses a geometry name (`prototype`, `mini`, `fat`) or a
-    /// custom `RxC/F` spec (rows×cols ETs, `F` frames; `rs_per_frame`
-    /// and `lsq_depth` derived). A spec matching a blessed point's
-    /// dims and frames canonicalizes to that point, so `8x8/16` is
-    /// exactly [`CoreGeometry::fat`].
+    /// custom `RxC/F` spec (rows×cols ETs, `F` frames), so `8x8/16` is
+    /// [`CoreGeometry::fat`].
     ///
     /// # Errors
     ///
@@ -257,38 +261,14 @@ impl CoreGeometry {
             "mini" => CoreGeometry::mini(),
             "fat" => CoreGeometry::fat(),
             custom => {
-                let (dims, frames) = custom
-                    .split_once('/')
-                    .ok_or_else(|| format!("bad geometry spec {custom:?}"))?;
-                let (r, c) =
-                    dims.split_once('x').ok_or_else(|| format!("bad geometry spec {custom:?}"))?;
-                let et_rows: usize = r.parse().map_err(|_| format!("bad rows {r:?}"))?;
-                let et_cols: usize = c.parse().map_err(|_| format!("bad cols {c:?}"))?;
-                let frames: usize = frames.parse().map_err(|_| format!("bad frames {frames:?}"))?;
-                // Bounded before the derivations below multiply them.
-                if !(1..=8).contains(&et_rows) || !(1..=8).contains(&et_cols) {
-                    return Err(format!("ET array {r}x{c} must have power-of-two dims in 1..=8"));
+                let bad = || format!("bad geometry spec {custom:?}");
+                let (dims, frames) = custom.split_once('/').ok_or_else(bad)?;
+                let (r, c) = dims.split_once('x').ok_or_else(bad)?;
+                CoreGeometry {
+                    et_rows: r.parse().map_err(|_| format!("bad rows {r:?}"))?,
+                    et_cols: c.parse().map_err(|_| format!("bad cols {c:?}"))?,
+                    frames: frames.parse().map_err(|_| format!("bad frames {frames:?}"))?,
                 }
-                let ets = et_rows * et_cols;
-                let derived = CoreGeometry {
-                    et_rows,
-                    et_cols,
-                    frames,
-                    rs_per_frame: 128 / ets,
-                    lsq_depth: (256 * ets / 16).max(16),
-                };
-                // A spec naming a blessed die *is* that die: the
-                // blessed points pin lsq_depth (fat caps it at 512
-                // where the linear derivation would say 1024), and a
-                // spelled-out `8x8/16` must reproduce the swept
-                // configuration, not a near-miss of it.
-                [CoreGeometry::mini(), CoreGeometry::prototype(), CoreGeometry::fat()]
-                    .into_iter()
-                    .find(|b| {
-                        (b.et_rows, b.et_cols, b.frames)
-                            == (derived.et_rows, derived.et_cols, derived.frames)
-                    })
-                    .unwrap_or(derived)
             }
         };
         g.validate()?;
@@ -329,17 +309,8 @@ impl CoreGeometry {
                 128 / ets
             ));
         }
-        if self.rs_per_frame * ets != 128 {
-            return Err(format!(
-                "rs_per_frame {} * {ets} ETs != 128 (a frame holds exactly one block)",
-                self.rs_per_frame
-            ));
-        }
         if self.frames == 0 || self.frames > MAX_FRAMES {
             return Err(format!("frames {} outside 1..={MAX_FRAMES}", self.frames));
-        }
-        if self.lsq_depth == 0 {
-            return Err("zero-entry LSQ".into());
         }
         Ok(())
     }
@@ -392,7 +363,8 @@ impl CoreGeometry {
 
     /// Dispatch beats per block: each body IT streams its slice at
     /// `et_cols` instructions per beat, so `insts_per_row / et_cols`
-    /// (= `rs_per_frame`; 8 on the prototype).
+    /// — one reservation station per ET per frame for each beat
+    /// (`128 / ets`; 8 on the prototype).
     pub fn beats(&self) -> usize {
         self.insts_per_row() >> self.et_cols.trailing_zeros()
     }
@@ -521,59 +493,6 @@ impl CoreGeometry {
     }
 }
 
-/// Next-block predictor sizing (§3.1: a tournament local/gshare exit
-/// predictor plus a BTB/CTB/RAS/type target predictor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictorConfig {
-    /// Entries in the local exit predictor (paper: 9K bits).
-    pub local_entries: usize,
-    /// Entries in the gshare exit predictor (paper: 16K bits).
-    pub gshare_entries: usize,
-    /// Entries in the tournament chooser (paper: 12K bits).
-    pub chooser_entries: usize,
-    /// Exits of history used by gshare (3 bits each).
-    pub history_exits: usize,
-    /// Branch target buffer entries (paper: 20K bits).
-    pub btb_entries: usize,
-    /// Call target buffer entries (paper: 6K bits).
-    pub ctb_entries: usize,
-    /// Return address stack depth (paper: 7K bits).
-    pub ras_entries: usize,
-    /// Branch type predictor entries (paper: 12K bits).
-    pub btype_entries: usize,
-}
-
-impl PredictorConfig {
-    /// The prototype's sizing.
-    pub fn prototype() -> PredictorConfig {
-        PredictorConfig {
-            local_entries: 1024,
-            gshare_entries: 4096,
-            chooser_entries: 4096,
-            history_exits: 8,
-            btb_entries: 512,
-            ctb_entries: 128,
-            ras_entries: 128,
-            btype_entries: 4096,
-        }
-    }
-
-    /// A degenerate predictor for ablations: always predicts the
-    /// sequential next block.
-    pub fn sequential_only() -> PredictorConfig {
-        PredictorConfig {
-            local_entries: 1,
-            gshare_entries: 1,
-            chooser_entries: 1,
-            history_exits: 1,
-            btb_entries: 1,
-            ctb_entries: 1,
-            ras_entries: 1,
-            btype_entries: 1,
-        }
-    }
-}
-
 /// The secondary memory system behind the L1 banks.
 ///
 /// Both variants serve the same two request streams — DT MSHR fills
@@ -647,9 +566,8 @@ impl TickMode {
 /// Full configuration of the core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
-    /// The tile-array geometry (ET array, frame file, LSQ depth).
-    /// [`CoreGeometry::prototype`] is the paper's die; `max_frames`
-    /// below must stay within what the geometry provides.
+    /// The tile-array geometry (ET array, frame file).
+    /// [`CoreGeometry::prototype`] is the paper's die.
     pub geometry: CoreGeometry,
     /// Parallel operand networks (1 in the prototype; 2 models the
     /// "more operand network bandwidth" extension of §7).
@@ -661,13 +579,11 @@ pub struct CoreConfig {
     /// Disable the dependence predictor entirely (ablation): loads
     /// always issue aggressively.
     pub deppred_disabled: bool,
-    /// The next-block predictor.
-    pub predictor: PredictorConfig,
+    /// Disable the next-block predictor (ablation): every prediction
+    /// is the block's sequential fall-through.
+    pub predictor_disabled: bool,
     /// Record the critical-path event graph (costs memory and time).
     pub critpath: bool,
-    /// Maximum in-flight frames to use (≤ [`CoreGeometry::frames`]);
-    /// 1 disables speculation.
-    pub max_frames: usize,
     /// Which of the two host-side tick schedules runs the model (see
     /// [`TickMode`]). The schedules are bit-identical in statistics
     /// and architectural state (enforced by `gating_equivalence`).
@@ -692,9 +608,8 @@ impl CoreConfig {
     }
 
     /// The TRIPS prototype configuration of the paper, resized to the
-    /// given tile-array geometry (frame count and LSQ depth follow the
-    /// geometry; latencies, predictors, and the tick schedule are
-    /// unchanged).
+    /// given tile-array geometry (latencies, predictors, and the tick
+    /// schedule are unchanged).
     pub fn with_geometry(geometry: CoreGeometry) -> CoreConfig {
         geometry.validate().expect("invalid CoreGeometry");
         CoreConfig {
@@ -702,9 +617,8 @@ impl CoreConfig {
             opn_networks: 1,
             mem_backend: MemBackend::prototype(),
             deppred_disabled: false,
-            predictor: PredictorConfig::prototype(),
+            predictor_disabled: false,
             critpath: false,
-            max_frames: geometry.frames,
             tick_mode: TickMode::Fast,
             faults: None,
             check_invariants: false,
@@ -713,7 +627,7 @@ impl CoreConfig {
 
     /// Checks that a core built from this cannot panic or wedge later:
     /// a valid geometry (a struct literal skips
-    /// [`CoreGeometry::validate`]), every sized field in range, and a
+    /// [`CoreGeometry::validate`]), `opn_networks` in range, and a
     /// valid NUCA configuration ([`MemConfig::validate`]) when that is
     /// the backend. The prototype's fixed sizes are checked where they
     /// are defined, at compile time.
@@ -723,16 +637,13 @@ impl CoreConfig {
     /// Names the first offending field.
     pub fn validate(&self) -> Result<(), String> {
         self.geometry.validate().map_err(|e| format!("geometry: {e}"))?;
-        let ranges = [
-            ("max_frames", self.max_frames, self.geometry.frames), // the GT's allocation bound
-            ("opn_networks", self.opn_networks, 32), // the outboxes' grant bits are a `u32`
-        ];
-        match ranges.into_iter().find(|&(_, v, max)| !(1..=max).contains(&v)) {
-            Some((field, v, max)) => Err(format!("{field} {v} outside 1..={max}")),
-            None => match &self.mem_backend {
-                MemBackend::Nuca(mc) => mc.validate().map_err(|e| format!("mem_backend: {e}")),
-                MemBackend::PerfectL2 { .. } => Ok(()),
-            },
+        // The outboxes' grant bits are a `u32`.
+        if !(1..=32).contains(&self.opn_networks) {
+            return Err(format!("opn_networks {} outside 1..=32", self.opn_networks));
+        }
+        match &self.mem_backend {
+            MemBackend::Nuca(mc) => mc.validate().map_err(|e| format!("mem_backend: {e}")),
+            MemBackend::PerfectL2 { .. } => Ok(()),
         }
     }
 
@@ -760,23 +671,28 @@ mod tests {
         assert_eq!(DEPPRED_CLEAR_BLOCKS, 10_000);
         assert_eq!(MSHR_LINES, 4);
         assert_eq!(PREDICT_LAT + TAG_LAT, 5, "front of the 13-cycle fetch pipe");
+        // §3.1's table sizes in bits (the area model's bits per entry).
+        let exit = (LOCAL_EXIT_ENTRIES * 9, GSHARE_ENTRIES * 4, CHOOSER_ENTRIES * 3);
+        assert_eq!(exit, (9 * 1024, 16 * 1024, 12 * 1024));
+        let target = (BTB_ENTRIES * 40, CTB_ENTRIES * 48, BTYPE_ENTRIES * 3);
+        assert_eq!(target, (20 * 1024, 6 * 1024, 12 * 1024));
+        assert_eq!(3 * HISTORY_EXITS, 24, "gshare hashes eight 3-bit exits");
         let c = CoreConfig::prototype();
-        assert_eq!(c.geometry.lsq_depth, 256);
-        assert_eq!(c.max_frames, 8);
+        assert_eq!(c.geometry.frames, 8);
+        assert!(!c.predictor_disabled && !c.deppred_disabled);
     }
 
     #[test]
     fn prototype_geometry_reproduces_the_constants() {
         let g = CoreGeometry::prototype();
         g.validate().unwrap();
-        assert_eq!((g.et_rows, g.et_cols), (ET_ROWS, ET_COLS));
-        assert_eq!(g.num_rts(), NUM_RTS);
-        assert_eq!(g.num_dts(), NUM_DTS);
-        assert_eq!(g.num_its(), NUM_ITS);
-        assert_eq!(g.frames, NUM_FRAMES);
-        assert_eq!(g.rs_per_frame, RS_PER_FRAME);
+        assert_eq!((g.et_rows, g.et_cols), (4, 4));
+        assert_eq!(g.num_rts(), 4);
+        assert_eq!(g.num_dts(), 4);
+        assert_eq!(g.num_its(), 5);
+        assert_eq!(g.frames, 8);
         assert_eq!((g.mesh_rows(), g.mesh_cols()), (5, 5));
-        assert_eq!(g.beats(), 8);
+        assert_eq!(g.beats(), 8, "8 reservation stations per ET per frame");
         assert_eq!(g.header_slots_per_beat(), 4);
         assert_eq!(g.slots_per_rt(), 8);
         assert_eq!(g.regs_per_bank(), 32);
@@ -821,7 +737,7 @@ mod tests {
             for idx in 0..128u8 {
                 let (r, c, s) = g.inst_place(idx);
                 assert!((r as usize) < g.et_rows && (c as usize) < g.et_cols);
-                assert!((s as usize) < g.rs_per_frame);
+                assert!((s as usize) < g.beats());
                 assert!(seen.insert((r, c, s)), "{} double-books {r},{c},{s}", g.name());
             }
             // A header slot's RT owns the registers the ISA lets the
@@ -851,13 +767,7 @@ mod tests {
         for (et_rows, et_cols) in dims.iter().flat_map(|&r| dims.map(|c| (r, c))) {
             for frames in 1..=MAX_FRAMES {
                 let ets = et_rows * et_cols;
-                let g = CoreGeometry {
-                    et_rows,
-                    et_cols,
-                    frames,
-                    rs_per_frame: 128 / ets.max(4),
-                    lsq_depth: 64,
-                };
+                let g = CoreGeometry { et_rows, et_cols, frames };
                 if g.validate().is_err() {
                     assert!(ets < 4, "{et_rows}x{et_cols}/{frames} must be a legal die");
                     continue;
@@ -868,7 +778,7 @@ mod tests {
                 let rts = et_cols.min(4);
                 assert_eq!(g.insts_per_row(), ipr);
                 assert_eq!(g.beats(), beats);
-                assert_eq!(g.beats(), g.rs_per_frame);
+                assert_eq!(g.beats(), 128 / ets, "one station per ET per frame for each beat");
                 assert_eq!(g.header_slots_per_beat(), 32 / beats);
                 assert_eq!(g.slots_per_rt(), 32 / rts);
                 assert_eq!(g.regs_per_bank(), 128 / rts);
@@ -900,10 +810,7 @@ mod tests {
         for name in ["mini", "prototype", "fat"] {
             assert_eq!(CoreGeometry::parse(name).unwrap().name(), name);
         }
-        // A spec spelling out a blessed die's dims/frames canonicalizes
-        // to that die — same lsq_depth, round-tripping name() — so
-        // TRIPS_GEOMETRY=8x8/16 reproduces the swept fat point whose
-        // lsq_depth (512) differs from the linear derivation (1024).
+        // A spec spelling out a blessed die's dims/frames is that die.
         assert_eq!(CoreGeometry::parse("2x2/4").unwrap(), CoreGeometry::mini());
         assert_eq!(CoreGeometry::parse("4x4/8").unwrap(), CoreGeometry::prototype());
         assert_eq!(CoreGeometry::parse("8x8/16").unwrap(), CoreGeometry::fat());

@@ -136,12 +136,13 @@ impl ExecTile {
             row,
             col,
             geom,
+            // One reservation station per frame for each dispatch beat.
             frames: FrameFile::new(geom.frames, false, || EtFrame {
-                stations: vec![None; geom.rs_per_frame],
+                stations: vec![None; geom.beats()],
                 ..EtFrame::default()
             }),
-            inflight: Vec::with_capacity(geom.rs_per_frame),
-            local_q: Vec::with_capacity(geom.rs_per_frame),
+            inflight: Vec::with_capacity(geom.beats()),
+            local_q: Vec::with_capacity(geom.beats()),
             fu_busy_until: 0,
             outbox: OpnOutbox::with_capacity(16),
             maybe_ready: false,

@@ -161,7 +161,7 @@ impl GlobalTile {
             fetch: None,
             dispatch_free_at: 0,
             itag: TagStore::new(ITAG_SETS, ITAG_WAYS),
-            predictor: NextBlockPredictor::new(cfg.predictor),
+            predictor: NextBlockPredictor::new(cfg.predictor_disabled),
             halt_pending: false,
             halted: false,
             slot_free_ev: vec![NO_EVENT; cfg.geometry.frames],
@@ -259,7 +259,7 @@ impl GlobalTile {
     /// dispatch pacing) and the three status-chain heads; a GT whose
     /// every in-flight block waits on micronet input sleeps until the
     /// chain or OPN carrying it files the arrival here.
-    pub(crate) fn due(&self, max_frames: usize, nets: &Nets) -> u64 {
+    pub(crate) fn due(&self, nets: &Nets) -> u64 {
         // Commit pipeline: a command goes out once the first unsent
         // block (in age order) is Complete; an Executing block with
         // all three done-conditions converts this tick.
@@ -305,7 +305,6 @@ impl GlobalTile {
         } else if !self.halt_pending
             && !self.halted
             && self.next_pc.is_some()
-            && self.order.len() < max_frames
             && self.frames.iter().any(|f| f.state == FState::Free)
         {
             return WakeTable::NOW;
@@ -448,7 +447,7 @@ impl GlobalTile {
         if !fused {
             self.recv_refills(now, nets, crit);
         }
-        self.fetch_advance(now, cfg, nets, crit, stats, mem, tracer);
+        self.fetch_advance(now, nets, crit, stats, mem, tracer);
         prof.end(TickPhase::GtFetch, t);
     }
 
@@ -827,11 +826,9 @@ impl GlobalTile {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn fetch_advance(
         &mut self,
         now: u64,
-        cfg: &CoreConfig,
         nets: &mut Nets,
         crit: &mut CritPath,
         stats: &mut CoreStats,
@@ -933,9 +930,6 @@ impl GlobalTile {
         // Start a new fetch.
         if self.fetch.is_none() && !self.halt_pending && !self.halted {
             let Some(pc) = self.next_pc else { return };
-            if self.order.len() >= cfg.max_frames {
-                return;
-            }
             let Some(slot) = (0..self.frames.len()).find(|&i| self.frames[i].state == FState::Free)
             else {
                 return;

@@ -72,9 +72,9 @@ pub mod trace;
 
 pub use chip::{Chip, ChipConfig, ChipStats};
 pub use config::{
-    CoreConfig, CoreGeometry, LsidMask, MemBackend, PredictorConfig, SlotSet, StationMask,
-    TickMode, TileMask, DEPPRED_ENTRIES, ET_COLS, ET_ROWS, L1D_SETS, L1D_WAYS, MAX_FRAMES,
-    MSHR_LINES, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS, RS_PER_FRAME,
+    CoreConfig, CoreGeometry, LsidMask, MemBackend, SlotSet, StationMask, TickMode, TileMask,
+    BTB_ENTRIES, BTYPE_ENTRIES, CHOOSER_ENTRIES, CTB_ENTRIES, DEPPRED_ENTRIES, GSHARE_ENTRIES,
+    L1D_SETS, L1D_WAYS, LOCAL_EXIT_ENTRIES, MAX_FRAMES, MSHR_LINES, RAS_ENTRIES,
 };
 pub use critpath::{Cat, CritBreakdown, CritPath, CATS, NUM_CATS};
 pub use diag::{FrameDiag, HangReport, NetDiag, TileDiag};

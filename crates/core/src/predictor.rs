@@ -14,7 +14,13 @@
 
 use trips_isa::BranchKind;
 
-use crate::config::PredictorConfig;
+use crate::config::{
+    BTB_ENTRIES, BTYPE_ENTRIES, CHOOSER_ENTRIES, CTB_ENTRIES, GSHARE_ENTRIES, HISTORY_EXITS,
+    LOCAL_EXIT_ENTRIES, RAS_ENTRIES,
+};
+
+/// The exit-history register's live bits.
+const HIST_MASK: u32 = (1 << (3 * HISTORY_EXITS)) - 1;
 
 /// Speculative predictor state snapshotted per in-flight block so a
 /// flush can restore it.
@@ -53,7 +59,8 @@ struct BtbEntry {
 /// The predictor.
 #[derive(Debug)]
 pub struct NextBlockPredictor {
-    cfg: PredictorConfig,
+    /// Predict every block's fall-through (the ablation's predictor).
+    disabled: bool,
     /// Local exit table: hysteresis counter + exit.
     local: Vec<(u8, u8)>,
     /// Gshare exit table.
@@ -90,34 +97,26 @@ fn code_kind(c: u8) -> BranchKind {
 }
 
 impl NextBlockPredictor {
-    /// A predictor with the given table sizes.
-    pub fn new(cfg: PredictorConfig) -> NextBlockPredictor {
+    /// The prototype's predictor; a `disabled` one predicts every
+    /// block's sequential fall-through and ignores its training.
+    pub fn new(disabled: bool) -> NextBlockPredictor {
         NextBlockPredictor {
-            local: vec![(0, 0); cfg.local_entries],
-            gshare: vec![(0, 0); cfg.gshare_entries],
-            chooser: vec![1; cfg.chooser_entries],
+            disabled,
+            local: vec![(0, 0); LOCAL_EXIT_ENTRIES],
+            gshare: vec![(0, 0); GSHARE_ENTRIES],
+            chooser: vec![1; CHOOSER_ENTRIES],
             history: 0,
-            btb: vec![None; cfg.btb_entries],
-            ctb: vec![None; cfg.ctb_entries],
-            ras: vec![0; cfg.ras_entries],
+            btb: vec![None; BTB_ENTRIES],
+            ctb: vec![None; CTB_ENTRIES],
+            ras: vec![0; RAS_ENTRIES],
             ras_top: 0,
             ras_depth: 0,
-            btype: vec![kind_code(BranchKind::Sequential) << 1; cfg.btype_entries],
-            cfg,
+            btype: vec![kind_code(BranchKind::Sequential) << 1; BTYPE_ENTRIES],
         }
     }
 
-    fn hist_mask(&self) -> u32 {
-        let bits = (3 * self.cfg.history_exits).min(30) as u32;
-        (1u32 << bits) - 1
-    }
-
-    fn block_index(addr: u64, len: usize) -> usize {
-        ((addr >> 7) as usize) % len.max(1)
-    }
-
-    fn gshare_index(&self, addr: u64) -> usize {
-        (((addr >> 7) as usize) ^ (self.history as usize)) % self.cfg.gshare_entries.max(1)
+    fn gshare_index(addr: u64, history: u32) -> usize {
+        (((addr >> 7) as usize) ^ (history as usize)) % GSHARE_ENTRIES
     }
 
     /// Captures speculative state before predicting a block, for
@@ -143,7 +142,7 @@ impl NextBlockPredictor {
     /// (`seq_addr` is the block's fall-through address, pushed by
     /// calls).
     pub fn apply_outcome(&mut self, exit: u8, kind: BranchKind, seq_addr: u64) {
-        self.history = ((self.history << 3) | u32::from(exit & 7)) & self.hist_mask();
+        self.history = ((self.history << 3) | u32::from(exit & 7)) & HIST_MASK;
         match kind {
             BranchKind::Call => self.ras_push(seq_addr),
             BranchKind::Return => {
@@ -160,31 +159,33 @@ impl NextBlockPredictor {
     /// Updates speculative history/RAS state; callers must have taken
     /// a [`PredictorCheckpoint`] first if they might need to undo.
     pub fn predict(&mut self, addr: u64, size: u64) -> Prediction {
+        let seq = addr + size;
+        if self.disabled {
+            return Prediction { target: seq, exit: 0, kind: BranchKind::Sequential };
+        }
         // Exit prediction: tournament of local and gshare.
-        let li = Self::block_index(addr, self.cfg.local_entries);
-        let gi = self.gshare_index(addr);
-        let ci = self.gshare_index(addr) % self.cfg.chooser_entries.max(1);
+        let li = ((addr >> 7) as usize) % LOCAL_EXIT_ENTRIES;
+        let gi = Self::gshare_index(addr, self.history);
+        let ci = gi % CHOOSER_ENTRIES;
         let exit = if self.chooser[ci] >= 2 { self.gshare[gi].1 } else { self.local[li].1 };
 
         // Kind prediction.
-        let ti = ((addr >> 7) as usize ^ (usize::from(exit) << 5)) % self.cfg.btype_entries.max(1);
+        let ti = ((addr >> 7) as usize ^ (usize::from(exit) << 5)) % BTYPE_ENTRIES;
         let kind = code_kind(self.btype[ti] >> 1);
 
         // Target prediction by kind.
-        let seq = addr + size;
         let tag = (addr >> 7) as u32 ^ (u32::from(exit) << 27);
         let target = match kind {
             BranchKind::Sequential | BranchKind::Halt => seq,
             BranchKind::Branch => {
-                let bi =
-                    ((addr >> 7) as usize ^ (usize::from(exit) << 4)) % self.cfg.btb_entries.max(1);
+                let bi = ((addr >> 7) as usize ^ (usize::from(exit) << 4)) % BTB_ENTRIES;
                 match self.btb[bi] {
                     Some(e) if e.tag == tag => e.target,
                     _ => seq,
                 }
             }
             BranchKind::Call => {
-                let ci2 = ((addr >> 7) as usize) % self.cfg.ctb_entries.max(1);
+                let ci2 = ((addr >> 7) as usize) % CTB_ENTRIES;
                 let t = match self.ctb[ci2] {
                     Some(e) if e.tag == tag => e.target,
                     _ => seq,
@@ -196,26 +197,23 @@ impl NextBlockPredictor {
         };
 
         // Speculative history update.
-        self.history = ((self.history << 3) | u32::from(exit & 7)) & self.hist_mask();
+        self.history = ((self.history << 3) | u32::from(exit & 7)) & HIST_MASK;
 
         Prediction { target, exit, kind }
     }
 
     fn ras_push(&mut self, v: u64) {
-        if self.cfg.ras_entries == 0 {
-            return;
-        }
-        self.ras_top = (self.ras_top + 1) % self.cfg.ras_entries;
+        self.ras_top = (self.ras_top + 1) % RAS_ENTRIES;
         self.ras[self.ras_top] = v;
-        self.ras_depth = (self.ras_depth + 1).min(self.cfg.ras_entries);
+        self.ras_depth = (self.ras_depth + 1).min(RAS_ENTRIES);
     }
 
     fn ras_pop(&mut self) -> Option<u64> {
-        if self.ras_depth == 0 || self.cfg.ras_entries == 0 {
+        if self.ras_depth == 0 {
             return None;
         }
         let v = self.ras[self.ras_top];
-        self.ras_top = (self.ras_top + self.cfg.ras_entries - 1) % self.cfg.ras_entries;
+        self.ras_top = (self.ras_top + RAS_ENTRIES - 1) % RAS_ENTRIES;
         self.ras_depth -= 1;
         Some(v)
     }
@@ -232,10 +230,9 @@ impl NextBlockPredictor {
         target: u64,
         history_at_predict: u32,
     ) {
-        let li = Self::block_index(addr, self.cfg.local_entries);
-        let gi = (((addr >> 7) as usize) ^ (history_at_predict as usize))
-            % self.cfg.gshare_entries.max(1);
-        let ci = gi % self.cfg.chooser_entries.max(1);
+        let li = ((addr >> 7) as usize) % LOCAL_EXIT_ENTRIES;
+        let gi = Self::gshare_index(addr, history_at_predict);
+        let ci = gi % CHOOSER_ENTRIES;
 
         let local_right = self.local[li].1 == exit;
         let gshare_right = self.gshare[gi].1 == exit;
@@ -250,18 +247,17 @@ impl NextBlockPredictor {
         train_exit(&mut self.local[li], exit);
         train_exit(&mut self.gshare[gi], exit);
 
-        let ti = ((addr >> 7) as usize ^ (usize::from(exit) << 5)) % self.cfg.btype_entries.max(1);
+        let ti = ((addr >> 7) as usize ^ (usize::from(exit) << 5)) % BTYPE_ENTRIES;
         train_kind(&mut self.btype[ti], kind_code(kind));
 
         let tag = (addr >> 7) as u32 ^ (u32::from(exit) << 27);
         match kind {
             BranchKind::Branch => {
-                let bi =
-                    ((addr >> 7) as usize ^ (usize::from(exit) << 4)) % self.cfg.btb_entries.max(1);
+                let bi = ((addr >> 7) as usize ^ (usize::from(exit) << 4)) % BTB_ENTRIES;
                 self.btb[bi] = Some(BtbEntry { tag, target });
             }
             BranchKind::Call => {
-                let ci2 = ((addr >> 7) as usize) % self.cfg.ctb_entries.max(1);
+                let ci2 = ((addr >> 7) as usize) % CTB_ENTRIES;
                 self.ctb[ci2] = Some(BtbEntry { tag, target });
             }
             _ => {}
@@ -295,7 +291,7 @@ mod tests {
     use super::*;
 
     fn predictor() -> NextBlockPredictor {
-        NextBlockPredictor::new(PredictorConfig::prototype())
+        NextBlockPredictor::new(false)
     }
 
     #[test]
@@ -376,5 +372,34 @@ mod tests {
         let pr = p.predict(0x7_0000, 512);
         assert_eq!(pr.kind, BranchKind::Sequential);
         assert_eq!(pr.target, 0x7_0000 + 512);
+    }
+
+    #[test]
+    fn a_disabled_predictor_predicts_the_fall_through_after_training() {
+        // Train the disabled predictor exactly as `learns_a_steady_branch`
+        // and `ras_predicts_returns` train the prototype's: a taken
+        // branch, a call and a return. Each still predicts `addr + size`.
+        let (mut on, mut off) = (predictor(), NextBlockPredictor::new(true));
+        let (branch, call, callee) = (0x1_0000, 0x2_0000, 0x5_0000);
+        for p in [&mut on, &mut off] {
+            for _ in 0..8 {
+                for (addr, size, kind, target) in [
+                    (branch, 128, BranchKind::Branch, 0x8000),
+                    (call, 384, BranchKind::Call, callee),
+                    (callee, 256, BranchKind::Return, call + 384),
+                ] {
+                    let cp = p.checkpoint();
+                    let _ = p.predict(addr, size);
+                    p.update(addr, 1, kind, target, cp.history);
+                }
+            }
+        }
+        assert_eq!(on.predict(branch, 128).target, 0x8000, "the training is not vacuous");
+        assert_eq!(on.predict(call, 384).target, callee);
+        assert_eq!(on.predict(callee, 256).target, call + 384);
+        for (addr, size) in [(branch, 128), (call, 384), (callee, 256)] {
+            let pr = off.predict(addr, size);
+            assert_eq!((pr.target, pr.kind), (addr + size, BranchKind::Sequential), "{addr:#x}");
+        }
     }
 }

@@ -195,7 +195,7 @@ impl Processor {
     /// [`CoreGeometry::tile_bit`](crate::CoreGeometry::tile_bit)'s layout).
     fn dues(&self) -> impl Iterator<Item = u64> + '_ {
         let (nets, memsys) = (&self.nets, &self.memsys);
-        std::iter::once(self.gt.due(self.cfg.max_frames, nets))
+        std::iter::once(self.gt.due(nets))
             .chain(self.its.iter().map(move |t| t.due(nets, memsys)))
             .chain(self.rts.iter().map(move |t| t.due(nets)))
             .chain(self.ets.iter().map(move |t| t.due(nets)))
@@ -569,7 +569,7 @@ impl Processor {
         // order a walk over every tile would have ticked them.
         if mask & 1 != 0 {
             gt.tick(now, cfg, nets, crit, stats, mem, tracer, profile);
-            nets.wake.set(0, gt.due(cfg.max_frames, nets));
+            nets.wake.set(0, gt.due(nets));
         }
         let first = 1;
         let tp = profile.begin();
@@ -651,8 +651,6 @@ mod tests {
         let table = [
             (CoreConfig { opn_networks: 33, ..ok() }, "opn_networks"), // `1u32 << 33` in the outbox
             (CoreConfig { opn_networks: 0, ..ok() }, "opn_networks"),
-            (CoreConfig { max_frames: 9, ..ok() }, "max_frames"), // past the 8-frame file
-            (CoreConfig { max_frames: 0, ..ok() }, "max_frames"), // the GT never fetches
             (CoreConfig { geometry: three_rows, ..ok() }, "geometry"),
         ];
         for (cfg, field) in table {

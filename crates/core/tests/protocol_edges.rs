@@ -118,8 +118,8 @@ fn unflagged_blocks_dispatch_speculatively() {
     );
 }
 
-/// Restricting the machine to one frame (no speculation at all) still
-/// computes correctly — the max_frames knob.
+/// A die with one frame (no speculation at all) still computes
+/// correctly.
 #[test]
 fn single_frame_mode_is_correct() {
     let mut p = ProgramBuilder::new();
@@ -143,7 +143,8 @@ fn single_frame_mode_is_correct() {
     f.finish();
     let img = compile(&p.finish(), Quality::Compiled).expect("compiles").image;
 
-    let mut narrow = Processor::new(CoreConfig { max_frames: 1, ..lane() });
+    let one_frame = CoreGeometry { frames: 1, ..lane().geometry };
+    let mut narrow = Processor::new(CoreConfig::with_geometry(one_frame));
     let n = narrow.run(&img, 10_000_000).expect("runs");
     assert_eq!(narrow.memory().read_u64(0x10_0000), 190);
 

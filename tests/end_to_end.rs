@@ -286,3 +286,46 @@ fn hand_quality_beats_compiled() {
         assert!(h.cycles < t.cycles, "{name}: hand {} vs tcc {}", h.cycles, t.cycles);
     }
 }
+
+/// §4.4's pipelined commit lets a younger block's commit wave reach a
+/// DT while an older block's stores still drain. Block 1 stores four
+/// words of one cache line (so one DT drains them all, one per cycle),
+/// the line's first word last; block 2 stores that first word again.
+/// The DT's one store port must drain the older block's stores before
+/// any of the younger's, or the older value lands last (DESIGN.md §5c,
+/// bug 4).
+#[test]
+fn a_younger_blocks_store_drains_after_an_older_blocks_store_to_the_same_word() {
+    use trips::tasm::{Opcode, ProgramBuilder};
+    const A: u64 = 0x10_0000;
+    let mut p = ProgramBuilder::new();
+    let mut f = p.func("main", 0);
+    let (second, done) = (f.new_block(), f.new_block());
+    let base = f.iconst(A as i64);
+    // Two divides hold block 1's completion back until block 2 has
+    // completed, so the two commit commands go out on adjacent cycles.
+    let mut slow = f.iconst(1 << 40);
+    for _ in 0..2 {
+        let two = f.iconst(2);
+        slow = f.bin(Opcode::Div, slow, two);
+    }
+    for k in 1..4 {
+        let v = f.iconst(k);
+        f.store(Opcode::Sd, base, 8 * k as i32, v);
+    }
+    f.store(Opcode::Sd, base, 0, slow);
+    f.jmp(second);
+    f.switch_to(second);
+    let (base, v) = (f.iconst(A as i64), f.iconst(20));
+    f.store(Opcode::Sd, base, 0, v);
+    f.jmp(done);
+    f.switch_to(done);
+    f.halt();
+    f.finish();
+    let image = compile(&p.finish(), Quality::Compiled).expect("compiles").image;
+    let mut cpu = Processor::new(lane());
+    let stats = cpu.run(&image, 100_000).unwrap_or_else(|e| panic!("{e}"));
+    let tl = &stats.timeline;
+    assert!(tl[1].commit < tl[0].ack, "block 2 commits while block 1 drains: {tl:?}");
+    assert_eq!(cpu.memory().read_u64(A), 20, "the younger block's store lands last");
+}

@@ -271,22 +271,19 @@ fn fat_die_full_scan_handles_the_max_frames_mask() {
 
 #[test]
 fn prototype_geometry_is_bit_identical_to_the_fixed_constants() {
-    use trips_core::{ET_COLS, ET_ROWS, NUM_DTS, NUM_FRAMES, NUM_ITS, NUM_RTS, RS_PER_FRAME};
     // Every quantity the tiles, networks, and tick scheduler size
     // themselves by must reduce, at the prototype point, to exactly the
-    // constants the pre-geometry code baked in. (The paper die's runs
-    // are pinned by `the_schedule_is_pinned_cycle_for_cycle` and the
-    // checked-in baselines.)
+    // paper's die (§3). (The paper die's runs are pinned by
+    // `the_schedule_is_pinned_cycle_for_cycle` and the checked-in
+    // baselines.)
     let g = CoreGeometry::prototype();
-    assert_eq!((g.et_rows, g.et_cols), (ET_ROWS, ET_COLS));
-    assert_eq!(g.frames, NUM_FRAMES);
-    assert_eq!(g.rs_per_frame, RS_PER_FRAME);
-    assert_eq!(g.lsq_depth, 256);
-    assert_eq!(g.num_its(), NUM_ITS);
-    assert_eq!(g.num_rts(), NUM_RTS);
-    assert_eq!(g.num_dts(), NUM_DTS);
+    assert_eq!((g.et_rows, g.et_cols), (4, 4));
+    assert_eq!(g.frames, 8);
+    assert_eq!(g.num_its(), 5);
+    assert_eq!(g.num_rts(), 4);
+    assert_eq!(g.num_dts(), 4);
     assert_eq!(g.num_ets(), 16);
-    assert_eq!(g.beats(), 8, "one block dispatches in eight GDN beats");
+    assert_eq!(g.beats(), 8, "eight GDN beats, eight stations per ET per frame");
     assert_eq!(g.tile_ticks(), 30, "1 GT + 5 ITs + 4 RTs + 16 ETs + 4 DTs");
     assert_eq!((g.mesh_rows(), g.mesh_cols()), (5, 5), "the OPN is the paper's 5x5 mesh");
 }
