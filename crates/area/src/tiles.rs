@@ -172,9 +172,9 @@ pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
             // type table.
             let target =
                 (BTB_ENTRIES * 40 + CTB_ENTRIES * 48 + RAS_ENTRIES * 57 + BTYPE_ENTRIES * 3) as u64;
-            // I-TLB, eight block PCs, I-cache tag array, control regs.
+            // I-TLB, a block PC per frame, I-cache tag array, control regs.
             let tags = 128 * 20;
-            let misc = 8 * 40 + 16 * 64 + 640;
+            let misc = c.geometry.frames * 40 + 16 * 64 + 640;
             exit + target + tags as u64 + misc as u64
         }
         TileKind::Rt => {
