@@ -77,7 +77,8 @@ const CHUNK_MASK: u32 = (1 << CHUNK_BITS) - 1;
 /// A root's stored parent, [`NO_EVENT`] shifted into the link: one past the largest id.
 const ROOT: u32 = NO_EVENT >> 3;
 
-/// A stored event: 8 bytes, `time` and the link `parent << 3 | cat`.
+/// An open record, and what a sealed one decodes to: 8 bytes, `time`
+/// and the link `parent << 3 | cat`.
 #[derive(Debug, Clone, Copy)]
 struct Event {
     time: u32,
@@ -94,6 +95,7 @@ impl Event {
         Some(self.link >> 3).filter(|&id| id != ROOT).unwrap_or(NO_EVENT)
     }
 
+    /// The one category decode, of open and sealed records alike.
     /// Indexing [`CATS`] panics on a corrupt value instead of misreading it.
     fn cat(self) -> Cat {
         CATS[(self.link & 7) as usize]
@@ -107,17 +109,81 @@ fn event_id(n: usize) -> u32 {
     n as u32
 }
 
+/// log2 of the records per group, which a sealed chunk dates from one base time.
+const GROUP_BITS: u32 = 6;
+/// A packed record: `offset << 13 | cat << 10 | distance`, 24 bits.
+const DIST_BITS: u32 = 10;
+const OFFSET_BITS: u32 = 11;
+const _: () = assert!(OFFSET_BITS + 3 + DIST_BITS == 24);
+
+/// A full chunk, sealed: 3 bytes a record. A record packs its time's
+/// offset from its group's base (the group's earliest time), its
+/// category and its distance back to its parent, 1..=1023 ids. A
+/// record that does not fit — a root, a parent farther back, an offset
+/// of 2¹¹ or more — is an escape: all zero, and held whole in
+/// `escapes` under its index in the chunk, in index order.
+#[derive(Debug)]
+struct Sealed {
+    records: Box<[[u8; 3]]>,
+    bases: Box<[u32]>,
+    escapes: Box<[(u16, Event)]>,
+}
+
+impl Sealed {
+    /// Packs the full chunk `open`, whose first id is `first`.
+    fn new(open: &[Event], first: u32) -> Sealed {
+        let bases: Box<[u32]> = open
+            .chunks(1 << GROUP_BITS)
+            .map(|group| group.iter().map(|e| e.time).min().unwrap_or(0))
+            .collect();
+        let mut escapes = Vec::new();
+        let records = open
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| {
+                // A root's stored parent lies past every id, so its distance wraps.
+                let dist = (first + i as u32).wrapping_sub(e.link >> 3);
+                let offset = e.time - bases[i >> GROUP_BITS];
+                let word = if (1..1 << DIST_BITS).contains(&dist) && offset < 1 << OFFSET_BITS {
+                    offset << (DIST_BITS + 3) | (e.link & 7) << DIST_BITS | dist
+                } else {
+                    escapes.push((i as u16, e));
+                    0
+                };
+                let [a, b, c, _] = word.to_le_bytes();
+                [a, b, c]
+            })
+            .collect();
+        Sealed { records, bases, escapes: escapes.into_boxed_slice() }
+    }
+
+    /// Record `ev`, decoded back to the event it sealed.
+    fn get(&self, ev: u32) -> Event {
+        let i = (ev & CHUNK_MASK) as usize;
+        let [a, b, c] = self.records[i];
+        let word = u32::from_le_bytes([a, b, c, 0]);
+        let dist = word & ((1 << DIST_BITS) - 1);
+        if dist == 0 {
+            let at = self.escapes.binary_search_by_key(&(i as u16), |&(at, _)| at);
+            return self.escapes[at.expect("an escape is in its chunk's side table")].1;
+        }
+        let time = self.bases[i >> GROUP_BITS] + (word >> (DIST_BITS + 3));
+        Event { time, link: (ev - dist) << 3 | (word >> DIST_BITS & 7) }
+    }
+}
+
 /// The event graph recorder.
 ///
 /// When disabled, [`CritPath::event`] is a no-op returning
 /// [`NO_EVENT`], so the simulator pays nothing on runs that do not
-/// need attribution. Events live in fixed-size chunks, so growth
-/// never moves the recorded graph.
+/// need attribution. Events are appended to one open chunk of 64 Ki
+/// 8-byte records; a full chunk is sealed into 3-byte records and the
+/// open buffer reused, so growth never moves the recorded graph.
 #[derive(Debug, Default)]
 pub struct CritPath {
     enabled: bool,
-    chunks: Vec<Vec<Event>>,
-    len: usize,
+    sealed: Vec<Sealed>,
+    open: Vec<Event>,
 }
 
 /// Per-category cycle totals from a critical-path walk.
@@ -151,7 +217,10 @@ impl CritPath {
     }
 
     fn get(&self, ev: u32) -> Event {
-        self.chunks[(ev >> CHUNK_BITS) as usize][(ev & CHUNK_MASK) as usize]
+        match self.sealed.get((ev >> CHUNK_BITS) as usize) {
+            Some(chunk) => chunk.get(ev),
+            None => self.open[(ev & CHUNK_MASK) as usize],
+        }
     }
 
     /// Appends an event at `time`, reached from `parent` over an edge
@@ -168,12 +237,15 @@ impl CritPath {
         if parent != NO_EVENT && self.get(parent).time == time {
             return parent;
         }
-        let id = event_id(self.len);
-        if id & CHUNK_MASK == 0 {
-            self.chunks.push(Vec::with_capacity(1 << CHUNK_BITS));
+        let id = event_id(self.len());
+        if self.open.len() == 1 << CHUNK_BITS {
+            self.sealed.push(Sealed::new(&self.open, id - (1 << CHUNK_BITS)));
+            self.open.clear();
         }
-        self.chunks[(id >> CHUNK_BITS) as usize].push(Event::new(time, parent, cat));
-        self.len += 1;
+        if self.open.capacity() == 0 {
+            self.open.reserve_exact(1 << CHUNK_BITS);
+        }
+        self.open.push(Event::new(time, parent, cat));
         id
     }
 
@@ -207,12 +279,12 @@ impl CritPath {
 
     /// Number of stored events.
     pub fn len(&self) -> usize {
-        self.len
+        (self.sealed.len() << CHUNK_BITS) + self.open.len()
     }
 
     /// True if nothing was stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.open.is_empty()
     }
 
     /// Event `ev` and the gap from its parent's time (t = 0 for a root).
@@ -332,50 +404,90 @@ mod tests {
         }
     }
 
-    /// Feeds the recorder and the reference model the same 300 000
-    /// calls (three chunks' worth once elision is taken off) and
-    /// requires, call by call, that the two returned ids walk to the
-    /// same breakdown, that it adds up to the event's time, and that
-    /// `later` picks the same side against an earlier event — half the
-    /// time the parent, so ties are common. Parents are earlier
-    /// returned ids (uniform, so chains stay short) or a root at t = 0;
-    /// half the times tie the parent's.
+    /// Feeds the recorder and the reference model the same 320 000
+    /// calls (three sealed chunks and an open one) and requires, call
+    /// by call, that the two returned ids walk to the same breakdown,
+    /// that it adds up to the event's time, and that `later` picks the
+    /// same side against an earlier event — half the time the parent,
+    /// so ties are common, else any earlier one, mostly sealed.
+    ///
+    /// Most parents are one of the last 200 calls' ids, so most sealed
+    /// records pack, many dated before their group's first record. The
+    /// rest force every escape: a root at t = 0 (1 call in 16), a
+    /// parent 1 500 to 3 000 calls back (1 in 16) and a jump of 2¹¹
+    /// cycles or more past the parent (1 in 2 000). A quarter of the
+    /// times tie the parent's, so elision reads sealed parents too.
     #[test]
     fn elided_chunked_recorder_matches_the_reference_model() {
         let mut rng = Rng::new(0x3e38);
         let (mut cp, mut model) = (CritPath::new(true), reference::CritPath::default());
         // `ids[i]` = (our id, the model's id) returned by call `i`.
         let mut ids: Vec<(u32, u32)> = Vec::new();
-        let mut elided = 0;
-        for call in 0..300_000 {
-            let (p, rp) = if ids.is_empty() || rng.chance(1, 16) {
+        let (mut elided, mut sealed_reads) = (0, 0);
+        for call in 0..320_000 {
+            let back = if call > 3_000 && rng.chance(1, 15) {
+                rng.range_usize(1_500, 3_000)
+            } else {
+                rng.range_usize(1, 200)
+            };
+            let (p, rp) = if back > call || rng.chance(1, 16) {
                 (NO_EVENT, NO_EVENT)
             } else {
-                ids[rng.range_usize(0, ids.len())]
+                ids[call - back]
             };
-            let time = if rp == NO_EVENT || rng.chance(1, 2) {
-                model.time_of(rp)
-            } else {
-                model.time_of(rp) + rng.range_u64(1, 40)
-            };
+            let time = model.time_of(rp)
+                + match rng.range_u64(0, 2_000) {
+                    _ if rp == NO_EVENT => 0,
+                    0 => rng.range_u64(1 << OFFSET_BITS, 2 << OFFSET_BITS),
+                    1..=500 => 0,
+                    _ => rng.range_u64(1, 40),
+                };
             let cat = CATS[rng.range_usize(0, NUM_CATS)];
             if rp != NO_EVENT && model.time_of(rp) == time {
                 elided += 1;
             }
+            let (x, rx) =
+                if call == 0 || rng.chance(1, 2) { (p, rp) } else { ids[rng.range_usize(0, call)] };
+            let is_sealed =
+                |id: u32| id != NO_EVENT && ((id >> CHUNK_BITS) as usize) < cp.sealed.len();
+            sealed_reads += usize::from(is_sealed(p)) + usize::from(is_sealed(x));
             let (a, b) = (cp.event(time, p, cat), model.event(time, rp, cat));
             assert_eq!(cp.walk(a), model.walk(b), "call {call}: walk");
             assert_eq!(cp.walk(a).total(), time, "call {call}: the walk adds up");
             assert_eq!(u64::from(cp.get(a).time), model.time_of(b), "call {call}: time");
-            let (x, rx) =
-                if call == 0 || rng.chance(1, 2) { (p, rp) } else { ids[rng.range_usize(0, call)] };
             assert_eq!(cp.picks_second(x, a), model.later(rx, b) == b, "call {call}: later(x, a)");
             assert_eq!(cp.picks_second(a, x), model.later(b, rx) == rx, "call {call}: later(a, x)");
             assert_eq!(cp.later(x, a), if model.later(rx, b) == b { a } else { x });
             ids.push((a, b));
         }
-        assert!(elided > 10_000, "only {elided} calls were elidable");
+        assert!(elided > 50_000, "only {elided} calls were elidable");
         assert_eq!(cp.len(), model.len() - elided);
-        assert!(cp.len() > 2 << CHUNK_BITS, "{} events fill fewer than three chunks", cp.len());
+        assert!(cp.sealed.len() >= 3, "{} events seal fewer than three chunks", cp.len());
+        assert!(sealed_reads > 50_000, "only {sealed_reads} parents and rivals were sealed");
+        // Each sealed record escapes exactly when it has a reason to.
+        // [root, far parent, late in its group, dated before its group's first]
+        let (mut seen, mut packed) = ([0; 4], 0);
+        for (c, chunk) in cp.sealed.iter().enumerate() {
+            let mut escapes = 0;
+            for i in 0..1 << CHUNK_BITS {
+                let id = (c << CHUNK_BITS | i) as u32;
+                let e = cp.get(id);
+                let reasons = [
+                    e.parent() == NO_EVENT,
+                    e.parent() != NO_EVENT && id - e.parent() >= 1 << DIST_BITS,
+                    e.time - chunk.bases[i >> GROUP_BITS] >= 1 << OFFSET_BITS,
+                    e.time < cp.get(id >> GROUP_BITS << GROUP_BITS).time,
+                ];
+                escapes += usize::from(reasons[..3].contains(&true));
+                for (n, reason) in seen.iter_mut().zip(reasons) {
+                    *n += usize::from(reason);
+                }
+            }
+            assert_eq!(chunk.escapes.len(), escapes, "chunk {c}: escapes");
+            packed += (1 << CHUNK_BITS) - escapes;
+        }
+        assert!(packed > 3 << (CHUNK_BITS - 1), "only {packed} sealed records pack");
+        assert!(seen.iter().all(|&n| n > 1_000), "sealed [roots, far, late, early]: {seen:?}");
     }
 
     #[test]

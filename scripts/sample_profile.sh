@@ -24,7 +24,9 @@ seconds=${2:-8}
 root=$(cd "$(dirname "$0")/.." && pwd)
 target=$root/target/sample-profile
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# Building the ledger may rewrite the frozen benchmark/Cargo.lock; put it back.
+cp "$root/benchmark/Cargo.lock" "$tmp/Cargo.lock"
+trap 'cp "$tmp/Cargo.lock" "$root/benchmark/Cargo.lock"; rm -rf "$tmp"' EXIT
 
 CARGO_PROFILE_RELEASE_DEBUG=true CARGO_TARGET_DIR=$target \
     cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"

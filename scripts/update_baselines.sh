@@ -41,7 +41,9 @@ ledger() { # <workload> <trace>: the run's result line
         --workload "$1" --seed 7 --seconds 2 --trace "$2" | tail -n 1
 }
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# Building the ledger may rewrite the frozen benchmark/Cargo.lock; put it back.
+cp benchmark/Cargo.lock "$tmp/Cargo.lock"
+trap 'cp "$tmp/Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
 for wl in $(jq -r '.workloads[].name' BENCHMARK.json); do
     ledger "$wl" 0 >"$tmp/timed"
     ledger "$wl" 1 >"$tmp/traced"

@@ -114,16 +114,41 @@ fn a_second_coherent_chip_run_stays_within_budget() {
     within("the second Chip::run of pcring on 4 coherent cores", n, 5_217, "allocations");
 }
 
-/// The critical-path recorder dominates a recording run's heap: the
-/// hand run of `dct8x8` stores 199 139 events in four 64 Ki-record
-/// chunks, 2 MiB of the peak at 8 bytes a record.
+/// The peak heap of one critical-path recording run of `name`'s hand code.
+fn recording_run_peak(name: &str) -> u64 {
+    let wl = suite::by_name(name).expect("registered");
+    let image = wl.build_trips(Quality::Hand).expect("compiles").image;
+    peak_bytes(|| {
+        let mut cpu = Processor::new(CoreConfig::prototype_critpath());
+        cpu.run(&image, 50_000_000).expect("halts")
+    })
+}
+
+/// The critical-path recorder dominates a recording run's heap. It
+/// appends to one open chunk of 64 Ki 8-byte records (512 KiB) and
+/// seals each full chunk into 3-byte records: 192 KiB, a 4-byte base
+/// per 64 records and 12 bytes per escape. The hand run of `dct8x8`
+/// stores 199 139 events, three sealed chunks and the open one: 1.1 MiB
+/// of the peak, where 8 bytes a record took 2 MiB.
 #[test]
 fn a_recording_run_of_dct8x8_peaks_within_budget() {
-    let wl = suite::by_name("dct8x8").expect("registered");
-    let image = wl.build_trips(Quality::Hand).expect("compiles").image;
-    let n = peak_bytes(|| {
-        let mut cpu = Processor::new(CoreConfig::prototype_critpath());
-        cpu.run(&image, 50_000_000).expect("dct8x8 halts")
-    });
-    within("the dct8x8 recording run's peak heap", n, 2_430_516, "bytes");
+    within(
+        "the dct8x8 recording run's peak heap",
+        recording_run_peak("dct8x8"),
+        1_459_488,
+        "bytes",
+    );
+}
+
+/// `256.bzip2`'s recording run sets the perf ledger's `table3_repro`
+/// peak: 2 209 844 events, 33 sealed chunks (one escape, the root) and
+/// the open one, 6.8 MiB where 8 bytes a record took 17 MiB.
+#[test]
+fn a_recording_run_of_bzip2_peaks_within_budget() {
+    within(
+        "the 256.bzip2 recording run's peak heap",
+        recording_run_peak("256.bzip2"),
+        7_448_416,
+        "bytes",
+    );
 }
