@@ -300,6 +300,25 @@ impl Chip {
         images: &[Option<&ProgramImage>],
         max_cycles: u64,
     ) -> Result<ChipStats, SimError> {
+        self.load(images);
+        let shared = self.cfg.shared_memory;
+        Die::new(&mut self.cores, Some(&mut self.nuca)).run(max_cycles, |die, cores| {
+            let (nuca, n) = (die.nuca.as_deref().expect("a chip's die has its NUCA"), cores.len());
+            ChipStats {
+                cycles: die.cycle(),
+                bank_conflict_stalls: nuca.arb.conflict_stalls.clone(),
+                ocn_tag_highwater: nuca.sys.ocn_tag_highwater()[..n].to_vec(),
+                ocn_tag_counts: nuca.sys.ocn_tag_counts()[..n].to_vec(),
+                coherence: shared.then(|| nuca.sys.coherence()),
+                cores,
+            }
+        })
+    }
+
+    /// The set-up half of [`Chip::run_select`]: a fresh NUCA, each slot
+    /// reset for its image or parked idle, and on a coherent chip the
+    /// one memory every core shares.
+    fn load(&mut self, images: &[Option<&ProgramImage>]) {
         assert_eq!(images.len(), self.cores.len(), "one image slot per core");
         assert!(images.iter().any(Option::is_some), "at least one slot must be live");
         // Reset chip-level state for back-to-back runs.
@@ -318,8 +337,7 @@ impl Chip {
             }
             Chip::seat(core, k, &self.cfg);
         }
-        let shared = self.cfg.shared_memory;
-        if shared {
+        if self.cfg.shared_memory {
             // One physical address space: one memory, the union of
             // every live image loaded in slot order, and every core
             // holds a handle to it.
@@ -332,17 +350,6 @@ impl Chip {
                 core.mem = Rc::clone(&mem);
             }
         }
-        Die::new(&mut self.cores, Some(&mut self.nuca)).run(max_cycles, |die, cores| {
-            let (nuca, n) = (die.nuca.as_deref().expect("a chip's die has its NUCA"), cores.len());
-            ChipStats {
-                cycles: die.cycle(),
-                bank_conflict_stalls: nuca.arb.conflict_stalls.clone(),
-                ocn_tag_highwater: nuca.sys.ocn_tag_highwater()[..n].to_vec(),
-                ocn_tag_counts: nuca.sys.ocn_tag_counts()[..n].to_vec(),
-                coherence: shared.then(|| nuca.sys.coherence()),
-                cores,
-            }
-        })
     }
 
     /// Ticks until every core and the shared system quiesce, or
@@ -524,8 +531,14 @@ impl<'a> Die<'a> {
         quiesced(self.cores, self.nuca.as_deref())
     }
 
-    fn check(&self) -> Result<(), SimError> {
-        check(self.cores, self.nuca.as_deref()).map_err(invariant)
+    /// The invariant suite after a step: each core's
+    /// [step check](invariants::check_step), then what [`check`] runs
+    /// past the cores.
+    fn check(&mut self) -> Result<(), SimError> {
+        for (k, core) in self.cores.iter_mut().enumerate() {
+            invariants::check_step(core).map_err(|v| on_core(k, v)).map_err(invariant)?;
+        }
+        check_shared(self.cores, self.nuca.as_deref()).map_err(invariant)
     }
 }
 
@@ -556,11 +569,17 @@ fn quiesced(cores: &[Processor], nuca: Option<&Nuca>) -> bool {
 /// The first violated invariant, at the die's cycle.
 pub(crate) fn check(cores: &[Processor], nuca: Option<&Nuca>) -> Result<(), InvariantViolation> {
     for (k, core) in cores.iter().enumerate() {
-        invariants::check(core).map_err(|v| InvariantViolation {
-            cycle: v.cycle,
-            detail: format!("core {k}: {}", v.detail),
-        })?;
+        invariants::check(core).map_err(|v| on_core(k, v))?;
     }
+    check_shared(cores, nuca)
+}
+
+fn on_core(k: usize, v: InvariantViolation) -> InvariantViolation {
+    InvariantViolation { cycle: v.cycle, detail: format!("core {k}: {}", v.detail) }
+}
+
+/// The part of [`check`] past the cores' own suites.
+fn check_shared(cores: &[Processor], nuca: Option<&Nuca>) -> Result<(), InvariantViolation> {
     let Some(nuca) = nuca else { return Ok(()) };
     let fail = |detail| InvariantViolation { cycle: cores[0].cycle, detail };
     nuca.audit(cores).map_err(fail)?;
@@ -732,5 +751,99 @@ mod tests {
         for j in 0..4 {
             assert!((j + 1..4).all(|k| !shares(&chip, j, k)), "multiprogrammed core {j} shares");
         }
+    }
+
+    // ---- the step check's premise (crate::invariants) ----
+
+    /// A hash of `value`'s `Debug` rendering.
+    fn fingerprint(value: &impl std::fmt::Debug) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut hasher = DefaultHasher::new();
+        format!("{value:?}").hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Each tile's fingerprint, in mask order (GT, ITs, RTs, ETs, DTs).
+    fn tile_prints(p: &Processor) -> Vec<u64> {
+        let mut prints = vec![fingerprint(&p.gt)];
+        prints.extend(p.its.iter().map(fingerprint));
+        prints.extend(p.rts.iter().map(fingerprint));
+        prints.extend(p.ets.iter().map(fingerprint));
+        prints.extend(p.dts.iter().map(fingerprint));
+        prints
+    }
+
+    /// Steps `die` until it halts and drains, checking after every step
+    /// that no tile the step left unmarked changed, and that the step
+    /// check returns what the full suite returns. Returns the steps, the
+    /// tiles marked, and the tiles that changed outside their tick.
+    fn step_checked(die: &mut Die<'_>, what: &str) -> (u64, u64, u64) {
+        let (mut steps, mut marked, mut edited) = (0, 0, 0);
+        let mut before: Vec<Vec<u64>> = die.cores.iter().map(tile_prints).collect();
+        while !(die.cores.iter().all(Processor::halted) && quiesced(die.cores, die.nuca.as_deref()))
+        {
+            assert!(die.cycle() < 2_000_000, "{what}: no halt");
+            die.tick_until(u64::MAX);
+            let cycle = die.cycle();
+            for (k, core) in die.cores.iter().enumerate() {
+                let after = tile_prints(core);
+                let (marks, ticked) = (core.unaudited.tiles, die.scans[k].0);
+                for (bit, (b, a)) in before[k].iter().zip(&after).enumerate() {
+                    let changed = b != a;
+                    assert!(
+                        !changed || marks >> bit & 1 != 0,
+                        "{what}: core {k} tile {bit} changed unmarked by the step to {cycle}"
+                    );
+                    edited += u64::from(changed && ticked >> bit & 1 == 0);
+                }
+                marked += u64::from(marks.count_ones());
+                before[k] = after;
+            }
+            let full = check(die.cores, die.nuca.as_deref()).map_err(invariant);
+            assert_eq!(die.check(), full, "{what}: the step check and the full suite differ");
+            full.unwrap_or_else(|e| panic!("{what}: {e}"));
+            steps += 1;
+        }
+        (steps, marked, edited)
+    }
+
+    #[test]
+    fn a_step_changes_only_the_tiles_it_marks() {
+        use crate::config::{CoreGeometry, MemBackend};
+        use crate::fault::FaultPlan;
+        let faulted = |geometry: CoreGeometry, seed: u64, mem_backend: MemBackend| CoreConfig {
+            check_invariants: true,
+            faults: Some(FaultPlan::random_for(seed, geometry)),
+            mem_backend,
+            ..CoreConfig::with_geometry(geometry)
+        };
+        let image = suite::by_name("vadd").expect("registered").build_trips(Quality::Hand);
+        let image = image.expect("compiles").image;
+        let solo = [
+            (CoreGeometry::mini(), MemBackend::prototype(), 3),
+            (CoreGeometry::prototype(), MemBackend::nuca_prototype(), 8),
+        ];
+        for (geometry, backend, seed) in solo {
+            let what = format!("{} {backend:?} seed {seed}", geometry.name());
+            let mut cpu = Processor::new(faulted(geometry, seed, backend));
+            cpu.start(&image);
+            let mut nuca = cpu.nuca.take();
+            let mut die = Die::new(std::slice::from_mut(&mut cpu), nuca.as_deref_mut());
+            let (steps, marked, _) = step_checked(&mut die, &what);
+            // Not vacuous: a whole run, most tiles left unaudited.
+            let tiles = geometry.tile_ticks() as u64;
+            assert!(steps > 500 && marked < steps * tiles / 2, "{what}: {marked}/{steps}");
+            assert!(cpu.tile_audits() < steps * tiles / 2, "{what}");
+        }
+        // A coherent dual core: the value plane edits the other core's
+        // DTs from outside their ticks (`Processor::shared_invalidate`).
+        let core = faulted(CoreGeometry::prototype(), 5, MemBackend::nuca_prototype());
+        let die = ChipConfig::with_cores(2, core, MemConfig::prototype());
+        let mut chip = Chip::new(ChipConfig { shared_memory: true, ..die });
+        let program = shared::pcring(2);
+        chip.load(&program.images.iter().map(Some).collect::<Vec<_>>());
+        let mut die = Die::new(&mut chip.cores, Some(&mut chip.nuca));
+        let (_, _, edited) = step_checked(&mut die, "coherent pcring seed 5");
+        assert!(edited > 0, "no DT was edited outside its tick");
     }
 }

@@ -22,8 +22,7 @@ use crate::config::{
     L1D_SETS, L1D_WAYS, MSHR_LINES,
 };
 use crate::critpath::{Cat, CritPath};
-use crate::frames::{FrameFile, FrameSet};
-use crate::gt::GlobalTile;
+use crate::frames::{FrameFile, FrameSet, GtSlots};
 use crate::memsys::{FillPath, MemClient, MemEvent, MemSys};
 use crate::msg::{DsnMsg, EvId, FrameId, GcnMsg, Gen, GsnMsg, OpnPayload, RowMsg, TileId};
 use crate::nets::{dt_chain_pos, opn_recv, Nets, OpnOutbox};
@@ -137,6 +136,7 @@ struct Mshr {
 }
 
 /// One data tile.
+#[cfg_attr(test, derive(Debug))]
 pub struct DataTile {
     /// Tile index (0 is nearest the GT).
     pub index: u8,
@@ -254,48 +254,47 @@ impl DataTile {
     }
 
     /// DT-side protocol invariants: LSQ-ID sanity, occupancy
-    /// accounting, and the cross-tile generation bound (see
+    /// accounting, and the cross-tile generation bound — or
+    /// (`only_gens`) that bound alone over those frames (see
     /// [`crate::invariants`]).
-    pub(crate) fn audit(&self, gt: &GlobalTile) -> Result<(), String> {
-        self.audit_frames(gt).map_err(|e| format!("DT{}: {e}", self.index))
+    pub(crate) fn audit(&self, gt: &GtSlots, only_gens: Option<FrameSet>) -> Result<(), String> {
+        let audit = match only_gens {
+            None => self.audit_frames(gt),
+            Some(frames) => self.frames.audit_gens(gt, frames),
+        };
+        audit.map_err(|e| format!("DT{}: {e}", self.index))
     }
 
-    fn audit_frames(&self, gt: &GlobalTile) -> Result<(), String> {
+    fn audit_frames(&self, gt: &GtSlots) -> Result<(), String> {
         let (mut live, mut parked) = (0usize, FrameSet::EMPTY);
-        self.frames.audit(
-            |fi| gt.slot(fi),
-            |frame, active, f| {
-                let fi = frame.0;
-                if !active {
-                    return Ok(());
+        self.frames.audit(gt, |frame, f| {
+            let fi = frame.0;
+            if !f.deferred.is_empty() {
+                parked.insert(frame);
+            }
+            live += f.own_stores.len() + f.performed_loads.len();
+            for s in &f.own_stores {
+                if s.lsid >= 32 {
+                    return Err(format!("frame {fi} store LSQ id {} out of range", s.lsid));
                 }
-                if !f.deferred.is_empty() {
-                    parked.insert(frame);
-                }
-                live += f.own_stores.len() + f.performed_loads.len();
-                for s in &f.own_stores {
-                    if s.lsid >= 32 {
-                        return Err(format!("frame {fi} store LSQ id {} out of range", s.lsid));
-                    }
-                    if f.mask_known && !f.store_mask.contains(s.lsid.into()) {
-                        return Err(format!(
-                            "frame {fi} holds store lsid {} absent from its store mask {:#x}",
-                            s.lsid, f.store_mask
-                        ));
-                    }
-                }
-                if let Some(l) = f.performed_loads.iter().find(|l| l.lsid >= 32) {
-                    return Err(format!("frame {fi} load LSQ id {} out of range", l.lsid));
-                }
-                if f.mask_known && !f.arrived.is_subset(f.store_mask) {
+                if f.mask_known && !f.store_mask.contains(s.lsid.into()) {
                     return Err(format!(
-                        "frame {fi} arrival bits {:#x} outside the store mask {:#x}",
-                        f.arrived, f.store_mask
+                        "frame {fi} holds store lsid {} absent from its store mask {:#x}",
+                        s.lsid, f.store_mask
                     ));
                 }
-                Ok(())
-            },
-        )?;
+            }
+            if let Some(l) = f.performed_loads.iter().find(|l| l.lsid >= 32) {
+                return Err(format!("frame {fi} load LSQ id {} out of range", l.lsid));
+            }
+            if f.mask_known && !f.arrived.is_subset(f.store_mask) {
+                return Err(format!(
+                    "frame {fi} arrival bits {:#x} outside the store mask {:#x}",
+                    f.arrived, f.store_mask
+                ));
+            }
+            Ok(())
+        })?;
         if parked != self.deferred {
             return Err(format!("deferred set {:#b}, recount {parked:#b}", self.deferred));
         }

@@ -17,8 +17,7 @@ use crate::config::{
     CoreConfig, CoreGeometry, StationMask, DIV_LAT, FDIV_LAT, FP_LAT, INT_LAT, MAX_FRAMES, MUL_LAT,
 };
 use crate::critpath::{Cat, CritPath};
-use crate::frames::{FrameFile, FrameSet};
-use crate::gt::GlobalTile;
+use crate::frames::{FrameFile, FrameSet, GtSlots};
 use crate::msg::{EvId, FrameId, GcnMsg, Gen, OpnPayload, RowMsg, TileId};
 use crate::nets::{opn_recv_batch, row_pos_of_col, Nets, OpnOutbox};
 use crate::stats::CoreStats;
@@ -77,6 +76,7 @@ struct InFlight {
 }
 
 /// One execution tile.
+#[cfg_attr(test, derive(Debug))]
 pub struct ExecTile {
     /// Grid row (0..geometry rows).
     pub row: u8,
@@ -210,24 +210,26 @@ impl ExecTile {
         Some(parts.join(", "))
     }
 
-    /// ET-side protocol invariants (see [`crate::invariants`]).
-    pub(crate) fn audit(&self, gt: &GlobalTile) -> Result<(), String> {
+    /// ET-side protocol invariants, or (`only_gens`) the generation
+    /// bound alone over those frames (see [`crate::invariants`]).
+    pub(crate) fn audit(&self, gt: &GtSlots, only_gens: Option<FrameSet>) -> Result<(), String> {
         // The label is built on the failing path only: this runs on
-        // every ET every checked cycle.
-        self.audit_frames(gt).map_err(|e| format!("ET({},{}): {e}", self.row, self.col))
+        // every marked ET every checked step.
+        let audit = match only_gens {
+            None => self.audit_frames(gt),
+            Some(frames) => self.frames.audit_gens(gt, frames),
+        };
+        audit.map_err(|e| format!("ET({},{}): {e}", self.row, self.col))
     }
 
-    fn audit_frames(&self, gt: &GlobalTile) -> Result<(), String> {
+    fn audit_frames(&self, gt: &GtSlots) -> Result<(), String> {
         let mut ready = FrameSet::EMPTY;
-        self.frames.audit(
-            |fi| gt.slot(fi),
-            |frame, _, f| {
-                if !f.ready.is_empty() {
-                    ready.insert(frame);
-                }
-                Ok(())
-            },
-        )?;
+        self.frames.audit(gt, |frame, f| {
+            if !f.ready.is_empty() {
+                ready.insert(frame);
+            }
+            Ok(())
+        })?;
         if ready != self.ready_frames {
             return Err(format!("ready frames {:#b}, recount {ready:#b}", self.ready_frames));
         }

@@ -8,10 +8,14 @@
 //! one frame-indexed bit set; tiles keep their bodies (DESIGN.md §5i).
 
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{BitAnd, Index, IndexMut, Sub};
 
 use crate::config::MAX_FRAMES;
 use crate::msg::{FrameId, Gen};
+
+/// The GT's `(generation, free)` per frame slot: all a tile's audit
+/// reads of another tile.
+pub(crate) type GtSlots = [(Gen, bool); MAX_FRAMES];
 
 /// A set of frame indices (≤ [`MAX_FRAMES`]). Built only from
 /// [`FrameSet::EMPTY`], [`FrameSet::all`] and [`FrameSet::bit`], so no
@@ -70,62 +74,73 @@ impl FrameSet {
     }
 }
 
+impl BitAnd for FrameSet {
+    type Output = FrameSet;
+    fn bitand(self, rhs: FrameSet) -> FrameSet {
+        FrameSet(self.0 & rhs.0)
+    }
+}
+
+/// Set difference: the frames of `self` not in `rhs`.
+impl Sub for FrameSet {
+    type Output = FrameSet;
+    fn sub(self, rhs: FrameSet) -> FrameSet {
+        FrameSet(self.0 & !rhs.0)
+    }
+}
+
 impl fmt::Binary for FrameSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Binary::fmt(&self.0, f)
     }
 }
 
-#[derive(Debug, Default)]
-#[cfg_attr(test, derive(Clone, PartialEq, Eq, Hash))]
-struct Slot<T> {
-    active: bool,
-    /// In `order` (a dispatch message has given this incarnation its age).
-    ordered: bool,
-    gen: Gen,
-    /// Saw its commit wave.
-    committing: bool,
-    /// Finished its commit drain.
-    commit_done: bool,
-    /// The ack-chain neighbour acked (armed true at the chain's end).
-    neighbour_ack: bool,
-    body: T,
-}
-
-/// One tile's frame slots with their lifecycle state, the dispatch-age
-/// order and the two sets the tick schedules read. Indexing by
-/// [`FrameId`] reaches a slot's tile-specific body.
+/// One tile's frame slots: each slot's generation and tile-specific
+/// body, the lifecycle as one [`FrameSet`] per stage, and the
+/// dispatch-age order. The sets are the only copy of the lifecycle, so
+/// the sets the tick schedules read cannot drift from it. Indexing by
+/// [`FrameId`] reaches a slot's body.
 #[derive(Debug)]
 #[cfg_attr(test, derive(Clone, PartialEq, Eq, Hash))]
 pub(crate) struct FrameFile<T> {
-    slots: Vec<Slot<T>>,
+    /// The generation each slot holds, or awaits once inactive (inline:
+    /// a file allocates only its bodies).
+    gens: [Gen; MAX_FRAMES],
+    bodies: Vec<T>,
     /// Ordered frames, oldest first.
     order: Vec<FrameId>,
-    /// Frames whose slot is active — the dirty-frame work list.
+    /// The lifecycle, a set per stage: armed by a generation's first
+    /// message (the dirty-frame work list); in `order`, aged by a
+    /// dispatch message; past the commit wave; done draining; acked by
+    /// the ack-chain neighbour (set on arming at the chain's end).
     active: FrameSet,
-    /// Frames that are `active && committing && !commit_done` — the
-    /// clock-gating predicate's frame term, which must stay exact or
-    /// the scheduler sleeps through a commit drain.
-    draining: FrameSet,
+    ordered: FrameSet,
+    committing: FrameSet,
+    commit_done: FrameSet,
+    neighbour_ack: FrameSet,
     chain_end: bool,
 }
 
 impl<T: Default> FrameFile<T> {
     /// A file of `frames` free slots. `chain_end` marks the tile with
     /// no ack-chain neighbour to wait for.
-    pub fn new(frames: usize, chain_end: bool, mut body: impl FnMut() -> T) -> FrameFile<T> {
+    pub fn new(frames: usize, chain_end: bool, body: impl FnMut() -> T) -> FrameFile<T> {
         FrameFile {
-            slots: (0..frames).map(|_| Slot { body: body(), ..Slot::default() }).collect(),
+            gens: [0; MAX_FRAMES],
+            bodies: std::iter::repeat_with(body).take(frames).collect(),
             order: Vec::with_capacity(frames),
             active: FrameSet::EMPTY,
-            draining: FrameSet::EMPTY,
+            ordered: FrameSet::EMPTY,
+            committing: FrameSet::EMPTY,
+            commit_done: FrameSet::EMPTY,
+            neighbour_ack: FrameSet::EMPTY,
             chain_end,
         }
     }
 
     /// Slots in the file.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.bodies.len()
     }
 
     /// The ordered frames, oldest first.
@@ -143,34 +158,34 @@ impl<T: Default> FrameFile<T> {
         self.active
     }
 
-    /// The frames with a commit drain underway.
+    /// The frames with a commit drain underway: active, past the commit
+    /// wave and not done draining — the clock-gating predicate's frame
+    /// term.
     pub fn draining(&self) -> FrameSet {
-        self.draining
+        self.active & (self.committing - self.commit_done)
     }
 
     /// Active and past its commit wave.
     pub fn is_committing(&self, frame: FrameId) -> bool {
-        let s = &self.slots[frame.0 as usize];
-        s.active && s.committing
+        (self.active & self.committing).contains(frame)
     }
 
     pub fn gen(&self, frame: FrameId) -> Gen {
-        self.slots[frame.0 as usize].gen
+        self.gens[frame.0 as usize]
     }
 
     /// The live incarnation in `frame`'s slot — its generation and
     /// body — or `None` for an inactive slot.
     pub fn live(&mut self, frame: FrameId) -> Option<(Gen, &mut T)> {
-        let s = &mut self.slots[frame.0 as usize];
-        s.active.then_some((s.gen, &mut s.body))
+        let fi = frame.0 as usize;
+        self.active.contains(frame).then_some((self.gens[fi], &mut self.bodies[fi]))
     }
 
     /// Whether a message for (`frame`, `gen`) addresses the live
     /// incarnation. A retired or flushed generation's stragglers fail
     /// here (and in [`FrameFile::ensure`]).
     pub fn ok(&self, frame: FrameId, gen: Gen) -> bool {
-        let s = &self.slots[frame.0 as usize];
-        s.active && s.gen == gen
+        self.active.contains(frame) && self.gens[frame.0 as usize] == gen
     }
 
     /// Validates a message for (`frame`, `gen`): a stale generation
@@ -185,22 +200,24 @@ impl<T: Default> FrameFile<T> {
         from_dispatch: bool,
         rearm: impl FnOnce(&mut T),
     ) -> bool {
-        let s = &mut self.slots[frame.0 as usize];
-        if s.gen > gen {
+        let fi = frame.0 as usize;
+        if self.gens[fi] > gen {
             return false;
         }
-        if !(s.active && s.gen == gen) {
-            s.active = true;
-            s.gen = gen;
-            s.committing = false;
-            s.commit_done = false;
-            s.neighbour_ack = self.chain_end;
-            rearm(&mut s.body);
+        if !self.ok(frame, gen) {
+            self.gens[fi] = gen;
             self.active.insert(frame);
-            self.draining.remove(frame);
+            self.committing.remove(frame);
+            self.commit_done.remove(frame);
+            if self.chain_end {
+                self.neighbour_ack.insert(frame);
+            } else {
+                self.neighbour_ack.remove(frame);
+            }
+            rearm(&mut self.bodies[fi]);
         }
-        if from_dispatch && !s.ordered {
-            s.ordered = true;
+        if from_dispatch && !self.ordered.contains(frame) {
+            self.ordered.insert(frame);
             self.order.push(frame);
         }
         true
@@ -210,8 +227,7 @@ impl<T: Default> FrameFile<T> {
     pub fn commit_wave(&mut self, frame: FrameId, gen: Gen) -> bool {
         let ok = self.ok(frame, gen);
         if ok {
-            self.slots[frame.0 as usize].committing = true;
-            self.draining.insert(frame);
+            self.committing.insert(frame);
         }
         ok
     }
@@ -225,12 +241,11 @@ impl<T: Default> FrameFile<T> {
     /// register or address (DESIGN.md §5c, bugs 3 and 4).
     pub fn next_draining(&self, cursor: &mut usize) -> Option<FrameId> {
         while let Some(&frame) = self.order.get(*cursor) {
-            let s = &self.slots[frame.0 as usize];
-            if !(s.active && s.committing) {
+            if !self.is_committing(frame) {
                 break;
             }
             *cursor += 1;
-            if !s.commit_done {
+            if !self.commit_done.contains(frame) {
                 return Some(frame);
             }
         }
@@ -239,14 +254,13 @@ impl<T: Default> FrameFile<T> {
 
     /// `frame`'s commit drain is finished.
     pub fn drain_done(&mut self, frame: FrameId) {
-        self.slots[frame.0 as usize].commit_done = true;
-        self.draining.remove(frame);
+        self.commit_done.insert(frame);
     }
 
     /// The ack-chain neighbour acknowledged (`frame`, `gen`).
     pub fn neighbour_ack(&mut self, frame: FrameId, gen: Gen) {
         if self.ok(frame, gen) {
-            self.slots[frame.0 as usize].neighbour_ack = true;
+            self.neighbour_ack.insert(frame);
         }
     }
 
@@ -260,16 +274,13 @@ impl<T: Default> FrameFile<T> {
     /// §5c, bug 5). Under clean timing this only ever delays an ack.
     pub fn retire_head(&mut self) -> Option<(FrameId, Gen)> {
         let &frame = self.order.first()?;
-        let s = &mut self.slots[frame.0 as usize];
-        if !(s.active && s.commit_done && s.neighbour_ack) {
+        if !(self.active & self.commit_done & self.neighbour_ack).contains(frame) {
             return None;
         }
-        debug_assert!(!self.draining.contains(frame), "acked while draining");
-        let gen = s.gen;
-        s.active = false;
-        s.ordered = false;
-        s.gen += 1;
+        let gen = self.gens[frame.0 as usize];
+        self.gens[frame.0 as usize] += 1;
         self.active.remove(frame);
+        self.ordered.remove(frame);
         self.order.remove(0);
         Some((frame, gen))
     }
@@ -284,83 +295,78 @@ impl<T: Default> FrameFile<T> {
         mut on_squash: impl FnMut(FrameId, &mut T),
     ) {
         for frame in mask.iter() {
-            let Some(s) = self.slots.get_mut(frame.0 as usize) else { break };
-            let new_gen = gens[frame.0 as usize];
-            if s.gen >= new_gen {
+            let fi = frame.0 as usize;
+            if fi >= self.len() {
+                break;
+            }
+            if self.gens[fi] >= gens[fi] {
                 continue;
             }
-            s.gen = new_gen;
-            if s.active {
-                s.active = false;
-                s.ordered = false;
+            self.gens[fi] = gens[fi];
+            if self.active.contains(frame) {
                 self.active.remove(frame);
-                self.draining.remove(frame);
+                self.ordered.remove(frame);
                 self.order.retain(|&x| x != frame);
-                on_squash(frame, &mut s.body);
+                on_squash(frame, &mut self.bodies[fi]);
             }
         }
     }
 
     /// A tile's audit (see [`crate::invariants`]). The lifecycle half:
-    /// the age order holds each ordered frame once and only active
-    /// ones; the sets equal their recounts; and no active slot is ahead
-    /// of the GT's `(generation, free)` for it. The tile's half: `body`
-    /// sees every slot's frame, whether it is active, and its body.
+    /// the age order holds each ordered frame once, only active ones are
+    /// ordered, and the [generation bound](FrameFile::audit_gens) holds.
+    /// The tile's half: `body` sees each active frame and its body (an
+    /// inactive body is dead until re-armed resets it).
     pub fn audit(
         &self,
-        gt_slot: impl Fn(usize) -> (Gen, bool),
-        mut body: impl FnMut(FrameId, bool, &T) -> Result<(), String>,
+        gt: &GtSlots,
+        mut body: impl FnMut(FrameId, &T) -> Result<(), String>,
     ) -> Result<(), String> {
-        let [mut active, mut draining, mut ordered, mut seen] = [FrameSet::EMPTY; 4];
-        for (fi, s) in self.slots.iter().enumerate() {
-            let frame = FrameId(fi as u8);
-            if s.ordered {
-                ordered.insert(frame);
-            }
-            if s.active {
-                active.insert(frame);
-                if s.committing && !s.commit_done {
-                    draining.insert(frame);
-                }
-                let (gt_gen, gt_free) = gt_slot(fi);
-                if s.gen > gt_gen || (s.gen == gt_gen && gt_free) {
-                    let gen = s.gen;
-                    return Err(format!(
-                        "frame {fi} active at gen {gen}, the GT slot at gen {gt_gen} (free: {gt_free})"
-                    ));
-                }
-            }
-            body(frame, s.active, &s.body)?;
-        }
+        let mut seen = FrameSet::EMPTY;
         for &f in &self.order {
             if seen.contains(f) {
                 return Err(format!("frame {} twice in dispatch order", f.0));
             }
             seen.insert(f);
         }
-        let recounts = [
-            ("dispatch order", seen, ordered),
-            ("ordered but inactive", FrameSet(ordered.0 & !active.0), FrameSet::EMPTY),
-            ("active set", self.active, active),
-            ("draining set", self.draining, draining),
-        ];
-        match recounts.iter().find(|(_, held, recount)| held != recount) {
-            Some((what, held, recount)) => Err(format!("{what} {held:#b}, recount {recount:#b}")),
-            None => Ok(()),
+        if seen != self.ordered {
+            return Err(format!("dispatch order {seen:#b}, ordered set {:#b}", self.ordered));
         }
+        let stray = self.ordered - self.active;
+        if !stray.is_empty() {
+            return Err(format!("ordered but inactive {stray:#b}"));
+        }
+        self.audit_gens(gt, self.active)?;
+        self.active.iter().try_for_each(|frame| body(frame, &self.bodies[frame.0 as usize]))
+    }
+
+    /// The cross-tile generation bound over `frames`: no active slot is
+    /// ahead of the GT's `(generation, free)` for it. The one part of
+    /// the audit that reads another tile's state.
+    pub fn audit_gens(&self, gt: &GtSlots, frames: FrameSet) -> Result<(), String> {
+        for frame in (self.active & frames).iter() {
+            let fi = frame.0 as usize;
+            let (gen, (gt_gen, gt_free)) = (self.gens[fi], gt[fi]);
+            if gen > gt_gen || (gen == gt_gen && gt_free) {
+                return Err(format!(
+                    "frame {fi} active at gen {gen}, the GT slot at gen {gt_gen} (free: {gt_free})"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
 impl<T> Index<FrameId> for FrameFile<T> {
     type Output = T;
     fn index(&self, frame: FrameId) -> &T {
-        &self.slots[frame.0 as usize].body
+        &self.bodies[frame.0 as usize]
     }
 }
 
 impl<T> IndexMut<FrameId> for FrameFile<T> {
     fn index_mut(&mut self, frame: FrameId) -> &mut T {
-        &mut self.slots[frame.0 as usize].body
+        &mut self.bodies[frame.0 as usize]
     }
 }
 
@@ -412,7 +418,7 @@ mod tests {
         gens[a.0 as usize] = 1;
         file.flush(FrameSet::bit(a), &gens, |_, _| panic!("the wave is stale"));
         assert!(!file.ensure(a, 0, true, |_| panic!("stale")) && !file.commit_wave(a, 0));
-        file.audit(|fi| (gens[fi], false), |_, _, _| Ok(())).unwrap();
+        file.audit(&gens.map(|gen| (gen, false)), |_, _| Ok(())).unwrap();
     }
 
     // ---- every interleaving, to a bounded depth ----
@@ -611,8 +617,8 @@ mod tests {
 
         fn check(&self) {
             let file = &self.file;
-            file.audit(|fi| (self.gens[fi], !self.in_flight(fi)), |_, _, _| Ok(()))
-                .unwrap_or_else(|e| panic!("{e}\n{self:?}"));
+            let gt = std::array::from_fn(|fi| (self.gens[fi], !self.in_flight(fi)));
+            file.audit(&gt, |_, _| Ok(())).unwrap_or_else(|e| panic!("{e}\n{self:?}"));
             let set_of = |pred: fn(&InFlight) -> bool| {
                 let mut set = FrameSet::EMPTY;
                 self.flight.iter().filter(|f| pred(f)).for_each(|f| set.insert(f.frame));

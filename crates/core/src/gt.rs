@@ -16,7 +16,7 @@ use crate::config::{CoreConfig, CoreGeometry, TickMode, MAX_FRAMES, PREDICT_LAT,
 use crate::critpath::{Cat, CritPath, NO_EVENT};
 use crate::diag::FrameDiag;
 use crate::fault::StormState;
-use crate::frames::FrameSet;
+use crate::frames::{FrameSet, GtSlots};
 use crate::msg::{EvId, FrameId, GcnMsg, GdnFetch, Gen, GrnRefill, GsnMsg, OpnPayload, TileId};
 use crate::nets::{it_col_pos, opn_recv, Nets};
 use crate::predictor::{NextBlockPredictor, PredictorCheckpoint};
@@ -123,6 +123,7 @@ struct FetchOp {
 }
 
 /// The global control tile.
+#[cfg_attr(test, derive(Debug))]
 pub struct GlobalTile {
     geom: CoreGeometry,
     frames: Vec<Frame>,
@@ -176,11 +177,11 @@ impl GlobalTile {
         self.order.len()
     }
 
-    /// Frame slot `fi`'s current generation and whether it is free (for
-    /// the tile audits' cross-tile generation comparison).
-    pub(crate) fn slot(&self, fi: usize) -> (Gen, bool) {
-        let f = &self.frames[fi];
-        (f.gen, f.state == FState::Free)
+    /// Each frame slot's current generation and whether it is free (for
+    /// the tile audits' cross-tile generation bound).
+    pub(crate) fn slots(&self) -> GtSlots {
+        let slot = |f: &Frame| (f.gen, f.state == FState::Free);
+        std::array::from_fn(|fi| self.frames.get(fi).map_or((0, false), slot))
     }
 
     /// GT-internal protocol invariants, checked every tick under

@@ -1,12 +1,24 @@
-//! Protocol invariants, checked every tick under fuzzing.
+//! Protocol invariants, checked after every die step under fuzzing.
 //!
 //! The paper's §4 protocols are distributed state machines; this
 //! module states the properties they must hold at *every* cycle, under
 //! *any* message timing the micronets can legally produce. The fuzz
-//! harness (`protofuzz`) runs them each tick with
+//! harness (`protofuzz`) runs them after each step with
 //! [`CoreConfig::check_invariants`](crate::CoreConfig) on; a violation
 //! aborts the run with [`SimError::Invariant`](crate::SimError)
 //! carrying the failing cycle and a description.
+//!
+//! **What a step audits.** A tile's audit reads only its own state
+//! and the GT's `(generation, free)` slot table, and a tile's state
+//! moves only in its tick or in an edit from outside it, which marks
+//! the tile as it re-files its wake entry. So a step check audits the
+//! tiles ticked or edited since the last passing one, re-runs the
+//! generation bound over the rest only when the GT's slots moved, and
+//! audits the OPN meshes, the memory adapter, the NUCA and the wake
+//! table every step. Every tile it skips would pass: a violation is
+//! reported at the same cycle with the same text as by the full suite
+//! ([`Processor::check_invariants`]: the same function, every tile
+//! marked).
 //!
 //! The catalogue (each follows from a protocol description in §3–§4;
 //! DESIGN.md gives the full derivations):
@@ -17,8 +29,9 @@
 //!   three completion inputs); commit commands go out in age order;
 //!   commit acks only exist for frames whose commit command went out.
 //! * **Tile frame lifecycle** (`frames::FrameFile::audit`, one copy for
-//!   RT, DT and ET) — a tile's age order holds active frames, each
-//!   once; every frame set a schedule reads equals its recount.
+//!   RT, DT and ET) — a tile's age order holds each ordered frame once,
+//!   and only active ones; the tile's own summaries (ET ready frames,
+//!   DT deferred frames and occupancy) equal their recounts.
 //! * **Cross-tile generation bound** — no tile holds an *active* frame
 //!   at a generation newer than the GT's, and a tile frame active at
 //!   the GT's current generation implies the GT slot is not free:
@@ -56,6 +69,9 @@
 
 use std::fmt;
 
+use crate::config::{TileMask, MAX_FRAMES};
+use crate::frames::{FrameSet, GtSlots};
+use crate::msg::FrameId;
 use crate::proc::Processor;
 
 /// A violated protocol invariant: where and what.
@@ -73,26 +89,79 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
-/// Runs one core's per-tick invariant suite against its current state
+/// What a core's next step check audits: the tiles ticked or edited
+/// since its last passing one (mask bits), and the GT's `(generation,
+/// free)` per slot — all a tile audit reads of another tile — as that
+/// check saw them.
+#[derive(Debug, Default)]
+pub(crate) struct Unaudited {
+    pub(crate) tiles: TileMask,
+    gt_slots: GtSlots,
+    /// Tile audits the step checks ran ([`Processor::tile_audits`]).
+    pub(crate) audits: u64,
+}
+
+/// Runs one core's whole invariant suite against its current state
 /// (the die adds its NUCA's audit: [`Processor::check_invariants`]).
 ///
 /// # Errors
 ///
 /// The first violated invariant, with the current cycle.
 pub fn check(p: &Processor) -> Result<(), InvariantViolation> {
-    check_detail(p).map_err(|detail| InvariantViolation { cycle: p.cycle, detail })
+    let every = p.cfg.geometry.full_mask();
+    audit(p, every, &p.gt.slots(), FrameSet::EMPTY, &mut 0)
+        .map_err(|detail| InvariantViolation { cycle: p.cycle, detail })
 }
 
-fn check_detail(p: &Processor) -> Result<(), String> {
-    p.gt.audit()?;
-    for rt in &p.rts {
-        rt.audit(&p.gt)?;
+/// [`check`] after a die step, over what `p.unaudited` marks; a pass
+/// clears the marks and records the GT's slots.
+pub(crate) fn check_step(p: &mut Processor) -> Result<(), InvariantViolation> {
+    let slots = p.gt.slots();
+    let mut moved = FrameSet::EMPTY;
+    let then = p.unaudited.gt_slots;
+    (0..MAX_FRAMES)
+        .filter(|&fi| slots[fi] != then[fi])
+        .for_each(|fi| moved.insert(FrameId(fi as u8)));
+    let (tiles, mut audits) = (p.unaudited.tiles, p.unaudited.audits);
+    audit(p, tiles, &slots, moved, &mut audits)
+        .map_err(|detail| InvariantViolation { cycle: p.cycle, detail })?;
+    p.unaudited = Unaudited { tiles: 0, gt_slots: slots, audits };
+    Ok(())
+}
+
+/// Audits `tiles` in full and the generation bound of the other tiles
+/// over the `moved` GT slots, counting each tile audit in `audits`.
+fn audit(
+    p: &Processor,
+    tiles: TileMask,
+    gt: &GtSlots,
+    moved: FrameSet,
+    audits: &mut u64,
+) -> Result<(), String> {
+    if tiles & 1 != 0 {
+        *audits += 1;
+        p.gt.audit()?;
     }
-    for et in &p.ets {
-        et.audit(&p.gt)?;
+    let mut tile = |bit: usize, audit: &dyn Fn(Option<FrameSet>) -> Result<(), String>| {
+        let only_gens = match tiles >> bit & 1 {
+            1 => None,
+            _ if moved.is_empty() => return Ok(()),
+            _ => Some(moved),
+        };
+        *audits += 1;
+        audit(only_gens)
+    };
+    // Mask order: GT, ITs (no audit), RTs, ETs, DTs.
+    let rt0 = 1 + p.its.len();
+    let (et0, dt0) = (rt0 + p.rts.len(), rt0 + p.rts.len() + p.ets.len());
+    for (i, t) in p.rts.iter().enumerate() {
+        tile(rt0 + i, &|only| t.audit(gt, only))?;
     }
-    for dt in &p.dts {
-        dt.audit(&p.gt)?;
+    for (i, t) in p.ets.iter().enumerate() {
+        tile(et0 + i, &|only| t.audit(gt, only))?;
+    }
+    for (i, t) in p.dts.iter().enumerate() {
+        tile(dt0 + i, &|only| t.audit(gt, only))?;
     }
     for (n, m) in p.nets.opn.iter().enumerate() {
         m.audit().map_err(|e| format!("OPN{n}: {e}"))?;

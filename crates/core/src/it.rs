@@ -118,6 +118,7 @@ struct Refill {
 }
 
 /// One instruction tile.
+#[cfg_attr(test, derive(Debug))]
 pub struct InstTile {
     /// Tile index 0..5; index 0 serves the header row.
     pub index: usize,
@@ -499,6 +500,15 @@ impl Slice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A slice is immutable once cached, so its pointer stands for it.
+    impl std::fmt::Debug for SliceCache {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            let mut slices: Vec<_> = self.by_addr.iter().map(|(a, s)| (a, Rc::as_ptr(s))).collect();
+            slices.sort_unstable();
+            write!(f, "SliceCache {{ {slices:?}, decodes: {} }}", self.decodes)
+        }
+    }
     use crate::critpath::NO_EVENT;
     use crate::msg::FrameId;
     use trips_isa::{encode, ArchReg, Target, TripsBlock, WriteInst};

@@ -490,6 +490,36 @@ mod tests {
     }
 
     #[test]
+    fn a_stalled_network_does_not_reorder_a_flow() {
+        let cfg = CoreConfig { opn_networks: 2, ..CoreConfig::prototype() };
+        let mut nets = Nets::new(&cfg);
+        let mut tr = Tracer::disabled();
+        let (src, dst, other) = (TileId::Et(3, 3), TileId::Et(0, 0), TileId::Et(0, 1));
+        // Stall network 0 at `src`: its inject queue is full of traffic
+        // for another tile, so anything sent on it waits behind that.
+        while nets.opn[0].can_inject(src.opn(), 0) {
+            nets.opn[0].inject(0, MeshMsg::new(src.opn(), other.opn(), operand()));
+        }
+        let mut ob = OpnOutbox::default();
+        for v in 0..8 {
+            ob.push(dst, operand_val(v));
+        }
+        let mut got = Vec::new();
+        for t in 0..128u64 {
+            ob.flush(&mut nets, t, src, &mut tr);
+            nets.tick(t);
+            while let Some(m) = opn_recv(&mut nets, t, dst, &mut tr) {
+                let OpnPayload::Operand { tok: Tok::Val(v), .. } = m.payload else {
+                    panic!("unexpected payload")
+                };
+                got.push(v);
+            }
+            while opn_recv(&mut nets, t, other, &mut tr).is_some() {}
+        }
+        assert_eq!(got, (0..8).collect::<Vec<u64>>(), "one flow, in order past a stalled network");
+    }
+
+    #[test]
     fn blocked_network_does_not_block_the_other() {
         let cfg = CoreConfig { opn_networks: 2, ..CoreConfig::prototype() };
         let mut nets = Nets::new(&cfg);

@@ -19,7 +19,7 @@ use crate::diag::{HangReport, TileDiag};
 use crate::dt::DataTile;
 use crate::et::ExecTile;
 use crate::gt::GlobalTile;
-use crate::invariants::InvariantViolation;
+use crate::invariants::{InvariantViolation, Unaudited};
 use crate::it::InstTile;
 use crate::memsys::{MemSys, Nuca};
 use crate::msg::TileId;
@@ -132,6 +132,8 @@ pub struct Processor {
     pub(crate) tracer: Tracer,
     pub(crate) gating: GatingStats,
     pub(crate) profile: TickProfile,
+    /// What the next invariant step check must audit.
+    pub(crate) unaudited: Unaudited,
     pub(crate) cycle: u64,
 }
 
@@ -183,6 +185,7 @@ impl Processor {
             tracer,
             gating: GatingStats::default(),
             profile,
+            unaudited: Unaudited::default(),
             cycle: 0,
             cfg,
         };
@@ -190,24 +193,40 @@ impl Processor {
         p
     }
 
-    /// Every tile's wake-table entry recomputed from the tile's own
-    /// state and inbox heads, in table order (GT, ITs, RTs, ETs, DTs —
+    /// Wake-table entry `bit` recomputed from its tile's own state and
+    /// inbox heads (table order: GT, ITs, RTs, ETs, DTs —
     /// [`CoreGeometry::tile_bit`](crate::CoreGeometry::tile_bit)'s layout).
-    fn dues(&self) -> impl Iterator<Item = u64> + '_ {
+    fn due(&self, bit: usize) -> u64 {
         let (nets, memsys) = (&self.nets, &self.memsys);
-        std::iter::once(self.gt.due(nets))
-            .chain(self.its.iter().map(move |t| t.due(nets, memsys)))
-            .chain(self.rts.iter().map(move |t| t.due(nets)))
-            .chain(self.ets.iter().map(move |t| t.due(nets)))
-            .chain(self.dts.iter().map(move |t| t.due(nets, memsys)))
+        let Some(i) = bit.checked_sub(1) else { return self.gt.due(nets) };
+        if let Some(t) = self.its.get(i) {
+            return t.due(nets, memsys);
+        }
+        let i = i - self.its.len();
+        if let Some(t) = self.rts.get(i) {
+            return t.due(nets);
+        }
+        let i = i - self.rts.len();
+        if let Some(t) = self.ets.get(i) {
+            return t.due(nets);
+        }
+        self.dts[i - self.ets.len()].due(nets, memsys)
     }
 
-    /// Re-files the whole wake table from scratch — for whoever edits
-    /// tile state from outside a tick (reset, the chip parking a core
-    /// or swapping its memory adapter).
+    /// The one path for an edit to tile `bit` from outside its tick:
+    /// re-files the tile's wake entry and marks it for the next
+    /// invariant step check ([`crate::invariants`]).
+    fn edited(&mut self, bit: usize) {
+        self.nets.wake.set(bit, self.due(bit));
+        self.unaudited.tiles |= 1 << bit;
+    }
+
+    /// Re-files every tile as [edited](Self::edited) — for whoever
+    /// edits tile state from outside a tick (reset, the chip parking a
+    /// core or swapping its memory adapter).
     pub(crate) fn refile(&mut self) {
-        for (i, due) in self.dues().enumerate() {
-            self.nets.wake.set(i, due);
+        for bit in 0..self.cfg.geometry.tile_ticks() {
+            self.edited(bit);
         }
     }
 
@@ -218,7 +237,8 @@ impl Processor {
     /// (a spurious tick) both fail here.
     pub(crate) fn audit_wake_table(&self) -> Result<(), String> {
         let now = self.cycle;
-        for (i, (filed, fresh)) in self.nets.wake.iter().zip(self.dues()).enumerate() {
+        for (i, filed) in self.nets.wake.iter().enumerate() {
+            let fresh = self.due(i);
             if filed.max(now) != fresh.max(now) {
                 return Err(format!(
                     "wake table entry {i} is filed due at {filed} but its tile's state and \
@@ -267,6 +287,14 @@ impl Processor {
         self.rts.iter().map(|t| t.advance_visits).sum::<u64>()
             + self.dts.iter().map(|t| t.advance_visits).sum::<u64>()
             + self.ets.iter().map(|t| t.select_visits).sum::<u64>()
+    }
+
+    /// Tile audits run by the run's invariant step checks (a tile
+    /// audited in full, or its generation bound alone; see
+    /// [`crate::invariants`]). Host-side observability like
+    /// [`Processor::work_list_visits`], not part of [`CoreStats`].
+    pub fn tile_audits(&self) -> u64 {
+        self.unaudited.audits
     }
 
     /// The simulated memory (for inspecting results after a run): the
@@ -350,9 +378,7 @@ impl Processor {
                 &mut self.stats,
                 &mut self.tracer,
             );
-            // Edited from outside its tick: the DT re-files.
-            let bit = self.cfg.geometry.tile_bit(TileId::Dt(d as u8));
-            self.nets.wake.set(bit as usize, self.dts[d].due(&self.nets, &self.memsys));
+            self.edited(self.cfg.geometry.tile_bit(TileId::Dt(d as u8)) as usize);
         }
     }
 
@@ -605,6 +631,7 @@ impl Processor {
         let tp = profile.begin();
         nets.tick(now);
         profile.end(TickPhase::Nets, tp);
+        self.unaudited.tiles |= mask;
         self.cycle += 1;
     }
 }

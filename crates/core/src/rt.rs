@@ -15,8 +15,7 @@ use trips_micronet::WakeTable;
 
 use crate::config::{CoreConfig, CoreGeometry, COMMIT_BW, MAX_FRAMES};
 use crate::critpath::{Cat, CritPath, NO_EVENT};
-use crate::frames::{FrameFile, FrameSet};
-use crate::gt::GlobalTile;
+use crate::frames::{FrameFile, FrameSet, GtSlots};
 use crate::msg::{EvId, FrameId, GcnMsg, Gen, GsnMsg, OpnPayload, RowMsg, TileId};
 use crate::nets::{opn_recv_batch, row_pos_of_col, rt_chain_pos, Nets, OpnOutbox};
 use crate::stats::CoreStats;
@@ -72,6 +71,7 @@ impl RtFrame {
 }
 
 /// One register tile.
+#[cfg_attr(test, derive(Debug))]
 pub struct RegTile {
     /// Bank index.
     pub bank: u8,
@@ -160,15 +160,20 @@ impl RegTile {
         Some(parts.join("; "))
     }
 
-    /// RT-side protocol invariants (see [`crate::invariants`]).
-    pub(crate) fn audit(&self, gt: &GlobalTile) -> Result<(), String> {
-        let body = |frame: FrameId, active: bool, f: &RtFrame| {
-            if active && f.commit_cursor > f.writes.len() {
+    /// RT-side protocol invariants, or (`only_gens`) the generation
+    /// bound alone over those frames (see [`crate::invariants`]).
+    pub(crate) fn audit(&self, gt: &GtSlots, only_gens: Option<FrameSet>) -> Result<(), String> {
+        let body = |frame: FrameId, f: &RtFrame| {
+            if f.commit_cursor > f.writes.len() {
                 return Err(format!("frame {} commit cursor past the write queue", frame.0));
             }
             Ok(())
         };
-        self.frames.audit(|fi| gt.slot(fi), body).map_err(|e| format!("RT{}: {e}", self.bank))
+        let audit = match only_gens {
+            None => self.frames.audit(gt, body),
+            Some(frames) => self.frames.audit_gens(gt, frames),
+        };
+        audit.map_err(|e| format!("RT{}: {e}", self.bank))
     }
 
     /// [`FrameFile::ensure`] with this tile's body reset.

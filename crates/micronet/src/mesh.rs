@@ -394,7 +394,7 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
         let mut undrained = 0;
         for (r, router) in self.routers.iter().enumerate() {
             let mut nonempty = 0u32;
-            for (q, queue) in router.inputs.iter().flatten().enumerate() {
+            for (q, queue) in router.inputs.as_flattened().iter().enumerate() {
                 recount += queue.len();
                 nonempty |= u32::from(!queue.is_empty()) << q;
             }

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Calibrates the bug corpus: each tests/bugs/<name>.patch puts one
-# historical bug back, and every guard its header names
-# (`Guard: tests/<file>.rs::<test>`) must fail with the bug in. A guard
-# that passes has gone blind.
+# historical bug back, and every guard its header names must fail with
+# the bug in. A guard that passes has gone blind. A guard is an
+# integration test, `Guard: tests/<file>.rs::<test>` (run as
+# `cargo test --release --test <file> -- --exact <test>`), or a unit
+# test, `Guard: crates/<crate>/src/<file>.rs::<module>::<test>` (run as
+# `cargo test --release -p <package> --lib -- --exact <module>::<test>`,
+# the package named in crates/<crate>/Cargo.toml).
 #
 #   scripts/calibrate_bugs.sh                     # every patch
 #   scripts/calibrate_bugs.sh tests/bugs/x.patch  # just these
@@ -55,10 +59,17 @@ for patch in "${patches[@]}"; do
   for guard in $guards; do
     file=${guard%%::*}
     test=${guard#*::}
+    case $file in
+      crates/*/src/*.rs)
+        crate=${file#crates/}
+        pkg=$(sed -n 's/^name = "\(.*\)"$/\1/p' "crates/${crate%%/*}/Cargo.toml" | head -n 1)
+        target=(-p "$pkg" --lib) ;;
+      *) target=(--test "$(basename "$file" .rs)") ;;
+    esac
     log="$scratch/guard.log"
+    (cd "$tree" && cargo test --release --no-run -q "${target[@]}") >"$log" 2>&1 || true
     start=$(date +%s.%N)
-    if (cd "$tree" && cargo test --release -q --test "$(basename "$file" .rs)" -- --exact "$test") \
-      >"$log" 2>&1; then
+    if (cd "$tree" && cargo test --release -q "${target[@]}" -- --exact "$test") >"$log" 2>&1; then
       if grep -q 'running 0 tests' "$log"; then
         echo "$name: guard $guard does not exist"
       else
