@@ -93,7 +93,7 @@ impl fmt::Display for InvariantViolation {
 /// since its last passing one (mask bits), and the GT's `(generation,
 /// free)` per slot — all a tile audit reads of another tile — as that
 /// check saw them.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct Unaudited {
     pub(crate) tiles: TileMask,
     gt_slots: GtSlots,
