@@ -184,8 +184,9 @@ impl GlobalTile {
         std::array::from_fn(|fi| self.frames.get(fi).map_or((0, false), slot))
     }
 
-    /// GT-internal protocol invariants, checked every tick under
-    /// fuzzing (see [`crate::invariants`] for the full catalogue).
+    /// GT-internal protocol invariants, checked after every step that
+    /// ticks the GT under fuzzing (see [`crate::invariants`] for the full
+    /// catalogue).
     pub(crate) fn audit(&self) -> Result<(), String> {
         // Age order holds each in-flight frame exactly once.
         let mut seen = FrameSet::EMPTY;

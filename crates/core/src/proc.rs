@@ -414,7 +414,7 @@ impl Processor {
         self.on_die(|die| die.drain(budget))
     }
 
-    /// Runs the per-tick protocol invariant suite against the current
+    /// Runs the whole protocol invariant suite against the current
     /// state: the core's own (see [`crate::invariants`]) and, on a solo
     /// NUCA core, its NUCA's conservation audit.
     ///
