@@ -16,6 +16,7 @@ use crate::msg::TileId;
 /// OPN router input-FIFO depth, in flits.
 pub(crate) const OPN_FIFO: usize = 4;
 const _: () = assert!(OPN_FIFO >= 1, "a router with no FIFO slot never forwards");
+const _: () = assert!(OPN_FIFO <= trips_micronet::FIFO_DEPTH, "the router's FIFO is that deep");
 /// L1D sets per DT bank (8 KB, 2-way, 64 B lines = 64 sets, §3.5).
 pub const L1D_SETS: usize = 64;
 /// L1D associativity.

@@ -31,6 +31,7 @@ pub const DRAM_LAT: u64 = 60;
 /// Per-virtual-channel OCN router buffering, in packets.
 pub const VC_CAP: usize = 2;
 const _: () = assert!(VC_CAP >= 1, "a channel with no buffer never forwards");
+const _: () = assert!(VC_CAP <= trips_micronet::FIFO_DEPTH, "the router's FIFO is that deep");
 
 /// The two settings of the secondary system that `memsweep` sweeps;
 /// the banks' size and timing are the prototype's constants

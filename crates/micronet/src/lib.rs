@@ -49,7 +49,10 @@
 //!     assert!(cycle < 100, "message lost");
 //! };
 //! assert_eq!(msg.payload, "operand");
-//! assert_eq!(msg.hops, 8); // manhattan distance in the 5x5 mesh
+//! // Set at ejection: the Manhattan distance, since Y-X routes are minimal.
+//! assert_eq!(msg.hops, 8);
+//! // The message sat in one slot from inject to eject; hops moved its head.
+//! assert_eq!(opn.work().slots, 1);
 //! ```
 
 mod chain;
@@ -62,6 +65,6 @@ pub mod widths;
 pub use chain::Chain;
 pub use fault::{ChainFaultConfig, FaultPort, MeshFaultConfig, PortStall};
 pub use mesh::{
-    Coord, Mesh, MeshMsg, MeshStats, MeshWork, PacketStats, MAX_TAGS, VIRTUAL_CHANNELS,
+    Coord, Mesh, MeshMsg, MeshStats, MeshWork, PacketStats, FIFO_DEPTH, MAX_TAGS, VIRTUAL_CHANNELS,
 };
 pub use wake::{WakePort, WakeTable};

@@ -18,6 +18,8 @@
 //!
 //! Both have small input buffers with credit flow control, Y-X
 //! dimension-order routing and deterministic round-robin arbitration.
+//! A message stays put in a slot table from [`Mesh::inject`] to
+//! [`Mesh::eject_at`]; routers queue and move only its 8-byte head.
 
 use std::collections::VecDeque;
 
@@ -32,8 +34,11 @@ pub const VIRTUAL_CHANNELS: usize = 4;
 /// largest die the chip-level geometry supports (16 cores).
 pub const MAX_TAGS: usize = 16;
 
+/// Depth of every router input FIFO: the largest `fifo_cap` [`Mesh::new`] accepts.
+pub const FIFO_DEPTH: usize = 4;
+
 /// Position of a router in the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Row (increases southward).
     pub row: u8,
@@ -78,7 +83,7 @@ pub struct MeshMsg<P> {
     pub tag: u8,
     /// Cycle the message entered the network.
     pub injected_at: u64,
-    /// Router-to-router link traversals so far.
+    /// Router-to-router link traversals, set at ejection: `src.distance(dst)`.
     pub hops: u32,
     /// Cycles spent waiting for links beyond the minimum (contention),
     /// finalized when the message reaches its destination.
@@ -166,6 +171,8 @@ pub struct MeshWork {
     pub router_visits: u64,
     /// Queue heads examined (routed) by those visits.
     pub queue_probes: u64,
+    /// Slot-table high-water mark: the most messages held at once.
+    pub slots: u64,
 }
 
 // Router ports. Inputs and outputs share the numbering: input `LOCAL`
@@ -178,17 +185,49 @@ const SOUTH: usize = 3;
 const WEST: usize = 4;
 const PORTS: usize = 5;
 
-struct Router<P, const VCS: usize> {
+/// What routers queue for a message: its slot and what routing reads.
+#[derive(Debug, Clone, Copy, Default)]
+struct Head {
+    slot: u32,
+    dst: Coord,
+    flits: u8,
+}
+
+/// An input FIFO: up to [`FIFO_DEPTH`] heads, oldest first.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fifo {
+    heads: [Head; FIFO_DEPTH],
+    len: u8,
+}
+
+impl Fifo {
+    fn queued(&self) -> &[Head] {
+        &self.heads[..usize::from(self.len)]
+    }
+
+    fn push(&mut self, head: Head) {
+        self.heads[usize::from(self.len)] = head;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Head {
+        self.len -= 1;
+        self.heads.rotate_left(1);
+        self.heads[FIFO_DEPTH - 1]
+    }
+}
+
+struct Router<const VCS: usize> {
     /// This router's position (kept here so the tick never divides a
     /// router index by the mesh width).
     at: Coord,
     /// `inputs[port][vc]`; queue `q` is `inputs[q / VCS][q % VCS]`.
-    inputs: [[VecDeque<MeshMsg<P>>; VCS]; PORTS],
+    inputs: [[Fifo; VCS]; PORTS],
     /// Bit `q` set iff input queue `q` is non-empty.
     nonempty: u32,
-    /// `(available_at, msg)`: a message is delivered when its head
+    /// `(available_at, slot)`: a message is delivered when its head
     /// flit ejects and can be consumed once its tail has arrived.
-    eject: VecDeque<(u64, MeshMsg<P>)>,
+    eject: VecDeque<(u64, u32)>,
     /// Physical output links are busy while a message's flits stream
     /// across them (never past the next cycle for single flits).
     busy_until: [u64; PORTS],
@@ -223,7 +262,11 @@ pub struct Mesh<P, const VCS: usize = 1> {
     rows: u8,
     cols: u8,
     fifo_cap: usize,
-    routers: Vec<Router<P, VCS>>,
+    routers: Vec<Router<VCS>>,
+    /// Every message from `inject` to `eject_at`, named by its heads.
+    slots: Vec<Option<MeshMsg<P>>>,
+    /// The empty slots, reused before the table grows.
+    free: Vec<u32>,
     /// Aggregate statistics.
     pub stats: MeshStats,
     in_flight: usize,
@@ -239,8 +282,6 @@ pub struct Mesh<P, const VCS: usize = 1> {
     /// Where deliveries are announced, by router index (`None`: a
     /// free-standing mesh).
     wake: Option<WakePort>,
-    /// Messages in eject queues (delivered, not yet popped).
-    undrained: usize,
     /// Per-tag messages inside routers (attribution of `in_flight`).
     in_flight_by_tag: [usize; MAX_TAGS],
     /// Per-tag high-water marks of `in_flight_by_tag`.
@@ -270,17 +311,17 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or `fifo_cap == 0`.
+    /// Panics if any dimension is zero or `fifo_cap` is not in `1..=FIFO_DEPTH`.
     pub fn new(rows: u8, cols: u8, fifo_cap: usize) -> Mesh<P, VCS> {
         // The queue masks are `u32` built by raw shifts (`1 << q`,
         // `1 << QUEUES`): a channel count they cannot hold does not
         // compile.
         const { assert!(VCS >= 1 && PORTS * VCS < 32, "5 * VCS must fit the u32 queue masks") }
-        assert!(rows > 0 && cols > 0 && fifo_cap > 0, "degenerate mesh");
+        assert!(rows > 0 && cols > 0 && (1..=FIFO_DEPTH).contains(&fifo_cap), "degenerate mesh");
         let n = rows as usize * cols as usize;
         let router = |at| Router {
             at,
-            inputs: std::array::from_fn(|_| std::array::from_fn(|_| VecDeque::new())),
+            inputs: [[Fifo::default(); VCS]; PORTS],
             nonempty: 0,
             eject: VecDeque::new(),
             busy_until: [0; PORTS],
@@ -294,12 +335,13 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
                 .flat_map(|row| (0..cols).map(move |col| Coord { row, col }))
                 .map(router)
                 .collect(),
+            slots: Vec::new(),
+            free: Vec::new(),
             stats: MeshStats::default(),
             in_flight: 0,
             occupied: RouterSet::with_capacity(n),
             delivered: RouterSet::with_capacity(n),
             wake: None,
-            undrained: 0,
             in_flight_by_tag: [0; MAX_TAGS],
             tag_highwater: [0; MAX_TAGS],
             tag_counts: [(0, 0); MAX_TAGS],
@@ -322,9 +364,9 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
 
     /// Messages delivered to an eject queue but not yet popped by the
     /// destination (these count as `ejected` in [`MeshStats`] and are
-    /// *not* in [`Mesh::in_flight`]).
+    /// *not* in [`Mesh::in_flight`]): the live slots not in a router.
     pub fn undrained(&self) -> usize {
-        self.undrained
+        self.slots.len() - self.free.len() - self.in_flight
     }
 
     /// Cycle of the mesh's next state change, for the epoch-skipping
@@ -358,7 +400,7 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
 
     /// The deterministic cost counters (see [`MeshWork`]).
     pub fn work(&self) -> MeshWork {
-        self.work
+        MeshWork { slots: self.slots.len() as u64, ..self.work }
     }
 
     /// Installs (or clears) the wake port: every delivery into router
@@ -381,20 +423,31 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
     /// equal the recounted router queue occupancy, every injected
     /// message must be accounted for as ejected or in flight
     /// (`injected = ejected + in_flight`, where `ejected` includes
-    /// eject-queue entries the destination has not drained), and every
-    /// incrementally kept summary — the per-router non-empty masks, the
-    /// occupied and delivered sets, the undrained counter, the clean
-    /// scratch — must equal its recount from the queues.
+    /// eject-queue entries the destination has not drained), each live
+    /// slot is named by one head and the free list names the rest (so
+    /// the undrained count is the eject queues'), and every incrementally
+    /// kept summary — the per-router non-empty masks, the occupied and
+    /// delivered sets, the clean scratch — must equal its recount.
     ///
     /// # Errors
     ///
     /// A description of the first violated equation.
     pub fn audit(&self) -> Result<(), String> {
+        let mut named = vec![false; self.slots.len()];
+        let heads = self.named_slots().map(|(slot, _)| (slot, true));
+        for (slot, live) in heads.chain(self.free.iter().map(|&slot| (slot as usize, false))) {
+            if named.get(slot) != Some(&false) || self.slots[slot].is_some() != live {
+                return Err(format!("slot {slot}: named twice, or queued empty, or free live"));
+            }
+            named[slot] = true;
+        }
+        if let Some(slot) = named.iter().position(|&seen| !seen) {
+            return Err(format!("slot {slot} leaked: neither queued nor free"));
+        }
         let mut recount = 0;
-        let mut undrained = 0;
         for (r, router) in self.routers.iter().enumerate() {
             let mut nonempty = 0u32;
-            for (q, queue) in router.inputs.as_flattened().iter().enumerate() {
+            for (q, queue) in router.inputs.as_flattened().iter().map(Fifo::queued).enumerate() {
                 recount += queue.len();
                 nonempty |= u32::from(!queue.is_empty()) << q;
             }
@@ -421,18 +474,11 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
             if self.incoming[r] != 0 {
                 return Err(format!("router {r}: grant scratch left dirty between ticks"));
             }
-            undrained += router.eject.len();
         }
         if recount != self.in_flight {
             return Err(format!(
                 "in-flight counter {} != recounted router occupancy {recount}",
                 self.in_flight
-            ));
-        }
-        if undrained != self.undrained {
-            return Err(format!(
-                "undrained counter {} != recounted eject queues {undrained}",
-                self.undrained
             ));
         }
         if self.stats.injected != self.stats.ejected + self.in_flight as u64 {
@@ -450,22 +496,24 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
     /// eject queue — i.e. the network did its job and the destination
     /// tile never consumed it. Used by the hang diagnoser.
     pub fn oldest_in_flight(&self) -> Option<(u64, Coord, Coord, bool)> {
-        let mut best: Option<(u64, Coord, Coord, bool)> = None;
-        let mut consider = |m: &MeshMsg<P>, delivered: bool| {
-            if best.is_none_or(|(t, ..)| m.injected_at < t) {
-                best = Some((m.injected_at, m.src, m.dst, delivered));
-            }
+        let msg = |(slot, delivered): (usize, bool)| {
+            self.slots[slot].as_ref().map(|m| (m.injected_at, m.src, m.dst, delivered))
         };
-        for router in &self.routers {
-            router.inputs.iter().flatten().flatten().for_each(|m| consider(m, false));
-            router.eject.iter().for_each(|(_, m)| consider(m, true));
-        }
-        best
+        self.named_slots().filter_map(msg).min_by_key(|m| m.0)
+    }
+
+    /// The slot of every head, router by router, and whether it is delivered.
+    fn named_slots(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        self.routers.iter().flat_map(|r| {
+            let queued = r.inputs.as_flattened().iter().flat_map(Fifo::queued).map(|h| h.slot);
+            let eject = r.eject.iter().map(|&(_, slot)| slot);
+            queued.map(|s| (s as usize, false)).chain(eject.map(|s| (s as usize, true)))
+        })
     }
 
     /// True if an injection at `src` on `vc` would be accepted.
     pub fn can_inject(&self, src: Coord, vc: u8) -> bool {
-        self.routers[self.idx(src)].inputs[LOCAL][vc as usize].len() < self.fifo_cap
+        self.routers[self.idx(src)].inputs[LOCAL][vc as usize].queued().len() < self.fifo_cap
     }
 
     /// [`Mesh::can_inject`] for a caller about to inject: a refusal is
@@ -484,10 +532,11 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
     ///
     /// # Panics
     ///
-    /// Panics if `msg.flits == 0`, `msg.vc >= VCS`,
+    /// Panics if `msg.flits` is zero or above 255, `msg.vc >= VCS`,
     /// `msg.tag >= `[`MAX_TAGS`], or either end is outside the mesh.
     pub fn inject(&mut self, now: u64, mut msg: MeshMsg<P>) -> bool {
         assert!(msg.flits > 0, "packets have at least a header flit");
+        let flits = u8::try_from(msg.flits).expect("a packet carries at most 255 flits");
         assert!((msg.vc as usize) < VCS, "vc out of range: {}", msg.vc);
         assert!((msg.tag as usize) < MAX_TAGS, "tag out of range: {}", msg.tag);
         let i = self.idx(msg.src);
@@ -496,10 +545,13 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
             return false;
         }
         msg.injected_at = now;
-        msg.hops = 0;
-        let tag = msg.tag as usize;
-        let vc = msg.vc as usize;
-        self.routers[i].inputs[LOCAL][vc].push_back(msg);
+        let (dst, tag, vc) = (msg.dst, msg.tag as usize, msg.vc as usize);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        self.slots[slot as usize] = Some(msg);
+        self.routers[i].inputs[LOCAL][vc].push(Head { slot, dst, flits });
         self.routers[i].nonempty |= 1 << (LOCAL * VCS + vc);
         self.occupied.insert(i);
         self.stats.injected += 1;
@@ -524,11 +576,12 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
         if queue.front().is_none_or(|&(avail, _)| avail > now) {
             return None;
         }
-        self.undrained -= 1;
         if queue.len() == 1 {
             self.delivered.remove(i);
         }
-        queue.pop_front().map(|(_, msg)| msg)
+        let (_, slot) = queue.pop_front()?;
+        self.free.push(slot);
+        self.slots[slot as usize].take()
     }
 
     /// The output a message for `dst` leaves router `at` by (Y-X
@@ -629,9 +682,8 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
         while waiting != 0 {
             let q = waiting.trailing_zeros() as usize;
             waiting &= waiting - 1;
-            let head = router.inputs[q / VCS][q % VCS]
-                .front()
-                .expect("the non-empty mask tracks the queues");
+            // The non-empty mask tracks the queues.
+            let head = router.inputs[q / VCS][q % VCS].queued()[0];
             want[Self::route(at, head.dst)] |= 1 << q;
         }
 
@@ -663,7 +715,7 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
                     let (nb, port) = self.neighbor(r, out);
                     let (v, slot) = (q % VCS, port * VCS + q % VCS);
                     if self.incoming[nb] >> slot & 1 != 0
-                        || self.routers[nb].inputs[port][v].len() >= self.fifo_cap
+                        || self.routers[nb].inputs[port][v].queued().len() >= self.fifo_cap
                     {
                         want &= !(Self::LANE << v);
                         continue;
@@ -678,21 +730,23 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
     }
 
     /// Carries out one grant, keeping every occupancy summary in step
-    /// with the queues.
+    /// with the queues. Only the eject arm touches the message itself.
     fn apply(&mut self, now: u64, Move { r, q, out }: Move) {
         let (p, v) = (q / VCS, q % VCS);
         let router = &mut self.routers[r];
-        let mut msg = router.inputs[p][v].pop_front().expect("a grant names a waiting head");
-        if router.inputs[p][v].is_empty() {
+        let head = router.inputs[p][v].pop();
+        if router.inputs[p][v].len == 0 {
             router.nonempty &= !(1 << q);
             if router.nonempty == 0 {
                 self.occupied.remove(r);
             }
         }
         if out == LOCAL {
+            let msg = self.slots[head.slot as usize].as_mut().expect("a head names a live slot");
             // The tail arrives flits-1 cycles after the head.
             let avail = now + u64::from(msg.flits - 1);
             let latency = avail.saturating_sub(msg.injected_at) as u32;
+            msg.hops = msg.src.distance(msg.dst);
             msg.queued = latency.saturating_sub(msg.hops + msg.flits - 1);
             self.stats.ejected += 1;
             self.stats.total_hops += u64::from(msg.hops);
@@ -702,21 +756,19 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
             self.in_flight -= 1;
             self.tag_counts[msg.tag as usize].1 += 1;
             self.in_flight_by_tag[msg.tag as usize] -= 1;
-            router.eject.push_back((avail, msg));
+            router.eject.push_back((avail, head.slot));
             self.delivered.insert(r);
-            self.undrained += 1;
             if let Some(w) = &self.wake {
                 w.file(r, avail);
             }
         } else {
-            router.busy_until[out] = now + u64::from(msg.flits);
+            router.busy_until[out] = now + u64::from(head.flits);
             let (nb, port) = self.neighbor(r, out);
-            let slot = port * VCS + v;
-            msg.hops += 1;
-            self.routers[nb].inputs[port][v].push_back(msg);
-            self.routers[nb].nonempty |= 1 << slot;
+            let q = port * VCS + v;
+            self.routers[nb].inputs[port][v].push(head);
+            self.routers[nb].nonempty |= 1 << q;
             self.occupied.insert(nb);
-            self.incoming[nb] &= !(1 << slot);
+            self.incoming[nb] &= !(1 << q);
         }
     }
 }
@@ -745,7 +797,7 @@ mod tests {
         let start_len: Vec<[[usize; VCS]; PORTS]> = m
             .routers
             .iter()
-            .map(|r| r.inputs.each_ref().map(|port| port.each_ref().map(VecDeque::len)))
+            .map(|r| r.inputs.each_ref().map(|port| port.each_ref().map(|f| f.queued().len())))
             .collect();
         let mut incoming = vec![[[false; VCS]; PORTS]; n];
         let mut moves = Vec::new();
@@ -789,7 +841,7 @@ mod tests {
                     if input_used[p][v] {
                         continue;
                     }
-                    let Some(head) = m.routers[r].inputs[p][v].front() else {
+                    let Some(head) = m.routers[r].inputs[p][v].queued().first() else {
                         continue;
                     };
                     if Mesh::<P, VCS>::route(at, head.dst) != out {
@@ -867,11 +919,15 @@ mod tests {
             }
             new.tick(t);
             reference_tick(&mut old, t);
-            for (r, (a, b)) in new.routers.iter().zip(&old.routers).enumerate() {
-                let view = |q: &VecDeque<(u64, MeshMsg<u64>)>| -> Vec<_> {
-                    q.iter().map(|(at, m)| (*at, m.payload, m.hops, m.queued)).collect()
-                };
-                assert_eq!(view(&a.eject), view(&b.eject), "{what}: router {r} ejections at {t}");
+            let view = |m: &Mesh<u64, VCS>, r: usize| -> Vec<_> {
+                let eject = m.routers[r]
+                    .eject
+                    .iter()
+                    .map(|&(at, slot)| (at, m.slots[slot as usize].as_ref().unwrap()));
+                eject.map(|(at, m)| (at, m.payload, m.hops, m.queued)).collect()
+            };
+            for r in 0..new.routers.len() {
+                assert_eq!(view(&new, r), view(&old, r), "{what}: router {r} ejections at {t}");
             }
             // Destinations drain at their own pace: delivered messages
             // wait in the eject queues some of the time.
@@ -934,6 +990,7 @@ mod tests {
 
     #[test]
     fn a_tick_visits_only_occupied_and_fault_bearing_routers() {
+        assert_eq!(std::mem::size_of::<Head>(), 8, "a hop moves 8 bytes");
         let src = Coord { row: 0, col: 0 };
         let dst = Coord { row: 9, col: 3 };
         let mut m: Ocn<u32> = Mesh::new(10, 4, 2);
@@ -951,7 +1008,11 @@ mod tests {
         for t in 50..100 {
             m.tick(t);
         }
-        assert_eq!(m.work(), MeshWork { ticks: 100, router_visits: 13, queue_probes: 13 });
+        // One message held one slot.
+        assert_eq!(
+            m.work(),
+            MeshWork { ticks: 100, router_visits: 13, queue_probes: 13, slots: 1 }
+        );
         assert!(m.eject_at(100, dst).is_some());
 
         // Two fault-bearing routers off the packet's path are visited
@@ -966,7 +1027,10 @@ mod tests {
         for t in 0..100 {
             m.tick(t);
         }
-        assert_eq!(m.work(), MeshWork { ticks: 100, router_visits: 13 * 3, queue_probes: 13 });
+        assert_eq!(
+            m.work(),
+            MeshWork { ticks: 100, router_visits: 13 * 3, queue_probes: 13, slots: 1 }
+        );
     }
 
     #[test]
@@ -1080,6 +1144,110 @@ mod tests {
         m.tick(8);
         m.delivered.remove(0);
         assert!(m.audit().unwrap_err().starts_with("delivered set misses router 0"));
+    }
+
+    #[test]
+    fn the_audit_recounts_the_slot_table() {
+        // A drained slot is reused: message 3 takes message 2's slot
+        // while message 1 waits, delivered, in the eject queue.
+        let (a, b) = (Coord { row: 0, col: 0 }, Coord { row: 0, col: 1 });
+        let mut m: Ocn<u32> = Mesh::new(1, 2, 2);
+        m.inject(0, MeshMsg::new(a, b, 1));
+        m.inject(0, MeshMsg::new(b, b, 2));
+        m.tick(0);
+        m.tick(1);
+        m.audit().expect("two delivered messages hold two slots");
+        assert_eq!(m.eject(b).map(|msg| msg.payload), Some(2));
+        m.inject(2, MeshMsg::new(a, b, 3));
+        let queued = m.routers[0].inputs[LOCAL][0].queued().first().map(|h| h.slot);
+        assert_eq!((queued, m.routers[1].eject[0].1, m.work().slots), (Some(1), 0, 2));
+        m.audit().expect("the slot table matches the queues");
+
+        // A slot neither queued nor free: leaked.
+        let mut leak: Ocn<u32> = Mesh::new(1, 2, 2);
+        leak.inject(0, MeshMsg::new(a, b, 1));
+        leak.tick(0);
+        leak.tick(1);
+        leak.eject(b).expect("delivered");
+        leak.free.clear();
+        assert_eq!(leak.audit().unwrap_err(), "slot 0 leaked: neither queued nor free");
+
+        // A slot named twice, by an input FIFO and an eject queue.
+        let mut dup: Ocn<u32> = Mesh::new(1, 2, 2);
+        dup.inject(0, MeshMsg::new(a, b, 1));
+        dup.routers[1].eject.push_back((0, 0));
+        assert_eq!(dup.audit().unwrap_err(), "slot 0: named twice, or queued empty, or free live");
+
+        // A delivered message whose slot went back on the free list.
+        let mut early: Ocn<u32> = Mesh::new(1, 2, 2);
+        early.inject(0, MeshMsg::new(a, a, 1));
+        early.tick(0);
+        early.free.push(0);
+        assert_eq!(
+            early.audit().unwrap_err(),
+            "slot 0: named twice, or queued empty, or free live"
+        );
+    }
+
+    #[test]
+    fn hops_equal_the_link_moves_under_stalls_and_rotation() {
+        // `hops` is derived at ejection. The test counts each message's
+        // link moves itself, by watching its head change routers (a head
+        // crosses at most one link a tick); a route that detours differs.
+        fn watch<const VCS: usize>(m: &Mesh<u32, VCS>, seen: &mut Vec<Option<(usize, u32)>>) {
+            seen.resize(m.slots.len(), None);
+            for (r, router) in m.routers.iter().enumerate() {
+                let queued = router.inputs.as_flattened().iter().flat_map(Fifo::queued);
+                for slot in queued.map(|h| h.slot).chain(router.eject.iter().map(|e| e.1)) {
+                    let moves = seen[slot as usize].map_or(0, |(at, n)| n + u32::from(at != r));
+                    seen[slot as usize] = Some((r, moves));
+                }
+            }
+        }
+        fn drive<const VCS: usize>(rows: u8, cols: u8) {
+            let mut m: Mesh<u32, VCS> = Mesh::new(rows, cols, 2);
+            m.set_fault(Some(&MeshFaultConfig {
+                seed: 0x40b5,
+                rotate_arbitration: true,
+                stalls: stalls(rows, cols),
+            }));
+            let mut rng = Rng::new(u64::from(rows) << 8 | VCS as u64);
+            let mut seen = Vec::new();
+            let (mut checked, mut moves) = (0, 0);
+            for t in 0..3000u64 {
+                for _ in 0..if t < 2000 { 3 } else { 0 } {
+                    let src = Coord { row: rng.range_u8(0, rows - 1), col: rng.range_u8(0, cols) };
+                    let dst = Coord { row: rng.range_u8(0, rows - 1), col: rng.range_u8(0, cols) };
+                    let flits = if rng.chance(1, 2) { 1 } else { 5 };
+                    let vc = rng.range_u8(0, VCS as u8);
+                    m.inject(t, MeshMsg::packet(src, dst, t as u32, flits, vc));
+                }
+                watch(&m, &mut seen);
+                m.tick(t);
+                watch(&m, &mut seen);
+                for r in 0..m.routers.len() {
+                    while let Some(&(_, slot)) = m.routers[r].eject.front() {
+                        let (_, made) =
+                            seen[slot as usize].take().expect("watched since injection");
+                        let msg = m.eject(m.routers[r].at).expect("a head is queued");
+                        assert_eq!(msg.hops, made, "{} -> {} at {t}", msg.src, msg.dst);
+                        (checked, moves) = (checked + 1, moves + made);
+                    }
+                }
+            }
+            assert_eq!((m.in_flight(), checked), (0, m.stats.injected), "every message checked");
+            assert_eq!(u64::from(moves), m.stats.total_hops);
+            assert!(m.stats.total_queued > 0, "the traffic must stall");
+        }
+        drive::<1>(5, 5);
+        drive::<VIRTUAL_CHANNELS>(10, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 flits")]
+    fn flits_bounds_checked() {
+        let at = Coord { row: 0, col: 0 };
+        Ocn::new(1, 1, 1).inject(0, MeshMsg::packet(at, at, 0, 256, 0));
     }
 
     fn drive_until<P>(mesh: &mut Mesh<P>, dst: Coord, start: u64, limit: u64) -> (MeshMsg<P>, u64) {
