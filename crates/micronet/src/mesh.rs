@@ -548,7 +548,7 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
         let (dst, tag, vc) = (msg.dst, msg.tag as usize, msg.vc as usize);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
-            (self.slots.len() - 1) as u32
+            u32::try_from(self.slots.len() - 1).expect("under 2^32 messages held")
         });
         self.slots[slot as usize] = Some(msg);
         self.routers[i].inputs[LOCAL][vc].push(Head { slot, dst, flits });
@@ -764,11 +764,11 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
         } else {
             router.busy_until[out] = now + u64::from(head.flits);
             let (nb, port) = self.neighbor(r, out);
-            let q = port * VCS + v;
+            let nq = port * VCS + v;
             self.routers[nb].inputs[port][v].push(head);
-            self.routers[nb].nonempty |= 1 << q;
+            self.routers[nb].nonempty |= 1 << nq;
             self.occupied.insert(nb);
-            self.incoming[nb] &= !(1 << q);
+            self.incoming[nb] &= !(1 << nq);
         }
     }
 }
