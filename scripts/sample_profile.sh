@@ -55,7 +55,7 @@ awk -v top=30 '
     # location) pairs from the innermost inlined frame outwards.
     NR == FNR {
         if (/^0x/) { addr = substr($0, 3); sub(/^0+/, "", addr); odd = 1; next }
-        if (odd) chain[addr] = (addr in chain ? chain[addr] SUBSEP : "") strip($0)
+        if (odd) chain[addr] = chain[addr] == "" ? strip($0) : chain[addr] SUBSEP strip($0)
         odd = !odd
         next
     }
