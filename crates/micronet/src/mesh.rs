@@ -193,36 +193,14 @@ struct Head {
     flits: u8,
 }
 
-/// An input FIFO: up to [`FIFO_DEPTH`] heads, oldest first.
-#[derive(Debug, Clone, Copy, Default)]
-struct Fifo {
-    heads: [Head; FIFO_DEPTH],
-    len: u8,
-}
-
-impl Fifo {
-    fn queued(&self) -> &[Head] {
-        &self.heads[..usize::from(self.len)]
-    }
-
-    fn push(&mut self, head: Head) {
-        self.heads[usize::from(self.len)] = head;
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Head {
-        self.len -= 1;
-        self.heads.rotate_left(1);
-        self.heads[FIFO_DEPTH - 1]
-    }
-}
-
 struct Router<const VCS: usize> {
     /// This router's position (kept here so the tick never divides a
     /// router index by the mesh width).
     at: Coord,
-    /// `inputs[port][vc]`; queue `q` is `inputs[q / VCS][q % VCS]`.
-    inputs: [[Fifo; VCS]; PORTS],
+    /// Input FIFO `[port][vc]` (queue `q` is `[q / VCS][q % VCS]`): its
+    /// `lens` heads, oldest first. The lengths sit together for the audit.
+    heads: [[[Head; FIFO_DEPTH]; VCS]; PORTS],
+    lens: [[u8; VCS]; PORTS],
     /// Bit `q` set iff input queue `q` is non-empty.
     nonempty: u32,
     /// `(available_at, slot)`: a message is delivered when its head
@@ -232,6 +210,23 @@ struct Router<const VCS: usize> {
     /// across them (never past the next cycle for single flits).
     busy_until: [u64; PORTS],
     rr: [usize; PORTS],
+}
+
+impl<const VCS: usize> Router<VCS> {
+    fn queued(&self, p: usize, v: usize) -> &[Head] {
+        &self.heads[p][v][..usize::from(self.lens[p][v])]
+    }
+
+    fn push(&mut self, p: usize, v: usize, head: Head) {
+        self.heads[p][v][usize::from(self.lens[p][v])] = head;
+        self.lens[p][v] += 1;
+    }
+
+    fn pop(&mut self, p: usize, v: usize) -> Head {
+        self.lens[p][v] -= 1;
+        self.heads[p][v].rotate_left(1);
+        self.heads[p][v][FIFO_DEPTH - 1]
+    }
 }
 
 /// A grant: the head of router `r`'s input queue `q` leaves by output
@@ -321,7 +316,8 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
         let n = rows as usize * cols as usize;
         let router = |at| Router {
             at,
-            inputs: [[Fifo::default(); VCS]; PORTS],
+            heads: [[[Head::default(); FIFO_DEPTH]; VCS]; PORTS],
+            lens: [[0; VCS]; PORTS],
             nonempty: 0,
             eject: VecDeque::new(),
             busy_until: [0; PORTS],
@@ -434,22 +430,32 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
     /// A description of the first violated equation.
     pub fn audit(&self) -> Result<(), String> {
         let mut named = vec![false; self.slots.len()];
-        let heads = self.named_slots().map(|(slot, _)| (slot, true));
-        for (slot, live) in heads.chain(self.free.iter().map(|&slot| (slot as usize, false))) {
-            if named.get(slot) != Some(&false) || self.slots[slot].is_some() != live {
-                return Err(format!("slot {slot}: named twice, or queued empty, or free live"));
+        let mut name = |slot: u32, live: bool| match named.get_mut(slot as usize) {
+            Some(seen) if !*seen && self.slots[slot as usize].is_some() == live => {
+                *seen = true;
+                Ok(())
             }
-            named[slot] = true;
-        }
-        if let Some(slot) = named.iter().position(|&seen| !seen) {
-            return Err(format!("slot {slot} leaked: neither queued nor free"));
+            _ => Err(format!("slot {slot}: named twice, or queued empty, or free live")),
+        };
+        for &slot in &self.free {
+            name(slot, false)?;
         }
         let mut recount = 0;
         for (r, router) in self.routers.iter().enumerate() {
             let mut nonempty = 0u32;
-            for (q, queue) in router.inputs.as_flattened().iter().map(Fifo::queued).enumerate() {
-                recount += queue.len();
-                nonempty |= u32::from(!queue.is_empty()) << q;
+            for (q, &len) in router.lens.as_flattened().iter().enumerate() {
+                recount += usize::from(len);
+                nonempty |= u32::from(len > 0) << q;
+            }
+            // Most queues are empty: name the heads of the others only.
+            let mut waiting = nonempty;
+            while waiting != 0 {
+                let q = waiting.trailing_zeros() as usize;
+                waiting &= waiting - 1;
+                router.queued(q / VCS, q % VCS).iter().try_for_each(|h| name(h.slot, true))?;
+            }
+            if !router.eject.is_empty() {
+                router.eject.iter().try_for_each(|&(_, slot)| name(slot, true))?;
             }
             if nonempty != router.nonempty {
                 return Err(format!(
@@ -487,6 +493,9 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
                 self.stats.injected, self.stats.ejected, self.in_flight
             ));
         }
+        if let Some(slot) = named.iter().position(|&seen| !seen) {
+            return Err(format!("slot {slot} leaked: neither queued nor free"));
+        }
         Ok(())
     }
 
@@ -496,24 +505,19 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
     /// eject queue — i.e. the network did its job and the destination
     /// tile never consumed it. Used by the hang diagnoser.
     pub fn oldest_in_flight(&self) -> Option<(u64, Coord, Coord, bool)> {
-        let msg = |(slot, delivered): (usize, bool)| {
-            self.slots[slot].as_ref().map(|m| (m.injected_at, m.src, m.dst, delivered))
+        let heads = self.routers.iter().flat_map(|r| {
+            let queued = (0..Self::QUEUES).flat_map(|q| r.queued(q / VCS, q % VCS));
+            queued.map(|h| (h.slot, false)).chain(r.eject.iter().map(|&(_, slot)| (slot, true)))
+        });
+        let msg = |(slot, delivered): (u32, bool)| {
+            self.slots[slot as usize].as_ref().map(|m| (m.injected_at, m.src, m.dst, delivered))
         };
-        self.named_slots().filter_map(msg).min_by_key(|m| m.0)
-    }
-
-    /// The slot of every head, router by router, and whether it is delivered.
-    fn named_slots(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
-        self.routers.iter().flat_map(|r| {
-            let queued = r.inputs.as_flattened().iter().flat_map(Fifo::queued).map(|h| h.slot);
-            let eject = r.eject.iter().map(|&(_, slot)| slot);
-            queued.map(|s| (s as usize, false)).chain(eject.map(|s| (s as usize, true)))
-        })
+        heads.filter_map(msg).min_by_key(|m| m.0)
     }
 
     /// True if an injection at `src` on `vc` would be accepted.
     pub fn can_inject(&self, src: Coord, vc: u8) -> bool {
-        self.routers[self.idx(src)].inputs[LOCAL][vc as usize].queued().len() < self.fifo_cap
+        usize::from(self.routers[self.idx(src)].lens[LOCAL][vc as usize]) < self.fifo_cap
     }
 
     /// [`Mesh::can_inject`] for a caller about to inject: a refusal is
@@ -551,7 +555,7 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
             u32::try_from(self.slots.len() - 1).expect("under 2^32 messages held")
         });
         self.slots[slot as usize] = Some(msg);
-        self.routers[i].inputs[LOCAL][vc].push(Head { slot, dst, flits });
+        self.routers[i].push(LOCAL, vc, Head { slot, dst, flits });
         self.routers[i].nonempty |= 1 << (LOCAL * VCS + vc);
         self.occupied.insert(i);
         self.stats.injected += 1;
@@ -683,7 +687,7 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
             let q = waiting.trailing_zeros() as usize;
             waiting &= waiting - 1;
             // The non-empty mask tracks the queues.
-            let head = router.inputs[q / VCS][q % VCS].queued()[0];
+            let head = router.queued(q / VCS, q % VCS)[0];
             want[Self::route(at, head.dst)] |= 1 << q;
         }
 
@@ -715,7 +719,7 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
                     let (nb, port) = self.neighbor(r, out);
                     let (v, slot) = (q % VCS, port * VCS + q % VCS);
                     if self.incoming[nb] >> slot & 1 != 0
-                        || self.routers[nb].inputs[port][v].queued().len() >= self.fifo_cap
+                        || usize::from(self.routers[nb].lens[port][v]) >= self.fifo_cap
                     {
                         want &= !(Self::LANE << v);
                         continue;
@@ -734,8 +738,8 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
     fn apply(&mut self, now: u64, Move { r, q, out }: Move) {
         let (p, v) = (q / VCS, q % VCS);
         let router = &mut self.routers[r];
-        let head = router.inputs[p][v].pop();
-        if router.inputs[p][v].len == 0 {
+        let head = router.pop(p, v);
+        if router.lens[p][v] == 0 {
             router.nonempty &= !(1 << q);
             if router.nonempty == 0 {
                 self.occupied.remove(r);
@@ -765,7 +769,7 @@ impl<P, const VCS: usize> Mesh<P, VCS> {
             router.busy_until[out] = now + u64::from(head.flits);
             let (nb, port) = self.neighbor(r, out);
             let nq = port * VCS + v;
-            self.routers[nb].inputs[port][v].push(head);
+            self.routers[nb].push(port, v, head);
             self.routers[nb].nonempty |= 1 << nq;
             self.occupied.insert(nb);
             self.incoming[nb] &= !(1 << nq);
@@ -794,11 +798,8 @@ mod tests {
         }
         let queues = PORTS * VCS;
         let n = m.routers.len();
-        let start_len: Vec<[[usize; VCS]; PORTS]> = m
-            .routers
-            .iter()
-            .map(|r| r.inputs.each_ref().map(|port| port.each_ref().map(|f| f.queued().len())))
-            .collect();
+        let start_len: Vec<[[usize; VCS]; PORTS]> =
+            m.routers.iter().map(|r| r.lens.map(|port| port.map(usize::from))).collect();
         let mut incoming = vec![[[false; VCS]; PORTS]; n];
         let mut moves = Vec::new();
         let mut fault = m.fault.take();
@@ -841,7 +842,7 @@ mod tests {
                     if input_used[p][v] {
                         continue;
                     }
-                    let Some(head) = m.routers[r].inputs[p][v].queued().first() else {
+                    let Some(head) = m.routers[r].queued(p, v).first() else {
                         continue;
                     };
                     if Mesh::<P, VCS>::route(at, head.dst) != out {
@@ -1159,7 +1160,7 @@ mod tests {
         m.audit().expect("two delivered messages hold two slots");
         assert_eq!(m.eject(b).map(|msg| msg.payload), Some(2));
         m.inject(2, MeshMsg::new(a, b, 3));
-        let queued = m.routers[0].inputs[LOCAL][0].queued().first().map(|h| h.slot);
+        let queued = m.routers[0].queued(LOCAL, 0).first().map(|h| h.slot);
         assert_eq!((queued, m.routers[1].eject[0].1, m.work().slots), (Some(1), 0, 2));
         m.audit().expect("the slot table matches the queues");
 
@@ -1197,7 +1198,7 @@ mod tests {
         fn watch<const VCS: usize>(m: &Mesh<u32, VCS>, seen: &mut Vec<Option<(usize, u32)>>) {
             seen.resize(m.slots.len(), None);
             for (r, router) in m.routers.iter().enumerate() {
-                let queued = router.inputs.as_flattened().iter().flat_map(Fifo::queued);
+                let queued = (0..PORTS * VCS).flat_map(|q| router.queued(q / VCS, q % VCS));
                 for slot in queued.map(|h| h.slot).chain(router.eject.iter().map(|e| e.1)) {
                     let moves = seen[slot as usize].map_or(0, |(at, n)| n + u32::from(at != r));
                     seen[slot as usize] = Some((r, moves));

@@ -64,7 +64,8 @@ awk -v top=30 '
         total++
         n = 0
         for (f = 1; f <= NF; f++) {
-            if ($f ~ /^\[/) { frame[++n] = $f; if (f == 1) physical[$f]++; continue }
+            # A caller outside the executable is the C start-up code.
+            if ($f ~ /^\[/) { if (f == 1) { frame[++n] = $f; physical[$f]++ }; continue }
             a = $f; sub(/^0+/, "", a)
             depth = split(chain[a], inl, SUBSEP)
             if (f == 1) physical[inl[depth]]++
