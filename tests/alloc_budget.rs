@@ -111,7 +111,7 @@ fn a_second_coherent_chip_run_stays_within_budget() {
     let mut chip = Chip::new(cfg);
     chip.run(&program.images, 20_000_000).expect("pcring halts");
     let n = allocations(|| chip.run(&program.images, 20_000_000).expect("pcring halts again"));
-    within("the second Chip::run of pcring on 4 coherent cores", n, 5_217, "allocations");
+    within("the second Chip::run of pcring on 4 coherent cores", n, 4_782, "allocations");
 }
 
 /// The peak heap of one critical-path recording run of `name`'s hand code.
@@ -135,7 +135,7 @@ fn a_recording_run_of_dct8x8_peaks_within_budget() {
     within(
         "the dct8x8 recording run's peak heap",
         recording_run_peak("dct8x8"),
-        1_459_488,
+        1_436_944,
         "bytes",
     );
 }
@@ -148,7 +148,7 @@ fn a_recording_run_of_bzip2_peaks_within_budget() {
     within(
         "the 256.bzip2 recording run's peak heap",
         recording_run_peak("256.bzip2"),
-        7_448_416,
+        7_431_216,
         "bytes",
     );
 }
