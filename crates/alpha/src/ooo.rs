@@ -4,89 +4,83 @@
 //! Sim-Alpha with a perfect L2 (§5.4). This model reproduces the
 //! relevant shape of that machine: 4-wide fetch with a tournament
 //! branch predictor and return-address stack, an 80-entry reorder
-//! window, 4 integer units, 2 memory ports, 2 FP units (6-wide issue),
-//! a 64 KB 2-way L1 data cache with 3-cycle hits, store-to-load
-//! forwarding with conservative disambiguation, and in-order commit.
+//! window, 4 integer units, 2 memory ports and 2 FP units, of which
+//! at most 4 issue per cycle (the 21264 can issue 6), a 64 KB 2-way
+//! L1 data cache with 3-cycle hits, store-to-load forwarding with
+//! conservative disambiguation, and in-order commit.
+//!
+//! Table 3 compares TRIPS with this one machine, so its parameters are
+//! the constants below, each a named modelling choice.
 
 use std::collections::{HashMap, VecDeque};
 
 use trips_isa::mem::SparseMem;
 use trips_isa::semantics::{eval, extend_load};
 use trips_isa::Opcode;
-use trips_mem::TagStore;
+use trips_mem::{TagStore, PERFECT_L2_LAT};
 
 use crate::risc::{RInst, Reg, RiscProgram};
 
-/// Configuration of the baseline core.
+/// Instructions fetched per cycle (the 21264 fetches four).
+const FETCH_WIDTH: usize = 4;
+const _: () = assert!(FETCH_WIDTH >= 1, "a front end that fetches nothing never advances");
+/// Reorder-window entries (the 21264 holds 80 instructions in flight).
+const ROB_ENTRIES: usize = 80;
+const _: () = assert!(ROB_ENTRIES >= 1, "fetch stalls forever on a window of none");
+/// Integer units: branches, simple ALU ops and the address half of
+/// every load and store (the 21264's two clusters of two).
+const INT_UNITS: usize = 4;
+const _: () = assert!(INT_UNITS >= 1, "no integer instruction or memory access would issue");
+/// L1D ports, loads and stores per cycle (the 21264's two). They are
+/// half of TRIPS's four, bounding `vadd`/`conv` speedups near 2×.
+const MEM_PORTS: usize = 2;
+const _: () = assert!(MEM_PORTS >= 1, "no memory access would issue");
+/// FP units (the 21264's FP add and FP multiply pipes).
+const FP_UNITS: usize = 2;
+const _: () = assert!(FP_UNITS >= 1, "no FP instruction would issue");
+/// Instructions selected per cycle over all units. The 21264 issues
+/// up to six (four integer, two FP); this model stops at four.
+const ISSUE_WIDTH: usize = 4;
+const _: () = assert!(ISSUE_WIDTH >= 1, "select that issues nothing never advances");
+/// Instructions retired per cycle (the 21264 sustains eight).
+const COMMIT_WIDTH: usize = 8;
+const _: () = assert!(COMMIT_WIDTH >= 1, "commit that retires nothing never advances");
+/// Integer multiply latency (the 21264's seven cycles).
+const MUL_LAT: u64 = 7;
+/// Integer divide and remainder latency. The 21264 has no divide
+/// instruction; 20 cycles stand in for its library routine.
+const DIV_LAT: u64 = 20;
+/// FP add/multiply latency (the 21264's four cycles).
+const FP_LAT: u64 = 4;
+/// FP divide and square-root latency, near the 21264's 15-cycle
+/// double-precision divide.
+const FDIV_LAT: u64 = 16;
+/// L1D sets: the 21264's 64 KB, 2-way, 64 B-line data cache.
+const L1_SETS: usize = 512;
+/// L1D associativity (the 21264's two ways).
+const L1_WAYS: usize = 2;
+const _: () = assert!(L1_SETS >= 1, "the set index is `% L1_SETS`");
+const _: () = assert!(L1_WAYS >= 1 && L1_WAYS <= 255, "`TagStore`'s victim pointers are `u8`");
+/// L1D hit latency (the 21264's three-cycle load-to-use).
+const L1_LAT: u64 = 3;
+/// Cycles of fetch stall after a mispredicted branch resolves, above
+/// the 21264's seven-cycle minimum.
+const MISPREDICT_PENALTY: u64 = 11;
+/// Issue-queue entries: only this many of the oldest not-yet-issued
+/// instructions are candidates each cycle (the 21264's integer queue
+/// holds 20).
+const IQ_ENTRIES: usize = 20;
+const _: () = assert!(IQ_ENTRIES >= 1, "select that sees nothing never advances");
+
+/// The baseline core's configuration: the 21264, whose parameters are
+/// this module's constants, so there is nothing to set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlphaConfig {
-    /// Instructions fetched per cycle.
-    pub fetch_width: usize,
-    /// Reorder-buffer entries.
-    pub rob_entries: usize,
-    /// Integer units (branches and simple ALU ops).
-    pub int_units: usize,
-    /// L1D ports (loads/stores per cycle) — the Alpha's two ports are
-    /// half of TRIPS's four, bounding `vadd`/`conv` speedups near 2×.
-    pub mem_ports: usize,
-    /// FP units.
-    pub fp_units: usize,
-    /// Total issue width.
-    pub issue_width: usize,
-    /// Commit width.
-    pub commit_width: usize,
-    /// Integer multiply latency.
-    pub mul_lat: u64,
-    /// Integer divide latency.
-    pub div_lat: u64,
-    /// FP latency.
-    pub fp_lat: u64,
-    /// FP divide/sqrt latency.
-    pub fdiv_lat: u64,
-    /// L1D sets (64 KB, 2-way, 64 B lines = 512 sets).
-    pub l1_sets: usize,
-    /// L1D ways.
-    pub l1_ways: usize,
-    /// L1D hit latency.
-    pub l1_lat: u64,
-    /// Perfect-L2 fill latency.
-    pub l2_lat: u64,
-    /// Cycles of fetch stall after a mispredicted branch resolves.
-    pub mispredict_penalty: u64,
-    /// Issue-queue entries: only this many of the oldest not-yet-
-    /// issued instructions are candidates each cycle (the 21264's
-    /// integer queue holds 20 entries).
-    pub iq_entries: usize,
-}
+pub struct AlphaConfig;
 
 impl AlphaConfig {
-    /// 21264-like parameters.
+    /// The 21264.
     pub fn alpha21264() -> AlphaConfig {
-        AlphaConfig {
-            fetch_width: 4,
-            rob_entries: 80,
-            int_units: 4,
-            mem_ports: 2,
-            fp_units: 2,
-            issue_width: 4,
-            commit_width: 8,
-            mul_lat: 7,
-            div_lat: 20,
-            fp_lat: 4,
-            fdiv_lat: 16,
-            l1_sets: 512,
-            l1_ways: 2,
-            l1_lat: 3,
-            l2_lat: 12,
-            mispredict_penalty: 11,
-            iq_entries: 20,
-        }
-    }
-}
-
-impl Default for AlphaConfig {
-    fn default() -> AlphaConfig {
-        AlphaConfig::alpha21264()
+        AlphaConfig
     }
 }
 
@@ -232,7 +226,6 @@ fn bump(c: &mut u8, up: bool) {
 
 /// The baseline core.
 pub struct AlphaCore {
-    cfg: AlphaConfig,
     prog: RiscProgram,
     mem: SparseMem,
     arch: HashMap<Reg, u64>,
@@ -251,21 +244,20 @@ pub struct AlphaCore {
 }
 
 impl AlphaCore {
-    /// Loads `prog` into a fresh core.
+    /// Loads `prog` into a fresh 21264.
     ///
     /// # Errors
     ///
     /// Fails if the program has out-of-range branch targets.
-    pub fn new(cfg: AlphaConfig, prog: &RiscProgram) -> Result<AlphaCore, AlphaError> {
+    pub fn new(_: AlphaConfig, prog: &RiscProgram) -> Result<AlphaCore, AlphaError> {
         prog.check().map_err(AlphaError::BadProgram)?;
         let mut mem = SparseMem::new();
         for (base, data) in &prog.globals {
             mem.write_bytes(*base, data);
         }
         Ok(AlphaCore {
-            tags: TagStore::new(cfg.l1_sets, cfg.l1_ways),
+            tags: TagStore::new(L1_SETS, L1_WAYS),
             pc: prog.entry,
-            cfg,
             prog: prog.clone(),
             mem,
             arch: HashMap::new(),
@@ -344,7 +336,7 @@ impl AlphaCore {
     /// The L1's (set, tag) for `ea`: the tag is the whole line index.
     fn set_index(&self, ea: u64) -> (usize, u64) {
         let line = ea >> 6;
-        ((line as usize) % self.cfg.l1_sets, line)
+        ((line as usize) % L1_SETS, line)
     }
 
     fn is_hit(&self, ea: u64) -> bool {
@@ -360,10 +352,10 @@ impl AlphaCore {
     fn latency(&self, inst: &RInst) -> u64 {
         match inst {
             RInst::Bin { op, .. } | RInst::Un { op, .. } | RInst::BinImm { op, .. } => match op {
-                Opcode::Mul => self.cfg.mul_lat,
-                Opcode::Div | Opcode::Divu | Opcode::Mod => self.cfg.div_lat,
-                Opcode::Fdiv | Opcode::Fsqrt => self.cfg.fdiv_lat,
-                o if o.is_fp() => self.cfg.fp_lat,
+                Opcode::Mul => MUL_LAT,
+                Opcode::Div | Opcode::Divu | Opcode::Mod => DIV_LAT,
+                Opcode::Fdiv | Opcode::Fsqrt => FDIV_LAT,
+                o if o.is_fp() => FP_LAT,
                 _ => 1,
             },
             _ => 1,
@@ -378,7 +370,7 @@ impl AlphaCore {
         let mut issued = 0;
         let mut iq_seen = 0;
         for i in 0..self.rob.len() {
-            if issued >= self.cfg.issue_width {
+            if issued >= ISSUE_WIDTH {
                 break;
             }
             if self.rob[i].state != EState::Waiting {
@@ -387,7 +379,7 @@ impl AlphaCore {
             // Finite issue queue: only the oldest unissued entries are
             // visible to select.
             iq_seen += 1;
-            if iq_seen > self.cfg.iq_entries {
+            if iq_seen > IQ_ENTRIES {
                 break;
             }
             let inst = self.prog.insts[self.rob[i].pc].clone();
@@ -399,11 +391,11 @@ impl AlphaCore {
             // 21264, so they consume both a memory port and an integer
             // slot.
             let unit_ok = if inst.is_mem() {
-                mem_used < self.cfg.mem_ports && int_used < self.cfg.int_units
+                mem_used < MEM_PORTS && int_used < INT_UNITS
             } else if inst.is_fp() {
-                fp_used < self.cfg.fp_units
+                fp_used < FP_UNITS
             } else {
-                int_used < self.cfg.int_units
+                int_used < INT_UNITS
             };
             if !unit_ok {
                 continue;
@@ -466,10 +458,10 @@ impl AlphaCore {
                 let raw = u64::from_le_bytes(buf);
                 let lat = if forwarded || self.is_hit(ea) {
                     self.stats.l1_hits += 1;
-                    self.cfg.l1_lat
+                    L1_LAT
                 } else {
                     self.stats.l1_misses += 1;
-                    self.cfg.l2_lat
+                    PERFECT_L2_LAT
                 };
                 self.install(ea);
                 self.stats.loads += 1;
@@ -567,7 +559,7 @@ impl AlphaCore {
         self.ras = ras;
         self.pc = actual;
         self.halt_fetched = false;
-        self.fetch_stall_until = now + self.cfg.mispredict_penalty;
+        self.fetch_stall_until = now + MISPREDICT_PENALTY;
         // Rebuild the RAT from the surviving window.
         self.rat.clear();
         for e in &self.rob {
@@ -579,7 +571,7 @@ impl AlphaCore {
 
     fn commit(&mut self) {
         let now = self.cycle;
-        for _ in 0..self.cfg.commit_width {
+        for _ in 0..COMMIT_WIDTH {
             let Some(front) = self.rob.front() else {
                 return;
             };
@@ -627,8 +619,8 @@ impl AlphaCore {
         if now < self.fetch_stall_until || self.halt_fetched {
             return;
         }
-        for _ in 0..self.cfg.fetch_width {
-            if self.rob.len() >= self.cfg.rob_entries {
+        for _ in 0..FETCH_WIDTH {
+            if self.rob.len() >= ROB_ENTRIES {
                 return;
             }
             let pc = self.pc;

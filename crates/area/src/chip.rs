@@ -1,10 +1,11 @@
 //! Chip-level aggregation: Table 1, Table 2, and the §5.2 overhead
 //! observations.
 
+use trips_core::CoreGeometry;
 use trips_mem::BANKS_PER_BLOCK;
 use trips_micronet::widths::{NetworkSpec, NETWORKS};
 
-use crate::tiles::{tile_specs, ChipConfig, TileKind, TileSpec};
+use crate::tiles::{tile_specs, TileKind, TileSpec, NTS};
 
 /// One printed row of Table 1.
 #[derive(Debug, Clone)]
@@ -54,7 +55,7 @@ fn spec(specs: &[TileSpec], kind: TileKind) -> &TileSpec {
 
 /// The placed area of one processor core: the GT plus every RT, IT,
 /// DT, and ET of its geometry (prototype: 1 + 4 + 5 + 4 + 16 tiles).
-fn core_area_of(specs: &[TileSpec], g: trips_core::CoreGeometry) -> f64 {
+fn core_area_of(specs: &[TileSpec], g: CoreGeometry) -> f64 {
     spec(specs, TileKind::Gt).size_mm2
         + g.num_rts() as f64 * spec(specs, TileKind::Rt).size_mm2
         + g.num_its() as f64 * spec(specs, TileKind::It).size_mm2
@@ -62,16 +63,16 @@ fn core_area_of(specs: &[TileSpec], g: trips_core::CoreGeometry) -> f64 {
         + g.num_ets() as f64 * spec(specs, TileKind::Et).size_mm2
 }
 
-/// The placed area of one processor core for a configuration — the
+/// The placed area of one `g`-shaped processor core — the
 /// paretosweep's area axis, derived from the same `CoreGeometry` the
 /// simulator runs.
-pub fn core_area_mm2(cfg: &ChipConfig) -> f64 {
-    core_area_of(&tile_specs(cfg), cfg.core.geometry)
+pub fn core_area_mm2(g: CoreGeometry) -> f64 {
+    core_area_of(&tile_specs(g), g)
 }
 
-/// Regenerates Table 1 for a configuration.
-pub fn table1(cfg: &ChipConfig) -> (Vec<Table1Row>, ChipSummary) {
-    let specs = tile_specs(cfg);
+/// Regenerates Table 1 for a chip of `g`-shaped cores.
+pub fn table1(g: CoreGeometry) -> (Vec<Table1Row>, ChipSummary) {
+    let specs = tile_specs(g);
     let tile_area: f64 = specs.iter().map(|s| s.size_mm2 * s.count as f64).sum();
     let rows = specs
         .iter()
@@ -87,7 +88,6 @@ pub fn table1(cfg: &ChipConfig) -> (Vec<Table1Row>, ChipSummary) {
         .collect();
 
     // A processor core (prototype: GT + 4 RT + 5 IT + 4 DT + 16 ET).
-    let g = cfg.core.geometry;
     let core_area = core_area_of(&specs, g);
 
     // OPN: routers and buffering at every node of the operand mesh
@@ -99,7 +99,7 @@ pub fn table1(cfg: &ChipConfig) -> (Vec<Table1Row>, ChipSummary) {
     // OCN: 4-ported routers with four virtual channels at the MTs and
     // NTs (§5.2: ~14% of the chip).
     let ocn_router_mm2 = 1.17;
-    let ocn_area = (BANKS_PER_BLOCK + cfg.nts) as f64 * ocn_router_mm2;
+    let ocn_area = (BANKS_PER_BLOCK + NTS) as f64 * ocn_router_mm2;
 
     // LSQ: the replicated queues built from discrete latches occupy
     // ~40% of each DT (§7; 256 entries on the prototype).
@@ -132,11 +132,12 @@ pub fn networks_table() -> Vec<NetworkRow> {
     NETWORKS.iter().map(|&spec| NetworkRow { spec }).collect()
 }
 
-/// Renders Table 1 for a configuration exactly as the `table1` binary
-/// prints it — header, one line per tile, and the chip totals line.
-pub fn render_table1(cfg: &ChipConfig) -> String {
+/// Renders Table 1 for a chip of `g`-shaped cores exactly as the
+/// `table1` binary prints it — header, one line per tile, and the chip
+/// totals line.
+pub fn render_table1(g: CoreGeometry) -> String {
     use std::fmt::Write;
-    let (rows, summary) = table1(cfg);
+    let (rows, summary) = table1(g);
     let mut s = String::new();
     writeln!(
         s,
@@ -171,9 +172,9 @@ pub fn render_table1(cfg: &ChipConfig) -> String {
     s
 }
 
-/// The chip summary for the prototype configuration.
+/// The chip summary for the prototype geometry.
 pub fn chip_summary() -> ChipSummary {
-    table1(&ChipConfig::prototype()).1
+    table1(CoreGeometry::prototype()).1
 }
 
 #[cfg(test)]
@@ -183,7 +184,7 @@ mod tests {
 
     #[test]
     fn percentages_track_table1() {
-        let (rows, _) = table1(&ChipConfig::prototype());
+        let (rows, _) = table1(CoreGeometry::prototype());
         let expect = [
             ("GT", 1.8),
             ("RT", 2.9),
@@ -209,7 +210,7 @@ mod tests {
 
     #[test]
     fn totals_track_the_chip() {
-        let (_, s) = table1(&ChipConfig::prototype());
+        let (_, s) = table1(CoreGeometry::prototype());
         // 5.8M cells, 11.5M array bits, ~334 mm² of placed tiles.
         assert!((s.total_cells as f64 - 5.8e6).abs() / 5.8e6 < 0.05, "{}", s.total_cells);
         assert!((s.total_bits as f64 - 11.5e6).abs() / 11.5e6 < 0.05, "{}", s.total_bits);
@@ -253,13 +254,13 @@ EBC            29K          0K        1.0           1          0.3
 C2C            48K          0K        2.2           1          0.6
 Chip          5.8M      11.5M        335         106        100.0
 ";
-        assert_eq!(render_table1(&ChipConfig::prototype()), expect);
+        let g = CoreGeometry::prototype();
+        assert_eq!(render_table1(g), expect);
         // And the exact computable array-bit censuses behind the
         // rounded display: each is the geometry formula evaluated at
         // the prototype point.
-        let cfg = ChipConfig::prototype();
-        assert_eq!(array_bits(TileKind::Rt, &cfg), 14336); // 4*32*64 + 8*8*72 + 8*8*24
-        assert_eq!(array_bits(TileKind::It, &cfg), 135_168); // 16K*8 + 128*32
-        assert_eq!(array_bits(TileKind::Et, &cfg), 12_060); // 64*165 + 1500
+        assert_eq!(array_bits(TileKind::Rt, g), 14336); // 4*32*64 + 8*8*72 + 8*8*24
+        assert_eq!(array_bits(TileKind::It, g), 135_168); // 16K*8 + 128*32
+        assert_eq!(array_bits(TileKind::Et, g), 12_060); // 64*165 + 1500
     }
 }

@@ -1,8 +1,9 @@
 //! An ASCII rendition of the Figure 6 chip floorplan.
 
+use trips_core::CoreGeometry;
 use trips_mem::{BANKS_PER_BLOCK, BANK_KB, BANK_WAYS};
 
-use crate::tiles::ChipConfig;
+use crate::tiles::{CORES, NTS};
 
 /// The fixed left edge of the die: controllers and the central OCN
 /// column of memory tiles (their counts do not follow the core
@@ -30,13 +31,11 @@ const LEFT_LAST: &str = "| DMA | MT  MT |      |";
 /// Renders the chip floorplan: the processor cores flank the central
 /// OCN column of memory tiles, with the controllers on the left edge
 /// (Figure 6). The per-core tile array is drawn from the same
-/// [`trips_core::CoreGeometry`] the simulator runs: a header row with
-/// the GT and the RT banks, then one row per ET row led by its IT and
-/// DT.
-pub fn floorplan(cfg: &ChipConfig) -> String {
-    let g = cfg.core.geometry;
+/// [`CoreGeometry`] the simulator runs: a header row with the GT and
+/// the RT banks, then one row per ET row led by its IT and DT.
+pub fn floorplan(g: CoreGeometry) -> String {
     let mut procs: Vec<String> = Vec::new();
-    for k in 0..cfg.cores {
+    for k in 0..CORES {
         procs.push(format!("            PROC {k}"));
         let mut head = String::from("   I  G");
         for _ in 0..g.num_rts() {
@@ -68,12 +67,12 @@ pub fn floorplan(cfg: &ChipConfig) -> String {
     s.push_str(&border);
     s.push_str(&format!(
         "  {} cores ({} geometry), {} MTs of {} KB ({}-way), {} NTs; die 18.30 x 18.37 mm\n",
-        cfg.cores,
+        CORES,
         g.name(),
         BANKS_PER_BLOCK,
         BANK_KB,
         BANK_WAYS,
-        cfg.nts
+        NTS
     ));
     s
 }
@@ -81,11 +80,10 @@ pub fn floorplan(cfg: &ChipConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trips_core::{CoreConfig, CoreGeometry};
 
     #[test]
     fn floorplan_mentions_both_cores_and_the_ocn() {
-        let s = floorplan(&ChipConfig::prototype());
+        let s = floorplan(CoreGeometry::prototype());
         assert!(s.contains("PROC 0"));
         assert!(s.contains("PROC 1"));
         assert!(s.contains("OCN"));
@@ -96,11 +94,7 @@ mod tests {
 
     #[test]
     fn floorplan_follows_the_geometry() {
-        let mini = ChipConfig {
-            core: CoreConfig::with_geometry(CoreGeometry::mini()),
-            ..ChipConfig::prototype()
-        };
-        let s = floorplan(&mini);
+        let s = floorplan(CoreGeometry::mini());
         assert!(s.contains("I  G  R  R"), "mini header row: GT plus two RTs\n{s}");
         assert!(s.contains("I  D  E  E"), "mini ET row: IT, DT, two ETs\n{s}");
         assert!(!s.contains("E  E  E  E"), "a mini row has only two ETs\n{s}");

@@ -3,7 +3,7 @@
 //! The TRIPS chip is a 170 M-transistor, 18.30 mm × 18.37 mm ASIC in
 //! IBM's CU-11 130 nm process, built from 106 copies of 11 tile types
 //! (§5). This crate regenerates the paper's physical-design artifacts
-//! from the same configuration the simulator runs:
+//! from the same core geometry the simulator runs:
 //!
 //! * **Table 1** — per-tile cell counts, array bits, sizes, and chip
 //!   area shares. Array bits are *derived* from the
@@ -26,4 +26,4 @@ pub use chip::{
     Table1Row,
 };
 pub use floorplan::floorplan;
-pub use tiles::{tile_specs, ChipConfig, TileKind, TileSpec};
+pub use tiles::{tile_specs, TileKind, TileSpec};

@@ -1,14 +1,14 @@
 //! Per-tile area modelling.
 //!
-//! Array bits are computed from the microarchitectural configuration —
-//! the same `CoreConfig` and constants the simulator runs — so a change
-//! to, say, the tile array or a predictor table shows up in the
+//! Array bits are computed from the microarchitecture — the same
+//! `CoreGeometry` and constants the simulator runs — so a change to,
+//! say, the tile array or a predictor table shows up in the
 //! regenerated Table 1. Logic cell counts and layout densities are
 //! calibrated constants (an area model always needs a technology
 //! calibration; the published tile data of Table 1 is ours).
 
 use trips_core::{
-    CoreConfig, BTB_ENTRIES, BTYPE_ENTRIES, CHOOSER_ENTRIES, CTB_ENTRIES, DEPPRED_ENTRIES,
+    CoreGeometry, BTB_ENTRIES, BTYPE_ENTRIES, CHOOSER_ENTRIES, CTB_ENTRIES, DEPPRED_ENTRIES,
     GSHARE_ENTRIES, L1D_SETS, L1D_WAYS, LOCAL_EXIT_ENTRIES, MSHR_LINES, RAS_ENTRIES,
 };
 use trips_mem::{BANKS_PER_BLOCK, BANK_KB};
@@ -75,28 +75,16 @@ impl TileKind {
     }
 }
 
-/// Chip-level configuration: two processor cores plus the secondary
-/// memory system, whose banks are `trips-mem`'s prototype NUCA
-/// ([`BANKS_PER_BLOCK`] banks of [`BANK_KB`] KB).
-#[derive(Debug, Clone)]
-pub struct ChipConfig {
-    /// The processor-core configuration (both cores identical).
-    pub core: CoreConfig,
-    /// Processor cores on the chip.
-    pub cores: usize,
-    /// OCN network interface tiles.
-    pub nts: usize,
-    /// SMT threads per core (register file copies).
-    pub threads: usize,
-}
+// The chip around the cores is the prototype's, its secondary memory
+// `trips-mem`'s NUCA (`BANKS_PER_BLOCK` banks of `BANK_KB` KB): only
+// the cores' `CoreGeometry` varies.
 
-impl ChipConfig {
-    /// The prototype: 2 cores, 16 × 64 KB NUCA banks, 24 NTs, 4-way
-    /// SMT register files, around the paper's prototype core.
-    pub fn prototype() -> ChipConfig {
-        ChipConfig { core: CoreConfig::prototype(), cores: 2, nts: 24, threads: 4 }
-    }
-}
+/// Processor cores on the chip, identical to one another.
+pub(crate) const CORES: usize = 2;
+/// OCN network interface tiles.
+pub(crate) const NTS: usize = 24;
+/// SMT threads per core: the copies of each register bank.
+const THREADS: usize = 4;
 
 /// One row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,9 +148,8 @@ const MM2_PER_CELL: f64 = 3.32e-5;
 /// SRAM).
 const MM2_PER_BIT: f64 = 8.3e-6;
 
-/// Derives each tile's array-bit census from the configuration.
-pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
-    let c = &cfg.core;
+/// Derives each tile's array-bit census from the core geometry.
+pub(crate) fn array_bits(kind: TileKind, g: CoreGeometry) -> u64 {
     match kind {
         TileKind::Gt => {
             // Exit predictor: local/gshare entries carry a 3-bit exit
@@ -174,15 +161,14 @@ pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
                 (BTB_ENTRIES * 40 + CTB_ENTRIES * 48 + RAS_ENTRIES * 57 + BTYPE_ENTRIES * 3) as u64;
             // I-TLB, a block PC per frame, I-cache tag array, control regs.
             let tags = 128 * 20;
-            let misc = c.geometry.frames * 40 + 16 * 64 + 640;
+            let misc = g.frames * 40 + 16 * 64 + 640;
             exit + target + tags as u64 + misc as u64
         }
         TileKind::Rt => {
             // Per-thread register banks plus per-frame read/write
             // queues, all sized by the tile-array geometry (prototype:
             // 32x64b banks, 8 frames x 8 header slots per RT).
-            let g = c.geometry;
-            let regs = (cfg.threads * g.regs_per_bank() * 64) as u64;
+            let regs = (THREADS * g.regs_per_bank() * 64) as u64;
             let wq = (g.frames * g.slots_per_rt() * (64 + 6 + 2)) as u64;
             let rq = (g.frames * g.slots_per_rt() * (22 + 2)) as u64;
             regs + wq + rq
@@ -203,14 +189,14 @@ pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
             // The LSQ's address CAM is discrete latches (cells), but
             // its 64-bit data payload per entry is a dense array: 16
             // entries per ET, at most 512 (the simulator bounds none).
-            let lsq_data = ((16 * c.geometry.num_ets()).min(512) * 64) as u64;
+            let lsq_data = ((16 * g.num_ets()).min(512) * 64) as u64;
             data + tags + deppred + tlb + mshr + wb as u64 + lsq_data
         }
         TileKind::Et => {
             // frames x beats reservation stations (64 on the
             // prototype): two 64-bit operands, a predicate bit, and
             // the 32-bit instruction plus status.
-            (c.geometry.frames * c.geometry.beats() * (2 * 64 + 1 + 32 + 4)) as u64 + 1500
+            (g.frames * g.beats() * (2 * 64 + 1 + 32 + 4)) as u64 + 1500
         }
         TileKind::Mt => {
             let data = (BANK_KB * 1024 * 8) as u64;
@@ -227,16 +213,15 @@ pub fn array_bits(kind: TileKind, cfg: &ChipConfig) -> u64 {
 }
 
 /// Chip-wide copy counts.
-fn tile_count(kind: TileKind, cfg: &ChipConfig) -> usize {
-    let g = cfg.core.geometry;
+fn tile_count(kind: TileKind, g: CoreGeometry) -> usize {
     match kind {
-        TileKind::Gt => cfg.cores,
-        TileKind::Rt => cfg.cores * g.num_rts(),
-        TileKind::It => cfg.cores * g.num_its(),
-        TileKind::Dt => cfg.cores * g.num_dts(),
-        TileKind::Et => cfg.cores * g.num_ets(),
+        TileKind::Gt => CORES,
+        TileKind::Rt => CORES * g.num_rts(),
+        TileKind::It => CORES * g.num_its(),
+        TileKind::Dt => CORES * g.num_dts(),
+        TileKind::Et => CORES * g.num_ets(),
         TileKind::Mt => BANKS_PER_BLOCK,
-        TileKind::Nt => cfg.nts,
+        TileKind::Nt => NTS,
         TileKind::Sdc => 2,
         TileKind::Dma => 2,
         TileKind::Ebc => 1,
@@ -244,20 +229,20 @@ fn tile_count(kind: TileKind, cfg: &ChipConfig) -> usize {
     }
 }
 
-/// The full Table 1 inventory for a chip configuration.
-pub fn tile_specs(cfg: &ChipConfig) -> Vec<TileSpec> {
+/// The full Table 1 inventory for a chip of `g`-shaped cores.
+pub fn tile_specs(g: CoreGeometry) -> Vec<TileSpec> {
     TileKind::ALL
         .iter()
         .map(|&kind| {
             let cells = cell_count(kind);
-            let bits = array_bits(kind, cfg);
+            let bits = array_bits(kind, g);
             let raw = cells as f64 * MM2_PER_CELL + bits as f64 * MM2_PER_BIT;
             TileSpec {
                 kind,
                 cell_count: cells,
                 array_bits: bits,
                 size_mm2: raw * layout_factor(kind),
-                count: tile_count(kind, cfg),
+                count: tile_count(kind, g),
             }
         })
         .collect()
@@ -285,12 +270,11 @@ mod tests {
 
     #[test]
     fn array_bits_track_the_paper_within_ten_percent() {
-        let cfg = ChipConfig::prototype();
         for (kind, paper_kbits, _, _) in PAPER {
             if paper_kbits == 0.0 {
                 continue;
             }
-            let model = array_bits(kind, &cfg) as f64 / 1000.0;
+            let model = array_bits(kind, CoreGeometry::prototype()) as f64 / 1000.0;
             let err = (model - paper_kbits).abs() / paper_kbits;
             assert!(
                 err < 0.10,
@@ -303,8 +287,7 @@ mod tests {
 
     #[test]
     fn tile_sizes_track_the_paper_within_ten_percent() {
-        let cfg = ChipConfig::prototype();
-        let specs = tile_specs(&cfg);
+        let specs = tile_specs(CoreGeometry::prototype());
         for ((kind, _, paper_mm2, _), spec) in PAPER.iter().zip(&specs) {
             assert_eq!(*kind, spec.kind);
             let err = (spec.size_mm2 - paper_mm2).abs() / paper_mm2;
@@ -320,8 +303,7 @@ mod tests {
 
     #[test]
     fn tile_counts_sum_to_106() {
-        let cfg = ChipConfig::prototype();
-        let total: usize = tile_specs(&cfg).iter().map(|s| s.count).sum();
+        let total: usize = tile_specs(CoreGeometry::prototype()).iter().map(|s| s.count).sum();
         assert_eq!(total, 106);
     }
 
@@ -329,11 +311,7 @@ mod tests {
     fn the_lsq_is_sized_from_the_et_array() {
         // Only the LSQ's 64-bit payload varies with the die: mini's
         // 64 entries are the floor every other point is measured from.
-        let dt_bits = |spec| {
-            let mut cfg = ChipConfig::prototype();
-            cfg.core.geometry = trips_core::CoreGeometry::parse(spec).unwrap();
-            array_bits(TileKind::Dt, &cfg)
-        };
+        let dt_bits = |spec| array_bits(TileKind::Dt, CoreGeometry::parse(spec).unwrap());
         for (spec, depth) in [("prototype", 256), ("fat", 512), ("2x4/8", 128), ("4x8/8", 512)] {
             assert_eq!(dt_bits(spec) - dt_bits("mini"), (depth - 64) * 64, "{spec}");
         }

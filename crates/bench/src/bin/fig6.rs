@@ -1,17 +1,18 @@
 //! Regenerates Figure 6: the TRIPS physical floorplan, with the area
 //! breakdown by function.
 
-use trips_area::{floorplan, table1, ChipConfig};
+use trips_area::{floorplan, table1};
+use trips_core::CoreGeometry;
 
 fn main() {
     let [] = trips_bench::flags_or_exit("fig6", []);
-    let cfg = ChipConfig::prototype();
+    let g = CoreGeometry::prototype();
     println!("Figure 6. TRIPS physical floorplan (ASCII rendition).");
     println!();
-    print!("{}", floorplan(&cfg));
+    print!("{}", floorplan(g));
     println!();
     println!("Area by function:");
-    let (rows, summary) = table1(&cfg);
+    let (rows, summary) = table1(g);
     let pct = |labels: &[&str]| -> f64 {
         rows.iter().filter(|r| labels.contains(&r.tile)).map(|r| r.pct_chip_area).sum()
     };

@@ -30,7 +30,7 @@
 
 use std::process::ExitCode;
 
-use trips_area::{core_area_mm2, ChipConfig};
+use trips_area::core_area_mm2;
 use trips_bench::{flags_or_exit, run_trips};
 use trips_core::{CoreConfig, CoreGeometry};
 use trips_harness::json::{fixed, Object};
@@ -65,10 +65,7 @@ impl Point {
 }
 
 fn sweep_point(geom: CoreGeometry, workloads: &[Workload]) -> Point {
-    let area = core_area_mm2(&ChipConfig {
-        core: CoreConfig::with_geometry(geom),
-        ..ChipConfig::prototype()
-    });
+    let area = core_area_mm2(geom);
     let runs = parallel_map(workloads.to_vec(), num_threads(), move |wl| {
         let stats = run_trips(&wl, Quality::Hand, CoreConfig::with_geometry(geom));
         WorkloadRun {

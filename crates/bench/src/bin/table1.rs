@@ -1,12 +1,12 @@
 //! Regenerates Table 1: TRIPS tile specifications.
 
-use trips_area::{chip_summary, render_table1, ChipConfig};
+use trips_area::{chip_summary, render_table1};
+use trips_core::CoreGeometry;
 
 fn main() {
     let [] = trips_bench::flags_or_exit("table1", []);
-    let cfg = ChipConfig::prototype();
     println!("Table 1. TRIPS Tile Specifications (model-regenerated).");
-    print!("{}", render_table1(&cfg));
+    print!("{}", render_table1(CoreGeometry::prototype()));
 
     let s = chip_summary();
     println!();

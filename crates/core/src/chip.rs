@@ -87,7 +87,8 @@ pub struct ChipConfig {
     pub mem: MemConfig,
     /// Retired: the cores always tick in turn on the calling thread.
     /// `None` and `Some(false)` are accepted; [`ChipConfig::validate`]
-    /// rejects `Some(true)`. The field leaves with ROADMAP item 9b.
+    /// rejects `Some(true)`. The field stays only because the perf
+    /// ledger still sets it.
     pub threaded: Option<bool>,
     /// Run the cores in one coherent physical address space (MSI
     /// directory protocol at the NUCA banks) instead of the default

@@ -503,14 +503,12 @@ impl CoreGeometry {
 /// backend choice cannot affect architectural results.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MemBackend {
-    /// A perfect L2: every miss fills after a flat `latency`, as the
-    /// paper's Table 3 runs do to isolate core effects. The default;
-    /// bit-identical to the pre-backend model (pinned by the
-    /// `mem_backend` equivalence suite).
-    PerfectL2 {
-        /// Fill latency in cycles for I-side refills and D-side misses.
-        latency: u64,
-    },
+    /// A perfect L2: every I-side refill and D-side miss fills after
+    /// [`trips_mem::PERFECT_L2_LAT`] cycles, as the paper's Table 3
+    /// runs do to isolate core effects. The default; bit-identical to
+    /// the pre-backend model (pinned by the `mem_backend` equivalence
+    /// suite).
+    PerfectL2,
     /// The §3.6 NUCA secondary system: requests travel the 4×10
     /// wormhole OCN to sixteen cache banks
     /// ([`trips_mem::SecondarySystem`]), ticked in lockstep with the
@@ -521,10 +519,10 @@ pub enum MemBackend {
 }
 
 impl MemBackend {
-    /// The prototype default: a perfect L2 with the 12-cycle fill the
-    /// paper's Table 3 runs use.
+    /// The prototype default: the perfect L2 the paper's Table 3 runs
+    /// use.
     pub fn prototype() -> MemBackend {
-        MemBackend::PerfectL2 { latency: 12 }
+        MemBackend::PerfectL2
     }
 
     /// The NUCA backend in its prototype configuration.
@@ -644,7 +642,7 @@ impl CoreConfig {
         }
         match &self.mem_backend {
             MemBackend::Nuca(mc) => mc.validate().map_err(|e| format!("mem_backend: {e}")),
-            MemBackend::PerfectL2 { .. } => Ok(()),
+            MemBackend::PerfectL2 => Ok(()),
         }
     }
 
@@ -857,8 +855,13 @@ mod tests {
     fn default_backend_is_the_perfect_l2() {
         assert_eq!(
             CoreConfig::prototype().mem_backend,
-            MemBackend::PerfectL2 { latency: 12 },
-            "Table 3 isolates core effects behind a 12-cycle perfect L2"
+            MemBackend::PerfectL2,
+            "Table 3 isolates core effects behind a perfect L2"
+        );
+        assert_eq!(
+            trips_mem::PERFECT_L2_LAT,
+            12,
+            "the 12-cycle fill both Table 3 machines sit behind"
         );
         assert!(
             matches!(MemBackend::nuca_prototype(), MemBackend::Nuca(mc) if mc == MemConfig::prototype()),

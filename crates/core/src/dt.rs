@@ -30,14 +30,12 @@ use crate::stats::CoreStats;
 use crate::trace::{TraceKind, Tracer};
 
 #[derive(Debug, Clone, Copy)]
-#[allow(dead_code)] // `ev` kept for trace output
 struct StoreRec {
     lsid: u8,
     ea: u64,
     val: u64,
     bytes: u32,
     nullified: bool,
-    ev: EvId,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -101,12 +99,10 @@ impl DtFrame {
 }
 
 #[derive(Debug, Clone, Copy)]
-#[allow(dead_code)] // `ea` kept for trace output
 struct ExecLoad {
     frame: FrameId,
     gen: Gen,
     opcode: Opcode,
-    ea: u64,
     raw: u64,
     target: Target,
     ev: EvId,
@@ -624,7 +620,7 @@ impl DataTile {
         }
         self.frames[frame].performed_loads.push(LoadRec { lsid, ea, bytes });
         self.occupancy += 1;
-        let ld = ExecLoad { frame, gen, opcode, ea, raw, target, ev };
+        let ld = ExecLoad { frame, gen, opcode, raw, target, ev };
         if self.is_hit(ea) || forwarded {
             stats.l1d_hits += 1;
             self.respond_q.push((now + L1D_HIT_LAT, ld));
@@ -729,7 +725,7 @@ impl DataTile {
         {
             let f = &mut self.frames[frame];
             f.arrived.insert(lsid.into());
-            f.own_stores.push(StoreRec { lsid, ea, val, bytes, nullified, ev });
+            f.own_stores.push(StoreRec { lsid, ea, val, bytes, nullified });
             f.done_ev = crit.later(f.done_ev, ev);
         }
         self.occupancy += 1;

@@ -362,37 +362,6 @@ impl GlobalTile {
             .collect()
     }
 
-    /// A human-readable snapshot of GT state, for diagnosing hangs.
-    pub fn dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "GT: next_pc={:x?} halt_pending={} halted={} fetch={:?} order={:?}",
-            self.next_pc, self.halt_pending, self.halted, self.fetch, self.order
-        );
-        for (i, f) in self.frames.iter().enumerate() {
-            if f.state == FState::Free {
-                continue;
-            }
-            let _ = writeln!(
-                s,
-                "  frame {i}: {:?} gen={} pc={:#x} wd={} sd={} br={:?} cs={} rta={} dta={} pred={:x?}",
-                f.state,
-                f.gen,
-                f.pc,
-                f.writes_done,
-                f.stores_done,
-                f.branch,
-                f.commit_sent,
-                f.rt_ack,
-                f.dt_ack,
-                f.predicted_next,
-            );
-        }
-        s
-    }
-
     /// The I-cache tag array's (set, tag) for a block address.
     fn itag_index(addr: u64) -> (usize, u64) {
         (((addr >> 7) as usize) % ITAG_SETS, addr >> 13)

@@ -42,7 +42,7 @@
 
 use std::collections::VecDeque;
 
-use trips_mem::{MemConfig, MemReq, OcnGeometry, SecondarySystem, ID_COH};
+use trips_mem::{MemConfig, MemReq, OcnGeometry, SecondarySystem, ID_COH, PERFECT_L2_LAT};
 use trips_micronet::{WakePort, WakeTable};
 
 use crate::config::{CoreConfig, CoreGeometry, MemBackend};
@@ -542,8 +542,8 @@ impl Adapter {
 // allocation per run and an indirection per tile due-check.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum MemSys {
-    /// Flat-latency answer machine; holds no state.
-    Perfect { latency: u64 },
+    /// Flat-latency answer machine ([`PERFECT_L2_LAT`]); holds no state.
+    Perfect,
     /// A client of a NUCA whose [`Nuca`] owner — the solo core's own
     /// or the chip's — runs the memory phase.
     Adapter(Adapter),
@@ -555,7 +555,7 @@ impl MemSys {
     /// die (its [`Nuca`] is built beside it).
     pub(crate) fn new(cfg: &CoreConfig, wake: &WakeTable) -> MemSys {
         match &cfg.mem_backend {
-            MemBackend::PerfectL2 { latency } => MemSys::Perfect { latency: *latency },
+            MemBackend::PerfectL2 => MemSys::Perfect,
             MemBackend::Nuca(_) => MemSys::client(0, 1, cfg.geometry, false, wake),
         }
     }
@@ -583,14 +583,14 @@ impl MemSys {
 
     fn adapter(&self) -> Option<&Adapter> {
         match self {
-            MemSys::Perfect { .. } => None,
+            MemSys::Perfect => None,
             MemSys::Adapter(ad) => Some(ad),
         }
     }
 
     fn adapter_mut(&mut self) -> Option<&mut Adapter> {
         match self {
-            MemSys::Perfect { .. } => None,
+            MemSys::Perfect => None,
             MemSys::Adapter(ad) => Some(ad),
         }
     }
@@ -607,7 +607,7 @@ impl MemSys {
 
     fn fill(&mut self, now: u64, client: MemClient, line: u64) -> FillPath {
         match self {
-            MemSys::Perfect { latency } => FillPath::At(now + *latency),
+            MemSys::Perfect => FillPath::At(now + PERFECT_L2_LAT),
             MemSys::Adapter(ad) => {
                 ad.push_fill(client, line);
                 FillPath::Queued

@@ -103,11 +103,9 @@ impl Nets {
         let mut nets = Nets {
             geom: g,
             wake: wake.clone(),
-            opn: (0..cfg.opn_networks.max(1))
-                .map(|_| Mesh::new(mesh.0, mesh.1, OPN_FIFO))
-                .collect(),
+            opn: (0..cfg.opn_networks).map(|_| Mesh::new(mesh.0, mesh.1, OPN_FIFO)).collect(),
             opn_inject_stalls: 0,
-            opn_highwater: vec![0; cfg.opn_networks.max(1)],
+            opn_highwater: vec![0; cfg.opn_networks],
             gdn_col: Chain::new(1 + g.num_its()),
             gdn_rows: (0..g.num_its()).map(|it| Chain::new(row_len(it))).collect(),
             gsn_rt: Chain::new(1 + g.num_rts()),

@@ -478,11 +478,6 @@ impl Processor {
             && self.memsys.quiet()
     }
 
-    /// A diagnostic snapshot for debugging hangs.
-    pub fn dump(&self) -> String {
-        format!("cycle {}\n{}", self.cycle, self.gt.dump())
-    }
-
     /// The cycle's tile activity mask and the earliest *future* cycle
     /// anything in the core can act (`None`: only a new external event
     /// could), read off the wake table.

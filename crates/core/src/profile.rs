@@ -1,6 +1,6 @@
 //! The per-phase tick profiler.
 //!
-//! ROADMAP item 1 is a wall-clock budget problem: a busy cycle costs
+//! Host time per simulated cycle is a budget: a busy cycle costs
 //! single-digit microseconds and the question is always *which phase
 //! of the tick* is eating them. The [`TickProfile`] answers it the
 //! same way the [`Tracer`](crate::trace::Tracer) answers protocol

@@ -52,7 +52,7 @@ pub use geometry::{
 };
 pub use system::{
     CohSnapshot, DirView, MemConfig, MemMode, MemReq, MemResp, ReqKind, SecondarySystem, DRAM_LAT,
-    ID_COH, VC_CAP,
+    ID_COH, PERFECT_L2_LAT, VC_CAP,
 };
 pub use tags::TagStore;
 pub use tiles::{MemTile, NetTile, BANK_KB, BANK_LAT, BANK_WAYS};

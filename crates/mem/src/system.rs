@@ -28,6 +28,10 @@ pub enum MemMode {
 
 /// DRAM access latency through an SDC, in cycles.
 pub const DRAM_LAT: u64 = 60;
+/// Fill latency of the perfect L2 that Table 3 puts behind both the
+/// TRIPS core and the Alpha baseline (§5.4), in cycles: every miss
+/// hits, so the cores and their primary caches are what differ.
+pub const PERFECT_L2_LAT: u64 = 12;
 /// Per-virtual-channel OCN router buffering, in packets.
 pub const VC_CAP: usize = 2;
 const _: () = assert!(VC_CAP >= 1, "a channel with no buffer never forwards");
@@ -400,11 +404,6 @@ impl SecondarySystem {
     /// represented by no packet in the system.
     pub fn dir_deferred(&self) -> usize {
         self.dir_deferred_now
-    }
-
-    /// The client tag of `port` (see [`SecondarySystem::set_port_tag`]).
-    pub fn port_tag_of(&self, port: usize) -> u8 {
-        self.port_tag[port]
     }
 
     /// Every allocated directory entry, in (bank, line) order — the

@@ -81,10 +81,17 @@ for patch in "${patches[@]}"; do
       echo "$name: guard $guard fails, as it must (${secs} s)"
     fi
   done
-  # Every tier-1 test the bug trips, as `tests/<file>.rs::<test>`.
+  # Every tier-1 test the bug trips, under the header of the binary
+  # that ran it: `tests/<file>.rs::<test>`, `src/lib.rs::<module>::<test>`
+  # (unit tests), or `doc-tests <crate>::<file> - (line N)`.
   others=$(cd "$tree" && cargo test --release --no-fail-fast 2>&1 | awk '
-    / Running tests\// { file = $2 }
-    /^test .* \.\.\. FAILED$/ { print "  " file "::" $2 }' | sort || true)
+    /^ *Running unittests / { file = $3 }
+    /^ *Running tests\// { file = $2 }
+    /^ *Doc-tests / { file = "doc-tests " $2 }
+    /^test .* \.\.\. FAILED$/ {
+      name = $0; sub(/^test /, "", name); sub(/ \.\.\. FAILED$/, "", name)
+      print "  " file "::" name
+    }' | sort || true)
   echo "$name: tier-1 tests failing with the bug in:"
   echo "${others:-  (none)}"
 done

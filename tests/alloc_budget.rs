@@ -135,7 +135,7 @@ fn a_recording_run_of_dct8x8_peaks_within_budget() {
     within(
         "the dct8x8 recording run's peak heap",
         recording_run_peak("dct8x8"),
-        1_436_944,
+        1_435_536,
         "bytes",
     );
 }
@@ -148,7 +148,7 @@ fn a_recording_run_of_bzip2_peaks_within_budget() {
     within(
         "the 256.bzip2 recording run's peak heap",
         recording_run_peak("256.bzip2"),
-        7_431_216,
+        7_430_064,
         "bytes",
     );
 }

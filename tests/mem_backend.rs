@@ -52,7 +52,7 @@ fn outcome(wl: &Workload, backend: MemBackend) -> (CoreStats, Vec<u64>, SparseMe
 
 #[test]
 fn default_backend_is_the_perfect_l2_and_exports_no_mem_stats() {
-    assert_eq!(CoreConfig::prototype().mem_backend, MemBackend::PerfectL2 { latency: 12 });
+    assert_eq!(CoreConfig::prototype().mem_backend, MemBackend::PerfectL2);
     let wl = suite::by_name("vadd").expect("registered");
     let (default_stats, default_regs, default_mem) = outcome(&wl, MemBackend::prototype());
     assert!(
@@ -62,8 +62,7 @@ fn default_backend_is_the_perfect_l2_and_exports_no_mem_stats() {
     );
     // An explicitly spelled-out PerfectL2 is the same backend, not a
     // sibling code path.
-    let (explicit_stats, explicit_regs, explicit_mem) =
-        outcome(&wl, MemBackend::PerfectL2 { latency: 12 });
+    let (explicit_stats, explicit_regs, explicit_mem) = outcome(&wl, MemBackend::PerfectL2);
     assert_eq!(default_stats, explicit_stats);
     assert_eq!(default_regs, explicit_regs);
     assert_eq!(default_mem, explicit_mem);
